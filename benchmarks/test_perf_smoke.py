@@ -7,8 +7,7 @@ The timed jobs:
   same sweep the golden-result suite replays bit-identically),
 * a micro benchmark of the bare event-queue step loop,
 * the functional interpreter loop (the sampled-simulation
-  fast-forward path) over a golden program,
-* the warm worker pool against per-job spawning, and
+  fast-forward path) over a golden program, and
 * the shared fast-forward trace store against per-job fast-forward
   interpretation over a sampled composition sweep.
 
@@ -31,14 +30,13 @@ import pathlib
 import time
 
 import repro.harness.runner as runner_mod
-from repro.exec import ResultStore, run_specs
+from repro.exec import ResultStore
 from repro.exec.spec import JobSpec
 from repro.exec.worker import execute_spec
 from repro.harness import (
     clear_cache,
     configure_cache,
     fig6_performance,
-    fig6_specs,
 )
 from repro.harness.benchrecord import record_job
 from repro.harness.golden import GOLDEN_BENCHMARKS, GOLDEN_SCALE
@@ -152,54 +150,6 @@ def test_step_loop_smoke(benchmark):
     seconds = benchmark.stats.stats.min
     _record("step_loop", seconds, calibration)
     _check_regression("step_loop", seconds, calibration)
-
-
-def _pool_vs_spawn(tmp_root: pathlib.Path) -> tuple:
-    """Time the golden fig6 sweep on both executor backends.
-
-    Both arms run under the spawn start method — the full
-    process-boot + ``import repro`` per-job lifecycle the pool exists
-    to amortise (fork shares the parent's warm modules and would
-    understate the per-job cost on both sides).  Returns
-    ``(pool_seconds, spawn_seconds, pool_store, spawn_store, specs)``.
-    """
-    specs = fig6_specs(scale=GOLDEN_SCALE,
-                       benchmarks=list(GOLDEN_BENCHMARKS))
-    pool_store = ResultStore(tmp_root / "pool")
-    spawn_store = ResultStore(tmp_root / "spawn")
-
-    t0 = time.perf_counter()
-    pooled = run_specs(specs, jobs=4, store=pool_store,
-                       pool=True, mp_context="spawn")
-    pool_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    spawned = run_specs(specs, jobs=4, store=spawn_store,
-                        pool=False, mp_context="spawn")
-    spawn_seconds = time.perf_counter() - t0
-
-    assert all(r.status == "ok" for r in pooled)
-    assert all(r.status == "ok" for r in spawned)
-    return pool_seconds, spawn_seconds, pool_store, spawn_store, specs
-
-
-def test_pool_vs_spawn(tmp_path):
-    """Acceptance: the warm pool runs the golden fig6 sweep >=1.3x
-    faster than per-job spawning, with byte-identical store records."""
-    calibration = calibrate()
-    pool_s, spawn_s, pool_store, spawn_store, specs = _pool_vs_spawn(tmp_path)
-
-    for spec in specs:
-        a = pool_store.path_for(pool_store.key(spec)).read_bytes()
-        b = spawn_store.path_for(spawn_store.key(spec)).read_bytes()
-        assert a == b, f"records diverge for {spec.label()}"
-
-    _record("fig6_pool_warm", pool_s, calibration)
-    _record("fig6_spawn_perjob", spawn_s, calibration)
-    _check_regression("fig6_pool_warm", pool_s, calibration)
-    assert spawn_s >= 1.3 * pool_s, (
-        f"warm pool not fast enough: pool {pool_s:.2f}s vs "
-        f"spawn {spawn_s:.2f}s ({spawn_s / pool_s:.2f}x, need >=1.3x)")
 
 
 #: Per-benchmark data scales sized so every golden benchmark commits

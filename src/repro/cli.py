@@ -27,11 +27,10 @@ faults: ``dead:CORE``, ``kill:CORE@CYCLE``, or ``link:SRC-DST:EXTRA``
 up front — conflicting or out-of-range ``--sample-*``/``--inject``
 values fail with an actionable message before any simulation starts.
 
-Simulating commands take ``--jobs N`` (parallel workers for cold
-points) with ``--pool/--no-pool`` (warm persistent worker pool vs one
-process per job) and ``--schedule ljf|fifo`` (dispatch order),
-``--cache-dir DIR`` and ``--no-cache`` (the persistent result store
-under ``.repro-cache/`` — see docs/EXECUTION.md),
+Simulating commands take ``--jobs N`` (warm pool workers for cold
+points; 1 runs them in this process), ``--cache-dir DIR`` and
+``--no-cache`` (the persistent result store under ``.repro-cache/`` —
+see docs/EXECUTION.md),
 ``--ff-trace/--no-ff-trace`` (shared fast-forward traces for sampled
 runs, recorded once per benchmark/schedule and replayed by every
 composition — on by default, disabled by ``--no-cache`` unless
@@ -125,11 +124,10 @@ def _cmd_sweep(args) -> int:
 
     core_counts = (1, 2, 4, 8, 16, 32)
     sampling = _sampling_from_args(args)
-    if args.jobs > 1:
-        prewarm_specs([JobSpec.edge(args.bench, ncores=n, scale=args.scale,
-                                    sampling=sampling)
-                       for n in core_counts],
-                      jobs=args.jobs, progress=True)
+    prewarm_specs([JobSpec.edge(args.bench, ncores=n, scale=args.scale,
+                                sampling=sampling)
+                   for n in core_counts],
+                  jobs=args.jobs, progress=args.jobs > 1)
     rows = []
     base = None
     for ncores in core_counts:
@@ -364,18 +362,8 @@ def _add_exec_flags(sub_parser, jobs: bool = True) -> None:
     if jobs:
         sub_parser.add_argument(
             "--jobs", type=int, default=1, metavar="N",
-            help="worker processes for cold simulation points (default 1)")
-        pool_group = sub_parser.add_mutually_exclusive_group()
-        pool_group.add_argument(
-            "--pool", dest="pool", action="store_true", default=True,
-            help="serve jobs from a warm persistent worker pool (default)")
-        pool_group.add_argument(
-            "--no-pool", dest="pool", action="store_false",
-            help="spawn one fresh worker process per job")
-        sub_parser.add_argument(
-            "--schedule", choices=("ljf", "fifo"), default="ljf",
-            help="cold-job dispatch order: longest-job-first from learned "
-                 "duration estimates, or submission order (default ljf)")
+            help="warm pool workers for cold simulation points (default 1: "
+                 "run them in this process)")
     sub_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persistent result store location (default .repro-cache)")
@@ -554,6 +542,9 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     """Check flag values and combinations up front, so misuse fails in
     milliseconds with an actionable message instead of asserting deep
     inside a multi-minute simulation."""
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+
     if getattr(args, "sample", False):
         if args.sample_ff < 1:
             parser.error(f"--sample-ff must be >= 1, got {args.sample_ff}")
@@ -672,16 +663,6 @@ def _configure_store(args) -> None:
         os.environ[TRACE_DIR_ENV] = str(resolve_trace_dir())
 
 
-def _configure_exec(args) -> None:
-    """Apply --pool/--no-pool/--schedule as process-wide executor
-    defaults; commands without the flags leave them untouched."""
-    if not hasattr(args, "schedule"):
-        return
-    from repro.harness import configure_exec
-
-    configure_exec(pool=args.pool, schedule=args.schedule)
-
-
 def _configure_obs(args) -> None:
     """Apply --trace-out/--metrics by installing the process-global
     observability bundle; commands without the flags leave it alone."""
@@ -753,7 +734,6 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"repro: {exc}", file=sys.stderr)
             return 2
-        _configure_exec(args)
         _configure_obs(args)
         try:
             return _dispatch(args)

@@ -15,13 +15,13 @@ into three composable pieces:
   watchdog and transparent respawn.
 * :mod:`repro.exec.sched` — :class:`DurationBook` duration estimates
   and the longest-job-first dispatch order they feed.
-* :mod:`repro.exec.executor` — :class:`ParallelExecutor`, the fan-out
-  driver (warm pool by default, one-process-per-job fallback) with
+* :mod:`repro.exec.executor` — :class:`ParallelExecutor`, the one
+  dispatch loop (warm pool, or an in-process slot at ``jobs=1``) with
   per-job timeout, duplicate-spec coalescing, one retry on worker
   crash, and a live progress/ETA reporter.
 
-The harness (:mod:`repro.harness.runner`) layers its in-process cache
-on top of the store, so warm-cache replays of any figure driver are
+The harness (:mod:`repro.harness.runner`) puts its in-process result
+dict in front of the executor, so warm-cache replays of any figure driver are
 instant and ``--jobs N`` parallelises cold sweeps.  See
 ``docs/EXECUTION.md``.
 """

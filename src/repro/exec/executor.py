@@ -1,26 +1,27 @@
-"""Parallel job execution over worker processes.
+"""Job execution: one dispatch loop over one kind of worker slot.
 
-The executor fans :class:`~repro.exec.spec.JobSpec` jobs out over at
-most ``jobs`` concurrent workers, with:
+The executor runs a batch of :class:`~repro.exec.spec.JobSpec` jobs on
+at most ``jobs`` concurrent workers, with:
 
 * a consultation of the :class:`~repro.exec.store.ResultStore` first,
   so warm jobs never touch a worker;
 * coalescing of equal-hash specs within the batch — one runs, every
   duplicate receives the same payload;
+* longest-job-first dispatch from learned duration estimates
+  (:mod:`repro.exec.sched`; a cold book is input order);
 * a per-job wall-clock timeout enforced by a terminate→kill watchdog;
 * one retry (configurable) when a worker raises, crashes, or times
   out — a bad job is *reported* failed, it never kills the sweep;
 * optional live progress/ETA reporting.
 
-Two execution backends share those semantics:
-
-* the **warm pool** (default, :mod:`repro.exec.pool`): ``jobs``
-  long-lived workers that import the simulator once and serve specs
-  over a request/reply pipe, with longest-job-first dispatch from
-  learned duration estimates (:mod:`repro.exec.sched`);
-* the **per-job-spawn** path (``pool=False``): one process per job,
-  capped — the shape of vusec's ``prun`` scheduler, kept as the
-  fallback and as the baseline the pool is benchmarked against.
+Every job takes the same route.  The loop talks to its workers through
+the ``has_idle/dispatch/poll/busy_count/shutdown`` calls of
+:class:`~repro.exec.pool.WorkerPool` — ``jobs`` long-lived processes
+that import the simulator once and serve specs over a request/reply
+pipe.  ``jobs=1`` without a timeout swaps in :class:`_InProcessSlot`,
+which offers the same calls and runs the job in this process, so a
+serial sweep pays no process at all; ``jobs=1`` *with* a timeout uses a
+one-worker pool, because only a process can be killed.
 
 Results come back in input order as :class:`JobResult` records; the
 parent (not the workers) persists successful payloads to the store, so
@@ -33,11 +34,11 @@ import multiprocessing
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import repro.obs as obs_lib
-from repro.exec.pool import WorkerPool
+from repro.exec.pool import PoolEvent, WorkerPool
 from repro.exec.progress import ProgressReporter
 from repro.exec.sched import DurationBook, order_indices
 from repro.exec.spec import JobSpec, spec_hash
@@ -48,13 +49,6 @@ from repro.exec.worker import execute_spec
 STATUS_OK = "ok"             # simulated this run
 STATUS_CACHED = "cached"     # satisfied from the result store
 STATUS_FAILED = "failed"     # exhausted retries (raise/crash/timeout)
-
-#: The serial (jobs=1) path runs jobs in-process, so there is no worker
-#: to terminate and ``timeout=`` cannot be enforced.  Warned once per
-#: process (plus an ``exec.timeout_unsupported`` metric every run) so
-#: sweeps never *silently* appear bounded.
-_SERIAL_TIMEOUT_WARNED = False
-
 
 def _failure_reason(error: str) -> str:
     """Classify a worker error string for metric labels: ``timeout``
@@ -83,27 +77,38 @@ class JobResult:
         return self.status in (STATUS_OK, STATUS_CACHED)
 
 
-def _child_main(worker: Callable[[JobSpec], dict], spec: JobSpec,
-                conn) -> None:
-    """Run ``worker(spec)`` in a child process, report through the pipe."""
-    try:
-        conn.send(("ok", worker(spec)))
-    except BaseException as exc:
+class _InProcessSlot:
+    """The ``jobs=1`` stand-in for :class:`WorkerPool`: one slot that
+    runs ``worker(spec)`` in this process inside :meth:`dispatch` and
+    hands the finished job to the next :meth:`poll`.  There is no
+    process to kill, so it cannot enforce a timeout."""
+
+    def __init__(self, worker: Callable[[JobSpec], dict]) -> None:
+        self.worker = worker
+        self._done: list[PoolEvent] = []
+
+    def has_idle(self) -> bool:
+        return not self._done
+
+    def busy_count(self) -> int:
+        return len(self._done)
+
+    def dispatch(self, tag, spec: JobSpec) -> None:
+        started = time.monotonic()
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()
+            ok, value = True, self.worker(spec)
+        except Exception as exc:    # boundary: a bad job is reported
+            ok, value = False, f"{type(exc).__name__}: {exc}"
+        self._done.append(PoolEvent(
+            tag=tag, ok=ok, value=value,
+            duration=time.monotonic() - started, worker="in-process"))
 
+    def poll(self) -> list[PoolEvent]:
+        done, self._done = self._done, []
+        return done
 
-@dataclass
-class _Active:
-    index: int
-    process: multiprocessing.Process
-    conn: object
-    started: float
-    outcome: Optional[tuple] = None     # ("ok", payload) | ("error", msg)
+    def shutdown(self) -> None:
+        pass
 
 
 class ParallelExecutor:
@@ -111,8 +116,8 @@ class ParallelExecutor:
 
     poll_interval = 0.01    # seconds between scheduler sweeps
     #: Grace period for the terminate→kill escalation on unresponsive
-    #: workers (both backends) — a worker that ignores SIGTERM is
-    #: SIGKILLed after this many seconds instead of wedging the sweep.
+    #: workers — a worker that ignores SIGTERM is SIGKILLed after this
+    #: many seconds instead of wedging the sweep.
     grace = 5.0
 
     def __init__(self, jobs: int = 1, timeout: Optional[float] = None,
@@ -120,22 +125,18 @@ class ParallelExecutor:
                  worker: Callable[[JobSpec], dict] = execute_spec,
                  progress: bool = False,
                  mp_context: Optional[str] = None,
-                 obs: Optional[obs_lib.Observability] = None,
-                 pool: bool = True, schedule: str = "ljf") -> None:
+                 obs: Optional[obs_lib.Observability] = None) -> None:
         self.jobs = max(1, int(jobs))
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.store = store
         self.worker = worker
         self.progress = progress
-        #: Warm worker pool (True, default) versus one-process-per-job.
-        self.pool = pool
-        #: Dispatch policy for the pool backend: ``"ljf"`` or ``"fifo"``.
-        self.schedule = schedule
         #: Observability: per-job lifecycle events (``job.*``) plus
         #: ``exec.jobs`` counters and an ``exec.job_seconds`` histogram.
         self.obs = obs if obs is not None else obs_lib.current()
         self._ctx = multiprocessing.get_context(mp_context)
+        self._store_warned = False
 
     # -- public API ----------------------------------------------------
 
@@ -170,9 +171,6 @@ class ParallelExecutor:
             primary[key] = i
             todo.append(i)
 
-        if self.jobs <= 1 and self.timeout is not None and todo:
-            self._warn_serial_timeout()
-
         reporter = (ProgressReporter(total=len(specs))
                     if self.progress and specs else None)
         if reporter is not None:
@@ -180,12 +178,8 @@ class ParallelExecutor:
                 if r is not None:
                     reporter.update(label=r.spec.bench, cached=True)
         try:
-            if self.jobs <= 1:
-                self._run_serial(specs, todo, results, reporter)
-            elif self.pool:
-                self._run_pooled(specs, todo, results, reporter)
-            else:
-                self._run_parallel(specs, todo, results, reporter)
+            if todo:
+                self._dispatch(specs, todo, results, reporter)
             for i, first in coalesced.items():
                 outcome = results[first]
                 results[i] = JobResult(
@@ -199,59 +193,25 @@ class ParallelExecutor:
                 reporter.finish()
         return [r for r in results if r is not None]
 
-    def _warn_serial_timeout(self) -> None:
-        global _SERIAL_TIMEOUT_WARNED
-        if self.obs.active:
-            self.obs.metrics.inc("exec.timeout_unsupported")
-        if not _SERIAL_TIMEOUT_WARNED:
-            _SERIAL_TIMEOUT_WARNED = True
-            warnings.warn(
-                f"timeout={self.timeout:g} is not enforced on the serial "
-                f"(jobs=1) path: jobs run in-process and cannot be "
-                f"terminated — use jobs>=2 for a bounded sweep",
-                RuntimeWarning, stacklevel=3)
+    # -- the dispatch loop ---------------------------------------------
 
-    # -- serial path ---------------------------------------------------
-
-    def _run_serial(self, specs, todo, results, reporter) -> None:
-        # In-process execution: no per-job timeout (there is no process
-        # to terminate), but the same retry-on-raise policy.
-        for i in todo:
-            spec = specs[i]
-            started = time.monotonic()
-            attempts = 0
-            error = None
-            payload = None
-            while attempts <= self.retries:
-                attempts += 1
-                if self.obs.active:
-                    self.obs.emit("job.start", bench=spec.bench,
-                                  label=spec.label(), attempt=attempts)
-                try:
-                    payload = self.worker(spec)
-                    error = None
-                    break
-                except Exception as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    if attempts <= self.retries:
-                        self._note_retry(spec, attempts, error, reporter)
-            results[i] = self._finish(spec, payload, error, attempts,
-                                      time.monotonic() - started, reporter)
-
-    # -- warm-pool path ------------------------------------------------
-
-    def _run_pooled(self, specs, todo, results, reporter) -> None:
-        """Dispatch over a persistent :class:`WorkerPool`, longest jobs
-        first when the duration book has history (FIFO when cold)."""
+    def _dispatch(self, specs, todo, results, reporter) -> None:
+        """Run the cold jobs, longest first when the duration book has
+        history (input order when cold).  A job's duration is the summed
+        dispatch→completion time of its attempts — service time, never
+        the wait for a free worker."""
         book = DurationBook.for_store_root(
             self.store.root if self.store is not None else None)
-        pending = deque(order_indices(specs, todo, book, self.schedule))
+        pending = deque(order_indices(specs, todo, book))
         attempts = {i: 0 for i in todo}
-        started_total = {i: time.monotonic() for i in todo}
-        pool = WorkerPool(size=min(self.jobs, max(1, len(todo))),
-                          worker=self.worker, timeout=self.timeout,
-                          grace=self.grace, mp_context=self._ctx,
-                          obs=self.obs)
+        spent = {i: 0.0 for i in todo}
+        if self.jobs <= 1 and self.timeout is None:
+            pool = _InProcessSlot(self.worker)
+        else:
+            pool = WorkerPool(size=min(self.jobs, len(todo)),
+                              worker=self.worker, timeout=self.timeout,
+                              grace=self.grace, mp_context=self._ctx,
+                              obs=self.obs)
         try:
             while pending or pool.busy_count():
                 while pending and pool.has_idle():
@@ -265,11 +225,12 @@ class ParallelExecutor:
                 events = pool.poll()
                 for event in events:
                     i = event.tag
+                    spent[i] += event.duration
                     if event.ok:
                         book.note_spec(specs[i], event.duration)
                         results[i] = self._finish(
                             specs[i], event.value, None, attempts[i],
-                            time.monotonic() - started_total[i], reporter)
+                            spent[i], reporter)
                         continue
                     error = event.value
                     reason = _failure_reason(error)
@@ -283,153 +244,23 @@ class ParallelExecutor:
                             self.obs.metrics.inc("exec.timeouts")
                     if attempts[i] <= self.retries:
                         self._note_retry(specs[i], attempts[i], error,
-                                         reporter)
+                                         reason, reporter)
                         pending.appendleft(i)    # retry before new work
                     else:
                         results[i] = self._finish(
                             specs[i], None, error, attempts[i],
-                            time.monotonic() - started_total[i], reporter)
+                            spent[i], reporter)
                 if not events:
                     time.sleep(self.poll_interval)
         finally:
             pool.shutdown()
             book.flush()
 
-    # -- per-job-spawn path --------------------------------------------
-
-    def _run_parallel(self, specs, todo, results, reporter) -> None:
-        pending = deque(todo)
-        attempts = {i: 0 for i in todo}
-        started_total = {i: time.monotonic() for i in todo}
-        errors: dict[int, Optional[str]] = {i: None for i in todo}
-        active: dict[int, _Active] = {}
-
-        while pending or active:
-            while pending and len(active) < self.jobs:
-                i = pending.popleft()
-                attempts[i] += 1
-                active[i] = self._launch(i, specs[i], attempts[i])
-
-            finished = [act for act in active.values() if self._settle(act)]
-            for act in finished:
-                del active[act.index]
-                i = act.index
-                kind, value = act.outcome
-                if kind == "ok":
-                    results[i] = self._finish(
-                        specs[i], value, None, attempts[i],
-                        time.monotonic() - started_total[i], reporter)
-                else:
-                    errors[i] = value
-                    if (self.obs.active
-                            and _failure_reason(value) == "crash"):
-                        self.obs.metrics.inc("exec.crashes",
-                                             bench=specs[i].bench)
-                    if attempts[i] <= self.retries:
-                        self._note_retry(specs[i], attempts[i], value,
-                                         reporter)
-                        pending.appendleft(i)    # retry before new work
-                    else:
-                        results[i] = self._finish(
-                            specs[i], None, value, attempts[i],
-                            time.monotonic() - started_total[i], reporter)
-            if not finished:
-                time.sleep(self.poll_interval)
-
-    def _launch(self, index: int, spec: JobSpec, attempt: int = 1) -> _Active:
-        if self.obs.active:
-            self.obs.emit("job.start", bench=spec.bench, label=spec.label(),
-                          attempt=attempt)
-        recv, send = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_child_main, args=(self.worker, spec, send),
-            daemon=True, name=f"repro-exec-{index}")
-        process.start()
-        send.close()    # child holds the write end now
-        return _Active(index=index, process=process, conn=recv,
-                       started=time.monotonic())
-
-    def _settle(self, act: _Active) -> bool:
-        """Decide whether one active job is done; fill ``act.outcome``."""
-        try:
-            has_message = act.conn.poll()
-        except (OSError, ValueError):
-            # The pipe itself is unusable: even if the worker process is
-            # still alive it can never report a result, so waiting on it
-            # would spin the scheduler forever (with no timeout set).
-            # Treat it exactly like a crash.
-            act.process.terminate()
-            act.outcome = ("error", "worker pipe broken")
-            self._reap(act)
-            return True
-        if has_message:
-            try:
-                act.outcome = act.conn.recv()
-            except (EOFError, OSError):
-                # The child closed the pipe without sending: it died
-                # before reporting (or wedged after closing — terminate
-                # is a no-op on an already-exited process, so the real
-                # exit code survives).  Reap it to learn the exit code.
-                act.process.terminate()
-                act.process.join(self.grace)
-                if act.process.is_alive():
-                    act.process.kill()
-                    act.process.join(self.grace)
-                act.outcome = ("error", "worker crashed (exit code "
-                                        f"{act.process.exitcode})")
-            self._reap(act)
-            return True
-        if not act.process.is_alive():
-            # The child can send its report and exit in the window
-            # between the poll() above and this liveness check — drain
-            # the pipe once more before calling it a crash.
-            try:
-                if act.conn.poll():
-                    act.outcome = act.conn.recv()
-            except (EOFError, OSError, ValueError):
-                pass
-            if act.outcome is None:
-                act.outcome = ("error", "worker crashed (exit code "
-                                        f"{act.process.exitcode})")
-            self._reap(act)
-            return True
-        if (self.timeout is not None
-                and time.monotonic() - act.started > self.timeout):
-            act.process.terminate()
-            act.outcome = ("error",
-                           f"worker timed out after {self.timeout:g}s")
-            if self.obs.active:
-                self.obs.emit("job.timeout", index=act.index,
-                              timeout=self.timeout)
-                self.obs.metrics.inc("exec.timeouts")
-            self._reap(act)
-            return True
-        return False
-
-    def _reap(self, act: _Active) -> None:
-        """Join a finished-or-terminated worker, escalating to SIGKILL.
-
-        ``terminate()`` is only a *request*: a worker stuck in C code,
-        swapping, or trapping SIGTERM can ignore it, and an unbounded
-        ``join()`` would then stall the whole sweep forever.  Join with
-        a grace period, ``kill()`` (uncatchable), then join again."""
-        act.process.join(self.grace)
-        if act.process.is_alive():
-            act.process.kill()
-            act.process.join(self.grace)
-        try:
-            act.conn.close()
-        except OSError:
-            pass
-
-    # -- shared completion ---------------------------------------------
-
     def _note_retry(self, spec: JobSpec, attempt: int, error: str,
+                    reason: str,
                     reporter: Optional[ProgressReporter]) -> None:
         """One failed attempt is about to be retried: emit the labelled
-        retry metric and surface it in the progress line (shared by the
-        serial and parallel paths)."""
-        reason = _failure_reason(error)
+        retry metric and surface it in the progress line."""
         if self.obs.active:
             self.obs.emit("job.retry", bench=spec.bench, label=spec.label(),
                           attempt=attempt, error=error, reason=reason)
@@ -443,7 +274,7 @@ class ParallelExecutor:
                 reporter: Optional[ProgressReporter]) -> JobResult:
         if error is None and payload is not None:
             if self.store is not None:
-                self.store.store(spec, payload)
+                self._persist(spec, payload)
             result = JobResult(spec=spec, status=STATUS_OK, payload=payload,
                                attempts=attempts, duration=duration)
         else:
@@ -458,6 +289,22 @@ class ParallelExecutor:
         if reporter is not None:
             reporter.update(label=spec.bench, ok=result.ok)
         return result
+
+    def _persist(self, spec: JobSpec, payload: dict) -> None:
+        """The one store write.  A cache dir that is read-only or full
+        costs the record, not the sweep: the job stays ``ok`` with its
+        payload, warned about once per executor."""
+        try:
+            self.store.store(spec, payload)
+        except OSError as exc:
+            if self.obs.active:
+                self.obs.metrics.inc("exec.store_errors")
+            if not self._store_warned:
+                self._store_warned = True
+                warnings.warn(
+                    f"result store {self.store.root} is not writable "
+                    f"({exc}); results of this sweep are kept in memory "
+                    f"only", RuntimeWarning, stacklevel=2)
 
 
 def run_specs(specs: Sequence[JobSpec], jobs: int = 1,

@@ -1,10 +1,11 @@
 """Persistent warm worker pool: long-lived processes serving many jobs.
 
-The per-job-spawn executor path pays a full process lifecycle — spawn,
-interpreter boot, ``import repro`` (under spawn-type contexts), workload
-build — for *every* job.  A sweep of hundreds of sub-second simulations
-is then dominated by harness overhead, not modelling.  The pool keeps
-``size`` worker processes alive for the whole batch instead:
+A process per job pays a full process lifecycle — spawn, interpreter
+boot, ``import repro`` (under spawn-type contexts), workload build —
+for *every* job, and a sweep of hundreds of sub-second simulations is
+then dominated by harness overhead, not modelling (2.5x on the 49-job
+fig6 sweep, docs/PERFORMANCE.md).  The pool keeps ``size`` worker
+processes alive for the whole batch instead:
 
 * each worker imports the simulator stack **once**, and worker-side
   build caches (decoded workload programs — see
@@ -17,10 +18,9 @@ is then dominated by harness overhead, not modelling.  The pool keeps
   **transparently respawns** them — a stuck or crashed worker costs one
   job (reported failed/retried by the executor), never the sweep.
 
-Failure strings mirror the per-job-spawn path exactly ("worker timed
-out after Ns", "worker crashed (exit code N)", "worker pipe broken"),
-so the executor's retry/metric classification is identical on both
-paths.
+The failure strings ("worker timed out after Ns", "worker crashed
+(exit code N)", "worker pipe broken") are what the executor's
+retry/metric classification keys on.
 
 Observability: ``pool.spawn``/``pool.respawn``/``pool.kill`` events,
 plus ``exec.pool_reuse`` (jobs served by an already-warm worker) and
@@ -286,7 +286,7 @@ class WorkerPool:
                 message = pw.conn.recv()
             except EOFError:
                 # Clean close without a reply: the worker exited (or is
-                # exiting) — classify by exit code like the spawn path.
+                # exiting) — classify by exit code.
                 self._lost(pw, events, now, pipe_broken=False)
                 return False
             except (OSError, ValueError):

@@ -10,13 +10,10 @@ keyed by the job's *family* (benchmark x machine configuration x
 scale), persisted as a sidecar next to the result store so later CLI
 invocations start warm.
 
-:func:`order_indices` turns a batch into a dispatch order:
-
-* ``"ljf"`` (default) — jobs with a known family estimate run longest
-  first; jobs from families never seen run *before* them, in input
-  order (an unknown job may be the longest of all, and a cold book
-  degrades to plain FIFO).
-* ``"fifo"`` — input order, the pre-adaptive behaviour.
+:func:`order_indices` turns a batch into a dispatch order: jobs with a
+known family estimate run longest first; jobs from families never seen
+run *before* them, in input order (an unknown job may be the longest
+of all, and a cold book degrades to plain FIFO).
 
 The estimates only reorder dispatch; they never gate or drop work, so
 a wildly wrong estimate costs wall-clock, never correctness.
@@ -32,10 +29,6 @@ from typing import Optional, Sequence, Union
 
 from repro.exec.spec import JobSpec
 from repro.exec.store import advisory_lock
-
-#: Dispatch policies understood by :func:`order_indices` (and the CLI's
-#: ``--schedule`` flag).
-POLICIES = ("ljf", "fifo")
 
 #: EWMA weight of the newest observation.  High enough to track a
 #: machine change within a few sweeps, low enough that one descheduled
@@ -173,18 +166,14 @@ class DurationBook:
 
 
 def order_indices(specs: Sequence[JobSpec], todo: Sequence[int],
-                  book: Optional[DurationBook],
-                  policy: str = "ljf") -> list[int]:
+                  book: Optional[DurationBook]) -> list[int]:
     """Dispatch order over ``todo`` (indices into ``specs``).
 
-    ``"fifo"`` keeps input order.  ``"ljf"`` runs unknown-duration jobs
-    first (input order), then known families longest-first — so a cold
-    book is exactly FIFO and a warm one fronts the stragglers.
+    Unknown-duration jobs run first (input order), then known families
+    longest-first — so a cold book is exactly FIFO and a warm one
+    fronts the stragglers.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown schedule policy {policy!r}; "
-                         f"expected one of {POLICIES}")
-    if policy == "fifo" or book is None or len(book) == 0:
+    if book is None or len(book) == 0:
         return list(todo)
     position = {index: rank for rank, index in enumerate(todo)}
 

@@ -9,6 +9,7 @@ and the sweep drivers take ``jobs=N`` to fan cold points out over the
 """
 
 from repro.harness.runner import (
+    JobFailed,
     RunResult,
     RiscResult,
     run_edge_benchmark,
@@ -16,7 +17,6 @@ from repro.harness.runner import (
     cached_program,
     clear_cache,
     configure_cache,
-    configure_exec,
     get_store,
     prewarm_specs,
     resolve_cache_dir,
@@ -39,6 +39,7 @@ from repro.harness.experiments import (
 from repro.harness.reporting import format_table, geomean
 
 __all__ = [
+    "JobFailed",
     "RunResult",
     "RiscResult",
     "run_edge_benchmark",
@@ -46,7 +47,6 @@ __all__ = [
     "cached_program",
     "clear_cache",
     "configure_cache",
-    "configure_exec",
     "get_store",
     "prewarm_specs",
     "resolve_cache_dir",

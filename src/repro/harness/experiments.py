@@ -41,17 +41,6 @@ def _suite(benchmarks: Optional[Sequence[str]]) -> list[str]:
     return list(benchmarks)
 
 
-def _fan_out(specs: Sequence[JobSpec], jobs: int, progress: bool) -> None:
-    """Pre-warm the runner caches over a worker pool when ``jobs > 1``.
-
-    The serial assembly loops below then find every point already
-    cached, so drivers keep their exact call-site semantics; a failed
-    worker job simply falls back to in-process simulation there.
-    """
-    if jobs > 1 and len(specs) > 1:
-        prewarm_specs(specs, jobs=jobs, progress=progress)
-
-
 # ----------------------------------------------------------------------
 # Figure 6: performance versus composition size
 # ----------------------------------------------------------------------
@@ -146,8 +135,8 @@ def fig6_performance(scale: int = 1,
                      jobs: int = 1, progress: bool = False,
                      sampling: Optional[dict] = None) -> Fig6Result:
     names = _suite(benchmarks)
-    _fan_out(fig6_specs(scale, core_counts, names, include_trips, sampling),
-             jobs, progress)
+    prewarm_specs(fig6_specs(scale, core_counts, names, include_trips,
+                             sampling), jobs=jobs, progress=progress)
     runs: dict[str, dict[str, RunResult]] = {}
     for name in names:
         per_config: dict[str, RunResult] = {}
@@ -193,7 +182,7 @@ def fig5_baseline(scale: int = 1,
     names = _suite(benchmarks)
     specs = [JobSpec.edge(name, trips=True, scale=scale) for name in names]
     specs += [JobSpec.risc(name, scale=scale) for name in names]
-    _fan_out(specs, jobs, progress)
+    prewarm_specs(specs, jobs=jobs, progress=progress)
     ratios = {}
     for name in names:
         trips = run_edge_benchmark(name, trips=True, scale=scale)
@@ -354,7 +343,7 @@ def fig9_protocols(scale: int = 1,
              for name in names for n in core_counts]
     specs += [JobSpec.edge(name, ncores=max(core_counts), scale=scale,
                            ideal_handshake=True) for name in names]
-    _fan_out(specs, jobs, progress)
+    prewarm_specs(specs, jobs=jobs, progress=progress)
     fetch: dict[int, dict[str, float]] = {}
     commit: dict[int, dict[str, float]] = {}
     for n in core_counts:
@@ -770,8 +759,8 @@ def figR_degradation(target_cores: int = 16, max_dead: int = 6,
     from repro.resil.faults import FaultSchedule
 
     names = list(benchmarks) if benchmarks is not None else list(FIGR_BENCHMARKS)
-    _fan_out(figR_specs(target_cores, max_dead, names, seed, scale),
-             jobs, progress)
+    prewarm_specs(figR_specs(target_cores, max_dead, names, seed, scale),
+                  jobs=jobs, progress=progress)
     runs: dict[str, dict[int, RunResult]] = {b: {} for b in names}
     dead_sets: dict[int, list[int]] = {}
     for k in range(max_dead + 1):

@@ -1,15 +1,18 @@
 """Benchmark execution on top of the ``repro.exec`` engine.
 
-Three cache layers, consulted in order:
+Every simulation point takes one route, :func:`prewarm_specs` (a lone
+:func:`run_spec` is a one-spec batch):
 
 1. an in-process dict keyed by the job spec's content hash (so figure
-   7/8/10 reuse figure 6's sweep within one process, as before);
-2. the persistent :class:`~repro.exec.store.ResultStore` under
-   ``--cache-dir`` (default off for library use; the CLI enables it, or
-   set ``REPRO_CACHE_DIR``), giving warm-cache instant replay across
-   processes;
-3. the simulator itself (:func:`simulate_spec`), which is what
-   ``repro.exec`` workers execute in parallel sweeps.
+   7/8/10 reuse figure 6's sweep within one process);
+2. everything not in it goes to :func:`repro.exec.run_specs`, which
+   owns the rest: it reads the persistent
+   :class:`~repro.exec.store.ResultStore` under ``--cache-dir`` (default
+   off for library use; the CLI enables it, or set ``REPRO_CACHE_DIR``),
+   runs what is cold — in this process at ``jobs=1``, on warm pool
+   workers otherwise, :func:`simulate_spec` either way — and writes the
+   store;
+3. successes are materialised back into the dict.
 
 Cache keys are *content hashes of the resolved spec* (sorted, typed
 override items — see :mod:`repro.exec.spec`), never the human-readable
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import repro.obs as obs_lib
-from repro.exec import JobSpec, ResultStore, run_specs, spec_hash
+from repro.exec import JobResult, JobSpec, ResultStore, run_specs, spec_hash
+from repro.exec.executor import STATUS_CACHED
 from repro.power import EnergyModel, EnergyParams, PowerBreakdown
 from repro.tflex import TFlexSystem, tflex_config, trips_config
 from repro.tflex.placement import rectangle
@@ -157,27 +161,6 @@ _SIM_COUNT = 0                          # simulations run in this process
 #: cache that keeps warm pool workers fast across jobs.
 _PROGRAMS: dict[tuple, tuple] = {}
 _PROGRAM_CAP = 32                       # builds are cheap; bound the rss
-
-#: Executor defaults the CLI configures once per invocation
-#: (``--pool/--no-pool``, ``--schedule``); drivers and
-#: :func:`prewarm_specs` pick them up so the flags reach every sweep
-#: without threading two extra parameters through each figure driver.
-_EXEC_OPTIONS = {"pool": True, "schedule": "ljf"}
-
-
-def configure_exec(pool: Optional[bool] = None,
-                   schedule: Optional[str] = None) -> dict:
-    """Set process-wide executor defaults; returns the active options."""
-    if pool is not None:
-        _EXEC_OPTIONS["pool"] = bool(pool)
-    if schedule is not None:
-        from repro.exec.sched import POLICIES
-
-        if schedule not in POLICIES:
-            raise ValueError(f"unknown schedule policy {schedule!r}; "
-                             f"expected one of {POLICIES}")
-        _EXEC_OPTIONS["schedule"] = schedule
-    return dict(_EXEC_OPTIONS)
 
 
 def cached_program(kind: str, bench: str, scale: int) -> tuple:
@@ -341,54 +324,47 @@ def _note_cache_hit(spec: JobSpec, source: str) -> None:
         obs.metrics.inc("run.cache_hits", source=source)
 
 
+class JobFailed(RuntimeError):
+    """A simulation point whose executor job exhausted its retries."""
+
+    def __init__(self, outcome: JobResult) -> None:
+        spec = outcome.spec
+        super().__init__(
+            f"{spec.bench}/{spec.label()} failed after "
+            f"{outcome.attempts} attempt(s): {outcome.error}")
+        self.spec = spec
+        self.attempts = outcome.attempts
+        self.error = outcome.error
+
+
 def run_spec(spec: JobSpec):
-    """One simulation point through all cache layers."""
+    """One simulation point through the layered lookup."""
     key = spec_hash(spec)
     cached = _CACHE.get(key)
     if cached is not None:
         _note_cache_hit(spec, "memory")
         return cached
-
-    store = get_store()
-    if store is not None:
-        payload = store.load(spec)
-        if payload is not None:
-            _note_cache_hit(spec, "store")
-            result = _result_from_payload(payload)
-            _CACHE[key] = result
-            return result
-
-    result = simulate_spec(spec)
-    if store is not None:
-        store.store(spec, {"kind": spec.kind, "result": result.to_dict()})
-    _CACHE[key] = result
-    return result
+    prewarm_specs([spec])
+    return _CACHE[key]
 
 
 def prewarm_specs(specs: Sequence[JobSpec], jobs: int = 1,
                   timeout: Optional[float] = None,
-                  progress: bool = False,
-                  pool: Optional[bool] = None,
-                  schedule: Optional[str] = None) -> list:
-    """Fan a batch of specs out over worker processes, loading every
-    success into the in-process cache (and the store, if enabled).
+                  progress: bool = False) -> list[JobResult]:
+    """Bring a batch of specs into the in-process cache: whatever is
+    not there yet goes through the executor (store read, then ``jobs``
+    workers for the cold rest, then store write).
 
-    ``pool``/``schedule`` default to the process-wide options set by
-    :func:`configure_exec` (warm pool, longest-job-first).
-
-    Failed jobs are reported in the returned
-    :class:`~repro.exec.executor.JobResult` list but do not raise —
-    a later :func:`run_spec` for that point falls back to in-process
-    simulation.
+    Returns the executor's outcomes for the specs that were not in
+    memory.  Raises :class:`JobFailed` for the first job that exhausted
+    its retries — after every success of the batch has been cached, so
+    a re-run only repeats the failures.
     """
-    if pool is None:
-        pool = _EXEC_OPTIONS["pool"]
-    if schedule is None:
-        schedule = _EXEC_OPTIONS["schedule"]
-    cold = [s for s in specs if spec_hash(s) not in _CACHE]
+    keys = {spec: spec_hash(spec) for spec in specs}
+    cold = [spec for spec, key in keys.items() if key not in _CACHE]
 
     # Shared fast-forward traces: run one recorder per (program, scale,
-    # schedule) group *before* the fan-out, so N compositions of one
+    # schedule) group *before* the rest, so N compositions of one
     # benchmark interpret the fast-forward trajectory once and replay
     # it N-1 times instead of racing N redundant recorders
     # (docs/PERFORMANCE.md).  Recorders of different groups still run
@@ -397,22 +373,23 @@ def prewarm_specs(specs: Sequence[JobSpec], jobs: int = 1,
     if len(cold) > 1:
         from repro.sample.trace import prewarm_partition
 
-        recorders, rest = prewarm_partition(cold)
-        if recorders:
-            cold = rest
+        recorders, cold = prewarm_partition(cold)
 
-    outcomes = []
-    if recorders:
-        outcomes.extend(run_specs(recorders, jobs=jobs, timeout=timeout,
-                                  store=get_store(), progress=progress,
-                                  pool=pool, schedule=schedule))
-    outcomes.extend(run_specs(cold, jobs=jobs, timeout=timeout,
-                              store=get_store(), progress=progress,
-                              pool=pool, schedule=schedule))
+    outcomes: list[JobResult] = []
+    for batch in (recorders, cold):
+        if batch:
+            outcomes.extend(run_specs(batch, jobs=jobs, timeout=timeout,
+                                      store=get_store(), progress=progress))
+    failed = None
     for outcome in outcomes:
-        if outcome.ok and outcome.payload is not None:
-            _CACHE[spec_hash(outcome.spec)] = _result_from_payload(
-                outcome.payload)
+        if not outcome.ok:
+            failed = failed or outcome
+            continue
+        if outcome.status == STATUS_CACHED:
+            _note_cache_hit(outcome.spec, "store")
+        _CACHE[keys[outcome.spec]] = _result_from_payload(outcome.payload)
+    if failed is not None:
+        raise JobFailed(failed)
     return outcomes
 
 

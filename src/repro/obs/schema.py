@@ -111,8 +111,8 @@ METRICS: dict[str, str] = {
     "exec.crashes": "worker crashes observed",
     "exec.timeouts": "jobs killed on wall-clock budget",
     "exec.coalesced": "duplicate specs coalesced in flight",
-    "exec.timeout_unsupported": "timeout requested on a backend without kill",
-    "exec.job_seconds": "histogram of per-job wall seconds",
+    "exec.store_errors": "result-store writes that failed (job kept ok)",
+    "exec.job_seconds": "histogram of per-job service seconds",
     "exec.pool_reuse": "jobs served by an already-warm worker",
     "exec.worker_respawns": "warm workers replaced",
     "exec.gc_scanned": "result-store entries scanned by GC",

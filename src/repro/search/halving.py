@@ -203,8 +203,8 @@ def search_best(space: SearchSpace, objective: str | Objective,
     """Find the BEST candidate per benchmark by successive halving.
 
     Each rung evaluates every still-alive candidate of every benchmark
-    at that tier's fidelity (fanned out over the worker pool when
-    ``jobs > 1``), scores them with ``objective``, and promotes the top
+    at that tier's fidelity (one executor batch per rung, ``jobs``
+    workers), scores them with ``objective``, and promotes the top
     ``1/eta`` fraction (at least one).  The final rung always runs full
     detail, so the returned score is exact.
     """
@@ -236,9 +236,8 @@ def search_best(space: SearchSpace, objective: str | Objective,
         sampling = tier.sampling_dict()
         batch = [(bench, cand, space.spec_for(bench, cand, sampling))
                  for bench in space.benchmarks for cand in alive[bench]]
-        if jobs > 1 and len(batch) > 1:
-            prewarm_specs([spec for __, __c, spec in batch], jobs=jobs,
-                          progress=progress)
+        prewarm_specs([spec for __, __c, spec in batch], jobs=jobs,
+                      progress=progress)
         scored: dict[str, dict[Candidate, float]] = {
             b: {} for b in space.benchmarks}
         for bench, cand, spec in batch:

@@ -1,9 +1,11 @@
-"""ParallelExecutor: pool semantics, retry, timeout, store integration.
+"""ParallelExecutor: one dispatch loop at every ``jobs`` — retry,
+timeout, coalescing, store integration.
 
 Worker functions live at module level so they pickle into children.
 """
 
 import json
+import multiprocessing
 import os
 import pathlib
 import time
@@ -11,6 +13,7 @@ import time
 import pytest
 
 from repro.exec import JobSpec, ParallelExecutor, ResultStore, run_specs
+from repro.exec.pool import WorkerPool
 
 
 def _specs(n, bench="conv"):
@@ -37,6 +40,11 @@ def _sleep_worker(spec):
     return _ok_worker(spec)
 
 
+def _nap_worker(spec):
+    time.sleep(0.1)
+    return _ok_worker(spec)
+
+
 def _counting_worker(spec):
     """Leave one uniquely-named breadcrumb file per execution, so tests
     can count how many times work actually ran across processes."""
@@ -55,34 +63,40 @@ def _flaky_worker(spec):
     return _ok_worker(spec)
 
 
-@pytest.mark.parametrize("pool", [True, False],
-                         ids=["warm-pool", "per-job-spawn"])
+_SERIAL_AND_POOL = pytest.mark.parametrize("jobs", [1, 2],
+                                           ids=["serial", "warm-pool"])
+
+
 class TestPoolSemantics:
-    """Both parallel backends must be observationally identical to the
-    serial path (the pool is an optimisation, never a semantic)."""
+    """Where a job runs (in this process or on a pool worker) is an
+    optimisation, never a semantic: both are observationally identical
+    to calling the worker directly."""
 
-    def test_parallel_matches_serial(self, pool):
+    @_SERIAL_AND_POOL
+    def test_parallel_matches_serial(self, jobs):
         specs = _specs(6)
-        serial = run_specs(specs, jobs=1, worker=_ok_worker)
-        parallel = run_specs(specs, jobs=2, worker=_ok_worker, pool=pool)
-        assert [r.payload for r in serial] == [r.payload for r in parallel]
-        assert all(r.status == "ok" for r in parallel)
+        results = run_specs(specs, jobs=jobs, worker=_ok_worker)
+        assert [r.payload for r in results] == [_ok_worker(s) for s in specs]
+        assert all(r.status == "ok" for r in results)
         # Input order is preserved regardless of completion order.
-        assert [r.spec for r in parallel] == specs
+        assert [r.spec for r in results] == specs
 
-    def test_byte_identical_records(self, tmp_path, pool):
+    @_SERIAL_AND_POOL
+    def test_byte_identical_records(self, tmp_path, jobs):
         specs = _specs(5)
-        store1 = ResultStore(tmp_path / "serial")
-        store2 = ResultStore(tmp_path / "parallel")
-        run_specs(specs, jobs=1, worker=_ok_worker, store=store1)
-        run_specs(specs, jobs=2, worker=_ok_worker, store=store2, pool=pool)
+        direct = ResultStore(tmp_path / "direct")
+        store = ResultStore(tmp_path / "executor")
         for spec in specs:
-            a = store1.path_for(store1.key(spec)).read_bytes()
-            b = store2.path_for(store2.key(spec)).read_bytes()
+            direct.store(spec, _ok_worker(spec))
+        run_specs(specs, jobs=jobs, worker=_ok_worker, store=store)
+        for spec in specs:
+            a = direct.path_for(direct.key(spec)).read_bytes()
+            b = store.path_for(store.key(spec)).read_bytes()
             assert a == b
 
-    def test_more_jobs_than_specs(self, pool):
-        results = run_specs(_specs(2), jobs=8, worker=_ok_worker, pool=pool)
+    @pytest.mark.parametrize("jobs", [8], ids=["warm-pool"])
+    def test_more_jobs_than_specs(self, jobs):
+        results = run_specs(_specs(2), jobs=jobs, worker=_ok_worker)
         assert [r.status for r in results] == ["ok", "ok"]
 
 
@@ -142,47 +156,9 @@ class _BrokenConn:
         pass
 
 
-class _StubProcess:
-    """Live-looking process we must not wait on before terminating."""
-
-    exitcode = None
-
-    def __init__(self):
-        self.terminated = False
-
-    def terminate(self):
-        self.terminated = True
-
-    def kill(self):
-        self.terminated = True
-
-    def join(self, timeout=None):
-        assert self.terminated, "joined a live worker with a dead pipe"
-
-    def is_alive(self):
-        return not self.terminated
-
-
-class TestBrokenPipe:
-    def test_broken_pipe_treated_as_crash(self):
-        """A live-but-wedged worker whose pipe died must settle as a
-        failure instead of spinning the scheduler forever (regression:
-        a raising poll() used to read as 'no message yet')."""
-        from repro.exec.executor import _Active
-
-        executor = ParallelExecutor(jobs=2, worker=_ok_worker)
-        act = _Active(index=0, process=_StubProcess(), conn=_BrokenConn(),
-                      started=time.monotonic())
-        assert executor._settle(act) is True
-        kind, message = act.outcome
-        assert kind == "error"
-        assert "pipe" in message
-        assert act.process.terminated
-
-
 class _LaggedConn:
     """Pipe end whose first poll() misses the buffered message, as a
-    real fd does when the child sends and exits between two checks."""
+    real fd does when the worker sends and exits between two checks."""
 
     def __init__(self, conn):
         self._conn = conn
@@ -199,123 +175,137 @@ class _LaggedConn:
         self._conn.close()
 
 
-class _DeadProcess:
-    """Process that already exited cleanly."""
+@pytest.fixture
+def busy_pool():
+    """A one-worker pool whose slot holds job 0, ready to have its
+    pipe or process swapped for a stub."""
+    pool = WorkerPool(size=1, worker=_sleep_worker, grace=1.0)
+    pool.dispatch(0, _specs(1)[0])
+    yield pool
+    pool.shutdown()
 
-    exitcode = 0
 
-    def is_alive(self):
-        return False
-
-    def terminate(self):
-        pass
-
-    def kill(self):
-        pass
-
-    def join(self, timeout=None):
-        pass
+class TestBrokenPipe:
+    def test_broken_pipe_treated_as_crash(self, busy_pool):
+        """A live-but-wedged worker whose pipe died must settle as a
+        failure instead of spinning the scheduler forever (regression:
+        a raising poll() used to read as 'no message yet')."""
+        (pw,) = busy_pool.workers
+        wedged = pw.process
+        pw.conn.close()
+        pw.conn = _BrokenConn()
+        (event,) = busy_pool.poll()
+        assert not event.ok
+        assert event.value == "worker pipe broken"
+        assert not wedged.is_alive()            # stopped, not waited on
+        assert not pw.busy and pw.generation == 1   # slot respawned
 
 
 class TestSendExitRace:
-    def test_result_sent_just_before_exit_is_not_a_crash(self):
-        """A worker that sends its report and exits between the
-        scheduler's poll() and its liveness check must settle with the
-        report, not as 'worker crashed (exit code 0)' (regression:
-        the dead-process branch never re-read the pipe)."""
-        import multiprocessing
-
-        from repro.exec.executor import _Active
-
+    def test_result_sent_just_before_exit_is_not_a_crash(self, busy_pool):
+        """A worker that sends its report and exits between the pool's
+        drain and its liveness check must settle with the report, not
+        as 'worker crashed (exit code 0)' (regression: the dead-process
+        branch never re-read the pipe)."""
+        (pw,) = busy_pool.workers
+        pw.process.kill()
+        pw.process.join(5)
+        pw.conn.close()
         recv, send = multiprocessing.get_context().Pipe(duplex=False)
-        send.send(("ok", {"value": 42}))
+        send.send(("result", 0, "ok", {"value": 42}))
         send.close()
-        executor = ParallelExecutor(jobs=2, worker=_ok_worker)
-        act = _Active(index=0, process=_DeadProcess(),
-                      conn=_LaggedConn(recv), started=time.monotonic())
-        assert executor._settle(act) is True
-        assert act.outcome == ("ok", {"value": 42})
+        pw.conn = _LaggedConn(recv)
+        (event,) = busy_pool.poll()
+        assert event.ok
+        assert event.value == {"value": 42}
 
 
-@pytest.mark.parametrize("jobs,pool", [(1, True), (2, True), (2, False)],
-                         ids=["serial", "warm-pool", "per-job-spawn"])
+@_SERIAL_AND_POOL
 class TestCoalescing:
     """Equal-hash duplicates within one batch run once; every duplicate
     receives the primary's payload (regression: each used to simulate —
     or worse, race two writers onto one store record)."""
 
-    def test_duplicates_run_once(self, tmp_path, monkeypatch, jobs, pool):
+    def test_duplicates_run_once(self, tmp_path, monkeypatch, jobs):
         monkeypatch.setenv("REPRO_TEST_COUNT_DIR", str(tmp_path))
         spec = JobSpec.edge("conv", ncores=2, scale=1)
         other = JobSpec.edge("conv", ncores=2, scale=2)
-        results = run_specs([spec, other, spec, spec], jobs=jobs, pool=pool,
+        results = run_specs([spec, other, spec, spec], jobs=jobs,
                             worker=_counting_worker)
         assert [r.status for r in results] == ["ok"] * 4
         assert results[0].payload == results[2].payload == results[3].payload
         assert len(list(tmp_path.iterdir())) == 2    # two unique hashes
 
-    def test_duplicate_shares_failure_too(self, jobs, pool):
+    def test_duplicate_shares_failure_too(self, jobs):
         bad = _specs(4)[1]                           # scale=2: raises
-        results = run_specs([bad, bad], jobs=jobs, pool=pool, retries=0,
+        results = run_specs([bad, bad], jobs=jobs, retries=0,
                             worker=_raise_on_scale_2)
         assert [r.status for r in results] == ["failed", "failed"]
         assert results[1].error == results[0].error
 
-    def test_coalesced_metric_counts_duplicates(self, jobs, pool):
+    def test_coalesced_metric_counts_duplicates(self, jobs):
         from repro.obs import Observability
 
         obs = Observability(metrics_enabled=True)
         spec = JobSpec.edge("conv", ncores=2, scale=1)
-        run_specs([spec, spec, spec], jobs=jobs, pool=pool,
-                  worker=_ok_worker, obs=obs)
+        run_specs([spec, spec, spec], jobs=jobs, worker=_ok_worker, obs=obs)
         assert obs.metrics.counter("exec.coalesced") == 2
         # Only the primary counts as an executed job.
         assert obs.metrics.counter("exec.jobs", status="ok") == 1
 
 
-class TestSerialTimeoutWarning:
-    """jobs=1 runs in-process, so timeout= cannot be enforced — that
-    must be *loud* (regression: it was silently ignored)."""
+class TestSerialTimeout:
+    """``timeout=`` is honoured at every ``jobs``: a timed ``jobs=1``
+    batch runs on one pool worker, because only a process can be
+    killed (regression: the in-process path ignored it, later warned)."""
 
-    def _fresh_warning_state(self, monkeypatch):
-        from repro.exec import executor as executor_mod
+    def test_jobs_1_timeout_is_enforced(self):
+        started = time.monotonic()
+        (r,) = run_specs(_specs(1), jobs=1, timeout=0.25, retries=0,
+                         worker=_sleep_worker)
+        assert r.status == "failed"
+        assert r.error == "worker timed out after 0.25s"
+        assert time.monotonic() - started < 10      # not the 30s sleep
 
-        monkeypatch.setattr(executor_mod, "_SERIAL_TIMEOUT_WARNED", False)
 
-    def test_warns_once_and_counts_metric(self, monkeypatch):
+@_SERIAL_AND_POOL
+class TestJobDuration:
+    def test_duration_is_service_time_not_queue_wait(self, jobs):
+        """Six 0.1s jobs: every duration is its own dispatch→completion
+        time (regression: the pool stamped every job at batch start, so
+        the last job of a sweep "took" the whole sweep)."""
         from repro.obs import Observability
 
-        self._fresh_warning_state(monkeypatch)
         obs = Observability(metrics_enabled=True)
-        with pytest.warns(RuntimeWarning, match="jobs=1"):
-            run_specs(_specs(1), jobs=1, timeout=5.0, worker=_ok_worker,
-                      obs=obs)
-        assert obs.metrics.counter("exec.timeout_unsupported") == 1
-        # The warning fires once per process; the metric, every run.
-        import warnings as warnings_mod
+        results = run_specs(_specs(6), jobs=jobs, worker=_nap_worker, obs=obs)
+        assert all(0.1 <= r.duration < 0.3 for r in results)
+        histogram = obs.metrics.histogram("exec.job_seconds")
+        assert histogram.count == 6 and histogram.max < 0.3
 
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            run_specs(_specs(1), jobs=1, timeout=5.0, worker=_ok_worker,
-                      obs=obs)
-        assert obs.metrics.counter("exec.timeout_unsupported") == 2
 
-    def test_no_warning_without_timeout_or_work(self, monkeypatch):
-        import warnings as warnings_mod
+class TestPolicyParity:
+    def test_jobs_1_and_2_agree_on_everything_but_speed(self, tmp_path):
+        """One loop, one policy: statuses, attempts, error strings,
+        retry metrics and store bytes do not depend on ``jobs``."""
+        from repro.obs import Observability
 
-        self._fresh_warning_state(monkeypatch)
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            run_specs(_specs(1), jobs=1, worker=_ok_worker)      # no timeout
-            run_specs([], jobs=1, timeout=1.0, worker=_ok_worker)  # no work
-
-    def test_parallel_paths_do_not_warn(self, monkeypatch):
-        import warnings as warnings_mod
-
-        self._fresh_warning_state(monkeypatch)
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            run_specs(_specs(1), jobs=2, timeout=30.0, worker=_ok_worker)
+        seen = {}
+        for jobs in (1, 2):
+            obs = Observability(metrics_enabled=True)
+            store = ResultStore(tmp_path / str(jobs))
+            results = run_specs(_specs(4), jobs=jobs, store=store, obs=obs,
+                                worker=_raise_on_scale_2)
+            seen[jobs] = (
+                [(r.status, r.attempts, r.error, r.payload) for r in results],
+                obs.metrics.counter("exec.retries", reason="exception",
+                                    bench="conv"),
+                obs.metrics.counter("exec.jobs", status="failed"),
+                {key: store.path_for(key).read_bytes()
+                 for key in store.iter_keys()})
+        assert seen[1] == seen[2]
+        statuses = [status for status, *__ in seen[1][0]]
+        assert statuses == ["ok", "failed", "ok", "ok"]
+        assert seen[1][1] == 1 and len(seen[1][3]) == 3
 
 
 class TestStoreIntegration:
@@ -337,6 +327,48 @@ class TestStoreIntegration:
         run_specs(_specs(4), jobs=2, worker=_raise_on_scale_2, store=store)
         assert store.writes == 3
         assert len(store) == 3
+
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_store_write_error_costs_the_record_not_the_sweep(
+            self, tmp_path, monkeypatch, jobs):
+        """Regression: an OSError from the store write (read-only or
+        full cache dir) used to propagate out of run() and discard
+        every completed result."""
+        from repro.obs import Observability
+
+        def full_disk(self, spec, payload):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ResultStore, "store", full_disk)
+        obs = Observability(metrics_enabled=True)
+        specs = _specs(4)
+        with pytest.warns(RuntimeWarning, match="not writable") as caught:
+            results = run_specs(specs, jobs=jobs, worker=_ok_worker,
+                                store=ResultStore(tmp_path), obs=obs)
+        assert len(caught) == 1                     # warned once
+        reference = run_specs(specs, jobs=jobs, worker=_ok_worker)
+        assert ([(r.status, r.payload) for r in results]
+                == [(r.status, r.payload) for r in reference])
+        assert obs.metrics.counter("exec.store_errors") == 4
+
+    def test_serial_sweep_teaches_the_duration_book(self, tmp_path):
+        """A jobs=1 sweep with a store leaves estimates the next sweep
+        orders by; a fully warm sweep touches no sidecar at all."""
+        from repro.exec import DurationBook, order_indices
+
+        store = ResultStore(tmp_path)
+        specs = _specs(3)
+        run_specs(specs[:1], jobs=1, worker=_nap_worker, store=store)
+        run_specs(specs[1:], jobs=1, worker=_ok_worker, store=store)
+        book = DurationBook.for_store_root(store.root)
+        assert len(book) == 3
+        assert order_indices(specs, [2, 1, 0], book)[0] == 0    # the napper
+
+        book.path.unlink()
+        replay = run_specs(specs, jobs=1, worker=_crash_worker, store=store)
+        assert [r.status for r in replay] == ["cached"] * 3
+        assert not book.path.exists()
 
 
 class TestRealWorker:

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.exec import JobSpec, ParallelExecutor, ResultStore, run_specs
+from repro.exec import JobSpec, ParallelExecutor, run_specs
 from repro.exec.pool import WorkerPool
 from repro.obs import Observability
 
@@ -60,24 +60,9 @@ class TestWarmReuse:
     def test_pool_matches_serial(self):
         specs = _specs(6)
         serial = run_specs(specs, jobs=1, worker=_ok_worker)
-        pooled = run_specs(specs, jobs=2, worker=_ok_worker, pool=True)
+        pooled = run_specs(specs, jobs=2, worker=_ok_worker)
         assert [r.payload for r in pooled] == [r.payload for r in serial]
         assert [r.spec for r in pooled] == specs
-
-    def test_pool_and_spawn_records_byte_identical(self, tmp_path):
-        """The pool is an execution backend, not a semantic change: the
-        store records it writes are the bytes the spawn path writes."""
-        specs = _specs(5)
-        store_pool = ResultStore(tmp_path / "pool")
-        store_spawn = ResultStore(tmp_path / "spawn")
-        run_specs(specs, jobs=2, worker=_ok_worker, store=store_pool,
-                  pool=True)
-        run_specs(specs, jobs=2, worker=_ok_worker, store=store_spawn,
-                  pool=False)
-        for spec in specs:
-            a = store_pool.path_for(store_pool.key(spec)).read_bytes()
-            b = store_spawn.path_for(store_spawn.key(spec)).read_bytes()
-            assert a == b
 
     def test_workers_are_reused_across_jobs(self):
         """6 jobs over 2 warm workers: at least 4 are served by a worker
@@ -85,12 +70,12 @@ class TestWarmReuse:
         are not paying a process spawn each."""
         obs = _obs()
         results = run_specs(_specs(6), jobs=2, worker=_ok_worker,
-                            pool=True, obs=obs)
+                            obs=obs)
         assert all(r.status == "ok" for r in results)
         assert obs.metrics.counter("exec.pool_reuse") >= 4
 
     def test_pool_size_capped_by_todo(self):
-        results = run_specs(_specs(2), jobs=8, worker=_ok_worker, pool=True)
+        results = run_specs(_specs(2), jobs=8, worker=_ok_worker)
         assert [r.status for r in results] == ["ok", "ok"]
 
 
@@ -101,8 +86,7 @@ class TestWatchdog:
         watchdog must escalate to SIGKILL within the grace period and
         mark the job failed."""
         executor = ParallelExecutor(jobs=2, timeout=0.3, retries=0,
-                                    worker=_sigterm_ignoring_worker,
-                                    pool=True)
+                                    worker=_sigterm_ignoring_worker)
         executor.grace = 1.0
         started = time.monotonic()
         (r,) = executor.run(_specs(1))
@@ -113,21 +97,9 @@ class TestWatchdog:
         # nowhere near the worker's 60s sleep.
         assert elapsed < 15
 
-    def test_sigterm_ignoring_worker_spawn_path(self):
-        """The same escalation protects the per-job-spawn backend."""
-        executor = ParallelExecutor(jobs=2, timeout=0.3, retries=0,
-                                    worker=_sigterm_ignoring_worker,
-                                    pool=False)
-        executor.grace = 1.0
-        started = time.monotonic()
-        (r,) = executor.run(_specs(1))
-        assert r.status == "failed"
-        assert "timed out" in r.error
-        assert time.monotonic() - started < 15
-
     def test_timeout_error_string_matches_spawn_path(self):
         (r,) = run_specs(_specs(1), jobs=2, timeout=0.2, retries=0,
-                         worker=_sigterm_ignoring_worker, pool=True)
+                         worker=_sigterm_ignoring_worker)
         assert r.error.startswith("worker timed out after 0.2s")
 
 
@@ -137,10 +109,10 @@ class TestRespawn:
         own job; the pool respawns the slot and the sweep completes."""
         obs = _obs()
         specs = _specs(1)
-        # jobs=2 with one cold spec: the pool backend with one slot
-        # (jobs=1 would run serially, in-process).
+        # jobs=2 with one cold spec: a one-slot pool (jobs=1 would run
+        # the job in this process).
         results = run_specs(specs, jobs=2, retries=0,
-                            worker=_broken_pipe_worker, pool=True, obs=obs)
+                            worker=_broken_pipe_worker, obs=obs)
         (r,) = results
         assert r.status == "failed"
         assert "worker" in r.error      # pipe broken / crashed (exit 0)
@@ -155,7 +127,7 @@ class TestRespawn:
         obs = _obs()
         specs = _specs(4)
         results = run_specs(specs, jobs=2, retries=0,
-                            worker=_crash_on_scale_2, pool=True, obs=obs)
+                            worker=_crash_on_scale_2, obs=obs)
         by_scale = {r.spec.scale: r for r in results}
         assert by_scale[2].status == "failed"
         assert "exit code 13" in by_scale[2].error
@@ -165,12 +137,11 @@ class TestRespawn:
                                    reason="crash") >= 1
 
     def test_crash_is_retried_like_spawn_path(self):
-        """The executor's retry policy sees pool crashes exactly as it
-        sees spawn-path crashes (same error string, same metric)."""
+        """The executor's retry policy keys on the pool's crash error
+        string (the one the deleted per-job-spawn path reported)."""
         obs = _obs()
         results = run_specs([JobSpec.edge("conv", ncores=2, scale=2)],
-                            jobs=2, worker=_crash_on_scale_2,
-                            pool=True, obs=obs)
+                            jobs=2, worker=_crash_on_scale_2, obs=obs)
         (r,) = results
         assert r.status == "failed"
         assert r.attempts == 2

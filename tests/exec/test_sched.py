@@ -131,17 +131,10 @@ class TestOrderIndices:
         return [JobSpec.edge("conv", ncores=2, scale=i + 1)
                 for i in range(4)]
 
-    def test_fifo_keeps_input_order(self):
-        specs = self._specs()
-        book = DurationBook()
-        book.note_spec(specs[0], 100.0)
-        assert order_indices(specs, [0, 1, 2, 3], book, "fifo") == [0, 1, 2, 3]
-
     def test_cold_book_degrades_to_fifo(self):
         specs = self._specs()
-        assert order_indices(specs, [2, 0, 1], DurationBook(),
-                             "ljf") == [2, 0, 1]
-        assert order_indices(specs, [2, 0, 1], None, "ljf") == [2, 0, 1]
+        assert order_indices(specs, [2, 0, 1], DurationBook()) == [2, 0, 1]
+        assert order_indices(specs, [2, 0, 1], None) == [2, 0, 1]
 
     def test_ljf_fronts_longest_known(self):
         specs = self._specs()
@@ -150,7 +143,7 @@ class TestOrderIndices:
         book.note_spec(specs[1], 5.0)
         book.note_spec(specs[2], 3.0)
         book.note_spec(specs[3], 9.0)
-        assert order_indices(specs, [0, 1, 2, 3], book, "ljf") == [3, 1, 2, 0]
+        assert order_indices(specs, [0, 1, 2, 3], book) == [3, 1, 2, 0]
 
     def test_unknown_families_run_first_in_input_order(self):
         """An unseen job may be the longest of all: dispatch it before
@@ -159,12 +152,8 @@ class TestOrderIndices:
         book = DurationBook()
         book.note_spec(specs[1], 5.0)
         book.note_spec(specs[2], 1.0)
-        order = order_indices(specs, [0, 1, 2, 3], book, "ljf")
+        order = order_indices(specs, [0, 1, 2, 3], book)
         assert order == [0, 3, 1, 2]
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            order_indices(self._specs(), [0], DurationBook(), "random")
 
 
 #: Hypothesis vocabularies for the property tests below.
@@ -251,7 +240,7 @@ class TestOrderIndicesProperties:
         book = DurationBook()
         for index, seconds in observed:
             book.note_spec(specs[index], seconds)
-        order = order_indices(specs, todo, book, "ljf")
+        order = order_indices(specs, todo, book)
         assert sorted(order) == sorted(todo)
         # Structural LJF invariant: unknown families first in input
         # order, then known families by non-increasing estimate.
@@ -267,12 +256,9 @@ class TestOrderIndicesProperties:
     @given(n=st.integers(min_value=1, max_value=8), data=st.data())
     def test_cold_book_is_fifo(self, n, data):
         """With no estimates at all (or no book), LJF degrades to plain
-        FIFO — and the fifo policy is FIFO regardless of warmth."""
+        FIFO."""
         specs = [JobSpec.edge("conv", ncores=2, scale=i + 1)
                  for i in range(n)]
         todo = data.draw(st.permutations(range(n)))
-        assert order_indices(specs, todo, DurationBook(), "ljf") == list(todo)
-        assert order_indices(specs, todo, None, "ljf") == list(todo)
-        warm = DurationBook()
-        warm.note_spec(specs[0], 42.0)
-        assert order_indices(specs, todo, warm, "fifo") == list(todo)
+        assert order_indices(specs, todo, DurationBook()) == list(todo)
+        assert order_indices(specs, todo, None) == list(todo)

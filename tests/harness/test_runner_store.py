@@ -100,6 +100,40 @@ class TestParallelDeterminism:
         assert simulation_count() == sims
 
 
+class TestJobFailure:
+    def test_run_spec_raises_job_failed_after_the_retries(
+            self, isolated_cache):
+        """A failing point is attempted ``retries + 1`` times by the
+        executor and then raised once — no further in-process
+        re-simulation behind the executor's back."""
+        from repro.exec import JobSpec
+        from repro.harness import JobFailed
+        from repro.harness.runner import run_spec
+
+        configure_cache(enabled=False)
+        bad = JobSpec(kind="bogus", bench="dither", scale=1, ncores=1)
+        before = simulation_count()
+        with pytest.raises(JobFailed, match="unknown job kind") as caught:
+            run_spec(bad)
+        assert simulation_count() == before + 2     # default retries=1
+        assert caught.value.spec == bad
+        assert caught.value.attempts == 2
+        assert caught.value.error.startswith("ValueError: unknown job kind")
+
+    def test_batch_failure_keeps_the_successes(self, isolated_cache):
+        from repro.exec import JobSpec
+        from repro.harness import JobFailed, prewarm_specs
+
+        configure_cache(enabled=False)
+        good = JobSpec.edge("dither", ncores=1)
+        bad = JobSpec(kind="bogus", bench="dither", scale=1, ncores=1)
+        with pytest.raises(JobFailed):
+            prewarm_specs([bad, good])
+        sims = simulation_count()
+        run_edge_benchmark("dither", ncores=1)      # memory hit
+        assert simulation_count() == sims
+
+
 class TestResultSerialisation:
     def _run_result(self, cycles=0):
         return RunResult(

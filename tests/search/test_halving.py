@@ -1,8 +1,9 @@
 """The halving engine, isolated from the simulator.
 
-``search_best`` resolves every evaluation through
-``repro.harness.runner.run_spec``; these tests monkeypatch that seam
-with a synthetic score table, so rung mechanics (promotion fractions,
+``search_best`` batches each rung through
+``repro.harness.runner.prewarm_specs`` and reads every evaluation back
+through ``run_spec``; these tests monkeypatch that seam with a
+synthetic score table, so rung mechanics (promotion fractions,
 fidelity routing, tie-breaks, observability) are checked in
 milliseconds.  The end-to-end argmax/work-reduction acceptance runs in
 ``test_fig_best.py``.
@@ -43,6 +44,8 @@ def install_scores(monkeypatch, table):
             power=SimpleNamespace(total=1.0))
 
     monkeypatch.setattr("repro.harness.runner.run_spec", fake_run_spec)
+    monkeypatch.setattr("repro.harness.runner.prewarm_specs",
+                        lambda specs, **kwargs: [])
     return calls
 
 

@@ -109,6 +109,18 @@ class TestUpFrontValidation:
         assert excinfo.value.code == 2
         return capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_must_be_positive(self, capsys, jobs):
+        """Regression: --jobs 0 / --jobs -3 silently ran serial."""
+        err = self._error(capsys, ["fig6", "--jobs", jobs])
+        assert f"--jobs must be >= 1, got {jobs}" in err
+
+    @pytest.mark.parametrize("flag", [["--no-pool"], ["--pool"],
+                                      ["--schedule", "fifo"]])
+    def test_removed_exec_knobs_are_unknown(self, capsys, flag):
+        err = self._error(capsys, ["fig6", "--jobs", "2", *flag])
+        assert "unrecognized arguments" in err
+
     def test_sample_knobs_require_sample(self, capsys):
         err = self._error(capsys, ["run", "conv", "--sample-ff", "100"])
         assert "no effect without --sample" in err
