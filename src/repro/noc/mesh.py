@@ -153,6 +153,7 @@ class Network:
         if channels < 1 or hop_latency < 1:
             raise ValueError("channels and hop_latency must be >= 1")
         self.topology = topology
+        self._num_nodes = topology.num_nodes
         self.channels = channels
         self.hop_latency = hop_latency
         self.name = name
@@ -160,54 +161,65 @@ class Network:
         self.stats = NetworkStats()
         # Directed link -> per-channel next-free cycle.
         self._free: dict[tuple[int, int], list[int]] = {}
+        # ``src * num_nodes + dst`` -> those lists along the
+        # dimension-order path, resolved on the pair's first message.
+        self._routes: dict[int, tuple[list[int], ...]] = {}
         # Directed link -> extra traversal cycles (fault injection).
         # Consulted only by ``_delay_degraded``, which replaces
         # ``_delay`` when the first degradation is installed.
         self._degraded: dict[tuple[int, int], int] = {}
+        self._bind(self._delay)
 
-    def delay(self, src: int, dst: int, now: int) -> int:
-        """Arrival cycle of a message injected at ``now``.
+    def _bind(self, walk) -> None:
+        """Install ``walk`` as :meth:`delay`: the arrival cycle of a
+        message injected at ``now``, reserving link bandwidth along the
+        dimension-order path (so repeated calls model contention);
+        ``src == dst`` is free.  Time is charged to the ``noc`` phase
+        when the profiler was enabled at construction."""
+        self.delay = (walk if self.profiler is None
+                      else self.profiler.wrap("noc", walk))
 
-        Reserves link bandwidth along the dimension-order path, so
-        repeated calls model contention between concurrent messages.
-        ``src == dst`` is free (local delivery).
-        """
-        prof = self.profiler
-        if prof is not None and prof.enabled:
-            with prof.phase("noc"):
-                return self._delay(src, dst, now)
-        return self._delay(src, dst, now)
+    def _route(self, src: int, dst: int) -> tuple[list[int], ...]:
+        """The channel lists along a path, resolved on first use."""
+        key = src * self._num_nodes + dst
+        route = self._routes.get(key)
+        if route is None:
+            self._routes[key] = route = tuple(
+                self._free.setdefault(link, [0] * self.channels)
+                for link in self.topology.routes_cached(src, dst))
+        return route
 
     def _delay(self, src: int, dst: int, now: int) -> int:
+        stats = self.stats
         if src == dst:
-            self.stats.local_deliveries += 1
+            stats.local_deliveries += 1
             return now
         t = now
-        stats = self.stats
-        free_map = self._free
         hop_latency = self.hop_latency
         channels = self.channels
-        path = self.topology.routes_cached(src, dst)
-        for link in path:
-            free = free_map.get(link)
-            if free is None:
-                free = [0] * channels
-                free_map[link] = free
-            # Pick the channel available soonest.
-            best = 0
-            for ch in range(1, channels):
-                if free[ch] < free[best]:
-                    best = ch
-            start = t if free[best] <= t else free[best]
-            stats.contention_cycles += start - t
+        route = (self._routes.get(src * self._num_nodes + dst)
+                 or self._route(src, dst))
+        for free in route:
+            # Pick the channel available soonest (lowest index on a
+            # tie); the two shapes that exist — control (1) and operand
+            # network (2) — skip the general scan.
+            if channels == 1:
+                best = 0
+            elif channels == 2:
+                best = free[1] < free[0]
+            else:
+                best = free.index(min(free))
             # The message occupies the channel for the full hop traversal
             # (links are not pipelined): the next message over this link
             # cannot start before this one has left it.
-            free[best] = start + hop_latency
-            t = start + hop_latency
+            ready = free[best]
+            t = (ready if ready > t else t) + hop_latency
+            free[best] = t
         stats.messages += 1
-        stats.hops += len(path)
+        stats.hops += len(route)
         stats.total_latency += t - now
+        # Every cycle beyond the zero-load traversal was spent waiting.
+        stats.contention_cycles += t - now - len(route) * hop_latency
         return t
 
     def degrade_link(self, link: tuple[int, int], extra: int) -> None:
@@ -215,10 +227,9 @@ class Network:
         traversal (a marginal wire or router surviving in a degraded
         mode).  Repeated calls on the same link accumulate.
 
-        This is the fault-injection seam: it rebinds ``_delay`` to the
-        degraded walk *on this instance only*, so a fault-free network
-        resolves ``_delay`` on the class and pays nothing — bit-identical
-        timing with zero hot-path branches.
+        This is the fault-injection seam: it rebinds :meth:`delay` to
+        the degraded walk, so a fault-free network never looks at
+        ``_degraded`` — bit-identical timing with zero hot-path branches.
         """
         if extra < 1:
             raise ValueError("extra link latency must be >= 1")
@@ -227,35 +238,23 @@ class Network:
             raise ValueError(
                 f"({src},{dst}) is not a link: nodes are not mesh-adjacent")
         self._degraded[(src, dst)] = self._degraded.get((src, dst), 0) + extra
-        self._delay = self._delay_degraded
+        self._bind(self._delay_degraded)
 
     def _delay_degraded(self, src: int, dst: int, now: int) -> int:
         """The reservation walk of ``_delay`` with per-link extra
-        latency; installed over ``_delay`` by :meth:`degrade_link`."""
+        latency; installed over it by :meth:`degrade_link`."""
+        stats = self.stats
         if src == dst:
-            self.stats.local_deliveries += 1
+            stats.local_deliveries += 1
             return now
         t = now
-        stats = self.stats
-        free_map = self._free
-        hop_latency = self.hop_latency
-        channels = self.channels
-        degraded = self._degraded
         path = self.topology.routes_cached(src, dst)
-        for link in path:
-            free = free_map.get(link)
-            if free is None:
-                free = [0] * channels
-                free_map[link] = free
-            best = 0
-            for ch in range(1, channels):
-                if free[ch] < free[best]:
-                    best = ch
+        for link, free in zip(path, self._route(src, dst)):
+            best = free.index(min(free))
             start = t if free[best] <= t else free[best]
             stats.contention_cycles += start - t
-            traversal = hop_latency + degraded.get(link, 0)
-            free[best] = start + traversal
-            t = start + traversal
+            t = start + self.hop_latency + self._degraded.get(link, 0)
+            free[best] = t
         stats.messages += 1
         stats.hops += len(path)
         stats.total_latency += t - now

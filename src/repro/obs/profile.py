@@ -7,9 +7,9 @@ execute, commit, noc, lsq, ...) with exclusive-time accounting: when
 phases nest, time spent in an inner phase is charged to the inner phase
 only.
 
-Disabled profilers hand out a shared no-op context manager; hot paths
-additionally guard on :attr:`PhaseProfiler.enabled` so the disabled
-cost is one attribute read.
+Disabled profilers hand out a shared no-op context manager; the
+simulator's hot paths go further and bind :meth:`PhaseProfiler.wrap`'s
+result once at construction, so a disabled profiler costs them nothing.
 """
 
 from __future__ import annotations
@@ -79,6 +79,19 @@ class PhaseProfiler:
         if not self.enabled:
             return _NOOP
         return _Timer(self, name)
+
+    def wrap(self, name: str, fn: Callable) -> Callable:
+        """``fn`` charged to phase ``name`` — or ``fn`` itself when the
+        profiler is disabled.  The choice is made *now*: hot paths bind
+        the result once at construction, so a disabled profiler costs
+        them nothing per call (enable it before building the system)."""
+        if not self.enabled:
+            return fn
+
+        def timed(*args, **kwargs):
+            with _Timer(self, name):
+                return fn(*args, **kwargs)
+        return timed
 
     # -- reading -------------------------------------------------------
 

@@ -13,14 +13,13 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Optional
 
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import FP_CLASSES
 from repro.tflex.instance import BlockState
 from repro.lsq import LsqBank
 from repro.mem.cache import CacheBank
 from repro.predictor import PredictorBank
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.tflex.decode import InstRecord
     from repro.tflex.instance import BlockInstance
     from repro.tflex.system import TFlexSystem
 
@@ -55,7 +54,7 @@ class Core:
         #: into capacity loss instead of chip loss — the chip keeps
         #: running with every remaining core.
         self.faulty = False
-        self._ready: list[tuple[int, int, int, "BlockInstance", Instruction]] = []
+        self._ready: list[tuple[int, int, int, "BlockInstance", "InstRecord"]] = []
         self._push_seq = 0                    # heap tie-breaker
         self._issue_scheduled = False
         # Issue widths, resolved once (the config is frozen).
@@ -64,6 +63,10 @@ class Core:
         self._issue_total = (cfg.issue_total if cfg.issue_total is not None
                              else cfg.issue_int + cfg.issue_fp)
         self._queue = system.queue
+        #: The issue event, bound once (charged to the ``issue`` phase
+        #: when the profiler was enabled before the system was built).
+        self._issue_tick = system.obs.profiler.wrap("issue",
+                                                    self._do_issue_tick)
 
     # ------------------------------------------------------------------
     # Composition
@@ -99,25 +102,20 @@ class Core:
     # Wake-up and issue
     # ------------------------------------------------------------------
 
-    def wake(self, instance: "BlockInstance", inst: Instruction) -> None:
-        """An operand arrived (or dispatch completed): queue if ready."""
-        if instance.ready_to_fire(inst):
-            self._push_seq += 1
-            heapq.heappush(self._ready,
-                           (instance.gseq, inst.iid, self._push_seq, instance, inst))
-            self._schedule_issue()
-
-    def _schedule_issue(self) -> None:
-        if not self._issue_scheduled and self._ready:
+    def wake(self, instance: "BlockInstance", record: "InstRecord") -> None:
+        """``record`` is dispatched and has every token it waits for
+        (``instance.missing`` reached zero): queue it for issue — or, on
+        a mismatched predicate, squash it for this instance."""
+        pred = record.pred
+        if pred is not None and bool(instance.operands[record.base]) != pred:
+            instance.missing[record.iid] = -1
+            return
+        self._push_seq += 1
+        heapq.heappush(self._ready, (instance.gseq, record.iid,
+                                     self._push_seq, instance, record))
+        if not self._issue_scheduled:
             self._issue_scheduled = True
-            self._queue.after(1, self._issue_tick)
-
-    def _issue_tick(self) -> None:
-        prof = self.system.obs.profiler
-        if prof.enabled:
-            with prof.phase("issue"):
-                return self._do_issue_tick()
-        return self._do_issue_tick()
+            self._queue.at(self._queue.now + 1, self._issue_tick)
 
     def _do_issue_tick(self) -> None:
         """Issue up to the per-class widths this cycle, oldest first
@@ -129,17 +127,17 @@ class Core:
         slots_int = self._issue_int
         slots_fp = self._issue_fp
         slots_total = self._issue_total
-        deferred: list[tuple[int, int, int, "BlockInstance", Instruction]] = []
+        deferred: list[tuple[int, int, int, "BlockInstance", "InstRecord"]] = []
 
         ready = self._ready
         pop = heapq.heappop
         while ready and slots_total > 0:
             entry = pop(ready)
-            __, __, __, instance, inst = entry
-            if instance.state is SQUASHED or inst.iid in instance.fired:
+            __, iid, __, instance, record = entry
+            # A retired count is a second token's duplicate entry.
+            if instance.state is SQUASHED or instance.missing[iid]:
                 continue
-            is_fp = inst.op.opclass in FP_CLASSES
-            if is_fp:
+            if record.is_fp:
                 if slots_fp == 0:
                     deferred.append(entry)
                     continue
@@ -150,13 +148,15 @@ class Core:
                     continue
                 slots_int -= 1
             slots_total -= 1
-            instance.fired.add(inst.iid)
+            instance.missing[iid] = -1
             instance.insts_fired_count += 1
-            instance.proc.issue(instance, inst, self)
+            instance.proc.issue(instance, record, self)
 
         for entry in deferred:
-            heapq.heappush(self._ready, entry)
-        self._schedule_issue()
+            heapq.heappush(ready, entry)
+        if ready and not self._issue_scheduled:
+            self._issue_scheduled = True
+            self._queue.at(self._queue.now + 1, self._issue_tick)
 
     def ready_count(self) -> int:
         return len(self._ready)

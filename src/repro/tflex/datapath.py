@@ -8,13 +8,10 @@ method here assumes the state that class establishes.
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
 
-from repro.isa.instruction import Instruction, OperandSlot, Target, TargetKind
-from repro.isa.opcodes import OpClass, evaluate, memory_size
-from repro.isa.program import HALT_ADDR
 from repro.lsq.bank import LsqResult
-from repro.mem.cache import LineState
+from repro.tflex.decode import ALU, BRANCH, LOAD, NULL, InstRecord
 from repro.tflex.instance import BlockInstance, BlockState
 
 #: Hoisted enum member: squash checks guard every hot handler.
@@ -38,141 +35,122 @@ def _run_all(fns: list) -> None:
 
 
 class DatapathMixin:
-    """Execution-side behaviour of a composed processor."""
+    """Execution-side behaviour of a composed processor.
+
+    Instructions arrive here as the compiled
+    :class:`~repro.tflex.decode.InstRecord` of the fetching composition.
+    ``issue``, ``_load_arrive`` and ``_store_arrive`` are bound by the
+    processor's constructor to the ``_do_*`` methods below (through the
+    profiler's ``execute``/``lsq`` phases when it is enabled).
+    """
 
     # ------------------------------------------------------------------
     # Issue (called by Core at issue time)
     # ------------------------------------------------------------------
 
-    def issue(self, instance: BlockInstance, inst: Instruction, core) -> None:
+    def _do_issue(self, instance: BlockInstance, record: InstRecord, core) -> None:
         """Execute one instruction; results appear after its latency."""
-        prof = self.obs.profiler
-        if prof.enabled:
-            with prof.phase("execute"):
-                return self._do_issue(instance, inst, core)
-        return self._do_issue(instance, inst, core)
-
-    def _do_issue(self, instance: BlockInstance, inst: Instruction, core) -> None:
-        now = self.queue.now
-        opclass = inst.op.opclass
-        self._events["fpu_op" if inst.op.is_fp else "alu_op"] += 1
-
-        if opclass is OpClass.BRANCH:
-            self._issue_branch(instance, inst, core, now)
-        elif opclass is OpClass.NULL:
-            self._issue_null(instance, inst, core, now)
-        elif opclass is OpClass.LOAD:
-            self._issue_load(instance, inst, core, now)
-        elif opclass is OpClass.STORE:
-            self._issue_store(instance, inst, core, now)
+        queue = self.queue
+        now = queue.now
+        self._events[record.energy] += 1
+        kind = record.kind
+        operands = instance.operands
+        base = record.base
+        if kind == ALU:
+            value = record.evalf(operands[base + 1], operands[base + 2])
+            queue.at(now + record.latency, partial(
+                self._route_result, instance, record.targets, value, core.id))
+            return
+        done = now + record.latency
+        if kind == BRANCH:
+            next_addr = record.next_addr
+            if next_addr is None:     # RET
+                next_addr = int(operands[base + 1])
+            arrive = self.control_delay(
+                core.id, self.core_ids[instance.owner_index], done)
+            queue.at(arrive, partial(self._on_branch_resolved, instance,
+                                     record.inst, next_addr))
+        elif kind == NULL:
+            if record.inst.null_store:
+                arrive = self.control_delay(
+                    core.id, self.core_ids[instance.owner_index], done)
+                queue.at(arrive, partial(self._on_store_resolved, instance,
+                                         record.lsq_id))
+            if record.targets:
+                queue.at(done, partial(self._route_result, instance,
+                                       record.targets, NULL_VALUE, core.id,
+                                       True))
         else:
-            ops = instance.operand_values(inst)
-            imm = self.program.resolve_imm(inst.imm)
-            value = evaluate(inst.op, ops, imm)
-            done = now + inst.op.latency
-            self.queue.at(done, lambda: self._route_result(instance, inst, value, core))
-
-    def _issue_branch(self, instance: BlockInstance, inst: Instruction,
-                      core, now: int) -> None:
-        ops = instance.operand_values(inst)
-        name = inst.op.name
-        if name == "HALT":
-            next_addr = HALT_ADDR
-        elif name == "RET":
-            next_addr = int(ops[0])
-        else:
-            next_addr = self.program.address_of(inst.branch_target)
-        done = now + inst.op.latency
-        arrive = self.control_delay(core.id, self.core_of_index(instance.owner_index), done)
-        self.queue.at(arrive, lambda: self._on_branch_resolved(instance, inst, next_addr))
-
-    def _issue_null(self, instance: BlockInstance, inst: Instruction,
-                    core, now: int) -> None:
-        done = now + inst.op.latency
-        if inst.null_store:
-            owner = self.core_of_index(instance.owner_index)
-            arrive = self.control_delay(core.id, owner, done)
-            lsq_id = inst.lsq_id
-            self.queue.at(arrive, lambda: self._on_store_resolved(instance, lsq_id))
-        if inst.targets:
-            self.queue.at(done, lambda: self._route_result(
-                instance, inst, NULL_VALUE, core, null=True))
+            # Memory: send the access to the bank its address hashes to.
+            addr = int(operands[base + 1]) + record.offset
+            if addr < 0:
+                self._bad_address(instance, record, addr)
+                return
+            arrive = self.operand_delay(
+                core.id, self.dbank_core(self.dbank_of(addr)), done)
+            if kind == LOAD:
+                queue.at(arrive, partial(self._load_arrive, instance, record,
+                                         addr))
+            else:
+                queue.at(arrive, partial(self._store_arrive, instance, record,
+                                         addr, operands[base + 2]))
 
     # ------------------------------------------------------------------
     # Operand routing
     # ------------------------------------------------------------------
 
-    def _route_result(self, instance: BlockInstance, inst: Instruction,
-                      value, core, null: bool = False) -> None:
-        """Send a produced value to each encoded dataflow target.
+    def _route_result(self, instance: BlockInstance, targets: tuple, value,
+                      from_core: int, null: bool = False,
+                      fold: bool = True) -> None:
+        """Send a produced value along each pre-resolved dataflow route
+        (see :func:`repro.tflex.decode._resolve`).
 
         Deliveries landing on the same cycle are folded into one event
-        (batched operand delivery): the per-target ``operand_delay``
-        calls still run in target order — so link reservations and
-        traffic stats are untouched — and within this handler the
-        scheduled sequence numbers are consecutive, so no foreign event
-        can interleave; folding preserves the global order exactly.
+        (batched operand delivery) unless ``fold`` is off: the
+        per-target ``operand_delay`` calls still run in target order —
+        so link reservations and traffic stats are untouched — and
+        within this handler the scheduled events are consecutive, so no
+        foreign event can interleave; folding preserves the global order
+        exactly.
         """
         if instance.state is SQUASHED:
             return
-        targets = inst.targets
-        if len(targets) == 1:
-            self._route_to_target(instance, targets[0], value, core.id, null)
-            return
-        from_core = core.id
+        queue = self.queue
+        now = queue.now
+        fold = fold and len(targets) > 1
         pending_cycle = -1
-        pending: list = []
-        for target in targets:
-            arrive, fn = self._prepare_delivery(instance, target, value,
-                                                from_core, null)
-            if arrive == pending_cycle:
+        for dest_id, dest, a, b in targets:
+            arrive = self.operand_delay(from_core, dest_id, now)
+            if dest is None:
+                fn = partial(self._on_write_arrive, instance, a, value, null, b)
+            else:
+                fn = partial(self._deliver_operand, instance, a, b, value, dest)
+            if not fold:
+                queue.at(arrive, fn)
+            elif arrive == pending_cycle:
                 pending.append(fn)
             else:
                 pending = [fn]
                 pending_cycle = arrive
-                self.queue.at(arrive, lambda fns=pending: _run_all(fns))
+                queue.at(arrive, partial(_run_all, pending))
 
-    def _prepare_delivery(self, instance: BlockInstance, target: Target,
-                          value, from_core: int, null: bool):
-        """Arrival cycle + delivery thunk for one dataflow target."""
-        now = self.queue.now
-        if target.kind is TargetKind.WRITE:
-            wslot = instance.block.writes[target.index]
-            bank_index = self.rf_bank_of(wslot.reg)
-            bank_core = self._rf_bank_core_ids[bank_index]
-            arrive = self.operand_delay(from_core, bank_core, now)
-            return arrive, lambda: self._on_write_arrive(
-                instance, wslot.reg, value, null, bank_index)
-        consumer = instance.block.insts[target.index]
-        dest_core = self.core_ids[target.index % self.ncores]
-        arrive = self.operand_delay(from_core, dest_core, now)
-        return arrive, lambda: self._deliver_operand(
-            instance, consumer, target.slot, value, dest_core)
-
-    def _route_to_target(self, instance: BlockInstance, target: Target,
-                         value, from_core: int, null: bool = False) -> None:
-        now = self.queue.now
-        if target.kind is TargetKind.WRITE:
-            wslot = instance.block.writes[target.index]
-            bank_index = self.rf_bank_of(wslot.reg)
-            bank_core = self.rf_bank_core(bank_index)
-            arrive = self.operand_delay(from_core, bank_core, now)
-            self.queue.at(arrive, lambda: self._on_write_arrive(
-                instance, wslot.reg, value, null, bank_index))
-        else:
-            consumer = instance.block.insts[target.index]
-            dest_core = self.core_of_index(target.index % self.ncores)
-            arrive = self.operand_delay(from_core, dest_core, now)
-            self.queue.at(arrive, lambda: self._deliver_operand(
-                instance, consumer, target.slot, value, dest_core))
-
-    def _deliver_operand(self, instance: BlockInstance, consumer: Instruction,
-                         slot: OperandSlot, value, dest_core: int) -> None:
+    def _deliver_operand(self, instance: BlockInstance, consumer: InstRecord,
+                         index: int, value, core) -> None:
+        """An operand token reached its consumer's core: buffer it (it
+        may precede dispatch) and wake the consumer if that was the last
+        thing it waited for.  A second token for a slot overwrites the
+        first without being counted again, so one arriving after the
+        consumer fired is ignored."""
         if instance.state is SQUASHED:
             return
         self._events["window_write"] += 1
-        instance.buffer_operand(consumer.iid, slot, value)
-        self.system.cores[dest_core].wake(instance, consumer)
+        operands = instance.operands
+        missing = instance.missing
+        if operands[index] is None:
+            missing[consumer.iid] -= 1
+        operands[index] = value
+        if not missing[consumer.iid]:
+            core.wake(instance, consumer)
 
     def _on_write_arrive(self, instance: BlockInstance, reg: int, value,
                          null: bool, bank_index: int) -> None:
@@ -185,53 +163,36 @@ class DatapathMixin:
         owner = self.core_of_index(instance.owner_index)
         bank_core = self._rf_bank_core_ids[bank_index]
         arrive = self.control_delay(bank_core, owner, self.queue.now)
-        self.queue.at(arrive, lambda: self._on_write_resolved(instance))
+        self.queue.at(arrive, partial(self._on_write_resolved, instance))
 
     # ------------------------------------------------------------------
     # Register reads (dispatched at the register bank's core)
     # ------------------------------------------------------------------
 
-    def dispatch_read(self, instance: BlockInstance, read_index: int) -> None:
-        """Resolve one read slot against the bank's forwarding state."""
+    def dispatch_read(self, instance: BlockInstance, read: tuple) -> None:
+        """Resolve one compiled read slot against the bank's forwarding
+        state; each target gets its own delivery event."""
         if instance.state is SQUASHED:
             return
-        read = instance.block.reads[read_index]
-        bank_index = self.rf_bank_of(read.reg)
-        bank_core = self._rf_bank_core_ids[bank_index]
+        reg, bank_index, bank_core, targets = read
         self._events["regfile_read"] += 1
-
-        def deliver(value) -> None:
-            if instance.state is SQUASHED:
-                return
-            for target in read.targets:
-                self._route_to_target(instance, target, value, bank_core)
-
-        self.rf_banks[bank_index].read(instance.gseq, read.reg, deliver)
+        self.rf_banks[bank_index].read(instance.gseq, reg, lambda value: (
+            self._route_result(instance, targets, value, bank_core,
+                               fold=False)))
 
     # ------------------------------------------------------------------
     # Loads
     # ------------------------------------------------------------------
 
-    def _issue_load(self, instance: BlockInstance, inst: Instruction,
-                    core, now: int) -> None:
-        ops = instance.operand_values(inst)
-        addr = int(ops[0]) + int(inst.imm or 0)
-        if addr < 0:
-            self._bad_address(instance, inst, addr)
-            return
-        bank_core = self.dbank_core(self.dbank_of(addr))
-        arrive = self.operand_delay(core.id, bank_core, now + inst.op.latency)
-        self.queue.at(arrive, lambda: self._load_arrive(instance, inst, addr))
-
-    def _load_must_wait(self, instance: BlockInstance, inst: Instruction) -> bool:
+    def _load_must_wait(self, instance: BlockInstance, record: InstRecord) -> bool:
         """Dependence throttle for previously-violating loads: either
         the blunt all-older-stores rule or the store-set predictor."""
-        key = (instance.block.label, inst.lsq_id)
+        key = record.dep_key
         if self.store_sets is not None:
-            return self.store_sets.must_wait(key, instance.gseq, inst.lsq_id,
+            return self.store_sets.must_wait(key, instance.gseq, record.lsq_id,
                                              self.inflight)
         return key in self.dependence_set and not self.older_stores_resolved(
-            instance.gseq, inst.lsq_id)
+            instance.gseq, record.lsq_id)
 
     def _record_conflict(self, load_key: tuple, store_gseq, store_lsq) -> None:
         """Remember a load/store dependence for future throttling."""
@@ -242,136 +203,98 @@ class DatapathMixin:
                 self.store_sets.record_violation(
                     load_key, (store_instance.block.label, store_lsq))
 
-    def _load_arrive(self, instance: BlockInstance, inst: Instruction,
-                     addr: int) -> None:
-        prof = self.obs.profiler
-        if prof.enabled:
-            with prof.phase("lsq"):
-                return self._do_load_arrive(instance, inst, addr)
-        return self._do_load_arrive(instance, inst, addr)
+    def _do_load_arrive(self, instance: BlockInstance, record: InstRecord,
+                        addr: int, parked: bool = False) -> None:
+        """A load reached its LSQ/D-cache bank.  ``parked`` marks a
+        throttled load re-presented by :meth:`_wake_deferred_loads`
+        (which made the two checks below) and its NACK retries: its
+        dependence is already on record."""
+        if not parked:
+            if instance.state is SQUASHED:
+                return
+            if self._load_must_wait(instance, record):
+                # Throttled after an earlier violation.
+                self.deferred_loads.append((instance, record, addr))
+                return
 
-    def _do_load_arrive(self, instance: BlockInstance, inst: Instruction,
-                        addr: int) -> None:
-        """A load reached its LSQ/D-cache bank."""
-        if instance.state is SQUASHED:
-            return
-        key = (instance.block.label, inst.lsq_id)
-        if self._load_must_wait(instance, inst):
-            # Throttled after an earlier violation.
-            self.deferred_loads.append((instance, inst, addr))
-            return
-
-        size = memory_size(inst.op)
-        fp = inst.op.name.endswith("F")
         bank_index = self.dbank_of(addr)
         bank_core = self.dbank_core(bank_index)
         lsq = self.system.cores[bank_core].lsq
         self._events["lsq_search"] += 1
-        outcome = lsq.load(instance.gseq, inst.lsq_id, addr, size, fp=fp,
-                           ctx=self.ctx)
+        outcome = lsq.load(instance.gseq, record.lsq_id, addr, record.size,
+                           fp=record.fp, ctx=self.ctx)
 
         if outcome.result is LsqResult.NACK:
             self._handle_nack(instance, lsq)
-            self.queue.after(self.cfg.nack_retry,
-                             lambda: self._load_arrive(instance, inst, addr))
+            self.queue.after(self.cfg.nack_retry, partial(
+                self._load_arrive, instance, record, addr, parked))
             return
         if outcome.result is LsqResult.CONFLICT:
             # Inexact overlap with an older in-flight store.  The bank
             # refused the load before it read anything, so no flush is
             # needed: record the dependence and park until the store
             # drains at commit.
-            self.stats.replays += 1
-            self._record_conflict(key, outcome.conflict_gseq, outcome.conflict_lsq)
-            self.deferred_loads.append((instance, inst, addr))
+            if not parked:
+                self.stats.replays += 1
+                self._record_conflict(record.dep_key, outcome.conflict_gseq,
+                                      outcome.conflict_lsq)
+            self.deferred_loads.append((instance, record, addr))
             return
 
-        now = self.queue.now
         if outcome.result is LsqResult.FORWARD:
-            done = now + self.cfg.core.lsq_search
-            value = outcome.value
-            self.queue.at(done, lambda: self._finish_load(
-                instance, inst, value, bank_core))
+            self.queue.after(self.cfg.core.lsq_search, partial(
+                self._finish_load, instance, record, outcome.value, bank_core))
             return
 
         # LsqResult.OK: go to the D-cache.
-        self._load_dcache(instance, inst, addr, size, fp, bank_index, bank_core)
-
-    def _load_dcache(self, instance: BlockInstance, inst: Instruction, addr: int,
-                     size: int, fp: bool, bank_index: int, bank_core: int) -> None:
         now = self.queue.now
         dcache = self.system.cores[bank_core].dcache
         self._events["dcache_read"] += 1
-        t_cache = now + self.cfg.core.lsq_search + self.cfg.core.dcache_hit
-        if dcache.access(self.ctx, addr):
-            self.queue.at(t_cache, lambda: self._finish_load_from_memory(
-                instance, inst, addr, size, fp, bank_core))
-            return
-        # Miss: fetch the line from L2 (which may go to DRAM).
-        self._events["l2_access"] += 1
-        done, state = self.system.l2.read(self.ctx, addr, bank_core, t_cache)
-        victim = dcache.fill(self.ctx, addr, state)
-        if victim is not None:
-            self.system.l2.l1_evicted(victim.ctx, victim.line_addr, bank_core)
-        self.queue.at(done, lambda: self._finish_load_from_memory(
-            instance, inst, addr, size, fp, bank_core))
+        done = now + self.cfg.core.lsq_search + self.cfg.core.dcache_hit
+        if not dcache.access(self.ctx, addr):
+            # Miss: fetch the line from L2 (which may go to DRAM).
+            self._events["l2_access"] += 1
+            done, state = self.system.l2.read(self.ctx, addr, bank_core, done)
+            victim = dcache.fill(self.ctx, addr, state)
+            if victim is not None:
+                self.system.l2.l1_evicted(victim.ctx, victim.line_addr, bank_core)
+        self.queue.at(done, partial(self._finish_load_from_memory, instance,
+                                    record, addr, bank_core))
 
-    def _finish_load_from_memory(self, instance: BlockInstance, inst: Instruction,
-                                 addr: int, size: int, fp: bool,
+    def _finish_load_from_memory(self, instance: BlockInstance,
+                                 record: InstRecord, addr: int,
                                  bank_core: int) -> None:
         """Read the architectural value at reply time (committed state)."""
         if instance.state is SQUASHED:
             return
-        value = self.memory.load(addr, size, fp=fp)
-        self._finish_load(instance, inst, value, bank_core)
+        value = self.memory.load(addr, record.size, fp=record.fp)
+        self._finish_load(instance, record, value, bank_core)
 
-    def _finish_load(self, instance: BlockInstance, inst: Instruction,
+    def _finish_load(self, instance: BlockInstance, record: InstRecord,
                      value, bank_core: int) -> None:
         if instance.state is SQUASHED:
             return
         self.stats.loads_executed += 1
-        core = self.system.cores[bank_core]
-        self._route_result(instance, inst, value, core)
+        self._route_result(instance, record.targets, value, bank_core)
 
     # ------------------------------------------------------------------
     # Stores
     # ------------------------------------------------------------------
 
-    def _issue_store(self, instance: BlockInstance, inst: Instruction,
-                     core, now: int) -> None:
-        ops = instance.operand_values(inst)
-        addr = int(ops[0]) + int(inst.imm or 0)
-        if addr < 0:
-            self._bad_address(instance, inst, addr)
-            return
-        value = ops[1]
-        bank_core = self.dbank_core(self.dbank_of(addr))
-        arrive = self.operand_delay(core.id, bank_core, now + inst.op.latency)
-        self.queue.at(arrive, lambda: self._store_arrive(instance, inst, addr, value))
-
-    def _store_arrive(self, instance: BlockInstance, inst: Instruction,
-                      addr: int, value) -> None:
-        prof = self.obs.profiler
-        if prof.enabled:
-            with prof.phase("lsq"):
-                return self._do_store_arrive(instance, inst, addr, value)
-        return self._do_store_arrive(instance, inst, addr, value)
-
-    def _do_store_arrive(self, instance: BlockInstance, inst: Instruction,
+    def _do_store_arrive(self, instance: BlockInstance, record: InstRecord,
                          addr: int, value) -> None:
         if instance.state is SQUASHED:
             return
-        size = memory_size(inst.op)
-        fp = inst.op.name.endswith("F")
         bank_core = self.dbank_core(self.dbank_of(addr))
         lsq = self.system.cores[bank_core].lsq
         self._events["lsq_search"] += 1
-        outcome = lsq.store(instance.gseq, inst.lsq_id, addr, size, value,
-                            fp=fp, ctx=self.ctx)
+        outcome = lsq.store(instance.gseq, record.lsq_id, addr, record.size,
+                            value, fp=record.fp, ctx=self.ctx)
 
         if outcome.result is LsqResult.NACK:
             self._handle_nack(instance, lsq)
-            self.queue.after(self.cfg.nack_retry,
-                             lambda: self._store_arrive(instance, inst, addr, value))
+            self.queue.after(self.cfg.nack_retry, partial(
+                self._store_arrive, instance, record, addr, value))
             return
 
         if outcome.result is LsqResult.CONFLICT:
@@ -381,7 +304,7 @@ class DatapathMixin:
             if victim is not None and outcome.violation_lsq is not None:
                 self._record_conflict(
                     (victim.block.label, outcome.violation_lsq),
-                    instance.gseq, inst.lsq_id)
+                    instance.gseq, record.lsq_id)
             self.flush_from(outcome.violation_gseq, reason="violation")
             if instance.state is SQUASHED:
                 return   # the store's own block was the violator's block
@@ -390,14 +313,14 @@ class DatapathMixin:
         owner = self.core_of_index(instance.owner_index)
         done = self.queue.now + self.cfg.core.lsq_search
         arrive = self.control_delay(bank_core, owner, done)
-        lsq_id = inst.lsq_id
-        self.queue.at(arrive, lambda: self._on_store_resolved(instance, lsq_id))
+        self.queue.at(arrive, partial(self._on_store_resolved, instance,
+                                      record.lsq_id))
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
 
-    def _bad_address(self, instance: BlockInstance, inst: Instruction,
+    def _bad_address(self, instance: BlockInstance, record: InstRecord,
                      addr: int) -> None:
         """Drop an access to a garbage address (wrong-path speculation
         can compute anything).  The issuing block never completes; a
@@ -440,41 +363,11 @@ class DatapathMixin:
         if not self.deferred_loads:
             return
         pending, self.deferred_loads = self.deferred_loads, []
-        for instance, inst, addr in pending:
+        for instance, record, addr in pending:
             if instance.state is SQUASHED:
                 continue
-            if not self._load_must_wait(instance, inst):
+            if not self._load_must_wait(instance, record):
                 # Re-present to the bank (charging a fresh LSQ search).
-                self._load_arrive_deferred(instance, inst, addr)
+                self._do_load_arrive(instance, record, addr, parked=True)
             else:
-                self.deferred_loads.append((instance, inst, addr))
-
-    def _load_arrive_deferred(self, instance: BlockInstance, inst: Instruction,
-                              addr: int) -> None:
-        """Re-attempt a throttled load without re-adding it to the
-        dependence throttle (its key is already in the set)."""
-        key = (instance.block.label, inst.lsq_id)
-        size = memory_size(inst.op)
-        fp = inst.op.name.endswith("F")
-        bank_index = self.dbank_of(addr)
-        bank_core = self.dbank_core(bank_index)
-        lsq = self.system.cores[bank_core].lsq
-        self._events["lsq_search"] += 1
-        outcome = lsq.load(instance.gseq, inst.lsq_id, addr, size, fp=fp,
-                           ctx=self.ctx)
-        if outcome.result is LsqResult.NACK:
-            self._handle_nack(instance, lsq)
-            self.queue.after(self.cfg.nack_retry,
-                             lambda: self._load_arrive_deferred(instance, inst, addr))
-            return
-        if outcome.result is LsqResult.CONFLICT:
-            # The conflicting older store is still in the LSQ: keep waiting.
-            self.deferred_loads.append((instance, inst, addr))
-            return
-        now = self.queue.now
-        if outcome.result is LsqResult.FORWARD:
-            value = outcome.value
-            self.queue.at(now + self.cfg.core.lsq_search,
-                          lambda: self._finish_load(instance, inst, value, bank_core))
-            return
-        self._load_dcache(instance, inst, addr, size, fp, bank_index, bank_core)
+                self.deferred_loads.append((instance, record, addr))

@@ -4,6 +4,11 @@ The simulator is event-driven with cycle granularity: components
 schedule callbacks at absolute cycles, and idle stretches (cores waiting
 on memory, empty pipelines) cost nothing.  Ties are broken by insertion
 order, which keeps runs deterministic.
+
+Events of one cycle share a *bucket* (a list in insertion order) and a
+heap orders only the distinct cycles, so the common case — several cores
+acting on the same cycle — costs one heap operation per cycle rather
+than one per event.
 """
 
 from __future__ import annotations
@@ -13,12 +18,16 @@ from typing import Callable, Optional
 
 
 class EventQueue:
-    """A deterministic min-heap scheduler over integer cycles."""
+    """A deterministic bucketed scheduler over integer cycles."""
 
     def __init__(self) -> None:
         self.now = 0
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
-        self._seq = 0
+        #: cycle -> events due then, in insertion order.  A bucket being
+        #: run has already left this map, so an event scheduled for the
+        #: current cycle opens a fresh bucket that is popped next —
+        #: exactly ``(cycle, insertion)`` order.
+        self._buckets: dict[int, list[Callable[[], None]]] = {}
+        self._cycles: list[int] = []     # min-heap of the map's keys
         self.events_processed = 0
         self._stopped = False
 
@@ -40,8 +49,12 @@ class EventQueue:
         """Schedule ``fn`` to run at an absolute cycle (>= now)."""
         if cycle < self.now:
             raise ValueError(f"scheduling into the past: {cycle} < {self.now}")
-        heapq.heappush(self._heap, (cycle, self._seq, fn))
-        self._seq += 1
+        bucket = self._buckets.get(cycle)
+        if bucket is None:
+            self._buckets[cycle] = [fn]
+            heapq.heappush(self._cycles, cycle)
+        else:
+            bucket.append(fn)
 
     def after(self, delay: int, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` to run ``delay`` cycles from now."""
@@ -49,7 +62,7 @@ class EventQueue:
 
     @property
     def pending(self) -> int:
-        return len(self._heap)
+        return sum(len(bucket) for bucket in self._buckets.values())
 
     def run(self, until: Optional[Callable[[], bool]] = None,
             max_cycles: int = 10_000_000) -> bool:
@@ -57,37 +70,49 @@ class EventQueue:
         is called, ``until()`` holds, or the cycle budget is exceeded.
 
         Returns True if stopped (normal completion for simulations) or
-        on queue drain, False on budget exhaustion.  Both stop checks
-        happen *before* the next event, so a handler that flags the stop
+        on queue drain, False on budget exhaustion — the first event
+        past the budget stays queued, so a later ``run`` with a larger
+        budget resumes with nothing lost.  Both stop checks happen
+        *before* the next event, so a handler that flags the stop
         condition leaves ``now`` at its own cycle — identical to the
         polled ``until`` semantics.
         """
         self._stopped = False
-        heap = self._heap
-        pop = heapq.heappop
+        buckets = self._buckets
+        cycles = self._cycles
         events = self.events_processed
-        if until is None:
-            while heap:
-                if self._stopped:
+        try:
+            while cycles:
+                if self._stopped or (until is not None and until()):
                     break
-                cycle, __, fn = pop(heap)
+                cycle = cycles[0]
                 if cycle > max_cycles:
-                    self.now = cycle
-                    self.events_processed = events
                     return False
+                heapq.heappop(cycles)
+                bucket = buckets.pop(cycle)
                 self.now = cycle
-                events += 1
-                fn()
-            self.events_processed = events
+                if len(bucket) == 1:
+                    # One event this cycle (serial stretches): skip the
+                    # bucket loop's bookkeeping.
+                    events += 1
+                    bucket[0]()
+                    continue
+                ran = 0
+                for fn in bucket:
+                    if ran and (self._stopped
+                                or (until is not None and until())):
+                        # Stopped mid-cycle: the unrun tail goes back in
+                        # front of anything scheduled for this cycle
+                        # meanwhile.
+                        fresh = buckets.get(cycle)
+                        if fresh is None:
+                            heapq.heappush(cycles, cycle)
+                            fresh = ()
+                        buckets[cycle] = bucket[ran:] + list(fresh)
+                        return True
+                    ran += 1
+                    events += 1
+                    fn()
             return True
-        while heap:
-            if self._stopped or until():
-                return True
-            cycle, __, fn = pop(heap)
-            if cycle > max_cycles:
-                self.now = cycle
-                return False
-            self.now = cycle
-            self.events_processed += 1
-            fn()
-        return True
+        finally:
+            self.events_processed = events

@@ -1,8 +1,8 @@
 """Dynamic block instances: the unit of fetch, speculation, and commit.
 
 A :class:`BlockInstance` is one in-flight execution of a static block on
-a composed processor: it tracks per-instruction operand buffers,
-dispatch/fire state, output-completion counting (the owner core's
+a composed processor: it tracks per-instruction operand buffers and
+readiness counts, output-completion counting (the owner core's
 bookkeeping), and the speculative-state checkpoints needed to squash it.
 """
 
@@ -13,7 +13,6 @@ from enum import Enum
 from typing import Optional
 
 from repro.isa.block import Block
-from repro.isa.instruction import Instruction, OperandSlot
 from repro.predictor.bank import Prediction
 
 
@@ -40,14 +39,17 @@ class BlockInstance:
     proc: object = None            # owning ComposedProcessor (set at fetch)
     decoded: object = None         # DecodedBlock for the fetching composition
 
-    # Execution state, keyed by instruction ID.  Each value is a 3-slot
-    # buffer indexed by :class:`OperandSlot` (PRED=0, OP0=1, OP1=2);
-    # ``None`` marks an absent operand — real tokens are numbers or the
-    # NULL_VALUE sentinel, never ``None``.
-    operands: dict[int, list] = field(default_factory=dict)
-    dispatched: set[int] = field(default_factory=set)
-    fired: set[int] = field(default_factory=set)
-    squashed_insts: set[int] = field(default_factory=set)
+    # Execution state, one entry per instruction, copied at fetch from
+    # the templates of the compiled block (``decoded``).  ``operands``
+    # is the flat operand buffer: instruction ``i``'s
+    # :class:`OperandSlot` ``s`` lives at ``3 * i + s``; ``None`` marks
+    # an absent operand — real tokens are numbers or the NULL_VALUE
+    # sentinel, never ``None``.  ``missing[i]`` counts what instruction
+    # ``i`` still waits for — its operand and predicate tokens, plus one
+    # for dispatch — so it is ready exactly when the count reaches zero;
+    # ``-1`` retires it (fired, or squashed by a mismatched predicate).
+    operands: list = field(default_factory=list)
+    missing: list[int] = field(default_factory=list)
 
     # Output completion counting (owner-side).
     writes_done: int = 0
@@ -95,44 +97,6 @@ class BlockInstance:
         return (self.branch_done
                 and self.writes_done >= self.writes_expected
                 and self.stores_done >= self.stores_expected)
-
-    # ------------------------------------------------------------------
-    # Operand buffering
-    # ------------------------------------------------------------------
-
-    def buffer_operand(self, iid: int, slot: OperandSlot, value: object) -> None:
-        """Stash an arriving operand (may precede dispatch)."""
-        ops = self.operands.get(iid)
-        if ops is None:
-            self.operands[iid] = ops = [None, None, None]
-        ops[slot] = value
-
-    def ready_to_fire(self, inst: Instruction) -> bool:
-        """True when a dispatched, unfired instruction has its operands
-        and a matching predicate (squashes it on a mismatched one)."""
-        iid = inst.iid
-        if (iid not in self.dispatched or iid in self.fired
-                or iid in self.squashed_insts):
-            return False
-        ops = self.operands.get(iid)
-        if inst.pred is not None:
-            pred_value = ops[0] if ops is not None else None
-            if pred_value is None:
-                return False
-            if bool(pred_value) != inst.pred:
-                self.squashed_insts.add(iid)
-                return False
-        for slot_no in range(inst.num_operands):
-            if ops is None or ops[slot_no + 1] is None:
-                return False
-        return True
-
-    def operand_values(self, inst: Instruction) -> tuple:
-        n = inst.num_operands
-        if not n:
-            return ()
-        ops = self.operands[inst.iid]
-        return tuple(ops[1:1 + n])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         return (f"<B{self.gseq} {self.block.label}@{self.addr:#x} "

@@ -179,9 +179,21 @@ class ComposedProcessor(ProtocolMixin, DatapathMixin):
         self._dbanks_at: list[tuple[int, ...]] = [() for __ in core_ids]
         for b, cid in enumerate(self._dbank_core_ids):
             self._dbanks_at[part_of[cid]] += (b,)
-        #: Decoded-block cache: block label -> placement/dispatch facts
-        #: for this composition (decode once per program, not per fetch).
+        #: Compiled-block cache: block label -> static schedule on this
+        #: composition (compile once per program, not per fetch).  It
+        #: belongs to this processor, so no record outlives ``core_ids``.
         self._decoded: dict[str, DecodedBlock] = {}
+        self._broadcasts: dict[int, tuple] = {}   # see control_broadcast
+        # Phase hooks, resolved once: the plain handlers unless the
+        # profiler was enabled before this processor was composed.
+        wrap = self.obs.profiler.wrap
+        self.issue = wrap("execute", self._do_issue)
+        self._load_arrive = wrap("lsq", self._do_load_arrive)
+        self._store_arrive = wrap("lsq", self._do_store_arrive)
+        self._fetch_block = wrap("fetch", self._do_fetch_block)
+        self._core_fetch_many = wrap("fetch", self._do_core_fetch_many)
+        self._start_commit = wrap("commit", self._do_start_commit)
+        self._finish_commit = wrap("commit", self._do_finish_commit)
 
     # ------------------------------------------------------------------
     # Interleaving hash functions (paper section 4)
@@ -225,14 +237,11 @@ class ComposedProcessor(ProtocolMixin, DatapathMixin):
     # ------------------------------------------------------------------
 
     def decoded(self, block) -> DecodedBlock:
-        """Placement/dispatch facts for ``block`` on this composition,
-        decoded on first fetch and replayed afterwards."""
+        """The static schedule of ``block`` on this composition,
+        compiled on first fetch and replayed afterwards."""
         entry = self._decoded.get(block.label)
         if entry is None or entry.block is not block:
-            entry = DecodedBlock(block, self.ncores, self.num_rf_banks,
-                                 self.cfg.core.dispatch_width,
-                                 self.cfg.line_size)
-            self._decoded[block.label] = entry
+            self._decoded[block.label] = entry = DecodedBlock(block, self)
         return entry
 
     # ------------------------------------------------------------------
@@ -258,18 +267,29 @@ class ComposedProcessor(ProtocolMixin, DatapathMixin):
         events["control_hop"] += self._dist[src * self._nnodes + dst]
         return self._control.delay(src, dst, when)
 
-    def control_broadcast_delay(self, src: int, dst: int, when: int) -> int:
-        """One leg of a broadcast/combining operation (fetch commands,
+    def control_broadcast(self, owner_index: int) -> tuple:
+        """Static shape of one leg of a broadcast/combining operation
+        between an owner and every participating core (fetch commands,
         commit commands, acks, deallocation).  The control network
-        replicates these along a multicast tree, so the latency is the
-        hop distance, not a serialized unicast per destination."""
-        if src == dst or self.cfg.ideal_handshake:
-            return when
-        distance = self._dist[src * self._nnodes + dst]
-        events = self._events
-        events["control_msg"] += 1
-        events["control_hop"] += distance
-        return when + distance * self._control.hop_latency
+        replicates these along a multicast tree, so a core's latency is
+        its hop distance, not a serialized unicast per destination —
+        and it reserves no link, so the whole leg is a function of the
+        owner alone: ``(latency per core index, max latency, cores
+        grouped by latency in first-arrival order, messages, hops)``.
+        Free under the ideal-handshake ablation (paper section 6.4)."""
+        plan = self._broadcasts.get(owner_index)
+        if plan is None:
+            base = self.core_ids[owner_index] * self._nnodes
+            hops = [0 if self.cfg.ideal_handshake else self._dist[base + dest]
+                    for dest in self.core_ids]
+            latency = [d * self._control.hop_latency for d in hops]
+            groups: dict[int, list[int]] = {}
+            for index, cycles in enumerate(latency):
+                groups.setdefault(cycles, []).append(index)
+            self._broadcasts[owner_index] = plan = (
+                latency, max(latency), tuple(groups.items()),
+                sum(1 for d in hops if d), sum(hops))
+        return plan
 
     # ------------------------------------------------------------------
     # Introspection
@@ -325,8 +345,7 @@ class ComposedProcessor(ProtocolMixin, DatapathMixin):
                 f"branch={instance.branch_done} "
                 f"writes={instance.writes_done}/{instance.writes_expected} "
                 f"stores={instance.stores_done}/{instance.stores_expected} "
-                f"dispatched={len(instance.dispatched)}/{instance.block.size} "
-                f"fired={len(instance.fired)}")
+                f"fired={instance.insts_fired_count}/{instance.block.size}")
         if self.stalled_fetch is not None:
             lines.append(f"  stalled fetch at {self.stalled_fetch[0]:#x}")
         if self.deferred_loads:

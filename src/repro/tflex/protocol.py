@@ -12,6 +12,7 @@ Mixed into :class:`repro.tflex.processor.ComposedProcessor`.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.isa.program import BLOCK_STRIDE, HALT_ADDR, ProgramError
@@ -33,7 +34,13 @@ FETCH_PIPELINE_LATENCY = 3
 
 
 class ProtocolMixin:
-    """Fetch/flush/commit behaviour of a composed processor."""
+    """Fetch/flush/commit behaviour of a composed processor.
+
+    ``_fetch_block``, ``_core_fetch_many``, ``_start_commit`` and
+    ``_finish_commit`` are bound by the processor's constructor to the
+    ``_do_*`` methods below (through the profiler's ``fetch``/``commit``
+    phases when it is enabled).
+    """
 
     # ------------------------------------------------------------------
     # Fetch chain
@@ -69,13 +76,6 @@ class ProtocolMixin:
             return
         self._fetch_block(addr, ghist, handoff_lat)
 
-    def _fetch_block(self, addr: int, ghist: int, handoff_lat: int) -> None:
-        prof = self.obs.profiler
-        if prof.enabled:
-            with prof.phase("fetch"):
-                return self._do_fetch_block(addr, ghist, handoff_lat)
-        return self._do_fetch_block(addr, ghist, handoff_lat)
-
     def _do_fetch_block(self, addr: int, ghist: int, handoff_lat: int) -> None:
         self.note_occupancy()
         now = self.queue.now
@@ -86,6 +86,7 @@ class ProtocolMixin:
             gseq=self.next_gseq, block=block, addr=addr,
             owner_index=owner_index, ghist_before=ghist,
             t_fetch_start=now, proc=self, decoded=decoded,
+            operands=decoded.operands[:], missing=decoded.missing[:],
         )
         self.next_gseq += 1
         self.inflight.append(instance)
@@ -112,23 +113,16 @@ class ProtocolMixin:
         # Broadcast the fetch command to every participating core (a
         # multicast on the control network).  Cores whose command
         # arrives on the same cycle share one event: within this
-        # handler the scheduled sequence numbers are consecutive, so
-        # folding same-cycle deliveries preserves the global event
-        # order exactly (no foreign event can interleave).
-        distribution = 0
-        buckets: dict[int, list[int]] = {}
-        for index in range(self.ncores):
-            dest = self.core_of_index(index)
-            arrive = self.control_broadcast_delay(owner_core, dest, t_cmd)
-            if arrive - t_cmd > distribution:
-                distribution = arrive - t_cmd
-            group = buckets.get(arrive)
-            if group is None:
-                buckets[arrive] = group = [index]
-                self.queue.at(arrive,
-                              lambda g=group: self._core_fetch_many(instance, g))
-            else:
-                group.append(index)
+        # handler the scheduled events are consecutive, so folding
+        # same-cycle deliveries preserves the global event order
+        # exactly (no foreign event can interleave).
+        __, distribution, groups, msgs, hops = self.control_broadcast(owner_index)
+        if msgs:
+            self._events["control_msg"] += msgs
+            self._events["control_hop"] += hops
+        for latency, group in groups:
+            self.queue.at(t_cmd + latency,
+                          partial(self._core_fetch_many, instance, group))
 
         instance.t_fetch_cmd = t_cmd
         instance.fetch_parts = {
@@ -174,24 +168,11 @@ class ProtocolMixin:
     # Per-core fetch + dispatch
     # ------------------------------------------------------------------
 
-    def _core_fetch_many(self, instance: BlockInstance,
-                         core_indices: list[int]) -> None:
+    def _do_core_fetch_many(self, instance: BlockInstance,
+                            core_indices: list[int]) -> None:
         """Same-cycle fetch-command arrivals, folded into one event."""
-        prof = self.obs.profiler
-        if prof.enabled:
-            with prof.phase("fetch"):
-                for core_index in core_indices:
-                    self._do_core_fetch(instance, core_index)
-            return
         for core_index in core_indices:
             self._do_core_fetch(instance, core_index)
-
-    def _core_fetch(self, instance: BlockInstance, core_index: int) -> None:
-        prof = self.obs.profiler
-        if prof.enabled:
-            with prof.phase("fetch"):
-                return self._do_core_fetch(instance, core_index)
-        return self._do_core_fetch(instance, core_index)
 
     def _do_core_fetch(self, instance: BlockInstance, core_index: int) -> None:
         """One participating core fetches and dispatches its interleaved
@@ -205,7 +186,8 @@ class ProtocolMixin:
         # Register reads banked on this core resolve after header decode.
         my_reads = decoded.reads_by_core[core_index]
         if my_reads:
-            self.queue.at(now + 1, lambda: self._dispatch_reads(instance, my_reads))
+            self.queue.at(now + 1,
+                          partial(self._dispatch_reads, instance, my_reads))
 
         if not decoded.chunk_sizes[core_index]:
             return
@@ -232,27 +214,30 @@ class ProtocolMixin:
         groups = decoded.groups[core_index]
         for g, group in enumerate(groups):
             self.queue.at(t + g + 1,
-                          lambda grp=group: self._dispatch_group(instance, grp, core))
+                          partial(self._dispatch_group, instance, group, core))
         t_done = t + len(groups)
         dispatch_lat = t_done - now
         if dispatch_lat > instance.fetch_parts.get("dispatch", 0):
             instance.fetch_parts["dispatch"] = dispatch_lat
 
-    def _dispatch_reads(self, instance: BlockInstance, read_indices: list[int]) -> None:
+    def _dispatch_reads(self, instance: BlockInstance, reads: tuple) -> None:
         if instance.state is SQUASHED:
             return
-        for index in read_indices:
-            self.dispatch_read(instance, index)
+        for read in reads:
+            self.dispatch_read(instance, read)
 
     def _dispatch_group(self, instance: BlockInstance, group, core) -> None:
+        """Dispatch a packet of compiled instructions into the window;
+        one whose operands all arrived earlier is ready at once."""
         if instance.state is SQUASHED:
             return
-        dispatched = instance.dispatched
+        missing = instance.missing
         events = self._events
-        for inst in group:
-            dispatched.add(inst.iid)
+        for record in group:
             events["window_write"] += 1
-            core.wake(instance, inst)
+            missing[record.iid] -= 1
+            if not missing[record.iid]:
+                core.wake(instance, record)
 
     # ------------------------------------------------------------------
     # Branch resolution and misprediction recovery
@@ -394,19 +379,11 @@ class ProtocolMixin:
             elif instance.state is not BlockState.COMMITTING:
                 break
 
-    def _start_commit(self, instance: BlockInstance) -> None:
-        prof = self.obs.profiler
-        if prof.enabled:
-            with prof.phase("commit"):
-                return self._do_start_commit(instance)
-        return self._do_start_commit(instance)
-
     def _do_start_commit(self, instance: BlockInstance) -> None:
         """Four-phase distributed commit (paper section 4.6)."""
         instance.state = BlockState.COMMITTING
         now = self.queue.now
         instance.t_commit_start = now
-        owner = self.core_of_index(instance.owner_index)
 
         # Phase 2: commit command to all participating cores.
         # Phase 3: each core updates architectural state (register and
@@ -419,11 +396,14 @@ class ProtocolMixin:
             for b in range(self.num_dbanks)
         ]
 
+        latency, max_latency, __, msgs, hops = self.control_broadcast(
+            instance.owner_index)
+        if msgs:
+            self._events["control_msg"] += 3 * msgs
+            self._events["control_hop"] += 3 * hops
         t_acks = now
         max_update = 0
         for index in range(self.ncores):
-            dest = self.core_of_index(index)
-            t_cmd = self.control_broadcast_delay(owner, dest, now)
             drain = 0
             for b in self._rf_banks_at[index]:
                 if writes_per_bank[b] > drain:
@@ -431,18 +411,14 @@ class ProtocolMixin:
             for b in self._dbanks_at[index]:
                 if stores_per_bank[b] > drain:
                     drain = stores_per_bank[b]
-            t_done = t_cmd + drain
             if drain > max_update:
                 max_update = drain
-            t_ack = self.control_broadcast_delay(dest, owner, t_done)
+            t_ack = now + 2 * latency[index] + drain   # command out, ack back
             if t_ack > t_acks:
                 t_acks = t_ack
 
         # Phase 4: deallocation broadcast.
-        t_dealloc = t_acks
-        for index in range(self.ncores):
-            dest = self.core_of_index(index)
-            t_dealloc = max(t_dealloc, self.control_broadcast_delay(owner, dest, t_acks))
+        t_dealloc = t_acks + max_latency
 
         instance.commit_parts = {
             "state_update": max_update,
@@ -452,13 +428,6 @@ class ProtocolMixin:
         t_dealloc = max(t_dealloc, self._last_dealloc + 1)
         self._last_dealloc = t_dealloc
         self.queue.at(t_dealloc, lambda: self._finish_commit(instance))
-
-    def _finish_commit(self, instance: BlockInstance) -> None:
-        prof = self.obs.profiler
-        if prof.enabled:
-            with prof.phase("commit"):
-                return self._do_finish_commit(instance)
-        return self._do_finish_commit(instance)
 
     def _do_finish_commit(self, instance: BlockInstance) -> None:
         """Apply architectural effects and free the block's frame."""

@@ -25,7 +25,28 @@ class TestDisabled:
         assert prof.phase("a") is prof.phase("b")
 
 
+    def test_wrap_returns_the_function_itself(self):
+        def handler():
+            return 7
+        assert PhaseProfiler(enabled=False).wrap("issue", handler) is handler
+
+
 class TestAccounting:
+    def test_wrap_charges_the_phase_and_passes_through(self):
+        clock = FakeClock()
+        prof = PhaseProfiler(enabled=True, clock=clock)
+
+        def handler(a, b=0):
+            clock.advance(3.0)
+            return a + b
+
+        timed = prof.wrap("lsq", handler)
+        assert timed(1, b=2) == 3
+        assert prof.seconds("lsq") == 3.0 and prof.calls("lsq") == 1
+        # Bound at wrap time: disabling later does not unwrap.
+        prof.enabled = False
+        assert timed(1) == 1 and prof.calls("lsq") == 2
+
     def test_simple_phase(self):
         clock = FakeClock()
         prof = PhaseProfiler(enabled=True, clock=clock)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import repro.obs
 from repro.exec import JobSpec
 from repro.harness import run_edge_benchmark
-from repro.harness.runner import _simulate_edge
+from repro.harness.runner import _simulate_edge, cached_program
 from repro.resil import (
     CompositionLost,
     FaultSchedule,
@@ -16,6 +16,7 @@ from repro.resil import (
     run_resilient,
 )
 from repro.resil.faults import FaultEvent
+from repro.tflex import TFlexSystem, tflex_config
 
 
 def edge(bench, ncores, **kwargs):
@@ -176,6 +177,24 @@ class TestLinkDegradation:
         assert result.resil["recoveries"] == []
         kinds = [e["kind"] for e in result.resil["injected"]]
         assert kinds == ["link_slow", "link_slow"]
+
+    @pytest.mark.parametrize("profiled", [False, True])
+    def test_degrade_takes_effect_on_a_warm_route(self, profiled):
+        """A link degraded after its routes were resolved (and after
+        ``delay`` was bound, through the profiler or not) still slows
+        every later message over it, on the path processors call."""
+        obs = repro.obs.Observability()
+        obs.profiler.enabled = profiled
+        system = TFlexSystem(tflex_config(4), obs=obs)
+        proc = system.compose_rect(4, cached_program("edge", "conv", 1)[0])
+        assert proc.operand_delay(0, 1, 10) == 11          # route cached
+        assert proc.operand_delay(0, 3, 10) == 12          # 0 -> 1 -> 3
+        system.opn.degrade_link((0, 1), 3)
+        assert proc.operand_delay(0, 1, 100) == 104
+        assert proc.operand_delay(0, 3, 200) == 205
+        assert proc.operand_delay(1, 0, 300) == 301        # other direction
+        assert proc.control_delay(0, 1, 400) == 401        # other network
+        assert obs.profiler.calls("noc") == (6 if profiled else 0)
 
 
 class TestObservability:

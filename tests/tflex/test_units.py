@@ -4,9 +4,10 @@ register-file banks, block instances, stats."""
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.isa import BlockBuilder
+from repro.isa import BlockBuilder, Program
 from repro.isa.instruction import OperandSlot
-from repro.tflex import TFLEX, BlockState, EventQueue, pack, rectangle, tflex_config, trips_config
+from repro.tflex import (TFLEX, BlockState, EventQueue, TFlexSystem, pack,
+                         rectangle, tflex_config, trips_config)
 from repro.tflex.instance import BlockInstance
 from repro.tflex.regfile import RegfileBank
 from repro.tflex.stats import LatencyBreakdown, ProcStats
@@ -63,6 +64,18 @@ class TestEventQueue:
 
         q.at(0, tick)
         assert q.run(max_cycles=100) is False
+
+    def test_budget_exhaustion_keeps_the_next_event(self):
+        """The first event past the budget must stay queued, not be
+        popped and dropped: a resumed run executes it."""
+        q = EventQueue()
+        ran = []
+        for cycle in (5, 200, 300):
+            q.at(cycle, lambda cycle=cycle: ran.append(cycle))
+        assert q.run(max_cycles=100) is False
+        assert ran == [5] and q.pending == 2 and q.events_processed == 1
+        assert q.run(max_cycles=1000) is True
+        assert ran == [5, 200, 300] and q.events_processed == 3
 
 
 class TestConfig:
@@ -263,6 +276,10 @@ class TestRegfileBank:
 
 
 class TestBlockInstance:
+    """The readiness step on a fetched (not yet run) instance: operand
+    arrival (``_deliver_operand``) and dispatch (``_dispatch_group``)
+    count ``missing`` down; ``Core.wake`` queues or squashes at zero."""
+
     def _instance(self):
         b = BlockBuilder("t")
         x = b.read(1)
@@ -272,25 +289,62 @@ class TestBlockInstance:
         b.write(1, y)
         b.branch("HALT", exit_id=0)
         block = b.build()
-        return BlockInstance(gseq=0, block=block, addr=0x10000,
-                             owner_index=0, ghist_before=0), block
+        program = Program(entry="t", name="unit")
+        program.add_block(block)
+        system = TFlexSystem(tflex_config(1))
+        proc = system.compose([0], program)
+        decoded = proc.decoded(block)
+        instance = BlockInstance(
+            gseq=0, block=block, addr=0x10000, owner_index=0, ghist_before=0,
+            proc=proc, decoded=decoded, operands=decoded.operands[:],
+            missing=decoded.missing[:])
+        return instance, block
+
+    @staticmethod
+    def _deliver(instance, iid, slot, value):
+        proc = instance.proc
+        proc._deliver_operand(instance, instance.decoded.records[iid],
+                              3 * iid + slot, value, proc.system.cores[0])
+
+    @staticmethod
+    def _dispatch(instance, iid):
+        proc = instance.proc
+        proc._dispatch_group(instance, (instance.decoded.records[iid],),
+                             proc.system.cores[0])
 
     def test_not_ready_before_dispatch(self):
         instance, block = self._instance()
+        core = instance.proc.system.cores[0]
         add = block.insts[1]
-        instance.buffer_operand(add.iid, OperandSlot.OP0, 5)
-        assert not instance.ready_to_fire(add)
-        instance.dispatched.add(add.iid)
-        assert instance.ready_to_fire(add)
+        self._deliver(instance, add.iid, OperandSlot.OP0, 5)
+        assert core.ready_count() == 0
+        assert instance.missing[add.iid] == 1     # dispatch only
+        self._dispatch(instance, add.iid)
+        assert core.ready_count() == 1
+        assert instance.missing[add.iid] == 0
 
     def test_predicate_mismatch_squashes(self):
         instance, block = self._instance()
+        core = instance.proc.system.cores[0]
         predicated = next(i for i in block.insts if i.pred is not None)
-        instance.dispatched.add(predicated.iid)
-        instance.buffer_operand(predicated.iid, OperandSlot.OP0, 5)
-        instance.buffer_operand(predicated.iid, OperandSlot.PRED, 0)  # needs 1
-        assert not instance.ready_to_fire(predicated)
-        assert predicated.iid in instance.squashed_insts
+        self._dispatch(instance, predicated.iid)
+        self._deliver(instance, predicated.iid, OperandSlot.OP0, 5)
+        self._deliver(instance, predicated.iid, OperandSlot.PRED, 0)  # needs 1
+        assert core.ready_count() == 0
+        assert instance.missing[predicated.iid] == -1    # retired
+
+    def test_second_token_after_fire_ignored(self):
+        instance, block = self._instance()
+        core = instance.proc.system.cores[0]
+        add = block.insts[1]
+        self._dispatch(instance, add.iid)
+        self._deliver(instance, add.iid, OperandSlot.OP0, 5)
+        core._do_issue_tick()
+        assert instance.insts_fired_count == 1
+        assert instance.missing[add.iid] == -1
+        self._deliver(instance, add.iid, OperandSlot.OP0, 7)
+        assert core.ready_count() == 0
+        assert instance.missing[add.iid] == -1
 
     def test_outputs_complete(self):
         instance, __ = self._instance()
