@@ -4,7 +4,8 @@ Four passes guard the conventions the rest of the repo silently relies
 on (see docs/ANALYSIS.md for the rule catalog and workflow):
 
 * :mod:`repro.analysis.surface` — REP1xx: every mutable attribute of a
-  warm structure must be covered by its ``state_dict``/``swap`` surface
+  warm structure must be named in its ``WARM`` field list (or, for a
+  composite, read by its ``state_dict``/``load_state``/``swap_state``)
   (replay/checkpoint fidelity, PR 4/8).
 * :mod:`repro.analysis.determinism` — REP2xx: no wall clocks, entropy,
   builtin ``hash()``/``id()``, or unsorted set iteration in simulator /

@@ -2,14 +2,16 @@
 
 Replay/checkpoint fidelity (sampled simulation, recomposition) assumes
 that every *mutable* attribute of a warm structure moves with its
-transfer surface: ``state_dict``/``load_state`` for predictors,
-``swap_lines``/``export_lines``/``import_lines`` for caches,
-``swap_state`` for anything swap-based.  A mutable attribute the
-surface never reads is warm state that silently stays behind — exactly
-the drift that breaks the paper's "identical architectural state
-regardless of composition" invariant.
+transfer surface — the one vocabulary ``state_dict``/``load_state``/
+``swap_state``.  A mutable attribute the surface misses is warm state
+that silently stays behind — exactly the drift that breaks the paper's
+"identical architectural state regardless of composition" invariant.
 
-For every class defining at least one surface method this pass:
+A leaf structure declares its fields once (``WARM = (("_stack", list,
+list), ...)``, :mod:`repro.warm`) and inherits the three operations; a
+composite (``PredictorBank``, ``ShadowUarch``) writes them as
+delegations.  For every class with a ``WARM`` literal or a surface
+method this pass:
 
 1. collects every ``self.<attr>`` assignment/mutation across all
    methods (including ``object.__setattr__(self, "x", ...)``, subscript
@@ -17,7 +19,9 @@ For every class defining at least one surface method this pass:
 2. decides whether the attribute is *state* (assigned outside
    ``__init__``, or initialised to a mutable value) or *config*
    (scalar/param-derived, assigned once in ``__init__``);
-3. flags state attributes that no surface method ever reads (REP101).
+3. flags state attributes that are not named in ``WARM`` — or, for a
+   class without one, never read by a surface method — and ``WARM``
+   names that ``__init__`` never assigns (both REP101).
 
 Suppress intentional exclusions at the assignment site::
 
@@ -29,15 +33,14 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.findings import Finding
-from repro.analysis.source import SourceModule, dotted_name
+from repro.analysis.source import SourceModule, const_str, dotted_name
 
 RULE_UNCOVERED = "REP101"
 
 #: Defining any of these makes a class a transfer-surface owner.
-SURFACE_DEF_METHODS = frozenset(
-    {"state_dict", "swap_state", "swap_lines", "export_lines"})
+SURFACE_DEF_METHODS = frozenset({"state_dict", "swap_state"})
 #: Reads in any of these count as surface coverage.
-SURFACE_READ_METHODS = SURFACE_DEF_METHODS | {"load_state", "import_lines"}
+SURFACE_READ_METHODS = SURFACE_DEF_METHODS | {"load_state"}
 
 #: Calls (last dotted segment) whose result is mutable state.
 _MUTABLE_FACTORIES = frozenset(
@@ -77,26 +80,10 @@ def _is_mutable_value(node) -> bool:
     return False
 
 
-class _ClassSurface:
-    """Accumulated facts about one surface-owning class."""
-
-    def __init__(self, node: ast.ClassDef) -> None:
-        self.node = node
-        self.name = node.name
-        self.defined: list = []          # surface methods present
-        #: attr -> list of (line, method_name, value_node_or_None, is_mutation)
-        self.assignments: dict = {}
-        self.surface_reads: set = set()
-
-    def record(self, attr: str, line: int, method: str, value, mutation: bool) -> None:
-        self.assignments.setdefault(attr, []).append(
-            (line, method, value, mutation))
-
-
-def _self_attr(node, selves=("self",)):
-    """'x' if node is ``self.x`` (or ``other.x`` when allowed), else None."""
+def _self_attr(node):
+    """'x' if node is ``self.x``, else None."""
     if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-            and node.value.id in selves:
+            and node.value.id == "self":
         return node.attr
     return None
 
@@ -122,7 +109,13 @@ def _target_attrs(node, direct=True):
             yield from _target_attrs(node.value, False)
 
 
-def _collect_assignments(cls: _ClassSurface, method: ast.FunctionDef) -> None:
+def _collect_assignments(assignments: dict, method: ast.FunctionDef) -> None:
+    """Add ``attr -> [(line, method name, value node or None, is
+    mutation), ...]`` for every self-attribute ``method`` writes."""
+    def record(attr, line, value, mutation):
+        assignments.setdefault(attr, []).append(
+            (line, method.name, value, mutation))
+
     in_surface = method.name in SURFACE_READ_METHODS
     for node in ast.walk(method):
         targets = []
@@ -141,17 +134,14 @@ def _collect_assignments(cls: _ClassSurface, method: ast.FunctionDef) -> None:
             if dotted_name(func).endswith("__setattr__") and len(node.args) >= 3 \
                     and isinstance(node.args[0], ast.Name) \
                     and node.args[0].id == "self" \
-                    and isinstance(node.args[1], ast.Constant) \
-                    and isinstance(node.args[1].value, str):
-                cls.record(node.args[1].value, node.lineno, method.name,
-                           node.args[2], mutation=False)
+                    and const_str(node.args[1]) is not None:
+                record(node.args[1].value, node.lineno, node.args[2], False)
                 continue
             # self.x.append(...) and friends — in-place mutation.
             if isinstance(func, ast.Attribute) and func.attr in _MUTATOR_METHODS:
                 attr = _self_attr(func.value)
                 if attr and not in_surface:
-                    cls.record(attr, node.lineno, method.name, None,
-                               mutation=True)
+                    record(attr, node.lineno, None, True)
             continue
         else:
             continue
@@ -160,14 +150,19 @@ def _collect_assignments(cls: _ClassSurface, method: ast.FunctionDef) -> None:
                 mutation = not direct or isinstance(node, ast.AugAssign)
                 val = value if direct and not isinstance(
                     target, (ast.Tuple, ast.List)) else None
-                cls.record(attr, leaf.lineno, method.name, val, mutation)
+                record(attr, leaf.lineno, val, mutation)
 
 
-def _collect_surface_reads(cls: _ClassSurface, method: ast.FunctionDef) -> None:
-    for node in ast.walk(method):
-        attr = _self_attr(node, selves=("self", "other"))
-        if attr:
-            cls.surface_reads.add(attr)
+def _warm_names(node: ast.ClassDef):
+    """``{attribute: line}`` declared by the class's ``WARM`` literal,
+    or None when the class has none."""
+    for stmt in node.body:
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Tuple) \
+                and any(dotted_name(t) == "WARM" for t in stmt.targets):
+            return {name: entry.lineno for entry in stmt.value.elts
+                    if isinstance(entry, ast.Tuple) and entry.elts
+                    and (name := const_str(entry.elts[0])) is not None}
+    return None
 
 
 def _needs_coverage(records) -> bool:
@@ -182,43 +177,46 @@ def _needs_coverage(records) -> bool:
     return False
 
 
+_HINT_UNCOVERED = ("name it in WARM (or read it in the composite's "
+                   "state_dict/load_state/swap_state), or mark the assignment "
+                   "`# lint: ok(REP101) <why>` if it is config, derived, or stats")
+
+
+def _check_class(mod: SourceModule, node: ast.ClassDef):
+    """Yield ``(line, message, hint)`` for one class."""
+    methods = [n for n in node.body
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    defined = sorted(m.name for m in methods if m.name in SURFACE_DEF_METHODS)
+    warm = _warm_names(node)
+    if warm is None and not defined:
+        return
+    assignments: dict = {}
+    covered = set(warm or ())
+    for method in methods:
+        _collect_assignments(assignments, method)
+        if warm is None and method.name in SURFACE_READ_METHODS:
+            covered.update(filter(None, map(_self_attr, ast.walk(method))))
+    surface = "WARM" if warm is not None else "/".join(defined)
+    for attr, records in sorted(assignments.items()):
+        if attr in covered or not _needs_coverage(records) or any(
+                mod.suppressed(RULE_UNCOVERED, line) for line, *_ in records):
+            continue
+        yield (min(line for line, *_ in records),
+               f"{node.name}.{attr} looks like mutable state but is not "
+               f"covered by the transfer surface ({surface})", _HINT_UNCOVERED)
+    for attr, line in sorted((warm or {}).items()):
+        in_init = any(method in _INIT_METHODS
+                      for __, method, *_ in assignments.get(attr, ()))
+        if not in_init and not mod.suppressed(RULE_UNCOVERED, line):
+            yield (line, f"{node.name}.WARM names {attr}, which __init__ "
+                   f"never assigns",
+                   "declare only attributes the constructor creates")
+
+
 def check_surfaces(modules, ctx=None):
     """Run the transfer-surface pass over parsed modules."""
-    findings = []
-    for mod in modules:
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            cls = _ClassSurface(node)
-            methods = [n for n in node.body
-                       if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-            for method in methods:
-                if method.name in SURFACE_DEF_METHODS:
-                    cls.defined.append(method.name)
-            if not cls.defined:
-                continue
-            for method in methods:
-                _collect_assignments(cls, method)
-                if method.name in SURFACE_READ_METHODS:
-                    _collect_surface_reads(cls, method)
-            for attr in sorted(cls.assignments):
-                if attr in cls.surface_reads:
-                    continue
-                records = cls.assignments[attr]
-                if not _needs_coverage(records):
-                    continue
-                if any(mod.suppressed(RULE_UNCOVERED, line)
-                       for line, *_ in records):
-                    continue
-                line = min(line for line, *_ in records)
-                surface = "/".join(sorted(cls.defined))
-                findings.append(Finding(
-                    rule=RULE_UNCOVERED, severity="P1",
-                    file=mod.relpath, line=line,
-                    message=(f"{cls.name}.{attr} looks like mutable state "
-                             f"but is never read by the transfer surface "
-                             f"({surface})"),
-                    hint=("cover it in the state_dict/swap surface, or mark "
-                          "the assignment `# lint: ok(REP101) <why>` if it "
-                          "is config, derived, or stats")))
-    return findings
+    return [Finding(rule=RULE_UNCOVERED, severity="P1", file=mod.relpath,
+                    line=line, message=message, hint=hint)
+            for mod in modules
+            for node in ast.walk(mod.tree) if isinstance(node, ast.ClassDef)
+            for line, message, hint in _check_class(mod, node)]

@@ -7,9 +7,10 @@ into three composable pieces:
 * :mod:`repro.exec.spec` — :class:`JobSpec`, a pure, hashable
   description of one simulation point, plus :func:`spec_hash`, its
   stable content address.
-* :mod:`repro.exec.store` — :class:`ResultStore`, a content-addressed
-  on-disk cache of JSON result records with atomic writes and
-  corruption-tolerant reads.
+* :mod:`repro.exec.store` — the one content-addressed record store
+  (:class:`BlobStore`; :class:`ResultStore` is the same store with a
+  plain-JSON codec, keyed by job spec) with corruption-tolerant reads,
+  and ``atomic_write``, the only temp-file + fsync + rename sequence.
 * :mod:`repro.exec.pool` — :class:`WorkerPool`, persistent warm worker
   processes served over a request/reply pipe, with a terminate→kill
   watchdog and transparent respawn.

@@ -22,13 +22,11 @@ a wildly wrong estimate costs wall-clock, never correctness.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import tempfile
 from typing import Optional, Sequence, Union
 
 from repro.exec.spec import JobSpec
-from repro.exec.store import advisory_lock
+from repro.exec.store import advisory_lock, atomic_write
 
 #: EWMA weight of the newest observation.  High enough to track a
 #: machine change within a few sweeps, low enough that one descheduled
@@ -144,24 +142,13 @@ class DurationBook:
         """
         if self.path is None or not self._touched:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         with advisory_lock(self.path.with_suffix(".lock")):
             merged = self._read()
             for family in sorted(self._touched):
                 merged[family] = round(self._estimates[family], 6)
             record = {"schema": BOOK_SCHEMA, "families": merged}
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.path.parent, prefix=".durations-", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(record, handle, sort_keys=True)
-                os.replace(tmp_name, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self.path, json.dumps(
+                record, sort_keys=True).encode("utf-8"))
         self._touched.clear()
 
 

@@ -1,23 +1,32 @@
-"""Content-addressed on-disk result store.
+"""Content-addressed on-disk record stores.
 
-Records are JSON files under ``<root>/<hash[:2]>/<hash>.json`` where
-``hash`` is :func:`repro.exec.spec.spec_hash` of the job spec salted
-with the store's schema version.  Writes are atomic (temp file in the
-same directory, then ``os.replace``) so a crash mid-write can never
-leave a record that parses; reads are corruption-tolerant — a
-truncated, unparsable, or wrong-schema file is a cache *miss*, never
-an error.
+One store class, one reader, one writer.  A :class:`BlobStore` keeps
+records under ``<root>/<key[:2]>/<key><SUFFIX>`` where the caller
+supplies the key (already a content hash); a record is
+``{"schema": salt, "key": key, ..., "payload": ...}`` passed through
+the class's codec (gzip-1 compact JSON).  :class:`ResultStore` is the
+same store with a plain-JSON codec, keyed by
+:func:`repro.exec.spec.spec_hash` of a job spec (salted with the
+store's schema version) and echoing the spec in the record.
+
+Writes go through :func:`atomic_write`, the only temp-file + fsync +
+``os.replace`` sequence in the package tree, so a crash mid-write can
+never leave a record that parses.  Reads are corruption-tolerant: a
+truncated, unparsable, wrong-shape, wrong-schema or wrong-key record is
+a cache *miss*, never an error, for ``load`` and ``contains`` alike.
 """
 
 from __future__ import annotations
 
 import contextlib
 import gzip
+import io
 import json
 import os
 import pathlib
 import tempfile
 import time
+import zlib
 from typing import Iterator, Optional, Union
 
 from repro.exec.spec import SCHEMA_VERSION, JobSpec, spec_hash
@@ -54,24 +63,48 @@ def advisory_lock(path: Union[str, pathlib.Path]):
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
-class ResultStore:
-    """Durable result cache, keyed by content address of the job spec."""
+def atomic_write(path: Union[str, pathlib.Path], data: bytes) -> None:
+    """Durably replace ``path`` with ``data``, all or nothing.
 
-    def __init__(self, root: Union[str, pathlib.Path],
-                 salt: int = SCHEMA_VERSION) -> None:
+    The bytes go to a temp file in the target directory (same
+    filesystem, so the rename is atomic), are flushed and fsynced, and
+    only then renamed over ``path``: a reader sees the old content or
+    the new, and a killed writer can truncate the temp file but never
+    ``path`` itself.  The temp file is removed on any failure.
+    """
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.name}-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+
+
+class BlobStore:
+    """Content-keyed record store (gzip JSON blobs); see the module
+    docstring for the layout and the durability contract.  The sampled
+    engine's fast-forward trace store
+    (:class:`repro.sample.trace.FFTraceStore`) is the direct client."""
+
+    SUFFIX = ".json.gz"
+
+    def __init__(self, root: Union[str, pathlib.Path], salt: int = 0) -> None:
         self.root = pathlib.Path(root)
         self.salt = salt
         self.hits = 0
         self.misses = 0
         self.writes = 0
 
-    # -- keying --------------------------------------------------------
-
-    def key(self, spec: JobSpec) -> str:
-        return spec_hash(spec, salt=self.salt)
-
     def path_for(self, key: str) -> pathlib.Path:
-        return self.root / key[:2] / f"{key}.json"
+        return self.root / key[:2] / f"{key}{self.SUFFIX}"
 
     def lock(self):
         """Advisory cross-process lock scoped to this store's root.
@@ -81,68 +114,65 @@ class ResultStore:
         maintenance) when several CLI invocations share the cache."""
         return advisory_lock(self.root / ".lock")
 
+    # -- codec ---------------------------------------------------------
+
+    @staticmethod
+    def _encode(record: dict) -> bytes:
+        # Compact separators + compression level 1: blobs are cold
+        # storage for already-hashed content, so write latency (on the
+        # recording run's critical path) beats ratio; ``mtime=0`` keeps
+        # the bytes deterministic for identical content.
+        buffer = io.BytesIO()
+        with gzip.GzipFile(fileobj=buffer, mode="wb",
+                           compresslevel=1, mtime=0) as fh:
+            fh.write(json.dumps(record, separators=(",", ":")).encode("utf-8"))
+        return buffer.getvalue()
+
+    @staticmethod
+    def _decode(data: bytes):
+        return json.loads(gzip.decompress(data))
+
     # -- reads ---------------------------------------------------------
 
-    def load(self, spec: JobSpec) -> Optional[dict]:
-        """The stored payload for ``spec``, or ``None`` on any miss —
-        including a corrupt or schema-mismatched record."""
-        key = self.key(spec)
-        record = self._read_record(self.path_for(key))
-        if (record is None or record.get("schema") != self.salt
+    def _record(self, key: str) -> Optional[dict]:
+        """The record stored under ``key`` if it reads, parses and
+        echoes this store's schema and the key; else ``None``."""
+        try:
+            record = self._decode(self.path_for(key).read_bytes())
+        except (OSError, EOFError, ValueError, zlib.error):
+            return None
+        if (not isinstance(record, dict) or record.get("schema") != self.salt
                 or record.get("key") != key or "payload" not in record):
+            return None
+        return record
+
+    def load(self, key: str) -> Optional[dict]:
+        """The stored payload for ``key``, or ``None`` on any miss —
+        including a corrupt, truncated, or schema-mismatched record."""
+        record = self._record(key)
+        if record is None:
             self.misses += 1
             return None
         self.hits += 1
         return record["payload"]
 
-    def contains(self, spec: JobSpec) -> bool:
-        """Like :meth:`load` but without touching the hit/miss counters.
-
-        Applies the *same* validation as :meth:`load` (schema, key
-        echo, payload presence) — a corrupt record that would miss on
-        load must not report "cached" here.
-        """
-        key = self.key(spec)
-        record = self._read_record(self.path_for(key))
-        return (record is not None and record.get("schema") == self.salt
-                and record.get("key") == key and "payload" in record)
-
-    @staticmethod
-    def _read_record(path: pathlib.Path) -> Optional[dict]:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, ValueError, UnicodeDecodeError):
-            return None
-        return record if isinstance(record, dict) else None
+    def contains(self, key: str) -> bool:
+        """Whether :meth:`load` would hit, without touching the
+        hit/miss counters — a record that would miss on load must not
+        report "cached" here."""
+        return self._record(key) is not None
 
     # -- writes --------------------------------------------------------
 
-    def store(self, spec: JobSpec, payload: dict) -> pathlib.Path:
-        """Atomically persist one result record."""
-        key = self.key(spec)
-        record = {
-            "schema": self.salt,
-            "key": key,
-            "spec": spec.to_dict(),
-            "payload": payload,
-        }
+    def store(self, key: str, payload: dict) -> pathlib.Path:
+        """Atomically persist one record; last writer wins on a race
+        (both writers hold identical content for a content key)."""
+        return self._write(key, {"payload": payload})
+
+    def _write(self, key: str, fields: dict) -> pathlib.Path:
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(record, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, self._encode(
+            {"schema": self.salt, "key": key, **fields}))
         self.writes += 1
         return path
 
@@ -151,8 +181,8 @@ class ResultStore:
     def iter_keys(self) -> Iterator[str]:
         if not self.root.is_dir():
             return
-        for path in sorted(self.root.glob("??/*.json")):
-            yield path.stem
+        for path in sorted(self.root.glob(f"??/*{self.SUFFIX}")):
+            yield path.name[:-len(self.SUFFIX)]
 
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_keys())
@@ -173,112 +203,34 @@ class ResultStore:
                 "writes": self.writes}
 
 
-class BlobStore:
-    """Content-keyed gzip-JSON blob store with the same durability
-    contract as :class:`ResultStore`.
+class ResultStore(BlobStore):
+    """Durable result cache: a :class:`BlobStore` of plain-JSON records
+    keyed by the content address of the job spec."""
 
-    Records live under ``<root>/<key[:2]>/<key>.json.gz`` where the
-    caller supplies the key (already a content hash).  Writes are
-    atomic (temp file + ``os.replace``); reads are corruption-tolerant
-    — a truncated, unparsable, schema- or key-mismatched blob is a
-    miss, never an error.  The sampled engine's fast-forward trace
-    store (:class:`repro.sample.trace.FFTraceStore`) is the client.
-    """
+    SUFFIX = ".json"
 
-    SUFFIX = ".json.gz"
+    def __init__(self, root: Union[str, pathlib.Path],
+                 salt: int = SCHEMA_VERSION) -> None:
+        super().__init__(root, salt)
 
-    def __init__(self, root: Union[str, pathlib.Path], salt: int = 0) -> None:
-        self.root = pathlib.Path(root)
-        self.salt = salt
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
+    @staticmethod
+    def _encode(record: dict) -> bytes:
+        return json.dumps(record).encode("utf-8")
 
-    def path_for(self, key: str) -> pathlib.Path:
-        return self.root / key[:2] / f"{key}{self.SUFFIX}"
+    _decode = staticmethod(json.loads)
 
-    def lock(self):
-        """Advisory cross-process lock scoped to this store's root."""
-        return advisory_lock(self.root / ".lock")
+    def key(self, spec: JobSpec) -> str:
+        return spec_hash(spec, salt=self.salt)
 
-    # -- reads ---------------------------------------------------------
+    def load(self, spec: JobSpec) -> Optional[dict]:
+        return super().load(self.key(spec))
 
-    def load(self, key: str) -> Optional[dict]:
-        """The stored payload for ``key``, or ``None`` on any miss —
-        including a corrupt, truncated, or schema-mismatched blob."""
-        try:
-            with gzip.open(self.path_for(key), "rt", encoding="utf-8") as fh:
-                record = json.load(fh)
-        except (OSError, EOFError, ValueError, UnicodeDecodeError):
-            record = None
-        if (not isinstance(record, dict) or record.get("schema") != self.salt
-                or record.get("key") != key or "payload" not in record):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record["payload"]
+    def contains(self, spec: JobSpec) -> bool:
+        return super().contains(self.key(spec))
 
-    def contains(self, key: str) -> bool:
-        """Cheap existence probe (no validation beyond the file being
-        present; :meth:`load` still applies the full checks)."""
-        return self.path_for(key).is_file()
-
-    # -- writes --------------------------------------------------------
-
-    def store(self, key: str, payload: dict) -> pathlib.Path:
-        """Atomically persist one blob; last writer wins on a race
-        (both writers hold identical content for a content key)."""
-        record = {"schema": self.salt, "key": key, "payload": payload}
-        # Compact separators + compression level 1: blobs are cold
-        # storage for already-hashed content, so write latency (on the
-        # recording run's critical path) beats ratio; ``mtime=0`` keeps
-        # the bytes deterministic for identical content.
-        data = json.dumps(record, separators=(",", ":")).encode("utf-8")
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as raw:
-                with gzip.GzipFile(fileobj=raw, mode="wb",
-                                   compresslevel=1, mtime=0) as fh:
-                    fh.write(data)
-                raw.flush()
-                os.fsync(raw.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self.writes += 1
-        return path
-
-    # -- maintenance ---------------------------------------------------
-
-    def iter_keys(self) -> Iterator[str]:
-        if not self.root.is_dir():
-            return
-        for path in sorted(self.root.glob(f"??/*{self.SUFFIX}")):
-            yield path.name[:-len(self.SUFFIX)]
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.iter_keys())
-
-    def clear(self) -> int:
-        removed = 0
-        for key in list(self.iter_keys()):
-            try:
-                self.path_for(key).unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def counters(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes}
+    def store(self, spec: JobSpec, payload: dict) -> pathlib.Path:
+        return self._write(self.key(spec),
+                           {"spec": spec.to_dict(), "payload": payload})
 
 
 # ----------------------------------------------------------------------
@@ -290,8 +242,8 @@ class BlobStore:
 #: ``durations.json`` sidecar and lock files are deliberately not
 #: listed — they are tiny, shared, and rebuilt incrementally.
 _GC_CLASSES = (
-    ("result", "??/*.json"),
-    ("trace", "traces/??/*.json.gz"),
+    ("result", f"??/*{ResultStore.SUFFIX}"),
+    ("trace", f"traces/??/*{BlobStore.SUFFIX}"),
 )
 
 

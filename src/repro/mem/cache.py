@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from repro.warm import WarmState
+
 
 class LineState(Enum):
     """MSI coherence state of a cached line."""
@@ -55,7 +57,21 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-class CacheBank:
+def _encode_sets(sets: list) -> list:
+    return [[[line.ctx, line.line_addr, line.state.value]
+             for line in cache_set.values()]
+            for cache_set in sets]
+
+
+def _decode_sets(snapshot: list) -> list:
+    return [OrderedDict(((ctx, line_addr),
+                         Line(ctx=ctx, line_addr=line_addr,
+                              state=LineState(state)))
+                        for ctx, line_addr, state in entries)
+            for entries in snapshot]
+
+
+class CacheBank(WarmState):
     """One set-associative, LRU, write-back cache bank.
 
     Args:
@@ -177,45 +193,25 @@ class CacheBank:
     # State transfer (sampled-simulation warm-up injection, checkpoints)
     # ------------------------------------------------------------------
 
-    def swap_lines(self, other: "CacheBank") -> None:
-        """Exchange resident lines with a same-geometry bank in O(1).
+    #: One list per set in LRU-first order, so a round trip preserves
+    #: the eviction order and lines land in their stored set.
+    WARM = (("_sets", _encode_sets, _decode_sets),)
 
-        Observably identical to an ``export_lines``/``import_lines``
-        round trip in each direction (set order, LRU order, and line
-        state all move by reference); stats stay with their owner.  The
-        sampled engine uses this to move warm state to and from
-        per-window systems without materializing snapshots.
-        """
-        if other.num_sets != self.num_sets \
-                or other.line_size != self.line_size \
-                or other.assoc != self.assoc:
-            raise ValueError(f"{self.name}: swap geometry mismatch "
-                             f"with {other.name}")
-        self._sets, other._sets = other._sets, self._sets
+    def warm_geometry(self) -> tuple:
+        return (self.num_sets, self.line_size, self.assoc)
 
-    def export_lines(self) -> list:
-        """JSON-safe snapshot of the resident lines, one list per set in
-        LRU-first order (so a round trip preserves eviction order)."""
-        return [[[line.ctx, line.line_addr, line.state.value]
-                 for line in cache_set.values()]
-                for cache_set in self._sets]
-
-    def import_lines(self, sets: list) -> None:
-        """Replace resident state with an :meth:`export_lines` snapshot.
-
-        The snapshot must come from a bank of the same geometry (set
-        count is checked; lines land in their stored set, keeping the
-        set hash consistent).  Stats are untouched — this transfers warm
-        state, not history.
-        """
-        if len(sets) != self.num_sets:
-            raise ValueError(
-                f"{self.name}: snapshot has {len(sets)} sets, "
-                f"bank has {self.num_sets}")
-        self._sets = [
-            OrderedDict(((ctx, line_addr),
-                         Line(ctx=ctx, line_addr=line_addr,
-                              state=LineState(state)))
-                        for ctx, line_addr, state in entries)
-            for entries in sets
-        ]
+    def check_warm(self, values: dict) -> None:
+        """A snapshot is outside input (a checkpoint file): beyond the
+        set count, every set must fit the associativity and hold only
+        lines that hash to it — ``fill`` evicts one line per insertion
+        and ``probe`` looks in one set, so neither would ever repair an
+        oversize set or find a misfiled line."""
+        super().check_warm(values)
+        for index, cache_set in enumerate(values["_sets"]):
+            if len(cache_set) > self.assoc:
+                raise ValueError(f"{self.name}: snapshot set {index} holds "
+                                 f"{len(cache_set)} lines, assoc is {self.assoc}")
+            for __, line_addr in cache_set:
+                if (line_addr // self.line_size) % self.num_sets != index:
+                    raise ValueError(f"{self.name}: snapshot line "
+                                     f"{line_addr:#x} filed under set {index}")

@@ -217,7 +217,7 @@ class PredictorBank:
 
     def swap_state(self, other: "PredictorBank") -> None:
         """Exchange all table contents with a same-geometry bank in
-        O(1) (:meth:`ExitPredictor.swap_state`)."""
+        O(1) (:meth:`repro.warm.WarmState.swap_state`)."""
         self.exits.swap_state(other.exits)
         self.targets.swap_state(other.targets)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.isa.block import NUM_EXITS
+from repro.warm import WarmState
 
 
 EXIT_BITS = 3
@@ -78,8 +79,23 @@ class ExitStats:
     correct: int = 0
 
 
-class ExitPredictor:
+def _encode_patterns(entries: list) -> list:
+    return [[e.exit_id, e.confidence] for e in entries]
+
+
+def _decode_patterns(pairs: list) -> list:
+    return [_PatternEntry(exit_id, confidence) for exit_id, confidence in pairs]
+
+
+class ExitPredictor(WarmState):
     """Local/global/choice tournament over block exits (one core's bank)."""
+
+    WARM = (
+        ("_local_hist", list, list),
+        ("_local_pattern", _encode_patterns, _decode_patterns),
+        ("_global_pattern", _encode_patterns, _decode_patterns),
+        ("_choice", list, list),
+    )
 
     def __init__(self, local_l1: int = 64, local_l2: int = 128,
                  global_entries: int = 512, choice_entries: int = 512) -> None:
@@ -179,50 +195,3 @@ class ExitPredictor:
         if self.stats.predictions == 0:
             return 0.0
         return self.stats.correct / self.stats.predictions
-
-    # ------------------------------------------------------------------
-    # State transfer (sampled-simulation warm-up injection, checkpoints)
-    # ------------------------------------------------------------------
-
-    def swap_state(self, other: "ExitPredictor") -> None:
-        """Exchange table contents with a same-geometry predictor in
-        O(1) — see :meth:`DistributedRas.swap_state` for why the
-        sampled engine may exchange instead of copy."""
-        if len(other._local_hist) != len(self._local_hist) \
-                or len(other._local_pattern) != len(self._local_pattern) \
-                or len(other._global_pattern) != len(self._global_pattern) \
-                or len(other._choice) != len(self._choice):
-            raise ValueError("exit-predictor swap geometry mismatch")
-        self._local_hist, other._local_hist = \
-            other._local_hist, self._local_hist
-        self._local_pattern, other._local_pattern = \
-            other._local_pattern, self._local_pattern
-        self._global_pattern, other._global_pattern = \
-            other._global_pattern, self._global_pattern
-        self._choice, other._choice = other._choice, self._choice
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of the table contents (stats excluded)."""
-        return {
-            "local_hist": list(self._local_hist),
-            "local_pattern": [[e.exit_id, e.confidence]
-                              for e in self._local_pattern],
-            "global_pattern": [[e.exit_id, e.confidence]
-                               for e in self._global_pattern],
-            "choice": list(self._choice),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Replace table contents with a :meth:`state_dict` snapshot
-        (the geometries must match)."""
-        if len(state["local_hist"]) != len(self._local_hist) \
-                or len(state["local_pattern"]) != len(self._local_pattern) \
-                or len(state["global_pattern"]) != len(self._global_pattern) \
-                or len(state["choice"]) != len(self._choice):
-            raise ValueError("exit-predictor snapshot geometry mismatch")
-        self._local_hist = list(state["local_hist"])
-        self._local_pattern = [_PatternEntry(e, c)
-                               for e, c in state["local_pattern"]]
-        self._global_pattern = [_PatternEntry(e, c)
-                                for e, c in state["global_pattern"]]
-        self._choice = list(state["choice"])

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.warm import WarmState
+
 
 @dataclass
 class RasCheckpoint:
@@ -34,8 +36,13 @@ class RasStats:
     overflow_wraps: int = 0
 
 
-class DistributedRas:
+class DistributedRas(WarmState):
     """One logical stack sequentially partitioned across cores."""
+
+    #: Snapshots move between same-capacity stacks only (the stack
+    #: length is the geometry); ``resil.recompose.transfer_ras`` re-homes
+    #: the live entries when the capacity changes.
+    WARM = (("_stack", list, list), ("_top", int, int))
 
     def __init__(self, num_cores: int, entries_per_core: int = 16) -> None:
         self.num_cores = num_cores
@@ -101,32 +108,3 @@ class DistributedRas:
         self._top = checkpoint.top
         if checkpoint.overwritten_slot is not None:
             self._stack[checkpoint.overwritten_slot] = checkpoint.overwritten_value
-
-    # ------------------------------------------------------------------
-    # State transfer (sampled-simulation warm-up injection, checkpoints)
-    # ------------------------------------------------------------------
-
-    def swap_state(self, other: "DistributedRas") -> None:
-        """Exchange stack contents with a same-capacity RAS in O(1).
-
-        The sampled engine moves warm state between the shadow and a
-        per-window system whose post-window state is never read again,
-        so an exchange is observably identical to a copy and allocates
-        nothing.  Stats stay with their owner, as in ``load_state``.
-        """
-        if other.capacity != self.capacity:
-            raise ValueError("RAS swap capacity mismatch")
-        self._stack, other._stack = other._stack, self._stack
-        self._top, other._top = other._top, self._top
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of the stack contents (stats excluded)."""
-        return {"stack": list(self._stack), "top": self._top}
-
-    def load_state(self, state: dict) -> None:
-        """Replace stack contents with a :meth:`state_dict` snapshot
-        (the capacity must match)."""
-        if len(state["stack"]) != self.capacity:
-            raise ValueError("RAS snapshot capacity mismatch")
-        self._stack = list(state["stack"])
-        self._top = int(state["top"])

@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Optional
 
 from repro.isa.program import BLOCK_STRIDE
+from repro.warm import WarmState
 
 
 class BranchKind(Enum):
@@ -48,8 +49,30 @@ class TargetStats:
     ctb_hits: int = 0
 
 
-class TargetPredictor:
+def _encode_kinds(kinds: list) -> list:
+    return [kind.value for kind in kinds]
+
+
+def _decode_kinds(values: list) -> list:
+    return [BranchKind(value) for value in values]
+
+
+def _encode_tagged(entries: list) -> list:
+    return [[e.key, e.target] for e in entries]
+
+
+def _decode_tagged(pairs: list) -> list:
+    return [_TaggedTarget(key, target) for key, target in pairs]
+
+
+class TargetPredictor(WarmState):
     """One core's target-prediction tables."""
+
+    WARM = (
+        ("_btype", _encode_kinds, _decode_kinds),
+        ("_btb", _encode_tagged, _decode_tagged),
+        ("_ctb", _encode_tagged, _decode_tagged),
+    )
 
     def __init__(self, btype_entries: int = 256, btb_entries: int = 128,
                  ctb_entries: int = 16) -> None:
@@ -130,38 +153,3 @@ class TargetPredictor:
         elif kind is BranchKind.CALL:
             entry = self._ctb[self._ctb_index(block_num, exit_id)]
             entry.key, entry.target = key, actual_target
-
-    # ------------------------------------------------------------------
-    # State transfer (sampled-simulation warm-up injection, checkpoints)
-    # ------------------------------------------------------------------
-
-    def swap_state(self, other: "TargetPredictor") -> None:
-        """Exchange table contents with a same-geometry predictor in
-        O(1) — see :meth:`DistributedRas.swap_state` for why the
-        sampled engine may exchange instead of copy."""
-        if len(other._btype) != len(self._btype) \
-                or len(other._btb) != len(self._btb) \
-                or len(other._ctb) != len(self._ctb):
-            raise ValueError("target-predictor swap geometry mismatch")
-        self._btype, other._btype = other._btype, self._btype
-        self._btb, other._btb = other._btb, self._btb
-        self._ctb, other._ctb = other._ctb, self._ctb
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of the table contents (stats excluded)."""
-        return {
-            "btype": [kind.value for kind in self._btype],
-            "btb": [[e.key, e.target] for e in self._btb],
-            "ctb": [[e.key, e.target] for e in self._ctb],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Replace table contents with a :meth:`state_dict` snapshot
-        (the geometries must match)."""
-        if len(state["btype"]) != len(self._btype) \
-                or len(state["btb"]) != len(self._btb) \
-                or len(state["ctb"]) != len(self._ctb):
-            raise ValueError("target-predictor snapshot geometry mismatch")
-        self._btype = [BranchKind(v) for v in state["btype"]]
-        self._btb = [_TaggedTarget(k, t) for k, t in state["btb"]]
-        self._ctb = [_TaggedTarget(k, t) for k, t in state["ctb"]]

@@ -13,8 +13,8 @@ Recovery protocol, per victim processor, inside the failure event:
 2. **Capture** — registers, the distributed RAS contents, the
    dependence-violation history, and the committed-path resume point
    (``last_commit_next``/``last_commit_ghist``) through the same
-   transfer surfaces sampled simulation uses (``state_dict`` /
-   in-place register copy / shared memory image).
+   transfer vocabulary sampled simulation uses (``state_dict`` /
+   ``load_state``, in-place register copy, shared memory image).
 3. **Re-form** — the largest placeable composition (power-of-two
    rectangle) no bigger than the old one, avoiding faulty and occupied
    cores; the new processor reuses the victim's cache context tag, so

@@ -2,11 +2,15 @@
 
 A checkpoint captures everything the engine needs to resume a sampled
 run at a block boundary: the functional architectural state (registers,
-memory, resume address, exit history), the shadow microarchitecture,
-the functional progress counters, and the windows measured so far.  It
-is JSON-safe end to end, so sweeps can park warm-up work on disk and
-resume deterministically — resuming from a checkpoint produces the
-exact RunResult the uninterrupted run would have.
+memory, resume address, exit history), the shadow microarchitecture
+(``ShadowUarch.state_dict()`` — the ``WARM`` fields of every warm
+structure, :mod:`repro.warm`), the functional progress counters, and
+the windows measured so far.  It is JSON-safe end to end, so sweeps can
+park warm-up work on disk and resume deterministically — resuming from
+a checkpoint produces the exact RunResult the uninterrupted run would
+have.  A checkpoint file is outside input: the schema is checked at
+load and every structure's ``load_state`` validates its snapshot
+before assigning anything.
 
 The embedded canonical job spec guards against resuming under a
 different configuration.
@@ -15,14 +19,16 @@ different configuration.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
+from repro.exec.store import atomic_write
+
 #: Bump when the checkpoint layout changes; old files then fail loudly.
-CHECKPOINT_SCHEMA = 1
+#: 2: every warm structure snapshots as a ``state_dict`` (a cache bank
+#: is ``{"sets": [...]}``, no longer a bare list).
+CHECKPOINT_SCHEMA = 2
 
 
 @dataclass
@@ -46,23 +52,7 @@ class Checkpoint:
     schema: int = CHECKPOINT_SCHEMA
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "spec": self.spec,
-            "sampling": self.sampling,
-            "addr": self.addr,
-            "ghist": self.ghist,
-            "blocks": self.blocks,
-            "insts": self.insts,
-            "loads": self.loads,
-            "stores": self.stores,
-            "finished": self.finished,
-            "regs": self.regs,
-            "memory": self.memory,
-            "shadow": self.shadow,
-            "windows": self.windows,
-            "dependence": self.dependence,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_dict(data: dict) -> "Checkpoint":
@@ -70,31 +60,12 @@ class Checkpoint:
         if schema != CHECKPOINT_SCHEMA:
             raise ValueError(
                 f"checkpoint schema {schema!r} != {CHECKPOINT_SCHEMA}")
-        return Checkpoint(**{k: data[k] for k in (
-            "spec", "sampling", "addr", "ghist", "blocks", "insts", "loads",
-            "stores", "finished", "regs", "memory", "shadow", "windows",
-            "dependence")})
+        return Checkpoint(**{f.name: data[f.name] for f in fields(Checkpoint)})
 
     def save(self, path: Union[str, pathlib.Path]) -> None:
-        """Atomically persist the checkpoint (temp file in the target
-        directory, then ``os.replace``) — a killed worker can truncate
-        the temp file, never the checkpoint itself."""
-        path = pathlib.Path(path)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent if str(path.parent) else ".",
-            prefix=f".{path.name}-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self.to_dict(), handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        """Atomically persist the checkpoint — a killed worker can
+        truncate the temp file, never the checkpoint itself."""
+        atomic_write(path, json.dumps(self.to_dict()).encode("utf-8"))
 
     @staticmethod
     def load(path: Union[str, pathlib.Path]) -> "Checkpoint":

@@ -5,7 +5,9 @@ once, alternating two regimes:
 
 * **Detailed windows** run on a real :class:`TFlexSystem` with the
   architectural state (registers, memory) and warm microarchitectural
-  state (predictor, RAS, I/D caches, L2) injected at entry.  Each
+  state (predictor, RAS, I/D caches, L2) injected at entry — one
+  ``swap_state`` per structure in, one back out (:mod:`repro.warm`;
+  checkpoints move the same fields as ``state_dict`` snapshots).  Each
   window commits ``warmup_blocks`` blocks unmeasured, then measures
   IPC over ``window_blocks`` committed blocks, then halts through the
   processor's ``commit_limit``.
@@ -235,21 +237,20 @@ class SampledRun:
         Each window runs on a fresh ``TFlexSystem`` that is discarded
         after :meth:`_absorb`, and the shadow is idle while the window
         runs — so moving state by O(1) reference swaps (contents
-        identical to the ``state_dict``/``export_lines`` round trip,
+        identical to the ``state_dict``/``load_state`` round trip,
         which JSON checkpoints still use) is observably a copy in both
         directions, without materializing per-window snapshots."""
         shadow = self.shadow
-        for i, bank in enumerate(shadow.pred_banks):
-            system.cores[proc.core_of_index(i)].predictor.swap_state(bank)
+        cores = system.cores
         proc.ras.swap_state(shadow.ras)
-        for i in range(self.ncores):
-            system.cores[proc.core_of_index(i)].icache.swap_lines(
-                shadow.icaches[i])
-        for b in range(shadow.num_dbanks):
-            system.cores[proc.dbank_core(b)].dcache.swap_lines(
-                shadow.dcaches[b])
-        for l2_bank, shadow_bank in zip(system.l2.banks, shadow.l2.banks):
-            l2_bank.swap_lines(shadow_bank)
+        for i, bank in enumerate(shadow.pred_banks):
+            cores[proc.core_of_index(i)].predictor.swap_state(bank)
+        for i, bank in enumerate(shadow.icaches):
+            cores[proc.core_of_index(i)].icache.swap_state(bank)
+        for b, bank in enumerate(shadow.dcaches):
+            cores[proc.dbank_core(b)].dcache.swap_state(bank)
+        for l2_bank, bank in zip(system.l2.banks, shadow.l2.banks):
+            l2_bank.swap_state(bank)
 
     def _inject(self, system: TFlexSystem, proc) -> None:
         """Move the shadow's warm state into the real structures."""

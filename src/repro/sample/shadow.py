@@ -11,10 +11,11 @@ reuses the *same* classes the cycle simulator uses (``PredictorBank``,
 program order, ignoring all timing results.
 
 State moves between the shadow and a real :class:`TFlexSystem` through
-the structures' ``state_dict``/``load_state`` and
-``export_lines``/``import_lines`` APIs; the L2 directory is rebuilt
-from L1 contents on every transfer (the directory's invariant is
-"entry == some L1 holds the line", so it is derived state).
+the one transfer vocabulary every warm structure derives from its field
+declaration (:mod:`repro.warm`): ``swap_state`` per window,
+``state_dict``/``load_state`` for checkpoints.  The L2 directory is
+rebuilt from L1 contents on every transfer (the directory's invariant
+is "entry == some L1 holds the line", so it is derived state).
 
 Fidelity notes: the shadow trains the predictor strictly in commit
 order, so wrong-path pollution from deep speculation is not modelled;
@@ -198,7 +199,7 @@ class ShadowUarch:
         # simulation.  The hit path is open-coded against CacheBank's
         # set layout (one hashed ``move_to_end`` doubling as lookup and
         # LRU touch, no per-access stats — nothing reads shadow stats,
-        # and ``export_lines`` carries only resident state); misses
+        # and ``state_dict`` carries only resident state); misses
         # fall back to the exact protocol sequence ``CacheBank.access``
         # callers use, so warm state is bit-identical to the plain
         # path.
@@ -273,24 +274,18 @@ class ShadowUarch:
         return {
             "pred": [bank.state_dict() for bank in self.pred_banks],
             "ras": self.ras.state_dict(),
-            "icache": [bank.export_lines() for bank in self.icaches],
-            "dcache": [bank.export_lines() for bank in self.dcaches],
-            "l2": [bank.export_lines() for bank in self.l2.banks],
+            "icache": [bank.state_dict() for bank in self.icaches],
+            "dcache": [bank.state_dict() for bank in self.dcaches],
+            "l2": [bank.state_dict() for bank in self.l2.banks],
         }
 
     def load_state(self, state: dict) -> None:
-        if len(state["pred"]) != len(self.pred_banks) \
-                or len(state["icache"]) != len(self.icaches) \
-                or len(state["dcache"]) != len(self.dcaches) \
-                or len(state["l2"]) != len(self.l2.banks):
+        banks = {"pred": self.pred_banks, "icache": self.icaches,
+                 "dcache": self.dcaches, "l2": self.l2.banks}
+        if any(len(state[key]) != len(group) for key, group in banks.items()):
             raise ValueError("shadow snapshot geometry mismatch")
-        for bank, snapshot in zip(self.pred_banks, state["pred"]):
-            bank.load_state(snapshot)
         self.ras.load_state(state["ras"])
-        for bank, lines in zip(self.icaches, state["icache"]):
-            bank.import_lines(lines)
-        for bank, lines in zip(self.dcaches, state["dcache"]):
-            bank.import_lines(lines)
-        for bank, lines in zip(self.l2.banks, state["l2"]):
-            bank.import_lines(lines)
+        for key, group in banks.items():
+            for bank, snapshot in zip(group, state[key]):
+                bank.load_state(snapshot)
         self.rebuild_directory()

@@ -119,9 +119,9 @@ def resolve_trace_dir() -> pathlib.Path:
 
 
 class FFTraceStore(BlobStore):
-    """Content-addressed fast-forward trace store (gzip JSON blobs
-    under ``<root>/<key[:2]>/<key>.json.gz``, atomic writes,
-    corruption-tolerant reads — see :class:`repro.exec.store.BlobStore`)."""
+    """Content-addressed fast-forward trace store: a
+    :class:`repro.exec.store.BlobStore` rooted at the trace directory
+    and salted with the trace schema."""
 
     def __init__(self, root=None) -> None:
         super().__init__(root if root is not None else resolve_trace_dir(),
@@ -554,11 +554,12 @@ def prewarm_partition(specs: Sequence) -> tuple[list, list]:
     """Split a cold batch into ``(recorders, rest)`` so a parallel
     fan-out interprets each fast-forward trajectory exactly once.
 
-    One spec per trace group whose trace is not yet on disk goes into
-    ``recorders`` (run first, in parallel across groups); everything
-    else — ineligible specs, singleton groups, groups already traced —
-    goes into ``rest`` and replays.  With tracing disabled the batch
-    passes through untouched.
+    One spec per trace group whose trace would miss in the store — not
+    on disk, or on disk but damaged or stale (``contains`` is ``load``'s
+    validation) — goes into ``recorders`` (run first, in parallel across
+    groups); everything else — ineligible specs, singleton groups,
+    groups already traced — goes into ``rest`` and replays.  With
+    tracing disabled the batch passes through untouched.
     """
     specs = list(specs)
     if not trace_enabled():

@@ -69,6 +69,49 @@ class AllowedBank:
         return {"table": list(self._table)}
 
 
+class GoodWarm:
+    """Field-list owner: every mutable attribute is named in ``WARM``
+    (coverage is the declaration, not a read inside some method)."""
+
+    WARM = (("_table", list, list), ("_top", int, int))
+
+    def __init__(self, entries):
+        self.entries = entries            # config scalar: not state
+        self._table = [0] * entries
+        self._top = 0
+
+    def push(self, value):
+        self._table[self._top % self.entries] = value
+        self._top += 1
+
+
+class BadWarm:
+    """``_hist`` is warm state missing from ``WARM`` -> REP101."""
+
+    WARM = (("_table", list, list),)
+
+    def __init__(self, entries):
+        self._table = [0] * entries
+        self._hist = {}                   # mutable, not declared
+
+    def train(self, key, value):
+        self._table[key % len(self._table)] = value
+        self._hist[key] = value
+
+
+class GhostWarm:
+    """``WARM`` names ``_ghost``, which ``__init__`` never assigns ->
+    REP101 (the derived ``state_dict`` would raise at run time)."""
+
+    WARM = (("_table", list, list), ("_ghost", list, list))
+
+    def __init__(self, entries):
+        self._table = [0] * entries
+
+    def train(self, key, value):
+        self._table[key % len(self._table)] = value
+
+
 class NoSurface:
     """No surface methods -> the pass ignores it entirely."""
 

@@ -40,9 +40,23 @@ class TestSurfacePass:
     def test_inline_marker_suppresses(self, fixture_modules):
         assert "AllowedBank" not in _by_class(_findings(fixture_modules))
 
+    def test_declared_fields_are_covered(self, fixture_modules):
+        assert "GoodWarm" not in _by_class(_findings(fixture_modules))
+
+    def test_field_missing_from_warm_is_flagged(self, fixture_modules):
+        (finding,) = _by_class(_findings(fixture_modules))["BadWarm"]
+        assert "BadWarm._hist" in finding.message
+        assert "(WARM)" in finding.message
+
+    def test_warm_name_never_assigned_is_flagged(self, fixture_modules):
+        (finding,) = _by_class(_findings(fixture_modules))["GhostWarm"]
+        assert finding.rule == "REP101"
+        assert "WARM names _ghost" in finding.message
+        assert "GhostWarm" in finding.message
+
     def test_class_without_surface_is_ignored(self, fixture_modules):
         assert "NoSurface" not in _by_class(_findings(fixture_modules))
 
     def test_exactly_the_seeded_violations(self, fixture_modules):
         classes = sorted(_by_class(_findings(fixture_modules)))
-        assert classes == ["BadBank", "LateBinder"]
+        assert classes == ["BadBank", "BadWarm", "GhostWarm", "LateBinder"]

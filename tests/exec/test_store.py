@@ -1,8 +1,19 @@
-"""ResultStore: atomic writes, corruption tolerance, salt invalidation."""
+"""The record store: atomic writes, corruption tolerance, salt
+invalidation — ``ResultStore`` specifics first, then the one contract
+every store class (``ResultStore``, ``BlobStore``, ``FFTraceStore``)
+and every ``atomic_write`` caller shares."""
 
+import dataclasses
+import gzip
 import json
+import os
 
-from repro.exec import JobSpec, ResultStore
+import pytest
+
+from repro.exec import BlobStore, DurationBook, JobSpec, ResultStore
+from repro.exec.store import atomic_write
+from repro.sample.checkpoint import Checkpoint
+from repro.sample.trace import FFTraceStore
 
 
 SPEC = JobSpec.edge("conv", ncores=4)
@@ -195,3 +206,195 @@ class TestInvalidation:
         record["schema"] = 999
         path.write_text(json.dumps(record))
         assert store.load(SPEC) is None
+
+
+# ----------------------------------------------------------------------
+# One contract for every store class
+# ----------------------------------------------------------------------
+
+@dataclasses.dataclass
+class _Kind:
+    """How to talk to one store class: its identity type (a spec for
+    the result store, a ready-made content key for the others) and its
+    on-disk codec — the only two things the classes differ in."""
+
+    name: str
+    make: object                 # root -> store
+    ident: object                # what load/contains/store take
+    gzipped: bool
+
+    def key(self, store):
+        return store.key(self.ident) if hasattr(store, "key") else self.ident
+
+    def read(self, path):
+        data = path.read_bytes()
+        return json.loads(gzip.decompress(data) if self.gzipped else data)
+
+    def write(self, path, record):
+        data = json.dumps(record).encode("utf-8")
+        path.write_bytes(gzip.compress(data) if self.gzipped else data)
+
+
+KINDS = [
+    _Kind("ResultStore", ResultStore, SPEC, gzipped=False),
+    _Kind("BlobStore", lambda root: BlobStore(root, salt=7), "ab" * 32,
+          gzipped=True),
+    _Kind("FFTraceStore", FFTraceStore, "cd" * 32, gzipped=True),
+]
+
+
+def _truncate(kind, path):
+    path.write_bytes(path.read_bytes()[:-12])
+
+
+def _garbage(kind, path):
+    path.write_bytes(b"\x00\xff\x00garbage")
+
+
+def _bad_deflate(kind, path):
+    """A valid gzip header over an invalid deflate stream: the one
+    damage that surfaces as ``zlib.error`` (not an ``OSError``) from a
+    gzip store; plain garbage for a JSON one."""
+    path.write_bytes(path.read_bytes()[:10] + b"\xff" * 32)
+
+
+def _edited(**changes):
+    def damage(kind, path):
+        record = kind.read(path)
+        for field, value in changes.items():
+            if value is None:
+                del record[field]
+            else:
+                record[field] = value
+        kind.write(path, record)
+    return damage
+
+
+DAMAGE = {
+    "truncated": _truncate,
+    "garbage": _garbage,
+    "bad-deflate": _bad_deflate,
+    "non-dict-json": lambda kind, path: kind.write(path, [1, 2, 3]),
+    "wrong-schema": _edited(schema=999),
+    "wrong-key-echo": _edited(key="0" * 64),
+    "missing-payload": _edited(payload=None),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
+class TestRecordContract:
+    def test_roundtrip_layout_and_counters(self, kind, tmp_path):
+        store = kind.make(tmp_path)
+        assert store.load(kind.ident) is None
+        assert not store.contains(kind.ident)
+        path = store.store(kind.ident, PAYLOAD)
+        key = kind.key(store)
+        assert path == tmp_path / key[:2] / f"{key}{store.SUFFIX}"
+        record = kind.read(path)
+        assert (record["schema"], record["key"], record["payload"]) \
+            == (store.salt, key, PAYLOAD)
+        assert store.contains(kind.ident)
+        assert store.load(kind.ident) == PAYLOAD
+        # ``contains`` never counts; ``load`` counted one miss, one hit.
+        assert store.counters() == {"hits": 1, "misses": 1, "writes": 1}
+        assert list(store.iter_keys()) == [key] and len(store) == 1
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert store.clear() == 1 and len(store) == 0
+
+    @pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
+    def test_damaged_record_misses_in_load_and_contains(
+            self, kind, damage, tmp_path):
+        """``load`` and ``contains`` apply the same validation: whatever
+        one rejects the other rejects, and a rewrite heals it."""
+        store = kind.make(tmp_path)
+        path = store.store(kind.ident, PAYLOAD)
+        damage(kind, path)
+        assert not store.contains(kind.ident)
+        assert store.counters() == {"hits": 0, "misses": 0, "writes": 1}
+        assert store.load(kind.ident) is None
+        assert store.counters() == {"hits": 0, "misses": 1, "writes": 1}
+        store.store(kind.ident, PAYLOAD)
+        assert store.contains(kind.ident)
+        assert store.load(kind.ident) == PAYLOAD
+
+    def test_bytes_are_deterministic(self, kind, tmp_path):
+        first = kind.make(tmp_path / "a").store(kind.ident, PAYLOAD)
+        second = kind.make(tmp_path / "b").store(kind.ident, PAYLOAD)
+        assert first.read_bytes() == second.read_bytes()
+
+
+# ----------------------------------------------------------------------
+# One atomic writer, four callers
+# ----------------------------------------------------------------------
+
+def _checkpoint(tag):
+    return Checkpoint(spec={"tag": tag}, sampling={}, addr=0, ghist=0,
+                      blocks=0, insts=0, loads=0, stores=0, finished=False,
+                      regs=[], memory={}, shadow={})
+
+
+def _write_result(root, tag):
+    ResultStore(root).store(SPEC, {"tag": tag})
+    return lambda: ResultStore(root).load(SPEC)["tag"]
+
+
+def _write_blob(root, tag):
+    BlobStore(root).store("ab" * 32, {"tag": tag})
+    return lambda: BlobStore(root).load("ab" * 32)["tag"]
+
+
+def _write_checkpoint(root, tag):
+    _checkpoint(tag).save(root / "run.ckpt")
+    return lambda: Checkpoint.load(root / "run.ckpt").spec["tag"]
+
+
+def _write_book(root, tag):
+    book = DurationBook(root / "durations.json")
+    book.note("family", float(tag))
+    book.flush()
+    return lambda: DurationBook(root / "durations.json").estimate("family")
+
+
+WRITERS = {"store": _write_result, "blob": _write_blob,
+           "checkpoint": _write_checkpoint, "duration-book": _write_book}
+
+
+class TestAtomicWrite:
+    def test_creates_parents_and_replaces(self, tmp_path):
+        path = tmp_path / "a" / "b" / "file.bin"
+        atomic_write(path, b"one")
+        atomic_write(path, b"two")
+        assert path.read_bytes() == b"two"
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_fsyncs_before_the_rename(self, tmp_path, monkeypatch):
+        """Durability order: the bytes are on disk before the name
+        points at them (all four callers inherit this, the duration
+        book included)."""
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: (
+            calls.append("fsync"), real_fsync(fd))[1])
+        monkeypatch.setattr(os, "replace", lambda src, dst: (
+            calls.append("replace"), real_replace(src, dst))[1])
+        atomic_write(tmp_path / "file.bin", b"data")
+        assert calls == ["fsync", "replace"]
+
+    @pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+    def test_failed_rename_keeps_the_previous_record(
+            self, write, tmp_path, monkeypatch):
+        """An injected ``os.replace`` failure surfaces to the caller,
+        leaves the previous record readable, and leaves no temp file."""
+        read = write(tmp_path, 1)
+        assert read() == 1
+
+        def refuse(src, dst):
+            raise OSError("injected: disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", refuse)
+            with pytest.raises(OSError, match="injected"):
+                write(tmp_path, 2)
+        assert read() == 1
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert write(tmp_path, 3)() != 1           # and writes work again

@@ -193,60 +193,49 @@ class TestL2System:
         assert (0, victim_addr) not in l2.directory
 
 
-class TestSwapLines:
-    """O(1) warm-state exchange: observably identical to an
-    export_lines/import_lines round trip in each direction."""
+class TestSnapshotValidation:
+    """A snapshot is outside input (a checkpoint file): one that cannot
+    be the state of this bank raises ``ValueError`` and leaves the bank
+    as it was.  (The transfer contract itself is tests/test_warm.py.)"""
 
-    def make(self, size=1024, assoc=2, line=64):
-        return CacheBank(size, assoc, line, name="t")
-
-    def _filled(self, stride):
-        bank = self.make()
-        for i in range(6):
-            bank.fill(0, stride * (i + 1))
-            bank.access(0, stride * (i + 1))
+    def make(self):
+        bank = CacheBank(1024, 2, 64, name="t")      # 8 sets, 2-way
+        bank.fill(0, 0x40)
+        bank.fill(1, 0x240, LineState.MODIFIED)
         return bank
 
-    def test_swap_exchanges_lines(self):
-        a = self._filled(0x40)
-        b = self._filled(0x1000)
-        lines_a = a.export_lines()
-        lines_b = b.export_lines()
-        assert lines_a != lines_b
-        a.swap_lines(b)
-        assert a.export_lines() == lines_b
-        assert b.export_lines() == lines_a
-        a.swap_lines(b)
-        assert a.export_lines() == lines_a
+    def _rejected(self, mutate):
+        bank = self.make()
+        before = bank.state_dict()
+        snapshot = bank.state_dict()
+        mutate(snapshot["sets"])
+        with pytest.raises(ValueError):
+            bank.load_state(snapshot)
+        assert bank.state_dict() == before
+        assert bank.probe(1, 0x240).state is LineState.MODIFIED
 
-    def test_swap_matches_import_roundtrip(self):
-        """The swap and the snapshot round trip land on identical
-        observable state — including LRU order (the eviction victim)."""
-        a = self._filled(0x40)
-        b = self.make()
-        via_swap = self.make()
-        via_swap.import_lines(a.export_lines())
-        reference = self.make()
-        reference.import_lines(a.export_lines())
+    def test_wrong_set_count_rejected(self):
+        self._rejected(lambda sets: sets.pop())
 
-        a.swap_lines(b)
-        assert b.export_lines() == reference.export_lines()
-        assert a.export_lines() == self.make().export_lines()
-        # Same victim under pressure on both copies.
-        set0 = next(sets for sets in b.export_lines() if sets)
-        assert set0 == next(s for s in reference.export_lines() if s)
+    def test_oversize_set_rejected(self):
+        """``fill`` evicts one line per insertion, so a set loaded with
+        more than ``assoc`` lines would stay oversize forever."""
+        self._rejected(lambda sets: sets[1].extend(
+            [[0, 0x240 + 0x200 * n, "S"] for n in range(1, 3)]))
 
-    def test_swap_leaves_stats_with_owner(self):
-        a = self._filled(0x40)
-        b = self.make()
-        reads = a.stats.reads
-        a.swap_lines(b)
-        assert a.stats.reads == reads
-        assert b.stats.reads == 0
+    def test_line_under_the_wrong_set_rejected(self):
+        """``probe`` looks only in the set the address hashes to."""
+        self._rejected(lambda sets: sets[3].append([0, 0x40, "S"]))
 
-    def test_swap_geometry_mismatch_rejected(self):
-        for other in (self.make(size=512),
-                      self.make(assoc=4),
-                      self.make(line=32)):
-            with pytest.raises(ValueError):
-                self.make().swap_lines(other)
+    def test_unknown_line_state_rejected(self):
+        def exclusive(sets):
+            sets[1][0] = [0, 0x40, "E"]          # MSI only: no such state
+        self._rejected(exclusive)
+
+    def test_full_sets_in_the_right_place_load(self):
+        bank = self.make()
+        snapshot = bank.state_dict()
+        snapshot["sets"][1] = [[0, 0x40, "S"], [0, 0x240, "M"]]
+        bank.load_state(snapshot)
+        assert bank.probe(0, 0x240).state is LineState.MODIFIED
+        assert bank.resident_lines() == 2

@@ -1,24 +1,20 @@
-"""Checkpoint serialization: property-based round-trips for every
-state-transfer surface, plus resume determinism for the whole engine.
+"""Checkpoint serialization: the flat-memory round trip, the container
+format, and resume determinism for the whole engine.  (The warm
+structures' snapshot/load/swap contract is tests/test_warm.py.)
 
-The serialization tests push randomised state through a JSON encode /
-decode cycle (``json.loads(json.dumps(...))``) on every round-trip, so
-they prove not just equality but JSON-safety — the property the
-on-disk checkpoint format depends on.
+The serialization tests push state through a JSON encode / decode
+cycle (``json.loads(json.dumps(...))``) on every round-trip, so they
+prove not just equality but JSON-safety — the property the on-disk
+checkpoint format depends on.
 """
 
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.exec.spec import JobSpec
-from repro.isa.program import BLOCK_STRIDE
-from repro.mem.cache import CacheBank, LineState
 from repro.mem.flatmem import FlatMemory
-from repro.predictor.bank import PredictorBank
-from repro.predictor.ras import DistributedRas
-from repro.predictor.targets import BranchKind
 from repro.sample.checkpoint import CHECKPOINT_SCHEMA, Checkpoint
 from repro.sample.engine import SampledRun
 
@@ -61,92 +57,6 @@ class TestFlatMemory:
 
 
 # ----------------------------------------------------------------------
-# Shadow cache banks
-# ----------------------------------------------------------------------
-
-_cache_fills = st.lists(
-    st.tuples(st.integers(0, 3),                            # ctx
-              st.integers(0, 255),                          # line index
-              st.booleans()),                               # modified?
-    max_size=60)
-
-
-class TestCacheBank:
-    @given(_cache_fills)
-    def test_export_import_roundtrip(self, fills):
-        bank = CacheBank(4096, 2, name="src")
-        for ctx, index, modified in fills:
-            state = LineState.MODIFIED if modified else LineState.SHARED
-            bank.fill(ctx, index * 64, state)
-        exported = _json_roundtrip(bank.export_lines())
-        fresh = CacheBank(4096, 2, name="dst")
-        fresh.import_lines(exported)
-        # Byte-equal export preserves contents, LRU order, and states.
-        assert fresh.export_lines() == bank.export_lines()
-
-    def test_geometry_mismatch_rejected(self):
-        bank = CacheBank(4096, 2, name="src")
-        bank.fill(0, 0)
-        with pytest.raises(ValueError):
-            CacheBank(2048, 2, name="dst").import_lines(bank.export_lines())
-
-
-# ----------------------------------------------------------------------
-# Predictor bank + distributed RAS
-# ----------------------------------------------------------------------
-
-_pred_stream = st.lists(
-    st.tuples(st.integers(0, 63),                           # block number
-              st.integers(0, 7),                            # actual exit id
-              st.sampled_from(list(BranchKind)),            # actual kind
-              st.integers(1, 63)),                          # target block
-    max_size=30)
-
-
-class TestPredictorBank:
-    @given(_pred_stream)
-    @settings(deadline=None)
-    def test_state_roundtrip_after_training(self, stream):
-        bank = PredictorBank()
-        ras = DistributedRas(4)
-        ghist = 0
-        for num, exit_id, kind, target in stream:
-            prediction = bank.predict(num * BLOCK_STRIDE, ghist, ras)
-            bank.update(prediction, exit_id, kind, target * BLOCK_STRIDE)
-            ghist = prediction.next_global_history
-        state = _json_roundtrip(bank.state_dict())
-        fresh = PredictorBank()
-        fresh.load_state(state)
-        assert fresh.state_dict() == bank.state_dict()
-
-    def test_geometry_mismatch_rejected(self):
-        state = PredictorBank().state_dict()
-        with pytest.raises(ValueError):
-            PredictorBank(local_l1=32).load_state(state)
-
-
-class TestDistributedRas:
-    @given(st.lists(st.integers(1, 2 ** 32 - 1), max_size=40),
-           st.integers(0, 40))
-    def test_state_roundtrip(self, pushes, npops):
-        ras = DistributedRas(4, 4)   # capacity 16: long streams wrap
-        for addr in pushes:
-            ras.push(addr)
-        for __ in range(min(npops, len(pushes))):
-            ras.pop()
-        state = _json_roundtrip(ras.state_dict())
-        fresh = DistributedRas(4, 4)
-        fresh.load_state(state)
-        assert fresh.state_dict() == ras.state_dict()
-        if len(pushes) > npops:
-            assert fresh.pop()[0] == ras.pop()[0]
-
-    def test_capacity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DistributedRas(2, 4).load_state(DistributedRas(4, 4).state_dict())
-
-
-# ----------------------------------------------------------------------
 # Whole-run checkpoints
 # ----------------------------------------------------------------------
 
@@ -176,6 +86,21 @@ class TestCheckpointContainer:
         data["schema"] = CHECKPOINT_SCHEMA + 1
         with pytest.raises(ValueError):
             Checkpoint.from_dict(data)
+
+    def test_schema_1_file_rejected(self, tmp_path):
+        """Schema 1 stored a cache bank as a bare list of sets; such a
+        file must fail loudly at load, not half-way through a resume."""
+        run = SampledRun(_spec())
+        run.step()
+        data = run.checkpoint().to_dict()
+        assert CHECKPOINT_SCHEMA == 2
+        assert set(data["shadow"]["icache"][0]) == {"sets"}
+        data["schema"] = 1
+        data["shadow"]["icache"] = [b["sets"] for b in data["shadow"]["icache"]]
+        path = tmp_path / "old.ckpt"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="schema 1"):
+            Checkpoint.load(path)
 
     def test_resume_under_different_spec_rejected(self):
         run = SampledRun(_spec())

@@ -412,6 +412,45 @@ class TestPrewarmPartition:
         recorders, rest = prewarm_partition(specs)
         assert recorders == [] and rest == specs
 
+    @pytest.mark.parametrize("damage", ["truncated", "stale-schema",
+                                        "wrong-key"])
+    def test_damaged_blob_gets_exactly_one_recorder(self, damage):
+        """Regression: ``contains`` was a bare ``is_file()``, so a blob
+        that ``load`` rejects still read as "traced" — the group got no
+        recorder and every member re-interpreted the whole trajectory
+        (N records racing to write, zero replays)."""
+        import repro.sample.trace as trace_mod
+
+        specs = [JobSpec.edge("conv", n, scale=2, sampling=SAMPLING)
+                 for n in (2, 4, 8)]
+        reference = [execute_spec(spec) for spec in specs]
+
+        store = FFTraceStore()
+        key = trace_key(specs[0])
+        path = store.path_for(key)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:40])
+        else:
+            record = json.loads(gzip.decompress(path.read_bytes()))
+            record.update({"schema": TRACE_SCHEMA + 1}
+                          if damage == "stale-schema" else {"key": "0" * 64})
+            path.write_bytes(gzip.compress(json.dumps(record).encode()))
+        trace_mod._PARSED.clear()
+        clear_cache()
+        assert not store.contains(key) and store.load(key) is None
+
+        recorders, rest = prewarm_partition(specs)
+        assert recorders == specs[:1] and rest == specs[1:]
+
+        obs = obs_lib.configure(metrics=True)
+        assert [execute_spec(spec) for spec in recorders + rest] == reference
+        tag = trace_mod.schedule_tag(SAMPLING)
+        assert obs.metrics.counter("sample.trace_records",
+                                   bench="conv", schedule=tag) == 1
+        assert obs.metrics.counter("sample.trace_replays",
+                                   bench="conv", schedule=tag) == len(specs) - 1
+        assert store.contains(key)                  # healed by the recorder
+
     def test_disabled_tracing_passes_through(self):
         configure_ff_trace(enabled=False)
         specs = [JobSpec.edge("conv", n, scale=2, sampling=SAMPLING)

@@ -1,0 +1,338 @@
+"""The state-transfer contract, once, for every warm structure.
+
+Every structure that owns warm microarchitectural state speaks one
+vocabulary — ``state_dict``/``load_state``/``swap_state`` — derived from
+its ``WARM`` field declaration (:mod:`repro.warm`); the two composites
+(``PredictorBank``, ``ShadowUarch``) delegate in the same vocabulary.
+This suite states the contract once and runs it over all of them, at
+default and non-default geometries, on hypothesis-generated contents:
+
+* a snapshot survives JSON and loads back to an equal snapshot;
+* ``swap_state`` lands on exactly the state a ``load_state(state_dict())``
+  in each direction lands on — container order (LRU, hence the eviction
+  victim) and the structure's next observable answers included;
+* stats stay with their owner through loads and swaps;
+* a geometry mismatch raises ``ValueError`` and changes neither side.
+"""
+
+import dataclasses
+import json
+from dataclasses import replace
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.isa.program import BLOCK_STRIDE
+from repro.mem.cache import CacheBank, LineState
+from repro.predictor.bank import PredictorBank
+from repro.predictor.exits import ExitPredictor, push_history
+from repro.predictor.ras import DistributedRas
+from repro.predictor.targets import BranchKind, TargetPredictor
+from repro.sample.shadow import ShadowUarch
+from repro.tflex.config import tflex_config
+from repro.warm import WarmState
+
+#: Contents are driven by a list of integers each trainer interprets.
+_streams = st.lists(st.integers(0, (1 << 20) - 1), max_size=60)
+
+
+def _json(obj):
+    return json.loads(json.dumps(obj))
+
+
+# ----------------------------------------------------------------------
+# Trainers (stream of ints -> warm contents) and probes (the structure's
+# next observable answers, which depend on everything a transfer moves)
+# ----------------------------------------------------------------------
+
+def _train_cache(bank, stream):
+    for n in stream:
+        addr = ((n >> 3) & 255) * bank.line_size
+        if n & 4:
+            bank.access(n & 3, addr)                       # LRU touch
+        else:
+            bank.fill(n & 3, addr, LineState.MODIFIED if n & (1 << 11)
+                      else LineState.SHARED)
+
+
+def _probe_cache(bank):
+    """The eviction victim of every set under one more fill."""
+    victims = [bank.fill(9, index * bank.line_size)
+               for index in range(bank.num_sets)]
+    return [v and (v.ctx, v.line_addr, v.state) for v in victims]
+
+
+def _train_ras(ras, stream):
+    for n in stream:
+        if n & 1:
+            ras.push(n)
+        else:
+            ras.pop()
+
+
+def _probe_ras(ras):
+    return [ras.pop()[0] for __ in range(ras.capacity + 1)]
+
+
+def _train_exits(exits, stream):
+    ghist = 0
+    for n in stream:
+        prediction = exits.predict(n & 63, ghist)
+        exits.update(n & 63, prediction, (n >> 6) & 7)
+        ghist = push_history(ghist, (n >> 6) & 7, 4)
+
+
+def _probe_exits(exits):
+    return [exits.predict(num, num * 5).exit_id for num in range(64)]
+
+
+def _train_targets(targets, stream):
+    for n in stream:
+        targets.update((n & 63) * BLOCK_STRIDE, (n >> 6) & 7,
+                       BranchKind((n >> 9) & 3),
+                       ((n >> 11) & 63) * BLOCK_STRIDE)
+
+
+def _probe_targets(targets):
+    return [targets.predict(num * BLOCK_STRIDE, exit_id)
+            for num in range(64) for exit_id in range(8)]
+
+
+def _train_bank(bank, stream):
+    ras = DistributedRas(4)
+    ghist = 0
+    for n in stream:
+        prediction = bank.predict((n & 63) * BLOCK_STRIDE, ghist, ras)
+        bank.update(prediction, (n >> 6) & 7, BranchKind((n >> 9) & 3),
+                    ((n >> 11) & 63) * BLOCK_STRIDE)
+        ghist = prediction.next_global_history
+
+
+def _probe_bank(bank):
+    ras = DistributedRas(4)
+    return [bank.predict(num * BLOCK_STRIDE, num * 5, ras).next_addr
+            for num in range(64)]
+
+
+def _train_shadow(shadow, stream):
+    ghist = 0
+    for n in stream:
+        addr = (n & 63) * BLOCK_STRIDE
+        outcome = SimpleNamespace(
+            exit_id=(n >> 6) & 7, next_addr=((n >> 9) & 63) * BLOCK_STRIDE,
+            branch_op=("BRO", "CALLO", "RET")[(n >> 15) % 3],
+            stores=[(0, (n >> 4) * 8, 8, n, False)] if n & 8 else [])
+        ghist = shadow.observe(SimpleNamespace(size=1 + (n & 127)), addr,
+                               ghist, outcome, [(n >> 2) * 8, n * 64])
+
+
+def _probe_shadow(shadow):
+    return ([_probe_bank(bank) for bank in shadow.pred_banks],
+            _probe_ras(shadow.ras),
+            [_probe_cache(bank) for bank in
+             shadow.icaches + shadow.dcaches + shadow.l2.banks])
+
+
+def _leaf_stats(structure):
+    return [structure.stats]
+
+
+def _bank_stats(bank):
+    return [bank.exits.stats, bank.targets.stats]
+
+
+def _shadow_stats(shadow):
+    return ([s for bank in shadow.pred_banks for s in _bank_stats(bank)]
+            + [shadow.ras.stats]
+            + [bank.stats for bank in
+               shadow.icaches + shadow.dcaches + shadow.l2.banks])
+
+
+@dataclasses.dataclass
+class Case:
+    make: object                 # () -> a fresh structure
+    train: object
+    probe: object
+    stats: object = _leaf_stats
+    #: Factories of structures this one must refuse to swap with /
+    #: refuse snapshots from.
+    swap_mismatch: tuple = ()
+    load_mismatch: tuple = ()
+
+
+def _shadow(ncores, **core):
+    cfg = tflex_config(ncores)
+    return ShadowUarch(replace(cfg, core=replace(cfg.core, **core)), ncores)
+
+
+_EXIT_MISMATCH = (lambda: ExitPredictor(local_l1=32),
+                  lambda: ExitPredictor(local_l2=64),
+                  lambda: ExitPredictor(global_entries=256),
+                  lambda: ExitPredictor(choice_entries=256))
+_TARGET_MISMATCH = (lambda: TargetPredictor(btype_entries=128),
+                    lambda: TargetPredictor(btb_entries=64),
+                    lambda: TargetPredictor(ctb_entries=8))
+
+CASES = {
+    "cache": Case(
+        lambda: CacheBank(1024, 2, 64, name="t"), _train_cache, _probe_cache,
+        swap_mismatch=(lambda: CacheBank(512, 2, 64),       # set count
+                       lambda: CacheBank(2048, 4, 64),      # assoc only
+                       lambda: CacheBank(512, 2, 32)),      # line size only
+        load_mismatch=(lambda: CacheBank(512, 2, 64),)),
+    "cache-4way-32B": Case(
+        lambda: CacheBank(4096, 4, 32, name="t"), _train_cache, _probe_cache,
+        swap_mismatch=(lambda: CacheBank(4096, 4, 64),),
+        load_mismatch=(lambda: CacheBank(4096, 4, 64),)),
+    "ras": Case(
+        lambda: DistributedRas(2), _train_ras, _probe_ras,
+        swap_mismatch=(lambda: DistributedRas(4),),
+        load_mismatch=(lambda: DistributedRas(4),)),
+    "ras-4x4": Case(                 # capacity 16: long streams wrap
+        lambda: DistributedRas(4, 4), _train_ras, _probe_ras,
+        swap_mismatch=(lambda: DistributedRas(2, 4),),
+        load_mismatch=(lambda: DistributedRas(4, 2),)),
+    "exits": Case(
+        ExitPredictor, _train_exits, _probe_exits,
+        swap_mismatch=_EXIT_MISMATCH, load_mismatch=_EXIT_MISMATCH),
+    "exits-small": Case(
+        lambda: ExitPredictor(16, 32, 64, 128), _train_exits, _probe_exits,
+        swap_mismatch=(ExitPredictor,), load_mismatch=(ExitPredictor,)),
+    "targets": Case(
+        TargetPredictor, _train_targets, _probe_targets,
+        swap_mismatch=_TARGET_MISMATCH, load_mismatch=_TARGET_MISMATCH),
+    "targets-small": Case(
+        lambda: TargetPredictor(64, 32, 4), _train_targets, _probe_targets,
+        swap_mismatch=(TargetPredictor,), load_mismatch=(TargetPredictor,)),
+    "predictor-bank": Case(
+        PredictorBank, _train_bank, _probe_bank, stats=_bank_stats,
+        # A composite checks part by part, so only a mismatch in its
+        # first part (the exit tables) is refused before anything moves.
+        swap_mismatch=(lambda: PredictorBank(local_l1=32),),
+        load_mismatch=(lambda: PredictorBank(local_l1=32),)),
+    "predictor-bank-small": Case(
+        lambda: PredictorBank(16, 32, 64, 128, 64, 32, 4),
+        _train_bank, _probe_bank, stats=_bank_stats,
+        swap_mismatch=(PredictorBank,), load_mismatch=(PredictorBank,)),
+    # The shadow has no swap of its own: the sampled engine pairs its
+    # parts with a window system's (tests/sample/test_engine.py).
+    "shadow-2": Case(
+        lambda: _shadow(2), _train_shadow, _probe_shadow, stats=_shadow_stats,
+        load_mismatch=(lambda: _shadow(4),)),
+    "shadow-4-small-l1": Case(
+        lambda: _shadow(4, icache_bytes=2048, dcache_bytes=4096, btb_entries=64),
+        _train_shadow, _probe_shadow, stats=_shadow_stats,
+        load_mismatch=(lambda: _shadow(8),)),
+}
+
+ALL = pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+SWAPPING = pytest.mark.parametrize(
+    "case", [c for c in CASES.values() if c.swap_mismatch],
+    ids=[k for k, c in CASES.items() if c.swap_mismatch])
+
+_fast = settings(max_examples=25, deadline=None)
+
+
+def _trained(case, stream):
+    structure = case.make()
+    case.train(structure, stream)
+    return structure
+
+
+def _stats_values(case, structure):
+    return [dataclasses.asdict(s) for s in case.stats(structure)]
+
+
+def test_every_warm_structure_has_a_case():
+    """A new ``WarmState`` subclass must join the contract suite."""
+    def leaves(cls):
+        return {cls} | {leaf for sub in cls.__subclasses__()
+                        for leaf in leaves(sub)}
+    covered = {type(case.make()) for case in CASES.values()}
+    assert leaves(WarmState) - {WarmState} <= covered
+    assert {PredictorBank, ShadowUarch} <= covered
+
+
+@ALL
+@_fast
+@given(stream=_streams)
+def test_snapshot_survives_json_and_loads_back_equal(case, stream):
+    source = _trained(case, stream)
+    snapshot = source.state_dict()
+    assert _json(snapshot) == snapshot            # JSON-safe, losslessly
+    fresh = case.make()
+    fresh.load_state(_json(snapshot))
+    assert fresh.state_dict() == snapshot
+    assert case.probe(fresh) == case.probe(source)
+
+
+@ALL
+@_fast
+@given(stream=_streams, prior=_streams)
+def test_load_replaces_prior_contents_and_keeps_stats(case, stream, prior):
+    source = _trained(case, stream)
+    target = _trained(case, prior)
+    stats, values = case.stats(target), _stats_values(case, target)
+    target.load_state(_json(source.state_dict()))
+    assert target.state_dict() == source.state_dict()
+    assert all(a is b for a, b in zip(case.stats(target), stats))
+    assert _stats_values(case, target) == values
+
+
+@SWAPPING
+@_fast
+@given(first=_streams, second=_streams)
+def test_swap_equals_load_roundtrip_both_ways(case, first, second):
+    a, b = _trained(case, first), _trained(case, second)
+    state_a, state_b = a.state_dict(), b.state_dict()
+    via_load_a, via_load_b = case.make(), case.make()
+    via_load_a.load_state(_json(state_b))         # what a should become
+    via_load_b.load_state(_json(state_a))         # what b should become
+
+    a.swap_state(b)
+    assert a.state_dict() == state_b == via_load_a.state_dict()
+    assert b.state_dict() == state_a == via_load_b.state_dict()
+    a.swap_state(b)                               # and back again
+    assert (a.state_dict(), b.state_dict()) == (state_a, state_b)
+
+    a.swap_state(b)
+    assert case.probe(a) == case.probe(via_load_a)
+    assert case.probe(b) == case.probe(via_load_b)
+
+
+@SWAPPING
+@_fast
+@given(stream=_streams)
+def test_swap_leaves_stats_with_their_owner(case, stream):
+    a, b = _trained(case, stream), case.make()
+    stats_a, stats_b = case.stats(a), case.stats(b)
+    values_a, values_b = _stats_values(case, a), _stats_values(case, b)
+    a.swap_state(b)
+    assert all(x is y for x, y in zip(case.stats(a), stats_a))
+    assert all(x is y for x, y in zip(case.stats(b), stats_b))
+    assert _stats_values(case, a) == values_a
+    assert _stats_values(case, b) == values_b
+
+
+@SWAPPING
+def test_swap_geometry_mismatch_raises_and_changes_nothing(case):
+    for make_other in case.swap_mismatch:
+        mine, other = _trained(case, range(1, 40)), make_other()
+        before = (mine.state_dict(), other.state_dict())
+        with pytest.raises(ValueError):
+            mine.swap_state(other)
+        with pytest.raises(ValueError):
+            other.swap_state(mine)
+        assert (mine.state_dict(), other.state_dict()) == before
+
+
+@ALL
+def test_load_geometry_mismatch_raises_and_changes_nothing(case):
+    for make_other in case.load_mismatch:
+        mine, other = _trained(case, range(1, 40)), make_other()
+        case.train(other, range(1, 40))
+        before = mine.state_dict()
+        with pytest.raises(ValueError):
+            mine.load_state(_json(other.state_dict()))
+        assert mine.state_dict() == before
