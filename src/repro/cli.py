@@ -23,9 +23,12 @@ Commands:
 
 ``run`` additionally takes ``--inject SPEC`` (repeatable) to inject
 faults: ``dead:CORE``, ``kill:CORE@CYCLE``, or ``link:SRC-DST:EXTRA``
-(docs/RESILIENCE.md has the grammar).  Flag combinations are validated
-up front — conflicting or out-of-range ``--sample-*``/``--inject``
-values fail with an actionable message before any simulation starts.
+(docs/RESILIENCE.md has the grammar).  Arguments are validated up
+front — an unknown benchmark name (the error lists the close matches),
+a ``--cores`` that is not a composition size, conflicting or
+out-of-range ``--sample-*``/``--inject`` values fail with an actionable
+message before any simulation starts.  A sweep point that exhausts its
+retries is reported as one line and exit status 1.
 
 Simulating commands take ``--jobs N`` (warm pool workers for cold
 points; 1 runs them in this process), ``--cache-dir DIR`` and
@@ -58,11 +61,11 @@ import sys
 
 
 def _cmd_list(args) -> int:
-    from repro.harness import format_table
-    from repro.workloads import BENCHMARKS
+    from repro.harness.reporting import format_table
+    from repro.workloads.catalog import CATALOG
 
     rows = [[b.name, b.category, b.ilp] for b in
-            sorted(BENCHMARKS.values(), key=lambda b: (b.category, b.name))]
+            sorted(CATALOG.values(), key=lambda b: (b.category, b.name))]
     print(format_table(["benchmark", "category", "ilp"], rows,
                        title="26-benchmark suite (paper Table 1)"))
     return 0
@@ -170,7 +173,7 @@ def _cmd_profile(args) -> int:
 
     import repro.obs
     from repro.exec import JobSpec
-    from repro.harness.runner import simulate_spec
+    from repro.harness.simulate import simulate_spec
 
     spec = JobSpec.edge(args.bench, ncores=args.cores,
                         trips=(args.machine == "trips"), scale=args.scale)
@@ -435,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--scale", type=int, default=1)
 
     from repro.search.objective import OBJECTIVE_NAMES
+    from repro.workloads.catalog import SETS
 
     search_p = sub.add_parser(
         "search", help="BEST-composition search (successive halving)")
@@ -474,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     resil_p.add_argument("--bench", action="append", dest="benchmarks",
                          metavar="NAME",
                          help="restrict the sweep to this benchmark "
-                              "(repeatable; default: ammp, conv, equake)")
+                              "(repeatable; default: "
+                              f"{', '.join(SETS['figR'])})")
     resil_p.add_argument("--out", default=None, metavar="FILE",
                          help="write the degradation curve as JSON")
     _add_exec_flags(resil_p)
@@ -544,6 +549,29 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     inside a multi-minute simulation."""
     if getattr(args, "jobs", 1) < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+
+    named = ([args.bench] if hasattr(args, "bench")
+             else getattr(args, "benchmarks", None))
+    if named:
+        from repro.workloads.catalog import CATALOG
+
+        for name in named:
+            if name in CATALOG:
+                continue
+            import difflib
+
+            close = difflib.get_close_matches(name, CATALOG)
+            hint = (f"did you mean {', '.join(close)}?" if close else
+                    f"choose from {', '.join(sorted(CATALOG))}")
+            parser.error(f"unknown benchmark {name!r}; {hint} "
+                         f"(`repro list` shows the suite)")
+
+    if hasattr(args, "cores") and getattr(args, "machine", "tflex") == "tflex":
+        from repro.tflex.placement import SHAPES
+
+        if args.cores not in SHAPES:
+            parser.error(
+                f"--cores must be a power of two up to 32, got {args.cores}")
 
     if getattr(args, "sample", False):
         if args.sample_ff < 1:
@@ -620,11 +648,6 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                          f"got {args.max_age_days}")
 
     if args.command == "resil":
-        from repro.tflex.placement import SHAPES
-
-        if args.cores not in SHAPES:
-            parser.error(
-                f"--cores must be a power of two up to 32, got {args.cores}")
         if not 0 < args.max_dead < args.cores:
             parser.error(
                 f"--max-dead must be between 1 and {args.cores - 1} "
@@ -632,13 +655,14 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                 f"{args.cores}-core chip), got {args.max_dead}")
 
 
-def _configure_store(args) -> None:
+def _configure_store(args) -> dict:
     """Apply --cache-dir/--no-cache/--ff-trace; commands without the
     flags (list, disasm, timeline) leave the store configuration
-    untouched."""
+    untouched.  Returns the environment entries it replaced, for
+    ``main`` to put back."""
     if not hasattr(args, "no_cache"):
-        return
-    from repro.harness import configure_cache
+        return {}
+    from repro.harness.runner import configure_cache
 
     configure_cache(cache_dir=args.cache_dir, enabled=not args.no_cache)
 
@@ -658,9 +682,12 @@ def _configure_store(args) -> None:
         enabled=enabled,
         cache_dir=(pathlib.Path(args.cache_dir) / "traces"
                    if args.cache_dir else None))
+    saved = {name: os.environ.get(name)
+             for name in (TRACE_ENABLED_ENV, TRACE_DIR_ENV)}
     os.environ[TRACE_ENABLED_ENV] = "1" if enabled else "0"
     if enabled:
         os.environ[TRACE_DIR_ENV] = str(resolve_trace_dir())
+    return saved
 
 
 def _configure_obs(args) -> None:
@@ -691,28 +718,29 @@ def _finalize_obs(args) -> None:
         print(report)
 
 
+#: command -> handler; every figure command shares one.
+_HANDLERS = {
+    "list": _cmd_list, "run": _cmd_run, "sweep": _cmd_sweep,
+    "disasm": _cmd_disasm, "timeline": _cmd_timeline,
+    "profile": _cmd_profile, "resil": _cmd_resil, "search": _cmd_search,
+    "cache": _cmd_cache, "lint": _cmd_lint,
+}
+
+
 def _dispatch(args) -> int:
-    if args.command == "list":
-        return _cmd_list(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "disasm":
-        return _cmd_disasm(args)
-    if args.command == "timeline":
-        return _cmd_timeline(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "resil":
-        return _cmd_resil(args)
-    if args.command == "search":
-        return _cmd_search(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    return _cmd_figure(args)
+    handler = _HANDLERS.get(args.command, _cmd_figure)
+    if not hasattr(args, "no_cache"):
+        return handler(args)        # no store flags: no executor batch
+    from repro.harness.runner import JobFailed
+
+    try:
+        return handler(args)
+    except JobFailed as exc:
+        # A point that exhausted its retries is the designed outcome of
+        # a sweep with a failing spec; the batch's successes are cached,
+        # so a re-run repeats only the failure.
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
 
 
 def main(argv=None) -> int:
@@ -724,13 +752,10 @@ def main(argv=None) -> int:
     # for executor workers; restore it on exit so in-process callers
     # (tests, notebooks) don't leak one invocation's choice into the
     # next.
-    from repro.sample.trace import TRACE_DIR_ENV, TRACE_ENABLED_ENV
-
-    saved_env = {name: os.environ.get(name)
-                 for name in (TRACE_ENABLED_ENV, TRACE_DIR_ENV)}
+    saved_env: dict = {}
     try:
         try:
-            _configure_store(args)
+            saved_env = _configure_store(args)
         except OSError as exc:
             print(f"repro: {exc}", file=sys.stderr)
             return 2

@@ -27,33 +27,26 @@ instant and ``--jobs N`` parallelises cold sweeps.  See
 ``docs/EXECUTION.md``.
 """
 
-from repro.exec.spec import SCHEMA_VERSION, JobSpec, spec_hash
-from repro.exec.store import (BlobStore, ResultStore, advisory_lock,
-                              gc_cache, parse_size)
-from repro.exec.progress import ProgressReporter
-from repro.exec.sched import DurationBook, job_family, order_indices
-from repro.exec.worker import execute_spec, pool_worker_main
-from repro.exec.pool import PoolEvent, WorkerPool
-from repro.exec.executor import JobResult, ParallelExecutor, run_specs
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "JobSpec",
-    "spec_hash",
-    "BlobStore",
-    "ResultStore",
-    "advisory_lock",
-    "gc_cache",
-    "parse_size",
-    "ProgressReporter",
-    "DurationBook",
-    "job_family",
-    "order_indices",
-    "execute_spec",
-    "pool_worker_main",
-    "PoolEvent",
-    "WorkerPool",
-    "JobResult",
-    "ParallelExecutor",
-    "run_specs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SCHEMA_VERSION": "spec",
+    "JobSpec": "spec",
+    "spec_hash": "spec",
+    "BlobStore": "store",
+    "ResultStore": "store",
+    "advisory_lock": "store",
+    "gc_cache": "store",
+    "parse_size": "store",
+    "ProgressReporter": "progress",
+    "DurationBook": "sched",
+    "job_family": "sched",
+    "order_indices": "sched",
+    "execute_spec": "worker",
+    "pool_worker_main": "worker",
+    "PoolEvent": "worker",
+    "WorkerPool": "pool",
+    "JobResult": "executor",
+    "ParallelExecutor": "executor",
+    "run_specs": "executor",
+})

@@ -30,7 +30,6 @@ there is a single writer per store.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import warnings
 from collections import deque
@@ -38,12 +37,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import repro.obs as obs_lib
-from repro.exec.pool import PoolEvent, WorkerPool
 from repro.exec.progress import ProgressReporter
 from repro.exec.sched import DurationBook, order_indices
 from repro.exec.spec import JobSpec, spec_hash
 from repro.exec.store import ResultStore
-from repro.exec.worker import execute_spec
+from repro.exec.worker import PoolEvent, execute_spec
 
 #: Job states a sweep can end in.
 STATUS_OK = "ok"             # simulated this run
@@ -135,7 +133,7 @@ class ParallelExecutor:
         #: Observability: per-job lifecycle events (``job.*``) plus
         #: ``exec.jobs`` counters and an ``exec.job_seconds`` histogram.
         self.obs = obs if obs is not None else obs_lib.current()
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._mp_context = mp_context
         self._store_warned = False
 
     # -- public API ----------------------------------------------------
@@ -208,9 +206,13 @@ class ParallelExecutor:
         if self.jobs <= 1 and self.timeout is None:
             pool = _InProcessSlot(self.worker)
         else:
+            # multiprocessing loads with the first pool, not with the
+            # executor: a warm replay never gets here.
+            from repro.exec.pool import WorkerPool
+
             pool = WorkerPool(size=min(self.jobs, len(todo)),
                               worker=self.worker, timeout=self.timeout,
-                              grace=self.grace, mp_context=self._ctx,
+                              grace=self.grace, mp_context=self._mp_context,
                               obs=self.obs)
         try:
             while pending or pool.busy_count():

@@ -9,7 +9,7 @@ processes alive for the whole batch instead:
 
 * each worker imports the simulator stack **once**, and worker-side
   build caches (decoded workload programs — see
-  :func:`repro.harness.runner.cached_program`) stay hot across jobs;
+  :func:`repro.harness.simulate.cached_program`) stay hot across jobs;
 * jobs travel over a duplex request/reply pipe
   (:mod:`repro.exec.worker` documents the message protocol), so a job
   costs one pickled spec each way instead of a process;
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import repro.obs as obs_lib
@@ -43,20 +42,11 @@ from repro.exec.worker import (
     REPLY_PONG,
     REPLY_READY,
     REPLY_RESULT,
+    PoolEvent,
     execute_spec,
+    load_worker_side,
     pool_worker_main,
 )
-
-
-@dataclass
-class PoolEvent:
-    """One finished job as observed by the pool."""
-
-    tag: object                 # the caller's dispatch tag (job index)
-    ok: bool
-    value: object               # payload dict | error string
-    duration: float             # seconds between dispatch and completion
-    worker: str                 # worker name that served (or lost) it
 
 
 class _PoolWorker:
@@ -118,6 +108,8 @@ class WorkerPool:
         self.obs = obs if obs is not None else obs_lib.current()
         self.respawns = 0
         self.reused = 0             # jobs served by an already-warm worker
+        if worker is execute_spec:
+            load_worker_side()      # before the first fork, once per process
         self.workers = [_PoolWorker(slot) for slot in range(self.size)]
         for pw in self.workers:
             self._spawn(pw)

@@ -9,7 +9,7 @@ Two entry points:
   (in-process dict, disk store) lives in the parent; workers only
   simulate.  (Pure build caches — decoded workload programs — stay
   warm inside the worker process across jobs; see
-  :func:`repro.harness.runner.cached_program`.)
+  :func:`repro.harness.simulate.cached_program`.)
 * :func:`pool_worker_main` is the long-lived warm-pool loop: import
   once, then serve ``job``/``ping`` requests over a duplex pipe until
   told to shut down (or the pipe dies).  See :mod:`repro.exec.pool`
@@ -17,6 +17,8 @@ Two entry points:
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from repro.exec.spec import JobSpec
 
@@ -48,13 +50,31 @@ def current_connection():
     return _ACTIVE_CONN
 
 
+@dataclass
+class PoolEvent:
+    """One finished job as observed by the pool."""
+
+    tag: object                 # the caller's dispatch tag (job index)
+    ok: bool
+    value: object               # payload dict | error string
+    duration: float             # seconds between dispatch and completion
+    worker: str                 # worker name that served (or lost) it
+
+
+def load_worker_side():
+    """The simulator stack, imported on the first cold spec — nothing
+    lighter (``--help``, a warm replay) pays for it.  A pool's parent
+    calls this before its first fork, so forked workers inherit the
+    modules instead of each re-importing them (~0.2 s per worker per
+    pool; a search boots a pool per rung)."""
+    from repro.harness import simulate
+
+    return simulate
+
+
 def execute_spec(spec: JobSpec) -> dict:
     """Simulate one job and return its serialised result payload."""
-    # Imported lazily: repro.harness.runner imports repro.exec for the
-    # store, and the simulator stack is heavy for non-worker users.
-    from repro.harness import runner
-
-    result = runner.simulate_spec(spec)
+    result = load_worker_side().simulate_spec(spec)
     return {"kind": spec.kind, "result": result.to_dict()}
 
 

@@ -8,61 +8,33 @@ and the sweep drivers take ``jobs=N`` to fan cold points out over the
 ``repro.exec`` worker pool (docs/EXECUTION.md).
 """
 
-from repro.harness.runner import (
-    JobFailed,
-    RunResult,
-    RiscResult,
-    run_edge_benchmark,
-    run_risc_benchmark,
-    cached_program,
-    clear_cache,
-    configure_cache,
-    get_store,
-    prewarm_specs,
-    resolve_cache_dir,
-    simulation_count,
-)
-from repro.harness.experiments import (
-    FigBestResult,
-    fig5_baseline,
-    fig6_performance,
-    fig6_specs,
-    fig7_area,
-    fig8_power,
-    fig9_protocols,
-    fig10_multiprogramming,
-    fig_best,
-    figR_degradation,
-    figR_specs,
-    table2_area_power,
-)
-from repro.harness.reporting import format_table, geomean
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JobFailed",
-    "RunResult",
-    "RiscResult",
-    "run_edge_benchmark",
-    "run_risc_benchmark",
-    "cached_program",
-    "clear_cache",
-    "configure_cache",
-    "get_store",
-    "prewarm_specs",
-    "resolve_cache_dir",
-    "simulation_count",
-    "FigBestResult",
-    "fig5_baseline",
-    "fig6_performance",
-    "fig6_specs",
-    "fig_best",
-    "fig7_area",
-    "fig8_power",
-    "fig9_protocols",
-    "fig10_multiprogramming",
-    "figR_degradation",
-    "figR_specs",
-    "table2_area_power",
-    "format_table",
-    "geomean",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "JobFailed": "runner",
+    "RunResult": "runner",
+    "RiscResult": "runner",
+    "run_edge_benchmark": "runner",
+    "run_risc_benchmark": "runner",
+    "clear_cache": "runner",
+    "configure_cache": "runner",
+    "get_store": "runner",
+    "prewarm_specs": "runner",
+    "resolve_cache_dir": "runner",
+    "cached_program": "simulate",
+    "simulation_count": "simulate",
+    "FigBestResult": "experiments",
+    "fig5_baseline": "experiments",
+    "fig6_performance": "experiments",
+    "fig6_specs": "experiments",
+    "fig_best": "experiments",
+    "fig7_area": "experiments",
+    "fig8_power": "experiments",
+    "fig9_protocols": "experiments",
+    "fig10_multiprogramming": "experiments",
+    "figR_degradation": "experiments",
+    "figR_specs": "experiments",
+    "table2_area_power": "experiments",
+    "format_table": "reporting",
+    "geomean": "reporting",
+})

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.exec import JobSpec
+from repro.exec.spec import JobSpec
 from repro.harness.reporting import format_table, geomean
 from repro.harness.runner import (
     RunResult,
@@ -20,15 +20,7 @@ from repro.harness.runner import (
     run_risc_benchmark,
 )
 from repro.power import AreaModel, EnergyModel
-from repro.sched import (
-    SpeedupTable,
-    degraded_assignment,
-    fixed_cmp_assignment,
-    optimal_assignment,
-    surviving_processors,
-    symmetric_best_assignment,
-)
-from repro.workloads import BENCHMARKS, hand_optimized
+from repro.workloads.catalog import CATALOG, CATEGORIES, SETS
 from repro.workloads.data import Lcg
 
 
@@ -37,7 +29,7 @@ CORE_COUNTS = (1, 2, 4, 8, 16, 32)
 
 def _suite(benchmarks: Optional[Sequence[str]]) -> list[str]:
     if benchmarks is None:
-        return sorted(BENCHMARKS)
+        return sorted(SETS["all"])
     return list(benchmarks)
 
 
@@ -79,8 +71,11 @@ class Fig6Result:
     def has_trips(self) -> bool:
         return all("trips" in self.runs[b] for b in self.benchmarks)
 
-    def speedup_table(self, benchmarks: Optional[Sequence[str]] = None) -> SpeedupTable:
-        """Per-benchmark cores -> performance functions for figure 10."""
+    def speedup_table(self, benchmarks: Optional[Sequence[str]] = None):
+        """Per-benchmark cores -> performance functions for figure 10
+        (a :class:`repro.sched.SpeedupTable`)."""
+        from repro.sched import SpeedupTable
+
         names = list(benchmarks) if benchmarks is not None else self.benchmarks
         return SpeedupTable(perf={
             b: {n: 1.0 / self.cycles(b, f"tflex-{n}") for n in self.core_counts}
@@ -92,9 +87,9 @@ class Fig6Result:
         headers = ["benchmark", "ilp"] + labels + ["BEST", "best@"]
         rows = []
         ordered = sorted(self.benchmarks,
-                         key=lambda b: (BENCHMARKS[b].ilp != "low", b))
+                         key=lambda b: (CATALOG[b].ilp != "low", b))
         for bench in ordered:
-            row = [bench, BENCHMARKS[bench].ilp]
+            row = [bench, CATALOG[bench].ilp]
             row += [round(self.speedup(bench, lb), 2) for lb in labels]
             row += [round(self.best_speedup(bench), 2),
                     self.best_label(bench).replace("tflex-", "")]
@@ -162,15 +157,15 @@ class Fig5Result:
     ratios: dict[str, float]       # bench -> risc_cycles / trips_cycles
 
     def category_mean(self, category: str) -> float:
-        names = [b for b in self.ratios if BENCHMARKS[b].category == category]
+        names = [b for b in self.ratios if CATALOG[b].category == category]
         return geomean([self.ratios[b] for b in names])
 
     def render(self) -> str:
-        rows = [[b, BENCHMARKS[b].category, round(r, 2)]
+        rows = [[b, CATALOG[b].category, round(r, 2)]
                 for b, r in sorted(self.ratios.items())]
-        rows.append(["GEOMEAN hand", "", round(self.category_mean("hand"), 2)])
-        rows.append(["GEOMEAN spec_int", "", round(self.category_mean("spec_int"), 2)])
-        rows.append(["GEOMEAN spec_fp", "", round(self.category_mean("spec_fp"), 2)])
+        rows += [[f"GEOMEAN {category}", "",
+                  round(self.category_mean(category), 2)]
+                 for category in CATEGORIES]
         return format_table(
             ["benchmark", "category", "TRIPS speedup vs OoO"], rows,
             title="Figure 5: TRIPS relative performance vs conventional OoO")
@@ -441,9 +436,12 @@ def fig10_multiprogramming(fig6: Fig6Result,
     dead core lands in, which is the asymmetry the resilience
     experiment quantifies.
     """
-    from repro.tflex import tflex_config
+    from repro.sched import (degraded_assignment, fixed_cmp_assignment,
+                             optimal_assignment, surviving_processors,
+                             symmetric_best_assignment)
+    from repro.tflex.config import tflex_config
 
-    apps_pool = [b.name for b in hand_optimized() if b.name in fig6.benchmarks]
+    apps_pool = [b for b in SETS["hand"] if b in fig6.benchmarks]
     if not apps_pool:
         apps_pool = fig6.benchmarks
     table = fig6.speedup_table(apps_pool)
@@ -646,15 +644,6 @@ def table2_area_power(fig6: Fig6Result) -> Table2Result:
 # Figure R: performance degradation versus dead cores (repro.resil)
 # ----------------------------------------------------------------------
 
-#: Benchmarks the degradation sweep runs by default.  These three have
-#: monotone cores->performance curves up to 16 cores (figure 6), so
-#: shrinking the composition can only cost performance and the curve
-#: cleanly isolates the fault cost.  Benchmarks that peak at small
-#: compositions (gzip, dither) can *gain* from losing cores — real
-#: machine behaviour, but it muddies a degradation plot.
-FIGR_BENCHMARKS = ("ammp", "conv", "equake")
-
-
 @dataclass
 class FigRResult:
     """Performance versus dead-core count on one chip (the composable
@@ -741,7 +730,7 @@ def figR_specs(target_cores: int = 16, max_dead: int = 6,
     if not 0 < max_dead < target_cores:
         raise ValueError(f"max_dead must be in [1, {target_cores - 1}], "
                          f"got {max_dead}")
-    names = list(benchmarks) if benchmarks is not None else list(FIGR_BENCHMARKS)
+    names = list(benchmarks if benchmarks is not None else SETS["figR"])
     specs = []
     for k in range(max_dead + 1):
         schedule = FaultSchedule.boot_dead(k, target_cores, seed)
@@ -758,7 +747,7 @@ def figR_degradation(target_cores: int = 16, max_dead: int = 6,
     """Run the dead-core sweep and assemble the degradation curve."""
     from repro.resil.faults import FaultSchedule
 
-    names = list(benchmarks) if benchmarks is not None else list(FIGR_BENCHMARKS)
+    names = list(benchmarks if benchmarks is not None else SETS["figR"])
     prewarm_specs(figR_specs(target_cores, max_dead, names, seed, scale),
                   jobs=jobs, progress=progress)
     runs: dict[str, dict[int, RunResult]] = {b: {} for b in names}

@@ -35,13 +35,10 @@ from repro.harness.experiments import (
     fig10_multiprogramming,
     table2_area_power,
 )
+from repro.workloads.catalog import SETS
 
-#: Category- and ILP-spanning subset the golden suite runs (three hand-
-#: optimized, two SPEC-int, two SPEC-fp; high- and low-ILP in each
-#: group).  A subset keeps the suite fast enough for tier-1 while still
-#: exercising every simulator path the full sweep does.
-GOLDEN_BENCHMARKS = ("a2time", "ammp", "bzip2", "conv", "dither", "equake",
-                     "gzip")
+#: The benchmark set the golden suite runs (declared in the catalog).
+GOLDEN_BENCHMARKS = SETS["golden"]
 
 #: All fixtures are generated at this scale (the acceptance scale).
 GOLDEN_SCALE = 1

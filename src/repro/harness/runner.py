@@ -23,19 +23,28 @@ from __future__ import annotations
 
 import os
 import pathlib
+import sys
 import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import repro.obs as obs_lib
-from repro.exec import JobResult, JobSpec, ResultStore, run_specs, spec_hash
-from repro.exec.executor import STATUS_CACHED
-from repro.power import EnergyModel, EnergyParams, PowerBreakdown
-from repro.tflex import TFlexSystem, tflex_config, trips_config
-from repro.tflex.placement import rectangle
+from repro._lazy import lazy_exports
+from repro.exec.executor import STATUS_CACHED, JobResult, run_specs
+from repro.exec.spec import JobSpec, spec_hash
+from repro.exec.store import ResultStore
+from repro.power import PowerBreakdown
 from repro.tflex.stats import ProcStats
-from repro.risc import OoOCore
-from repro.workloads import BENCHMARKS, verify_edge_run
+
+#: The worker side (:mod:`repro.harness.simulate` — the one place the
+#: simulator is imported) stays reachable under this module's names,
+#: loaded on first use.
+__getattr__, __dir__, _ = lazy_exports(__name__, {
+    "simulate_spec": "simulate",
+    "cached_program": "simulate",
+    "build_edge_config": "simulate",
+    "simulation_count": "simulate",
+})
 
 #: Environment variable that switches the persistent store on for
 #: library (non-CLI) use.
@@ -152,38 +161,15 @@ class RiscResult:
 _CACHE: dict[str, object] = {}          # spec hash -> result object
 _STORE_UNSET = object()
 _STORE: object = _STORE_UNSET           # lazily resolved ResultStore|None
-_SIM_COUNT = 0                          # simulations run in this process
-
-#: (kind, bench, scale) -> built (program, expected, kernel).  Programs
-#: are read-only during simulation (the simulator copies the data image
-#: into its own memory and decodes blocks into per-composition caches),
-#: so one build serves every configuration of a benchmark — this is the
-#: cache that keeps warm pool workers fast across jobs.
-_PROGRAMS: dict[tuple, tuple] = {}
-_PROGRAM_CAP = 32                       # builds are cheap; bound the rss
-
-
-def cached_program(kind: str, bench: str, scale: int) -> tuple:
-    """The built ``(program, expected, kernel)`` for one benchmark,
-    memoized per process — in a warm pool worker this is what keeps
-    decoded workload programs hot across jobs."""
-    key = (kind, bench, scale)
-    entry = _PROGRAMS.get(key)
-    if entry is None:
-        benchmark = BENCHMARKS[bench]
-        entry = (benchmark.edge_program(scale) if kind == "edge"
-                 else benchmark.risc_program(scale))
-        while len(_PROGRAMS) >= _PROGRAM_CAP:
-            _PROGRAMS.pop(next(iter(_PROGRAMS)))
-        _PROGRAMS[key] = entry
-    return entry
 
 
 def clear_cache() -> None:
     """Drop the in-process result and program caches (the disk store is
     untouched)."""
     _CACHE.clear()
-    _PROGRAMS.clear()
+    worker_side = sys.modules.get("repro.harness.simulate")
+    if worker_side is not None:
+        worker_side._PROGRAMS.clear()
 
 
 def configure_cache(cache_dir: Union[str, pathlib.Path, None] = None,
@@ -216,95 +202,6 @@ def get_store() -> Optional[ResultStore]:
         env_dir = os.environ.get(CACHE_DIR_ENV)
         _STORE = ResultStore(env_dir) if env_dir else None
     return _STORE
-
-
-def simulation_count() -> int:
-    """Simulations actually executed in this process (cache misses)."""
-    return _SIM_COUNT
-
-
-# ----------------------------------------------------------------------
-# Simulation (the cache-miss path; also the repro.exec worker body)
-# ----------------------------------------------------------------------
-
-def simulate_spec(spec: JobSpec):
-    """Run one job spec on the simulator, bypassing every cache."""
-    global _SIM_COUNT
-    _SIM_COUNT += 1
-    if spec.kind == "risc":
-        return _simulate_risc(spec)
-    if spec.kind == "edge":
-        return _simulate_edge(spec)
-    raise ValueError(f"unknown job kind: {spec.kind!r}")
-
-
-def build_edge_config(spec: JobSpec):
-    """Resolve a spec into ``(SystemConfig, ncores)`` — shared by the
-    full-detail path below and the sampled engine (:mod:`repro.sample`)."""
-    from dataclasses import replace
-
-    if spec.trips:
-        cfg = trips_config()
-        ncores = cfg.num_cores
-    else:
-        cfg = tflex_config(spec.ncores)
-        ncores = spec.ncores
-    if spec.ideal_handshake:
-        cfg = replace(cfg, ideal_handshake=True)
-    if spec.core_overrides:
-        cfg = replace(cfg, core=replace(cfg.core,
-                                        **spec.core_overrides_dict()))
-    if spec.overrides:
-        cfg = replace(cfg, **spec.overrides_dict())
-    return cfg, ncores
-
-
-def _simulate_edge(spec: JobSpec) -> RunResult:
-    # Fault-injected specs route to the resilience driver (lazy import:
-    # repro.resil imports this module for RunResult).
-    if spec.faults:
-        from repro.resil import run_resilient
-
-        return run_resilient(spec)
-    # Sampled specs route to the fast-forward engine.  The TRIPS
-    # baseline always runs in full detail: its runs are short and its
-    # centralized structures make sampling gains marginal.
-    if spec.sampling and not spec.trips:
-        from repro.sample import run_sampled
-
-        return run_sampled(spec)
-
-    program, expected, kernel = cached_program("edge", spec.bench,
-                                               spec.scale)
-    cfg, ncores = build_edge_config(spec)
-
-    system = TFlexSystem(cfg)
-    proc = system.compose(rectangle(cfg, ncores), program, name=spec.bench)
-    system.run(max_cycles=30_000_000)
-    if spec.verify:
-        verify_edge_run(kernel, proc.memory, expected)
-
-    params = EnergyParams.trips() if spec.trips else None
-    power = EnergyModel(params).breakdown(
-        proc.stats.energy_events, proc.stats.cycles, proc.ncores,
-        dram_requests=system.dram.stats.requests)
-
-    return RunResult(
-        bench=spec.bench, label=spec.label(), num_cores=ncores,
-        cycles=proc.stats.cycles, insts_committed=proc.stats.insts_committed,
-        stats=proc.stats, power=power,
-        dram_requests=system.dram.stats.requests)
-
-
-def _simulate_risc(spec: JobSpec) -> RiscResult:
-    program, expected, kernel = cached_program("risc", spec.bench,
-                                               spec.scale)
-    stats, interp = OoOCore().run(program)
-    if spec.verify:
-        verify_edge_run(kernel, interp.mem, expected)
-    return RiscResult(bench=spec.bench, cycles=stats.cycles,
-                      insts=stats.insts,
-                      mispredictions=stats.mispredictions)
 
 
 def _result_from_payload(payload: dict):

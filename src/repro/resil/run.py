@@ -4,7 +4,7 @@
 :class:`~repro.resil.faults.FaultSchedule` and produces the same
 :class:`~repro.harness.runner.RunResult` shape as the full-detail
 simulator — with an **empty** schedule the result is field-for-field
-identical to :func:`repro.harness.runner._simulate_edge`, which is what
+identical to :func:`repro.harness.simulate._simulate_edge`, which is what
 keeps the golden fixtures honest.
 
 With faults, the run may span several processor *segments* (one per
@@ -21,7 +21,8 @@ from collections import Counter
 from typing import Optional
 
 from repro.exec import JobSpec
-from repro.harness.runner import RunResult, build_edge_config
+from repro.harness.runner import RunResult
+from repro.harness.simulate import build_edge_config
 from repro.power import EnergyModel
 from repro.resil.faults import FaultSchedule
 from repro.resil.injector import FaultInjector

@@ -13,24 +13,18 @@ See :mod:`repro.sample.engine` for the design.  The public surface:
   (:mod:`repro.sample.trace`).
 """
 
-from repro.sample.checkpoint import Checkpoint
-from repro.sample.config import SamplingConfig
-from repro.sample.engine import SampledRun, run_sampled
-from repro.sample.shadow import RecordingMemory, ShadowUarch
-from repro.sample.trace import (FFTraceStore, configure_ff_trace,
-                                open_trace_session, reset_ff_trace,
-                                trace_key)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Checkpoint",
-    "FFTraceStore",
-    "RecordingMemory",
-    "SampledRun",
-    "SamplingConfig",
-    "ShadowUarch",
-    "configure_ff_trace",
-    "open_trace_session",
-    "reset_ff_trace",
-    "run_sampled",
-    "trace_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Checkpoint": "checkpoint",
+    "FFTraceStore": "trace",
+    "RecordingMemory": "shadow",
+    "SampledRun": "engine",
+    "SamplingConfig": "config",
+    "ShadowUarch": "shadow",
+    "configure_ff_trace": "trace",
+    "open_trace_session": "trace",
+    "reset_ff_trace": "trace",
+    "run_sampled": "engine",
+    "trace_key": "trace",
+})

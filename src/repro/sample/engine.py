@@ -93,7 +93,7 @@ class SampledRun:
 
     def __init__(self, spec, sampling: Optional[SamplingConfig] = None,
                  trace=None) -> None:
-        from repro.harness.runner import build_edge_config, cached_program
+        from repro.harness.simulate import build_edge_config, cached_program
 
         if spec.kind != "edge":
             raise ValueError(f"sampling only supports edge specs, not {spec.kind!r}")

@@ -197,7 +197,7 @@ def trace_key(spec) -> Optional[str]:
     interpreter never reads them."""
     if not _eligible(spec):
         return None
-    from repro.harness.runner import cached_program
+    from repro.harness.simulate import cached_program
 
     program, __, __ = cached_program("edge", spec.bench, spec.scale)
     payload = {
@@ -544,7 +544,7 @@ def open_trace_session(spec, store: Optional[FFTraceStore] = None):
             _cache_parsed(key, trace)
     if trace is not None:
         return ReplaySession(key, trace, spec)
-    from repro.harness.runner import cached_program
+    from repro.harness.simulate import cached_program
 
     program, __, __ = cached_program("edge", spec.bench, spec.scale)
     return RecordSession(key, store, spec, program_fingerprint(program))

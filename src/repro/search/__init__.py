@@ -20,46 +20,24 @@ Entry points: ``repro search`` on the CLI, or
 docs/SEARCH.md.
 """
 
-from repro.search.space import (
-    DEFAULT_CORE_COUNTS,
-    Candidate,
-    SearchSpace,
-    default_space,
-)
-from repro.search.objective import (
-    OBJECTIVE_NAMES,
-    OBJECTIVES,
-    Objective,
-    get_objective,
-)
-from repro.search.halving import (
-    COARSE_SAMPLING,
-    DEFAULT_LADDER,
-    FINE_SAMPLING,
-    BenchSearchResult,
-    FidelityTier,
-    HalvingConfig,
-    RungReport,
-    SearchResult,
-    search_best,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CORE_COUNTS",
-    "Candidate",
-    "SearchSpace",
-    "default_space",
-    "OBJECTIVE_NAMES",
-    "OBJECTIVES",
-    "Objective",
-    "get_objective",
-    "COARSE_SAMPLING",
-    "DEFAULT_LADDER",
-    "FINE_SAMPLING",
-    "BenchSearchResult",
-    "FidelityTier",
-    "HalvingConfig",
-    "RungReport",
-    "SearchResult",
-    "search_best",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DEFAULT_CORE_COUNTS": "space",
+    "Candidate": "space",
+    "SearchSpace": "space",
+    "default_space": "space",
+    "OBJECTIVE_NAMES": "objective",
+    "OBJECTIVES": "objective",
+    "Objective": "objective",
+    "get_objective": "objective",
+    "COARSE_SAMPLING": "halving",
+    "DEFAULT_LADDER": "halving",
+    "FINE_SAMPLING": "halving",
+    "BenchSearchResult": "halving",
+    "FidelityTier": "halving",
+    "HalvingConfig": "halving",
+    "RungReport": "halving",
+    "SearchResult": "halving",
+    "search_best": "halving",
+})

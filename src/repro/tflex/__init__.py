@@ -7,29 +7,24 @@ fetch, next-block prediction, operand routing, memory disambiguation,
 and commit (no structure is physically shared between cores).
 """
 
-from repro.tflex.config import CoreConfig, SystemConfig, TFLEX, tflex_config, trips_config
-from repro.tflex.events import EventQueue
-from repro.tflex.instance import BlockInstance, BlockState
-from repro.tflex.placement import pack, rectangle
-from repro.tflex.processor import ComposedProcessor
-from repro.tflex.stats import ProcStats
-from repro.tflex.system import SimulationDeadlock, TFlexSystem, run_program
-from repro.tflex.trace import BlockTrace, render_timeline
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CoreConfig",
-    "SystemConfig",
-    "TFLEX",
-    "tflex_config",
-    "trips_config",
-    "EventQueue",
-    "BlockInstance",
-    "BlockState",
-    "pack",
-    "rectangle",
-    "ComposedProcessor",
-    "ProcStats",
-    "SimulationDeadlock",
-    "TFlexSystem",
-    "run_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CoreConfig": "config",
+    "SystemConfig": "config",
+    "TFLEX": "config",
+    "tflex_config": "config",
+    "trips_config": "config",
+    "EventQueue": "events",
+    "BlockInstance": "instance",
+    "BlockState": "instance",
+    "pack": "placement",
+    "rectangle": "placement",
+    "ComposedProcessor": "processor",
+    "ProcStats": "stats",
+    "SimulationDeadlock": "system",
+    "TFlexSystem": "system",
+    "run_program": "system",
+    "BlockTrace": "trace",
+    "render_timeline": "trace",
+})

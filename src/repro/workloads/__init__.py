@@ -9,24 +9,15 @@ memory-bound — under the paper's benchmark names.  Every kernel has a
 Python reference implementation used to verify simulator output.
 """
 
-from repro.workloads.suite import (
-    Benchmark,
-    BENCHMARKS,
-    hand_optimized,
-    spec_fp,
-    spec_int,
-    compiled_suite,
-    verify_edge_run,
-    read_array_values,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Benchmark",
-    "BENCHMARKS",
-    "hand_optimized",
-    "spec_fp",
-    "spec_int",
-    "compiled_suite",
-    "verify_edge_run",
-    "read_array_values",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Benchmark": "suite",
+    "BENCHMARKS": "suite",
+    "hand_optimized": "suite",
+    "spec_fp": "suite",
+    "spec_int": "suite",
+    "compiled_suite": "suite",
+    "verify_edge_run": "suite",
+    "read_array_values": "suite",
+})

@@ -9,6 +9,7 @@ from typing import Callable
 from repro.compiler import KernelProgram, compile_edge, compile_risc
 from repro.isa.program import Program
 from repro.risc.isa import RiscProgram
+from repro.workloads.catalog import CATALOG, SETS
 from repro.workloads.hand import HAND_OPTIMIZED
 from repro.workloads.spec import SPEC_FP, SPEC_INT
 
@@ -40,40 +41,40 @@ class Benchmark:
         return compile_risc(kernel), expected, kernel
 
 
-_HIGH_ILP = {
-    "conv", "ct", "genalg", "autocor", "basefp", "bezier", "tblook",
-    "802.11b", "8b10b", "a2time", "mgrid", "swim", "art", "equake",
-}
-
-
 def _registry() -> dict[str, Benchmark]:
-    table: dict[str, Benchmark] = {}
-    for name, factory in HAND_OPTIMIZED.items():
-        table[name] = Benchmark(name, "hand",
-                                "high" if name in _HIGH_ILP else "low", factory)
-    for name, factory in SPEC_INT.items():
-        table[name] = Benchmark(name, "spec_int",
-                                "high" if name in _HIGH_ILP else "low", factory)
-    for name, factory in SPEC_FP.items():
-        table[name] = Benchmark(name, "spec_fp",
-                                "high" if name in _HIGH_ILP else "low", factory)
-    return table
+    """The catalog's names joined to their factories — in catalog order,
+    and only if both sides list the same names in the same order."""
+    factories = {"hand": HAND_OPTIMIZED, "spec_int": SPEC_INT,
+                 "spec_fp": SPEC_FP}
+    for category, table in factories.items():
+        if tuple(table) != SETS[category]:
+            raise ImportError(
+                f"repro.workloads.catalog and the {category} factories "
+                f"disagree: catalog {SETS[category]}, factories "
+                f"{tuple(table)}")
+    return {name: Benchmark(name, entry.category, entry.ilp,
+                            factories[entry.category][name])
+            for name, entry in CATALOG.items()}
 
 
 #: All 26 benchmarks by name.
 BENCHMARKS: dict[str, Benchmark] = _registry()
 
 
+def _members(set_name: str) -> list[Benchmark]:
+    return [BENCHMARKS[name] for name in SETS[set_name]]
+
+
 def hand_optimized() -> list[Benchmark]:
-    return [b for b in BENCHMARKS.values() if b.category == "hand"]
+    return _members("hand")
 
 
 def spec_int() -> list[Benchmark]:
-    return [b for b in BENCHMARKS.values() if b.category == "spec_int"]
+    return _members("spec_int")
 
 
 def spec_fp() -> list[Benchmark]:
-    return [b for b in BENCHMARKS.values() if b.category == "spec_fp"]
+    return _members("spec_fp")
 
 
 def compiled_suite() -> list[Benchmark]:

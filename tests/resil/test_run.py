@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import repro.obs
 from repro.exec import JobSpec
 from repro.harness import run_edge_benchmark
-from repro.harness.runner import _simulate_edge, cached_program
+from repro.harness.simulate import _simulate_edge, cached_program
 from repro.resil import (
     CompositionLost,
     FaultSchedule,

@@ -176,6 +176,66 @@ class TestUpFrontValidation:
         assert "--max-dead" in err
 
 
+    #: every command that names a benchmark, positionally or by --bench
+    NAMING = ([[cmd, "{}"] for cmd in ("run", "sweep", "disasm", "timeline",
+                                       "profile")]
+              + [[cmd, "--bench", "conv", "--bench", "{}"]
+                 for cmd in ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+                             "table2", "search", "resil")])
+
+    @pytest.mark.parametrize("argv", NAMING, ids=lambda argv: argv[0])
+    def test_unknown_benchmark_names_the_valid_set(self, capsys, argv):
+        """Regression: an unknown name reached the simulator and came
+        back as a KeyError traceback (after two attempts and, at
+        --jobs 2, a pool boot)."""
+        err = self._error(capsys, [a.format("nosuch") for a in argv])
+        assert "unknown benchmark 'nosuch'" in err
+        assert "choose from 802.11b, 8b10b, a2time" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", NAMING, ids=lambda argv: argv[0])
+    def test_near_miss_suggests_the_close_matches(self, capsys, argv):
+        err = self._error(capsys, [a.format("gzp") for a in argv])
+        assert "unknown benchmark 'gzp'; did you mean gzip?" in err
+
+    @pytest.mark.parametrize("command", ["run", "timeline", "profile"])
+    def test_cores_must_be_a_composition_size(self, capsys, command):
+        """Regression: --cores 3 ran the doomed job twice and raised
+        JobFailed("unsupported core count 3")."""
+        err = self._error(capsys, [command, "conv", "--cores", "3"])
+        assert "--cores must be a power of two up to 32, got 3" in err
+
+    def test_cores_is_ignored_off_tflex(self, capsys):
+        assert main(["run", "dither", "--machine", "ooo", "--cores", "3",
+                     "--no-cache"]) == 0
+
+
+class TestFailedPoint:
+    def test_job_failed_is_one_line_and_exit_1(self, capsys, monkeypatch):
+        """Regression: a point that exhausted its retries escaped
+        main() as a traceback.  The batch's successes stay cached."""
+        from repro.harness import run_edge_benchmark, simulate
+
+        real = simulate.simulate_spec
+
+        def failing_worker(spec):
+            if spec.ncores == 4:
+                raise RuntimeError("boom")
+            return real(spec)
+
+        monkeypatch.setattr(simulate, "simulate_spec", failing_worker)
+        assert main(["sweep", "dither", "--no-cache"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines()[-1] == (
+            "repro: dither/tflex-4 failed after 2 attempt(s): "
+            "RuntimeError: boom")
+        assert "Traceback" not in captured.err
+        assert "composition sweep" not in captured.out
+        sims = simulate.simulation_count()
+        run_edge_benchmark("dither", ncores=2)      # memory hit
+        assert simulate.simulation_count() == sims
+
+
 class TestResilCommands:
     def test_run_with_boot_fault(self, capsys):
         assert main(["run", "dither", "--cores", "4",
