@@ -16,13 +16,24 @@ exactly one branch fires, every declared write and store slot resolves,
 and no slot resolves twice.  Violations raise :class:`InterpError` —
 they indicate compiler or builder bugs.
 
-Repeated blocks execute through a prepared form (:class:`PreparedBlock`,
-the functional analogue of ``tflex/decode.DecodedBlock``): per static
-instruction the dispatch decision, pre-bound evaluator, resolved
-immediates, encoded target list and operand count are computed once and
-cached on the interpreter, so the per-execution dataflow loop touches
-only flat lists and ints.  This is what makes the interpreter usable as
-the fast-forward engine for sampled simulation (``repro.sample``).
+A block is compiled once per :class:`~repro.isa.program.Program` into a
+:class:`PreparedBlock` of functional instruction records (the timing
+model's ``tflex/decode.InstRecord`` copies them and adds placement), and
+a re-executed block is *refreshed*, not re-scheduled.  Which
+instructions fire, in which order, and every structural contract check
+are a function of the static block and of the truth value of each value
+delivered to a predicate slot — of nothing else.  The dataflow loop
+(:meth:`Interpreter._dataflow`) is therefore the definition and the
+learner: an execution that passes its checks is compiled into a
+straight-line schedule grafted into the block's path tree, and
+:meth:`Interpreter.execute_block` walks that tree first — no ready
+stack, no need counters, no per-delivery checks — returning to the
+dataflow loop, from scratch, only at a predicate outcome it has not seen
+at that point.  What depends on values stays dynamic and is shared by
+both walks: addresses, in-block store forwarding and its overlap/type
+errors (:meth:`Interpreter._load`).  This is what makes the interpreter
+usable as the fast-forward engine for sampled simulation
+(``repro.sample``).
 """
 
 from __future__ import annotations
@@ -31,10 +42,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.isa.block import Block
-from repro.isa.instruction import Instruction, OperandSlot, Target, TargetKind
+from repro.isa.instruction import OperandSlot, Target, TargetKind
 from repro.isa.opcodes import OpClass, bind_evaluator, memory_size
 from repro.isa.program import HALT_ADDR, Program
-from repro.mem.flatmem import FlatMemory
+from repro.mem.flatmem import PAGE_MASK, PAGE_SIZE, FlatMemory
 
 
 class InterpError(Exception):
@@ -55,13 +66,20 @@ NULL_TOKEN = _NullToken()
 #: dataflow value, but cheap to confuse with one).
 _MISSING = object()
 
-# Prepared-instruction dispatch codes (plain ints: the execution loop
-# switches on these, and int compares beat enum identity checks).
-_ALU = 0      # any value-producing opcode (INT/TEST/FP/MOVE/...)
-_BRANCH = 1
-_NULL = 2
-_STORE = 3
-_LOAD = 4
+#: Handler kinds of a functional instruction record (plain ints: the
+#: execution loops switch on these).  ALU is any value-producing opcode.
+ALU, LOAD, STORE, BRANCH, NULL = range(5)
+_KINDS = {OpClass.LOAD: LOAD, OpClass.STORE: STORE,
+          OpClass.BRANCH: BRANCH, OpClass.NULL: NULL}
+#: Path-step kind of a header register read.
+_READ = 5
+
+#: Path tails learnt per static block before learning stops (a block
+#: with more live predicate paths keeps using the dataflow loop for the
+#: ones it never memoised).
+MAX_PATH_TAILS = 64
+
+_HALF, _WRAP = 1 << 63, 1 << 64
 
 
 @dataclass
@@ -76,6 +94,9 @@ class BlockOutcome:
     stores: list[tuple[int, int, int, object, bool]] = field(default_factory=list)
     loads: int = 0
     branch_op: str = ""      # opcode name of the fired exit branch
+    #: Addresses of the loads memory served (in-block forwards excluded),
+    #: in fire order — what a D-cache would have seen.
+    load_addrs: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -98,94 +119,122 @@ class InterpResult:
 
 
 class _PInst:
-    """One instruction in prepared form (see :class:`PreparedBlock`)."""
+    """The functional record of one static instruction: everything about
+    it that does not depend on where it is placed.
 
-    __slots__ = ("iid", "code", "needs", "pred", "targets", "evalf",
-                 "lsq_id", "older_stores", "mem_size", "fp", "offset",
-                 "exit_id", "branch_addr", "null_store", "op_name")
+    ``need`` counts the tokens that must arrive (operands plus
+    predicate) and ``pred`` is the predicate value that lets it fire;
+    ``evalf(a, b)`` is the bound evaluator (ALU kinds);
+    ``size``/``fp``/``offset`` describe a memory access and ``older``
+    is the bit mask of the store slots a load must see resolved;
+    ``next_addr`` is a branch's static successor (``None``: RET takes
+    it from operand 0).
+    """
 
-    def __init__(self, inst: Instruction, program: Program,
-                 store_ids: frozenset) -> None:
+    __slots__ = ("iid", "kind", "need", "pred", "targets", "evalf",
+                 "lsq_id", "older", "size", "fp", "offset",
+                 "exit_id", "next_addr", "null_store", "op_name")
+
+    def __init__(self, inst, program: Program, block: Block) -> None:
         op = inst.op
-        opclass = op.opclass
         self.iid = inst.iid
+        self.kind = kind = _KINDS.get(op.opclass, ALU)
+        self.need = op.operands + (inst.pred is not None)
         self.pred = inst.pred
-        self.needs = op.operands + (1 if inst.pred is not None else 0)
-        self.targets = tuple(_encode_target(t) for t in inst.targets)
-        self.evalf = None
+        self.targets = _encode_targets(inst.targets, len(block.insts) << 2)
         self.lsq_id = inst.lsq_id
-        self.older_stores = ()
-        self.mem_size = 0
-        self.fp = False
-        self.offset = 0
         self.exit_id = inst.exit_id
-        self.branch_addr = None
         self.null_store = inst.null_store
         self.op_name = op.name
-
-        if opclass is OpClass.BRANCH:
-            self.code = _BRANCH
-            name = op.name
-            if name == "HALT":
-                self.branch_addr = HALT_ADDR
-            elif name != "RET":           # RET: target arrives as operand 0
-                self.branch_addr = program.address_of(inst.branch_target)
-        elif opclass is OpClass.NULL:
-            self.code = _NULL
-        elif opclass is OpClass.STORE or opclass is OpClass.LOAD:
-            self.code = _STORE if opclass is OpClass.STORE else _LOAD
-            self.mem_size = memory_size(op)
+        self.evalf = self.next_addr = None
+        self.size = self.offset = self.older = 0
+        self.fp = False
+        if kind == ALU:
+            self.evalf = bind_evaluator(op, program.resolve_imm(inst.imm))
+        elif kind == LOAD or kind == STORE:
+            self.size = memory_size(op)
             self.fp = op.name.endswith("F")
             self.offset = int(inst.imm or 0)
-            if self.code == _LOAD:
-                self.older_stores = tuple(sorted(
-                    s for s in store_ids if s < inst.lsq_id))
-        else:
-            self.code = _ALU
-            self.evalf = bind_evaluator(op, program.resolve_imm(inst.imm))
+            if kind == LOAD:
+                self.older = sum(1 << s for s in block.store_ids
+                                 if s < inst.lsq_id)
+        elif kind == BRANCH and op.name != "RET":
+            self.next_addr = (HALT_ADDR if op.name == "HALT"
+                              else program.address_of(inst.branch_target))
 
 
-def _encode_target(target: Target) -> int:
-    """Pack a dataflow target into one int for the execution loop.
+def _encode_targets(targets: tuple[Target, ...], write_base: int) -> tuple:
+    """Dataflow targets as indices into a block's operand buffer.
 
-    Instruction targets encode as ``(iid << 2) | slot`` — an index into
-    the flat operand buffer (OperandSlot is an IntEnum: PRED=0, OP0=1,
-    OP1=2).  Register-write queue slots encode as ``-1 - slot_index``,
-    so the sign distinguishes the two target spaces without a tuple.
+    An instruction target is ``(iid << 2) | slot`` (OperandSlot is an
+    IntEnum: PRED=0, OP0=1, OP1=2); register-write queue slot ``w`` is
+    ``write_base + w``, past the last instruction.
     """
-    if target.kind is TargetKind.WRITE:
-        return -1 - target.index
-    return (target.index << 2) | target.slot
+    return tuple(write_base + t.index if t.kind is TargetKind.WRITE
+                 else (t.index << 2) | t.slot for t in targets)
 
 
 class PreparedBlock:
-    """Per-static-block execution structure, built once and reused.
+    """One static block compiled for functional execution.
 
-    Analogous to the simulator's ``DecodedBlock``: everything derivable
-    from the static block — dispatch codes, bound evaluators, encoded
-    targets, operand counts, the seed set — is precomputed so the
-    per-execution state is four flat lists and two dicts.
+    Everything derivable from the block — the instruction records, the
+    seed set, read and write slots as operand-buffer indices — plus what
+    executions have taught: ``path`` is the root of the path tree, a
+    list of steps ``(kind, evalf, a, s0, rest, guard, record)`` in fire
+    order (register reads first).  ``a`` is the register of a read or
+    the buffer index of operand 0, ``s0``/``rest`` the buffer indices
+    the value is delivered to.  A step that feeds a predicate slot
+    carries ``guard = [falsy, tail, depth]``: whether the value it
+    produced on this path was false, the step list to continue with when
+    it is the opposite (``None`` until that branch has been executed)
+    and the step's own position from the root.  ``buf`` is the walk's
+    operand buffer; it is never reset, because every slot a fired
+    instruction reads was written earlier on the same path.
     """
 
-    __slots__ = ("block", "label", "n", "pinsts", "needs", "seed_ready",
-                 "reads", "writes", "store_ids")
+    __slots__ = ("block", "label", "n4", "nslots", "insts", "needs", "seeds",
+                 "reads", "writes", "store_ids", "buf", "path", "tails")
 
     def __init__(self, block: Block, program: Program) -> None:
-        store_ids = block.store_ids
         self.block = block
         self.label = block.label
-        self.n = len(block.insts)
-        self.pinsts = [_PInst(inst, program, store_ids)
-                       for inst in block.insts]
-        self.needs = [pi.needs for pi in self.pinsts]
-        self.seed_ready = tuple(
-            inst.iid for inst in block.insts
-            if inst.num_operands == 0 and inst.pred is None)
-        self.reads = tuple(
-            (read.reg, tuple(_encode_target(t) for t in read.targets))
-            for read in block.reads)
-        self.writes = tuple((w.index, w.reg) for w in block.writes)
-        self.store_ids = store_ids
+        self.n4 = n4 = len(block.insts) << 2
+        # Operand slots, then write slots, then one sink for values
+        # nothing consumes.
+        self.nslots = n4 + len(block.writes) + 1
+        self.insts = [_PInst(inst, program, block) for inst in block.insts]
+        self.needs = [pi.need for pi in self.insts]
+        self.seeds = tuple(pi.iid for pi in self.insts if not pi.need)
+        self.reads = tuple((read.reg, _encode_targets(read.targets, n4))
+                           for read in block.reads)
+        self.writes = tuple((n4 + w.index, w.reg) for w in block.writes)
+        self.store_ids = block.store_ids
+        self.buf = [None] * self.nslots
+        self.path: Optional[list] = None
+        self.tails = 0
+
+
+def prepare_block(program: Program, block: Block) -> PreparedBlock:
+    """The prepared form of ``block``, compiled on first use and cached
+    on ``program`` (shared by every interpreter and timing model of it)."""
+    pb = program._prepared.get(block.label)
+    if pb is None or pb.block is not block:
+        pb = program._prepared[block.label] = PreparedBlock(block, program)
+    return pb
+
+
+def _outcome(pb: PreparedBlock, buf: list, branch: _PInst, next_addr: int,
+             block_stores: dict, fired: int, loads: int,
+             load_addrs: list) -> BlockOutcome:
+    writes = {}
+    for slot, reg in pb.writes:
+        value = buf[slot]
+        if value is not NULL_TOKEN:
+            writes[reg] = value
+    stores = [(lsq_id, *store)
+              for lsq_id, store in sorted(block_stores.items())]
+    return BlockOutcome(pb.label, branch.exit_id, next_addr, fired, writes,
+                        stores, loads, branch.op_name, load_addrs)
 
 
 class Interpreter:
@@ -201,7 +250,6 @@ class Interpreter:
         self.regs: list = [0] * 128
         for reg, value in program.reg_init.items():
             self.regs[reg] = value
-        self._prepared: dict[str, PreparedBlock] = {}
 
     # ------------------------------------------------------------------
     # Whole-program execution
@@ -243,17 +291,12 @@ class Interpreter:
             self.mem.store(addr, size, value, fp=fp)
 
     # ------------------------------------------------------------------
-    # Single-block dataflow execution
+    # Single-block execution
     # ------------------------------------------------------------------
 
     def prepare(self, block: Block) -> PreparedBlock:
         """The cached prepared form of ``block`` (built on first use)."""
-        pb = self._prepared.get(block.label)
-        if pb is not None and pb.block is block:
-            return pb
-        pb = PreparedBlock(block, self.program)
-        self._prepared[block.label] = pb
-        return pb
+        return prepare_block(self.program, block)
 
     def execute_block(self, block: Block) -> BlockOutcome:
         """Run one block to completion against current architectural state.
@@ -261,240 +304,230 @@ class Interpreter:
         Architectural state is *not* modified; the caller commits the
         returned outcome (mirroring the microarchitecture, where commit
         is a separate protocol phase).
+
+        Walks the block's path tree; at a predicate outcome no earlier
+        execution took from that point (or on the first execution) the
+        dataflow loop runs the block from scratch — nothing here has
+        side effects — and teaches the tree that path.
         """
-        pb = self.prepare(block)
-        pinsts = pb.pinsts
-        label = pb.label
+        pb = prepare_block(self.program, block)
+        steps = pb.path
+        if steps is None:
+            return self._dataflow(pb, None)
+        buf = pb.buf
         regs = self.regs
-
-        # Per-execution state: a flat operand buffer (4 slots per
-        # instruction, indexed by the encoded target), outstanding
-        # delivery counts, and fired/squashed bitmaps.
-        buf = [_MISSING] * (pb.n << 2)
-        remaining = pb.needs.copy()
-        fired = bytearray(pb.n)
-        squashed = bytearray(pb.n)
-
-        resolved: set[int] = set()
-        # In-block store data for load forwarding: lsq_id -> (addr, size, value, fp)
+        label = pb.label
         block_stores: dict[int, tuple[int, int, object, bool]] = {}
-        write_values: dict[int, object] = {}
-        branch_inst: Optional[_PInst] = None
-        next_addr: Optional[int] = None
-        fired_count = 0
-        load_count = 0
-        waiting_loads: list[int] = []
-        ready: list[int] = []
-
-        # Seed: deliver architectural register reads (the inline block
-        # below is the same delivery logic as in the fire loop).
-        for reg, targets in pb.reads:
-            value = regs[reg]
-            for enc in targets:
-                if enc < 0:
-                    windex = -1 - enc
-                    if windex in write_values:
-                        raise InterpError(
-                            f"{label}: write slot {windex} produced twice")
-                    write_values[windex] = value
+        load_addrs: list[int] = []
+        loads = 0
+        fired = len(steps)
+        while True:
+            for kind, evalf, a, s0, rest, guard, pi in steps:
+                if kind == ALU:
+                    value = evalf(buf[a], buf[a + 1])
+                elif kind == _READ:
+                    value = regs[a]
+                elif kind == LOAD:
+                    value = self._load(label, pi, int(buf[a]) + pi.offset,
+                                       block_stores, load_addrs)
+                    loads += 1
+                elif kind == STORE:
+                    block_stores[pi.lsq_id] = (int(buf[a]) + pi.offset,
+                                               pi.size, buf[a + 1], pi.fp)
                     continue
+                elif kind == BRANCH:
+                    branch = pi
+                    next_addr = pi.next_addr
+                    if next_addr is None:               # RET
+                        next_addr = int(buf[a])
+                    continue
+                else:
+                    value = NULL_TOKEN
+                buf[s0] = value
+                if rest:
+                    for slot in rest:
+                        buf[slot] = value
+                if guard is not None and (not value) is not guard[0]:
+                    break
+            else:
+                return _outcome(pb, buf, branch, next_addr, block_stores,
+                                fired - len(pb.reads), loads, load_addrs)
+            steps = guard[1]
+            if steps is None:
+                return self._dataflow(pb, guard)
+            fired = guard[2] + 1 + len(steps)
+
+    def _dataflow(self, pb: PreparedBlock, guard: Optional[list]) -> BlockOutcome:
+        """Execute ``pb`` in dataflow order — the definition of block
+        execution and the only place contract violations are detected —
+        then compile the fire order into the path tree at ``guard`` (the
+        step the tree walk fell off at; ``None``: the root)."""
+        insts = pb.insts
+        label = pb.label
+        n4 = pb.n4
+        # Per-execution state: the operand buffer (4 slots per
+        # instruction indexed by the encoded target, then the write
+        # slots), outstanding delivery counts, fired (1) / squashed (2)
+        # marks and the resolved-LSQ-slot bit mask.
+        buf = [_MISSING] * pb.nslots
+        remaining = pb.needs.copy()
+        done = bytearray(len(insts))
+        resolved = 0
+        ready: list[int] = []
+        waiting: list[int] = []      # loads blocked on an older store slot
+        order: list[int] = []        # fire order
+        block_stores: dict[int, tuple[int, int, object, bool]] = {}
+        load_addrs: list[int] = []
+        loads = 0
+        branch: Optional[_PInst] = None
+        next_addr: Optional[int] = None
+
+        def deliver(value, targets) -> None:
+            for enc in targets:
                 if buf[enc] is not _MISSING:
+                    if enc >= n4:
+                        raise InterpError(
+                            f"{label}: write slot {enc - n4} produced twice")
                     raise InterpError(
                         f"{label}: I{enc >> 2} operand "
                         f"{OperandSlot(enc & 3).name} delivered twice")
                 buf[enc] = value
-                tid = enc >> 2
-                rem = remaining[tid] - 1
-                remaining[tid] = rem
-                if fired[tid] or squashed[tid]:
+                if enc >= n4:
                     continue
-                ti = pinsts[tid]
-                tpred = ti.pred
-                if tpred is not None:
+                tid = enc >> 2
+                remaining[tid] -= 1
+                if done[tid]:
+                    continue
+                ti = insts[tid]
+                if ti.pred is not None:
                     pv = buf[tid << 2]
                     if pv is _MISSING:
                         continue
-                    if bool(pv) != tpred:
-                        squashed[tid] = 1
+                    if bool(pv) != ti.pred:
+                        done[tid] = 2
                         continue
-                if rem:
+                if remaining[tid]:
                     continue
-                if ti.code == _LOAD:
-                    older = ti.older_stores
-                    if not older or all(s in resolved for s in older):
-                        ready.append(tid)
-                    else:
-                        waiting_loads.append(tid)
-                else:
-                    ready.append(tid)
-        # Seed: operand-free unpredicated instructions.
-        ready.extend(pb.seed_ready)
+                (waiting if ti.older & ~resolved else ready).append(tid)
 
+        def resolve(lsq_id: int) -> None:
+            nonlocal resolved
+            if resolved >> lsq_id & 1:
+                raise InterpError(f"{label}: LSQ slot {lsq_id} resolved twice")
+            resolved |= 1 << lsq_id
+            blocked = []
+            for lid in waiting:
+                (blocked if insts[lid].older & ~resolved
+                 else ready).append(lid)
+            waiting[:] = blocked
+
+        for reg, targets in pb.reads:
+            deliver(self.regs[reg], targets)
+        ready.extend(pb.seeds)
         while ready:
             iid = ready.pop()
-            if fired[iid]:
-                continue
-            fired[iid] = 1
-            fired_count += 1
-            pi = pinsts[iid]
-            code = pi.code
+            done[iid] = 1
+            order.append(iid)
+            pi = insts[iid]
+            kind = pi.kind
             base = iid << 2
-
-            if code == _ALU:
+            if kind == ALU:
                 value = pi.evalf(buf[base + 1], buf[base + 2])
-                targets = pi.targets
-            elif code == _BRANCH:
-                if branch_inst is not None:
+            elif kind == BRANCH:
+                if branch is not None:
                     raise InterpError(
                         f"{label}: second branch I{iid} fired "
-                        f"(first was I{branch_inst.iid})")
-                branch_inst = pi
-                next_addr = pi.branch_addr
+                        f"(first was I{branch.iid})")
+                branch = pi
+                next_addr = pi.next_addr
                 if next_addr is None:               # RET
                     next_addr = int(buf[base + 1])
                 continue
-            elif code == _STORE:
-                lsq_id = pi.lsq_id
-                block_stores[lsq_id] = (int(buf[base + 1]) + pi.offset,
-                                        pi.mem_size, buf[base + 2], pi.fp)
-                if lsq_id in resolved:
-                    raise InterpError(
-                        f"{label}: LSQ slot {lsq_id} resolved twice")
-                resolved.add(lsq_id)
-                if waiting_loads:
-                    still = []
-                    for lid in waiting_loads:
-                        if fired[lid]:
-                            continue
-                        if all(s in resolved
-                               for s in pinsts[lid].older_stores):
-                            ready.append(lid)
-                        else:
-                            still.append(lid)
-                    waiting_loads = still
+            elif kind == STORE:
+                block_stores[pi.lsq_id] = (int(buf[base + 1]) + pi.offset,
+                                           pi.size, buf[base + 2], pi.fp)
+                resolve(pi.lsq_id)
                 continue
-            elif code == _LOAD:
-                value = self._load_with_forwarding(
-                    label, pi.lsq_id, block_stores,
-                    int(buf[base + 1]) + pi.offset, pi.mem_size, pi.fp)
-                load_count += 1
-                targets = pi.targets
-            else:                                   # _NULL
+            elif kind == LOAD:
+                value = self._load(label, pi, int(buf[base + 1]) + pi.offset,
+                                   block_stores, load_addrs)
+                loads += 1
+            else:                                   # NULL
                 if pi.null_store:
-                    lsq_id = pi.lsq_id
-                    if lsq_id in resolved:
-                        raise InterpError(
-                            f"{label}: LSQ slot {lsq_id} resolved twice")
-                    resolved.add(lsq_id)
-                    if waiting_loads:
-                        still = []
-                        for lid in waiting_loads:
-                            if fired[lid]:
-                                continue
-                            if all(s in resolved
-                                   for s in pinsts[lid].older_stores):
-                                ready.append(lid)
-                            else:
-                                still.append(lid)
-                        waiting_loads = still
+                    resolve(pi.lsq_id)
                 value = NULL_TOKEN
-                targets = pi.targets
+            deliver(value, pi.targets)
 
-            # Deliver the produced value to every target (kept inline:
-            # this loop runs ~1.5x per fired instruction and dominated
-            # the old closure-per-block implementation's profile).
-            for enc in targets:
-                if enc < 0:
-                    windex = -1 - enc
-                    if windex in write_values:
-                        raise InterpError(
-                            f"{label}: write slot {windex} produced twice")
-                    write_values[windex] = value
-                    continue
-                if buf[enc] is not _MISSING:
-                    raise InterpError(
-                        f"{label}: I{enc >> 2} operand "
-                        f"{OperandSlot(enc & 3).name} delivered twice")
-                buf[enc] = value
-                tid = enc >> 2
-                rem = remaining[tid] - 1
-                remaining[tid] = rem
-                if fired[tid] or squashed[tid]:
-                    continue
-                ti = pinsts[tid]
-                tpred = ti.pred
-                if tpred is not None:
-                    pv = buf[tid << 2]
-                    if pv is _MISSING:
-                        continue
-                    if bool(pv) != tpred:
-                        squashed[tid] = 1
-                        continue
-                if rem:
-                    continue
-                if ti.code == _LOAD:
-                    older = ti.older_stores
-                    if not older or all(s in resolved for s in older):
-                        ready.append(tid)
-                    else:
-                        waiting_loads.append(tid)
-                else:
-                    ready.append(tid)
-
-        return self._check_outcome(pb, branch_inst, next_addr, write_values,
-                                   block_stores, resolved, fired_count,
-                                   load_count)
-
-    def _load_with_forwarding(self, label: str, lsq_id: int,
-                              block_stores: dict, addr: int, size: int, fp: bool):
-        best = None
-        for sid, (saddr, ssize, svalue, sfp) in block_stores.items():
-            if sid >= lsq_id:
-                continue
-            if saddr == addr and ssize == size:
-                if best is None or sid > best[0]:
-                    best = (sid, svalue, sfp)
-            elif saddr < addr + size and addr < saddr + ssize:
-                raise InterpError(
-                    f"{label}: load lsq {lsq_id} partially overlaps store lsq {sid} "
-                    f"({addr:#x}/{size} vs {saddr:#x}/{ssize})")
-        if best is not None:
-            __, svalue, sfp = best
-            if sfp != fp:
-                raise InterpError(
-                    f"{label}: load lsq {lsq_id} forwards across int/fp type change")
-            return svalue
-        return self.mem.load(addr, size, fp=fp)
-
-    def _check_outcome(self, pb: PreparedBlock, branch_inst, next_addr,
-                       write_values, block_stores, resolved,
-                       fired_count, load_count) -> BlockOutcome:
-        label = pb.label
-        if branch_inst is None:
+        if branch is None:
             raise InterpError(f"{label}: dataflow quiesced without a branch firing")
-        missing_writes = [w for w, __ in pb.writes if w not in write_values]
+        missing_writes = [slot - n4 for slot, __ in pb.writes
+                          if buf[slot] is _MISSING]
         if missing_writes:
             raise InterpError(f"{label}: write slots {missing_writes} never resolved")
-        missing_stores = sorted(pb.store_ids - resolved)
+        missing_stores = [s for s in sorted(pb.store_ids)
+                          if not resolved >> s & 1]
         if missing_stores:
             raise InterpError(f"{label}: store slots {missing_stores} never resolved")
 
-        writes = {}
-        for windex, reg in pb.writes:
-            value = write_values[windex]
-            if value is not NULL_TOKEN:
-                writes[reg] = value
-        stores = [
-            (lsq_id, addr, size, value, fp)
-            for lsq_id, (addr, size, value, fp) in sorted(block_stores.items())
-        ]
-        return BlockOutcome(
-            label=label,
-            exit_id=branch_inst.exit_id,
-            next_addr=next_addr,
-            insts_fired=fired_count,
-            writes=writes,
-            stores=stores,
-            loads=load_count,
-            branch_op=branch_inst.op_name,
-        )
+        if pb.tails < MAX_PATH_TAILS:
+            # Steps from the root are the reads, then ``order``; only
+            # the part past ``guard`` is new.  A step's guard records
+            # the truth of what it delivered to a predicate slot.
+            nreads = len(pb.reads)
+            steps = []
+            for depth in range(0 if guard is None else guard[2] + 1,
+                               nreads + len(order)):
+                if depth < nreads:
+                    a, targets = pb.reads[depth]
+                    kind, evalf, pi = _READ, None, None
+                else:
+                    pi = insts[order[depth - nreads]]
+                    kind, evalf, targets = pi.kind, pi.evalf, pi.targets
+                    a = (pi.iid << 2) + 1
+                fed = [enc for enc in targets if enc < n4 and not enc & 3]
+                steps.append((
+                    kind, evalf, a, targets[0] if targets else pb.nslots - 1,
+                    targets[1:], [not buf[fed[0]], None, depth] if fed else None,
+                    pi))
+            if guard is None:
+                pb.path = steps
+            else:
+                guard[1] = steps
+            pb.tails += 1
+        return _outcome(pb, buf, branch, next_addr, block_stores, len(order),
+                        loads, load_addrs)
+
+    def _load(self, label: str, pi: _PInst, addr: int, block_stores: dict,
+              load_addrs: list) -> object:
+        """The value of one load: forwarded from the youngest older
+        matching in-block store, else read from memory (and logged)."""
+        size = pi.size
+        fp = pi.fp
+        if block_stores:
+            lsq_id = pi.lsq_id
+            best = -1
+            for sid, (saddr, ssize, __, __) in block_stores.items():
+                if sid >= lsq_id:
+                    continue
+                if saddr == addr and ssize == size:
+                    best = max(best, sid)
+                elif saddr < addr + size and addr < saddr + ssize:
+                    raise InterpError(
+                        f"{label}: load lsq {lsq_id} partially overlaps store lsq {sid} "
+                        f"({addr:#x}/{size} vs {saddr:#x}/{ssize})")
+            if best >= 0:
+                __, __, value, sfp = block_stores[best]
+                if sfp != fp:
+                    raise InterpError(
+                        f"{label}: load lsq {lsq_id} forwards across int/fp type change")
+                return value
+        load_addrs.append(addr)
+        # A resident single-page integer load, read in place; anything
+        # else (fp, page-straddling, untouched page, bad address) is
+        # ``FlatMemory.load``'s.
+        offset = addr & PAGE_MASK
+        page = self.mem._pages.get(addr >> 12)
+        if page is None or fp or offset + size > PAGE_SIZE:
+            return self.mem.load(addr, size, fp=fp)
+        value = int.from_bytes(page[offset:offset + size], "little")
+        return value - _WRAP if size == 8 and value >= _HALF else value

@@ -170,106 +170,87 @@ def memory_size(op: OpSpec) -> int:
     return MEMORY_SIZES[op.name[-1]]
 
 
-def _shift_amount(value: int) -> int:
-    return value & 63
+_HALF = 1 << 63
 
 
-def _to_unsigned(value: int) -> int:
-    return value % _WRAP
+def _w(expr: str) -> str:
+    """Source text wrapping ``expr`` to signed 64 bits (``wrap64`` inline)."""
+    return f"(({expr}) + {_HALF}) % {_WRAP} - {_HALF}"
 
 
-_INT_FUNCS = {
-    "ADD": lambda a, b: wrap64(a + b),
-    "SUB": lambda a, b: wrap64(a - b),
-    "MUL": lambda a, b: wrap64(a * b),
-    "DIV": lambda a, b: 0 if b == 0 else wrap64(int(a / b)),
-    "MOD": lambda a, b: 0 if b == 0 else wrap64(a - int(a / b) * b),
-    "AND": lambda a, b: wrap64(a & b),
-    "OR": lambda a, b: wrap64(a | b),
-    "XOR": lambda a, b: wrap64(a ^ b),
-    "SHL": lambda a, b: wrap64(a << _shift_amount(b)),
-    "SHR": lambda a, b: wrap64(_to_unsigned(a) >> _shift_amount(b)),
-    "SRA": lambda a, b: wrap64(a >> _shift_amount(b)),
+#: ALU semantics, the only copy: opcode -> (operand coercion, expression
+#: source).  ``{x}`` is operand 0 and ``{y}`` operand 1 — or, for the
+#: ``*I`` form of a two-operand opcode and for MOVI, the immediate.
+_ALU = {
+    "ADD": (int, _w("{x} + {y}")),
+    "SUB": (int, _w("{x} - {y}")),
+    "MUL": (int, _w("{x} * {y}")),
+    "DIV": (int, "0 if {y} == 0 else " + _w("int({x} / {y})")),
+    "MOD": (int, "0 if {y} == 0 else " + _w("{x} - int({x} / {y}) * {y}")),
+    "AND": (int, _w("{x} & {y}")),
+    "OR": (int, _w("{x} | {y}")),
+    "XOR": (int, _w("{x} ^ {y}")),
+    "SHL": (int, _w("{x} << ({y} & 63)")),
+    "SHR": (int, _w(f"({{x}} % {_WRAP}) >> ({{y}} & 63)")),
+    "SRA": (int, _w("{x} >> ({y} & 63)")),
+    "NOT": (int, _w("~{x}")),
+    "NEG": (int, _w("-{x}")),
+    "TEQ": (int, "1 if {x} == {y} else 0"),
+    "TNE": (int, "1 if {x} != {y} else 0"),
+    "TLT": (int, "1 if {x} < {y} else 0"),
+    "TLE": (int, "1 if {x} <= {y} else 0"),
+    "TGT": (int, "1 if {x} > {y} else 0"),
+    "TGE": (int, "1 if {x} >= {y} else 0"),
+    "FTEQ": (float, "1 if {x} == {y} else 0"),
+    "FTLT": (float, "1 if {x} < {y} else 0"),
+    "FTLE": (float, "1 if {x} <= {y} else 0"),
+    "FADD": (float, "{x} + {y}"),
+    "FSUB": (float, "{x} - {y}"),
+    "FMUL": (float, "{x} * {y}"),
+    "FDIV": (float, "inf if {y} == 0.0 else {x} / {y}"),
+    "FSQRT": (float, "sqrt({x}) if {x} >= 0.0 else nan"),
+    "FABS": (float, "abs({x})"),
+    "FNEG": (float, "-{x}"),
+    "ITOF": (int, "float({x})"),
+    "FTOI": (float, "0 if {x} != {x} else " + _w("int({x})")),   # NaN -> 0
+    "MOV": (None, "{x}"),
+    "MOVI": (None, "{y}"),
 }
 
-_TEST_FUNCS = {
-    "TEQ": lambda a, b: int(a == b),
-    "TNE": lambda a, b: int(a != b),
-    "TLT": lambda a, b: int(a < b),
-    "TLE": lambda a, b: int(a <= b),
-    "TGT": lambda a, b: int(a > b),
-    "TGE": lambda a, b: int(a >= b),
-    "FTEQ": lambda a, b: int(float(a) == float(b)),
-    "FTLT": lambda a, b: int(float(a) < float(b)),
-    "FTLE": lambda a, b: int(float(a) <= float(b)),
-}
+_EVAL_GLOBALS = {"__builtins__": {}, "int": int, "float": float, "abs": abs,
+                 "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan}
 
-_FP_FUNCS = {
-    "FADD": lambda a, b: float(a) + float(b),
-    "FSUB": lambda a, b: float(a) - float(b),
-    "FMUL": lambda a, b: float(a) * float(b),
-    "FDIV": lambda a, b: math.inf if float(b) == 0.0 else float(a) / float(b),
-}
-
-_FP_UNARY = {
-    "FSQRT": lambda a: math.sqrt(float(a)) if float(a) >= 0.0 else math.nan,
-    "FABS": lambda a: abs(float(a)),
-    "FNEG": lambda a: -float(a),
-    "ITOF": lambda a: float(int(a)),
-}
+#: (table row name, immediate form?) -> compiled function / factory.
+_COMPILED: dict = {}
 
 
 def bind_evaluator(op: OpSpec, imm=None):
-    """Pre-bind :func:`evaluate` for one opcode + resolved immediate.
+    """Compile one opcode + resolved immediate to a function ``f(a, b)``.
 
-    Returns a closure ``f(a, b)`` taking the (up to two) operand values
-    positionally and computing exactly what ``evaluate(op, ops, imm)``
-    would — the dispatch, immediate resolution and int-coercion decisions
-    are made once, at bind time, instead of on every dynamic execution.
-    Unused operand positions may be passed any value (they are ignored).
-
-    The interpreter's prepared-block cache binds one evaluator per static
-    instruction; ``tests/isa/test_opcodes.py`` cross-checks the pair.
+    ``f`` takes the (up to two) operand values positionally — unused
+    positions may be passed anything — and is a *single* Python call:
+    the :data:`_ALU` row's expression with the coercions, the 64-bit
+    wrap and the (pre-coerced) immediate written into its body.  Rows
+    are compiled once per (opcode, form); binding an immediate is one
+    closure creation.  The interpreter and the timing model bind one
+    evaluator per static instruction; :func:`evaluate` is the same
+    function applied to a tuple.
     """
     name = op.name
-    if op.has_imm and name != "MOVI":
-        base = name[:-1]
-        if base in _INT_FUNCS:
-            func, const = _INT_FUNCS[base], int(imm)
-            return lambda a, b: func(int(a), const)
-        if base in _TEST_FUNCS:
-            func, const = _TEST_FUNCS[base], int(imm)
-            return lambda a, b: func(int(a), const)
-    if name in _INT_FUNCS:
-        func = _INT_FUNCS[name]
-        return lambda a, b: func(int(a), int(b))
-    if name in _TEST_FUNCS:
-        func = _TEST_FUNCS[name]
-        if name.startswith("F"):
-            return func
-        return lambda a, b: func(int(a), int(b))
-    if name in _FP_FUNCS:
-        return _FP_FUNCS[name]
-    if name in _FP_UNARY:
-        func = _FP_UNARY[name]
-        return lambda a, b: func(a)
-    if name == "FTOI":
-        def ftoi(a, b):
-            value = float(a)
-            if math.isnan(value):
-                return 0
-            return wrap64(int(value))
-        return ftoi
-    if name == "NOT":
-        return lambda a, b: wrap64(~int(a))
-    if name == "NEG":
-        return lambda a, b: wrap64(-int(a))
-    if name == "MOV":
-        return lambda a, b: a
-    if name == "MOVI":
-        const = imm
-        return lambda a, b: const
-    raise ValueError(f"bind_evaluator() does not implement opcode {name}")
+    row = name if name in _ALU or not op.has_imm else name[:-1]
+    if row not in _ALU:
+        raise ValueError(f"evaluate() does not implement opcode {name}")
+    coerce, expr = _ALU[row]
+    compiled = _COMPILED.get((row, op.has_imm))
+    if compiled is None:
+        x, y = (f"{coerce.__name__}({v})" if coerce else v for v in "ab")
+        source = "lambda a, b: " + expr.format(x=x, y="c" if op.has_imm else y)
+        if op.has_imm:
+            source = "lambda c: " + source
+        compiled = _COMPILED[row, op.has_imm] = eval(source, _EVAL_GLOBALS)
+    if not op.has_imm:
+        return compiled
+    return compiled(coerce(imm) if coerce else imm)
 
 
 def evaluate(op: OpSpec, operands: tuple, imm=None):
@@ -287,37 +268,6 @@ def evaluate(op: OpSpec, operands: tuple, imm=None):
     Returns:
         The result value (int for integer/test ops, float for FP ops).
     """
-    name = op.name
-    if op.has_imm and name != "MOVI":
-        base = name[:-1]
-        a = operands[0]
-        b = imm
-    else:
-        base = name
-        a = operands[0] if op.operands >= 1 else None
-        b = operands[1] if op.operands >= 2 else None
-
-    if base in _INT_FUNCS:
-        return _INT_FUNCS[base](int(a), int(b))
-    if base in _TEST_FUNCS:
-        if base.startswith("F"):
-            return _TEST_FUNCS[base](a, b)
-        return _TEST_FUNCS[base](int(a), int(b))
-    if base in _FP_FUNCS:
-        return _FP_FUNCS[base](a, b)
-    if base in _FP_UNARY:
-        return _FP_UNARY[base](a)
-    if name == "FTOI":
-        value = float(a)
-        if math.isnan(value):
-            return 0
-        return wrap64(int(value))
-    if name == "NOT":
-        return wrap64(~int(a))
-    if name == "NEG":
-        return wrap64(-int(a))
-    if name == "MOV":
-        return a
-    if name == "MOVI":
-        return imm
-    raise ValueError(f"evaluate() does not implement opcode {name}")
+    a = operands[0] if op.operands >= 1 else None
+    b = operands[1] if op.operands >= 2 else None
+    return bind_evaluator(op, imm)(a, b)

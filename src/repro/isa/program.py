@@ -57,6 +57,8 @@ class Program:
     #: Memoized label -> code address map; rebuilt whenever ``order``
     #: grows (``address_of`` is on the branch-resolution hot path).
     _addr_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    #: Label -> compiled functional form (``isa.interp.prepare_block``).
+    _prepared: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction

@@ -60,6 +60,7 @@ EVENTS: dict[str, str] = {
     "trace.record": "fast-forward trace recorded for reuse",
     "trace.replay": "fast-forward trace replayed into warm state",
     "trace.mismatch": "recorded trace failed validation; re-executed",
+    "trace.write_failed": "recorded trace could not be persisted; kept in memory",
     # Composition search (repro.search)
     "search.start": "composition search started",
     "search.rung": "successive-halving rung completed",
@@ -134,6 +135,7 @@ METRICS: dict[str, str] = {
     "sample.trace_records": "fast-forward traces recorded",
     "sample.trace_replays": "fast-forward traces replayed",
     "sample.trace_mismatches": "recorded traces that failed validation",
+    "sample.trace_write_failures": "recorded traces the store could not persist",
     # Composition search
     "search.evals": "candidate evaluations (all rungs)",
     "search.eliminations": "candidates dropped by successive halving",

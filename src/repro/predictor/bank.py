@@ -19,8 +19,8 @@ from repro.predictor.exits import (
     ExitPrediction,
     GLOBAL_HISTORY_EXITS,
     LOCAL_HISTORY_EXITS,
-    _CONF_MAX,
     push_history,
+    train_pattern,
 )
 from repro.predictor.ras import DistributedRas, RasCheckpoint
 from repro.predictor.targets import BranchKind, TargetPredictor
@@ -121,12 +121,12 @@ class PredictorBank:
         hist = exits._local_hist
         l1 = block_num % len(hist)
         local_history = hist[l1]
-        pattern = exits._local_pattern
-        local_entry = pattern[local_history % len(pattern)]
-        local_exit = local_entry.exit_id
-        pattern = exits._global_pattern
-        global_entry = pattern[(global_history ^ block_num) % len(pattern)]
-        global_exit = global_entry.exit_id
+        local_pattern = exits._local_pattern
+        li = local_history % len(local_pattern)
+        local_exit = local_pattern[li] >> 2
+        global_pattern = exits._global_pattern
+        gi = (global_history ^ block_num) % len(global_pattern)
+        global_exit = global_pattern[gi] >> 2
         choice = exits._choice
         ci = (global_history ^ (block_num * 7)) % len(choice)
         exit_id = global_exit if choice[ci] >= 2 else local_exit
@@ -143,8 +143,8 @@ class PredictorBank:
         else:
             table = targets._btb if kind is BranchKind.BRANCH \
                 else targets._ctb
-            entry = table[key % len(table)]
-            target = entry.target if entry.key == key \
+            slot = key % (len(table) >> 1) << 1
+            target = table[slot + 1] if table[slot] == key \
                 else block_addr + BLOCK_STRIDE
 
         # A mispredicted block's speculative history push is replaced
@@ -165,24 +165,10 @@ class PredictorBank:
             if ras._top:
                 ras._top -= 1
 
-        # Train the exit patterns (inlined ``_PatternEntry.update``)
-        # and the choice table with the resolved exit.
-        if local_entry.exit_id == actual_exit:
-            if local_entry.confidence < _CONF_MAX:
-                local_entry.confidence += 1
-        elif local_entry.confidence > 0:
-            local_entry.confidence -= 1
-        else:
-            local_entry.exit_id = actual_exit
-            local_entry.confidence = 1
-        if global_entry.exit_id == actual_exit:
-            if global_entry.confidence < _CONF_MAX:
-                global_entry.confidence += 1
-        elif global_entry.confidence > 0:
-            global_entry.confidence -= 1
-        else:
-            global_entry.exit_id = actual_exit
-            global_entry.confidence = 1
+        # Train the exit patterns and the choice table with the
+        # resolved exit.
+        train_pattern(local_pattern, li, actual_exit)
+        train_pattern(global_pattern, gi, actual_exit)
         local_ok = local_exit == actual_exit
         if local_ok != (global_exit == actual_exit):
             if local_ok:
@@ -198,12 +184,11 @@ class PredictorBank:
                 and actual_next == block_addr + BLOCK_STRIDE:
             kind = BranchKind.SEQ
         targets._btype[key % len(targets._btype)] = kind
-        if kind is BranchKind.BRANCH:
-            entry = targets._btb[key % len(targets._btb)]
-            entry.key, entry.target = key, actual_next
-        elif kind is BranchKind.CALL:
-            entry = targets._ctb[key % len(targets._ctb)]
-            entry.key, entry.target = key, actual_next
+        if kind is BranchKind.BRANCH or kind is BranchKind.CALL:
+            table = targets._btb if kind is BranchKind.BRANCH \
+                else targets._ctb
+            slot = key % (len(table) >> 1) << 1
+            table[slot:slot + 2] = key, actual_next
 
         return ((global_history << EXIT_BITS)
                 | (survivor_exit & EXIT_MASK)) & _GLOBAL_HIST_MASK

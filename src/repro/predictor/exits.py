@@ -11,8 +11,10 @@ component (per-block-address history table indexing a pattern table), a
 global component indexed by the forwarded global exit history, and a
 choice table picking between them.  Pattern entries hold an exit value
 with a saturating confidence counter (the multi-valued analogue of a
-two-bit counter).  Local histories are updated speculatively at predict
-time and repaired from checkpoints on a flush.
+two-bit counter), packed into one int per entry — ``exit_id << 2 |
+confidence`` — so a table is a flat int list, built by multiplication
+and trained by index.  Local histories are updated speculatively at
+predict time and repaired from checkpoints on a flush.
 """
 
 from __future__ import annotations
@@ -40,22 +42,18 @@ def push_history(history: int, exit_id: int, num_exits: int) -> int:
     return ((history << EXIT_BITS) | (exit_id & EXIT_MASK)) & mask
 
 
-@dataclass
-class _PatternEntry:
-    """Predicted exit with hysteresis."""
-
-    exit_id: int = 0
-    confidence: int = 0
-
-    def update(self, actual: int) -> None:
-        if self.exit_id == actual:
-            if self.confidence < _CONF_MAX:
-                self.confidence += 1
-        elif self.confidence > 0:
-            self.confidence -= 1
-        else:
-            self.exit_id = actual
-            self.confidence = 1
+def train_pattern(table: list, index: int, actual: int) -> None:
+    """Train one packed pattern entry with hysteresis: agreement raises
+    the confidence, disagreement lowers it, and only a zero-confidence
+    entry is replaced."""
+    entry = table[index]
+    if entry >> 2 == actual:
+        if entry & 3 < _CONF_MAX:
+            table[index] = entry + 1
+    elif entry & 3:
+        table[index] = entry - 1
+    else:
+        table[index] = actual << 2 | 1
 
 
 @dataclass
@@ -80,11 +78,11 @@ class ExitStats:
 
 
 def _encode_patterns(entries: list) -> list:
-    return [[e.exit_id, e.confidence] for e in entries]
+    return [[entry >> 2, entry & 3] for entry in entries]
 
 
 def _decode_patterns(pairs: list) -> list:
-    return [_PatternEntry(exit_id, confidence) for exit_id, confidence in pairs]
+    return [exit_id << 2 | confidence for exit_id, confidence in pairs]
 
 
 class ExitPredictor(WarmState):
@@ -100,8 +98,8 @@ class ExitPredictor(WarmState):
     def __init__(self, local_l1: int = 64, local_l2: int = 128,
                  global_entries: int = 512, choice_entries: int = 512) -> None:
         self._local_hist = [0] * local_l1
-        self._local_pattern = [_PatternEntry() for __ in range(local_l2)]
-        self._global_pattern = [_PatternEntry() for __ in range(global_entries)]
+        self._local_pattern = [0] * local_l2
+        self._global_pattern = [0] * global_entries
         # Choice: 0..1 prefer local, 2..3 prefer global.
         self._choice = [1] * choice_entries
         self.stats = ExitStats()  # lint: ok(REP101) history, not warm state — stats stay with their owner across swaps
@@ -132,9 +130,9 @@ class ExitPredictor(WarmState):
         self.stats.predictions += 1
         l1 = self._local_l1_index(block_num)
         local_history = self._local_hist[l1]
-        local_exit = self._local_pattern[self._local_l2_index(local_history)].exit_id
+        local_exit = self._local_pattern[self._local_l2_index(local_history)] >> 2
         global_exit = self._global_pattern[
-            self._global_index(block_num, global_history)].exit_id
+            self._global_index(block_num, global_history)] >> 2
         use_global = self._choice[self._choice_index(block_num, global_history)] >= 2
         exit_id = global_exit if use_global else local_exit
 
@@ -167,10 +165,12 @@ class ExitPredictor(WarmState):
         if prediction.exit_id == actual_exit:
             self.stats.correct += 1
 
-        self._local_pattern[
-            self._local_l2_index(prediction.old_local_history)].update(actual_exit)
-        self._global_pattern[
-            self._global_index(block_num, prediction.global_history)].update(actual_exit)
+        train_pattern(self._local_pattern,
+                      self._local_l2_index(prediction.old_local_history),
+                      actual_exit)
+        train_pattern(self._global_pattern,
+                      self._global_index(block_num, prediction.global_history),
+                      actual_exit)
 
         if local_ok != global_ok:
             index = self._choice_index(block_num, prediction.global_history)

@@ -5,7 +5,9 @@ of the exit branch — sequential, regular branch, call, or return — with
 the Btype table, then selects the target from the matching provider:
 the next-block adder (SEQ), the branch target buffer, the call target
 buffer, or the return address stack (owned by the caller; this module
-only reports that a return was predicted).
+only reports that a return was predicted).  The BTB and CTB are flat int
+lists of interleaved ``key, target`` pairs (key ``-1``: empty), built by
+multiplication and indexed in place.
 """
 
 from __future__ import annotations
@@ -36,12 +38,6 @@ class BranchKind(Enum):
 
 
 @dataclass
-class _TaggedTarget:
-    key: int = -1
-    target: int = 0
-
-
-@dataclass
 class TargetStats:
     predictions: int = 0
     btype_correct: int = 0
@@ -57,12 +53,12 @@ def _decode_kinds(values: list) -> list:
     return [BranchKind(value) for value in values]
 
 
-def _encode_tagged(entries: list) -> list:
-    return [[e.key, e.target] for e in entries]
+def _encode_tagged(table: list) -> list:
+    return [table[i:i + 2] for i in range(0, len(table), 2)]
 
 
 def _decode_tagged(pairs: list) -> list:
-    return [_TaggedTarget(key, target) for key, target in pairs]
+    return [value for pair in pairs for value in pair]
 
 
 class TargetPredictor(WarmState):
@@ -77,8 +73,8 @@ class TargetPredictor(WarmState):
     def __init__(self, btype_entries: int = 256, btb_entries: int = 128,
                  ctb_entries: int = 16) -> None:
         self._btype = [BranchKind.SEQ] * btype_entries
-        self._btb = [_TaggedTarget() for __ in range(btb_entries)]
-        self._ctb = [_TaggedTarget() for __ in range(ctb_entries)]
+        self._btb = [-1, 0] * btb_entries
+        self._ctb = [-1, 0] * ctb_entries
         self.stats = TargetStats()  # lint: ok(REP101) history, not warm state — stats stay with their owner across swaps
 
     # ------------------------------------------------------------------
@@ -92,11 +88,10 @@ class TargetPredictor(WarmState):
     def _btype_index(self, block_num: int, exit_id: int) -> int:
         return self._key(block_num, exit_id) % len(self._btype)
 
-    def _btb_index(self, block_num: int, exit_id: int) -> int:
-        return self._key(block_num, exit_id) % len(self._btb)
-
-    def _ctb_index(self, block_num: int, exit_id: int) -> int:
-        return self._key(block_num, exit_id) % len(self._ctb)
+    @staticmethod
+    def _slot(table: list, key: int) -> int:
+        """Index of ``key``'s (key, target) pair in a BTB/CTB list."""
+        return key % (len(table) >> 1) << 1
 
     # ------------------------------------------------------------------
     # Predict
@@ -118,15 +113,13 @@ class TargetPredictor(WarmState):
         if kind is BranchKind.RETURN:
             return kind, None
         table = self._btb if kind is BranchKind.BRANCH else self._ctb
-        index = (self._btb_index if kind is BranchKind.BRANCH else self._ctb_index)(
-            block_num, exit_id)
-        entry = table[index]
-        if entry.key == key:
+        slot = self._slot(table, key)
+        if table[slot] == key:
             if kind is BranchKind.BRANCH:
                 self.stats.btb_hits += 1
             else:
                 self.stats.ctb_hits += 1
-            return kind, entry.target
+            return kind, table[slot + 1]
         return kind, block_addr + BLOCK_STRIDE
 
     # ------------------------------------------------------------------
@@ -147,9 +140,8 @@ class TargetPredictor(WarmState):
             kind = BranchKind.SEQ    # sequential branches train as SEQ
         self._btype[self._btype_index(block_num, exit_id)] = kind
 
-        if kind is BranchKind.BRANCH:
-            entry = self._btb[self._btb_index(block_num, exit_id)]
-            entry.key, entry.target = key, actual_target
-        elif kind is BranchKind.CALL:
-            entry = self._ctb[self._ctb_index(block_num, exit_id)]
-            entry.key, entry.target = key, actual_target
+        if kind is not BranchKind.BRANCH and kind is not BranchKind.CALL:
+            return
+        table = self._btb if kind is BranchKind.BRANCH else self._ctb
+        slot = self._slot(table, key)
+        table[slot:slot + 2] = key, actual_target

@@ -18,7 +18,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Checkpoint": "checkpoint",
     "FFTraceStore": "trace",
-    "RecordingMemory": "shadow",
     "SampledRun": "engine",
     "SamplingConfig": "config",
     "ShadowUarch": "shadow",

@@ -12,9 +12,12 @@ once, alternating two regimes:
   IPC over ``window_blocks`` committed blocks, then halts through the
   processor's ``commit_limit``.
 
-* **Fast-forward intervals** execute ``ff_blocks`` blocks on the
-  golden-model interpreter, warming the :class:`ShadowUarch` per
-  committed block.
+* **Fast-forward intervals** are a three-stage pipeline over one
+  :class:`~repro.sample.trace.FFInterval`: the golden-model interpreter
+  executes ``ff_blocks`` blocks into its columns (or a recorded
+  interval's stores are landed on memory instead), then the
+  :class:`ShadowUarch` warms on the columns, then one shared tail books
+  the interval.
 
 Because both regimes execute every block architecturally (windows
 commit exactly; fast-forward *is* the golden model) the final memory
@@ -46,9 +49,11 @@ from typing import Optional
 import repro.obs as obs_lib
 from repro.isa.interp import Interpreter
 from repro.isa.program import HALT_ADDR
+from repro.mem.flatmem import PAGE_MASK, PAGE_SIZE, FlatMemory
 from repro.sample.checkpoint import Checkpoint
 from repro.sample.config import SamplingConfig
-from repro.sample.shadow import RecordingMemory, ShadowUarch, rebuild_directory
+from repro.sample.shadow import ShadowUarch, rebuild_directory
+from repro.sample.trace import FFInterval, encode_reg_delta
 from repro.tflex import TFlexSystem
 from repro.tflex.placement import rectangle
 from repro.tflex.stats import LatencyBreakdown, ProcStats
@@ -108,7 +113,7 @@ class SampledRun:
         self.cfg, self.ncores = build_edge_config(spec)
         self.program, self.expected, self.kernel = \
             cached_program("edge", spec.bench, spec.scale)
-        self.mem = RecordingMemory()
+        self.mem = FlatMemory()
         self.interp = Interpreter(self.program, memory=self.mem)
         self.shadow = ShadowUarch(self.cfg, self.ncores)
         self.addr = self.program.address_of(self.program.entry)
@@ -241,6 +246,7 @@ class SampledRun:
         which JSON checkpoints still use) is observably a copy in both
         directions, without materializing per-window snapshots."""
         shadow = self.shadow
+        shadow.settle()
         cores = system.cores
         proc.ras.swap_state(shadow.ras)
         for i, bank in enumerate(shadow.pred_banks):
@@ -282,142 +288,109 @@ class SampledRun:
 
     def _fast_forward(self, n_blocks: int) -> None:
         trace = self.trace
+        # Intervals are indexed by position: the loop alternates
+        # window -> fast-forward, so the interval after window k is
+        # interval k (resume restores k as len(windows)).
+        index = len(self.windows) - 1
+        interval = None
         if trace is not None and trace.mode == "replay":
-            # Intervals are indexed by position: the loop alternates
-            # window -> fast-forward, so the interval after window k is
-            # interval k (resume restores k as len(windows)).
-            interval = trace.interval_for(len(self.windows) - 1, self.addr)
-            if interval is not None:
-                profiler = self.obs.profiler
-                if profiler.enabled:
-                    with profiler.phase("sample.ff_replay"):
-                        executed = self._replay_interval(interval)
-                else:
-                    executed = self._replay_interval(interval)
-                if self.obs.active:
-                    self.obs.emit("sample.ff_replayed", bench=self.spec.bench,
-                                  blocks=executed, resumed_at=self.addr,
-                                  finished=self.finished)
-                    self.obs.metrics.inc("sample.ff_replayed",
-                                         bench=self.spec.bench)
-                    self.obs.metrics.inc("sample.ff_replayed_blocks",
-                                         executed, bench=self.spec.bench)
-                return
+            interval = trace.interval_for(index, self.addr)
+        replayed = interval is not None
         profiler = self.obs.profiler
         if profiler.enabled:
-            with profiler.phase("sample.ff"):
-                executed = self._ff_loop(n_blocks)
+            with profiler.phase("sample.ff_replay" if replayed
+                                else "sample.ff"):
+                executed = self._run_interval(interval, index, n_blocks)
         else:
-            executed = self._ff_loop(n_blocks)
+            executed = self._run_interval(interval, index, n_blocks)
         if self.obs.active:
-            self.obs.emit("sample.ff", bench=self.spec.bench, blocks=executed,
-                          resumed_at=self.addr, finished=self.finished)
-            self.obs.metrics.inc("sample.ff", bench=self.spec.bench)
-            self.obs.metrics.inc("sample.ff_blocks", executed,
-                                 bench=self.spec.bench)
+            bench = self.spec.bench
+            self.obs.emit("sample.ff_replayed" if replayed else "sample.ff",
+                          bench=bench, blocks=executed, resumed_at=self.addr,
+                          finished=self.finished)
+            self.obs.metrics.inc(
+                "sample.ff_replayed" if replayed else "sample.ff", bench=bench)
+            self.obs.metrics.inc(
+                "sample.ff_replayed_blocks" if replayed else "sample.ff_blocks",
+                executed, bench=bench)
 
-    def _ff_loop(self, n_blocks: int) -> int:
-        interp = self.interp
-        mem = self.mem
-        shadow = self.shadow
-        program = self.program
-        addr = self.addr
-        ghist = self.ghist
-        executed = 0
-        rec = self.trace if (self.trace is not None
-                             and self.trace.mode == "record") else None
-        if rec is not None:
-            rec.begin_interval(len(self.windows) - 1, addr, interp.regs)
-        for __ in range(n_blocks):
-            block = program.block_at(addr)
-            mem.load_addrs.clear()
-            mem.recording = True
-            outcome = interp.execute_block(block)
-            mem.recording = False
-            interp.commit(outcome)
-            ghist = shadow.observe(block, addr, ghist, outcome, mem.load_addrs)
-            if rec is not None:
-                rec.record_block(addr, outcome, mem.load_addrs)
-            self.blocks += 1
-            self.insts += outcome.insts_fired
-            self.loads += outcome.loads
-            self.stores += len(outcome.stores)
-            executed += 1
-            addr = outcome.next_addr
-            if addr == HALT_ADDR:
-                self.finished = True
-                break
-        self.addr = addr
-        self.ghist = ghist
-        if rec is not None:
-            rec.end_interval(interp.regs, self.finished)
-        return executed
-
-    def _replay_interval(self, interval) -> int:
-        """Re-apply one recorded fast-forward interval: stores land on
-        memory in commit order, recorded outcomes warm this
-        composition's shadow structures, and the boundary register
-        delta replaces per-block write application — functionally
-        identical to :meth:`_ff_loop` without interpreting a single
-        instruction."""
-        from repro.mem.flatmem import PAGE_MASK, PAGE_SIZE
-        from repro.sample.trace import ReplayOutcome
-
-        mem = self.mem
-        shadow = self.shadow
-        program = self.program
-        ghist = self.ghist
-        addrs = interval.addrs
-        exits = interval.exits
-        nexts = interval.nexts
-        branch_ops = interval.branch_ops
-        insts = interval.insts
-        loads = interval.loads
-        load_addrs = interval.load_addrs
-        stores = interval.stores
-        stores_raw = interval.stores_raw
-        outcome = ReplayOutcome()
-        pages = mem._pages
-        write_bytes = mem.write_bytes
-        observe = shadow.observe
-        block_at = program.block_at
-        for i in range(len(addrs)):
-            addr = addrs[i]
-            block = block_at(addr)
-            block_stores = stores[i]
-            # Stores were pre-encoded to raw bytes at trace decode
-            # (byte-identical to ``FlatMemory.store``); land them with
-            # direct page writes, falling back to the generic path only
-            # for the rare page-straddling store.
-            for saddr, raw in stores_raw[i]:
-                off = saddr & PAGE_MASK
-                end = off + len(raw)
-                if end <= PAGE_SIZE:
-                    number = saddr >> 12
-                    page = pages.get(number)
-                    if page is None:
-                        page = pages[number] = bytearray(PAGE_SIZE)
-                    page[off:end] = raw
-                else:
-                    write_bytes(saddr, raw)
-            outcome.exit_id = exits[i]
-            outcome.next_addr = nexts[i]
-            outcome.branch_op = branch_ops[i]
-            outcome.stores = block_stores
-            ghist = observe(block, addr, ghist, outcome, load_addrs[i])
-            self.insts += insts[i]
-            self.loads += loads[i]
-            self.stores += len(block_stores)
-        executed = len(addrs)
-        self.blocks += executed
-        self.ghist = ghist
+    def _run_interval(self, interval, index: int, n_blocks: int) -> int:
+        """One fast-forward interval: interpret it (or land a recorded
+        one's stores), warm the shadow on its columns, book it."""
+        if interval is None:
+            interval = self._interpret(n_blocks)
+            if self.trace is not None and self.trace.mode == "record":
+                self.trace.add(index, interval)
+        else:
+            self._land_stores(interval)
         regs = self.interp.regs
-        for index, value in interval.reg_delta:
-            regs[index] = value
-        self.addr = nexts[-1] if executed else self.addr
+        for reg, value in interval.reg_delta:   # live: already there
+            regs[reg] = value
+        self.ghist = self.shadow.warm(interval, self.ghist,
+                                      self.program.block_at)
+        executed = len(interval)
+        self.blocks += executed
+        self.insts += sum(interval.insts)
+        self.loads += sum(interval.loads)
+        self.stores += sum(map(len, interval.stores)) >> 2
+        if executed:
+            self.addr = interval.nexts[-1]
         if interval.finished:
             self.finished = True
         return executed
+
+    def _interpret(self, n_blocks: int) -> FFInterval:
+        """Execute up to ``n_blocks`` blocks on the interpreter,
+        committing each, into a new interval's columns."""
+        interp = self.interp
+        block_at = self.program.block_at
+        addr = self.addr
+        interval = FFInterval(addr)
+        start_regs = list(interp.regs)
+        addrs, exits, nexts, branch_ops, insts, loads, load_addrs, stores = (
+            interval.addrs, interval.exits, interval.nexts,
+            interval.branch_ops, interval.insts, interval.loads,
+            interval.load_addrs, interval.stores)
+        for __ in range(n_blocks):
+            outcome = interp.execute_block(block_at(addr))
+            interp.commit(outcome)
+            addrs.append(addr)
+            exits.append(outcome.exit_id)
+            branch_ops.append(outcome.branch_op)
+            insts.append(outcome.insts_fired)
+            loads.append(outcome.loads)
+            load_addrs.append(outcome.load_addrs)
+            flat = []
+            for __lsq, saddr, size, value, fp in outcome.stores:
+                flat += (saddr, size, value, 1 if fp else 0)
+            stores.append(flat)
+            addr = outcome.next_addr
+            nexts.append(addr)
+            if addr == HALT_ADDR:
+                interval.finished = True
+                break
+        interval.reg_delta = encode_reg_delta(start_regs, interp.regs)
+        return interval
+
+    def _land_stores(self, interval: FFInterval) -> None:
+        """Apply a recorded interval's stores to memory in commit order
+        — with the boundary register delta, functionally identical to
+        :meth:`_interpret` without interpreting a single instruction.
+        The bytes were encoded once per trace (byte-identical to
+        ``FlatMemory.store``) and land with direct page writes; only a
+        page-straddling store takes the generic path."""
+        pages = self.mem._pages
+        for saddr, raw in interval.stores_raw:
+            off = saddr & PAGE_MASK
+            end = off + len(raw)
+            if end <= PAGE_SIZE:
+                number = saddr >> 12
+                page = pages.get(number)
+                if page is None:
+                    page = pages[number] = bytearray(PAGE_SIZE)
+                page[off:end] = raw
+            else:
+                self.mem.write_bytes(saddr, raw)
 
     # ------------------------------------------------------------------
     # Extrapolation

@@ -62,9 +62,11 @@ TRACE_DIR_ENV = "REPRO_FF_TRACE_DIR"
 #: Process-wide configuration (None = resolve from the environment).
 _OPTIONS: dict = {"enabled": None, "dir": None}
 
-#: key -> decoded FFTrace: one parse serves every replay in-process
-#: (a serial composition sweep decodes each trace exactly once).
-_PARSED: dict[str, "FFTrace"] = {}
+#: (store root, key) -> FFTrace: one in-memory trace serves every replay
+#: in-process (a serial composition sweep parses — or, after recording,
+#: never parses — each trace once).  Keyed by root so a re-pointed
+#: store is consulted, and filled, on its own account.
+_PARSED: dict[tuple, "FFTrace"] = {}
 _PARSED_CAP = 4
 
 
@@ -245,40 +247,51 @@ def _encode_store_raw(size: int, value, fp: bool) -> bytes:
     return (int(value) & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
 
 
+#: Per-block columns of an interval, in wire order.
+_COLUMNS = ("addrs", "exits", "nexts", "branch_ops", "insts", "loads",
+            "load_addrs", "stores")
+
+
 class FFInterval:
-    """One decoded fast-forward interval: columnar per-block arrays
-    plus the boundary register delta."""
+    """One fast-forward interval as per-block columns plus the boundary
+    register delta: what the live loop appends to, the recorder keeps,
+    the codec reads and writes, and replay and warm-up consume.
 
-    __slots__ = ("start", "addrs", "exits", "nexts", "branch_ops",
-                 "insts", "loads", "load_addrs", "stores", "stores_raw",
-                 "reg_delta", "finished")
+    ``branch_ops`` holds opcode names, ``loads`` functional load counts,
+    ``load_addrs`` the D-cache load addresses per block and ``stores``
+    each block's committed stores as the wire's flat
+    ``[addr, size, value, fp01] * n`` quads, in commit order.
+    """
 
-    def __init__(self, start, addrs, exits, nexts, branch_ops, insts,
-                 loads, load_addrs, stores, reg_delta, finished,
-                 stores_raw=None):
+    __slots__ = ("start", *_COLUMNS, "reg_delta", "finished", "_stores_raw")
+
+    def __init__(self, start: int, columns=None, reg_delta=(),
+                 finished: bool = False) -> None:
         self.start = start
-        self.addrs = addrs
-        self.exits = exits
-        self.nexts = nexts
-        self.branch_ops = branch_ops      # op string per block
-        self.insts = insts
-        self.loads = loads                # functional load count per block
-        self.load_addrs = load_addrs      # D-cache load addresses per block
-        self.stores = stores              # [(0, addr, size, value, fp), ...]
-        # Pre-encoded [(addr, raw_bytes), ...] per block: what the
-        # replay loop actually writes to memory.
-        self.stores_raw = stores_raw if stores_raw is not None else [
-            [(s[1], _encode_store_raw(s[2], s[3], s[4])) for s in blk]
-            for blk in stores]
+        for name, column in zip(_COLUMNS, columns or ([] for __ in _COLUMNS)):
+            setattr(self, name, column)
         self.reg_delta = reg_delta        # [[index, value], ...] at the end
         self.finished = finished
+        self._stores_raw = None
 
     def __len__(self) -> int:
         return len(self.addrs)
 
+    @property
+    def stores_raw(self) -> list:
+        """``[(addr, raw_bytes), ...]`` in commit order — what replay
+        writes to memory; encoded on first use, once per in-memory
+        trace."""
+        if self._stores_raw is None:
+            self._stores_raw = [
+                (flat[i], _encode_store_raw(flat[i + 1], flat[i + 2],
+                                            flat[i + 3]))
+                for flat in self.stores for i in range(0, len(flat), 4)]
+        return self._stores_raw
+
 
 class FFTrace:
-    """One decoded trace: metadata plus ordered intervals."""
+    """One trace: metadata plus ordered intervals."""
 
     __slots__ = ("bench", "scale", "sampling", "program", "intervals")
 
@@ -293,65 +306,27 @@ class FFTrace:
         return sum(len(iv) for iv in self.intervals)
 
 
-class ReplayOutcome:
-    """Mutable stand-in for :class:`~repro.isa.interp.BlockOutcome`
-    carrying exactly the fields the shadow warm-up reads; one instance
-    is reused across a whole replayed interval."""
-
-    __slots__ = ("exit_id", "next_addr", "branch_op", "stores")
-
-    def __init__(self):
-        self.exit_id = 0
-        self.next_addr = 0
-        self.branch_op = None
-        self.stores = ()
-
-
-def _encode_interval(interval: dict, op_index: dict, ops: list) -> dict:
-    """Flatten one recorded interval into the JSON wire form: branch
-    opcodes interned into a shared table, stores flattened to
-    ``[addr, size, value, fp01] * n`` quads."""
-    brix = []
-    for op in interval["branch_ops"]:
-        index = op_index.get(op)
-        if index is None:
-            index = op_index[op] = len(ops)
-            ops.append(op)
-        brix.append(index)
-    flat_stores = []
-    for block_stores in interval["stores"]:
-        flat = []
-        for __lsq, addr, size, value, fp in block_stores:
-            flat.extend((addr, size, value, 1 if fp else 0))
-        flat_stores.append(flat)
-    return {
-        "start": interval["start"],
-        "addrs": interval["addrs"],
-        "exits": interval["exits"],
-        "nexts": interval["nexts"],
-        "brix": brix,
-        "insts": interval["insts"],
-        "loads": interval["loads"],
-        "la": interval["load_addrs"],
-        "st": flat_stores,
-        "regs": interval["reg_delta"],
-        "finished": interval["finished"],
-    }
-
-
-def encode_trace(bench: str, scale: int, sampling: dict, program_fp: str,
-                 intervals: list) -> dict:
-    """The JSON-safe payload for one recorded trace."""
-    ops: list = []
+def encode_trace(trace: FFTrace) -> dict:
+    """The JSON-safe payload for one trace: branch opcodes interned
+    into a shared table, every other column as it stands."""
     op_index: dict = {}
-    encoded = [_encode_interval(iv, op_index, ops) for iv in intervals]
+    encoded = []
+    for iv in trace.intervals:
+        brix = [op_index.setdefault(op, len(op_index))
+                for op in iv.branch_ops]
+        encoded.append({
+            "start": iv.start, "addrs": iv.addrs, "exits": iv.exits,
+            "nexts": iv.nexts, "brix": brix, "insts": iv.insts,
+            "loads": iv.loads, "la": iv.load_addrs, "st": iv.stores,
+            "regs": iv.reg_delta, "finished": iv.finished,
+        })
     return {
         "schema": TRACE_SCHEMA,
-        "bench": bench,
-        "scale": scale,
-        "sampling": dict(sorted(sampling.items())),
-        "program": program_fp,
-        "branch_ops": ops,
+        "bench": trace.bench,
+        "scale": trace.scale,
+        "sampling": dict(sorted(trace.sampling.items())),
+        "program": trace.program,
+        "branch_ops": list(op_index),
         "intervals": encoded,
     }
 
@@ -363,27 +338,13 @@ def decode_trace(payload: dict) -> FFTrace:
     if schema != TRACE_SCHEMA:
         raise ValueError(f"trace schema {schema!r} != {TRACE_SCHEMA}")
     ops = payload["branch_ops"]
-    intervals = []
-    for raw in payload["intervals"]:
-        stores = []
-        stores_raw = []
-        for flat in raw["st"]:
-            blk = []
-            blk_raw = []
-            for i in range(0, len(flat), 4):
-                saddr, size, value = flat[i], flat[i + 1], flat[i + 2]
-                fp = bool(flat[i + 3])
-                blk.append((0, saddr, size, value, fp))
-                blk_raw.append((saddr, _encode_store_raw(size, value, fp)))
-            stores.append(blk)
-            stores_raw.append(blk_raw)
-        intervals.append(FFInterval(
-            start=raw["start"], addrs=raw["addrs"], exits=raw["exits"],
-            nexts=raw["nexts"],
-            branch_ops=[ops[i] for i in raw["brix"]],
-            insts=raw["insts"], loads=raw["loads"],
-            load_addrs=raw["la"], stores=stores, stores_raw=stores_raw,
-            reg_delta=raw["regs"], finished=raw["finished"]))
+    intervals = [
+        FFInterval(raw["start"],
+                   (raw["addrs"], raw["exits"], raw["nexts"],
+                    [ops[i] for i in raw["brix"]], raw["insts"],
+                    raw["loads"], raw["la"], raw["st"]),
+                   reg_delta=raw["regs"], finished=raw["finished"])
+        for raw in payload["intervals"]]
     return FFTrace(bench=payload["bench"], scale=payload["scale"],
                    sampling=payload["sampling"],
                    program=payload["program"], intervals=intervals)
@@ -394,7 +355,7 @@ def decode_trace(payload: dict) -> FFTrace:
 # ----------------------------------------------------------------------
 
 class RecordSession:
-    """Accumulates one run's fast-forward intervals; persisted once the
+    """Collects one run's fast-forward intervals; persisted once the
     run finishes cleanly from the program entry."""
 
     mode = "record"
@@ -405,69 +366,45 @@ class RecordSession:
         self.store = store
         self.spec = spec
         self.program_fp = program_fp
-        self.intervals: list = []
+        self.intervals: list[FFInterval] = []
         self.abandoned = False
-        self._cur: Optional[dict] = None
-        self._start_regs: Optional[list] = None
 
-    def begin_interval(self, index: int, addr: int, regs) -> None:
-        if self.abandoned:
-            return
+    def add(self, index: int, interval: FFInterval) -> None:
+        """Keep interval ``index`` as the live loop built it."""
         if index != len(self.intervals):
             # Resumed mid-run (checkpoint) or intervals were skipped:
             # a partial recording would replay wrong, so stop here.
             self.abandoned = True
-            self._cur = None
-            return
-        self._cur = {
-            "start": addr, "addrs": [], "exits": [], "nexts": [],
-            "branch_ops": [], "insts": [], "loads": [],
-            "load_addrs": [], "stores": [],
-            "reg_delta": [], "finished": False,
-        }
-        self._start_regs = list(regs)
-
-    def record_block(self, addr: int, outcome, load_addrs) -> None:
-        cur = self._cur
-        if cur is None:
-            return
-        cur["addrs"].append(addr)
-        cur["exits"].append(outcome.exit_id)
-        cur["nexts"].append(outcome.next_addr)
-        cur["branch_ops"].append(outcome.branch_op)
-        cur["insts"].append(outcome.insts_fired)
-        cur["loads"].append(outcome.loads)
-        cur["load_addrs"].append(list(load_addrs))
-        cur["stores"].append(list(outcome.stores))
-
-    def end_interval(self, regs, finished: bool) -> None:
-        cur = self._cur
-        if cur is None:
-            return
-        cur["reg_delta"] = encode_reg_delta(self._start_regs, regs)
-        cur["finished"] = finished
-        self.intervals.append(cur)
-        self._cur = None
-        self._start_regs = None
+        if not self.abandoned:
+            self.intervals.append(interval)
 
     def finish(self, run) -> None:
-        """Persist the trace if the run completed a clean recording."""
+        """Persist the trace if the run completed a clean recording,
+        and keep it in memory for this process's replays either way: a
+        trace that cannot be written is lost sharing, not a lost run."""
         if self.abandoned or not run.finished or not self.intervals:
             return
-        payload = encode_trace(self.spec.bench, self.spec.scale,
-                               self.spec.sampling_dict(), self.program_fp,
-                               self.intervals)
-        path = self.store.store(self.key, payload)
-        _cache_parsed(self.key, decode_trace(payload))
+        spec = self.spec
+        sampling = dict(sorted(spec.sampling_dict().items()))   # as decoded
+        trace = FFTrace(spec.bench, spec.scale, sampling, self.program_fp,
+                        self.intervals)
+        _cache_parsed(self.store, self.key, trace)
         obs = obs_lib.current()
+        try:
+            path = self.store.store(self.key, encode_trace(trace))
+        except OSError as exc:
+            if obs.active:
+                obs.emit("trace.write_failed", bench=spec.bench, key=self.key,
+                         error=f"{type(exc).__name__}: {exc}")
+                obs.metrics.inc("sample.trace_write_failures",
+                                bench=spec.bench)
+            return
         if obs.active:
-            sampling = self.spec.sampling_dict()
-            obs.emit("trace.record", bench=self.spec.bench, key=self.key,
+            obs.emit("trace.record", bench=spec.bench, key=self.key,
                      schedule=schedule_tag(sampling),
-                     intervals=len(self.intervals),
-                     blocks=sum(len(iv["addrs"]) for iv in self.intervals),
+                     intervals=len(self.intervals), blocks=trace.blocks(),
                      bytes=path.stat().st_size)
-            obs.metrics.inc("sample.trace_records", bench=self.spec.bench,
+            obs.metrics.inc("sample.trace_records", bench=spec.bench,
                             schedule=schedule_tag(sampling))
 
 
@@ -516,10 +453,10 @@ class ReplaySession:
                             schedule=schedule_tag(sampling))
 
 
-def _cache_parsed(key: str, trace: FFTrace) -> None:
+def _cache_parsed(store: FFTraceStore, key: str, trace: FFTrace) -> None:
     while len(_PARSED) >= _PARSED_CAP:
         _PARSED.pop(next(iter(_PARSED)))
-    _PARSED[key] = trace
+    _PARSED[store.root, key] = trace
 
 
 def open_trace_session(spec, store: Optional[FFTraceStore] = None):
@@ -532,7 +469,7 @@ def open_trace_session(spec, store: Optional[FFTraceStore] = None):
         return None
     if store is None:
         store = FFTraceStore()
-    trace = _PARSED.get(key)
+    trace = _PARSED.get((store.root, key))
     if trace is None:
         payload = store.load(key)
         if payload is not None:
@@ -541,7 +478,7 @@ def open_trace_session(spec, store: Optional[FFTraceStore] = None):
             except (ValueError, KeyError, TypeError, IndexError):
                 trace = None
         if trace is not None:
-            _cache_parsed(key, trace)
+            _cache_parsed(store, key, trace)
     if trace is not None:
         return ReplaySession(key, trace, spec)
     from repro.harness.simulate import cached_program
@@ -590,7 +527,8 @@ def prewarm_partition(specs: Sequence) -> tuple[list, list]:
         if store is None:
             store = FFTraceStore()
         key = trace_key(members[0])
-        if key is not None and (key in _PARSED or store.contains(key)):
+        if key is not None and ((store.root, key) in _PARSED
+                                or store.contains(key)):
             rest.extend(members)
         else:
             recorders.append(members[0])

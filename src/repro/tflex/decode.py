@@ -20,18 +20,16 @@ from __future__ import annotations
 
 from repro.isa.block import Block
 from repro.isa.instruction import TargetKind
-from repro.isa.opcodes import OpClass, bind_evaluator, memory_size
-from repro.isa.program import HALT_ADDR
+from repro.isa.interp import (  # noqa: F401  (handler kinds, re-exported)
+    ALU, BRANCH, LOAD, NULL, STORE, prepare_block)
 from repro.tflex.interleave import rf_bank_of
-
-#: Handler kinds (:attr:`InstRecord.kind`).
-ALU, LOAD, STORE, BRANCH, NULL = range(5)
-_KINDS = {OpClass.LOAD: LOAD, OpClass.STORE: STORE,
-          OpClass.BRANCH: BRANCH, OpClass.NULL: NULL}
 
 
 class InstRecord:
-    """One instruction compiled for one composition.
+    """One instruction compiled for one composition: the program's
+    functional record of it (``isa.interp._PInst``, compiled once per
+    program — kind, need, pred, bound evaluator, memory and branch
+    fields, copied here by reference) plus its placement.
 
     ``base`` indexes the instance's flat operand buffer (``base + slot``,
     :class:`~repro.isa.instruction.OperandSlot` order); ``need`` counts
@@ -47,30 +45,25 @@ class InstRecord:
                  "need", "pred", "evalf", "targets", "lsq_id", "size", "fp",
                  "offset", "dep_key", "next_addr")
 
-    def __init__(self, inst, block: Block, program) -> None:
+    def __init__(self, inst, block: Block, functional) -> None:
         op = inst.op
         self.inst = inst
         self.iid = inst.iid
         self.base = 3 * inst.iid
-        self.kind = kind = _KINDS.get(op.opclass, ALU)
         self.is_fp = op.is_fp
         self.energy = "fpu_op" if op.is_fp else "alu_op"
         self.latency = op.latency
-        self.need = op.operands + (inst.pred is not None)
-        self.pred = inst.pred
-        self.lsq_id = inst.lsq_id
-        self.evalf = self.next_addr = None
-        self.size = self.fp = self.offset = self.dep_key = None
-        if kind == ALU:
-            self.evalf = bind_evaluator(op, program.resolve_imm(inst.imm))
-        elif kind == LOAD or kind == STORE:
-            self.size = memory_size(op)
-            self.fp = op.name.endswith("F")
-            self.offset = int(inst.imm or 0)
-            self.dep_key = (block.label, inst.lsq_id)
-        elif kind == BRANCH and op.name != "RET":
-            self.next_addr = (HALT_ADDR if op.name == "HALT"
-                              else program.address_of(inst.branch_target))
+        self.kind = functional.kind
+        self.need = functional.need
+        self.pred = functional.pred
+        self.evalf = functional.evalf
+        self.lsq_id = functional.lsq_id
+        self.size = functional.size
+        self.fp = functional.fp
+        self.offset = functional.offset
+        self.next_addr = functional.next_addr
+        self.dep_key = ((block.label, inst.lsq_id)
+                        if functional.kind in (LOAD, STORE) else None)
 
 
 def _resolve(targets, block: Block, records, proc) -> tuple:
@@ -105,8 +98,9 @@ class DecodedBlock:
     def __init__(self, block: Block, proc) -> None:
         ncores = proc.ncores
         self.block = block
-        self.records = records = [InstRecord(inst, block, proc.program)
-                                  for inst in block.insts]
+        self.records = records = [
+            InstRecord(inst, block, functional) for inst, functional
+            in zip(block.insts, prepare_block(proc.program, block).insts)]
         for record in records:
             record.targets = _resolve(record.inst.targets, block, records, proc)
         # Per-fetch state templates: an empty operand buffer, and per

@@ -1,0 +1,207 @@
+"""The shadow's lazy I-cache LRU is exactly the eager one.
+
+``ShadowUarch.warm`` defers the LRU touches of re-fetched resident
+blocks and applies them, once per block in last-fetch order, before
+anything can observe or evict in a set they reorder.  The reference
+below touches every line of every fetched block on the spot, through
+the public ``CacheBank``/``L2System`` calls the per-block warm-up was
+written with; random streams — tiny I-caches that evict, one address
+fetched at several sizes, unaligned addresses, snapshots and state
+transfers at random points — must leave both with equal
+``state_dict()``s and equal directories.
+"""
+
+from dataclasses import replace
+from types import SimpleNamespace
+
+from hypothesis import given, settings, strategies as st
+
+from repro.isa.program import BLOCK_STRIDE
+from repro.mem.cache import CacheBank, LineState
+from repro.predictor.exits import GLOBAL_HISTORY_EXITS, push_history
+from repro.predictor.targets import BranchKind
+from repro.sample.shadow import ShadowUarch
+from repro.sample.trace import FFInterval
+from repro.tflex import interleave
+from repro.tflex.config import tflex_config
+
+OPS = ("BRO", "CALLO", "RET", "HALT")
+
+
+def make_shadow(ncores, icache_bytes):
+    cfg = tflex_config(ncores)
+    return ShadowUarch(replace(cfg, core=replace(
+        cfg.core, icache_bytes=icache_bytes, dcache_bytes=512)), ncores)
+
+
+def eager_block(shadow, ghist, addr, size, exit_id, next_addr, op,
+                loads, stores):
+    """One committed block, every cache line touched immediately."""
+    ctx, l2, line = shadow.ctx, shadow.l2, shadow.line_size
+    ncores = shadow.ncores
+    if shadow.speculative:
+        owner = 0 if shadow.cfg.centralized_predictor \
+            else (addr // BLOCK_STRIDE) % ncores
+        ghist = shadow.pred_banks[owner].observe_commit(
+            addr, ghist, shadow.ras, exit_id, BranchKind.of_opcode(op),
+            next_addr)
+    else:
+        ghist = push_history(ghist, exit_id, GLOBAL_HISTORY_EXITS)
+
+    for core in range(ncores):
+        chunk = len(range(core, size, ncores))      # instructions i = core mod N
+        if not chunk:
+            continue
+        icache = shadow.icaches[core]
+        for n in range(max(1, -(-chunk * 4 // line))):
+            la = icache.line_addr(addr + n * line)
+            if not icache.access(ctx, la):
+                l2.warm_read(ctx, la, core)
+                icache.fill(ctx, la, LineState.SHARED)
+
+    def bank_of(data_addr):
+        b = interleave.dbank_of(data_addr, line, shadow.num_dbanks)
+        return shadow.dcaches[b], interleave.dbank_core_index(
+            b, ncores, shadow.num_dbanks)
+
+    for laddr in loads:
+        dcache, core = bank_of(laddr)
+        if not dcache.access(ctx, laddr):
+            l2.warm_read(ctx, dcache.line_addr(laddr), core)
+            victim = dcache.fill(ctx, laddr, LineState.SHARED)
+            if victim is not None:
+                l2.l1_evicted(victim.ctx, victim.line_addr, core)
+    for saddr in stores:
+        dcache, core = bank_of(saddr)
+        present = dcache.probe(ctx, saddr)
+        if present is not None and present.state is LineState.MODIFIED:
+            dcache.access(ctx, saddr, write=True)
+            continue
+        l2.warm_write(ctx, dcache.line_addr(saddr), core)
+        victim = dcache.fill(ctx, saddr, LineState.MODIFIED)
+        if victim is not None:
+            l2.l1_evicted(victim.ctx, victim.line_addr, core)
+    return ghist
+
+
+def directory(shadow):
+    return {key: (entry.owner, sorted(entry.sharers))
+            for key, entry in shadow.l2.directory.items()}
+
+
+def same(lazy, eager):
+    return (lazy.state_dict() == eager.state_dict()
+            and directory(lazy) == directory(eager))
+
+
+def transfer(shadow, kind):
+    """What the sampled engine and checkpoints do between intervals."""
+    if kind == "roundtrip":
+        shadow.load_state(shadow.state_dict())
+    elif kind == "directory":
+        shadow.rebuild_directory()
+    else:                               # window hand-off: out, run, back in
+        shadow.settle()
+        spare = [CacheBank(bank.num_sets * bank.assoc * bank.line_size,
+                           bank.assoc, bank.line_size)
+                 for bank in shadow.icaches]
+        for bank, other in zip(shadow.icaches, spare):
+            bank.swap_state(other)
+        for bank, other in zip(shadow.icaches, spare):
+            other.fill(shadow.ctx, 7 * BLOCK_STRIDE)    # the window ran
+            bank.swap_state(other)
+        shadow.rebuild_directory()
+
+
+_block = st.tuples(
+    st.integers(0, 11),                          # block number
+    st.sampled_from([0, 0, 0, 64, 200]),         # misalignment
+    st.sampled_from([1, 3, 8, 40, 128]),         # size
+    st.integers(0, 7), st.integers(0, 11), st.sampled_from(OPS),
+    st.lists(st.integers(0, 1 << 13), max_size=3),       # load addresses
+    st.lists(st.integers(0, 1 << 13), max_size=2))       # store addresses
+
+_events = st.lists(st.one_of(
+    st.lists(_block, min_size=1, max_size=30),           # one interval
+    st.sampled_from(["snapshot", "roundtrip", "directory", "window"])),
+    min_size=1, max_size=12)
+
+
+def drive(ncores, icache_bytes, events):
+    lazy = make_shadow(ncores, icache_bytes)
+    eager = make_shadow(ncores, icache_bytes)
+    ghist = eager_ghist = 0
+    for event in events:
+        if event == "snapshot":
+            assert same(lazy, eager)
+        elif isinstance(event, str):
+            transfer(lazy, event)
+            transfer(eager, event)
+        else:
+            sizes = {}
+            rows = []
+            for number, skew, size, exit_id, nxt, op, loads, stores in event:
+                addr = number * BLOCK_STRIDE + skew
+                # One interval sees one size per address (a program's
+                # blocks do not change); across intervals it may differ.
+                size = sizes.setdefault(addr, size)
+                rows.append((addr, exit_id, nxt * BLOCK_STRIDE, op, 1,
+                             len(loads), loads,
+                             [f for s in stores for f in (s, 8, 0, 0)]))
+                eager_ghist = eager_block(
+                    eager, eager_ghist, addr, size, exit_id,
+                    nxt * BLOCK_STRIDE, op, loads, stores)
+            interval = FFInterval(rows[0][0], [list(c) for c in zip(*rows)])
+            ghist = lazy.warm(interval, ghist,
+                              lambda a: SimpleNamespace(size=sizes[a]))
+            assert ghist == eager_ghist
+    assert same(lazy, eager)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ncores=st.sampled_from([1, 2, 4, 8]),
+       icache_bytes=st.sampled_from([256, 512, 8192]), events=_events)
+def test_lazy_shadow_equals_eager_reference(ncores, icache_bytes, events):
+    drive(ncores, icache_bytes, events)
+
+
+def test_loop_nest_defers_and_settles():
+    """A resident loop is served from the pending list — and the
+    deferred touches really are applied at the flush points."""
+    loop = [(n, 0, 40, 0, (n + 1) % 3, "BRO", [], []) for n in range(3)] * 20
+    lazy = make_shadow(4, 8192)
+    drive(4, 8192, [loop, "snapshot", loop, "window", loop, "roundtrip", loop])
+    rows = [(n * BLOCK_STRIDE, 0, 0, "BRO", 1, 0, [], []) for n in range(3)] * 5
+    interval = FFInterval(0, [list(c) for c in zip(*rows)])
+    lazy.warm(interval, 0, lambda a: SimpleNamespace(size=40))
+    assert set(lazy._resident) == {0, BLOCK_STRIDE, 2 * BLOCK_STRIDE}
+    assert list(lazy._pending) == [0, BLOCK_STRIDE, 2 * BLOCK_STRIDE]
+    lazy.settle()
+    assert not lazy._pending and not lazy._resident
+
+
+def test_thrashing_set_does_not_flush_unrelated_blocks(monkeypatch):
+    """Blocks that evict each other in one set leave the deferred
+    touches of blocks in other sets pending (and the result exact)."""
+    # 8 KB, 2-way, 64 B lines: 64 sets, and blocks sit 16 lines apart,
+    # so blocks 0, 4 and 8 collide in set 0 (3 lines, 2 ways) while
+    # block 1 sits alone in set 16.
+    cycle = [(n, 0, 3, 0, 0, "BRO", [], []) for n in (0, 1, 4, 1, 8, 1)] * 6
+    drive(1, 8192, [cycle, "snapshot", cycle])
+
+    touched = []
+    original = ShadowUarch._touch
+    monkeypatch.setattr(
+        ShadowUarch, "_touch",
+        lambda self, addr, size: (touched.append(addr),
+                                  original(self, addr, size))[1])
+    lazy = make_shadow(1, 8192)
+    rows = [(n * BLOCK_STRIDE, 0, 0, "BRO", 1, 0, [], [])
+            for n in (0, 1, 4, 1, 8, 1)] * 6
+    interval = FFInterval(0, [list(c) for c in zip(*rows)])
+    lazy.warm(interval, 0, lambda a: SimpleNamespace(size=3))
+    assert touched.count(BLOCK_STRIDE) == 1         # its first fetch only
+    assert touched.count(0) == touched.count(4 * BLOCK_STRIDE) == 6
+    assert list(lazy._pending) == [BLOCK_STRIDE]
+    lazy.settle()
+    assert touched.count(BLOCK_STRIDE) == 2

@@ -23,6 +23,8 @@ from repro.harness import clear_cache, configure_cache
 from repro.obs import RingBufferSink
 from repro.sample.trace import (
     TRACE_SCHEMA,
+    FFInterval,
+    FFTrace,
     FFTraceStore,
     RecordSession,
     ReplaySession,
@@ -95,8 +97,8 @@ _stores = st.lists(
               st.integers(-(2 ** 31), 2 ** 31 - 1),        # value
               st.booleans()),                              # fp
     max_size=6).map(
-        lambda items: [(0, a, 8 if fp else s, float(v) if fp else v, fp)
-                       for a, s, v, fp in items])
+        lambda items: [field for a, s, v, fp in items for field in
+                       (a, 8 if fp else s, float(v) if fp else v, int(fp))])
 
 _intervals = st.lists(st.tuples(
     st.integers(0, 63),                                    # block number
@@ -110,19 +112,27 @@ _intervals = st.lists(st.tuples(
 
 
 def _build_interval(blocks, start, finished):
-    return {
-        "start": start,
-        "addrs": [b * 64 for b, *_ in blocks],
-        "exits": [e for _, e, *_ in blocks],
-        "nexts": [n * 64 for _, _, n, *_ in blocks],
-        "branch_ops": [op for *_3, op, _i, _l, _s in blocks],
-        "insts": [i for *_4, i, _l, _s in blocks],
-        "loads": [len(l) for *_5, l, _s in blocks],
-        "load_addrs": [list(l) for *_5, l, _s in blocks],
-        "stores": [list(s) for *_6, s in blocks],
-        "reg_delta": [[1, 42]],
-        "finished": finished,
-    }
+    return FFInterval(start, (
+        [b * 64 for b, *_ in blocks],
+        [e for _, e, *_ in blocks],
+        [n * 64 for _, _, n, *_ in blocks],
+        [op for *_3, op, _i, _l, _s in blocks],
+        [i for *_4, i, _l, _s in blocks],
+        [len(l) for *_5, l, _s in blocks],
+        [list(l) for *_5, l, _s in blocks],
+        [list(s) for *_6, s in blocks],
+    ), reg_delta=[[1, 42]], finished=finished)
+
+
+def _trace(intervals, bench="conv", scale=1, program="fp"):
+    return FFTrace(bench, scale, dict(SAMPLING), program, intervals)
+
+
+def _same_interval(got, want):
+    """Field-for-field equality of two FFIntervals."""
+    return all(getattr(got, name) == getattr(want, name)
+               for name in FFInterval.__slots__ if name != "_stores_raw") \
+        and got.stores_raw == want.stores_raw
 
 
 class TestTraceRoundtrip:
@@ -135,7 +145,7 @@ class TestTraceRoundtrip:
             for i, blocks in enumerate(raw_intervals)
         ]
         payload = _json_roundtrip(encode_trace(
-            "conv", 3, SAMPLING, "fp" * 32, intervals))
+            _trace(intervals, scale=3, program="fp" * 32)))
         trace = decode_trace(payload)
 
         assert trace.bench == "conv"
@@ -144,18 +154,7 @@ class TestTraceRoundtrip:
         assert trace.program == "fp" * 32
         assert len(trace.intervals) == len(intervals)
         for got, want in zip(trace.intervals, intervals):
-            assert got.start == want["start"]
-            assert list(got.addrs) == want["addrs"]
-            assert list(got.exits) == want["exits"]
-            assert list(got.nexts) == want["nexts"]
-            assert list(got.branch_ops) == want["branch_ops"]
-            assert list(got.insts) == want["insts"]
-            assert list(got.loads) == want["loads"]
-            assert [list(x) for x in got.load_addrs] == want["load_addrs"]
-            assert [[tuple(s) for s in blk] for blk in got.stores] \
-                == [[tuple(s) for s in blk] for blk in want["stores"]]
-            assert got.reg_delta == want["reg_delta"]
-            assert got.finished == want["finished"]
+            assert _same_interval(got, want)
 
     @settings(max_examples=25, deadline=None)
     @given(_intervals)
@@ -165,23 +164,23 @@ class TestTraceRoundtrip:
         from repro.mem.flatmem import FlatMemory
 
         interval = _build_interval(blocks, start=0, finished=True)
-        payload = _json_roundtrip(encode_trace(
-            "conv", 1, SAMPLING, "fp", [interval]))
+        payload = _json_roundtrip(encode_trace(_trace([interval])))
         decoded = decode_trace(payload).intervals[0]
 
         via_store = FlatMemory()
         via_raw = FlatMemory()
-        for blk, blk_raw in zip(decoded.stores, decoded.stores_raw):
-            assert len(blk) == len(blk_raw)
-            for (__lsq, addr, size, value, fp), (raddr, raw) in \
-                    zip(blk, blk_raw):
-                assert raddr == addr
-                via_store.store(addr, size, value, fp=fp)
-                via_raw.write_bytes(raddr, raw)
+        quads = [flat[i:i + 4] for flat in decoded.stores
+                 for i in range(0, len(flat), 4)]
+        assert len(quads) == len(decoded.stores_raw)
+        for (addr, size, value, fp), (raddr, raw) in zip(
+                quads, decoded.stores_raw):
+            assert raddr == addr
+            via_store.store(addr, size, value, fp=bool(fp))
+            via_raw.write_bytes(raddr, raw)
         assert via_store.snapshot() == via_raw.snapshot()
 
     def test_unknown_schema_rejected(self):
-        payload = encode_trace("conv", 1, SAMPLING, "fp", [])
+        payload = encode_trace(_trace([]))
         payload["schema"] = TRACE_SCHEMA + 1
         with pytest.raises(ValueError):
             decode_trace(payload)
@@ -244,7 +243,7 @@ class TestStoreHygiene:
     def test_corrupt_blob_reads_as_miss(self, tmp_path):
         store = FFTraceStore(tmp_path / "t")
         key = "ab" * 32
-        store.store(key, encode_trace("conv", 1, SAMPLING, "fp", []))
+        store.store(key, encode_trace(_trace([])))
         assert store.load(key) is not None
 
         path = store.path_for(key)
@@ -264,7 +263,7 @@ class TestStoreHygiene:
 
     def test_key_mismatch_reads_as_miss(self, tmp_path):
         store = FFTraceStore(tmp_path / "t")
-        store.store("ef" * 32, encode_trace("conv", 1, SAMPLING, "fp", []))
+        store.store("ef" * 32, encode_trace(_trace([])))
         moved = store.path_for("01" * 32)
         moved.parent.mkdir(parents=True, exist_ok=True)
         store.path_for("ef" * 32).rename(moved)
@@ -307,6 +306,113 @@ def test_cross_composition_replay_is_bit_identical(tmp_path):
         assert a == b, f"records diverge for {spec.label()}"
     # One trace per benchmark was recorded.
     assert len(FFTraceStore()) == len(DIFF_BENCHMARKS)
+
+
+def test_recorder_caches_the_trace_it_would_decode():
+    """``RecordSession.finish`` keeps the intervals it recorded instead
+    of decoding the blob it just wrote: the cached trace must equal
+    ``decode_trace`` of that blob field for field."""
+    import repro.sample.trace as trace_mod
+
+    dense = {"ff_blocks": 48, "window_blocks": 16, "warmup_blocks": 4}
+    for bench in ("conv", "gzip"):      # gzip stores, conv forwards
+        spec = JobSpec.edge(bench, 4, scale=2, sampling=dense)
+        execute_spec(spec)
+        store = FFTraceStore()
+        cached = trace_mod._PARSED[store.root, trace_key(spec)]
+        decoded = decode_trace(store.load(trace_key(spec)))
+        for name in ("bench", "scale", "sampling", "program"):
+            assert getattr(cached, name) == getattr(decoded, name)
+            assert type(getattr(cached, name)) is type(getattr(decoded, name))
+        assert len(cached.intervals) == len(decoded.intervals) >= 2
+        assert any(any(iv.stores) for iv in cached.intervals)
+        for got, want in zip(cached.intervals, decoded.intervals):
+            assert _same_interval(got, want)
+            assert repr([getattr(got, n) for n in FFInterval.__slots__[:-1]]) \
+                == repr([getattr(want, n) for n in FFInterval.__slots__[:-1]])
+
+
+class TestUnwritableStore:
+    """A trace that cannot be persisted is lost sharing, not a lost
+    result: the run returns, the failure is counted, and this process
+    still replays from memory."""
+
+    SPECS = [JobSpec.edge("conv", n, scale=2, sampling=SAMPLING)
+             for n in (2, 4)]
+
+    def _check(self, reference):
+        obs = obs_lib.configure(metrics=True)
+        ring = obs.bus.attach(RingBufferSink(
+            kinds=("trace.write_failed", "trace.record", "trace.replay")))
+        clear_cache()
+        assert [execute_spec(spec) for spec in self.SPECS] == reference
+        (failed,) = ring.of_kind("trace.write_failed")
+        assert failed["bench"] == "conv" and failed["key"] == trace_key(
+            self.SPECS[0])
+        assert ring.of_kind("trace.record") == []
+        assert obs.metrics.counter("sample.trace_write_failures",
+                                   bench="conv") == 1
+        (replay,) = ring.of_kind("trace.replay")    # from memory
+        assert not replay["fell_back"]
+
+    def _reference(self, tmp_path):
+        reference = [execute_spec(spec) for spec in self.SPECS]
+        reset_ff_trace()
+        return reference
+
+    def test_root_under_a_regular_file(self, tmp_path):
+        reference = self._reference(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        configure_ff_trace(enabled=True, cache_dir=blocker / "traces")
+        self._check(reference)
+
+    def test_disk_full(self, tmp_path, monkeypatch):
+        import errno
+
+        import repro.exec.store as store_mod
+
+        reference = self._reference(tmp_path)
+        configure_ff_trace(enabled=True, cache_dir=tmp_path / "full")
+
+        def no_space(path, data):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(store_mod, "atomic_write", no_space)
+        self._check(reference)
+        assert len(FFTraceStore()) == 0
+
+
+class TestRepointedStore:
+    """The in-memory trace cache is per store root: pointing the
+    process at another trace directory must consult — and fill — that
+    directory, in whichever order the directories are visited."""
+
+    SPEC = JobSpec.edge("conv", 2, scale=2, sampling=SAMPLING)
+    GROUP = [JobSpec.edge("conv", n, scale=2, sampling=SAMPLING)
+             for n in (2, 4)]
+
+    @pytest.mark.parametrize("order", ["ab", "ba"])
+    def test_each_root_gets_its_own_blob(self, tmp_path, order):
+        roots = [tmp_path / name for name in order]
+        results = []
+        for root in roots:
+            configure_ff_trace(enabled=True, cache_dir=root)
+            clear_cache()
+            recorders, __ = prewarm_partition(self.GROUP)
+            assert recorders == self.GROUP[:1]      # empty store: not traced
+            results.append(execute_spec(self.SPEC))
+            assert len(FFTraceStore()) == 1
+            assert prewarm_partition(self.GROUP)[0] == []
+        assert results[0] == results[1]
+        # Back at the first root, its own cached trace still serves.
+        configure_ff_trace(enabled=True, cache_dir=roots[0])
+        obs = obs_lib.configure(metrics=True)
+        clear_cache()
+        assert execute_spec(self.SPEC) == results[0]
+        tag = "ff160/w24/wu8"
+        assert obs.metrics.counter("sample.trace_replays",
+                                   bench="conv", schedule=tag) == 1
 
 
 def test_mismatching_trace_falls_back_to_live_run(tmp_path):

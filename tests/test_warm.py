@@ -30,6 +30,7 @@ from repro.predictor.exits import ExitPredictor, push_history
 from repro.predictor.ras import DistributedRas
 from repro.predictor.targets import BranchKind, TargetPredictor
 from repro.sample.shadow import ShadowUarch
+from repro.sample.trace import FFInterval
 from repro.tflex.config import tflex_config
 from repro.warm import WarmState
 
@@ -116,18 +117,21 @@ def _probe_bank(bank):
 
 
 def _train_shadow(shadow, stream):
+    """One-block intervals through the batched warm-up."""
     ghist = 0
     for n in stream:
         addr = (n & 63) * BLOCK_STRIDE
-        outcome = SimpleNamespace(
-            exit_id=(n >> 6) & 7, next_addr=((n >> 9) & 63) * BLOCK_STRIDE,
-            branch_op=("BRO", "CALLO", "RET")[(n >> 15) % 3],
-            stores=[(0, (n >> 4) * 8, 8, n, False)] if n & 8 else [])
-        ghist = shadow.observe(SimpleNamespace(size=1 + (n & 127)), addr,
-                               ghist, outcome, [(n >> 2) * 8, n * 64])
+        interval = FFInterval(addr, (
+            [addr], [(n >> 6) & 7], [((n >> 9) & 63) * BLOCK_STRIDE],
+            [("BRO", "CALLO", "RET")[(n >> 15) % 3]], [1], [2],
+            [[(n >> 2) * 8, n * 64]],
+            [[(n >> 4) * 8, 8, n, 0] if n & 8 else []]))
+        size = SimpleNamespace(size=1 + (n & 127))
+        ghist = shadow.warm(interval, ghist, lambda __: size)
 
 
 def _probe_shadow(shadow):
+    shadow.settle()
     return ([_probe_bank(bank) for bank in shadow.pred_banks],
             _probe_ras(shadow.ras),
             [_probe_cache(bank) for bank in
