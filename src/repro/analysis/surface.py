@@ -2,8 +2,8 @@
 
 Replay/checkpoint fidelity (sampled simulation, recomposition) assumes
 that every *mutable* attribute of a warm structure moves with its
-transfer surface — the one vocabulary ``state_dict``/``load_state``/
-``swap_state``.  A mutable attribute the surface misses is warm state
+transfer surface — the one vocabulary ``state_dict``/``load_state``
+(staged by ``stage_state``)/``swap_state``.  A mutable attribute the surface misses is warm state
 that silently stays behind — exactly the drift that breaks the paper's
 "identical architectural state regardless of composition" invariant.
 
@@ -40,7 +40,7 @@ RULE_UNCOVERED = "REP101"
 #: Defining any of these makes a class a transfer-surface owner.
 SURFACE_DEF_METHODS = frozenset({"state_dict", "swap_state"})
 #: Reads in any of these count as surface coverage.
-SURFACE_READ_METHODS = SURFACE_DEF_METHODS | {"load_state"}
+SURFACE_READ_METHODS = SURFACE_DEF_METHODS | {"load_state", "stage_state"}
 
 #: Calls (last dotted segment) whose result is mutable state.
 _MUTABLE_FACTORIES = frozenset(

@@ -76,34 +76,35 @@ class JobResult:
 
 
 class _InProcessSlot:
-    """The ``jobs=1`` stand-in for :class:`WorkerPool`: one slot that
-    runs ``worker(spec)`` in this process inside :meth:`dispatch` and
-    hands the finished job to the next :meth:`poll`.  There is no
-    process to kill, so it cannot enforce a timeout."""
+    """The ``jobs=1`` stand-in for :class:`WorkerPool`: one slot whose
+    :meth:`dispatch` accepts a job and whose next :meth:`poll` runs
+    ``worker(spec)`` in this process and hands it back finished — so,
+    as with a pool, the previous job is persisted between the two.
+    There is no process to kill, so it cannot enforce a timeout."""
 
     def __init__(self, worker: Callable[[JobSpec], dict]) -> None:
         self.worker = worker
-        self._done: list[PoolEvent] = []
+        self._job: Optional[tuple] = None
 
     def has_idle(self) -> bool:
-        return not self._done
+        return self._job is None
 
     def busy_count(self) -> int:
-        return len(self._done)
+        return 0 if self._job is None else 1
 
     def dispatch(self, tag, spec: JobSpec) -> None:
+        self._job = (tag, spec)
+
+    def poll(self, wait: float = 0.0) -> list[PoolEvent]:
+        (tag, spec), self._job = self._job, None
         started = time.monotonic()
         try:
             ok, value = True, self.worker(spec)
         except Exception as exc:    # boundary: a bad job is reported
             ok, value = False, f"{type(exc).__name__}: {exc}"
-        self._done.append(PoolEvent(
-            tag=tag, ok=ok, value=value,
-            duration=time.monotonic() - started, worker="in-process"))
-
-    def poll(self) -> list[PoolEvent]:
-        done, self._done = self._done, []
-        return done
+        return [PoolEvent(tag=tag, ok=ok, value=value,
+                          duration=time.monotonic() - started,
+                          worker="in-process")]
 
     def shutdown(self) -> None:
         pass
@@ -112,7 +113,10 @@ class _InProcessSlot:
 class ParallelExecutor:
     """Runs a batch of job specs, in parallel when ``jobs > 1``."""
 
-    poll_interval = 0.01    # seconds between scheduler sweeps
+    #: Watchdog tick: the longest a sweep blocks with no reply and no
+    #: death to wake it, hence how late a timeout or a missed heartbeat
+    #: is noticed.  A finished or crashed job never waits for it.
+    poll_interval = 0.01
     #: Grace period for the terminate→kill escalation on unresponsive
     #: workers — a worker that ignores SIGTERM is SIGKILLed after this
     #: many seconds instead of wedging the sweep.
@@ -196,8 +200,8 @@ class ParallelExecutor:
     def _dispatch(self, specs, todo, results, reporter) -> None:
         """Run the cold jobs, longest first when the duration book has
         history (input order when cold).  A job's duration is the summed
-        dispatch→completion time of its attempts — service time, never
-        the wait for a free worker."""
+        service time of its attempts as the worker measured it — never
+        the wait for a free worker, nor the parent's wake-up latency."""
         book = DurationBook.for_store_root(
             self.store.root if self.store is not None else None)
         pending = deque(order_indices(specs, todo, book))
@@ -214,25 +218,29 @@ class ParallelExecutor:
                               worker=self.worker, timeout=self.timeout,
                               grace=self.grace, mp_context=self._mp_context,
                               obs=self.obs)
+
+        def refill() -> None:
+            while pending and pool.has_idle():
+                i = pending.popleft()
+                attempts[i] += 1
+                if self.obs.active:
+                    self.obs.emit("job.start", bench=specs[i].bench,
+                                  label=specs[i].label(), attempt=attempts[i])
+                pool.dispatch(i, specs[i])
+
         try:
-            while pending or pool.busy_count():
-                while pending and pool.has_idle():
-                    i = pending.popleft()
-                    attempts[i] += 1
-                    if self.obs.active:
-                        self.obs.emit("job.start", bench=specs[i].bench,
-                                      label=specs[i].label(),
-                                      attempt=attempts[i])
-                    pool.dispatch(i, specs[i])
-                events = pool.poll()
-                for event in events:
+            refill()
+            while pool.busy_count():
+                # Classify the sweep, refill the freed slots (a failed
+                # attempt before new work), and only then record: store
+                # writes, events and progress overlap the next jobs.
+                finished = []               # (index, payload, error)
+                for event in pool.poll(self.poll_interval):
                     i = event.tag
                     spent[i] += event.duration
                     if event.ok:
                         book.note_spec(specs[i], event.duration)
-                        results[i] = self._finish(
-                            specs[i], event.value, None, attempts[i],
-                            spent[i], reporter)
+                        finished.append((i, event.value, None))
                         continue
                     error = event.value
                     reason = _failure_reason(error)
@@ -249,11 +257,11 @@ class ParallelExecutor:
                                          reason, reporter)
                         pending.appendleft(i)    # retry before new work
                     else:
-                        results[i] = self._finish(
-                            specs[i], None, error, attempts[i],
-                            spent[i], reporter)
-                if not events:
-                    time.sleep(self.poll_interval)
+                        finished.append((i, None, error))
+                refill()
+                for i, payload, error in finished:
+                    results[i] = self._finish(specs[i], payload, error,
+                                              attempts[i], spent[i], reporter)
         finally:
             pool.shutdown()
             book.flush()

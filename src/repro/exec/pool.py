@@ -23,14 +23,17 @@ The failure strings ("worker timed out after Ns", "worker crashed
 retry/metric classification keys on.
 
 Observability: ``pool.spawn``/``pool.respawn``/``pool.kill`` events,
-plus ``exec.pool_reuse`` (jobs served by an already-warm worker) and
-``exec.worker_respawns`` counters.  See docs/OBSERVABILITY.md.
+``exec.pool_reuse`` (jobs served by an already-warm worker) and
+``exec.worker_respawns`` counters, and the ``exec.worker_idle_seconds``
+histogram — what each worker measured between sending one reply and
+receiving its next job.  See docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import time
+from multiprocessing.connection import wait as wait_any
 from typing import Callable, Optional
 
 import repro.obs as obs_lib
@@ -82,8 +85,9 @@ class WorkerPool:
     """``size`` warm workers behind a dispatch/poll interface.
 
     The pool is deliberately passive: :meth:`dispatch` hands one job to
-    an idle worker, :meth:`poll` performs one watchdog sweep and
-    returns every job that finished (or was lost) since the last call.
+    an idle worker, :meth:`poll` waits for the first reply or death,
+    performs one watchdog sweep and returns every job that finished (or
+    was lost) since the last call.
     Scheduling policy, retries, and result persistence stay in the
     executor.
     """
@@ -228,10 +232,22 @@ class WorkerPool:
 
     # -- completion / watchdog -----------------------------------------
 
-    def poll(self) -> list[PoolEvent]:
+    def poll(self, wait: float = 0.0) -> list[PoolEvent]:
         """One scheduler sweep: drain replies, enforce the per-job
         timeout, detect dead or unresponsive workers, respawn losses.
-        Returns the jobs that finished (or failed) during the sweep."""
+        Returns the jobs that finished (or failed) during the sweep.
+
+        The sweep is preceded by a block of at most ``wait`` seconds on
+        the busy workers' pipes and every worker's process sentinel, so
+        a reply or a death wakes the caller at once; ``wait`` is only
+        the tick at which timeouts and heartbeats are looked at."""
+        if wait > 0:
+            ready = [pw.conn for pw in self.workers if pw.busy]
+            ready += [pw.process.sentinel for pw in self.workers]
+            try:
+                wait_any(ready, wait)
+            except (OSError, ValueError):
+                pass                # a dead descriptor: the sweep names it
         events: list[PoolEvent] = []
         now = time.monotonic()
         for pw in self.workers:
@@ -250,7 +266,8 @@ class WorkerPool:
             if not pw.process.is_alive():
                 # Drain once more: the worker may have sent its reply
                 # and exited between the drain above and this check.
-                self._drain(pw, events, now)
+                if self._drain(pw, events, now) is False:
+                    continue        # ... or closed its pipe: replaced
                 if pw.busy:
                     pw.process.join(self.grace)
                     events.append(PoolEvent(
@@ -291,11 +308,14 @@ class WorkerPool:
                 pw.last_seen = now
                 pw.ping_sent_at = None
             elif kind == REPLY_RESULT:
-                __, tag, status, value = message
+                __, tag, status, value, service, idle = message
                 if pw.busy and tag == pw.tag:
                     events.append(PoolEvent(
                         tag=tag, ok=(status == "ok"), value=value,
-                        duration=now - pw.dispatched_at, worker=pw.name))
+                        duration=service, worker=pw.name))
+                    if self.obs.active:
+                        self.obs.metrics.observe(
+                            "exec.worker_idle_seconds", idle)
                     pw.tag = None
                     pw.spec = None
                     pw.jobs_done += 1

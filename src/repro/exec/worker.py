@@ -18,6 +18,7 @@ Two entry points:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from repro.exec.spec import JobSpec
@@ -28,7 +29,10 @@ from repro.exec.spec import JobSpec
 # tags.  Requests:   (MSG_JOB, tag, spec) | (MSG_PING, token)
 #                    | (MSG_SHUTDOWN,)
 # Replies:           (REPLY_READY,) once at startup,
-#                    (REPLY_RESULT, tag, "ok"|"error", payload|message),
+#                    (REPLY_RESULT, tag, "ok"|"error", payload|message,
+#                     service seconds, idle seconds) — both on the
+#                    worker's clock: the job itself, and the time blocked
+#                    in recv() since the previous reply,
 #                    (REPLY_PONG, token).
 MSG_JOB = "job"
 MSG_PING = "ping"
@@ -57,7 +61,8 @@ class PoolEvent:
     tag: object                 # the caller's dispatch tag (job index)
     ok: bool
     value: object               # payload dict | error string
-    duration: float             # seconds between dispatch and completion
+    duration: float             # service seconds on the worker's clock
+                                # (the parent's, from dispatch, if lost)
     worker: str                 # worker name that served (or lost) it
 
 
@@ -95,6 +100,7 @@ def pool_worker_main(conn, worker_fn) -> None:
             conn.send((REPLY_READY,))
         except (OSError, ValueError):
             return
+        idle_since = time.monotonic()
         while True:
             try:
                 message = conn.recv()
@@ -112,13 +118,14 @@ def pool_worker_main(conn, worker_fn) -> None:
             if kind != MSG_JOB:
                 continue                # unknown request: ignore, stay up
             tag, spec = message[1], message[2]
+            started = time.monotonic()
             try:
-                reply = (REPLY_RESULT, tag, "ok", worker_fn(spec))
+                status, value = "ok", worker_fn(spec)
             except BaseException as exc:
-                reply = (REPLY_RESULT, tag, "error",
-                         f"{type(exc).__name__}: {exc}")
+                status, value = "error", f"{type(exc).__name__}: {exc}"
+            timing = (time.monotonic() - started, started - idle_since)
             try:
-                conn.send(reply)
+                conn.send((REPLY_RESULT, tag, status, value, *timing))
             except (OSError, ValueError):
                 return
             except Exception as exc:
@@ -127,9 +134,10 @@ def pool_worker_main(conn, worker_fn) -> None:
                 try:
                     conn.send((REPLY_RESULT, tag, "error",
                                f"worker result not serialisable: "
-                               f"{type(exc).__name__}: {exc}"))
+                               f"{type(exc).__name__}: {exc}", *timing))
                 except Exception:
                     return
+            idle_since = time.monotonic()
     finally:
         _ACTIVE_CONN = None
         try:

@@ -57,18 +57,36 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-def _encode_sets(sets: list) -> list:
+class _Sets(dict):
+    """Set index -> ``OrderedDict[(ctx, line_addr) -> Line]`` (LRU
+    first), holding only the sets something has subscripted: a bank is
+    built empty and a short run touches a few hundred of a system's
+    ~10 000 sets.  An absent set and an empty one are the same state."""
+
+    __slots__ = ("num_sets",)
+
+    def __init__(self, num_sets: int, touched=()) -> None:
+        super().__init__(touched)
+        self.num_sets = num_sets
+
+    def __missing__(self, index: int) -> OrderedDict:
+        cache_set = self[index] = OrderedDict()
+        return cache_set
+
+
+def _encode_sets(sets: _Sets) -> list:
     return [[[line.ctx, line.line_addr, line.state.value]
-             for line in cache_set.values()]
-            for cache_set in sets]
+             for line in sets.get(index, {}).values()]
+            for index in range(sets.num_sets)]
 
 
-def _decode_sets(snapshot: list) -> list:
-    return [OrderedDict(((ctx, line_addr),
-                         Line(ctx=ctx, line_addr=line_addr,
-                              state=LineState(state)))
-                        for ctx, line_addr, state in entries)
-            for entries in snapshot]
+def _decode_sets(snapshot: list) -> _Sets:
+    return _Sets(len(snapshot), (
+        (index, OrderedDict(((ctx, line_addr),
+                             Line(ctx=ctx, line_addr=line_addr,
+                                  state=LineState(state)))
+                            for ctx, line_addr, state in entries))
+        for index, entries in enumerate(snapshot) if entries))
 
 
 class CacheBank(WarmState):
@@ -93,8 +111,7 @@ class CacheBank(WarmState):
         self.assoc = assoc
         self.num_sets = num_lines // assoc
         self.stats = CacheStats()  # lint: ok(REP101) history, not warm state — stats stay with their owner across swaps
-        # set index -> OrderedDict[(ctx, line_addr) -> Line], LRU first.
-        self._sets: list[OrderedDict] = [OrderedDict() for __ in range(self.num_sets)]
+        self._sets = _Sets(self.num_sets)
 
     def line_addr(self, addr: int) -> int:
         return addr & ~(self.line_size - 1)
@@ -182,12 +199,12 @@ class CacheBank(WarmState):
         return line
 
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     def iter_lines(self):
         """Iterate all resident lines (set order, LRU-first within a set)."""
-        for cache_set in self._sets:
-            yield from cache_set.values()
+        for index in sorted(self._sets):
+            yield from self._sets[index].values()
 
     # ------------------------------------------------------------------
     # State transfer (sampled-simulation warm-up injection, checkpoints)
@@ -206,8 +223,10 @@ class CacheBank(WarmState):
         lines that hash to it — ``fill`` evicts one line per insertion
         and ``probe`` looks in one set, so neither would ever repair an
         oversize set or find a misfiled line."""
-        super().check_warm(values)
-        for index, cache_set in enumerate(values["_sets"]):
+        sets = values["_sets"]
+        if sets.num_sets != self.num_sets:
+            raise ValueError(f"{self.name}: snapshot geometry mismatch")
+        for index, cache_set in sets.items():
             if len(cache_set) > self.assoc:
                 raise ValueError(f"{self.name}: snapshot set {index} holds "
                                  f"{len(cache_set)} lines, assoc is {self.assoc}")

@@ -116,6 +116,7 @@ METRICS: dict[str, str] = {
     "exec.job_seconds": "histogram of per-job service seconds",
     "exec.pool_reuse": "jobs served by an already-warm worker",
     "exec.worker_respawns": "warm workers replaced",
+    "exec.worker_idle_seconds": "histogram of seconds a pool worker waited for each job",
     "exec.gc_scanned": "result-store entries scanned by GC",
     "exec.gc_removed": "result-store entries deleted by GC",
     "exec.gc_bytes_freed": "bytes reclaimed by result-store GC",

@@ -24,6 +24,7 @@ from repro.predictor.exits import (
 )
 from repro.predictor.ras import DistributedRas, RasCheckpoint
 from repro.predictor.targets import BranchKind, TargetPredictor
+from repro.warm import stage_all
 
 _LOCAL_HIST_MASK = (1 << (EXIT_BITS * LOCAL_HISTORY_EXITS)) - 1
 _GLOBAL_HIST_MASK = (1 << (EXIT_BITS * GLOBAL_HISTORY_EXITS)) - 1
@@ -200,9 +201,15 @@ class PredictorBank:
         if prediction.checkpoint.ras_checkpoint is not None:
             ras.restore(prediction.checkpoint.ras_checkpoint)
 
+    def warm_geometry(self) -> tuple:
+        return (self.exits.warm_geometry(), self.targets.warm_geometry())
+
     def swap_state(self, other: "PredictorBank") -> None:
         """Exchange all table contents with a same-geometry bank in
-        O(1) (:meth:`repro.warm.WarmState.swap_state`)."""
+        O(1) (:meth:`repro.warm.WarmState.swap_state`); both table sets
+        are compared before either moves."""
+        if self.warm_geometry() != other.warm_geometry():
+            raise ValueError("PredictorBank: swap geometry mismatch")
         self.exits.swap_state(other.exits)
         self.targets.swap_state(other.targets)
 
@@ -211,7 +218,11 @@ class PredictorBank:
         return {"exits": self.exits.state_dict(),
                 "targets": self.targets.state_dict()}
 
+    def stage_state(self, state: dict):
+        return stage_all(((self.exits, state["exits"]),
+                          (self.targets, state["targets"])))
+
     def load_state(self, state: dict) -> None:
-        """Replace all table contents with a :meth:`state_dict` snapshot."""
-        self.exits.load_state(state["exits"])
-        self.targets.load_state(state["targets"])
+        """Replace all table contents with a :meth:`state_dict`
+        snapshot; one that fits either table set badly changes nothing."""
+        self.stage_state(state)()

@@ -37,6 +37,7 @@ from repro.predictor.exits import GLOBAL_HISTORY_EXITS, push_history
 from repro.predictor.targets import BranchKind
 from repro.tflex import interleave
 from repro.tflex.config import SystemConfig
+from repro.warm import stage_all
 
 _KIND_OF = {name: BranchKind.of_opcode(name) for name in BRANCH_KINDS}
 
@@ -341,9 +342,10 @@ class ShadowUarch:
                  "dcache": self.dcaches, "l2": self.l2.banks}
         if any(len(state[key]) != len(group) for key, group in banks.items()):
             raise ValueError("shadow snapshot geometry mismatch")
+        commit = stage_all(
+            [(self.ras, state["ras"])]
+            + [(bank, snapshot) for key, group in banks.items()
+               for bank, snapshot in zip(group, state[key])])
         self.settle()
-        self.ras.load_state(state["ras"])
-        for key, group in banks.items():
-            for bank, snapshot in zip(group, state[key]):
-                bank.load_state(snapshot)
+        commit()
         self.rebuild_directory()

@@ -25,6 +25,18 @@ def _sizes(values) -> tuple:
     return tuple(len(value) for value in values if hasattr(value, "__len__"))
 
 
+def stage_all(parts):
+    """Stage every ``(structure, snapshot)`` pair, then return the call
+    that commits them all: a composite's ``load_state`` refuses a bad
+    part before any part has moved."""
+    commits = [part.stage_state(snapshot) for part, snapshot in parts]
+
+    def commit() -> None:
+        for assign in commits:
+            assign()
+    return commit
+
+
 class WarmState:
     """Mixin deriving ``state_dict``/``load_state``/``swap_state`` from
     the class's ``WARM`` declaration."""
@@ -52,15 +64,24 @@ class WarmState:
         return {name.lstrip("_"): encode(getattr(self, name))
                 for name, encode, __ in self.WARM}
 
-    def load_state(self, state: dict) -> None:
-        """Replace the declared fields with a :meth:`state_dict`
-        snapshot.  Everything is decoded and checked first, so a
-        snapshot that does not fit raises and changes nothing."""
+    def stage_state(self, state: dict):
+        """Decode a :meth:`state_dict` snapshot and check that it fits;
+        returns the call that assigns it.  A snapshot that does not fit
+        raises here, and nothing changes before the returned call — so
+        a composite stages every part, then commits (:func:`stage_all`)."""
         values = {name: decode(state[name.lstrip("_")])
                   for name, __, decode in self.WARM}
         self.check_warm(values)
-        for name, value in values.items():
-            setattr(self, name, value)
+
+        def commit() -> None:
+            for name, value in values.items():
+                setattr(self, name, value)
+        return commit
+
+    def load_state(self, state: dict) -> None:
+        """Replace the declared fields with a :meth:`state_dict`
+        snapshot; one that does not fit raises and changes nothing."""
+        self.stage_state(state)()
 
     def swap_state(self, other: "WarmState") -> None:
         """Exchange the declared fields with a same-geometry instance by

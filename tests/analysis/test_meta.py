@@ -24,8 +24,8 @@ _WARM_ENTRY = '        ("_ctb", _encode_tagged, _decode_tagged),\n'
 _SURFACE_READS = (
     ('                "targets": self.targets.state_dict()}',
      "                }"),
-    ('        self.targets.load_state(state["targets"])',
-     "        pass"),
+    ('                          (self.targets, state["targets"])))',
+     "                          ))"),
     ("        self.targets.swap_state(other.targets)",
      "        pass"),
 )
@@ -66,7 +66,7 @@ class TestBrokenStateDictIsCaught:
         assert "PredictorBank.targets" in finding.message
 
     def test_partial_severing_is_still_covered(self, tmp_path):
-        """Removing only the state_dict read keeps load_state/swap
+        """Removing only the state_dict read keeps stage_state/swap
         coverage — the pass should stay quiet (reads in *any* surface
         method count for a composite)."""
         needle, replacement = _SURFACE_READS[0]

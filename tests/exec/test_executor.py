@@ -212,12 +212,29 @@ class TestSendExitRace:
         pw.process.join(5)
         pw.conn.close()
         recv, send = multiprocessing.get_context().Pipe(duplex=False)
-        send.send(("result", 0, "ok", {"value": 42}))
+        send.send(("result", 0, "ok", {"value": 42}, 0.5, 0.0))
         send.close()
         pw.conn = _LaggedConn(recv)
         (event,) = busy_pool.poll()
         assert event.ok
         assert event.value == {"value": 42}
+
+    def test_death_seen_before_the_closed_pipe_respawns_once(self, busy_pool):
+        """The liveness check can notice a killed worker before its
+        pipe reads EOF; the second drain then replaces the slot, and
+        the dead-process branch must not replace it again (regression:
+        it did, orphaning the worker it had just spawned)."""
+        (pw,) = busy_pool.workers
+        pw.process.kill()
+        pw.process.join(5)
+        pw.conn.close()
+        recv, send = multiprocessing.get_context().Pipe(duplex=False)
+        send.close()
+        pw.conn = _LaggedConn(recv)
+        (event,) = busy_pool.poll()
+        assert event.value == "worker crashed (exit code -9)"
+        assert pw.generation == 1 and busy_pool.respawns == 1
+        assert len(multiprocessing.active_children()) == 1
 
 
 @_SERIAL_AND_POOL

@@ -6,16 +6,18 @@ SIGTERM (stuck in C code), breaking the pipe mid-send, and crashing
 outright.
 """
 
+import multiprocessing
 import os
+import random
 import signal
 import struct
 import time
 
 import pytest
 
-from repro.exec import JobSpec, ParallelExecutor, run_specs
+from repro.exec import JobSpec, ParallelExecutor, ResultStore, run_specs
 from repro.exec.pool import WorkerPool
-from repro.obs import Observability
+from repro.obs import CallbackSink, Observability
 
 
 def _specs(n, bench="conv"):
@@ -49,6 +51,11 @@ def _broken_pipe_worker(spec):
 def _crash_on_scale_2(spec):
     if spec.scale == 2:
         os._exit(13)
+    return _ok_worker(spec)
+
+
+def _nap_worker(spec):
+    time.sleep(0.03)
     return _ok_worker(spec)
 
 
@@ -183,3 +190,166 @@ class TestPoolUnit:
             assert event.duration >= 0.0
         finally:
             pool.shutdown()
+
+
+class TestEventDrivenWake:
+    """``poll_interval`` is the watchdog tick, not the reaction time: a
+    reply or a death wakes the dispatch loop through the pipe or the
+    process sentinel.  With a five-second tick, anything that still
+    waited for one would blow the two-second budgets below."""
+
+    def _executor(self, **kwargs):
+        executor = ParallelExecutor(jobs=2, **kwargs)
+        executor.poll_interval = 5.0
+        return executor
+
+    def test_a_reply_wakes_the_parent(self):
+        started = time.monotonic()
+        results = self._executor(worker=_ok_worker).run(_specs(6))
+        assert time.monotonic() - started < 2
+        assert [r.status for r in results] == ["ok"] * 6
+
+    def test_a_death_wakes_the_parent(self):
+        obs = _obs()
+        started = time.monotonic()
+        results = self._executor(worker=_crash_on_scale_2, obs=obs).run(
+            _specs(3))
+        assert time.monotonic() - started < 2
+        by_scale = {r.spec.scale: r for r in results}
+        assert by_scale[2].status == "failed" and by_scale[2].attempts == 2
+        assert "worker crashed (exit code 13)" in by_scale[2].error
+        assert by_scale[1].status == by_scale[3].status == "ok"
+        assert obs.metrics.counter("exec.retries", reason="crash",
+                                   bench="conv") == 1
+
+
+class _LoggingStore(ResultStore):
+    """Appends ``("store", label)`` to a log shared with the obs sink."""
+
+    def __init__(self, root, log):
+        super().__init__(root)
+        self.log = log
+
+    def store(self, spec, payload):
+        self.log.append(("store", spec.label()))
+        return super().store(spec, payload)
+
+
+def _raise_on_2_cores(spec):
+    if spec.ncores == 2:
+        raise ValueError("simulated bad configuration")
+    return _ok_worker(spec)
+
+
+#: One slot either way — the in-process one, or a one-worker pool
+#: (``timeout=`` needs a process to kill) — so the order is exact.
+_ONE_SLOT = pytest.mark.parametrize(
+    "timeout", [None, 60.0], ids=["in-process", "one-worker-pool"])
+
+
+@_ONE_SLOT
+class TestDispatchBeforePersist:
+    def _run(self, tmp_path, timeout, worker):
+        log = []
+        obs = _obs()
+        obs.bus.attach(CallbackSink(
+            lambda e: log.append(("start", e["label"], e["attempt"])),
+            kinds=("job.start",)))
+        results = run_specs(
+            [JobSpec.edge("conv", ncores=n) for n in (1, 2, 4, 8)],
+            jobs=1, timeout=timeout, worker=worker, obs=obs,
+            store=_LoggingStore(tmp_path, log))
+        return [r.status for r in results], log
+
+    def test_the_freed_slot_is_refilled_before_the_record_is_written(
+            self, tmp_path, timeout):
+        statuses, log = self._run(tmp_path, timeout, _ok_worker)
+        assert statuses == ["ok"] * 4
+        assert log == [("start", "tflex-1", 1),
+                       ("start", "tflex-2", 1), ("store", "tflex-1"),
+                       ("start", "tflex-4", 1), ("store", "tflex-2"),
+                       ("start", "tflex-8", 1), ("store", "tflex-4"),
+                       ("store", "tflex-8")]
+
+    def test_a_failed_attempt_is_redispatched_before_any_new_spec(
+            self, tmp_path, timeout):
+        statuses, log = self._run(tmp_path, timeout, _raise_on_2_cores)
+        assert statuses == ["ok", "failed", "ok", "ok"]
+        assert log == [("start", "tflex-1", 1),
+                       ("start", "tflex-2", 1), ("store", "tflex-1"),
+                       ("start", "tflex-2", 2),     # the retry, not tflex-4
+                       ("start", "tflex-4", 1),
+                       ("start", "tflex-8", 1), ("store", "tflex-4"),
+                       ("store", "tflex-8")]
+
+
+class _SlowStore(ResultStore):
+    def store(self, spec, payload):
+        time.sleep(0.1)
+        return super().store(spec, payload)
+
+
+class TestWorkerClock:
+    def test_duration_and_idle_time_are_the_workers_own(self, tmp_path):
+        """Three 30 ms jobs on one pool worker behind a store that takes
+        100 ms a record: the parent is still writing record N when job
+        N+1 finishes, so on the parent's clock every job "took" 100 ms.
+        The worker's own service time says 30 ms, and its idle time —
+        what it spent blocked in recv() before each job — shows the
+        70 ms the parent made it wait."""
+        obs = _obs()
+        results = run_specs(_specs(3), jobs=1, timeout=60.0, obs=obs,
+                            worker=_nap_worker, store=_SlowStore(tmp_path))
+        assert all(0.03 <= r.duration < 0.09 for r in results)
+        assert obs.metrics.histogram("exec.job_seconds").max < 0.09
+        idle = obs.metrics.histogram("exec.worker_idle_seconds")
+        assert idle.count == 3
+        assert 0.05 <= idle.max < 0.5
+
+
+class _ChaosStore(ResultStore):
+    """SIGKILLs a randomly chosen live pool worker while writing its
+    5th, 15th and 25th record.  The store is written in the parent's
+    dispatch loop right after the freed slot was refilled, so both
+    workers are mid-job when the signal lands."""
+
+    def __init__(self, root, rng):
+        super().__init__(root)
+        self.rng = rng
+        self.killed = []
+
+    def store(self, spec, payload):
+        path = super().store(spec, payload)
+        if self.writes in (5, 15, 25):
+            workers = sorted(
+                (p for p in multiprocessing.active_children()
+                 if p.name.startswith("repro-pool-")), key=lambda p: p.name)
+            victim = self.rng.choice(workers)
+            os.kill(victim.pid, signal.SIGKILL)
+            self.killed.append(victim.name)
+        return path
+
+
+class TestChaos:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sweep_survives_three_sigkills_byte_identically(
+            self, tmp_path, seed):
+        specs = _specs(40)
+        calm = ResultStore(tmp_path / "calm")
+        run_specs(specs, jobs=2, worker=_nap_worker, store=calm)
+
+        obs = _obs()
+        chaos = _ChaosStore(tmp_path / "chaos", random.Random(seed))
+        started = time.monotonic()
+        results = run_specs(specs, jobs=2, worker=_nap_worker, store=chaos,
+                            obs=obs)
+        assert time.monotonic() - started < 20
+        assert len(chaos.killed) == 3
+        assert [r.status for r in results] == ["ok"] * 40
+        assert obs.metrics.counter_total("exec.worker_respawns") == 3
+        assert 1 <= obs.metrics.counter_total("exec.retries") <= 3
+        assert sorted(chaos.iter_keys()) == sorted(calm.iter_keys())
+        for key in calm.iter_keys():
+            assert (chaos.path_for(key).read_bytes()
+                    == calm.path_for(key).read_bytes())
+        assert not multiprocessing.active_children()

@@ -259,59 +259,3 @@ class TestPredictorBank:
                 bank.update(prediction, actual_exit, BranchKind.BRANCH, actual_target)
                 ghist = push_history(ghist, actual_exit, 4)
         assert correct / total > 0.6
-
-
-class TestSwapState:
-    """Fixed-input spot checks of the O(1) exchange on the structures
-    the sampled engine swaps per window.  The contract itself — swap ==
-    load round trip, stats, geometry mismatch, generated contents — is
-    stated once for every warm structure in tests/test_warm.py."""
-
-    def _trained_bank(self, seed_exit):
-        bank = PredictorBank()
-        ras = DistributedRas(num_cores=1)
-        ghist = 0
-        for i in range(40):
-            addr = BASE + (i % 5) * BLOCK_STRIDE
-            actual = (i + seed_exit) % 3
-            prediction = bank.predict(addr, ghist, ras)
-            bank.repair(prediction, ras, actual_exit=actual)
-            bank.update(prediction, actual, BranchKind.BRANCH,
-                        addr + BLOCK_STRIDE)
-            ghist = push_history(ghist, actual, 4)
-        return bank
-
-    def test_bank_swap_exchanges_tables(self):
-        a = self._trained_bank(0)
-        b = self._trained_bank(1)
-        state_a = a.state_dict()
-        state_b = b.state_dict()
-        assert state_a != state_b
-        a.swap_state(b)
-        assert a.state_dict() == state_b
-        assert b.state_dict() == state_a
-        # And back: a second swap restores the original assignment.
-        a.swap_state(b)
-        assert a.state_dict() == state_a
-
-    def test_bank_swap_leaves_stats_with_owner(self):
-        a = self._trained_bank(0)
-        b = PredictorBank()
-        exit_stats = a.exits.stats
-        a.swap_state(b)
-        assert a.exits.stats is exit_stats
-        assert b.exits.stats.predictions == 0
-
-    def test_ras_swap_exchanges_stack(self):
-        a = DistributedRas(num_cores=2)
-        b = DistributedRas(num_cores=2)
-        for value in (0x100, 0x200, 0x300):
-            a.push(value)
-        state_a = a.state_dict()
-        state_b = b.state_dict()
-        a.swap_state(b)
-        assert a.state_dict() == state_b
-        assert b.state_dict() == state_a
-        assert b.depth == 3
-        value, __ = b.pop()
-        assert value == 0x300

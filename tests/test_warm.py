@@ -12,7 +12,8 @@ default and non-default geometries, on hypothesis-generated contents:
   in each direction lands on — container order (LRU, hence the eviction
   victim) and the structure's next observable answers included;
 * stats stay with their owner through loads and swaps;
-* a geometry mismatch raises ``ValueError`` and changes neither side.
+* a geometry mismatch raises ``ValueError`` and changes neither side —
+  in a composite too, whichever part it is in.
 """
 
 import dataclasses
@@ -211,10 +212,12 @@ CASES = {
         swap_mismatch=(TargetPredictor,), load_mismatch=(TargetPredictor,)),
     "predictor-bank": Case(
         PredictorBank, _train_bank, _probe_bank, stats=_bank_stats,
-        # A composite checks part by part, so only a mismatch in its
-        # first part (the exit tables) is refused before anything moves.
-        swap_mismatch=(lambda: PredictorBank(local_l1=32),),
-        load_mismatch=(lambda: PredictorBank(local_l1=32),)),
+        # A composite checks every part before moving any: a mismatch in
+        # its last part (the target tables) leaves the first untouched.
+        swap_mismatch=(lambda: PredictorBank(local_l1=32),
+                       lambda: PredictorBank(btb_entries=64)),
+        load_mismatch=(lambda: PredictorBank(local_l1=32),
+                       lambda: PredictorBank(ctb_entries=8))),
     "predictor-bank-small": Case(
         lambda: PredictorBank(16, 32, 64, 128, 64, 32, 4),
         _train_bank, _probe_bank, stats=_bank_stats,
@@ -223,7 +226,10 @@ CASES = {
     # parts with a window system's (tests/sample/test_engine.py).
     "shadow-2": Case(
         lambda: _shadow(2), _train_shadow, _probe_shadow, stats=_shadow_stats,
-        load_mismatch=(lambda: _shadow(4),)),
+        # Same bank counts, so only the D-cache banks — staged after the
+        # RAS, the predictors and the I-caches — can refuse.
+        load_mismatch=(lambda: _shadow(4),
+                       lambda: _shadow(2, dcache_bytes=4096))),
     "shadow-4-small-l1": Case(
         lambda: _shadow(4, icache_bytes=2048, dcache_bytes=4096, btb_entries=64),
         _train_shadow, _probe_shadow, stats=_shadow_stats,
@@ -326,6 +332,7 @@ def test_swap_geometry_mismatch_raises_and_changes_nothing(case):
         before = (mine.state_dict(), other.state_dict())
         with pytest.raises(ValueError):
             mine.swap_state(other)
+        assert (mine.state_dict(), other.state_dict()) == before
         with pytest.raises(ValueError):
             other.swap_state(mine)
         assert (mine.state_dict(), other.state_dict()) == before
@@ -335,8 +342,74 @@ def test_swap_geometry_mismatch_raises_and_changes_nothing(case):
 def test_load_geometry_mismatch_raises_and_changes_nothing(case):
     for make_other in case.load_mismatch:
         mine, other = _trained(case, range(1, 40)), make_other()
-        case.train(other, range(1, 40))
+        case.train(other, range((1 << 15) + 41, (1 << 15) + 80))
         before = mine.state_dict()
         with pytest.raises(ValueError):
             mine.load_state(_json(other.state_dict()))
         assert mine.state_dict() == before
+
+
+def test_snapshot_with_a_bad_last_part_changes_no_earlier_part():
+    """The shadow stages RAS, predictors, I-, D- and L2 banks in that
+    order; a snapshot whose very last L2 bank cannot be this bank's
+    state must be refused with everything before it still in place
+    (regression: earlier parts had already been replaced)."""
+    mine, other = _shadow(2), _shadow(2)
+    _train_shadow(mine, range(1, 60))
+    _train_shadow(other, range((1 << 15) + 500, (1 << 15) + 580))  # calls
+    before = mine.state_dict()
+    snapshot = _json(other.state_dict())
+    assert all(snapshot[part] != before[part] for part in before)
+    snapshot["l2"][-1]["sets"][0] = [[0, 64, "S"]]    # a set-1 line in set 0
+    with pytest.raises(ValueError, match="filed under set 0"):
+        mine.load_state(snapshot)
+    assert mine.state_dict() == before
+
+
+# ----------------------------------------------------------------------
+# Fixed-input spot checks of the O(1) exchange on the two structures the
+# sampled engine swaps per window (formerly tests/predictor TestSwapState)
+# ----------------------------------------------------------------------
+
+def _repair_trained_bank(seed_exit):
+    bank = PredictorBank()
+    ras = DistributedRas(num_cores=1)
+    ghist = 0
+    for i in range(40):
+        addr = 0x10000 + (i % 5) * BLOCK_STRIDE
+        actual = (i + seed_exit) % 3
+        prediction = bank.predict(addr, ghist, ras)
+        bank.repair(prediction, ras, actual_exit=actual)
+        bank.update(prediction, actual, BranchKind.BRANCH,
+                    addr + BLOCK_STRIDE)
+        ghist = push_history(ghist, actual, 4)
+    return bank
+
+
+def test_bank_swap_exchanges_tables():
+    a, b = _repair_trained_bank(0), _repair_trained_bank(1)
+    state_a, state_b = a.state_dict(), b.state_dict()
+    assert state_a != state_b
+    a.swap_state(b)
+    assert (a.state_dict(), b.state_dict()) == (state_b, state_a)
+    a.swap_state(b)             # a second swap restores the assignment
+    assert a.state_dict() == state_a
+
+
+def test_bank_swap_leaves_stats_with_owner():
+    a, b = _repair_trained_bank(0), PredictorBank()
+    exit_stats = a.exits.stats
+    a.swap_state(b)
+    assert a.exits.stats is exit_stats
+    assert b.exits.stats.predictions == 0
+
+
+def test_ras_swap_exchanges_stack():
+    a, b = DistributedRas(num_cores=2), DistributedRas(num_cores=2)
+    for value in (0x100, 0x200, 0x300):
+        a.push(value)
+    state_a, state_b = a.state_dict(), b.state_dict()
+    a.swap_state(b)
+    assert (a.state_dict(), b.state_dict()) == (state_b, state_a)
+    assert b.depth == 3
+    assert b.pop()[0] == 0x300
