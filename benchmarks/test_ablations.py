@@ -9,8 +9,6 @@ delta on an 8-core TFlex and measures the cost across a representative
 benchmark mix.
 """
 
-import pytest
-
 from repro.harness import format_table, geomean, run_edge_benchmark
 
 from benchmarks.conftest import save_result
@@ -59,24 +57,21 @@ def _storeset_speedup() -> float:
     return geomean(ratios)
 
 
-def test_ablations(benchmark, results_dir):
-    def run_all():
-        return {
-            "operand bandwidth 2 -> 1 channels": _mean_slowdown(
-                overrides={"opn_channels": 1}),
-            "dual issue -> single issue": _mean_slowdown(
-                core_overrides={"issue_int": 1, "issue_total": 1}),
-            "distributed -> centralized predictor": _mean_slowdown(
-                overrides={"centralized_predictor": True}),
-            "8 D-cache/LSQ banks -> 2": _mean_slowdown(
-                overrides={"dcache_banks": 2}),
-            "8 register banks -> 2": _mean_slowdown(
-                overrides={"regfile_banks": 2}),
-            "greedy placement vs sequential ids": _placement_speedup(),
-            "store-set predictor vs blunt throttle": _storeset_speedup(),
-        }
-
-    slowdowns = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_ablations(results_dir):
+    slowdowns = {
+        "operand bandwidth 2 -> 1 channels": _mean_slowdown(
+            overrides={"opn_channels": 1}),
+        "dual issue -> single issue": _mean_slowdown(
+            core_overrides={"issue_int": 1, "issue_total": 1}),
+        "distributed -> centralized predictor": _mean_slowdown(
+            overrides={"centralized_predictor": True}),
+        "8 D-cache/LSQ banks -> 2": _mean_slowdown(
+            overrides={"dcache_banks": 2}),
+        "8 register banks -> 2": _mean_slowdown(
+            overrides={"regfile_banks": 2}),
+        "greedy placement vs sequential ids": _placement_speedup(),
+        "store-set predictor vs blunt throttle": _storeset_speedup(),
+    }
     rows = [[k, round(v, 3)] for k, v in slowdowns.items()]
     save_result(results_dir, "ablations", format_table(
         ["ablation (on 8-core TFlex)", "impact (x)"], rows,

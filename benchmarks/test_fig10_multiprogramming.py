@@ -16,9 +16,8 @@ from repro.harness import fig10_multiprogramming
 from benchmarks.conftest import save_result
 
 
-def test_fig10_multiprogramming(benchmark, fig6, results_dir):
-    result = benchmark.pedantic(lambda: fig10_multiprogramming(fig6),
-                                rounds=1, iterations=1)
+def test_fig10_multiprogramming(fig6, results_dir):
+    result = fig10_multiprogramming(fig6)
     save_result(results_dir, "fig10_multiprogramming", result.render())
 
     # TFlex wins at every workload size against every fixed CMP.

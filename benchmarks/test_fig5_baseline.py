@@ -12,9 +12,8 @@ from repro.harness import fig5_baseline
 from benchmarks.conftest import save_result
 
 
-def test_fig5_baseline(benchmark, results_dir):
-    result = benchmark.pedantic(lambda: fig5_baseline(scale=1),
-                                rounds=1, iterations=1)
+def test_fig5_baseline(results_dir):
+    result = fig5_baseline(scale=1)
     save_result(results_dir, "fig5_baseline", result.render())
 
     hand = result.category_mean("hand")

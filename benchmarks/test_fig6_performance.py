@@ -14,8 +14,8 @@ Paper claims reproduced in shape:
 from benchmarks.conftest import save_result
 
 
-def test_fig6_performance(benchmark, fig6, results_dir):
-    result = benchmark.pedantic(lambda: fig6, rounds=1, iterations=1)
+def test_fig6_performance(fig6, results_dir):
+    result = fig6
     save_result(results_dir, "fig6_performance", result.render())
 
     # Speedups grow from 1 to the per-benchmark best.

@@ -13,8 +13,8 @@ from repro.harness import fig7_area
 from benchmarks.conftest import save_result
 
 
-def test_fig7_area(benchmark, fig6, results_dir):
-    result = benchmark.pedantic(lambda: fig7_area(fig6), rounds=1, iterations=1)
+def test_fig7_area(fig6, results_dir):
+    result = fig7_area(fig6)
     save_result(results_dir, "fig7_area", result.render())
 
     # Area efficiency peaks at small compositions for most benchmarks.

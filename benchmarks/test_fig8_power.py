@@ -12,8 +12,8 @@ from repro.harness import fig8_power
 from benchmarks.conftest import save_result
 
 
-def test_fig8_power(benchmark, fig6, results_dir):
-    result = benchmark.pedantic(lambda: fig8_power(fig6), rounds=1, iterations=1)
+def test_fig8_power(fig6, results_dir):
+    result = fig8_power(fig6)
     save_result(results_dir, "fig8_power", result.render())
 
     # The best fixed configuration is an intermediate size (paper: 8).

@@ -21,10 +21,8 @@ from benchmarks.conftest import save_result
 PROTOCOL_BENCHES = ["conv", "ct", "bezier", "mcf", "gzip", "mgrid"]
 
 
-def test_fig9_protocols(benchmark, results_dir):
-    result = benchmark.pedantic(
-        lambda: fig9_protocols(benchmarks=PROTOCOL_BENCHES),
-        rounds=1, iterations=1)
+def test_fig9_protocols(results_dir):
+    result = fig9_protocols(benchmarks=PROTOCOL_BENCHES)
     save_result(results_dir, "fig9_protocols", result.render())
 
     # 9a: the constant front end.

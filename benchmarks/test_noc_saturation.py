@@ -41,10 +41,9 @@ def drive(offered_load: float, cycles: int = 600, seed: int = 5) -> dict:
     }
 
 
-def test_noc_saturation(benchmark, results_dir):
+def test_noc_saturation(results_dir):
     loads = (0.02, 0.05, 0.10, 0.20, 0.35, 0.50)
-    results = benchmark.pedantic(
-        lambda: [drive(load) for load in loads], rounds=1, iterations=1)
+    results = [drive(load) for load in loads]
 
     rows = [[load, round(r["throughput"], 3), round(r["latency"], 1),
              f"{r['accepted']:.0%}"]

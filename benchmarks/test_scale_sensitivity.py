@@ -15,20 +15,17 @@ from benchmarks.conftest import save_result
 MIX = ["conv", "bezier", "mcf", "mgrid"]
 
 
-def test_scale_sensitivity(benchmark, results_dir):
-    def run_all():
-        data = {}
-        for name in MIX:
-            data[name] = {
-                scale: {
-                    n: run_edge_benchmark(name, ncores=n, scale=scale).cycles
-                    for n in (1, 8, 32)
-                }
-                for scale in (1, 2)
+def test_scale_sensitivity(results_dir):
+    data = {
+        name: {
+            scale: {
+                n: run_edge_benchmark(name, ncores=n, scale=scale).cycles
+                for n in (1, 8, 32)
             }
-        return data
-
-    data = benchmark.pedantic(run_all, rounds=1, iterations=1)
+            for scale in (1, 2)
+        }
+        for name in MIX
+    }
 
     rows = []
     for name in MIX:

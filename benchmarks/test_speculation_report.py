@@ -14,13 +14,9 @@ from repro.workloads import BENCHMARKS
 from benchmarks.conftest import save_result
 
 
-def test_speculation_report(benchmark, results_dir):
+def test_speculation_report(results_dir):
     names = sorted(BENCHMARKS)
-
-    def run_all():
-        return {name: run_edge_benchmark(name, ncores=8) for name in names}
-
-    runs = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    runs = {name: run_edge_benchmark(name, ncores=8) for name in names}
 
     rows = []
     for name in names:

@@ -15,9 +15,8 @@ from repro.power import AreaModel
 from benchmarks.conftest import save_result
 
 
-def test_table2_area_power(benchmark, fig6, results_dir):
-    result = benchmark.pedantic(lambda: table2_area_power(fig6),
-                                rounds=1, iterations=1)
+def test_table2_area_power(fig6, results_dir):
+    result = table2_area_power(fig6)
     save_result(results_dir, "table2_area_power", result.render())
 
     # Area anchors.

@@ -123,20 +123,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.exec import JobSpec
-    from repro.harness import format_table, prewarm_specs, run_edge_benchmark
+    from repro.harness import format_table, run_all
+    from repro.harness.experiments import CORE_COUNTS
 
-    core_counts = (1, 2, 4, 8, 16, 32)
     sampling = _sampling_from_args(args)
-    prewarm_specs([JobSpec.edge(args.bench, ncores=n, scale=args.scale,
-                                sampling=sampling)
-                   for n in core_counts],
-                  jobs=args.jobs, progress=args.jobs > 1)
+    runs = run_all([JobSpec.edge(args.bench, ncores=n, scale=args.scale,
+                                 sampling=sampling) for n in CORE_COUNTS],
+                   jobs=args.jobs, progress=args.jobs > 1)
     rows = []
-    base = None
-    for ncores in core_counts:
-        run = run_edge_benchmark(args.bench, ncores=ncores, scale=args.scale,
-                                 sampling=sampling)
-        base = base or run.cycles
+    base = runs[0].cycles
+    for ncores, run in zip(CORE_COUNTS, runs):
         rows.append([ncores, run.cycles, round(base / run.cycles, 2),
                      round(run.stats.ipc, 2), round(run.power.total, 2)])
     print(format_table(["cores", "cycles", "speedup", "IPC", "watts"], rows,
@@ -333,22 +329,26 @@ def _cmd_lint(args) -> int:
     return report.exit_code
 
 
+#: ``--sample-*`` defaults, in blocks (``_validate`` reads them to tell
+#: a flag that was set from one that was not).
+SAMPLE_DEFAULTS = {"sample_ff": 448, "sample_window": 40, "sample_warmup": 8}
+
+
 def _add_sample_flags(sub_parser) -> None:
     """Sampled-simulation knobs (see docs/PERFORMANCE.md)."""
     sub_parser.add_argument(
         "--sample", action="store_true",
         help="sampled simulation: interpreter fast-forward with "
              "periodic detailed windows (TFlex points only)")
-    sub_parser.add_argument(
-        "--sample-ff", type=int, default=448, metavar="BLOCKS",
-        help="blocks fast-forwarded between detailed windows (default 448)")
-    sub_parser.add_argument(
-        "--sample-window", type=int, default=40, metavar="BLOCKS",
-        help="measured blocks per detailed window (default 40)")
-    sub_parser.add_argument(
-        "--sample-warmup", type=int, default=8, metavar="BLOCKS",
-        help="warm-up blocks run in detail before each window's "
-             "measurement mark (default 8)")
+    for dest, what in (
+            ("sample_ff", "blocks fast-forwarded between detailed windows"),
+            ("sample_window", "measured blocks per detailed window"),
+            ("sample_warmup", "warm-up blocks run in detail before each "
+                              "window's measurement mark")):
+        sub_parser.add_argument(
+            "--" + dest.replace("_", "-"), type=int, metavar="BLOCKS",
+            default=SAMPLE_DEFAULTS[dest],
+            help=f"{what} (default %(default)s)")
 
 
 def _sampling_from_args(args) -> dict | None:
@@ -589,11 +589,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                 f"blocks run unmeasured before each window, so a warm-up "
                 f"that long leaves the window mostly unmeasured — raise "
                 f"--sample-window or lower --sample-warmup")
-    elif any(getattr(args, name, None) is not None
-             and getattr(args, name) != default
-             for name, default in (("sample_ff", 448),
-                                   ("sample_window", 40),
-                                   ("sample_warmup", 8))):
+    elif any(getattr(args, name, default) != default
+             for name, default in SAMPLE_DEFAULTS.items()):
         parser.error("--sample-ff/--sample-window/--sample-warmup have no "
                      "effect without --sample")
 

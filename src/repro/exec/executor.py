@@ -126,7 +126,6 @@ class ParallelExecutor:
                  retries: int = 1, store: Optional[ResultStore] = None,
                  worker: Callable[[JobSpec], dict] = execute_spec,
                  progress: bool = False,
-                 mp_context: Optional[str] = None,
                  obs: Optional[obs_lib.Observability] = None) -> None:
         self.jobs = max(1, int(jobs))
         self.timeout = timeout
@@ -137,7 +136,6 @@ class ParallelExecutor:
         #: Observability: per-job lifecycle events (``job.*``) plus
         #: ``exec.jobs`` counters and an ``exec.job_seconds`` histogram.
         self.obs = obs if obs is not None else obs_lib.current()
-        self._mp_context = mp_context
         self._store_warned = False
 
     # -- public API ----------------------------------------------------
@@ -216,8 +214,7 @@ class ParallelExecutor:
 
             pool = WorkerPool(size=min(self.jobs, len(todo)),
                               worker=self.worker, timeout=self.timeout,
-                              grace=self.grace, mp_context=self._mp_context,
-                              obs=self.obs)
+                              grace=self.grace, obs=self.obs)
 
         def refill() -> None:
             while pending and pool.has_idle():

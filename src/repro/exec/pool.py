@@ -98,7 +98,6 @@ class WorkerPool:
                  grace: float = 5.0,
                  heartbeat_interval: float = 15.0,
                  heartbeat_grace: float = 10.0,
-                 mp_context=None,
                  obs: Optional[obs_lib.Observability] = None) -> None:
         self.size = max(1, int(size))
         self.worker_fn = worker
@@ -106,9 +105,7 @@ class WorkerPool:
         self.grace = grace
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_grace = heartbeat_grace
-        if mp_context is None or isinstance(mp_context, str):
-            mp_context = multiprocessing.get_context(mp_context)
-        self._ctx = mp_context
+        self._ctx = multiprocessing.get_context()
         self.obs = obs if obs is not None else obs_lib.current()
         self.respawns = 0
         self.reused = 0             # jobs served by an already-warm worker

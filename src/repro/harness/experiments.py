@@ -13,12 +13,7 @@ from typing import Optional, Sequence
 
 from repro.exec.spec import JobSpec
 from repro.harness.reporting import format_table, geomean
-from repro.harness.runner import (
-    RunResult,
-    prewarm_specs,
-    run_edge_benchmark,
-    run_risc_benchmark,
-)
+from repro.harness.runner import RunResult, run_all
 from repro.power import AreaModel, EnergyModel
 from repro.workloads.catalog import CATALOG, CATEGORIES, SETS
 from repro.workloads.data import Lcg
@@ -56,6 +51,11 @@ class Fig6Result:
     def tflex_labels(self) -> list[str]:
         return [f"tflex-{n}" for n in self.core_counts]
 
+    def labels(self) -> list[str]:
+        """Every configuration the sweep ran: the compositions, then
+        TRIPS when it is there."""
+        return self.tflex_labels() + (["trips"] if self.has_trips() else [])
+
     def best_label(self, bench: str) -> str:
         return max(self.tflex_labels(), key=lambda lb: self.speedup(bench, lb))
 
@@ -83,7 +83,7 @@ class Fig6Result:
         })
 
     def render(self) -> str:
-        labels = self.tflex_labels() + (["trips"] if self.has_trips() else [])
+        labels = self.labels()
         headers = ["benchmark", "ilp"] + labels + ["BEST", "best@"]
         rows = []
         ordered = sorted(self.benchmarks,
@@ -130,17 +130,14 @@ def fig6_performance(scale: int = 1,
                      jobs: int = 1, progress: bool = False,
                      sampling: Optional[dict] = None) -> Fig6Result:
     names = _suite(benchmarks)
-    prewarm_specs(fig6_specs(scale, core_counts, names, include_trips,
-                             sampling), jobs=jobs, progress=progress)
-    runs: dict[str, dict[str, RunResult]] = {}
-    for name in names:
-        per_config: dict[str, RunResult] = {}
-        for n in core_counts:
-            per_config[f"tflex-{n}"] = run_edge_benchmark(
-                name, ncores=n, scale=scale, sampling=sampling)
-        if include_trips:
-            per_config["trips"] = run_edge_benchmark(name, trips=True, scale=scale)
-        runs[name] = per_config
+    results = iter(run_all(fig6_specs(scale, core_counts, names,
+                                      include_trips, sampling),
+                           jobs=jobs, progress=progress))
+    labels = [f"tflex-{n}" for n in core_counts]
+    if include_trips:
+        labels.append("trips")
+    runs = {name: {label: next(results) for label in labels}
+            for name in names}
     return Fig6Result(scale=scale, core_counts=tuple(core_counts),
                       benchmarks=names, runs=runs)
 
@@ -177,32 +174,25 @@ def fig5_baseline(scale: int = 1,
     names = _suite(benchmarks)
     specs = [JobSpec.edge(name, trips=True, scale=scale) for name in names]
     specs += [JobSpec.risc(name, scale=scale) for name in names]
-    prewarm_specs(specs, jobs=jobs, progress=progress)
-    ratios = {}
-    for name in names:
-        trips = run_edge_benchmark(name, trips=True, scale=scale)
-        risc = run_risc_benchmark(name, scale=scale)
-        ratios[name] = risc.cycles / trips.cycles
-    return Fig5Result(ratios=ratios)
+    runs = run_all(specs, jobs=jobs, progress=progress)
+    return Fig5Result(ratios={
+        name: risc.cycles / trips.cycles
+        for name, trips, risc in zip(names, runs, runs[len(names):])})
 
 
 # ----------------------------------------------------------------------
 # Figure 7: performance per area
 # ----------------------------------------------------------------------
 
-@dataclass
-class Fig7Result:
-    fig6: Fig6Result
-    area: AreaModel = field(default_factory=AreaModel)
+class _NormalizedFigure:
+    """A per-point metric over the figure-6 sweep, normalized to one
+    TFlex core: what figures 7 and 8 share.  A subclass names its
+    ``metric(bench, label)`` and renders with its own title."""
 
-    def perf_per_area(self, bench: str, label: str) -> float:
-        run = self.fig6.runs[bench][label]
-        mm2 = (self.area.trips_mm2 if label == "trips"
-               else self.area.processor_mm2(run.num_cores))
-        return 1.0 / (run.cycles * mm2)
+    fig6: Fig6Result
 
     def normalized(self, bench: str, label: str) -> float:
-        return self.perf_per_area(bench, label) / self.perf_per_area(bench, "tflex-1")
+        return self.metric(bench, label) / self.metric(bench, "tflex-1")
 
     def mean_normalized(self, label: str) -> float:
         return geomean([self.normalized(b, label) for b in self.fig6.benchmarks])
@@ -214,8 +204,8 @@ class Fig7Result:
         return geomean([self.normalized(b, self.best_label(b))
                         for b in self.fig6.benchmarks])
 
-    def render(self) -> str:
-        labels = self.fig6.tflex_labels() + (["trips"] if self.fig6.has_trips() else [])
+    def _table(self, title: str) -> str:
+        labels = self.fig6.labels()
         headers = ["benchmark"] + labels + ["BEST@"]
         rows = []
         for bench in self.fig6.benchmarks:
@@ -224,9 +214,25 @@ class Fig7Result:
             rows.append(row)
         rows.append(["GEOMEAN"] + [round(self.mean_normalized(lb), 3) for lb in labels]
                     + [""])
-        return format_table(headers, rows,
-                            title="Figure 7: performance/area (1/(cycles*mm^2)), "
-                                  "normalized to one TFlex core")
+        return format_table(headers, rows, title=title)
+
+
+@dataclass
+class Fig7Result(_NormalizedFigure):
+    fig6: Fig6Result
+    area: AreaModel = field(default_factory=AreaModel)
+
+    def perf_per_area(self, bench: str, label: str) -> float:
+        run = self.fig6.runs[bench][label]
+        mm2 = (self.area.trips_mm2 if label == "trips"
+               else self.area.processor_mm2(run.num_cores))
+        return 1.0 / (run.cycles * mm2)
+
+    metric = perf_per_area
+
+    def render(self) -> str:
+        return self._table("Figure 7: performance/area (1/(cycles*mm^2)), "
+                           "normalized to one TFlex core")
 
 
 def fig7_area(fig6: Fig6Result) -> Fig7Result:
@@ -238,41 +244,21 @@ def fig7_area(fig6: Fig6Result) -> Fig7Result:
 # ----------------------------------------------------------------------
 
 @dataclass
-class Fig8Result:
+class Fig8Result(_NormalizedFigure):
     fig6: Fig6Result
 
     def efficiency(self, bench: str, label: str) -> float:
         run = self.fig6.runs[bench][label]
         return EnergyModel.perf2_per_watt(run.cycles, run.power.total)
 
-    def normalized(self, bench: str, label: str) -> float:
-        return self.efficiency(bench, label) / self.efficiency(bench, "tflex-1")
-
-    def mean_normalized(self, label: str) -> float:
-        return geomean([self.normalized(b, label) for b in self.fig6.benchmarks])
-
-    def best_label(self, bench: str) -> str:
-        return max(self.fig6.tflex_labels(), key=lambda lb: self.normalized(bench, lb))
-
-    def mean_best(self) -> float:
-        return geomean([self.normalized(b, self.best_label(b))
-                        for b in self.fig6.benchmarks])
+    metric = efficiency
 
     def best_fixed_label(self) -> str:
         return max(self.fig6.tflex_labels(), key=self.mean_normalized)
 
     def render(self) -> str:
-        labels = self.fig6.tflex_labels() + (["trips"] if self.fig6.has_trips() else [])
-        headers = ["benchmark"] + labels + ["BEST@"]
-        rows = []
-        for bench in self.fig6.benchmarks:
-            row = [bench] + [round(self.normalized(bench, lb), 3) for lb in labels]
-            row.append(self.best_label(bench).replace("tflex-", ""))
-            rows.append(row)
-        rows.append(["GEOMEAN"] + [round(self.mean_normalized(lb), 3) for lb in labels]
-                    + [""])
-        return format_table(headers, rows,
-                            title="Figure 8: performance^2/W, normalized to one TFlex core")
+        return self._table(
+            "Figure 8: performance^2/W, normalized to one TFlex core")
 
 
 def fig8_power(fig6: Fig6Result) -> Fig8Result:
@@ -334,18 +320,21 @@ def fig9_protocols(scale: int = 1,
                    benchmarks: Optional[Sequence[str]] = None,
                    jobs: int = 1, progress: bool = False) -> Fig9Result:
     names = _suite(benchmarks)
-    specs = [JobSpec.edge(name, ncores=n, scale=scale)
-             for name in names for n in core_counts]
-    specs += [JobSpec.edge(name, ncores=max(core_counts), scale=scale,
-                           ideal_handshake=True) for name in names]
-    prewarm_specs(specs, jobs=jobs, progress=progress)
+    largest = max(core_counts)
+    grid = [JobSpec.edge(name, ncores=n, scale=scale)
+            for name in names for n in core_counts]
+    ideal = [JobSpec.edge(name, ncores=largest, scale=scale,
+                          ideal_handshake=True) for name in names]
+    results = run_all(grid + ideal, jobs=jobs, progress=progress)
+    real = {(spec.bench, spec.ncores): run
+            for spec, run in zip(grid, results)}
     fetch: dict[int, dict[str, float]] = {}
     commit: dict[int, dict[str, float]] = {}
     for n in core_counts:
         fetch_acc: dict[str, float] = {}
         commit_acc: dict[str, float] = {}
         for name in names:
-            run = run_edge_benchmark(name, ncores=n, scale=scale)
+            run = real[name, n]
             for component, value in run.stats.fetch_latency.means().items():
                 fetch_acc[component] = fetch_acc.get(component, 0.0) + value
             for component, value in run.stats.commit_latency.means().items():
@@ -353,13 +342,10 @@ def fig9_protocols(scale: int = 1,
         fetch[n] = {c: v / len(names) for c, v in fetch_acc.items()}
         commit[n] = {c: v / len(names) for c, v in commit_acc.items()}
 
-    largest = max(core_counts)
     ablation = {}
-    for name in names:
-        real = run_edge_benchmark(name, ncores=largest, scale=scale)
-        ideal = run_edge_benchmark(name, ncores=largest, scale=scale,
-                                   ideal_handshake=True)
-        ablation[name] = (real.cycles - ideal.cycles) / real.cycles
+    for name, run in zip(names, results[len(grid):]):
+        cycles = real[name, largest].cycles
+        ablation[name] = (cycles - run.cycles) / cycles
     return Fig9Result(core_counts=tuple(core_counts), fetch=fetch,
                       commit=commit, ablation=ablation)
 
@@ -716,10 +702,10 @@ class FigRResult:
                   f"({self.target_cores}-core chip, seed {self.seed})")
 
 
-def figR_specs(target_cores: int = 16, max_dead: int = 6,
-               benchmarks: Optional[Sequence[str]] = None,
-               seed: int = 2007, scale: int = 1) -> list[JobSpec]:
-    """Every point of the degradation sweep, as job specs.
+def _figR_plan(target_cores: int, max_dead: int,
+               benchmarks: Optional[Sequence[str]], seed: int, scale: int):
+    """``(names, schedules, specs)`` of the degradation sweep: one
+    schedule per dead count, the specs dead-count-major.
 
     One seeded nested permutation supplies the dead sets: the cores
     dead at k are a subset of those dead at k+1, so the curve can only
@@ -731,13 +717,19 @@ def figR_specs(target_cores: int = 16, max_dead: int = 6,
         raise ValueError(f"max_dead must be in [1, {target_cores - 1}], "
                          f"got {max_dead}")
     names = list(benchmarks if benchmarks is not None else SETS["figR"])
-    specs = []
-    for k in range(max_dead + 1):
-        schedule = FaultSchedule.boot_dead(k, target_cores, seed)
-        for name in names:
-            specs.append(JobSpec.edge(name, ncores=target_cores, scale=scale,
-                                      faults=schedule.spec_items()))
-    return specs
+    schedules = [FaultSchedule.boot_dead(k, target_cores, seed)
+                 for k in range(max_dead + 1)]
+    specs = [JobSpec.edge(name, ncores=target_cores, scale=scale,
+                          faults=schedule.spec_items())
+             for schedule in schedules for name in names]
+    return names, schedules, specs
+
+
+def figR_specs(target_cores: int = 16, max_dead: int = 6,
+               benchmarks: Optional[Sequence[str]] = None,
+               seed: int = 2007, scale: int = 1) -> list[JobSpec]:
+    """Every point of the degradation sweep, as job specs."""
+    return _figR_plan(target_cores, max_dead, benchmarks, seed, scale)[2]
 
 
 def figR_degradation(target_cores: int = 16, max_dead: int = 6,
@@ -745,20 +737,15 @@ def figR_degradation(target_cores: int = 16, max_dead: int = 6,
                      seed: int = 2007, scale: int = 1,
                      jobs: int = 1, progress: bool = False) -> FigRResult:
     """Run the dead-core sweep and assemble the degradation curve."""
-    from repro.resil.faults import FaultSchedule
-
-    names = list(benchmarks if benchmarks is not None else SETS["figR"])
-    prewarm_specs(figR_specs(target_cores, max_dead, names, seed, scale),
-                  jobs=jobs, progress=progress)
+    names, schedules, specs = _figR_plan(target_cores, max_dead, benchmarks,
+                                         seed, scale)
+    results = iter(run_all(specs, jobs=jobs, progress=progress))
     runs: dict[str, dict[int, RunResult]] = {b: {} for b in names}
-    dead_sets: dict[int, list[int]] = {}
-    for k in range(max_dead + 1):
-        schedule = FaultSchedule.boot_dead(k, target_cores, seed)
-        dead_sets[k] = schedule.boot_dead_cores()
+    for k in range(len(schedules)):
         for name in names:
-            runs[name][k] = run_edge_benchmark(
-                name, ncores=target_cores, scale=scale,
-                faults=schedule.spec_items())
+            runs[name][k] = next(results)
     return FigRResult(target_cores=target_cores, seed=seed, scale=scale,
-                      dead_counts=tuple(range(max_dead + 1)),
-                      benchmarks=names, runs=runs, dead_sets=dead_sets)
+                      dead_counts=tuple(range(len(schedules))),
+                      benchmarks=names, runs=runs,
+                      dead_sets={k: schedule.boot_dead_cores()
+                                 for k, schedule in enumerate(schedules)})

@@ -48,7 +48,7 @@ FIXTURE_NAMES = ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table2")
 
 
 def _fig6_payload(fig6) -> dict:
-    labels = fig6.tflex_labels() + (["trips"] if fig6.has_trips() else [])
+    labels = fig6.labels()
     return {
         "scale": fig6.scale,
         "core_counts": list(fig6.core_counts),
@@ -71,23 +71,14 @@ def _fig6_payload(fig6) -> dict:
     }
 
 
-def _fig7_payload(fig7) -> dict:
-    fig6 = fig7.fig6
-    labels = fig6.tflex_labels() + (["trips"] if fig6.has_trips() else [])
+def _normalized_payload(fig) -> dict:
+    """Figures 7 and 8: one normalized metric over the figure-6 sweep."""
+    fig6 = fig.fig6
+    labels = fig6.labels()
     return {
-        "normalized": {b: {lb: fig7.normalized(b, lb) for lb in labels}
+        "normalized": {b: {lb: fig.normalized(b, lb) for lb in labels}
                        for b in fig6.benchmarks},
-        "mean_normalized": {lb: fig7.mean_normalized(lb) for lb in labels},
-    }
-
-
-def _fig8_payload(fig8) -> dict:
-    fig6 = fig8.fig6
-    labels = fig6.tflex_labels() + (["trips"] if fig6.has_trips() else [])
-    return {
-        "normalized": {b: {lb: fig8.normalized(b, lb) for lb in labels}
-                       for b in fig6.benchmarks},
-        "mean_normalized": {lb: fig8.mean_normalized(lb) for lb in labels},
+        "mean_normalized": {lb: fig.mean_normalized(lb) for lb in labels},
     }
 
 
@@ -134,8 +125,8 @@ def collect_fixtures(scale: int = GOLDEN_SCALE,
     return {
         "fig5": {"ratios": dict(sorted(fig5.ratios.items()))},
         "fig6": _fig6_payload(fig6),
-        "fig7": _fig7_payload(fig7),
-        "fig8": _fig8_payload(fig8),
+        "fig7": _normalized_payload(fig7),
+        "fig8": _normalized_payload(fig8),
         "fig9": _fig9_payload(fig9),
         "fig10": _fig10_payload(fig10),
         "table2": {"tflex_power": dict(sorted(table2.tflex_power.items())),

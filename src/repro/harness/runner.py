@@ -1,7 +1,7 @@
 """Benchmark execution on top of the ``repro.exec`` engine.
 
 Every simulation point takes one route, :func:`prewarm_specs` (a lone
-:func:`run_spec` is a one-spec batch):
+:func:`run_spec` is a one-spec batch, a sweep is :func:`run_all`):
 
 1. an in-process dict keyed by the job spec's content hash (so figure
    7/8/10 reuse figure 6's sweep within one process);
@@ -288,6 +288,15 @@ def prewarm_specs(specs: Sequence[JobSpec], jobs: int = 1,
     if failed is not None:
         raise JobFailed(failed)
     return outcomes
+
+
+def run_all(specs: Sequence[JobSpec], jobs: int = 1,
+            progress: bool = False) -> list:
+    """A sweep's results in spec order (duplicates included): one
+    :func:`prewarm_specs` batch, then every point read back through
+    :func:`run_spec`."""
+    prewarm_specs(specs, jobs=jobs, progress=progress)
+    return [run_spec(spec) for spec in specs]
 
 
 # ----------------------------------------------------------------------

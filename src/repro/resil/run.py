@@ -17,12 +17,11 @@ per-recovery reports, and per-segment records.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional
 
 from repro.exec import JobSpec
 from repro.harness.runner import RunResult
-from repro.harness.simulate import build_edge_config
+from repro.harness.simulate import build_edge_config, cached_program
 from repro.power import EnergyModel
 from repro.resil.faults import FaultSchedule
 from repro.resil.injector import FaultInjector
@@ -30,7 +29,7 @@ from repro.resil.recompose import CompositionLost, RecompositionEngine, \
     choose_composition
 from repro.tflex import TFlexSystem
 from repro.tflex.stats import ProcStats
-from repro.workloads import BENCHMARKS, verify_edge_run
+from repro.workloads import verify_edge_run
 
 #: Same cycle budget as the full-detail path in ``repro.harness``.
 MAX_CYCLES = 30_000_000
@@ -60,8 +59,8 @@ class ResilientRun:
 
     def run(self) -> RunResult:
         spec = self.spec
-        benchmark = BENCHMARKS[spec.bench]
-        program, expected, kernel = benchmark.edge_program(spec.scale)
+        program, expected, kernel = cached_program("edge", spec.bench,
+                                                   spec.scale)
 
         system = TFlexSystem(self.cfg)
         engine = RecompositionEngine(system)
@@ -95,7 +94,7 @@ class ResilientRun:
             stats = final.stats
             cycles = stats.cycles
         else:
-            stats = _merge_stats([s.stats for s in segments])
+            stats = ProcStats.merged(s.stats for s in segments)
             # Whole-run wall clock, not the sum of segment spans — the
             # recovery gaps are dead time the merged IPC must pay for.
             stats.cycles = system.queue.now
@@ -135,22 +134,6 @@ class ResilientRun:
                 for s in segments
             ],
         }
-
-
-def _merge_stats(parts: list[ProcStats]) -> ProcStats:
-    """Sum per-segment stats into one record (cycles overwritten by the
-    caller with the wall clock)."""
-    merged = ProcStats()
-    for part in parts:
-        for name in ProcStats._SCALAR_FIELDS:
-            setattr(merged, name, getattr(merged, name) + getattr(part, name))
-        for phase in ("fetch_latency", "commit_latency"):
-            target = getattr(merged, phase)
-            source = getattr(part, phase)
-            target.samples += source.samples
-            target.components += Counter(source.components)
-        merged.energy_events += Counter(part.energy_events)
-    return merged
 
 
 def run_resilient(spec: JobSpec,

@@ -56,18 +56,10 @@ from repro.sample.shadow import ShadowUarch, rebuild_directory
 from repro.sample.trace import FFInterval, encode_reg_delta
 from repro.tflex import TFlexSystem
 from repro.tflex.placement import rectangle
-from repro.tflex.stats import LatencyBreakdown, ProcStats
+from repro.tflex.stats import ProcStats
 
 #: Cycle budget per detailed window (matches the full-detail runner).
 MAX_WINDOW_CYCLES = 30_000_000
-
-#: ProcStats fields measured only inside windows, extrapolated by
-#: committed-instruction coverage.
-_SCALED_FIELDS = (
-    "insts_fetched", "blocks_fetched", "blocks_squashed", "mispredictions",
-    "violations", "replays", "nacks", "predictions", "predictions_correct",
-    "inflight_integral",
-)
 
 
 @dataclass
@@ -457,25 +449,14 @@ class SampledRun:
             else:
                 rel_stddev = None
 
-        merged = ProcStats()
+        # Counters measured only inside windows are extrapolated by
+        # committed-instruction coverage; functional progress is exact.
+        merged = ProcStats.merged((w.stats for w in self.windows), factor)
         merged.cycles = cycles
         merged.blocks_committed = self.blocks
         merged.insts_committed = total_insts
         merged.loads_executed = self.loads
         merged.stores_committed = self.stores
-        for name in _SCALED_FIELDS:
-            setattr(merged, name, round(
-                sum(getattr(w.stats, name) for w in self.windows) * factor))
-        merged.fetch_latency = self._merge_breakdowns(
-            (w.stats.fetch_latency for w in self.windows), factor)
-        merged.commit_latency = self._merge_breakdowns(
-            (w.stats.commit_latency for w in self.windows), factor)
-        for window in self.windows:
-            merged.energy_events.update(window.stats.energy_events)
-        if factor != 1.0:
-            for event in merged.energy_events:
-                merged.energy_events[event] = round(
-                    merged.energy_events[event] * factor)
         dram_requests = round(
             sum(w.dram_requests for w in self.windows) * factor)
 
@@ -498,19 +479,6 @@ class SampledRun:
             num_cores=self.ncores, cycles=cycles,
             insts_committed=total_insts, stats=merged, power=power,
             dram_requests=dram_requests, sampling=sampling_info)
-
-    @staticmethod
-    def _merge_breakdowns(breakdowns, factor: float) -> LatencyBreakdown:
-        merged = LatencyBreakdown()
-        for breakdown in breakdowns:
-            merged.samples += breakdown.samples
-            merged.components.update(breakdown.components)
-        if factor != 1.0:
-            merged.samples = round(merged.samples * factor)
-            for name in merged.components:
-                merged.components[name] = round(
-                    merged.components[name] * factor)
-        return merged
 
     # ------------------------------------------------------------------
     # Checkpoint / resume

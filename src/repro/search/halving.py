@@ -210,7 +210,7 @@ def search_best(space: SearchSpace, objective: str | Objective,
     """
     # Lazy import: repro.harness imports repro.search for the figBest
     # driver, so the module-level dependency must stay one-directional.
-    from repro.harness.runner import prewarm_specs, run_spec
+    from repro.harness.runner import run_all
 
     config = config if config is not None else HalvingConfig()
     config.validate()
@@ -236,12 +236,12 @@ def search_best(space: SearchSpace, objective: str | Objective,
         sampling = tier.sampling_dict()
         batch = [(bench, cand, space.spec_for(bench, cand, sampling))
                  for bench in space.benchmarks for cand in alive[bench]]
-        prewarm_specs([spec for __, __c, spec in batch], jobs=jobs,
-                      progress=progress)
+        runs = run_all([spec for __, __c, spec in batch], jobs=jobs,
+                       progress=progress)
         scored: dict[str, dict[Candidate, float]] = {
             b: {} for b in space.benchmarks}
-        for bench, cand, spec in batch:
-            scored[bench][cand] = objective(run_spec(spec))
+        for (bench, cand, __), run in zip(batch, runs):
+            scored[bench][cand] = objective(run)
             if obs.active:
                 obs.metrics.inc("search.evals", fidelity=tier.name,
                                 objective=objective.name)

@@ -35,6 +35,15 @@ class LatencyBreakdown:
     def total_mean(self) -> float:
         return sum(self.means().values())
 
+    def add(self, other: "LatencyBreakdown") -> None:
+        self.samples += other.samples
+        self.components.update(other.components)
+
+    def scale(self, factor: float) -> None:
+        self.samples = round(self.samples * factor)
+        for name in self.components:
+            self.components[name] = round(self.components[name] * factor)
+
     def to_dict(self) -> dict:
         return {"samples": self.samples, "components": dict(self.components)}
 
@@ -128,6 +137,28 @@ class ProcStats:
         stats.commit_latency = LatencyBreakdown.from_dict(data["commit_latency"])
         stats.energy_events = Counter(data["energy_events"])
         return stats
+
+    @staticmethod
+    def merged(parts, factor: float = 1.0) -> "ProcStats":
+        """Field-wise sum of ``parts`` (a run's segments or sampled
+        windows), every count then extrapolated to ``round(sum *
+        factor)`` — exact at the default factor.  Callers overwrite the
+        fields they know better (whole-run cycles, exact commit
+        counts)."""
+        parts = list(parts)
+        merged = ProcStats(**{
+            name: round(sum(getattr(part, name) for part in parts) * factor)
+            for name in ProcStats._SCALAR_FIELDS})
+        for part in parts:
+            merged.fetch_latency.add(part.fetch_latency)
+            merged.commit_latency.add(part.commit_latency)
+            merged.energy_events.update(part.energy_events)
+        merged.fetch_latency.scale(factor)
+        merged.commit_latency.scale(factor)
+        for event in merged.energy_events:
+            merged.energy_events[event] = round(
+                merged.energy_events[event] * factor)
+        return merged
 
     def to_metrics(self, metrics, **labels) -> None:
         """Flush this run's totals into a

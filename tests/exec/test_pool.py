@@ -4,6 +4,11 @@ Worker functions live at module level so they pickle into children.
 The nasty ones model the three ways a real worker dies: ignoring
 SIGTERM (stuck in C code), breaking the pipe mid-send, and crashing
 outright.
+
+Includes the event-driven-wake latency tests (``TestEventDrivenWake``:
+two-second budgets under a five-second watchdog tick) and the SIGKILL
+chaos sweeps (``TestChaos``); ~15 s in all.  A wedged dispatch loop
+would hang here, which is why CI puts a timeout on the tier-1 step.
 """
 
 import multiprocessing

@@ -3,6 +3,7 @@ benchmarks/)."""
 
 import pytest
 
+from repro.exec import JobSpec
 from repro.harness import (
     clear_cache,
     fig5_baseline,
@@ -13,6 +14,7 @@ from repro.harness import (
     fig10_multiprogramming,
     format_table,
     geomean,
+    run_all,
     run_edge_benchmark,
     run_risc_benchmark,
     table2_area_power,
@@ -64,6 +66,15 @@ class TestRunner:
         result = run_risc_benchmark("dither")
         assert result.cycles > 0
         assert result.insts > 0
+
+    def test_run_all_keeps_spec_order_and_duplicates(self):
+        clear_cache()
+        two, one = JobSpec.edge("dither", ncores=2), JobSpec.risc("dither")
+        runs = run_all([two, one, two])
+        assert [type(r).__name__ for r in runs] == [
+            "RunResult", "RiscResult", "RunResult"]
+        assert runs[0] is runs[2] is run_edge_benchmark("dither", ncores=2)
+        assert runs[1] is run_risc_benchmark("dither")
 
 
 class TestFig6:

@@ -60,6 +60,23 @@ class TestFigRDegradation:
         assert sets[0] == set()
         assert sets[0] < sets[1] < sets[2]
 
+    def test_runs_follow_spec_order(self):
+        """``figR_specs`` lists the points dead-count-major, and that is
+        the order the driver reads them back: ``runs[b][k]`` is bench
+        ``b`` under schedule ``k``."""
+        names = ["conv", "dither"]
+        specs = figR_specs(target_cores=4, max_dead=2, benchmarks=names)
+        figR = figR_degradation(target_cores=4, max_dead=2,
+                                benchmarks=names)
+        for i, spec in enumerate(specs):
+            k, j = divmod(i, len(names))
+            run = figR.runs[names[j]][k]
+            assert spec.bench == run.bench == names[j]
+            assert run.label == spec.label()
+            assert len(spec.faults) == k == len(figR.dead_sets[k])
+            if k:
+                assert run.resil["boot_faulty"] == figR.dead_sets[k]
+
     def test_payload_and_render(self, figR):
         payload = figR.payload()
         assert payload["monotone"] is True

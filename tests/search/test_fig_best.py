@@ -3,13 +3,11 @@
 On the golden figure-6 subset, the halving search must return the SAME
 per-benchmark BEST composition as the exhaustive detailed sweep for
 all three objectives, while scheduling at least 3x fewer detailed-
-simulation jobs; the comparison is recorded as ``search_fig6*`` jobs
-in ``BENCH_sim.json``.  Search is deterministic for a fixed seed, and
-a re-run against a warm result store is pure cache replay (zero new
-simulations).
+simulation jobs (``benchmarks/perf`` reports the same quantity as
+``detail_job_reduction_x`` on ``search_halving``).  Search is
+deterministic for a fixed seed, and a re-run against a warm result
+store is pure cache replay (zero new simulations).
 """
-
-import pathlib
 
 import pytest
 
@@ -23,25 +21,10 @@ from repro.harness import (
     fig_best,
     simulation_count,
 )
-from repro.harness.benchrecord import record_job
 from repro.harness.golden import GOLDEN_BENCHMARKS, GOLDEN_SCALE
 from repro.search import OBJECTIVE_NAMES
 
-ROOT = pathlib.Path(__file__).resolve().parents[2]
-OUTPUT_PATH = ROOT / "BENCH_sim.json"
-
 REDUCTION_GATE = 3.0
-
-
-def _calibrate() -> float:
-    """Machine-speed probe matching ``benchmarks/test_perf_smoke.py``."""
-    import time
-
-    t0 = time.perf_counter()
-    x = 0
-    for i in range(2_000_000):
-        x ^= i
-    return time.perf_counter() - t0
 
 
 @pytest.mark.slow
@@ -62,7 +45,6 @@ def test_search_matches_exhaustive_argmax_with_3x_less_detail():
     result = fig_best(benchmarks=GOLDEN_BENCHMARKS, scale=GOLDEN_SCALE)
     assert result.objectives() == list(OBJECTIVE_NAMES)
 
-    calibration = _calibrate()
     for objective in OBJECTIVE_NAMES:
         assert result.best_labels(objective) == exhaustive[objective], (
             f"search BEST diverged from the exhaustive sweep "
@@ -72,16 +54,6 @@ def test_search_matches_exhaustive_argmax_with_3x_less_detail():
             f"{objective}: only {reduction:.2f}x fewer detailed jobs "
             f"({result.detailed_jobs(objective)} vs "
             f"{result.exhaustive_detailed_jobs()} exhaustive)")
-        record_job(OUTPUT_PATH, ROOT,
-                   f"search_fig6_{objective}_reduction_x", reduction,
-                   calibration)
-    # Totals across all three objectives, so the two entries compare
-    # like for like (the per-objective exhaustive count is 1/3 of this).
-    record_job(OUTPUT_PATH, ROOT, "search_fig6_detailed_jobs",
-               result.detailed_jobs(), calibration)
-    record_job(OUTPUT_PATH, ROOT, "search_fig6_exhaustive_jobs",
-               result.exhaustive_detailed_jobs() * len(OBJECTIVE_NAMES),
-               calibration)
 
 
 @pytest.mark.slow

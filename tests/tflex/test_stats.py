@@ -1,6 +1,9 @@
-"""ProcStats / LatencyBreakdown serialization and metrics export."""
+"""ProcStats / LatencyBreakdown serialization, merging and metrics
+export."""
 
 from collections import Counter
+
+from hypothesis import given, settings, strategies as st
 
 from repro.noc.mesh import NetworkStats
 from repro.obs import MetricsRegistry
@@ -67,6 +70,58 @@ class TestProcStatsRoundTrip:
         assert again.cycles == 0
         assert again.fetch_latency.samples == 0
         assert again.energy_events == Counter()
+
+
+_counts = st.integers(min_value=0, max_value=10**9)
+_counters = st.dictionaries(st.sampled_from("abcdef"), _counts)
+_breakdowns = st.builds(LatencyBreakdown, samples=_counts,
+                        components=_counters.map(Counter))
+_stats = st.builds(
+    ProcStats, fetch_latency=_breakdowns, commit_latency=_breakdowns,
+    energy_events=_counters.map(Counter),
+    **{name: _counts for name in ProcStats._SCALAR_FIELDS})
+_fast = settings(max_examples=50, deadline=None)
+
+
+class TestProcStatsMerged:
+    """``ProcStats.merged`` is the one merge: segments of a fault run
+    sum exactly, sampled windows extrapolate by ``round(sum * factor)``
+    per scalar, per breakdown component and per energy event."""
+
+    @_fast
+    @given(_stats)
+    def test_one_part_round_trips(self, part):
+        assert ProcStats.merged([part]).to_dict() == part.to_dict()
+
+    @_fast
+    @given(st.lists(_stats, max_size=4), st.floats(min_value=1.0,
+                                                   max_value=500.0))
+    def test_fieldwise_sum_then_rounded_factor(self, parts, factor):
+        exact = ProcStats.merged(parts)
+        scaled = ProcStats.merged(iter(parts), factor)
+
+        def total(read):
+            acc = Counter()     # update, not +: a zero count is kept
+            for part in parts:
+                acc.update(read(part))
+            return acc
+
+        for name in ProcStats._SCALAR_FIELDS:
+            summed = sum(getattr(part, name) for part in parts)
+            assert getattr(exact, name) == summed
+            assert getattr(scaled, name) == round(summed * factor)
+        for phase in ("fetch_latency", "commit_latency"):
+            samples = sum(getattr(part, phase).samples for part in parts)
+            assert getattr(exact, phase).samples == samples
+            assert getattr(scaled, phase).samples == round(samples * factor)
+            components = total(lambda part: getattr(part, phase).components)
+            assert getattr(exact, phase).components == components
+            assert getattr(scaled, phase).components == {
+                name: round(n * factor) for name, n in components.items()}
+        events = total(lambda part: part.energy_events)
+        assert exact.energy_events == events
+        assert scaled.energy_events == {
+            name: round(n * factor) for name, n in events.items()}
 
 
 class TestProcStatsToMetrics:
