@@ -24,26 +24,32 @@ instructions fire, in which order, and every structural contract check
 are a function of the static block and of the truth value of each value
 delivered to a predicate slot — of nothing else.  The dataflow loop
 (:meth:`Interpreter._dataflow`) is therefore the definition and the
-learner: an execution that passes its checks is compiled into a
-straight-line schedule grafted into the block's path tree, and
-:meth:`Interpreter.execute_block` walks that tree first — no ready
-stack, no need counters, no per-delivery checks — returning to the
-dataflow loop, from scratch, only at a predicate outcome it has not seen
-at that point.  What depends on values stays dynamic and is shared by
-both walks: addresses, in-block store forwarding and its overlap/type
-errors (:meth:`Interpreter._load`).  This is what makes the interpreter
-usable as the fast-forward engine for sampled simulation
-(``repro.sample``).
+learner: an execution that passes its checks leaves its fire order in
+the block's path tree as a :class:`_Segment`, and the second execution
+to enter a segment compiles it (:func:`_compile`) into one straight-line
+Python function — no ready stack, no need counters, no per-delivery
+checks, and no operand coercion where the producer's result type is
+known — that returns at the first predicate whose truth disagrees with
+the learnt one.  :meth:`Interpreter.execute_block` chains those
+functions, returning to the dataflow loop, from scratch, only at a
+predicate outcome it has not seen at that point.  What depends on values
+stays dynamic and is shared by both: addresses, in-block store
+forwarding and its overlap/type errors (:meth:`Interpreter._load`).
+This is what makes the interpreter usable as the fast-forward engine for
+sampled simulation (``repro.sample``).
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 from repro.isa.block import Block
 from repro.isa.instruction import OperandSlot, Target, TargetKind
-from repro.isa.opcodes import OpClass, bind_evaluator, memory_size
+from repro.isa.opcodes import (
+    ALU_GLOBALS, OpClass, alu_source, bind_evaluator, memory_size)
 from repro.isa.program import HALT_ADDR, Program
 from repro.mem.flatmem import PAGE_MASK, PAGE_SIZE, FlatMemory
 
@@ -71,15 +77,21 @@ _MISSING = object()
 ALU, LOAD, STORE, BRANCH, NULL = range(5)
 _KINDS = {OpClass.LOAD: LOAD, OpClass.STORE: STORE,
           OpClass.BRANCH: BRANCH, OpClass.NULL: NULL}
-#: Path-step kind of a header register read.
-_READ = 5
-
 #: Path tails learnt per static block before learning stops (a block
 #: with more live predicate paths keeps using the dataflow loop for the
 #: ones it never memoised).
 MAX_PATH_TAILS = 64
 
-_HALF, _WRAP = 1 << 63, 1 << 64
+#: What the filename of every compiled segment starts with (profilers
+#: and ``benchmarks/opcount.py`` pool the segments by it).
+PATH_FILENAME_PREFIX = "<block path"
+
+#: (size, fp) of a memory access -> reader ``f(page, offset)[0]`` of a
+#: value resident in one page: B/H/W zero-extend, D is signed, F a double
+#: (what ``FlatMemory.load`` returns for the same bytes).
+_UNPACK = {key: struct.Struct(fmt).unpack_from for key, fmt in {
+    (1, False): "<B", (2, False): "<H", (4, False): "<I",
+    (8, False): "<q", (8, True): "<d"}.items()}
 
 
 @dataclass
@@ -124,16 +136,17 @@ class _PInst:
 
     ``need`` counts the tokens that must arrive (operands plus
     predicate) and ``pred`` is the predicate value that lets it fire;
-    ``evalf(a, b)`` is the bound evaluator (ALU kinds);
-    ``size``/``fp``/``offset`` describe a memory access and ``older``
-    is the bit mask of the store slots a load must see resolved;
-    ``next_addr`` is a branch's static successor (``None``: RET takes
-    it from operand 0).
+    ``evalf(a, b)`` is the bound evaluator of ``op`` and the resolved
+    immediate ``imm`` (ALU kinds; path compilation re-reads both);
+    ``size``/``fp``/``offset`` describe a memory access, ``unpack`` reads
+    one from a resident page, and ``older`` is the bit mask of the store
+    slots a load must see resolved; ``next_addr`` is a branch's static
+    successor (``None``: RET takes it from operand 0).
     """
 
-    __slots__ = ("iid", "kind", "need", "pred", "targets", "evalf",
-                 "lsq_id", "older", "size", "fp", "offset",
-                 "exit_id", "next_addr", "null_store", "op_name")
+    __slots__ = ("iid", "kind", "need", "pred", "targets", "op", "imm",
+                 "evalf", "lsq_id", "older", "size", "fp", "offset", "unpack",
+                 "exit_id", "next_addr", "null_store")
 
     def __init__(self, inst, program: Program, block: Block) -> None:
         op = inst.op
@@ -145,16 +158,18 @@ class _PInst:
         self.lsq_id = inst.lsq_id
         self.exit_id = inst.exit_id
         self.null_store = inst.null_store
-        self.op_name = op.name
-        self.evalf = self.next_addr = None
+        self.op = op
+        self.imm = self.evalf = self.unpack = self.next_addr = None
         self.size = self.offset = self.older = 0
         self.fp = False
         if kind == ALU:
-            self.evalf = bind_evaluator(op, program.resolve_imm(inst.imm))
+            self.imm = program.resolve_imm(inst.imm)
+            self.evalf = bind_evaluator(op, self.imm)
         elif kind == LOAD or kind == STORE:
             self.size = memory_size(op)
             self.fp = op.name.endswith("F")
             self.offset = int(inst.imm or 0)
+            self.unpack = _UNPACK[self.size, self.fp]
             if kind == LOAD:
                 self.older = sum(1 << s for s in block.store_ids
                                  if s < inst.lsq_id)
@@ -174,22 +189,55 @@ def _encode_targets(targets: tuple[Target, ...], write_base: int) -> tuple:
                  else (t.index << 2) | t.slot for t in targets)
 
 
+class _Guard:
+    """What a learnt path knows about one value delivered to a predicate
+    slot: ``falsy``, whether it was false on that path; ``depth``, the
+    producing step's position from the root; ``tail``, the segment to
+    continue with when its truth is the opposite (``None`` until that
+    branch has been executed)."""
+
+    __slots__ = ("falsy", "depth", "tail")
+
+    def __init__(self, falsy: bool, depth: int) -> None:
+        self.falsy = falsy
+        self.depth = depth
+        self.tail: Optional[_Segment] = None
+
+
+class _Segment:
+    """One learnt stretch of a block's fire order, from step ``start``
+    (positions count from the root, register reads first) to the block's
+    end: ``order`` holds the instructions it fires and ``guards`` one
+    entry per step, a :class:`_Guard` where the step feeds a predicate
+    slot.  ``branch``/``fired``/``loads`` are the outcome facts of the
+    whole root-to-end path, all static.  ``run`` is the compiled form
+    (:func:`_compile`), built when the walk first enters the segment —
+    the path's second execution, so a path run once costs nothing."""
+
+    __slots__ = ("start", "order", "guards", "branch", "fired", "loads",
+                 "run")
+
+    def __init__(self, start: int, order: list, guards: list, branch: _PInst,
+                 fired: int, loads: int) -> None:
+        self.start = start
+        self.order = order
+        self.guards = guards
+        self.branch = branch
+        self.fired = fired
+        self.loads = loads
+        self.run = None
+
+
 class PreparedBlock:
     """One static block compiled for functional execution.
 
     Everything derivable from the block — the instruction records, the
     seed set, read and write slots as operand-buffer indices — plus what
-    executions have taught: ``path`` is the root of the path tree, a
-    list of steps ``(kind, evalf, a, s0, rest, guard, record)`` in fire
-    order (register reads first).  ``a`` is the register of a read or
-    the buffer index of operand 0, ``s0``/``rest`` the buffer indices
-    the value is delivered to.  A step that feeds a predicate slot
-    carries ``guard = [falsy, tail, depth]``: whether the value it
-    produced on this path was false, the step list to continue with when
-    it is the opposite (``None`` until that branch has been executed)
-    and the step's own position from the root.  ``buf`` is the walk's
-    operand buffer; it is never reset, because every slot a fired
-    instruction reads was written earlier on the same path.
+    executions have taught: ``path`` is the root :class:`_Segment` of
+    the path tree (``None`` until the first execution), ``tails`` the
+    number of segments learnt.  ``buf`` is the compiled paths' operand
+    buffer; it is never reset, because every slot a fired instruction
+    reads was written earlier on the same path.
     """
 
     __slots__ = ("block", "label", "n4", "nslots", "insts", "needs", "seeds",
@@ -199,9 +247,8 @@ class PreparedBlock:
         self.block = block
         self.label = block.label
         self.n4 = n4 = len(block.insts) << 2
-        # Operand slots, then write slots, then one sink for values
-        # nothing consumes.
-        self.nslots = n4 + len(block.writes) + 1
+        # Operand slots, then write slots.
+        self.nslots = n4 + len(block.writes)
         self.insts = [_PInst(inst, program, block) for inst in block.insts]
         self.needs = [pi.need for pi in self.insts]
         self.seeds = tuple(pi.iid for pi in self.insts if not pi.need)
@@ -210,7 +257,7 @@ class PreparedBlock:
         self.writes = tuple((n4 + w.index, w.reg) for w in block.writes)
         self.store_ids = block.store_ids
         self.buf = [None] * self.nslots
-        self.path: Optional[list] = None
+        self.path: Optional[_Segment] = None
         self.tails = 0
 
 
@@ -234,7 +281,135 @@ def _outcome(pb: PreparedBlock, buf: list, branch: _PInst, next_addr: int,
     stores = [(lsq_id, *store)
               for lsq_id, store in sorted(block_stores.items())]
     return BlockOutcome(pb.label, branch.exit_id, next_addr, fired, writes,
-                        stores, loads, branch.op_name, load_addrs)
+                        stores, loads, branch.op.name, load_addrs)
+
+
+def _compile(pb: PreparedBlock, seg: _Segment):
+    """Generate ``seg.run``: the segment's steps as one straight-line
+    function ``run(interp, buf, block_stores, load_addrs)`` returning the
+    :class:`_Guard` of the first predicate whose truth disagrees with
+    the learnt one, or ``None`` past the last step.
+
+    Every ALU expression is the opcode's ``isa.opcodes`` table row with
+    the operand texts written in.  A value produced in this segment lives
+    in a local; its static type (the row's result type) lets a consumer
+    drop the row's coercion, and it is stored to ``buf`` only where a
+    later segment may read it — a write slot, or an operand whose
+    consumer does not fire here before the next guard.  Anything else (a
+    register read, NULL, a load that an in-block store may forward to —
+    a forwarded value has the store's type — and every slot written
+    before the segment began) is read with its coercion.
+    """
+    n4 = pb.n4
+    nreads = len(pb.reads)
+    fired = [pb.insts[iid] for iid in seg.order]
+    steps = [(None, *read) for read in pb.reads[seg.start:]]
+    steps += [(pi, None, pi.targets) for pi in fired]
+    #: Step position of each instruction fired here; guards before each.
+    fires = {pi.iid: pos for pos, (pi, __, __) in enumerate(steps)
+             if pi is not None}
+    exits = list(accumulate((g is not None for g in seg.guards), initial=0))
+    env = dict(ALU_GLOBALS, NULL=NULL_TOKEN, label=pb.label)
+    names: dict[int, str] = {}      # slot -> the local holding its value
+    types: dict[int, type] = {}     # slot -> int / float where known
+    lines = []
+
+    def operand(enc: int, want) -> str:
+        text = names.get(enc) or f"buf[{enc}]"
+        if want is None or types.get(enc) is want:
+            return text
+        return f"{want.__name__}({text})"
+
+    for pos, ((pi, reg, targets), guard) in enumerate(zip(steps, seg.guards)):
+        value = f"v{pos}"
+        result = None
+        if pi is None:
+            lines.append(f"{value} = regs[{reg}]")
+        elif pi.kind == ALU:
+            op = pi.op
+            base = pi.iid << 2
+            coerce, result, expr = alu_source(op)
+            y = ""
+            if op.has_imm:
+                imm = coerce(pi.imm) if coerce else pi.imm
+                if type(imm) in (int, float):
+                    y = f"({imm!r})"
+                else:
+                    y = f"c{pos}"
+                    env[y] = imm
+            elif op.operands > 1:
+                y = operand(base + 2, coerce)
+            if result is None:          # a move: the type of what it moves
+                result = type(imm) if op.has_imm else types.get(base + 1)
+            x = operand(base + 1, coerce) if op.operands else ""
+            text = expr.format(x=x, y=y)
+            if text.isidentifier() or text == y:
+                value = text            # a moved local or immediate: alias
+            else:
+                lines.append(f"{value} = {text}")
+        elif pi.kind == LOAD:
+            env[f"p{pos}"] = pi
+            env[f"u{pos}"] = pi.unpack
+            offset = f" + {pi.offset}" if pi.offset else ""
+            # In place when the page is resident and holds all of it;
+            # forwarding, overlap errors, an absent page (a negative
+            # address has none) and a straddle are ``Interpreter._load``'s.
+            lines += (
+                f"a = {operand((pi.iid << 2) + 1, int)}{offset}",
+                "page = pages.get(a >> 12)",
+                f"if {'block_stores or ' if pi.older else ''}page is None "
+                f"or a & {PAGE_MASK} > {PAGE_SIZE - pi.size}:",
+                f"    {value} = load(label, p{pos}, a, block_stores,"
+                " load_addrs)",
+                "else:",
+                "    load_addrs.append(a)",
+                f"    {value} = u{pos}(page, a & {PAGE_MASK})[0]")
+            if not pi.older:            # nothing in the block can forward
+                result = float if pi.fp else int
+        elif pi.kind == STORE:
+            base = pi.iid << 2
+            offset = f" + {pi.offset}" if pi.offset else ""
+            lines.append(
+                f"block_stores[{pi.lsq_id}] = "
+                f"({operand(base + 1, int)}{offset}, {pi.size}, "
+                f"{operand(base + 2, None)}, {pi.fp})")
+            continue
+        elif pi.kind == BRANCH:
+            if pi.next_addr is None:    # RET: leave the address in its slot
+                slot = (pi.iid << 2) + 1
+                lines.append(f"buf[{slot}] = {operand(slot, int)}")
+            continue
+        else:
+            lines.append(f"{value} = NULL")
+        stores = []
+        for enc in targets:
+            if enc < n4:
+                if not enc & 3:         # a predicate: the guard tests it
+                    continue
+                names[enc] = value
+                types[enc] = result
+                use = fires.get(enc >> 2)
+                if use is not None and exits[use] == exits[pos]:
+                    continue            # consumed before any exit
+            stores.append(f"buf[{enc}]")
+        if stores:
+            lines.append(" = ".join(stores + [value]))
+        if guard is not None:
+            env[f"g{pos}"] = guard
+            lines.append(f"if {'' if guard.falsy else 'not '}{value}: "
+                         f"return g{pos}")
+
+    source = ["def run(self, buf, block_stores, load_addrs):"]
+    if seg.start < nreads:
+        source.append("regs = self.regs")
+    if any(pi.kind == LOAD for pi in fired):
+        source += "pages = self.mem._pages", "load = self._load"
+    source += lines
+    source.append("return None")
+    filename = f"{PATH_FILENAME_PREFIX} {pb.label}+{seg.start}>"
+    exec(compile("\n    ".join(source), filename, "exec"), env)
+    seg.run = env["run"]
+    return seg.run
 
 
 class Interpreter:
@@ -305,63 +480,39 @@ class Interpreter:
         returned outcome (mirroring the microarchitecture, where commit
         is a separate protocol phase).
 
-        Walks the block's path tree; at a predicate outcome no earlier
-        execution took from that point (or on the first execution) the
-        dataflow loop runs the block from scratch — nothing here has
-        side effects — and teaches the tree that path.
+        Chains the compiled segments of the block's path tree; at a
+        predicate outcome no earlier execution took from that point (or
+        on the first execution) the dataflow loop runs the block from
+        scratch — nothing here has side effects — and teaches the tree
+        that path.
         """
         pb = prepare_block(self.program, block)
-        steps = pb.path
-        if steps is None:
+        seg = pb.path
+        if seg is None:
             return self._dataflow(pb, None)
         buf = pb.buf
-        regs = self.regs
-        label = pb.label
         block_stores: dict[int, tuple[int, int, object, bool]] = {}
         load_addrs: list[int] = []
-        loads = 0
-        fired = len(steps)
         while True:
-            for kind, evalf, a, s0, rest, guard, pi in steps:
-                if kind == ALU:
-                    value = evalf(buf[a], buf[a + 1])
-                elif kind == _READ:
-                    value = regs[a]
-                elif kind == LOAD:
-                    value = self._load(label, pi, int(buf[a]) + pi.offset,
-                                       block_stores, load_addrs)
-                    loads += 1
-                elif kind == STORE:
-                    block_stores[pi.lsq_id] = (int(buf[a]) + pi.offset,
-                                               pi.size, buf[a + 1], pi.fp)
-                    continue
-                elif kind == BRANCH:
-                    branch = pi
-                    next_addr = pi.next_addr
-                    if next_addr is None:               # RET
-                        next_addr = int(buf[a])
-                    continue
-                else:
-                    value = NULL_TOKEN
-                buf[s0] = value
-                if rest:
-                    for slot in rest:
-                        buf[slot] = value
-                if guard is not None and (not value) is not guard[0]:
-                    break
-            else:
+            guard = (seg.run or _compile(pb, seg))(
+                self, buf, block_stores, load_addrs)
+            if guard is None:
+                branch = seg.branch
+                next_addr = branch.next_addr
+                if next_addr is None:               # RET
+                    next_addr = buf[(branch.iid << 2) + 1]
                 return _outcome(pb, buf, branch, next_addr, block_stores,
-                                fired - len(pb.reads), loads, load_addrs)
-            steps = guard[1]
-            if steps is None:
+                                seg.fired, seg.loads, load_addrs)
+            seg = guard.tail
+            if seg is None:
                 return self._dataflow(pb, guard)
-            fired = guard[2] + 1 + len(steps)
 
-    def _dataflow(self, pb: PreparedBlock, guard: Optional[list]) -> BlockOutcome:
+    def _dataflow(self, pb: PreparedBlock,
+                  guard: Optional[_Guard]) -> BlockOutcome:
         """Execute ``pb`` in dataflow order — the definition of block
         execution and the only place contract violations are detected —
-        then compile the fire order into the path tree at ``guard`` (the
-        step the tree walk fell off at; ``None``: the root)."""
+        then graft the fire order into the path tree at ``guard`` (the
+        step the compiled walk fell off at; ``None``: the root)."""
         insts = pb.insts
         label = pb.label
         n4 = pb.n4
@@ -474,25 +625,19 @@ class Interpreter:
             # the part past ``guard`` is new.  A step's guard records
             # the truth of what it delivered to a predicate slot.
             nreads = len(pb.reads)
-            steps = []
-            for depth in range(0 if guard is None else guard[2] + 1,
-                               nreads + len(order)):
-                if depth < nreads:
-                    a, targets = pb.reads[depth]
-                    kind, evalf, pi = _READ, None, None
-                else:
-                    pi = insts[order[depth - nreads]]
-                    kind, evalf, targets = pi.kind, pi.evalf, pi.targets
-                    a = (pi.iid << 2) + 1
+            start = 0 if guard is None else guard.depth + 1
+            guards = []
+            for depth in range(start, nreads + len(order)):
+                targets = (pb.reads[depth][1] if depth < nreads
+                           else insts[order[depth - nreads]].targets)
                 fed = [enc for enc in targets if enc < n4 and not enc & 3]
-                steps.append((
-                    kind, evalf, a, targets[0] if targets else pb.nslots - 1,
-                    targets[1:], [not buf[fed[0]], None, depth] if fed else None,
-                    pi))
+                guards.append(_Guard(not buf[fed[0]], depth) if fed else None)
+            seg = _Segment(start, order[max(start - nreads, 0):], guards,
+                           branch, len(order), loads)
             if guard is None:
-                pb.path = steps
+                pb.path = seg
             else:
-                guard[1] = steps
+                guard.tail = seg
             pb.tails += 1
         return _outcome(pb, buf, branch, next_addr, block_stores, len(order),
                         loads, load_addrs)
@@ -522,12 +667,10 @@ class Interpreter:
                         f"{label}: load lsq {lsq_id} forwards across int/fp type change")
                 return value
         load_addrs.append(addr)
-        # A resident single-page integer load, read in place; anything
-        # else (fp, page-straddling, untouched page, bad address) is
-        # ``FlatMemory.load``'s.
+        # Resident in one page: read in place; an untouched page, a
+        # straddle or a bad address is ``FlatMemory.load``'s.
         offset = addr & PAGE_MASK
         page = self.mem._pages.get(addr >> 12)
-        if page is None or fp or offset + size > PAGE_SIZE:
+        if page is None or offset + size > PAGE_SIZE:
             return self.mem.load(addr, size, fp=fp)
-        value = int.from_bytes(page[offset:offset + size], "little")
-        return value - _WRAP if size == 8 and value >= _HALF else value
+        return pi.unpack(page, offset)[0]

@@ -174,54 +174,74 @@ _HALF = 1 << 63
 
 
 def _w(expr: str) -> str:
-    """Source text wrapping ``expr`` to signed 64 bits (``wrap64`` inline)."""
-    return f"(({expr}) + {_HALF}) % {_WRAP} - {_HALF}"
+    """Source text wrapping the int ``expr`` to signed 64 bits
+    (``wrap64`` inline; the two big-int operations only when out of
+    range).  Binds the scratch name ``w``, so a row holds one wrap."""
+    return (f"(w if -{_HALF} <= (w := {expr}) < {_HALF}"
+            f" else (w + {_HALF}) % {_WRAP} - {_HALF})")
 
 
-#: ALU semantics, the only copy: opcode -> (operand coercion, expression
-#: source).  ``{x}`` is operand 0 and ``{y}`` operand 1 — or, for the
-#: ``*I`` form of a two-operand opcode and for MOVI, the immediate.
+#: ALU semantics, the only copy: opcode -> (operand coercion, result type,
+#: expression source).  ``{x}`` is operand 0 and ``{y}`` operand 1 — or,
+#: for the ``*I`` form of a two-operand opcode and for MOVI, the
+#: immediate.  The result type is exact (``type(value) is result``) given
+#: operands of the coerced type; ``None``: the type of what is moved.
 _ALU = {
-    "ADD": (int, _w("{x} + {y}")),
-    "SUB": (int, _w("{x} - {y}")),
-    "MUL": (int, _w("{x} * {y}")),
-    "DIV": (int, "0 if {y} == 0 else " + _w("int({x} / {y})")),
-    "MOD": (int, "0 if {y} == 0 else " + _w("{x} - int({x} / {y}) * {y}")),
-    "AND": (int, _w("{x} & {y}")),
-    "OR": (int, _w("{x} | {y}")),
-    "XOR": (int, _w("{x} ^ {y}")),
-    "SHL": (int, _w("{x} << ({y} & 63)")),
-    "SHR": (int, _w(f"({{x}} % {_WRAP}) >> ({{y}} & 63)")),
-    "SRA": (int, _w("{x} >> ({y} & 63)")),
-    "NOT": (int, _w("~{x}")),
-    "NEG": (int, _w("-{x}")),
-    "TEQ": (int, "1 if {x} == {y} else 0"),
-    "TNE": (int, "1 if {x} != {y} else 0"),
-    "TLT": (int, "1 if {x} < {y} else 0"),
-    "TLE": (int, "1 if {x} <= {y} else 0"),
-    "TGT": (int, "1 if {x} > {y} else 0"),
-    "TGE": (int, "1 if {x} >= {y} else 0"),
-    "FTEQ": (float, "1 if {x} == {y} else 0"),
-    "FTLT": (float, "1 if {x} < {y} else 0"),
-    "FTLE": (float, "1 if {x} <= {y} else 0"),
-    "FADD": (float, "{x} + {y}"),
-    "FSUB": (float, "{x} - {y}"),
-    "FMUL": (float, "{x} * {y}"),
-    "FDIV": (float, "inf if {y} == 0.0 else {x} / {y}"),
-    "FSQRT": (float, "sqrt({x}) if {x} >= 0.0 else nan"),
-    "FABS": (float, "abs({x})"),
-    "FNEG": (float, "-{x}"),
-    "ITOF": (int, "float({x})"),
-    "FTOI": (float, "0 if {x} != {x} else " + _w("int({x})")),   # NaN -> 0
-    "MOV": (None, "{x}"),
-    "MOVI": (None, "{y}"),
+    "ADD": (int, int, _w("{x} + {y}")),
+    "SUB": (int, int, _w("{x} - {y}")),
+    "MUL": (int, int, _w("{x} * {y}")),
+    "DIV": (int, int, "0 if {y} == 0 else " + _w("int({x} / {y})")),
+    "MOD": (int, int,
+            "0 if {y} == 0 else " + _w("{x} - int({x} / {y}) * {y}")),
+    "AND": (int, int, _w("{x} & {y}")),
+    "OR": (int, int, _w("{x} | {y}")),
+    "XOR": (int, int, _w("{x} ^ {y}")),
+    "SHL": (int, int, _w("{x} << ({y} & 63)")),
+    "SHR": (int, int, _w(f"({{x}} % {_WRAP}) >> ({{y}} & 63)")),
+    "SRA": (int, int, _w("{x} >> ({y} & 63)")),
+    "NOT": (int, int, _w("~{x}")),
+    "NEG": (int, int, _w("-{x}")),
+    "TEQ": (int, int, "1 if {x} == {y} else 0"),
+    "TNE": (int, int, "1 if {x} != {y} else 0"),
+    "TLT": (int, int, "1 if {x} < {y} else 0"),
+    "TLE": (int, int, "1 if {x} <= {y} else 0"),
+    "TGT": (int, int, "1 if {x} > {y} else 0"),
+    "TGE": (int, int, "1 if {x} >= {y} else 0"),
+    "FTEQ": (float, int, "1 if {x} == {y} else 0"),
+    "FTLT": (float, int, "1 if {x} < {y} else 0"),
+    "FTLE": (float, int, "1 if {x} <= {y} else 0"),
+    "FADD": (float, float, "{x} + {y}"),
+    "FSUB": (float, float, "{x} - {y}"),
+    "FMUL": (float, float, "{x} * {y}"),
+    "FDIV": (float, float, "inf if {y} == 0.0 else {x} / {y}"),
+    "FSQRT": (float, float, "sqrt({x}) if {x} >= 0.0 else nan"),
+    "FABS": (float, float, "abs({x})"),
+    "FNEG": (float, float, "-{x}"),
+    "ITOF": (int, float, "float({x})"),
+    "FTOI": (float, int, "0 if {x} != {x} else " + _w("int({x})")),  # NaN: 0
+    "MOV": (None, None, "{x}"),
+    "MOVI": (None, None, "{y}"),
 }
 
-_EVAL_GLOBALS = {"__builtins__": {}, "int": int, "float": float, "abs": abs,
-                 "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan}
+#: The names an :data:`_ALU` expression may use — the globals of every
+#: function built from the table (here and in ``isa.interp``'s compiled
+#: block paths).
+ALU_GLOBALS = {"__builtins__": {}, "int": int, "float": float, "abs": abs,
+               "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan}
 
-#: (table row name, immediate form?) -> compiled function / factory.
+#: (table row, immediate form?) -> compiled function / factory.
 _COMPILED: dict = {}
+
+
+def alu_source(op: OpSpec) -> tuple:
+    """The :data:`_ALU` row of a value-producing opcode, as source:
+    ``(operand coercion, result type, expression)``; an ``*I`` opcode
+    shares its two-operand form's row, with ``{y}`` the immediate."""
+    name = op.name
+    row = name if name in _ALU or not op.has_imm else name[:-1]
+    if row not in _ALU:
+        raise ValueError(f"evaluate() does not implement opcode {name}")
+    return _ALU[row]
 
 
 def bind_evaluator(op: OpSpec, imm=None):
@@ -236,18 +256,14 @@ def bind_evaluator(op: OpSpec, imm=None):
     evaluator per static instruction; :func:`evaluate` is the same
     function applied to a tuple.
     """
-    name = op.name
-    row = name if name in _ALU or not op.has_imm else name[:-1]
-    if row not in _ALU:
-        raise ValueError(f"evaluate() does not implement opcode {name}")
-    coerce, expr = _ALU[row]
+    row = coerce, __, expr = alu_source(op)
     compiled = _COMPILED.get((row, op.has_imm))
     if compiled is None:
         x, y = (f"{coerce.__name__}({v})" if coerce else v for v in "ab")
         source = "lambda a, b: " + expr.format(x=x, y="c" if op.has_imm else y)
         if op.has_imm:
             source = "lambda c: " + source
-        compiled = _COMPILED[row, op.has_imm] = eval(source, _EVAL_GLOBALS)
+        compiled = _COMPILED[row, op.has_imm] = eval(source, ALU_GLOBALS)
     if not op.has_imm:
         return compiled
     return compiled(coerce(imm) if coerce else imm)

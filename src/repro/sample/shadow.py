@@ -217,10 +217,21 @@ class ShadowUarch:
             # D-cache: loads that went to memory (LSQ forwards never
             # get there), then committed stores via the same
             # probe/upgrade/allocate sequence as the commit drain.
+            # A load of the line the previous load of this block touched
+            # is skipped: that line is MRU in its set and nothing ran in
+            # between, so it can neither miss nor reorder.  (Not carried
+            # across blocks: this block's stores run in between, and the
+            # next one's I-cache misses can reach the L2 and
+            # back-invalidate.)
+            last = -1
             for laddr in load_addrs:
-                entry = dlines.get(laddr // line_size)
+                line = laddr // line_size
+                if line == last:
+                    continue
+                last = line
+                entry = dlines.get(line)
                 if entry is None:
-                    entry = dlines[laddr // line_size] = self._dline(laddr)
+                    entry = dlines[line] = self._dline(laddr)
                 cache_set, key, dcache, bank_core = entry
                 try:
                     cache_set.move_to_end(key)

@@ -459,6 +459,18 @@ def _cache_parsed(store: FFTraceStore, key: str, trace: FFTrace) -> None:
     _PARSED[store.root, key] = trace
 
 
+def _read_trace(store: FFTraceStore, key: str) -> Optional[FFTrace]:
+    """The trace stored under ``key``, decoded (``None``: not on disk,
+    or on disk but damaged or stale)."""
+    payload = store.load(key)
+    if payload is None:
+        return None
+    try:
+        return decode_trace(payload)
+    except (ValueError, KeyError, TypeError, IndexError):
+        return None
+
+
 def open_trace_session(spec, store: Optional[FFTraceStore] = None):
     """The record-or-replay session for one sampled run, or ``None``
     when tracing is off or does not apply to the spec."""
@@ -471,12 +483,7 @@ def open_trace_session(spec, store: Optional[FFTraceStore] = None):
         store = FFTraceStore()
     trace = _PARSED.get((store.root, key))
     if trace is None:
-        payload = store.load(key)
-        if payload is not None:
-            try:
-                trace = decode_trace(payload)
-            except (ValueError, KeyError, TypeError, IndexError):
-                trace = None
+        trace = _read_trace(store, key)
         if trace is not None:
             _cache_parsed(store, key, trace)
     if trace is not None:
@@ -492,11 +499,14 @@ def prewarm_partition(specs: Sequence) -> tuple[list, list]:
     fan-out interprets each fast-forward trajectory exactly once.
 
     One spec per trace group whose trace would miss in the store — not
-    on disk, or on disk but damaged or stale (``contains`` is ``load``'s
-    validation) — goes into ``recorders`` (run first, in parallel across
-    groups); everything else — ineligible specs, singleton groups,
-    groups already traced — goes into ``rest`` and replays.  With
-    tracing disabled the batch passes through untouched.
+    on disk, or on disk but damaged or stale — goes into ``recorders``
+    (run first, in parallel across groups); everything else —
+    ineligible specs, singleton groups, groups already traced — goes
+    into ``rest`` and replays.  A trace found here is parsed here and
+    kept while the parsed cache has room, so the replays of the first
+    ``_PARSED_CAP`` groups — in this process or in workers forked from
+    it — start from the parsed trace.  With tracing disabled the batch
+    passes through untouched.
     """
     specs = list(specs)
     if not trace_enabled():
@@ -527,8 +537,16 @@ def prewarm_partition(specs: Sequence) -> tuple[list, list]:
         if store is None:
             store = FFTraceStore()
         key = trace_key(members[0])
-        if key is not None and ((store.root, key) in _PARSED
-                                or store.contains(key)):
+        trace = None
+        if key is not None:
+            trace = _PARSED.get((store.root, key))
+            if trace is None:
+                trace = _read_trace(store, key)
+                # Kept only while there is room: evicting here would
+                # drop the groups that replay first.
+                if trace is not None and len(_PARSED) < _PARSED_CAP:
+                    _cache_parsed(store, key, trace)
+        if trace is not None:
             rest.extend(members)
         else:
             recorders.append(members[0])

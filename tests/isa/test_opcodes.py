@@ -1,15 +1,19 @@
 """Unit tests for opcode specs and evaluation semantics."""
 
 import math
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.isa.opcodes import (
+    _ALU,
+    ALU_GLOBALS,
     INT_MAX,
     INT_MIN,
     OPCODES,
     OpClass,
+    alu_source,
     bind_evaluator,
     evaluate,
     memory_size,
@@ -237,3 +241,69 @@ class TestBindEvaluator:
         else:
             assert got == expected
             assert type(got) is type(expected)
+
+
+# ----------------------------------------------------------------------
+# The table's wrap: in-range fast path == wrap64, row by row
+# ----------------------------------------------------------------------
+
+_H, _W = 1 << 63, 1 << 64
+#: ``_w(expr)`` as the table writes it, and as it was written before the
+#: in-range fast path (``wrap64`` inline) — the reference.
+_FAST_WRAP = re.compile(rf"\(w if -{_H} <= \(w := (.*)\) < {_H} "
+                        rf"else \(w \+ {_H}\) % {_W} - {_H}\)$")
+
+
+def _always_wrap(expr):
+    return _FAST_WRAP.sub(
+        lambda m: f"(({m.group(1)}) + {_H}) % {_W} - {_H}", expr)
+
+
+def _row_function(coerce, expr):
+    x, y = (f"{coerce.__name__}({v})" if coerce else v for v in "ab")
+    return eval("lambda a, b: " + expr.format(x=x, y=y), ALU_GLOBALS)
+
+
+def _observe(f, a, b):
+    """``(repr, type)`` of the value (so 1, 1.0 and True differ), or the
+    error and ``None``."""
+    try:
+        value = f(a, b)
+    except (ValueError, OverflowError, TypeError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}", None
+    return repr(value), type(value)
+
+
+_edge_ints = st.builds(
+    lambda sign, base, delta: sign * base + delta,
+    st.sampled_from([1, -1]), st.sampled_from([0, 1 << 31, _H, _W]),
+    st.integers(-3, 3))
+_edge_operands = st.one_of(
+    _edge_ints, st.integers(60, 130), st.booleans(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 2.0 ** 63,
+                     -2.0 ** 63, 2.0 ** 64, 0.5, -1.5]))
+
+
+class TestWrapFastPath:
+    def test_the_reference_differs_exactly_on_wrapping_rows(self):
+        wrapping = {name for name, (__, __, expr) in _ALU.items()
+                    if _always_wrap(expr) != expr}
+        assert wrapping == {name for name, row in _ALU.items()
+                            if "w :=" in row[2]}
+        assert {"ADD", "SHR", "DIV", "FTOI"} <= wrapping
+
+    @pytest.mark.parametrize("name", sorted(_ALU))
+    @settings(max_examples=150, deadline=None)
+    @given(a=_edge_operands, b=_edge_operands)
+    def test_row_equals_always_wrapping_reference(self, name, a, b):
+        coerce, result, expr = _ALU[name]
+        got = _observe(_row_function(coerce, expr), a, b)
+        assert got == _observe(_row_function(coerce, _always_wrap(expr)), a, b)
+        if result is not None:          # the result column is exact
+            assert got[1] in (result, None)
+
+    def test_alu_source_shares_the_immediate_forms_row(self):
+        assert alu_source(OPCODES["ADDI"]) is _ALU["ADD"]
+        assert alu_source(OPCODES["MOVI"]) is _ALU["MOVI"]
+        with pytest.raises(ValueError):
+            alu_source(OPCODES["LDD"])

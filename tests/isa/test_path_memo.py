@@ -19,9 +19,10 @@ from hypothesis import given, settings, strategies as st
 import repro.isa.interp as interp_mod
 from repro.harness.runner import cached_program
 from repro.isa import BlockBuilder, Interpreter, InterpError, Program
-from repro.isa.program import HALT_ADDR
+from repro.isa.program import DATA_BASE, HALT_ADDR
 from repro.workloads import BENCHMARKS
 
+from tests.generated_programs import selector_loop, selector_loops
 from tests.sample_programs import ALL_SAMPLES
 
 
@@ -114,72 +115,9 @@ def test_whole_program_run_matches_after_relearning():
 # Generated predicated load/store blocks
 # ----------------------------------------------------------------------
 
-def selector_loop(selectors, npreds, store_slots, load_slots, nested,
-                  store_op="STD", load_op="LDD"):
-    """A one-block loop whose iteration ``i`` takes the predicate path
-    ``selectors[i]`` selects: per predicate a store/NULL pair into a
-    scratch slot, loads that forward from those stores or read memory
-    (and must wait for every older store slot to resolve), phi-merged
-    and NULL-resolved register writes, optionally a predicate computed
-    only under another predicate."""
-    prog = Program(entry="init", name="selector_loop")
-    table = prog.add_words(selectors)
-    scratch = prog.add_words([100 + k for k in range(8)])
-
-    b = BlockBuilder("init")
-    b.write(10, b.movi(0))
-    b.write(12, b.movi(0))
-    b.branch("BRO", target="body", exit_id=0)
-    prog.add_block(b.build())
-
-    b = BlockBuilder("body")
-    i = b.read(10)
-    acc = b.read(12)
-    sel = b.load(b.op("ADDI", b.op("SHLI", i, imm=3), imm=table))
-    preds = [b.op("TNEI", b.op("ANDI", sel, imm=1 << k), imm=0)
-             for k in range(npreds)]
-    for k, pred in enumerate(preds):
-        addr = b.movi(scratch + 8 * store_slots[k], pred=(pred, True))
-        data = b.op("ADDI", i, imm=k + 1, pred=(pred, True))
-        handle = b.store(addr, data, op=store_op, pred=(pred, True))
-        b.null_store(handle, pred=(pred, False))
-    total = acc
-    for slot in load_slots:
-        total = b.op("ADD", total,
-                     b.load(b.movi(scratch + 8 * slot), op=load_op))
-    b.write(12, b.phi(preds[0], total, b.op("SUB", total, i)))
-    if nested:
-        inner = b.op("TNEI", b.op("ANDI", sel, imm=1 << npreds), imm=0,
-                     pred=(preds[0], True))
-        b.write(13, b.op("ADDI", total, imm=7, pred=(inner, True)))
-        b.null_write(13, pred=(inner, False))
-        b.null_write(13, pred=(preds[0], False))
-    new_i = b.op("ADDI", i, imm=1)
-    b.write(10, new_i)
-    done = b.op("TGEI", new_i, imm=len(selectors))
-    b.branch("BRO", target="body", exit_id=0, pred=(done, False))
-    b.branch("BRO", target="done", exit_id=1, pred=(done, True))
-    prog.add_block(b.build())
-
-    b = BlockBuilder("done")
-    b.branch("HALT", exit_id=0)
-    prog.add_block(b.build())
-    return prog
-
-
 @settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_generated_predicated_blocks_agree(data):
-    npreds = data.draw(st.integers(1, 3))
-    slots = st.integers(0, 3)
-    program = selector_loop(
-        selectors=data.draw(st.lists(st.integers(0, 15), min_size=1,
-                                     max_size=12)),
-        npreds=npreds,
-        store_slots=data.draw(st.lists(slots, min_size=npreds,
-                                       max_size=npreds, unique=True)),
-        load_slots=data.draw(st.lists(slots, min_size=1, max_size=3)),
-        nested=data.draw(st.booleans()))
+@given(program=selector_loops())
+def test_generated_predicated_blocks_agree(program):
     assert lockstep(program) is None
 
 
@@ -346,3 +284,179 @@ def test_dynamic_forwarding_errors_stay_dynamic(offsets, kwargs, needle):
     text = lockstep(_aliasing(offsets, **kwargs))
     assert text is not None and needle in text
     assert lockstep(_aliasing([16, 0, 32], load_op="LDD")) is None
+
+
+# ----------------------------------------------------------------------
+# Compiled paths: operand types, where a wrong elision would show
+# ----------------------------------------------------------------------
+
+def _loop(name, table_values, body, reg_init=None):
+    """``init -> body* -> HALT``: ``body(b, prog, i, entry)`` fills one
+    iteration's block given the loop counter and this iteration's table
+    word; the loop runs once per table entry."""
+    prog = Program(entry="init", name=name)
+    prog.reg_init = dict(reg_init or {})
+    table = prog.add_words(table_values, signed=False)
+    b = BlockBuilder("init")
+    b.write(10, b.movi(0))
+    b.branch("BRO", target="body", exit_id=0)
+    prog.add_block(b.build())
+    b = BlockBuilder("body")
+    i = b.read(10)
+    entry = b.load(b.op("ADDI", b.op("SHLI", i, imm=3), imm=table))
+    body(b, prog, i, entry)
+    new_i = b.op("ADDI", i, imm=1)
+    b.write(10, new_i)
+    done = b.op("TGEI", new_i, imm=len(table_values))
+    b.branch("BRO", target="body", exit_id=0, pred=(done, False))
+    b.branch("HALT", exit_id=1, pred=(done, True))
+    prog.add_block(b.build())
+    return prog
+
+
+def _typed_body(b, prog, i, sel):
+    scratch = prog.add_words([0, 0])
+    fr, ir = b.read(20), b.read(21)             # 2.5 and 7
+    p = b.op("TNEI", b.op("ANDI", sel, imm=1), imm=0)
+    q = b.op("TNEI", b.op("ANDI", sel, imm=2), imm=0)
+    # A float in a register, read by an int op.
+    b.write(11, b.op("ADD", fr, ir))
+    # MOV/MOVI chains: int, float, unknown.
+    ci = b.mov(b.mov(b.movi(3)))
+    cf = b.mov(b.movi(2.5))
+    cu = b.mov(fr)
+    b.write(12, b.op("ADD", ci, cf))
+    b.write(13, b.op("FMUL", ci, ci))
+    b.write(14, b.op("FADD", cf, cu))
+    b.write(15, b.op("SUB", cu, ci))
+    # ITOF -> FADD -> FTOI.
+    b.write(16, b.op("FTOI", b.op("FADD", b.op("ITOF", i), cf)))
+    # A float STD forwarded to an LDD feeding ADD.
+    b.store(b.movi(scratch), cf)
+    b.write(17, b.op("ADD", b.load(b.movi(scratch)), i))
+    # Produced under one predicate (an int on one side, a float on the
+    # other), consumed under the other: whichever guard comes first,
+    # one consumer sits in a tail of a tail and reads a slot an earlier
+    # segment wrote — with a type the root never saw there.
+    for reg, (first, second) in ((18, (p, q)), (19, (q, p))):
+        merged = b.phi(first, ci, cf)
+        b.write(reg, b.op("ADDI", merged, imm=1, pred=(second, True)))
+        b.null_write(reg, pred=(second, False))
+
+
+@pytest.mark.parametrize("selectors", [
+    [1, 1, 0, 0, 2, 2, 2, 3, 3, 0, 1, 2, 3],
+    [2, 2, 0, 0, 1, 1, 1, 3, 3, 3, 0, 2, 1],
+    [0, 0, 0, 3, 3, 3, 1, 2, 1, 2],
+])
+def test_operand_types_on_compiled_paths(selectors):
+    program = _loop("typed", selectors, _typed_body,
+                    reg_init={20: 2.5, 21: 7})
+    assert lockstep(program) is None
+    interp = Interpreter(program)               # every path now compiled
+    interp.run()
+    last = len(selectors) - 1
+    want = [9, 5, 9.0, 5.0, -1, int(last + 2.5), 2 + last]
+    assert repr(interp.regs[11:18]) == repr(want)
+    r18 = r19 = 0           # ADDI(phi(first, 3, 2.5), 1) when second holds
+    for sel in selectors:
+        p, q = sel & 1, sel >> 1
+        r18 = (4 if p else 3) if q else r18
+        r19 = (4 if q else 3) if p else r19
+    assert repr(interp.regs[18:20]) == repr([r18, r19])
+
+
+def _same_error_every_run(program, kind, runs=3):
+    """The error text of ``runs`` whole-program runs over one Program
+    (the first learns, later ones run compiled paths up to the fault)."""
+    texts = []
+    for __ in range(runs):
+        with pytest.raises(kind) as caught:
+            Interpreter(program).run()
+        texts.append(f"{type(caught.value).__name__}: {caught.value}")
+    assert len(set(texts)) == 1
+    return texts[0]
+
+
+def test_null_token_at_a_coerced_operand_raises_the_same_every_time():
+    from repro.isa.builder import Port
+    from repro.isa.opcodes import OPCODES
+
+    def body(b, prog, i, sel):
+        p = b.op("TNEI", sel, imm=0)
+        null = Port("inst", b._emit(OPCODES["NULL"], pred=(p, True)))
+        b.write(11, b.op("ADD", b.phi(p, null, i), i))
+
+    text = _same_error_every_run(_loop("null_operand", [0, 0, 0, 1], body),
+                                 TypeError)
+    assert "_NullToken" in text
+
+
+def test_value_dependent_error_on_a_compiled_path():
+    """The third iteration's NaN reaches ``int()`` inside compiled code
+    (the path was learnt by the first and compiled by the second): the
+    error, and the state up to it, are the dataflow loop's."""
+    def body(b, prog, i, v):                    # sqrt(2 - v) + i
+        root = b.op("FSQRT", b.op("ITOF", b.op("SUB", b.movi(2), v)))
+        b.write(11, b.op("ADD", root, i))
+
+    program = _loop("nan", [1, 2, 3, 4], body)
+    assert "NaN" in _same_error_every_run(program, ValueError)
+    body_block = program.block_at(program.address_of("body"))
+    plain, memo = Interpreter(program), Interpreter(program)
+    for interp, execute in ((plain, _forgetful),
+                            (memo, Interpreter.execute_block)):
+        interp.commit(interp.execute_block(program.block_at(
+            program.address_of("init"))))
+        for __ in range(2):
+            interp.commit(execute(interp, body_block))
+        with pytest.raises(ValueError, match="NaN"):
+            execute(interp, body_block)
+    assert repr(plain.regs) == repr(memo.regs)
+
+
+# ----------------------------------------------------------------------
+# Compiled paths: the inline load and its fall-backs
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("op, size, signed", [
+    ("LDB", 1, False), ("LDH", 2, False), ("LDW", 4, False),
+    ("LDD", 8, True), ("LDF", 8, None)])
+def test_loads_on_a_compiled_path(op, size, signed):
+    """Every access size, from resident pages (a value >= 2**63 is a
+    negative ``LDD``), across a page boundary and from a page nothing
+    has touched — equal to the dataflow loop and to ``FlatMemory.load``."""
+    import struct
+
+    boundary = 0x30_1000
+    untouched = 0x7000_0000
+
+    def body(b, prog, i, addr):
+        b.write(11, b.load(addr, op=op))
+
+    words = [0xFFFF_FFFF_FFFF_FFF0, 0x8000_0000_0000_0000,
+             0x0123_4567_89AB_CDEF]
+    program = _loop("loads", [0] * 9, body)
+    base = program.add_words(words, signed=False)
+    program.data[boundary - 4] = bytes(range(0xF1, 0xF9))
+    straddling = boundary - max(size // 2, 1)       # (one byte cannot)
+    addrs = [base, base + 8, base + 16, base, straddling, untouched,
+             base + 8, boundary - size, base]
+    program.data[DATA_BASE] = b"".join(struct.pack("<Q", a) for a in addrs)
+
+    assert lockstep(program) is None
+    reference = Interpreter(program).mem
+    interp = Interpreter(program)
+    block = program.block_at(program.address_of("body"))
+    interp.commit(interp.execute_block(program.block_at(
+        program.address_of("init"))))
+    for addr in addrs:
+        outcome = interp.execute_block(block)
+        interp.commit(outcome)
+        want = reference.load(addr, size, fp=signed is None)
+        assert repr(interp.regs[11]) == repr(want)
+        assert outcome.load_addrs[-1] == addr
+    if op == "LDD":
+        interp = Interpreter(program)
+        block_outcomes = [interp.execute_block(block) for __ in range(3)]
+        assert [o.writes[11] for o in block_outcomes] == [-16] * 3

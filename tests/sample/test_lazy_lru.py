@@ -127,7 +127,7 @@ _events = st.lists(st.one_of(
     min_size=1, max_size=12)
 
 
-def drive(ncores, icache_bytes, events):
+def drive(ncores, icache_bytes, events, check_each=False):
     lazy = make_shadow(ncores, icache_bytes)
     eager = make_shadow(ncores, icache_bytes)
     ghist = eager_ghist = 0
@@ -155,6 +155,8 @@ def drive(ncores, icache_bytes, events):
             ghist = lazy.warm(interval, ghist,
                               lambda a: SimpleNamespace(size=sizes[a]))
             assert ghist == eager_ghist
+            if check_each:
+                assert same(lazy, eager)
     assert same(lazy, eager)
 
 
@@ -163,6 +165,39 @@ def drive(ncores, icache_bytes, events):
        icache_bytes=st.sampled_from([256, 512, 8192]), events=_events)
 def test_lazy_shadow_equals_eager_reference(ncores, icache_bytes, events):
     drive(ncores, icache_bytes, events)
+
+
+# Loads drawn from ten lines (the 512 B D-cache holds eight), so a block
+# often touches one line several times running and the next block often
+# starts on the line the last one ended on — with I-cache misses (tiny
+# I-caches) reaching the L2 in between.
+_line_loads = st.lists(
+    st.builds(lambda line, offset: line * 64 + offset,
+              st.integers(0, 9), st.integers(0, 63)), max_size=8)
+_repeating = st.lists(st.lists(st.tuples(
+    st.integers(0, 11), st.just(0), st.sampled_from([8, 40, 128]),
+    st.integers(0, 7), st.integers(0, 11), st.sampled_from(OPS),
+    _line_loads, st.lists(st.integers(0, 639), max_size=2)),
+    min_size=1, max_size=20), min_size=1, max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ncores=st.sampled_from([1, 2, 8]),
+       icache_bytes=st.sampled_from([256, 8192]), intervals=_repeating)
+def test_repeated_load_lines_equal_eager_reference(ncores, icache_bytes,
+                                                   intervals):
+    """``warm`` skips a load of the line the block's previous load
+    touched; every bank and the L2 equal the eager reference after each
+    interval."""
+    drive(ncores, icache_bytes, intervals, check_each=True)
+
+
+def test_repeat_skip_is_not_carried_across_blocks():
+    """Two blocks loading one line with a store to its set in between:
+    the second load is a real LRU touch."""
+    def block(loads, stores):
+        return (0, 0, 8, 0, 0, "BRO", loads, stores)
+    drive(1, 8192, [[block([0, 8], [256]), block([16], [])]], check_each=True)
 
 
 def test_loop_nest_defers_and_settles():

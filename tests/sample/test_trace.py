@@ -557,6 +557,53 @@ class TestPrewarmPartition:
                                    bench="conv", schedule=tag) == len(specs) - 1
         assert store.contains(key)                  # healed by the recorder
 
+    @pytest.mark.parametrize("cap, reads", [(4, ["conv", "gzip"]),
+                                            (1, ["conv", "gzip", "gzip"])])
+    def test_prewarm_then_replay_parses_each_trace_once(self, monkeypatch,
+                                                        cap, reads):
+        """What the partition loads to decide "traced" is what the
+        in-process replay starts from.  With more groups than the
+        parsed cache holds, the first groups stay parsed (they replay
+        first) and only the overflow is read again."""
+        import repro.sample.trace as trace_mod
+
+        groups = [[JobSpec.edge(bench, n, scale=2, sampling=SAMPLING)
+                   for n in (2, 4)] for bench in ("conv", "gzip")]
+        for group in groups:
+            execute_spec(group[0])      # records the group's trace
+        trace_mod._PARSED.clear()       # as in a new process
+        clear_cache()
+        monkeypatch.setattr(trace_mod, "_PARSED_CAP", cap)
+        decoded, blobs = [], []
+        original = trace_mod.decode_trace
+        monkeypatch.setattr(trace_mod, "decode_trace", lambda payload: (
+            decoded.append(payload["bench"]), original(payload))[1])
+        unzip = FFTraceStore._decode
+        monkeypatch.setattr(FFTraceStore, "_decode", staticmethod(
+            lambda data: (blobs.append(len(data)), unzip(data))[1]))
+
+        recorders, rest = prewarm_partition(groups[0] + groups[1])
+        assert recorders == [] and decoded == ["conv", "gzip"]
+        for spec in rest:
+            execute_spec(spec)
+        assert decoded == reads and len(blobs) == len(reads)
+
+    def test_undecodable_payload_gets_a_recorder(self):
+        """A blob whose envelope reads but whose payload does not
+        decode is a miss here, as it is for the replay."""
+        specs = [JobSpec.edge("conv", n, scale=2, sampling=SAMPLING)
+                 for n in (2, 4)]
+        execute_spec(specs[0])
+        store = FFTraceStore()
+        key = trace_key(specs[0])
+        payload = store.load(key)
+        del payload["intervals"][0]["addrs"]
+        store.store(key, payload)
+        reset_ff_trace()
+        configure_ff_trace(enabled=True, cache_dir=store.root)
+        assert store.contains(key)      # the envelope alone is intact
+        assert prewarm_partition(specs) == (specs[:1], specs[1:])
+
     def test_disabled_tracing_passes_through(self):
         configure_ff_trace(enabled=False)
         specs = [JobSpec.edge("conv", n, scale=2, sampling=SAMPLING)

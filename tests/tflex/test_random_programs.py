@@ -9,11 +9,18 @@ LSQ forwarding and violation replay), and data-dependent two-way
 branches (exercising prediction, misprediction recovery, and wrong-path
 squashing).
 
+A second generator (``tests/generated_programs.selector_loop``) builds
+predicated load/store *loops*: one block re-fetched per iteration, each
+taking the predicate path a table selects — so a trained predictor, a
+re-fetched decoded block and the interpreter's compiled block paths are
+inside the oracle too.
+
 Every generated program runs through a **three-way differential
 oracle**: the ISA interpreter (golden model), a 1-core TFlex composition
 (no distribution protocols), and an N-core composition (the full
 distributed fetch/execute/commit machinery).  All three must agree on
-architectural registers, scratch memory, and committed-block count.  The
+architectural registers, scratch memory (and the program's data segment), and
+committed-block count.  The
 generator body is shared between a Hypothesis strategy (which keeps
 counterexamples shrinkable) and a plain seeded PRNG (`SEEDED_CASES`
 below — deterministic regression cases that need no Hypothesis database
@@ -27,6 +34,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa import BlockBuilder, Interpreter, Program
 from repro.tflex import run_program
+
+from tests.generated_programs import selector_loop, selector_loops
 
 pytestmark = pytest.mark.slow
 
@@ -157,8 +166,12 @@ def random_program(draw):
     return build_random_program(HypothesisSource(draw))
 
 
-def _scratch_words(memory):
-    return [memory.load(SCRATCH + 8 * i, 8) for i in range(SCRATCH_WORDS)]
+def _scratch_words(memory, program):
+    """The random programs' scratch region, then every range the
+    program's data segment initialised (a loop's table and scratch)."""
+    return ([memory.load(SCRATCH + 8 * i, 8) for i in range(SCRATCH_WORDS)]
+            + [memory.read_bytes(addr, len(raw))
+               for addr, raw in sorted(program.data.items())])
 
 
 def assert_three_way_agreement(program: Program, ncores: int) -> None:
@@ -167,13 +180,13 @@ def assert_three_way_agreement(program: Program, ncores: int) -> None:
     result = golden.run(max_blocks=1000)
     assert result.halted and not result.truncated, \
         "golden run truncated by block budget — oracle comparison invalid"
-    expected_scratch = _scratch_words(golden.mem)
+    expected_scratch = _scratch_words(golden.mem, program)
 
     for cores in (1, ncores):
         proc = run_program(program, num_cores=cores, max_cycles=2_000_000)
         label = f"{cores}-core"
         assert proc.regs == golden.regs, f"{label}: register state diverged"
-        assert _scratch_words(proc.memory) == expected_scratch, \
+        assert _scratch_words(proc.memory, program) == expected_scratch, \
             f"{label}: scratch memory diverged"
         assert proc.stats.blocks_committed == result.blocks_executed, \
             f"{label}: committed-block count diverged"
@@ -189,4 +202,30 @@ def test_simulator_matches_interpreter(program, ncores):
 def test_seeded_differential(seed, ncores):
     """Deterministic oracle cases: same seed, same program, forever."""
     program = build_random_program(SeededSource(seed))
+    assert_three_way_agreement(program, ncores)
+
+
+# ----------------------------------------------------------------------
+# Loops: a re-fetched block, a re-executed compiled path
+# ----------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(selector_loops(max_iterations=10), st.sampled_from([2, 4, 8]))
+def test_simulator_matches_interpreter_on_loops(program, ncores):
+    assert_three_way_agreement(program, ncores)
+
+
+@pytest.mark.parametrize("seed,ncores", SEEDED_CASES[:9])
+def test_seeded_loop_differential(seed, ncores):
+    """Deterministic loop cases: each path taken at least three times
+    (learnt, compiled, re-run), in a seed-determined order."""
+    rng = random.Random(seed)
+    npreds = rng.randint(1, 3)
+    selectors = [rng.randrange(1 << (npreds + 1)) for __ in range(4)] * 3
+    rng.shuffle(selectors)
+    program = selector_loop(
+        selectors, npreds=npreds,
+        store_slots=rng.sample(range(4), npreds),
+        load_slots=[rng.randrange(4) for __ in range(rng.randint(1, 3))],
+        nested=rng.random() < 0.5)
     assert_three_way_agreement(program, ncores)
