@@ -6,7 +6,7 @@ on (see docs/ANALYSIS.md for the rule catalog and workflow):
 * :mod:`repro.analysis.surface` — REP1xx: every mutable attribute of a
   warm structure must be named in its ``WARM`` field list (or, for a
   composite, read by its ``state_dict``/``load_state``/``swap_state``)
-  (replay/checkpoint fidelity, PR 4/8).
+  (replay/recomposition fidelity, PR 4/8).
 * :mod:`repro.analysis.determinism` — REP2xx: no wall clocks, entropy,
   builtin ``hash()``/``id()``, or unsorted set iteration in simulator /
   sample / hashing modules (bit-identical results across worker
@@ -17,15 +17,10 @@ on (see docs/ANALYSIS.md for the rule catalog and workflow):
 * :mod:`repro.analysis.obsnames` — REP4xx: every literal event/metric
   name must be registered in :mod:`repro.obs.schema` and documented.
 
-Run it via ``repro lint``; CI gates on a clean report modulo
-``analysis/baseline.json``.
+Run it via ``repro lint``; CI gates on a clean report.  An intentional
+exception is an inline ``# lint: ok(RULE) reason`` marker on the line.
 """
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import (
     DEFAULT_SIM_PATHS,
     PASSES,
@@ -50,11 +45,8 @@ __all__ = [
     "PASSES",
     "SEVERITIES",
     "SourceModule",
-    "apply_baseline",
     "iter_modules",
-    "load_baseline",
     "load_module",
     "run_lint",
     "sort_findings",
-    "write_baseline",
 ]

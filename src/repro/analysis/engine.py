@@ -1,10 +1,10 @@
-"""Lint orchestration: scan a tree, run the passes, apply a baseline.
+"""Lint orchestration: scan a tree and run the passes.
 
 The entry point is :func:`run_lint`, which `repro lint` and the tests
 share.  Exit-code contract (``LintReport.exit_code``):
 
-* ``0`` — clean (no findings outside the baseline)
-* ``1`` — at least one non-baseline finding
+* ``0`` — clean (no findings)
+* ``1`` — at least one finding
 * ``3`` — internal analysis error (:class:`LintError`) — raised, and
   mapped to 3 by the CLI
 
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis.determinism import check_determinism
 from repro.analysis.findings import SEVERITIES, Finding, sort_findings
 from repro.analysis.hashaxes import DEFAULT_HASH_SURFACES, check_hash_axes
@@ -70,9 +69,7 @@ class LintReport:
     """Everything a caller needs to render or gate on."""
 
     root: str
-    findings: list            # non-baseline findings (what fails CI)
-    grandfathered: list       # matched a baseline entry
-    stale_baseline: list      # baseline entries no finding matched
+    findings: list            # what fails CI
     rules_run: tuple
 
     @property
@@ -94,15 +91,7 @@ class LintReport:
         summary = ", ".join(f"{counts[s]} {s}" for s in SEVERITIES
                             if counts.get(s))
         lines.append(f"repro lint: {total} finding(s)"
-                     + (f" ({summary})" if summary else "")
-                     + (f", {len(self.grandfathered)} grandfathered"
-                        if self.grandfathered else ""))
-        if self.stale_baseline:
-            lines.append(f"warning: {len(self.stale_baseline)} stale "
-                         "baseline entr(y/ies) no longer match — prune them:")
-            for entry in self.stale_baseline:
-                lines.append(f"    {entry['rule']} {entry['file']}: "
-                             f"{entry['message']}")
+                     + (f" ({summary})" if summary else ""))
         return "\n".join(lines)
 
     def to_json(self) -> str:
@@ -110,12 +99,8 @@ class LintReport:
             "version": 1,
             "root": self.root,
             "rules_run": list(self.rules_run),
-            "summary": {"total": len(self.findings), **self.counts(),
-                        "grandfathered": len(self.grandfathered),
-                        "stale_baseline": len(self.stale_baseline)},
+            "summary": {"total": len(self.findings), **self.counts()},
             "findings": [f.to_dict() for f in self.findings],
-            "grandfathered": [f.to_dict() for f in self.grandfathered],
-            "stale_baseline": self.stale_baseline,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -143,13 +128,12 @@ def _selected(prefix: str, rules) -> bool:
 
 
 def run_lint(root, ctx: Optional[LintContext] = None,
-             baseline_path=None, rules=None) -> LintReport:
+             rules=None) -> LintReport:
     """Scan ``root`` and return a :class:`LintReport`.
 
     Args:
         root: Directory to scan (normally ``src/repro``).
         ctx: Pass configuration; defaults to the repo configuration.
-        baseline_path: Optional grandfathering file.
         rules: Optional iterable of rule-id prefixes to restrict to.
     """
     root = Path(root)
@@ -164,12 +148,5 @@ def run_lint(root, ctx: Optional[LintContext] = None,
     modules = iter_modules(root)
     rules = tuple(rules) if rules else ()
     findings = sort_findings(_run_passes(modules, ctx, rules))
-    grandfathered: list = []
-    stale: list = []
-    if baseline_path is not None:
-        entries = baseline_mod.load_baseline(baseline_path)
-        findings, grandfathered, stale = baseline_mod.apply_baseline(
-            findings, entries)
     return LintReport(root=str(root), findings=findings,
-                      grandfathered=grandfathered, stale_baseline=stale,
                       rules_run=rules or ("REP1", "REP2", "REP3", "REP4"))

@@ -1,9 +1,7 @@
 """Finding model shared by every lint pass.
 
 A finding is one violation of a repo invariant, anchored to a file and
-line, carrying a stable rule id, a severity, and a fix hint.  Baseline
-matching deliberately ignores the line number so that unrelated edits
-above a grandfathered finding do not resurrect it.
+line, carrying a stable rule id, a severity, and a fix hint.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ class Finding:
         severity: ``P1`` (must fix), ``P2`` (should fix), ``P3`` (doc
             hygiene).
         file: Path relative to the scan root's parent (``repro/...``),
-            posix separators — stable across checkouts for baselines.
+            posix separators — stable across checkouts.
         line: 1-based line number of the violating construct.
         message: What is wrong, with enough context to act on.
         hint: How to fix or suppress it.
@@ -35,11 +33,6 @@ class Finding:
     line: int
     message: str
     hint: str = ""
-
-    def key(self) -> tuple:
-        """Baseline identity: line-insensitive so grandfathered findings
-        survive unrelated edits elsewhere in the file."""
-        return (self.rule, self.file, self.message)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -8,8 +8,8 @@ the grammar::
 
 i.e. ``# lint: ok(<RULE>[, <RULE>...]) <justification>``.  A marker
 silences the named rules on that physical line only, and the
-justification is mandatory by convention (the marker is the allow-list
-entry; the baseline file is for bulk grandfathering instead).
+justification is mandatory by convention (the marker is the
+allow-list entry, and the only exemption there is).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """REP1xx — transfer-surface completeness.
 
-Replay/checkpoint fidelity (sampled simulation, recomposition) assumes
+Replay fidelity (sampled simulation, recomposition) assumes
 that every *mutable* attribute of a warm structure moves with its
 transfer surface — the one vocabulary ``state_dict``/``load_state``
 (staged by ``stage_state``)/``swap_state``.  A mutable attribute the surface misses is warm state

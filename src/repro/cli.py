@@ -19,7 +19,7 @@ Commands:
 * ``profile BENCH`` — wall-clock phase profile of one simulation.
 * ``lint`` — AST invariant analysis over ``src/repro`` (transfer-surface
   completeness, determinism, content-hash axes, obs schema); exit 1 on
-  non-baseline findings.  See docs/ANALYSIS.md.
+  any finding.  See docs/ANALYSIS.md.
 
 ``run`` additionally takes ``--inject SPEC`` (repeatable) to inject
 faults: ``dead:CORE``, ``kill:CORE@CYCLE``, or ``link:SRC-DST:EXTRA``
@@ -42,8 +42,8 @@ composition — on by default, disabled by ``--no-cache`` unless
 see docs/OBSERVABILITY.md.
 
 ``cache gc`` prunes the persistent cache (result records and
-fast-forward traces; the scheduler's duration sidecar is kept) by
-size and/or age: ``repro cache gc --max-bytes 500M --max-age-days 30``
+fast-forward traces) by size and/or age:
+``repro cache gc --max-bytes 500M --max-age-days 30``
 (``--dry-run`` reports the plan without deleting).
 
 ``run``, ``sweep`` and the fig6-derived figures additionally take
@@ -289,7 +289,6 @@ def _cmd_lint(args) -> int:
     import pathlib
 
     from repro.analysis import LintError, run_lint
-    from repro.analysis.baseline import write_baseline
 
     if args.root is not None:
         root = pathlib.Path(args.root)
@@ -298,25 +297,8 @@ def _cmd_lint(args) -> int:
 
         root = pathlib.Path(repro.__file__).resolve().parent
 
-    baseline = args.baseline
-    if baseline is None:
-        default = pathlib.Path("analysis") / "baseline.json"
-        if default.is_file():
-            baseline = default
-    elif baseline == "none":
-        baseline = None
-
     try:
-        if args.write_baseline:
-            report = run_lint(root, rules=args.rules_parsed)
-            path = args.baseline or str(
-                pathlib.Path("analysis") / "baseline.json")
-            write_baseline(path, report.findings)
-            print(f"repro lint: wrote {len(report.findings)} finding(s) "
-                  f"to {path} — fill in the reasons or fix them")
-            return 0
-        report = run_lint(root, baseline_path=baseline,
-                          rules=args.rules_parsed)
+        report = run_lint(root, rules=args.rules_parsed)
     except LintError as exc:
         print(f"repro lint: internal error: {exc}", file=sys.stderr)
         return 3
@@ -519,13 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="FILE",
         help="also write the report to FILE (same format)")
     lint_p.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="grandfathered-findings file (default: analysis/baseline.json "
-             "when present; pass 'none' to ignore it)")
-    lint_p.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0")
-    lint_p.add_argument(
         "--rules", default=None, metavar="IDS",
         help="comma-separated rule-id prefixes to run, e.g. REP1,REP204 "
              "(default: all)")
@@ -602,8 +577,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             parser.error("--inject cannot combine with --sample: a "
                          "recomposition inside a fast-forward region is "
                          "undefined — drop one of the two")
-        from repro.resil import MAX_CYCLES, FaultSchedule, parse_inject
-        from repro.tflex import tflex_config
+        from repro.resil import FaultSchedule, parse_inject
+        from repro.tflex import MAX_CYCLES, tflex_config
 
         try:
             schedule = FaultSchedule(tuple(parse_inject(text)

@@ -14,12 +14,11 @@ into three composable pieces:
 * :mod:`repro.exec.pool` — :class:`WorkerPool`, persistent warm worker
   processes served over a request/reply pipe, with a terminate→kill
   watchdog and transparent respawn.
-* :mod:`repro.exec.sched` — :class:`DurationBook` duration estimates
-  and the longest-job-first dispatch order they feed.
 * :mod:`repro.exec.executor` — :class:`ParallelExecutor`, the one
-  dispatch loop (warm pool, or an in-process slot at ``jobs=1``) with
-  per-job timeout, duplicate-spec coalescing, one retry on worker
-  crash, and a live progress/ETA reporter.
+  dispatch loop (warm pool, or an in-process slot at ``jobs=1``; cold
+  jobs go out in input order) with per-job timeout, duplicate-spec
+  coalescing, one retry on worker crash, and a live progress/ETA
+  reporter.
 
 The harness (:mod:`repro.harness.runner`) puts its in-process result
 dict in front of the executor, so warm-cache replays of any figure driver are
@@ -39,9 +38,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "gc_cache": "store",
     "parse_size": "store",
     "ProgressReporter": "progress",
-    "DurationBook": "sched",
-    "job_family": "sched",
-    "order_indices": "sched",
     "execute_spec": "worker",
     "pool_worker_main": "worker",
     "PoolEvent": "worker",

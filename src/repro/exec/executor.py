@@ -7,8 +7,7 @@ at most ``jobs`` concurrent workers, with:
   so warm jobs never touch a worker;
 * coalescing of equal-hash specs within the batch — one runs, every
   duplicate receives the same payload;
-* longest-job-first dispatch from learned duration estimates
-  (:mod:`repro.exec.sched`; a cold book is input order);
+* dispatch in input order, a failed attempt ahead of new work;
 * a per-job wall-clock timeout enforced by a terminate→kill watchdog;
 * one retry (configurable) when a worker raises, crashes, or times
   out — a bad job is *reported* failed, it never kills the sweep;
@@ -38,7 +37,6 @@ from typing import Callable, Optional, Sequence
 
 import repro.obs as obs_lib
 from repro.exec.progress import ProgressReporter
-from repro.exec.sched import DurationBook, order_indices
 from repro.exec.spec import JobSpec, spec_hash
 from repro.exec.store import ResultStore
 from repro.exec.worker import PoolEvent, execute_spec
@@ -196,13 +194,11 @@ class ParallelExecutor:
     # -- the dispatch loop ---------------------------------------------
 
     def _dispatch(self, specs, todo, results, reporter) -> None:
-        """Run the cold jobs, longest first when the duration book has
-        history (input order when cold).  A job's duration is the summed
-        service time of its attempts as the worker measured it — never
-        the wait for a free worker, nor the parent's wake-up latency."""
-        book = DurationBook.for_store_root(
-            self.store.root if self.store is not None else None)
-        pending = deque(order_indices(specs, todo, book))
+        """Run the cold jobs in input order.  A job's duration is the
+        summed service time of its attempts as the worker measured it —
+        never the wait for a free worker, nor the parent's wake-up
+        latency."""
+        pending = deque(todo)
         attempts = {i: 0 for i in todo}
         spent = {i: 0.0 for i in todo}
         if self.jobs <= 1 and self.timeout is None:
@@ -236,7 +232,6 @@ class ParallelExecutor:
                     i = event.tag
                     spent[i] += event.duration
                     if event.ok:
-                        book.note_spec(specs[i], event.duration)
                         finished.append((i, event.value, None))
                         continue
                     error = event.value
@@ -261,7 +256,6 @@ class ParallelExecutor:
                                               attempts[i], spent[i], reporter)
         finally:
             pool.shutdown()
-            book.flush()
 
     def _note_retry(self, spec: JobSpec, attempt: int, error: str,
                     reason: str,

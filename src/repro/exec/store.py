@@ -234,13 +234,12 @@ class ResultStore(BlobStore):
 
 
 # ----------------------------------------------------------------------
-# Cache garbage collection (results + traces; sidecars exempt)
+# Cache garbage collection (results + traces)
 # ----------------------------------------------------------------------
 
 #: Prunable record classes under one cache root: result records at the
-#: top level, fast-forward traces under ``traces/``.  The scheduler's
-#: ``durations.json`` sidecar and lock files are deliberately not
-#: listed — they are tiny, shared, and rebuilt incrementally.
+#: top level, fast-forward traces under ``traces/``.  Anything else
+#: under the root (the ``.lock`` file) is never touched.
 _GC_CLASSES = (
     ("result", f"??/*{ResultStore.SUFFIX}"),
     ("trace", f"traces/??/*{BlobStore.SUFFIX}"),

@@ -224,9 +224,8 @@ class Fig7Result(_NormalizedFigure):
 
     def perf_per_area(self, bench: str, label: str) -> float:
         run = self.fig6.runs[bench][label]
-        mm2 = (self.area.trips_mm2 if label == "trips"
-               else self.area.processor_mm2(run.num_cores))
-        return 1.0 / (run.cycles * mm2)
+        return self.area.perf_per_area(run.cycles, run.num_cores,
+                                       trips=label == "trips")
 
     metric = perf_per_area
 

@@ -246,7 +246,6 @@ def run_spec(spec: JobSpec):
 
 
 def prewarm_specs(specs: Sequence[JobSpec], jobs: int = 1,
-                  timeout: Optional[float] = None,
                   progress: bool = False) -> list[JobResult]:
     """Bring a batch of specs into the in-process cache: whatever is
     not there yet goes through the executor (store read, then ``jobs``
@@ -275,8 +274,8 @@ def prewarm_specs(specs: Sequence[JobSpec], jobs: int = 1,
     outcomes: list[JobResult] = []
     for batch in (recorders, cold):
         if batch:
-            outcomes.extend(run_specs(batch, jobs=jobs, timeout=timeout,
-                                      store=get_store(), progress=progress))
+            outcomes.extend(run_specs(batch, jobs=jobs, store=get_store(),
+                                      progress=progress))
     failed = None
     for outcome in outcomes:
         if not outcome.ok:

@@ -19,7 +19,7 @@ from repro.harness.runner import RiscResult, RunResult
 from repro.power import EnergyModel, EnergyParams
 from repro.risc import OoOCore
 from repro.sample.engine import run_sampled
-from repro.tflex.config import tflex_config, trips_config
+from repro.tflex.config import MAX_CYCLES, tflex_config, trips_config
 from repro.tflex.placement import rectangle
 from repro.tflex.system import TFlexSystem
 from repro.workloads.suite import BENCHMARKS, verify_edge_run
@@ -109,7 +109,7 @@ def _simulate_edge(spec: JobSpec) -> RunResult:
 
     system = TFlexSystem(cfg)
     proc = system.compose(rectangle(cfg, ncores), program, name=spec.bench)
-    system.run(max_cycles=30_000_000)
+    system.run(max_cycles=MAX_CYCLES)
     if spec.verify:
         verify_edge_run(kernel, proc.memory, expected)
 

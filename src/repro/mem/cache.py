@@ -207,7 +207,7 @@ class CacheBank(WarmState):
             yield from self._sets[index].values()
 
     # ------------------------------------------------------------------
-    # State transfer (sampled-simulation warm-up injection, checkpoints)
+    # State transfer (sampled-simulation warm-up injection)
     # ------------------------------------------------------------------
 
     #: One list per set in LRU-first order, so a round trip preserves
@@ -218,8 +218,9 @@ class CacheBank(WarmState):
         return (self.num_sets, self.line_size, self.assoc)
 
     def check_warm(self, values: dict) -> None:
-        """A snapshot is outside input (a checkpoint file): beyond the
-        set count, every set must fit the associativity and hold only
+        """A snapshot is whatever dict the caller hands ``load_state``,
+        not necessarily one this geometry produced: beyond the set
+        count, every set must fit the associativity and hold only
         lines that hash to it — ``fill`` evicts one line per insertion
         and ``probe`` looks in one set, so neither would ever repair an
         oversize set or find a misfiled line."""

@@ -58,12 +58,15 @@ class AreaModel:
         """Whole-chip area (core array + L2)."""
         return self.processor_mm2(num_cores) + self.l2_mm2(l2_megabytes)
 
-    def perf_per_area(self, cycles: int, num_cores: int) -> float:
-        """Figure 7 metric: 1 / (cycles x mm²)."""
-        return 1.0 / (cycles * self.processor_mm2(num_cores))
-
-    def trips_perf_per_area(self, cycles: int) -> float:
-        return 1.0 / (cycles * self.trips_mm2)
+    def perf_per_area(self, cycles: int, num_cores: int,
+                      trips: bool = False) -> float:
+        """Figure 7 metric: 1 / (cycles x mm²), 0.0 for a run that
+        retired nothing.  The TRIPS baseline is charged its fixed area,
+        not its tile count."""
+        if not cycles:
+            return 0.0
+        mm2 = self.trips_mm2 if trips else self.processor_mm2(num_cores)
+        return 1.0 / (cycles * mm2)
 
     def table(self) -> str:
         """Human-readable component table (Table 2, area half)."""

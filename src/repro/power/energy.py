@@ -159,5 +159,7 @@ class EnergyModel:
     @staticmethod
     def perf2_per_watt(cycles: int, watts: float) -> float:
         """Figure 8 metric: performance² per watt (inverse energy-delay²
-        up to constants)."""
+        up to constants), 0.0 for a run that retired nothing."""
+        if not cycles:
+            return 0.0
         return (1.0 / cycles) ** 2 / watts

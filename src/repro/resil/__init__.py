@@ -25,7 +25,7 @@ from repro.resil.injector import FaultInjector
 from repro.resil.recompose import (CompositionLost, RecompositionEngine,
                                    RecoveryReport, choose_composition,
                                    transfer_ras)
-from repro.resil.run import MAX_CYCLES, ResilientRun, run_resilient
+from repro.resil.run import ResilientRun, run_resilient
 
 __all__ = [
     "FaultEvent",
@@ -39,7 +39,6 @@ __all__ = [
     "RecoveryReport",
     "choose_composition",
     "transfer_ras",
-    "MAX_CYCLES",
     "ResilientRun",
     "run_resilient",
 ]

@@ -27,12 +27,9 @@ from repro.resil.faults import FaultSchedule
 from repro.resil.injector import FaultInjector
 from repro.resil.recompose import CompositionLost, RecompositionEngine, \
     choose_composition
-from repro.tflex import TFlexSystem
+from repro.tflex import MAX_CYCLES, TFlexSystem
 from repro.tflex.stats import ProcStats
 from repro.workloads import verify_edge_run
-
-#: Same cycle budget as the full-detail path in ``repro.harness``.
-MAX_CYCLES = 30_000_000
 
 
 class ResilientRun:

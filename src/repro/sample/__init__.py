@@ -3,9 +3,8 @@
 See :mod:`repro.sample.engine` for the design.  The public surface:
 
 * :class:`SamplingConfig` — the window/fast-forward rhythm;
-* :class:`SampledRun` — stepwise driver with checkpoint/resume;
+* :class:`SampledRun` — stepwise driver (window, then fast-forward);
 * :func:`run_sampled` — one job spec to one extrapolated RunResult;
-* :class:`Checkpoint` — JSON-safe resumable snapshot;
 * :class:`ShadowUarch` — the warm structures driven during fast-forward;
 * :class:`FFTraceStore` / :func:`configure_ff_trace` — shared
   fast-forward traces, recorded once per (program, scale, schedule)
@@ -16,7 +15,6 @@ See :mod:`repro.sample.engine` for the design.  The public surface:
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "Checkpoint": "checkpoint",
     "FFTraceStore": "trace",
     "SampledRun": "engine",
     "SamplingConfig": "config",

@@ -6,9 +6,8 @@ once, alternating two regimes:
 * **Detailed windows** run on a real :class:`TFlexSystem` with the
   architectural state (registers, memory) and warm microarchitectural
   state (predictor, RAS, I/D caches, L2) injected at entry — one
-  ``swap_state`` per structure in, one back out (:mod:`repro.warm`;
-  checkpoints move the same fields as ``state_dict`` snapshots).  Each
-  window commits ``warmup_blocks`` blocks unmeasured, then measures
+  ``swap_state`` per structure in, one back out (:mod:`repro.warm`).
+  Each window commits ``warmup_blocks`` blocks unmeasured, then measures
   IPC over ``window_blocks`` committed blocks, then halts through the
   processor's ``commit_limit``.
 
@@ -50,16 +49,12 @@ import repro.obs as obs_lib
 from repro.isa.interp import Interpreter
 from repro.isa.program import HALT_ADDR
 from repro.mem.flatmem import PAGE_MASK, PAGE_SIZE, FlatMemory
-from repro.sample.checkpoint import Checkpoint
 from repro.sample.config import SamplingConfig
 from repro.sample.shadow import ShadowUarch, rebuild_directory
 from repro.sample.trace import FFInterval, encode_reg_delta
-from repro.tflex import TFlexSystem
+from repro.tflex import MAX_CYCLES, TFlexSystem
 from repro.tflex.placement import rectangle
 from repro.tflex.stats import ProcStats
-
-#: Cycle budget per detailed window (matches the full-detail runner).
-MAX_WINDOW_CYCLES = 30_000_000
 
 
 @dataclass
@@ -83,9 +78,8 @@ class SampledRun:
     """Driver for one sampled simulation; see the module docstring.
 
     ``step()`` advances one window plus the following fast-forward
-    interval; ``checkpoint()``/``resume()`` snapshot and restore the
-    run at those boundaries; ``run()`` drives to completion and builds
-    the extrapolated :class:`~repro.harness.runner.RunResult`.
+    interval; ``run()`` drives to completion and builds the
+    extrapolated :class:`~repro.harness.runner.RunResult`.
     """
 
     def __init__(self, spec, sampling: Optional[SamplingConfig] = None,
@@ -180,7 +174,7 @@ class SampledRun:
         else:
             proc.measure_mark = (system.queue.now, 0)
         proc.start(self.addr, self.ghist)
-        system.run(max_cycles=MAX_WINDOW_CYCLES)
+        system.run(max_cycles=MAX_CYCLES)
 
         stats = proc.stats
         end_cycle = proc.start_cycle + stats.cycles
@@ -234,9 +228,9 @@ class SampledRun:
         Each window runs on a fresh ``TFlexSystem`` that is discarded
         after :meth:`_absorb`, and the shadow is idle while the window
         runs — so moving state by O(1) reference swaps (contents
-        identical to the ``state_dict``/``load_state`` round trip,
-        which JSON checkpoints still use) is observably a copy in both
-        directions, without materializing per-window snapshots."""
+        identical to a ``state_dict``/``load_state`` round trip) is
+        observably a copy in both directions, without materializing
+        per-window snapshots."""
         shadow = self.shadow
         shadow.settle()
         cores = system.cores
@@ -282,7 +276,7 @@ class SampledRun:
         trace = self.trace
         # Intervals are indexed by position: the loop alternates
         # window -> fast-forward, so the interval after window k is
-        # interval k (resume restores k as len(windows)).
+        # interval k.
         index = len(self.windows) - 1
         interval = None
         if trace is not None and trace.mode == "replay":
@@ -292,9 +286,9 @@ class SampledRun:
         if profiler.enabled:
             with profiler.phase("sample.ff_replay" if replayed
                                 else "sample.ff"):
-                executed = self._run_interval(interval, index, n_blocks)
+                executed = self._run_interval(interval, n_blocks)
         else:
-            executed = self._run_interval(interval, index, n_blocks)
+            executed = self._run_interval(interval, n_blocks)
         if self.obs.active:
             bench = self.spec.bench
             self.obs.emit("sample.ff_replayed" if replayed else "sample.ff",
@@ -306,13 +300,13 @@ class SampledRun:
                 "sample.ff_replayed_blocks" if replayed else "sample.ff_blocks",
                 executed, bench=bench)
 
-    def _run_interval(self, interval, index: int, n_blocks: int) -> int:
+    def _run_interval(self, interval, n_blocks: int) -> int:
         """One fast-forward interval: interpret it (or land a recorded
         one's stores), warm the shadow on its columns, book it."""
         if interval is None:
             interval = self._interpret(n_blocks)
             if self.trace is not None and self.trace.mode == "record":
-                self.trace.add(index, interval)
+                self.trace.add(interval)
         else:
             self._land_stores(interval)
         regs = self.interp.regs
@@ -479,68 +473,6 @@ class SampledRun:
             num_cores=self.ncores, cycles=cycles,
             insts_committed=total_insts, stats=merged, power=power,
             dram_requests=dram_requests, sampling=sampling_info)
-
-    # ------------------------------------------------------------------
-    # Checkpoint / resume
-    # ------------------------------------------------------------------
-
-    def checkpoint(self) -> Checkpoint:
-        """Snapshot the run at the current window/fast-forward boundary."""
-        return Checkpoint(
-            spec=self.spec.canonical(),
-            sampling=self.sampling.to_dict(),
-            addr=self.addr, ghist=self.ghist,
-            blocks=self.blocks, insts=self.insts,
-            loads=self.loads, stores=self.stores,
-            finished=self.finished,
-            regs=list(self.interp.regs),
-            memory=self.mem.snapshot(),
-            shadow=self.shadow.state_dict(),
-            windows=[{
-                "stats": w.stats.to_dict(),
-                "dram_requests": w.dram_requests,
-                "measured": ([w.measured_insts, w.measured_cycles]
-                             if w.measured_insts else None),
-                "terminal": w.terminal,
-                "tail": w.tail,
-            } for w in self.windows],
-            dependence=sorted([label, lsq_id]
-                              for label, lsq_id in self.dependence),
-        )
-
-    @staticmethod
-    def resume(spec, checkpoint: Checkpoint, trace=None) -> "SampledRun":
-        """Rebuild a run from a checkpoint; continuing it produces the
-        exact result the uninterrupted run would have.  ``trace`` may
-        hand the resumed run a replay session (intervals re-align by
-        window count); a record session started mid-run abandons
-        itself rather than persist a partial trace."""
-        if checkpoint.spec != spec.canonical():
-            raise ValueError("checkpoint was taken under a different job spec")
-        run = SampledRun(spec, SamplingConfig.from_dict(checkpoint.sampling),
-                         trace=trace)
-        run.addr = checkpoint.addr
-        run.ghist = checkpoint.ghist
-        run.blocks = checkpoint.blocks
-        run.insts = checkpoint.insts
-        run.loads = checkpoint.loads
-        run.stores = checkpoint.stores
-        run.finished = checkpoint.finished
-        run.interp.regs[:] = checkpoint.regs
-        run.mem.restore(checkpoint.memory)
-        run.shadow.load_state(checkpoint.shadow)
-        run.windows = [
-            _Window(stats=ProcStats.from_dict(w["stats"]),
-                    dram_requests=w["dram_requests"],
-                    measured_insts=w["measured"][0] if w["measured"] else None,
-                    measured_cycles=w["measured"][1] if w["measured"] else None,
-                    terminal=w.get("terminal", False),
-                    tail=w.get("tail", False))
-            for w in checkpoint.windows
-        ]
-        run.dependence = {(label, lsq_id)
-                          for label, lsq_id in checkpoint.dependence}
-        return run
 
 
 def run_sampled(spec):

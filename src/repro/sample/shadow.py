@@ -13,10 +13,11 @@ order, ignoring all timing results.
 
 State moves between the shadow and a real :class:`TFlexSystem` through
 the one transfer vocabulary every warm structure derives from its field
-declaration (:mod:`repro.warm`): ``swap_state`` per window,
-``state_dict``/``load_state`` for checkpoints.  The L2 directory is
-rebuilt from L1 contents on every transfer (the directory's invariant
-is "entry == some L1 holds the line", so it is derived state).
+declaration (:mod:`repro.warm`): ``swap_state`` per window, with
+``state_dict``/``load_state`` as the copying reference the tests hold
+it to.  The L2 directory is rebuilt from L1 contents on every transfer
+(the directory's invariant is "entry == some L1 holds the line", so it
+is derived state).
 
 Fidelity notes: the shadow trains the predictor strictly in commit
 order, so wrong-path pollution from deep speculation is not modelled;

@@ -367,22 +367,16 @@ class RecordSession:
         self.spec = spec
         self.program_fp = program_fp
         self.intervals: list[FFInterval] = []
-        self.abandoned = False
 
-    def add(self, index: int, interval: FFInterval) -> None:
-        """Keep interval ``index`` as the live loop built it."""
-        if index != len(self.intervals):
-            # Resumed mid-run (checkpoint) or intervals were skipped:
-            # a partial recording would replay wrong, so stop here.
-            self.abandoned = True
-        if not self.abandoned:
-            self.intervals.append(interval)
+    def add(self, interval: FFInterval) -> None:
+        """Keep the next interval as the live loop built it."""
+        self.intervals.append(interval)
 
     def finish(self, run) -> None:
         """Persist the trace if the run completed a clean recording,
         and keep it in memory for this process's replays either way: a
         trace that cannot be written is lost sharing, not a lost run."""
-        if self.abandoned or not run.finished or not self.intervals:
+        if not run.finished or not self.intervals:
             return
         spec = self.spec
         sampling = dict(sorted(spec.sampling_dict().items()))   # as decoded

@@ -6,9 +6,11 @@ One :class:`Objective` per figure of the paper's BEST lines:
   the one-core run divides every candidate's score by the same
   per-benchmark constant, so the raw score has the identical argmax.
 * ``perf_per_area`` — performance per mm^2 of the composition's cores,
-  figure 7 (same area model as :class:`repro.power.AreaModel`).
+  figure 7 (:meth:`repro.power.AreaModel.perf_per_area`, the function
+  ``Fig7Result`` calls).
 * ``perf2_per_watt`` — performance^2 per watt (the ED^-1 proxy),
-  figure 8 (same formula as :meth:`repro.power.EnergyModel`).
+  figure 8 (:meth:`repro.power.EnergyModel.perf2_per_watt`, the
+  function ``Fig8Result`` calls).
 
 Scores are pure functions of a :class:`~repro.harness.runner.RunResult`
 — sampled and detailed evaluations of the same candidate score through
@@ -45,14 +47,11 @@ def _speedup(run) -> float:
 
 
 def _perf_per_area(run, area: AreaModel = AreaModel()) -> float:
-    if not run.cycles:
-        return 0.0
-    return 1.0 / (run.cycles * area.processor_mm2(run.num_cores))
+    return area.perf_per_area(run.cycles, run.num_cores,
+                              trips=run.label == "trips")
 
 
 def _perf2_per_watt(run) -> float:
-    if not run.cycles:
-        return 0.0
     return EnergyModel.perf2_per_watt(run.cycles, run.power.total)
 
 

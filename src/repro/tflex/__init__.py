@@ -13,6 +13,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "CoreConfig": "config",
     "SystemConfig": "config",
     "TFLEX": "config",
+    "MAX_CYCLES": "config",
     "tflex_config": "config",
     "trips_config": "config",
     "EventQueue": "events",

@@ -126,6 +126,11 @@ class SystemConfig:
 #: The paper's TFlex chip: 32 dual-issue cores in a 4x8 array.
 TFLEX = SystemConfig()
 
+#: Cycle budget of one driver-level run — a full-detail job, one
+#: detailed window of a sampled job, a fault-injected job — and the
+#: bound a ``kill:CORE@CYCLE`` must fall inside to ever fire.
+MAX_CYCLES = 30_000_000
+
 
 def trips_config() -> SystemConfig:
     """The fixed-granularity TRIPS baseline (paper section 5).

@@ -2,9 +2,9 @@
 
 TFlex shares no physical structures, so whenever a composition changes
 under a running program — the sampled engine's shadow <-> window
-hand-off, recomposition after a core failure, a checkpoint resume —
-predictor tables, the RAS and cache banks are re-homed structure by
-structure.  A structure that owns such state lists it once::
+hand-off, recomposition after a core failure — predictor tables, the
+RAS and cache banks are re-homed structure by structure.  A structure
+that owns such state lists it once::
 
     class DistributedRas(WarmState):
         WARM = (("_stack", list, list), ("_top", int, int))

@@ -1,16 +1,10 @@
-"""Engine-level behavior: baseline round trip, exit codes, CLI, JSON."""
+"""Engine-level behavior: exit codes, CLI, JSON."""
 
 import json
 
 import pytest
 
-from repro.analysis import (
-    LintContext,
-    LintError,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
+from repro.analysis import LintContext, run_lint
 from repro.cli import main
 
 from tests.analysis.conftest import FIXTURES
@@ -23,55 +17,6 @@ def _fixture_ctx():
                        ("canonical",)},
         events=frozenset({"known.event"}),
         metrics=frozenset({"known.metric"}))
-
-
-class TestBaseline:
-    def test_round_trip_silences_everything(self, tmp_path):
-        report = run_lint(FIXTURES, ctx=_fixture_ctx())
-        assert report.findings and report.exit_code == 1
-
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, report.findings)
-        entries = load_baseline(baseline)
-        # Keys are line-insensitive, so findings sharing rule+file+message
-        # (e.g. two identical REP204s in one file) share one entry.
-        assert len(entries) == len({f.key() for f in report.findings})
-
-        again = run_lint(FIXTURES, ctx=_fixture_ctx(),
-                         baseline_path=baseline)
-        assert again.findings == []
-        assert again.exit_code == 0
-        assert len(again.grandfathered) == len(report.findings)
-        assert again.stale_baseline == []
-
-    def test_stale_entries_are_reported_not_fatal(self, tmp_path):
-        report = run_lint(FIXTURES, ctx=_fixture_ctx())
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, report.findings)
-        data = json.loads(baseline.read_text())
-        data["findings"].append({"rule": "REP999", "file": "gone.py",
-                                 "message": "long since fixed",
-                                 "reason": "obsolete"})
-        baseline.write_text(json.dumps(data))
-
-        again = run_lint(FIXTURES, ctx=_fixture_ctx(),
-                         baseline_path=baseline)
-        assert again.exit_code == 0
-        assert len(again.stale_baseline) == 1
-        assert "stale" in again.render_text()
-
-    def test_malformed_baseline_raises_lint_error(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{not json")
-        with pytest.raises(LintError):
-            run_lint(FIXTURES, ctx=_fixture_ctx(), baseline_path=bad)
-
-    def test_missing_entry_fields_raise(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps(
-            {"version": 1, "findings": [{"rule": "REP101"}]}))
-        with pytest.raises(LintError):
-            run_lint(FIXTURES, ctx=_fixture_ctx(), baseline_path=bad)
 
 
 class TestReportShapes:
@@ -102,7 +47,7 @@ class TestCliContract:
     def test_findings_exit_one(self, capsys):
         # The fixture tree scanned with the *default* repo configuration
         # still has findings (its seeded violations), so exit is 1.
-        code = main(["lint", "--root", str(FIXTURES), "--baseline", "none"])
+        code = main(["lint", "--root", str(FIXTURES)])
         assert code == 1
         out = capsys.readouterr().out
         assert "REP" in out and "finding(s)" in out
@@ -111,35 +56,23 @@ class TestCliContract:
         clean = tmp_path / "clean"
         clean.mkdir()
         (clean / "mod.py").write_text("X = 1\n")
-        code = main(["lint", "--root", str(clean), "--baseline", "none",
+        code = main(["lint", "--root", str(clean),
                      "--rules", "REP1,REP2,REP4"])
         assert code == 0
 
     def test_internal_error_exits_three(self, tmp_path, capsys):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("{not json")
-        code = main(["lint", "--root", str(FIXTURES),
-                     "--baseline", str(bad)])
+        (tmp_path / "broken.py").write_text("def (:\n")
+        code = main(["lint", "--root", str(tmp_path)])
         assert code == 3
         assert "internal error" in capsys.readouterr().err
 
     def test_json_out_file(self, tmp_path, capsys):
         out = tmp_path / "lint_findings.json"
-        code = main(["lint", "--root", str(FIXTURES), "--baseline", "none",
+        code = main(["lint", "--root", str(FIXTURES),
                      "--format", "json", "--out", str(out)])
         assert code == 1
         payload = json.loads(out.read_text())
         assert payload["findings"]
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        code = main(["lint", "--root", str(FIXTURES),
-                     "--baseline", str(baseline), "--write-baseline"])
-        assert code == 0
-        assert baseline.is_file()
-        code = main(["lint", "--root", str(FIXTURES),
-                     "--baseline", str(baseline)])
-        assert code == 0
 
     def test_bad_rules_flag_is_argparse_error(self):
         with pytest.raises(SystemExit) as exc:

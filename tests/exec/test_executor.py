@@ -369,23 +369,49 @@ class TestStoreIntegration:
                 == [(r.status, r.payload) for r in reference])
         assert obs.metrics.counter("exec.store_errors") == 4
 
-    def test_serial_sweep_teaches_the_duration_book(self, tmp_path):
-        """A jobs=1 sweep with a store leaves estimates the next sweep
-        orders by; a fully warm sweep touches no sidecar at all."""
-        from repro.exec import DurationBook, order_indices
-
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_sweep_leaves_only_records_in_the_store(self, tmp_path,
+                                                         jobs):
+        """A store root holds result records and the advisory lock file,
+        nothing else — no sidecar for a later invocation to find."""
         store = ResultStore(tmp_path)
-        specs = _specs(3)
-        run_specs(specs[:1], jobs=1, worker=_nap_worker, store=store)
-        run_specs(specs[1:], jobs=1, worker=_ok_worker, store=store)
-        book = DurationBook.for_store_root(store.root)
-        assert len(book) == 3
-        assert order_indices(specs, [2, 1, 0], book)[0] == 0    # the napper
+        run_specs(_specs(4), jobs=jobs, worker=_ok_worker, store=store)
+        files = {p.relative_to(tmp_path).as_posix()
+                 for p in tmp_path.rglob("*") if p.is_file()}
+        records = {store.path_for(key).relative_to(tmp_path).as_posix()
+                   for key in store.iter_keys()}
+        assert len(records) == 4
+        assert files - {".lock"} == records
 
-        book.path.unlink()
-        replay = run_specs(specs, jobs=1, worker=_crash_worker, store=store)
-        assert [r.status for r in replay] == ["cached"] * 3
-        assert not book.path.exists()
+
+class TestDispatchOrder:
+    """Cold jobs go out in input order; the only thing that jumps the
+    queue is a failed attempt's retry."""
+
+    def test_input_order_with_the_retry_ahead_of_new_work(self, tmp_path):
+        from repro.obs import CallbackSink, Observability
+
+        # What an older version's scheduler left behind, claiming the
+        # last spec is the longest: ignored, and left as found.
+        stale = tmp_path / "durations.json"
+        stale.write_text(json.dumps({"schema": 1, "families": {
+            "conv|tflex1|x1": 1.0, "conv|tflex2|x2": 2.0,
+            "conv|tflex4|x1": 99.0}}))
+        before = stale.read_bytes()
+        specs = [JobSpec.edge("conv", ncores=1),
+                 JobSpec.edge("conv", ncores=2, scale=2),
+                 JobSpec.edge("conv", ncores=4)]
+        obs = Observability(metrics_enabled=True)
+        started = []
+        obs.bus.attach(CallbackSink(
+            lambda e: started.append((e["label"], e["attempt"])),
+            kinds=("job.start",)))
+        results = run_specs(specs, jobs=1, worker=_raise_on_scale_2,
+                            store=ResultStore(tmp_path), obs=obs)
+        assert [r.status for r in results] == ["ok", "failed", "ok"]
+        assert started == [("tflex-1", 1), ("tflex-2", 1), ("tflex-2", 2),
+                           ("tflex-4", 1)]
+        assert stale.read_bytes() == before
 
 
 class TestRealWorker:

@@ -10,9 +10,8 @@ import os
 
 import pytest
 
-from repro.exec import BlobStore, DurationBook, JobSpec, ResultStore
+from repro.exec import BlobStore, JobSpec, ResultStore
 from repro.exec.store import atomic_write
-from repro.sample.checkpoint import Checkpoint
 from repro.sample.trace import FFTraceStore
 
 
@@ -324,14 +323,8 @@ class TestRecordContract:
 
 
 # ----------------------------------------------------------------------
-# One atomic writer, four callers
+# One atomic writer
 # ----------------------------------------------------------------------
-
-def _checkpoint(tag):
-    return Checkpoint(spec={"tag": tag}, sampling={}, addr=0, ghist=0,
-                      blocks=0, insts=0, loads=0, stores=0, finished=False,
-                      regs=[], memory={}, shadow={})
-
 
 def _write_result(root, tag):
     ResultStore(root).store(SPEC, {"tag": tag})
@@ -343,20 +336,7 @@ def _write_blob(root, tag):
     return lambda: BlobStore(root).load("ab" * 32)["tag"]
 
 
-def _write_checkpoint(root, tag):
-    _checkpoint(tag).save(root / "run.ckpt")
-    return lambda: Checkpoint.load(root / "run.ckpt").spec["tag"]
-
-
-def _write_book(root, tag):
-    book = DurationBook(root / "durations.json")
-    book.note("family", float(tag))
-    book.flush()
-    return lambda: DurationBook(root / "durations.json").estimate("family")
-
-
-WRITERS = {"store": _write_result, "blob": _write_blob,
-           "checkpoint": _write_checkpoint, "duration-book": _write_book}
+WRITERS = {"store": _write_result, "blob": _write_blob}
 
 
 class TestAtomicWrite:
@@ -369,8 +349,7 @@ class TestAtomicWrite:
 
     def test_fsyncs_before_the_rename(self, tmp_path, monkeypatch):
         """Durability order: the bytes are on disk before the name
-        points at them (all four callers inherit this, the duration
-        book included)."""
+        points at them (every store write inherits this)."""
         calls = []
         real_fsync, real_replace = os.fsync, os.replace
         monkeypatch.setattr(os, "fsync", lambda fd: (

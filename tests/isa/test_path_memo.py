@@ -67,7 +67,7 @@ def lockstep(program, max_blocks=100_000):
     else:
         raise AssertionError("block budget exhausted")
     assert repr(memo.regs) == repr(plain.regs)
-    assert memo.mem.snapshot() == plain.mem.snapshot()
+    assert memo.mem._pages == plain.mem._pages
     return None
 
 
@@ -108,7 +108,7 @@ def test_whole_program_run_matches_after_relearning():
     a = first.run(record_path=True)
     b = second.run(record_path=True)
     assert a == b and first.regs == second.regs
-    assert first.mem.snapshot() == second.mem.snapshot()
+    assert first.mem._pages == second.mem._pages
 
 
 # ----------------------------------------------------------------------

@@ -194,7 +194,7 @@ class TestL2System:
 
 
 class TestSnapshotValidation:
-    """A snapshot is outside input (a checkpoint file): one that cannot
+    """A snapshot is whatever dict the caller hands over: one that cannot
     be the state of this bank raises ``ValueError`` and leaves the bank
     as it was.  (The transfer contract itself is tests/test_warm.py.)"""
 

@@ -4,26 +4,17 @@ The reference is the same class with every set touched up front — what
 the constructor used to do — so any difference a lazily absent set
 could make (snapshot shape, iteration order, a victim, a stat) shows as
 an inequality between the two.  Plus the places an absent set meets the
-transfer surface: swaps between banks that touched different sets,
-snapshots that name sets the target never built, and a checkpoint file
-written before sets were lazy.
+transfer surface: swaps between banks that touched different sets, and
+snapshots that name sets the target never built.
 """
 
 import dataclasses
-import gzip
 import json
-import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exec.spec import JobSpec
 from repro.mem.cache import CacheBank, LineState
-from repro.sample.checkpoint import Checkpoint
-from repro.sample.engine import SampledRun
-
-FIXTURE = (pathlib.Path(__file__).parent.parent / "sample" / "fixtures"
-           / "ammp8_schema2_parent.ckpt.json.gz")
 
 
 def _eager(*geometry):
@@ -129,18 +120,3 @@ def test_bad_snapshot_into_a_never_touched_bank_is_rejected(damage):
     assert bank.resident_lines() == 0
     assert bank.state_dict() == CacheBank(1024, 2, 64).state_dict()
 
-
-def test_parent_commit_checkpoint_loads_and_resumes_identically():
-    """The fixture is a schema-2 checkpoint of ammp on 8 cores after
-    three steps, written by the commit before cache sets became lazy
-    (10 of its 8192 L2 sets hold a line).  It must load, snapshot back
-    to the same shadow state, and finish on the uninterrupted run's
-    exact result."""
-    data = json.loads(gzip.decompress(FIXTURE.read_bytes()))
-    checkpoint = Checkpoint.from_dict(data)
-    spec = JobSpec.edge("ammp", 8, scale=1, sampling=data["sampling"])
-    assert spec.canonical() == data["spec"]
-
-    resumed = SampledRun.resume(spec, checkpoint)
-    assert resumed.shadow.state_dict() == data["shadow"]
-    assert resumed.run().to_dict() == SampledRun(spec).run().to_dict()

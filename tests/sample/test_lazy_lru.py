@@ -95,7 +95,7 @@ def same(lazy, eager):
 
 
 def transfer(shadow, kind):
-    """What the sampled engine and checkpoints do between intervals."""
+    """What can move a shadow's state between intervals."""
     if kind == "roundtrip":
         shadow.load_state(shadow.state_dict())
     elif kind == "directory":

@@ -11,7 +11,7 @@ from repro.search import OBJECTIVE_NAMES, OBJECTIVES, get_objective
 def fake_run(cycles: int, num_cores: int = 8, watts: float = 2.0):
     """The duck-typed slice of RunResult the objectives read."""
     return SimpleNamespace(
-        cycles=cycles, num_cores=num_cores,
+        cycles=cycles, num_cores=num_cores, label=f"tflex-{num_cores}",
         performance=(1.0 / cycles if cycles else 0.0),
         power=SimpleNamespace(total=watts))
 
@@ -44,6 +44,14 @@ class TestScores:
         obj = get_objective("perf_per_area")
         assert obj(fake_run(1000, num_cores=1)) > obj(fake_run(1000,
                                                               num_cores=32))
+
+    def test_perf_per_area_charges_trips_its_fixed_area(self):
+        """Same function as figure 7's: a TRIPS run costs the area of
+        8 TFlex cores whatever its tile count."""
+        run = fake_run(1000, num_cores=16)
+        run.label = "trips"
+        assert (get_objective("perf_per_area")(run)
+                == AreaModel().perf_per_area(1000, 8))
 
     def test_perf2_per_watt_matches_energy_model(self):
         run = fake_run(1000, watts=3.5)

@@ -121,6 +121,12 @@ class TestUpFrontValidation:
         err = self._error(capsys, ["fig6", "--jobs", "2", *flag])
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("flag", [["--baseline", "x"],
+                                      ["--write-baseline"]])
+    def test_removed_lint_baseline_flags_are_unknown(self, capsys, flag):
+        err = self._error(capsys, ["lint", *flag])
+        assert "unrecognized arguments" in err
+
     def test_sample_knobs_require_sample(self, capsys):
         err = self._error(capsys, ["run", "conv", "--sample-ff", "100"])
         assert "no effect without --sample" in err
