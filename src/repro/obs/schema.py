@@ -133,6 +133,8 @@ METRICS: dict[str, str] = {
     "sample.ff_blocks": "blocks skipped via functional fast-forward",
     "sample.ff_replayed": "fast-forward segments satisfied from traces",
     "sample.ff_replayed_blocks": "blocks skipped via trace replay",
+    "sample.warm_pred_skipped_blocks": "predictor warm-up blocks skipped at a loop fixed point",
+    "sample.warm_icache_skipped_blocks": "I-cache warm-up blocks skipped at a loop fixed point",
     "sample.trace_records": "fast-forward traces recorded",
     "sample.trace_replays": "fast-forward traces replayed",
     "sample.trace_mismatches": "recorded traces that failed validation",

@@ -101,8 +101,10 @@ class PredictorBank:
 
     def observe_commit(self, block_addr: int, global_history: int,
                        ras: DistributedRas, actual_exit: int,
-                       actual_kind: BranchKind, actual_next: int) -> int:
-        """Commit-order warm-up step; returns the next global history.
+                       actual_kind: BranchKind,
+                       actual_next: int) -> tuple[int, bool]:
+        """Commit-order warm-up step; returns the next global history
+        and whether any table entry or RAS slot changed value.
 
         Equivalent table/RAS state to the full speculative sequence —
         ``predict``, then on a wrong next-block ``exits.repair`` +
@@ -111,9 +113,12 @@ class PredictorBank:
         checkpoint objects are allocated (an undone-on-mispredict RAS
         push/pop nets out to applying only the surviving op), and stats
         are not maintained.  This is the sampled-simulation
-        fast-forward hot path (:meth:`ShadowUarch.observe`); the cycle
-        simulator keeps the allocating sequence, whose checkpoints it
-        needs for flush repair.
+        fast-forward hot path (:meth:`ShadowUarch.warm`), which uses
+        the second result to find a loop's fixed point: steps that
+        change no value, with the global history and the RAS top back
+        where they were, leave the predictor as they found it.  The
+        cycle simulator keeps the allocating sequence, whose
+        checkpoints it needs for flush repair.
         """
         exits = self.exits
         block_num = block_addr // BLOCK_STRIDE
@@ -156,11 +161,17 @@ class PredictorBank:
             survivor_exit, survivor_kind = actual_exit, actual_kind
         else:
             survivor_exit, survivor_kind = exit_id, kind
-        hist[l1] = ((local_history << EXIT_BITS)
-                    | (survivor_exit & EXIT_MASK)) & _LOCAL_HIST_MASK
+        changed = False
+        local_next = ((local_history << EXIT_BITS)
+                      | (survivor_exit & EXIT_MASK)) & _LOCAL_HIST_MASK
+        if local_next != local_history:
+            hist[l1] = local_next
+            changed = True
         if survivor_kind is BranchKind.CALL:
             slot = ras._top % ras.capacity
-            ras._stack[slot] = block_addr + BLOCK_STRIDE
+            if ras._stack[slot] != block_addr + BLOCK_STRIDE:
+                ras._stack[slot] = block_addr + BLOCK_STRIDE
+                changed = True
             ras._top += 1
         elif survivor_kind is BranchKind.RETURN:
             if ras._top:
@@ -168,15 +179,17 @@ class PredictorBank:
 
         # Train the exit patterns and the choice table with the
         # resolved exit.
-        train_pattern(local_pattern, li, actual_exit)
-        train_pattern(global_pattern, gi, actual_exit)
+        changed |= train_pattern(local_pattern, li, actual_exit)
+        changed |= train_pattern(global_pattern, gi, actual_exit)
         local_ok = local_exit == actual_exit
         if local_ok != (global_exit == actual_exit):
             if local_ok:
                 if choice[ci] > 0:
                     choice[ci] -= 1
+                    changed = True
             elif choice[ci] < 3:
                 choice[ci] += 1
+                changed = True
 
         # Train the target tables with the resolved exit branch.
         key = block_num * 8 + actual_exit
@@ -184,15 +197,21 @@ class PredictorBank:
         if kind is BranchKind.BRANCH \
                 and actual_next == block_addr + BLOCK_STRIDE:
             kind = BranchKind.SEQ
-        targets._btype[key % len(targets._btype)] = kind
+        btype = targets._btype
+        bi = key % len(btype)
+        if btype[bi] is not kind:
+            btype[bi] = kind
+            changed = True
         if kind is BranchKind.BRANCH or kind is BranchKind.CALL:
             table = targets._btb if kind is BranchKind.BRANCH \
                 else targets._ctb
             slot = key % (len(table) >> 1) << 1
-            table[slot:slot + 2] = key, actual_next
+            if table[slot] != key or table[slot + 1] != actual_next:
+                table[slot:slot + 2] = key, actual_next
+                changed = True
 
         return ((global_history << EXIT_BITS)
-                | (survivor_exit & EXIT_MASK)) & _GLOBAL_HIST_MASK
+                | (survivor_exit & EXIT_MASK)) & _GLOBAL_HIST_MASK, changed
 
     def repair(self, prediction: Prediction, ras: DistributedRas,
                actual_exit: Optional[int] = None) -> None:

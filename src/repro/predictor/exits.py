@@ -42,18 +42,20 @@ def push_history(history: int, exit_id: int, num_exits: int) -> int:
     return ((history << EXIT_BITS) | (exit_id & EXIT_MASK)) & mask
 
 
-def train_pattern(table: list, index: int, actual: int) -> None:
+def train_pattern(table: list, index: int, actual: int) -> bool:
     """Train one packed pattern entry with hysteresis: agreement raises
     the confidence, disagreement lowers it, and only a zero-confidence
-    entry is replaced."""
+    entry is replaced.  True when the entry changed."""
     entry = table[index]
     if entry >> 2 == actual:
-        if entry & 3 < _CONF_MAX:
-            table[index] = entry + 1
+        if entry & 3 == _CONF_MAX:
+            return False
+        table[index] = entry + 1
     elif entry & 3:
         table[index] = entry - 1
     else:
         table[index] = actual << 2 | 1
+    return True
 
 
 @dataclass

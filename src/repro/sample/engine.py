@@ -22,9 +22,13 @@ Because both regimes execute every block architecturally (windows
 commit exactly; fast-forward *is* the golden model) the final memory
 image is exact — only the cycle count is estimated, so the standard
 ``verify_edge_run`` check stays on for sampled runs.  The cycle
-estimate pools the measured windows (SMARTS-style ratio estimator):
-``cycles = total_insts / pooled_IPC``; the per-window IPC spread is
-reported as a relative-error estimate in ``RunResult.sampling``.
+estimate is stratified (:meth:`SampledRun.result`; docs/PERFORMANCE.md
+"Estimator design"): each measured interval's cycles stand as-is, and
+only the unmeasured instructions — fast-forward gaps and warm-up blocks
+— are extrapolated, at the pooled IPC of the warmed windows (the cold
+first window and a ramp-and-drain tail stay out of it when any warmed
+window exists); the spread of those windows' IPCs is reported as a
+relative-error estimate in ``RunResult.sampling``.
 
 The first window starts at the program entry with cold structures, so
 a program shorter than ``warmup + window`` blocks never fast-forwards
@@ -299,6 +303,11 @@ class SampledRun:
             self.obs.metrics.inc(
                 "sample.ff_replayed_blocks" if replayed else "sample.ff_blocks",
                 executed, bench=bench)
+            pred_skipped, icache_skipped = self.shadow.skipped
+            self.obs.metrics.inc("sample.warm_pred_skipped_blocks",
+                                 pred_skipped, bench=bench)
+            self.obs.metrics.inc("sample.warm_icache_skipped_blocks",
+                                 icache_skipped, bench=bench)
 
     def _run_interval(self, interval, n_blocks: int) -> int:
         """One fast-forward interval: interpret it (or land a recorded

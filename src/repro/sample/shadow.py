@@ -9,7 +9,8 @@ reuses the *same* classes the cycle simulator uses (``PredictorBank``,
 ``CacheBank``, ``L2System``) and the same interleaving hash functions
 (:mod:`repro.tflex.interleave`), driven with the committed blocks of one
 fast-forward interval at a time (:meth:`ShadowUarch.warm`), in program
-order, ignoring all timing results.
+order, ignoring all timing results — and skipping the loop iterations
+that would leave a private structure exactly as they found it.
 
 State moves between the shadow and a real :class:`TFlexSystem` through
 the one transfer vocabulary every warm structure derives from its field
@@ -41,6 +42,82 @@ from repro.tflex.config import SystemConfig
 from repro.warm import stage_all
 
 _KIND_OF = {name: BranchKind.of_opcode(name) for name in BRANCH_KINDS}
+
+#: Longest loop period, in blocks, a warm-up pass looks for a fixed
+#: point in (:func:`_skip_fixed_points`); conv's loop is 9 blocks.
+MAX_LOOP_PERIOD = 64
+
+
+def _repeats(columns, start: int, length: int, p: int) -> bool:
+    """Do blocks ``start .. start+length-1`` equal the blocks ``p``
+    before them in every column?  (Shifted slices compare in C.)"""
+    return all(column[start:start + length]
+               == column[start - p:start - p + length] for column in columns)
+
+
+def _line_runs(reads: list) -> list:
+    """``[(ctx, line, core), ...]`` L2 reads as ``[(ctx, line, cores),
+    ...]``, one entry per run of reads of one line."""
+    runs: list = []
+    for ctx, line, core in reads:
+        if runs and runs[-1][:2] == (ctx, line):
+            runs[-1][2].append(core)
+        else:
+            runs.append((ctx, line, [core]))
+    return runs
+
+
+def _skip_fixed_points(columns, run, state, skip) -> int:
+    """Drive one private warm-up pass over an interval, skipping the
+    loop periods that cannot change it; returns the blocks skipped.
+
+    ``run(i, j)`` applies blocks ``i .. j-1`` to the pass's structure;
+    ``state(i, j)`` is a comparable snapshot of everything blocks
+    ``i .. j-1`` read or write there.  The period at block ``i`` is the
+    distance ``p`` back to the previous occurrence of its address
+    (``columns[0]``).  When the next ``p`` blocks repeat the last ``p``
+    in every column, they run as one period between two snapshots.  A
+    period that leaves the structure as it found it is a fixed point of
+    a deterministic step: each further period that repeats it would
+    again read the same state and leave it unchanged, so those are
+    skipped — ``skip(i, p, k)`` is told of the ``k`` periods from block
+    ``i`` — and the pass resumes after them.
+    """
+    addrs = columns[0]
+    n = len(addrs)
+    last: dict[int, int] = {}
+    start = i = skipped = 0
+    while i < n:
+        p = i - last.get(addrs[i], i)
+        if 0 < p <= MAX_LOOP_PERIOD and i + p <= n \
+                and _repeats(columns, i, p, p):
+            run(start, i)
+            before = state(i, i + p)
+            run(i, i + p)
+            i += p
+            if state(i - p, i) == before:
+                # Gallop over the periods that repeat this one.
+                k, step = 0, 1
+                while step:
+                    at = i + k * p
+                    if at + step * p <= n \
+                            and _repeats(columns, at, step * p, p):
+                        k += step
+                        step *= 2
+                    else:
+                        step //= 2
+                if k:
+                    skip(i, p, k)
+                    i += k * p
+                    skipped += k * p
+            for j in range(i - p, i):
+                last[addrs[j]] = j
+            start = i
+        else:
+            last[addrs[i]] = i
+            i += 1
+    run(start, n)
+    return skipped
 
 
 def rebuild_directory(l2: L2System, l1_by_core: dict) -> None:
@@ -110,6 +187,10 @@ class ShadowUarch:
         ]
         dmap = {core_index: self.dcaches[b]
                 for b, core_index in enumerate(self._dbank_core)}
+        # ``warm`` runs the I-caches ahead of the D-caches and replays
+        # their L2 reads afterwards: exact only while the L2 (recalls,
+        # write invalidations) can never reach an I-cache.
+        assert not any(bank in self.icaches for bank in dmap.values())
         self.l2 = L2System(
             Topology(cfg.mesh_width, cfg.mesh_height), num_banks=cfg.l2_banks,
             bank_bytes=cfg.l2_bank_bytes, assoc=cfg.l2_assoc,
@@ -132,6 +213,9 @@ class ShadowUarch:
         self._resident: dict[int, int] = {}  # lint: ok(REP101) derived from icaches, dropped by settle()
         self._pending: dict[int, int] = {}  # lint: ok(REP101) deferred icache touches, applied by settle()
         self._ic_touches: dict[tuple, tuple] = {}  # lint: ok(REP101) memo over icaches' sets, dropped by settle()
+        #: Blocks the last ``warm`` skipped at a loop fixed point:
+        #: (predictor/RAS pass, I-cache pass).
+        self.skipped = (0, 0)
 
     # ------------------------------------------------------------------
     # Warming
@@ -143,81 +227,173 @@ class ShadowUarch:
         or replayed; ``block_at(addr).size`` sizes a block.  Returns the
         global exit history after the last block.
 
-        This loop runs once per committed block for the whole
-        fast-forward region — the hottest code in sampled simulation.
-        Cache hits are open-coded against CacheBank's set layout: a
-        line's set and key are resolved once per interval (D-cache) or
-        per transfer (I-cache, :meth:`_icache_touches`), and a hit is
-        one hashed ``move_to_end`` doubling as lookup and LRU touch,
-        with no per-access stats — nothing reads shadow stats, and
-        ``state_dict`` carries only resident state.  Misses fall back
-        to the exact protocol sequence ``CacheBank.access`` callers
-        use, so warm state is bit-identical to the plain path.
+        Three passes over the columns, each in program order: the
+        predictor and RAS (:meth:`_warm_predictor`), the I-caches
+        (:meth:`_warm_icaches`), then the D-caches with the I-caches'
+        L2 reads replayed in place (:meth:`_warm_dcaches`).  Splitting
+        the per-block loop is exact because the three share nothing but
+        the L2: no cache work reads or writes predictor state, and the
+        I-caches are private — the L2's ``l1_banks`` maps D-cache banks
+        only (asserted at construction), so recalls and write
+        invalidations never reach them, and no I-cache decision reads
+        an L2 result.  Replaying each block's I-cache L2 reads just
+        before its D-cache work gives the L2 and the directory the call
+        sequence of one per-block loop.
 
-        The I-cache is lazier still.  Once every line of a block's
-        per-core footprint has been touched and none has been evicted
-        since, the block is *resident*: fetching it again can only
-        reorder LRU stacks, and a stack's order depends only on each
-        line's **last** touch.  So a re-fetch is one entry in
+        The two private passes skip repeated loop periods once they are
+        at a fixed point (:func:`_skip_fixed_points`; their counts land
+        in :attr:`skipped`): on loop kernels the predictor, the RAS and
+        the I-cache stacks settle within a few iterations, after which a
+        period changes nothing but the L2 traffic it replays.
+        """
+        pred_skipped = 0
+        if self.speculative:
+            ghist, pred_skipped = self._warm_predictor(interval, ghist)
+        else:
+            for exit_id in interval.exits:
+                ghist = push_history(ghist, exit_id, GLOBAL_HISTORY_EXITS)
+        reads, icache_skipped = self._warm_icaches(interval.addrs, block_at)
+        self._warm_dcaches(interval, reads)
+        self.skipped = (pred_skipped, icache_skipped)  # lint: ok(REP101) per-interval tally, not warm state
+        return ghist
+
+    def _warm_predictor(self, interval, ghist: int) -> tuple[int, int]:
+        """The next-block predictor's fused commit-order step per block
+        (``PredictorBank.observe_commit``: the table/RAS state of
+        predict, repair-on-wrong-path, then train).  A loop period is a
+        fixed point when no step in it changed a table entry or RAS
+        slot value, and the global history and RAS top are what they
+        were a period back.  Returns the history and the blocks
+        skipped."""
+        columns = (interval.addrs, interval.exits, interval.nexts,
+                   interval.branch_ops)
+        banks = self.pred_banks
+        nbanks = len(banks)
+        ras = self.ras
+        changes = 0
+
+        def run(i: int, j: int) -> None:
+            nonlocal ghist, changes
+            history, changed = ghist, changes
+            for addr, exit_id, next_addr, op in zip(
+                    *(column[i:j] for column in columns)):
+                history, change = banks[
+                    (addr // BLOCK_STRIDE) % nbanks].observe_commit(
+                    addr, history, ras, exit_id, _KIND_OF[op], next_addr)
+                changed += change
+            ghist, changes = history, changed
+
+        skipped = _skip_fixed_points(
+            columns, run, lambda i, j: (ghist, ras._top, changes),
+            lambda i, p, k: None)
+        return ghist, skipped
+
+    def _warm_icaches(self, addrs, block_at) -> tuple[dict, int]:
+        """Fetch each block through the I-caches; each core's slice
+        occupies its own lines keyed from the block base address (a
+        per-core private footprint).  The L2 reads of the misses are
+        recorded, not issued: returns ``{block index: [(ctx, line,
+        cores), ...]}`` in block order (:func:`_line_runs`), and the
+        blocks skipped.
+
+        A hit is one hashed ``move_to_end`` on a set resolved once per
+        transfer (:meth:`_icache_touches`), with no per-access stats —
+        nothing reads shadow stats, and ``state_dict`` carries only
+        resident state.  A miss takes the exact protocol sequence
+        ``CacheBank.access`` callers use.  Lazier still: once every line
+        of a block's per-core footprint has been touched and none has
+        been evicted since, the block is *resident*: fetching it again
+        can only reorder LRU stacks, and a stack's order depends only on
+        each line's **last** touch.  So a re-fetch is one entry in
         ``_pending`` (insertion order = last-fetch order) and the
         touches are applied, once per block, before anything can
         observe or evict in a set they reorder: a fetch of a
         non-resident block that shares a set index with one of them
         (:meth:`_fetch`; the I-caches share one geometry, so a line has
         the same set index in every core), a snapshot, a state transfer
-        (:meth:`settle`).  This is exact because shadow I-caches are
-        private — the L2's ``l1_banks`` maps D-cache banks only, so
-        nothing but :meth:`_touch`'s own fills ever removes or reorders
-        their lines — and because an evicted line names the one block
-        it belonged to (blocks sit ``BLOCK_STRIDE`` apart and a
-        footprint is shorter than that; a block this does not hold for
-        is never marked resident).
+        (:meth:`settle`).  This is exact because the I-caches are
+        private (see :meth:`warm`), so nothing but :meth:`_touch`'s own
+        fills ever removes or reorders their lines, and because an
+        evicted line names the one block it belonged to (blocks sit
+        ``BLOCK_STRIDE`` apart and a footprint is shorter than that; a
+        block this does not hold for is never marked resident).
+
+        A loop period is a fixed point when the I-cache sets its blocks
+        and the pending ones map to, ``_pending`` and ``_resident`` are
+        as they were before it; a skipped period repeats the L2 reads of
+        the period before it.
         """
+        sizes = {addr: block_at(addr).size for addr in dict.fromkeys(addrs)}
+        resident = self._resident
+        pending = self._pending
+        touches = self._icache_touches
+        reads: dict[int, list] = {}
+
+        def run(i: int, j: int) -> None:
+            for k in range(i, j):
+                addr = addrs[k]
+                size = sizes[addr]
+                if resident.get(addr) == size:
+                    pending.pop(addr, None)
+                    pending[addr] = size
+                else:
+                    fetched: list = []
+                    self._fetch(addr, size, fetched)
+                    if fetched:
+                        reads[k] = _line_runs(fetched)
+
+        def state(i: int, j: int) -> tuple:
+            indices: set = set()
+            for addr in dict.fromkeys(addrs[i:j]):
+                indices |= touches(addr, sizes[addr])[1]
+            for addr, size in pending.items():
+                indices |= touches(addr, size)[1]
+            order = sorted(indices)
+            return ([tuple(icache._sets.get(index, ()))
+                     for icache in self.icaches for index in order],
+                    list(pending.items()), dict(resident))
+
+        def skip(i: int, p: int, k: int) -> None:
+            period = [(at, reads[at]) for at in range(i - p, i) if at in reads]
+            for shift in range(p, (k + 1) * p, p):
+                for at, fetched in period:
+                    reads[at + shift] = fetched
+
+        return reads, _skip_fixed_points((addrs,), run, state, skip)
+
+    def _warm_dcaches(self, interval, reads: dict) -> None:
+        """Per block: the I-cache L2 reads ``reads`` recorded for it,
+        then the loads that went to memory (LSQ forwards never get
+        there), then committed stores via the same probe/upgrade/
+        allocate sequence as the commit drain.  A line's set and key
+        are resolved once per interval; a hit is one ``move_to_end``."""
         ctx = self.ctx
         l2 = self.l2
+        warm_read = l2.warm_read
+        directory = l2.directory
         line_size = self.line_size
         modified = LineState.MODIFIED
         shared = LineState.SHARED
-        ncores = self.ncores
-        speculative = self.speculative
-        centralized = self.cfg.centralized_predictor
-        pred_banks = self.pred_banks
-        ras = self.ras
-        resident = self._resident
-        pending = self._pending
-        sizes: dict[int, int] = {}
         # Line number -> (its D-cache set, its key there, the bank, the
         # bank's core); sets are stable objects between transfers.
         dlines: dict[int, tuple] = {}
 
-        for addr, exit_id, next_addr, branch_op, load_addrs, stores in zip(
-                interval.addrs, interval.exits, interval.nexts,
-                interval.branch_ops, interval.load_addrs, interval.stores):
-            # Next-block predictor: the fused commit-order step —
-            # identical table/RAS state to predict, repair-on-wrong-path
-            # (the same sequence as ``ProtocolMixin._mispredict``), then
-            # train.
-            if speculative:
-                owner = 0 if centralized else (addr // BLOCK_STRIDE) % ncores
-                ghist = pred_banks[owner].observe_commit(
-                    addr, ghist, ras, exit_id, _KIND_OF[branch_op], next_addr)
-            else:
-                ghist = push_history(ghist, exit_id, GLOBAL_HISTORY_EXITS)
-
-            # I-cache: each core's slice occupies its own lines keyed
-            # from the block base address (per-core private footprint).
-            size = sizes.get(addr)
-            if size is None:
-                size = sizes[addr] = block_at(addr).size
-            if resident.get(addr) == size:
-                pending.pop(addr, None)
-                pending[addr] = size
-            else:
-                self._fetch(addr, size)
-
-            # D-cache: loads that went to memory (LSQ forwards never
-            # get there), then committed stores via the same
-            # probe/upgrade/allocate sequence as the commit drain.
+        for i, (load_addrs, stores) in enumerate(
+                zip(interval.load_addrs, interval.stores)):
+            fetched = reads.get(i)
+            if fetched:
+                for line_ctx, line_addr, cores in fetched:
+                    warm_read(line_ctx, line_addr, cores[0])
+                    if len(cores) > 1:
+                        # The line is now the MRU of its L2 set, so the
+                        # other cores' reads would only join the sharers
+                        # — unless a core owns it (a store to code).
+                        entry = directory[line_ctx, line_addr]
+                        if entry.owner is None:
+                            entry.sharers.update(cores)
+                        else:
+                            for core in cores[1:]:
+                                warm_read(line_ctx, line_addr, core)
             # A load of the line the previous load of this block touched
             # is skipped: that line is MRU in its set and nothing ran in
             # between, so it can neither miss nor reorder.  (Not carried
@@ -237,7 +413,7 @@ class ShadowUarch:
                 try:
                     cache_set.move_to_end(key)
                 except KeyError:
-                    l2.warm_read(ctx, key[1], bank_core)
+                    warm_read(ctx, key[1], bank_core)
                     victim = dcache.fill(ctx, key[1], shared)
                     if victim is not None:
                         l2.l1_evicted(victim.ctx, victim.line_addr, bank_core)
@@ -254,7 +430,6 @@ class ShadowUarch:
                 victim = dcache.fill(ctx, saddr, modified)
                 if victim is not None:
                     l2.l1_evicted(victim.ctx, victim.line_addr, bank_core)
-        return ghist
 
     def _dline(self, addr: int) -> tuple:
         """``(set, key, bank, bank core)`` of a data address's line."""
@@ -265,10 +440,11 @@ class ShadowUarch:
 
     def _icache_touches(self, addr: int, size: int) -> tuple:
         """A block's I-cache lines in fetch order, each as ``(set, key,
-        bank, core index)``, and the set indices they fall in; kept
-        until the next transfer moves the sets.  Instruction ``i`` is
-        fetched by core ``i mod N``, and each core's slice occupies its
-        own lines keyed from the block base address."""
+        bank, L2 read)`` — the read being ``warm_read``'s ``(ctx, line,
+        core index)`` — and the set indices they fall in; kept until the
+        next transfer moves the sets.  Instruction ``i`` is fetched by
+        core ``i mod N``, and each core's slice occupies its own lines
+        keyed from the block base address."""
         memo = self._ic_touches.get((addr, size))
         if memo is None:
             ncores = self.ncores
@@ -279,23 +455,24 @@ class ShadowUarch:
                 for offset in range(0, max(chunk, 0) * 4, line):
                     la = icache.line_addr(addr + offset)
                     touches.append((icache._set_of(la), (self.ctx, la),
-                                    icache, core_index))
+                                    icache, (self.ctx, la, core_index)))
             indices = frozenset((key[1] // line) % icache.num_sets
                                 for __, key, icache, __ in touches)
             memo = self._ic_touches[addr, size] = (tuple(touches), indices)
         return memo
 
-    def _touch(self, addr: int, size: int) -> bool:
-        """Fetch one block through the I-caches, line by line; a block
-        that loses a line to a fill stops being resident.  True when
-        this block kept all of its own."""
+    def _touch(self, addr: int, size: int, reads: list) -> bool:
+        """Fetch one block through the I-caches, line by line, appending
+        each miss's L2 read to ``reads``; a block that loses a line to a
+        fill stops being resident.  True when this block kept all of its
+        own."""
         kept = True
-        for cache_set, key, icache, core_index in \
+        for cache_set, key, icache, read in \
                 self._icache_touches(addr, size)[0]:
             try:
                 cache_set.move_to_end(key)
             except KeyError:
-                self.l2.warm_read(key[0], key[1], core_index)
+                reads.append(read)
                 victim = icache.fill(key[0], key[1], LineState.SHARED)
                 if victim is not None:
                     base = victim.line_addr - victim.line_addr % BLOCK_STRIDE
@@ -303,7 +480,7 @@ class ShadowUarch:
                     kept = kept and base != addr
         return kept
 
-    def _fetch(self, addr: int, size: int) -> None:
+    def _fetch(self, addr: int, size: int, reads: list) -> None:
         """Fetch a block not known to be resident: first the deferred
         touches (they are older) if any of them shares a set index with
         this block's lines, then its own."""
@@ -312,13 +489,16 @@ class ShadowUarch:
                    for a, s in self._pending.items()):
             self._apply_pending()
         self._resident.pop(addr, None)      # same address, another size
-        if self._touch(addr, size) and not addr % BLOCK_STRIDE \
+        if self._touch(addr, size, reads) and not addr % BLOCK_STRIDE \
                 and 4 * size + self.line_size <= BLOCK_STRIDE:
             self._resident[addr] = size
 
     def _apply_pending(self) -> None:
+        """Apply the deferred touches; a pending block is resident, so
+        each is a hit (a ``KeyError`` here is a broken invariant)."""
         for addr, size in self._pending.items():
-            self._touch(addr, size)
+            for cache_set, key, __, __ in self._icache_touches(addr, size)[0]:
+                cache_set.move_to_end(key)
         self._pending.clear()
 
     def settle(self) -> None:
