@@ -1,12 +1,9 @@
 """``repro.analysis`` — AST invariant linter for the reproduction.
 
-Four passes guard the conventions the rest of the repo silently relies
-on (see docs/ANALYSIS.md for the rule catalog and workflow):
+Three passes guard conventions the rest of the repo relies on and no
+test can see (see docs/ANALYSIS.md for the rule catalog, and for the
+measurement that retired the rules tier-1 already enforces):
 
-* :mod:`repro.analysis.surface` — REP1xx: every mutable attribute of a
-  warm structure must be named in its ``WARM`` field list (or, for a
-  composite, read by its ``state_dict``/``load_state``/``swap_state``)
-  (replay/recomposition fidelity, PR 4/8).
 * :mod:`repro.analysis.determinism` — REP2xx: no wall clocks, entropy,
   builtin ``hash()``/``id()``, or unsorted set iteration in simulator /
   sample / hashing modules (bit-identical results across worker
@@ -15,10 +12,10 @@ on (see docs/ANALYSIS.md for the rule catalog and workflow):
   ``SamplingConfig``/``FaultSchedule`` field must reach the content
   hash (cache soundness, PR 1/7).
 * :mod:`repro.analysis.obsnames` — REP4xx: every literal event/metric
-  name must be registered in :mod:`repro.obs.schema` and documented.
+  name must be registered in :mod:`repro.obs.schema`.
 
-Run it via ``repro lint``; CI gates on a clean report.  An intentional
-exception is an inline ``# lint: ok(RULE) reason`` marker on the line.
+Run it via ``repro lint``; CI gates on a clean report.  There is no
+exemption mechanism: a finding gets fixed.
 """
 
 from repro.analysis.engine import (

@@ -170,8 +170,7 @@ def _check_calls(mod: SourceModule):
                 for alias in node.names:
                     aliases[alias.asname or alias.name] = \
                         f"{node.module}.{alias.name}"
-            if node.module == "random" and not mod.suppressed(
-                    RULE_ENTROPY, node.lineno):
+            if node.module == "random":
                 findings.append(Finding(
                     rule=RULE_ENTROPY, severity="P1", file=mod.relpath,
                     line=node.lineno,
@@ -180,8 +179,7 @@ def _check_calls(mod: SourceModule):
                          "the spec instead of ambient process randomness"))
         elif isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name == "random" and not mod.suppressed(
-                        RULE_ENTROPY, node.lineno):
+                if alias.name == "random":
                     findings.append(Finding(
                         rule=RULE_ENTROPY, severity="P1", file=mod.relpath,
                         line=node.lineno,
@@ -208,7 +206,7 @@ def _check_calls(mod: SourceModule):
                 f"builtin `{node.func.id}()` is process-dependent " \
                 "(PYTHONHASHSEED / object address)", \
                 "use hashlib over canonical bytes, or a stable key function"
-        if rule and not mod.suppressed(rule, node.lineno):
+        if rule:
             severity = "P2" if rule == RULE_HASH_ID else "P1"
             findings.append(Finding(rule=rule, severity=severity,
                                     file=mod.relpath, line=node.lineno,
@@ -222,8 +220,6 @@ def _check_set_iteration(mod: SourceModule):
     safe_parents = _order_free_parents(mod.tree)
 
     def flag(node, what):
-        if mod.suppressed(RULE_SET_ITER, node.lineno):
-            return
         findings.append(Finding(
             rule=RULE_SET_ITER, severity="P1", file=mod.relpath,
             line=node.lineno,

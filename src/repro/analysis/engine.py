@@ -23,7 +23,6 @@ from repro.analysis.findings import SEVERITIES, Finding, sort_findings
 from repro.analysis.hashaxes import DEFAULT_HASH_SURFACES, check_hash_axes
 from repro.analysis.obsnames import check_obs_names
 from repro.analysis.source import LintError, iter_modules
-from repro.analysis.surface import check_surfaces
 
 #: Path prefixes (relative, ``repro/...``) subject to the strict
 #: determinism rules REP201–203.  Everything else may read wall clocks
@@ -37,7 +36,7 @@ DEFAULT_SIM_PATHS = (
 )
 
 #: All pass ids, in report order.
-PASSES = ("surface", "determinism", "hashaxes", "obsnames")
+PASSES = ("determinism", "hashaxes", "obsnames")
 
 
 @dataclass
@@ -49,7 +48,6 @@ class LintContext:
         default_factory=lambda: dict(DEFAULT_HASH_SURFACES))
     events: frozenset = None
     metrics: frozenset = None
-    doc_text: Optional[str] = None
 
     def __post_init__(self):
         if self.events is None or self.metrics is None:
@@ -107,8 +105,6 @@ class LintReport:
 
 def _run_passes(modules, ctx: LintContext, rules) -> list:
     findings: list = []
-    if _selected("REP1", rules):
-        findings.extend(check_surfaces(modules, ctx))
     if _selected("REP2", rules):
         findings.extend(check_determinism(modules, ctx))
     if _selected("REP3", rules):
@@ -139,14 +135,8 @@ def run_lint(root, ctx: Optional[LintContext] = None,
     root = Path(root)
     if ctx is None:
         ctx = LintContext()
-        # A scan of src/repro sits two levels below the repo root; pick
-        # up docs/OBSERVABILITY.md for the REP403 cross-check if it is
-        # where the repo keeps it.
-        doc = root.parent.parent / "docs" / "OBSERVABILITY.md"
-        if doc.is_file():
-            ctx.doc_text = doc.read_text(encoding="utf-8")
     modules = iter_modules(root)
     rules = tuple(rules) if rules else ()
     findings = sort_findings(_run_passes(modules, ctx, rules))
     return LintReport(root=str(root), findings=findings,
-                      rules_run=rules or ("REP1", "REP2", "REP3", "REP4"))
+                      rules_run=rules or ("REP2", "REP3", "REP4"))

@@ -24,7 +24,7 @@ class Finding:
             posix separators — stable across checkouts.
         line: 1-based line number of the violating construct.
         message: What is wrong, with enough context to act on.
-        hint: How to fix or suppress it.
+        hint: How to fix it.
     """
 
     rule: str

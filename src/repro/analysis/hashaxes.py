@@ -111,15 +111,11 @@ def check_hash_axes(modules, ctx):
         for name, lineno in _class_fields(cls):
             if name in reads:
                 continue
-            if mod.suppressed(RULE_FIELD_UNCOVERED, lineno):
-                continue
             findings.append(Finding(
                 rule=RULE_FIELD_UNCOVERED, severity="P1", file=relpath,
                 line=lineno,
                 message=(f"{clsname}.{name} never reaches the content hash "
                          f"({clsname}.{'/'.join(methods)}) — two specs "
                          "differing only here would collide in the cache"),
-                hint=f"read self.{name} in the canonical form, or mark the "
-                     "field `# lint: ok(REP301) <why>` if it is genuinely "
-                     "identity-free"))
+                hint=f"read self.{name} in the canonical form"))
     return findings

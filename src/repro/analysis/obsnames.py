@@ -2,19 +2,18 @@
 
 Dashboards, trace consumers, and the drift tests all key on literal
 event/metric names.  A name emitted but absent from
-:mod:`repro.obs.schema` is invisible to all of them; a registered name
-absent from docs/OBSERVABILITY.md is schema nobody can discover.
+:mod:`repro.obs.schema` is invisible to all of them.
 
 * REP401 — ``<obs|bus>.emit("name", ...)`` with an unregistered event
 * REP402 — ``<...>metrics.inc/observe/set_gauge("name", ...)`` with an
   unregistered metric
-* REP403 — a registry entry missing from docs/OBSERVABILITY.md
 
 Detection is deliberately conservative: only calls whose receiver's
 dotted chain ends in ``obs``/``bus`` (events) or ``metrics`` (metrics)
 and whose first argument is a string literal are checked.  Dynamically
 formatted names (f-strings) are left to the runtime drift test in
-``tests/obs/test_schema.py``.
+``tests/obs/test_schema.py``, which also keeps the registry and
+docs/OBSERVABILITY.md in step.
 """
 
 from __future__ import annotations
@@ -26,10 +25,8 @@ from repro.analysis.source import const_str, dotted_name
 
 RULE_EVENT_UNKNOWN = "REP401"
 RULE_METRIC_UNKNOWN = "REP402"
-RULE_UNDOCUMENTED = "REP403"
 
 _METRIC_METHODS = frozenset({"inc", "observe", "set_gauge"})
-_SCHEMA_RELPATH = "repro/obs/schema.py"
 
 
 def _receiver_tail(func: ast.Attribute) -> str:
@@ -57,8 +54,7 @@ def check_obs_names(modules, ctx):
             if name is None:
                 continue
             if node.func.attr == "emit" and tail in ("obs", "bus", "_obs"):
-                if name not in events and not mod.suppressed(
-                        RULE_EVENT_UNKNOWN, node.lineno):
+                if name not in events:
                     findings.append(Finding(
                         rule=RULE_EVENT_UNKNOWN, severity="P1",
                         file=mod.relpath, line=node.lineno,
@@ -67,8 +63,7 @@ def check_obs_names(modules, ctx):
                         hint="register it (and document it in "
                              "docs/OBSERVABILITY.md) or fix the typo"))
             elif node.func.attr in _METRIC_METHODS and tail.endswith("metrics"):
-                if name not in metrics and not mod.suppressed(
-                        RULE_METRIC_UNKNOWN, node.lineno):
+                if name not in metrics:
                     findings.append(Finding(
                         rule=RULE_METRIC_UNKNOWN, severity="P1",
                         file=mod.relpath, line=node.lineno,
@@ -76,27 +71,4 @@ def check_obs_names(modules, ctx):
                                 "repro.obs.schema.METRICS",
                         hint="register it (and document it in "
                              "docs/OBSERVABILITY.md) or fix the typo"))
-    # Registry <-> docs cross-check.
-    if ctx.doc_text is not None:
-        schema_mod = next((m for m in modules
-                           if m.relpath == _SCHEMA_RELPATH), None)
-        for kind, names in (("event", sorted(events)),
-                            ("metric", sorted(metrics))):
-            for name in names:
-                if name in ctx.doc_text:
-                    continue
-                line = 0
-                if schema_mod is not None:
-                    # Generated names (tflex.<field>) appear in the
-                    # registry source only as their last segment.
-                    line = (schema_mod.line_of(f'"{name}"')
-                            or schema_mod.line_of(
-                                f'"{name.rsplit(".", 1)[-1]}"'))
-                findings.append(Finding(
-                    rule=RULE_UNDOCUMENTED, severity="P2",
-                    file=_SCHEMA_RELPATH, line=max(line, 1),
-                    message=f"registered {kind} {name!r} is not mentioned "
-                            "in docs/OBSERVABILITY.md",
-                    hint="document the name (tables or prose) in "
-                         "docs/OBSERVABILITY.md"))
     return findings

@@ -1,25 +1,14 @@
-"""Source loading for the lint passes: parsed modules + suppressions.
+"""Source loading for the lint passes: parsed modules.
 
 Every pass consumes :class:`SourceModule` objects — a parsed AST plus
-the raw source lines and the inline suppression map.  Suppressions use
-the grammar::
-
-    some_statement  # lint: ok(REP101) stats stay with their owner
-
-i.e. ``# lint: ok(<RULE>[, <RULE>...]) <justification>``.  A marker
-silences the named rules on that physical line only, and the
-justification is mandatory by convention (the marker is the
-allow-list entry, and the only exemption there is).
+the raw source lines.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
-
-_SUPPRESS_RE = re.compile(r"#\s*lint:\s*ok\(([A-Za-z0-9_,\s]+)\)")
 
 
 class LintError(Exception):
@@ -34,37 +23,6 @@ class SourceModule:
     relpath: str                   # e.g. "repro/mem/l2.py" (posix)
     tree: ast.Module
     lines: list = field(default_factory=list, repr=False)
-    #: line number -> set of rule ids suppressed on that line
-    suppressions: dict = field(default_factory=dict, repr=False)
-
-    def suppressed(self, rule: str, line: int) -> bool:
-        """A marker suppresses on its own line, or — when it is a
-        standalone comment — on the statement directly below it."""
-        if rule in self.suppressions.get(line, ()):
-            return True
-        above = self.suppressions.get(line - 1)
-        if above and rule in above:
-            text = self.lines[line - 2].lstrip() if line >= 2 else ""
-            return text.startswith("#")
-        return False
-
-    def line_of(self, needle: str) -> int:
-        """1-based line of the first occurrence of ``needle`` (0 if absent).
-        Used to anchor registry/doc findings to a useful location."""
-        for i, text in enumerate(self.lines, start=1):
-            if needle in text:
-                return i
-        return 0
-
-
-def parse_suppressions(lines) -> dict:
-    out: dict = {}
-    for lineno, text in enumerate(lines, start=1):
-        match = _SUPPRESS_RE.search(text)
-        if match:
-            rules = {r.strip() for r in match.group(1).split(",") if r.strip()}
-            out[lineno] = frozenset(rules)
-    return out
 
 
 def load_module(path: Path, root: Path) -> SourceModule:
@@ -81,9 +39,8 @@ def load_module(path: Path, root: Path) -> SourceModule:
         raise LintError(f"cannot parse {path}: {exc}") from exc
     rel = path.relative_to(root).as_posix()
     relpath = f"{root.name}/{rel}" if root.name else rel
-    lines = text.splitlines()
     return SourceModule(path=path, relpath=relpath, tree=tree,
-                        lines=lines, suppressions=parse_suppressions(lines))
+                        lines=text.splitlines())
 
 
 def iter_modules(root: Path) -> list:

@@ -17,9 +17,9 @@ Commands:
   detailed-work accounting as JSON.  See docs/SEARCH.md.
 * ``disasm BENCH`` — print the compiled EDGE hyperblocks.
 * ``profile BENCH`` — wall-clock phase profile of one simulation.
-* ``lint`` — AST invariant analysis over ``src/repro`` (transfer-surface
-  completeness, determinism, content-hash axes, obs schema); exit 1 on
-  any finding.  See docs/ANALYSIS.md.
+* ``lint`` — AST invariant analysis over ``src/repro`` (determinism,
+  content-hash axes, obs names); exit 1 on any finding.  See
+  docs/ANALYSIS.md.
 
 ``run`` additionally takes ``--inject SPEC`` (repeatable) to inject
 faults: ``dead:CORE``, ``kill:CORE@CYCLE``, or ``link:SRC-DST:EXTRA``
@@ -488,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint", help="static invariant analysis over src/repro "
-                     "(transfer surfaces, determinism, hash axes, "
-                     "obs schema — see docs/ANALYSIS.md)")
+                     "(determinism, hash axes, obs names — see "
+                     "docs/ANALYSIS.md)")
     lint_p.add_argument(
         "--root", default=None, metavar="DIR",
         help="source tree to analyse (default: the installed repro "
@@ -502,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the report to FILE (same format)")
     lint_p.add_argument(
         "--rules", default=None, metavar="IDS",
-        help="comma-separated rule-id prefixes to run, e.g. REP1,REP204 "
+        help="comma-separated rule-id prefixes to run, e.g. REP3,REP204 "
              "(default: all)")
 
     for fig in ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table2"):

@@ -42,11 +42,11 @@ def advisory_lock(path: Union[str, pathlib.Path]):
     """Exclusive advisory file lock (``flock``) on ``path``.
 
     Serialises read-modify-write sections across *processes* — the
-    store's record writes are individually atomic already, but shared
-    sidecars (the scheduler's duration book) and concurrent CLI
-    invocations pointed at one cache directory need a mutual-exclusion
-    primitive.  Advisory only: readers that never take the lock are
-    unaffected.  On platforms without ``fcntl`` the lock degrades to a
+    store's record writes are individually atomic already, but a
+    multi-step sequence (:func:`gc_cache`'s scan-then-prune) run by
+    concurrent CLI invocations pointed at one cache directory needs a
+    mutual-exclusion primitive.  Advisory only: readers that never take
+    the lock are unaffected.  On platforms without ``fcntl`` the lock degrades to a
     no-op (single-writer behaviour is then the caller's problem, which
     matches the pre-lock state of the world).
     """
@@ -105,14 +105,6 @@ class BlobStore:
 
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}{self.SUFFIX}"
-
-    def lock(self):
-        """Advisory cross-process lock scoped to this store's root.
-
-        Record writes are atomic on their own; take this around
-        multi-step read-modify-write sequences (compaction, sidecar
-        maintenance) when several CLI invocations share the cache."""
-        return advisory_lock(self.root / ".lock")
 
     # -- codec ---------------------------------------------------------
 

@@ -110,7 +110,7 @@ class CacheBank(WarmState):
         self.line_size = line_size
         self.assoc = assoc
         self.num_sets = num_lines // assoc
-        self.stats = CacheStats()  # lint: ok(REP101) history, not warm state — stats stay with their owner across swaps
+        self.stats = CacheStats()  # stays with its owner across swaps
         self._sets = _Sets(self.num_sets)
 
     def line_addr(self, addr: int) -> int:

@@ -13,11 +13,11 @@ Two guards keep it honest:
 
 * the static pass ``repro.analysis.obsnames`` (run by ``repro lint``)
   flags any ``obs.emit("name", ...)`` / ``metrics.inc("name", ...)``
-  call site whose literal name is missing here, and any registry entry
-  missing from docs/OBSERVABILITY.md;
-* ``tests/obs/test_schema.py`` runs a small workload and asserts every
-  name emitted at runtime (including dynamically formatted ones such as
-  the ``tflex.*`` scalar flush) is registered.
+  call site whose literal name is missing here;
+* ``tests/obs/test_schema.py`` asserts every name here appears in
+  docs/OBSERVABILITY.md, and runs a small workload to assert every name
+  emitted at runtime (including dynamically formatted ones such as the
+  ``tflex.*`` scalar flush) is registered.
 
 Adding a new event or metric therefore means: emit it, register it
 here, and document it in docs/OBSERVABILITY.md — the lint/tests fail

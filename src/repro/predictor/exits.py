@@ -104,7 +104,7 @@ class ExitPredictor(WarmState):
         self._global_pattern = [0] * global_entries
         # Choice: 0..1 prefer local, 2..3 prefer global.
         self._choice = [1] * choice_entries
-        self.stats = ExitStats()  # lint: ok(REP101) history, not warm state — stats stay with their owner across swaps
+        self.stats = ExitStats()  # stays with its owner across swaps
 
     # ------------------------------------------------------------------
     # Indexing

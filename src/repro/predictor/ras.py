@@ -50,7 +50,7 @@ class DistributedRas(WarmState):
         self.capacity = num_cores * entries_per_core
         self._stack = [0] * self.capacity
         self._top = 0          # number of live entries (next free slot)
-        self.stats = RasStats()  # lint: ok(REP101) history, not warm state — stats stay with their owner across swaps
+        self.stats = RasStats()  # stays with its owner across swaps
 
     # ------------------------------------------------------------------
     # Geometry

@@ -75,7 +75,7 @@ class TargetPredictor(WarmState):
         self._btype = [BranchKind.SEQ] * btype_entries
         self._btb = [-1, 0] * btb_entries
         self._ctb = [-1, 0] * ctb_entries
-        self.stats = TargetStats()  # lint: ok(REP101) history, not warm state — stats stay with their owner across swaps
+        self.stats = TargetStats()  # stays with its owner across swaps
 
     # ------------------------------------------------------------------
     # Indexing

@@ -180,7 +180,6 @@ class ShadowUarch:
                       name=f"shadow.d{b}")
             for b in range(self.num_dbanks)
         ]
-        # lint: ok(REP101) pure function of the composition geometry
         self._dbank_core = [
             interleave.dbank_core_index(b, ncores, self.num_dbanks)
             for b in range(self.num_dbanks)
@@ -198,7 +197,6 @@ class ShadowUarch:
             l1_banks=dmap.get, dram=Dram())
 
         # Participating core index -> L1 banks there (directory rebuilds).
-        # lint: ok(REP101) index over icaches/dcaches, which the surface covers
         self._l1_by_core: dict[int, list[CacheBank]] = {
             i: [self.icaches[i]] for i in range(ncores)}
         for b, core_index in enumerate(self._dbank_core):
@@ -210,9 +208,9 @@ class ShadowUarch:
         # oldest first; and, per (addr, size), the footprint resolved
         # to set objects.  All derived from the I-caches, all dropped
         # by ``settle`` before every transfer.
-        self._resident: dict[int, int] = {}  # lint: ok(REP101) derived from icaches, dropped by settle()
-        self._pending: dict[int, int] = {}  # lint: ok(REP101) deferred icache touches, applied by settle()
-        self._ic_touches: dict[tuple, tuple] = {}  # lint: ok(REP101) memo over icaches' sets, dropped by settle()
+        self._resident: dict[int, int] = {}
+        self._pending: dict[int, int] = {}
+        self._ic_touches: dict[tuple, tuple] = {}
         #: Blocks the last ``warm`` skipped at a loop fixed point:
         #: (predictor/RAS pass, I-cache pass).
         self.skipped = (0, 0)
@@ -254,7 +252,7 @@ class ShadowUarch:
                 ghist = push_history(ghist, exit_id, GLOBAL_HISTORY_EXITS)
         reads, icache_skipped = self._warm_icaches(interval.addrs, block_at)
         self._warm_dcaches(interval, reads)
-        self.skipped = (pred_skipped, icache_skipped)  # lint: ok(REP101) per-interval tally, not warm state
+        self.skipped = (pred_skipped, icache_skipped)
         return ghist
 
     def _warm_predictor(self, interval, ghist: int) -> tuple[int, int]:

@@ -14,8 +14,10 @@ value into JSON-safe data, ``decode`` rebuilds a fresh live value from
 it.  The snapshot, the load and the O(1) exchange below are derived
 from that list, so an attribute is either declared (and moves in all
 three) or stays with its owner (stats, config, memo tables) — there is
-no per-method copy of the list to fall out of step.  ``repro lint``
-(REP101) checks the list against ``__init__``.
+no per-method copy of the list to fall out of step.  The contract is
+``tests/test_warm.py``: every subclass and both composites must
+round-trip there, so a field left off the list, or a name on it that
+``__init__`` never assigns, fails by behaviour.
 """
 
 from __future__ import annotations

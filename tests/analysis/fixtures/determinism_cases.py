@@ -58,10 +58,3 @@ def reducers_are_fine(cores: set):
 
 def membership_is_fine(cores: set, core):
     return core in cores and not (set(cores) & {core})
-
-
-def suppressed_iteration(cores: set):
-    out = 0
-    for core in cores:  # lint: ok(REP204) commutative accumulation
-        out += core
-    return out

@@ -54,7 +54,6 @@ class TestDeterminismPass:
             assert "sorted(cores)" not in text
             assert "sum(c for c" not in text
             assert "return core in cores" not in text
-            assert "lint: ok(REP204)" not in text
 
     def test_out_of_scope_module_skips_strict_rules(self, fixture_modules):
         mod = module_named(fixture_modules, "determinism_cases")

@@ -57,7 +57,7 @@ class TestCliContract:
         clean.mkdir()
         (clean / "mod.py").write_text("X = 1\n")
         code = main(["lint", "--root", str(clean),
-                     "--rules", "REP1,REP2,REP4"])
+                     "--rules", "REP2,REP4"])
         assert code == 0
 
     def test_internal_error_exits_three(self, tmp_path, capsys):

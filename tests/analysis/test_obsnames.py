@@ -1,4 +1,4 @@
-"""REP401-REP403 — obs schema pass on the fixture emitter."""
+"""REP401/REP402 — obs schema pass on the fixture emitter."""
 
 from repro.analysis.engine import LintContext
 from repro.analysis.obsnames import check_obs_names
@@ -6,15 +6,11 @@ from repro.analysis.obsnames import check_obs_names
 from tests.analysis.conftest import module_named
 
 
-def _ctx(doc_text=None):
-    return LintContext(events=frozenset({"known.event"}),
-                       metrics=frozenset({"known.metric"}),
-                       doc_text=doc_text)
-
-
-def _findings(fixture_modules, doc_text=None):
+def _findings(fixture_modules):
     mod = module_named(fixture_modules, "obs_cases")
-    return check_obs_names([mod], _ctx(doc_text))
+    return check_obs_names([mod], LintContext(
+        events=frozenset({"known.event"}),
+        metrics=frozenset({"known.metric"})))
 
 
 class TestObsNamesPass:
@@ -35,16 +31,3 @@ class TestObsNamesPass:
         assert "add r1" not in messages          # program.emit is not obs
         assert "computed." not in messages       # non-literal skipped
         assert "dyn." not in messages            # f-string skipped
-
-    def test_doc_cross_check(self, fixture_modules):
-        findings = _findings(fixture_modules,
-                             doc_text="only known.event is documented")
-        undocumented = [f for f in findings if f.rule == "REP403"]
-        (finding,) = undocumented
-        assert "known.metric" in finding.message
-        assert finding.severity == "P2"
-
-    def test_doc_cross_check_clean_when_documented(self, fixture_modules):
-        findings = _findings(
-            fixture_modules, doc_text="known.event and known.metric")
-        assert not [f for f in findings if f.rule == "REP403"]

@@ -1,10 +1,9 @@
 """Registry drift tests for :mod:`repro.obs.schema`.
 
-Two directions, per docs/ANALYSIS.md:
+Two directions:
 
 * registry ⊆ docs — every registered name must appear literally in
-  docs/OBSERVABILITY.md (the static REP403 pass enforces the same thing
-  at lint time; this keeps the check in the plain test lane too);
+  docs/OBSERVABILITY.md (this is the only check of that direction);
 * registry ⊇ runtime — every name actually emitted by a representative
   fast-lane workload (detailed run + sampled run, metrics on) must be
   registered, which catches dynamically formatted names the AST pass

@@ -8,6 +8,7 @@ This suite states the contract once and runs it over all of them, at
 default and non-default geometries, on hypothesis-generated contents:
 
 * a snapshot survives JSON and loads back to an equal snapshot;
+* a composite's snapshot carries every warm part reachable from it;
 * ``swap_state`` lands on exactly the state a ``load_state(state_dict())``
   in each direction lands on — container order (LRU, hence the eviction
   victim) and the structure's next observable answers included;
@@ -240,6 +241,10 @@ ALL = pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
 SWAPPING = pytest.mark.parametrize(
     "case", [c for c in CASES.values() if c.swap_mismatch],
     ids=[k for k, c in CASES.items() if c.swap_mismatch])
+_COMPOSITES = {k: c for k, c in CASES.items()
+               if not isinstance(c.make(), WarmState)}
+COMPOSITE = pytest.mark.parametrize("case", _COMPOSITES.values(),
+                                    ids=_COMPOSITES.keys())
 
 _fast = settings(max_examples=25, deadline=None)
 
@@ -252,6 +257,20 @@ def _trained(case, stream):
 
 def _stats_values(case, structure):
     return [dataclasses.asdict(s) for s in case.stats(structure)]
+
+
+def _warm_parts(obj, path=()):
+    """Every ``WarmState`` reachable from ``obj`` through ``vars()`` of
+    repro objects and through lists, with the path that reaches it."""
+    if isinstance(obj, WarmState):
+        yield path, obj
+    elif isinstance(obj, list):
+        for index, item in enumerate(obj):
+            yield from _warm_parts(item, path + (index,))
+    elif type(obj).__module__.startswith("repro.") \
+            and hasattr(obj, "__dict__"):
+        for name, value in vars(obj).items():
+            yield from _warm_parts(value, path + (name,))
 
 
 def test_every_warm_structure_has_a_case():
@@ -275,6 +294,22 @@ def test_snapshot_survives_json_and_loads_back_equal(case, stream):
     fresh.load_state(_json(snapshot))
     assert fresh.state_dict() == snapshot
     assert case.probe(fresh) == case.probe(source)
+
+
+@COMPOSITE
+@_fast
+@given(stream=_streams)
+def test_load_moves_every_reachable_warm_part(case, stream):
+    """A part a composite warms but leaves off its snapshot stays
+    behind on a load, even where no probe reads it."""
+    def parts(composite):
+        return {path: part.state_dict()
+                for path, part in _warm_parts(composite)}
+
+    source = _trained(case, stream)
+    fresh = case.make()
+    fresh.load_state(_json(source.state_dict()))
+    assert parts(fresh) == parts(source)
 
 
 @ALL
