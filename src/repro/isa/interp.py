@@ -17,9 +17,9 @@ and no slot resolves twice.  Violations raise :class:`InterpError` —
 they indicate compiler or builder bugs.
 
 A block is compiled once per :class:`~repro.isa.program.Program` into a
-:class:`PreparedBlock` of functional instruction records (the timing
-model's ``tflex/decode.InstRecord`` copies them and adds placement), and
-a re-executed block is *refreshed*, not re-scheduled.  Which
+:class:`PreparedBlock` of instruction records (the timing model runs on
+the same records and adds only placement, ``tflex/decode.DecodedBlock``),
+and a re-executed block is *refreshed*, not re-scheduled.  Which
 instructions fire, in which order, and every structural contract check
 are a function of the static block and of the truth value of each value
 delivered to a predicate slot — of nothing else.  The dataflow loop
@@ -131,26 +131,32 @@ class InterpResult:
 
 
 class _PInst:
-    """The functional record of one static instruction: everything about
-    it that does not depend on where it is placed.
+    """The record of one static instruction: everything about it that
+    does not depend on where it is placed.  The interpreter and the
+    timing model share it; placement is ``tflex.decode``'s.
 
+    ``base`` is its first slot in an operand buffer (``iid << 2``);
     ``need`` counts the tokens that must arrive (operands plus
     predicate) and ``pred`` is the predicate value that lets it fire;
     ``evalf(a, b)`` is the bound evaluator of ``op`` and the resolved
     immediate ``imm`` (ALU kinds; path compilation re-reads both);
     ``size``/``fp``/``offset`` describe a memory access, ``unpack`` reads
-    one from a resident page, and ``older`` is the bit mask of the store
-    slots a load must see resolved; ``next_addr`` is a branch's static
-    successor (``None``: RET takes it from operand 0).
+    one from a resident page, ``older`` is the bit mask of the store
+    slots a load must see resolved and ``dep_key`` names the access to
+    the dependence predictors; ``next_addr`` is a branch's static
+    successor (``None``: RET takes it from operand 0).  ``latency``,
+    ``is_fp`` (issue class) and ``energy`` (event key) are timing facts.
     """
 
-    __slots__ = ("iid", "kind", "need", "pred", "targets", "op", "imm",
-                 "evalf", "lsq_id", "older", "size", "fp", "offset", "unpack",
-                 "exit_id", "next_addr", "null_store")
+    __slots__ = ("iid", "base", "kind", "need", "pred", "targets", "op",
+                 "imm", "evalf", "lsq_id", "older", "size", "fp", "offset",
+                 "unpack", "dep_key", "exit_id", "next_addr", "null_store",
+                 "latency", "is_fp", "energy")
 
     def __init__(self, inst, program: Program, block: Block) -> None:
         op = inst.op
         self.iid = inst.iid
+        self.base = inst.iid << 2
         self.kind = kind = _KINDS.get(op.opclass, ALU)
         self.need = op.operands + (inst.pred is not None)
         self.pred = inst.pred
@@ -159,7 +165,11 @@ class _PInst:
         self.exit_id = inst.exit_id
         self.null_store = inst.null_store
         self.op = op
+        self.latency = op.latency
+        self.is_fp = op.is_fp
+        self.energy = "fpu_op" if op.is_fp else "alu_op"
         self.imm = self.evalf = self.unpack = self.next_addr = None
+        self.dep_key = None
         self.size = self.offset = self.older = 0
         self.fp = False
         if kind == ALU:
@@ -170,6 +180,7 @@ class _PInst:
             self.fp = op.name.endswith("F")
             self.offset = int(inst.imm or 0)
             self.unpack = _UNPACK[self.size, self.fp]
+            self.dep_key = (block.label, inst.lsq_id)
             if kind == LOAD:
                 self.older = sum(1 << s for s in block.store_ids
                                  if s < inst.lsq_id)
@@ -327,7 +338,7 @@ def _compile(pb: PreparedBlock, seg: _Segment):
             lines.append(f"{value} = regs[{reg}]")
         elif pi.kind == ALU:
             op = pi.op
-            base = pi.iid << 2
+            base = pi.base
             coerce, result, expr = alu_source(op)
             y = ""
             if op.has_imm:
@@ -355,7 +366,7 @@ def _compile(pb: PreparedBlock, seg: _Segment):
             # forwarding, overlap errors, an absent page (a negative
             # address has none) and a straddle are ``Interpreter._load``'s.
             lines += (
-                f"a = {operand((pi.iid << 2) + 1, int)}{offset}",
+                f"a = {operand(pi.base + 1, int)}{offset}",
                 "page = pages.get(a >> 12)",
                 f"if {'block_stores or ' if pi.older else ''}page is None "
                 f"or a & {PAGE_MASK} > {PAGE_SIZE - pi.size}:",
@@ -367,7 +378,7 @@ def _compile(pb: PreparedBlock, seg: _Segment):
             if not pi.older:            # nothing in the block can forward
                 result = float if pi.fp else int
         elif pi.kind == STORE:
-            base = pi.iid << 2
+            base = pi.base
             offset = f" + {pi.offset}" if pi.offset else ""
             lines.append(
                 f"block_stores[{pi.lsq_id}] = "
@@ -376,7 +387,7 @@ def _compile(pb: PreparedBlock, seg: _Segment):
             continue
         elif pi.kind == BRANCH:
             if pi.next_addr is None:    # RET: leave the address in its slot
-                slot = (pi.iid << 2) + 1
+                slot = pi.base + 1
                 lines.append(f"buf[{slot}] = {operand(slot, int)}")
             continue
         else:
@@ -469,10 +480,6 @@ class Interpreter:
     # Single-block execution
     # ------------------------------------------------------------------
 
-    def prepare(self, block: Block) -> PreparedBlock:
-        """The cached prepared form of ``block`` (built on first use)."""
-        return prepare_block(self.program, block)
-
     def execute_block(self, block: Block) -> BlockOutcome:
         """Run one block to completion against current architectural state.
 
@@ -500,7 +507,7 @@ class Interpreter:
                 branch = seg.branch
                 next_addr = branch.next_addr
                 if next_addr is None:               # RET
-                    next_addr = buf[(branch.iid << 2) + 1]
+                    next_addr = buf[branch.base + 1]
                 return _outcome(pb, buf, branch, next_addr, block_stores,
                                 seg.fired, seg.loads, load_addrs)
             seg = guard.tail

@@ -19,7 +19,7 @@ from repro.mem.cache import CacheBank
 from repro.predictor import PredictorBank
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.tflex.decode import InstRecord
+    from repro.isa.interp import _PInst
     from repro.tflex.instance import BlockInstance
     from repro.tflex.system import TFlexSystem
 
@@ -54,7 +54,7 @@ class Core:
         #: into capacity loss instead of chip loss — the chip keeps
         #: running with every remaining core.
         self.faulty = False
-        self._ready: list[tuple[int, int, int, "BlockInstance", "InstRecord"]] = []
+        self._ready: list[tuple[int, int, int, "BlockInstance", "_PInst"]] = []
         self._push_seq = 0                    # heap tie-breaker
         self._issue_scheduled = False
         # Issue widths, resolved once (the config is frozen).
@@ -102,7 +102,7 @@ class Core:
     # Wake-up and issue
     # ------------------------------------------------------------------
 
-    def wake(self, instance: "BlockInstance", record: "InstRecord") -> None:
+    def wake(self, instance: "BlockInstance", record: "_PInst") -> None:
         """``record`` is dispatched and has every token it waits for
         (``instance.missing`` reached zero): queue it for issue — or, on
         a mismatched predicate, squash it for this instance."""
@@ -127,7 +127,7 @@ class Core:
         slots_int = self._issue_int
         slots_fp = self._issue_fp
         slots_total = self._issue_total
-        deferred: list[tuple[int, int, int, "BlockInstance", "InstRecord"]] = []
+        deferred: list[tuple[int, int, int, "BlockInstance", "_PInst"]] = []
 
         ready = self._ready
         pop = heapq.heappop

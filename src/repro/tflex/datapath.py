@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from functools import partial
 
+from repro.isa.interp import ALU, BRANCH, LOAD, NULL, _PInst
 from repro.lsq.bank import LsqResult
-from repro.tflex.decode import ALU, BRANCH, LOAD, NULL, InstRecord
 from repro.tflex.instance import BlockInstance, BlockState
 
 #: Hoisted enum member: squash checks guard every hot handler.
@@ -37,18 +37,19 @@ def _run_all(fns: list) -> None:
 class DatapathMixin:
     """Execution-side behaviour of a composed processor.
 
-    Instructions arrive here as the compiled
-    :class:`~repro.tflex.decode.InstRecord` of the fetching composition.
-    ``issue``, ``_load_arrive`` and ``_store_arrive`` are bound by the
-    processor's constructor to the ``_do_*`` methods below (through the
-    profiler's ``execute``/``lsq`` phases when it is enabled).
+    Instructions arrive here as the program's records (``_PInst``);
+    their routes are the fetching composition's
+    (:class:`~repro.tflex.decode.DecodedBlock`).  ``issue``,
+    ``_load_arrive`` and ``_store_arrive`` are bound by the processor's
+    constructor to the ``_do_*`` methods below (through the profiler's
+    ``execute``/``lsq`` phases when it is enabled).
     """
 
     # ------------------------------------------------------------------
     # Issue (called by Core at issue time)
     # ------------------------------------------------------------------
 
-    def _do_issue(self, instance: BlockInstance, record: InstRecord, core) -> None:
+    def _do_issue(self, instance: BlockInstance, record: _PInst, core) -> None:
         """Execute one instruction; results appear after its latency."""
         queue = self.queue
         now = queue.now
@@ -59,7 +60,8 @@ class DatapathMixin:
         if kind == ALU:
             value = record.evalf(operands[base + 1], operands[base + 2])
             queue.at(now + record.latency, partial(
-                self._route_result, instance, record.targets, value, core.id))
+                self._route_result, instance,
+                instance.decoded.routes[record.iid], value, core.id))
             return
         done = now + record.latency
         if kind == BRANCH:
@@ -69,17 +71,17 @@ class DatapathMixin:
             arrive = self.control_delay(
                 core.id, self.core_ids[instance.owner_index], done)
             queue.at(arrive, partial(self._on_branch_resolved, instance,
-                                     record.inst, next_addr))
+                                     record, next_addr))
         elif kind == NULL:
-            if record.inst.null_store:
+            if record.null_store:
                 arrive = self.control_delay(
                     core.id, self.core_ids[instance.owner_index], done)
                 queue.at(arrive, partial(self._on_store_resolved, instance,
                                          record.lsq_id))
             if record.targets:
                 queue.at(done, partial(self._route_result, instance,
-                                       record.targets, NULL_VALUE, core.id,
-                                       True))
+                                       instance.decoded.routes[record.iid],
+                                       NULL_VALUE, core.id, True))
         else:
             # Memory: send the access to the bank its address hashes to.
             addr = int(operands[base + 1]) + record.offset
@@ -103,7 +105,7 @@ class DatapathMixin:
                       from_core: int, null: bool = False,
                       fold: bool = True) -> None:
         """Send a produced value along each pre-resolved dataflow route
-        (see :func:`repro.tflex.decode._resolve`).
+        (see :func:`repro.tflex.decode._routes`).
 
         Deliveries landing on the same cycle are folded into one event
         (batched operand delivery) unless ``fold`` is off: the
@@ -134,7 +136,7 @@ class DatapathMixin:
                 pending_cycle = arrive
                 queue.at(arrive, partial(_run_all, pending))
 
-    def _deliver_operand(self, instance: BlockInstance, consumer: InstRecord,
+    def _deliver_operand(self, instance: BlockInstance, consumer: _PInst,
                          index: int, value, core) -> None:
         """An operand token reached its consumer's core: buffer it (it
         may precede dispatch) and wake the consumer if that was the last
@@ -184,7 +186,7 @@ class DatapathMixin:
     # Loads
     # ------------------------------------------------------------------
 
-    def _load_must_wait(self, instance: BlockInstance, record: InstRecord) -> bool:
+    def _load_must_wait(self, instance: BlockInstance, record: _PInst) -> bool:
         """Dependence throttle for previously-violating loads: either
         the blunt all-older-stores rule or the store-set predictor."""
         key = record.dep_key
@@ -203,7 +205,7 @@ class DatapathMixin:
                 self.store_sets.record_violation(
                     load_key, (store_instance.block.label, store_lsq))
 
-    def _do_load_arrive(self, instance: BlockInstance, record: InstRecord,
+    def _do_load_arrive(self, instance: BlockInstance, record: _PInst,
                         addr: int, parked: bool = False) -> None:
         """A load reached its LSQ/D-cache bank.  ``parked`` marks a
         throttled load re-presented by :meth:`_wake_deferred_loads`
@@ -262,7 +264,7 @@ class DatapathMixin:
                                     record, addr, bank_core))
 
     def _finish_load_from_memory(self, instance: BlockInstance,
-                                 record: InstRecord, addr: int,
+                                 record: _PInst, addr: int,
                                  bank_core: int) -> None:
         """Read the architectural value at reply time (committed state)."""
         if instance.state is SQUASHED:
@@ -270,18 +272,19 @@ class DatapathMixin:
         value = self.memory.load(addr, record.size, fp=record.fp)
         self._finish_load(instance, record, value, bank_core)
 
-    def _finish_load(self, instance: BlockInstance, record: InstRecord,
+    def _finish_load(self, instance: BlockInstance, record: _PInst,
                      value, bank_core: int) -> None:
         if instance.state is SQUASHED:
             return
         self.stats.loads_executed += 1
-        self._route_result(instance, record.targets, value, bank_core)
+        self._route_result(instance, instance.decoded.routes[record.iid],
+                           value, bank_core)
 
     # ------------------------------------------------------------------
     # Stores
     # ------------------------------------------------------------------
 
-    def _do_store_arrive(self, instance: BlockInstance, record: InstRecord,
+    def _do_store_arrive(self, instance: BlockInstance, record: _PInst,
                          addr: int, value) -> None:
         if instance.state is SQUASHED:
             return
@@ -320,7 +323,7 @@ class DatapathMixin:
     # Helpers
     # ------------------------------------------------------------------
 
-    def _bad_address(self, instance: BlockInstance, record: InstRecord,
+    def _bad_address(self, instance: BlockInstance, record: _PInst,
                      addr: int) -> None:
         """Drop an access to a garbage address (wrong-path speculation
         can compute anything).  The issuing block never completes; a

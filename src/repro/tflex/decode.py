@@ -1,119 +1,77 @@
-"""Per-composition compiled blocks: the static schedule of the timing model.
+"""Per-composition placement of a block: the static schedule of the
+timing model.
 
-An EDGE block's placement, operand routes, issue classes and functional
-semantics depend only on the block and the composition geometry — never
-on dynamic state.  Fetching a block on an N-core composition used to
-re-derive them per event from the ISA-level
-:class:`~repro.isa.block.Block`; instead a composed processor compiles
-each block **once**, on first fetch, into a :class:`DecodedBlock` and
-every later fetch, dispatch, issue and operand delivery indexes it.
+What an instruction does is fixed per program: the timing model runs on
+the interpreter's records (``isa.interp._PInst``, in the program's
+:class:`~repro.isa.interp.PreparedBlock`), shared by every composition.
+Where it runs is a function of the composition (paper section 4.4):
+instruction ``i`` on participating core ``i mod N``, registers on
+interleaved banks.  A composed processor compiles that placement
+**once** per block, on first fetch, into a :class:`DecodedBlock`, and
+every later fetch, dispatch and operand delivery indexes it.
 
-The records hold core IDs and :class:`~repro.tflex.core.Core` objects of
-one composition, so they live and die with the processor that compiled
-them (``ComposedProcessor._decoded``): a recomposed processor — other
-``core_ids`` — starts with an empty cache.  Replaying a record is cycle-
-and stat-identical to re-deriving it; ``tests/tflex/test_decode.py``
-checks every field against the ISA definitions.
+Routes hold core IDs and :class:`~repro.tflex.core.Core` objects of one
+composition, so a :class:`DecodedBlock` lives and dies with the
+processor that compiled it (``ComposedProcessor._decoded``): a
+recomposed processor — other ``core_ids`` — starts with an empty cache.
+``tests/tflex/test_decode.py`` checks the records once per program and
+the placement per composition against the ISA definitions.
 """
 
 from __future__ import annotations
 
 from repro.isa.block import Block
-from repro.isa.instruction import TargetKind
-from repro.isa.interp import (  # noqa: F401  (handler kinds, re-exported)
-    ALU, BRANCH, LOAD, NULL, STORE, prepare_block)
+from repro.isa.interp import PreparedBlock, prepare_block
 from repro.tflex.interleave import rf_bank_of
 
 
-class InstRecord:
-    """One instruction compiled for one composition: the program's
-    functional record of it (``isa.interp._PInst``, compiled once per
-    program — kind, need, pred, bound evaluator, memory and branch
-    fields, copied here by reference) plus its placement.
-
-    ``base`` indexes the instance's flat operand buffer (``base + slot``,
-    :class:`~repro.isa.instruction.OperandSlot` order); ``need`` counts
-    the tokens that must arrive (operands plus predicate) and ``pred``
-    is the predicate value that lets it fire.  ``evalf(a, b)`` is the
-    interpreter's bound evaluator (ALU kinds only); ``size``/``fp``/
-    ``offset``/``dep_key`` describe a memory access, ``next_addr`` a
-    branch's static successor (``None``: RET takes it from operand 0).
-    ``targets`` are pre-resolved routes, see :func:`_resolve`.
-    """
-
-    __slots__ = ("inst", "iid", "base", "kind", "is_fp", "energy", "latency",
-                 "need", "pred", "evalf", "targets", "lsq_id", "size", "fp",
-                 "offset", "dep_key", "next_addr")
-
-    def __init__(self, inst, block: Block, functional) -> None:
-        op = inst.op
-        self.inst = inst
-        self.iid = inst.iid
-        self.base = 3 * inst.iid
-        self.is_fp = op.is_fp
-        self.energy = "fpu_op" if op.is_fp else "alu_op"
-        self.latency = op.latency
-        self.kind = functional.kind
-        self.need = functional.need
-        self.pred = functional.pred
-        self.evalf = functional.evalf
-        self.lsq_id = functional.lsq_id
-        self.size = functional.size
-        self.fp = functional.fp
-        self.offset = functional.offset
-        self.next_addr = functional.next_addr
-        self.dep_key = ((block.label, inst.lsq_id)
-                        if functional.kind in (LOAD, STORE) else None)
-
-
-def _resolve(targets, block: Block, records, proc) -> tuple:
-    """Dataflow targets as ``(dest core ID, dest Core, a, b)`` routes.
+def _routes(targets: tuple, pb: PreparedBlock, proc) -> tuple:
+    """Encoded dataflow targets (``_PInst.targets``) as ``(dest core ID,
+    dest Core, a, b)`` routes.
 
     An operand of instruction ``i`` is delivered on the core executing
-    ``i``: ``a`` is the consumer's record, ``b`` its operand-buffer
-    index.  A register write goes to the bank holding the register:
-    ``dest Core`` is ``None``, ``a`` the register, ``b`` the bank.
+    ``i``: ``a`` is the consumer's record, ``b`` the encoded target
+    ``i << 2 | slot`` — its index in the instance's operand buffer.  A
+    register write goes to the bank holding the register: ``dest Core``
+    is ``None``, ``a`` the register, ``b`` the bank.
     """
     routes = []
-    for target in targets:
-        if target.kind is TargetKind.WRITE:
-            reg = block.writes[target.index].reg
+    for enc in targets:
+        if enc >= pb.n4:
+            reg = pb.block.writes[enc - pb.n4].reg
             bank = rf_bank_of(reg, proc.num_rf_banks)
             routes.append((proc.rf_bank_core(bank), None, reg, bank))
         else:
-            dest = proc.core_ids[target.index % proc.ncores]
+            dest = proc.core_ids[(enc >> 2) % proc.ncores]
             routes.append((dest, proc.system.cores[dest],
-                           records[target.index],
-                           3 * target.index + target.slot))
+                           pb.insts[enc >> 2], enc))
     return tuple(routes)
 
 
 class DecodedBlock:
-    """Everything static about one block on one composition."""
+    """Where one block runs on one composition."""
 
-    __slots__ = ("block", "records", "operands", "missing", "chunk_sizes",
-                 "groups", "reads_by_core", "icache_lines",
-                 "write_slots", "writes_per_bank")
+    __slots__ = ("block", "routes", "operands", "missing", "groups",
+                 "reads_by_core", "icache_lines", "write_slots",
+                 "writes_per_bank")
 
     def __init__(self, block: Block, proc) -> None:
         ncores = proc.ncores
+        nbanks = proc.num_rf_banks
+        pb = prepare_block(proc.program, block)
         self.block = block
-        self.records = records = [
-            InstRecord(inst, block, functional) for inst, functional
-            in zip(block.insts, prepare_block(proc.program, block).insts)]
-        for record in records:
-            record.targets = _resolve(record.inst.targets, block, records, proc)
+        #: Per instruction ID, the routes of its result.
+        self.routes = [_routes(pi.targets, pb, proc) for pi in pb.insts]
         # Per-fetch state templates: an empty operand buffer, and per
         # instruction the tokens still missing plus one for dispatch.
-        self.operands = [None] * (3 * len(records))
-        self.missing = [record.need + 1 for record in records]
+        self.operands = [None] * pb.n4
+        self.missing = [need + 1 for need in pb.needs]
 
         # Instruction interleaving: instruction ``i`` executes on
         # participating core ``i mod N`` (paper section 4.4), dispatched
         # in packets of ``dispatch_width`` per cycle.
         width = proc.cfg.core.dispatch_width
-        chunks = [records[index::ncores] for index in range(ncores)]
-        self.chunk_sizes = tuple(len(c) for c in chunks)
+        chunks = [pb.insts[index::ncores] for index in range(ncores)]
         self.groups = tuple(
             tuple(tuple(chunk[i:i + width])
                   for i in range(0, len(chunk), width))
@@ -124,24 +82,23 @@ class DecodedBlock:
         # first cores), so the core index equals the bank index.  Per
         # read: (register, bank, bank core ID, routes).
         reads = [[] for __ in range(ncores)]
-        for read in block.reads:
-            bank = rf_bank_of(read.reg, proc.num_rf_banks)
-            reads[bank].append((read.reg, bank, proc.rf_bank_core(bank),
-                                _resolve(read.targets, block, records, proc)))
+        for reg, targets in pb.reads:
+            bank = rf_bank_of(reg, nbanks)
+            reads[bank].append((reg, bank, proc.rf_bank_core(bank),
+                                _routes(targets, pb, proc)))
         self.reads_by_core = tuple(tuple(r) for r in reads)
 
         # Each core's slice occupies ceil(4 * |chunk| / line) I-cache
         # lines (only meaningful for non-empty slices).
         self.icache_lines = tuple(
-            max(1, -(-size * 4 // proc.cfg.line_size))
-            for size in self.chunk_sizes)
+            max(1, -(-len(chunk) * 4 // proc.cfg.line_size))
+            for chunk in chunks)
 
         # Write set: (bank, register) per header write slot, plus the
         # per-bank drain depth used by the commit protocol.
-        self.write_slots = tuple(
-            (rf_bank_of(wslot.reg, proc.num_rf_banks), wslot.reg)
-            for wslot in block.writes)
-        per_bank = [0] * proc.num_rf_banks
+        self.write_slots = tuple((rf_bank_of(reg, nbanks), reg)
+                                 for __, reg in pb.writes)
+        per_bank = [0] * nbanks
         for bank, __ in self.write_slots:
             per_bank[bank] += 1
         self.writes_per_bank = tuple(per_bank)

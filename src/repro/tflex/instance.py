@@ -37,12 +37,12 @@ class BlockInstance:
     prediction: Optional[Prediction] = None   # of this block's *next* block
     state: BlockState = BlockState.FETCHING
     proc: object = None            # owning ComposedProcessor (set at fetch)
-    decoded: object = None         # DecodedBlock for the fetching composition
+    decoded: object = None         # DecodedBlock: placement on the composition
 
-    # Execution state, one entry per instruction, copied at fetch from
-    # the templates of the compiled block (``decoded``).  ``operands``
-    # is the flat operand buffer: instruction ``i``'s
-    # :class:`OperandSlot` ``s`` lives at ``3 * i + s``; ``None`` marks
+    # Execution state, copied at fetch from the templates of the
+    # placement (``decoded``).  ``operands`` is the flat operand buffer
+    # in the interpreter's encoding: instruction ``i``'s
+    # :class:`OperandSlot` ``s`` lives at ``i << 2 | s``; ``None`` marks
     # an absent operand — real tokens are numbers or the NULL_VALUE
     # sentinel, never ``None``.  ``missing[i]`` counts what instruction
     # ``i`` still waits for — its operand and predicate tokens, plus one

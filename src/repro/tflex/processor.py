@@ -179,9 +179,9 @@ class ComposedProcessor(ProtocolMixin, DatapathMixin):
         self._dbanks_at: list[tuple[int, ...]] = [() for __ in core_ids]
         for b, cid in enumerate(self._dbank_core_ids):
             self._dbanks_at[part_of[cid]] += (b,)
-        #: Compiled-block cache: block label -> static schedule on this
-        #: composition (compile once per program, not per fetch).  It
-        #: belongs to this processor, so no record outlives ``core_ids``.
+        #: Placement cache: block label -> where the block runs on this
+        #: composition (compiled once, not per fetch).  It belongs to
+        #: this processor, so no route outlives ``core_ids``.
         self._decoded: dict[str, DecodedBlock] = {}
         self._broadcasts: dict[int, tuple] = {}   # see control_broadcast
         # Phase hooks, resolved once: the plain handlers unless the
@@ -237,8 +237,8 @@ class ComposedProcessor(ProtocolMixin, DatapathMixin):
     # ------------------------------------------------------------------
 
     def decoded(self, block) -> DecodedBlock:
-        """The static schedule of ``block`` on this composition,
-        compiled on first fetch and replayed afterwards."""
+        """The placement of ``block`` on this composition, compiled on
+        first fetch and replayed afterwards."""
         entry = self._decoded.get(block.label)
         if entry is None or entry.block is not block:
             self._decoded[block.label] = entry = DecodedBlock(block, self)

@@ -189,7 +189,8 @@ class ProtocolMixin:
             self.queue.at(now + 1,
                           partial(self._dispatch_reads, instance, my_reads))
 
-        if not decoded.chunk_sizes[core_index]:
+        groups = decoded.groups[core_index]
+        if not groups:
             return
 
         # I-cache: the slice occupies ceil(4*|chunk| / line) lines.  The
@@ -211,7 +212,6 @@ class ProtocolMixin:
                 t = done
 
         # Dispatch in groups of dispatch_width per cycle.
-        groups = decoded.groups[core_index]
         for g, group in enumerate(groups):
             self.queue.at(t + g + 1,
                           partial(self._dispatch_group, instance, group, core))
@@ -227,8 +227,8 @@ class ProtocolMixin:
             self.dispatch_read(instance, read)
 
     def _dispatch_group(self, instance: BlockInstance, group, core) -> None:
-        """Dispatch a packet of compiled instructions into the window;
-        one whose operands all arrived earlier is ready at once."""
+        """Dispatch a packet of instruction records into the window; one
+        whose operands all arrived earlier is ready at once."""
         if instance.state is SQUASHED:
             return
         missing = instance.missing
@@ -243,13 +243,13 @@ class ProtocolMixin:
     # Branch resolution and misprediction recovery
     # ------------------------------------------------------------------
 
-    def _on_branch_resolved(self, instance: BlockInstance, inst,
+    def _on_branch_resolved(self, instance: BlockInstance, record,
                             next_addr: int) -> None:
         if instance.state is SQUASHED or instance.branch_done:
             return
         instance.branch_done = True
-        instance.actual_exit = inst.exit_id
-        instance.actual_kind = BranchKind.of_opcode(inst.op.name)
+        instance.actual_exit = record.exit_id
+        instance.actual_kind = BranchKind.of_opcode(record.op.name)
         instance.actual_next = next_addr
 
         prediction = instance.prediction

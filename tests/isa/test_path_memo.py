@@ -29,7 +29,7 @@ from tests.sample_programs import ALL_SAMPLES
 def _forgetful(interp, block):
     """``execute_block`` with the block's learnt paths out of sight (the
     private cache is poked; there is no knob)."""
-    pb = interp.prepare(block)
+    pb = interp_mod.prepare_block(interp.program, block)
     saved = pb.path, pb.tails
     pb.path, pb.tails = None, 0
     try:
@@ -284,6 +284,20 @@ def test_dynamic_forwarding_errors_stay_dynamic(offsets, kwargs, needle):
     text = lockstep(_aliasing(offsets, **kwargs))
     assert text is not None and needle in text
     assert lockstep(_aliasing([16, 0, 32], load_op="LDD")) is None
+
+
+def test_a_forwarded_load_is_not_a_memory_access():
+    """``load_addrs`` lists what a D-cache would see: not a load its
+    block's store forwards to (offset 0), learnt or compiled."""
+    program = _aliasing([0, 16, 0, 16], load_op="LDD")
+    interp = Interpreter(program)
+    interp.commit(interp.execute_block(program.blocks["init"]))
+    counts = []
+    for __ in range(4):
+        outcome = interp.execute_block(program.blocks["body"])
+        interp.commit(outcome)
+        counts.append(len(outcome.load_addrs))
+    assert counts == [1, 2, 1, 2]
 
 
 # ----------------------------------------------------------------------

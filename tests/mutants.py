@@ -15,7 +15,9 @@ Run it from the repo root::
 It copies the tree to a temporary directory, applies one row at a time,
 runs only that row's catcher (hypothesis seeded, so a run repeats) and
 restores the file.  It prints one line per row and exits 1 if a mutant
-survives.  ``tests/test_mutants.py`` keeps the table from going stale.
+survives that :data:`JUSTIFIED` does not argue for; the justified
+survivors are listed with their argument at the end.
+``tests/test_mutants.py`` keeps the table from going stale.
 """
 
 from __future__ import annotations
@@ -32,6 +34,17 @@ LINT = "repro lint"
 
 _WARM = "tests/test_warm.py::"
 _LOADS_BACK = _WARM + "test_snapshot_survives_json_and_loads_back_equal"
+_INTERP = "src/repro/isa/interp.py"
+_SHADOW = "src/repro/sample/shadow.py"
+_DECODE = "src/repro/tflex/decode.py"
+_RECORDS = ("tests/tflex/test_decode.py::"
+            "test_records_match_isa_on_every_composition[conv]")
+_MEMO = "tests/isa/test_path_memo.py::"
+_TYPES = _MEMO + "test_operand_types_on_compiled_paths[selectors"
+_CLASSIFY = _MEMO + "test_sample_programs_agree[predicated_classify]"
+_FIXED = "tests/sample/test_fixed_point.py::"
+_ICACHE = (_FIXED + "test_thrashing_sets[32]", _FIXED + "test_nested_loops",
+           _FIXED + "test_generated_loop_programs")
 
 MUTANTS = [
     # Leaf WARM lists (REP101's own case): a field left off, or a name
@@ -117,7 +130,104 @@ MUTANTS = [
     ("REP204-l2-sharer-order", "src/repro/mem/l2.py",
      "for sharer in sorted(entry.sharers):", "for sharer in entry.sharers:",
      LINT),
+    # One record per static instruction: the timing model's placement
+    # over the interpreter's records.
+    ("fold-route-slot-off-by-one", _DECODE,
+     "pb.insts[enc >> 2], enc))", "pb.insts[enc >> 2], enc + 1))",
+     (_RECORDS,)),
+    ("fold-groups-not-interleaved", _DECODE,
+     "chunks = [pb.insts[index::ncores] for index in range(ncores)]",
+     "n = len(pb.insts)\n"
+     "        chunks = [pb.insts[i * n // ncores:(i + 1) * n // ncores]\n"
+     "                  for i in range(ncores)]",
+     (_RECORDS,)),
+    ("fold-missing-without-dispatch-token", _DECODE,
+     "self.missing = [need + 1 for need in pb.needs]",
+     "self.missing = list(pb.needs)",
+     ("tests/tflex/test_units.py::TestBlockInstance::"
+      "test_not_ready_before_dispatch",)),
+    ("fold-dep-key-from-iid", _INTERP,
+     "self.dep_key = (block.label, inst.lsq_id)",
+     "self.dep_key = (block.label, inst.iid)", (_RECORDS,)),
+    # Compiled block paths, and the load helper they share with the
+    # dataflow loop.
+    ("compile-register-reads-typed-int", _INTERP,
+     '            lines.append(f"{value} = regs[{reg}]")\n',
+     '            lines.append(f"{value} = regs[{reg}]")\n'
+     "            result = int\n",
+     (_TYPES + "0]",)),
+    ("compile-guard-polarity", _INTERP,
+     "if {'' if guard.falsy else 'not '}{value}: ",
+     "if {'not ' if guard.falsy else ''}{value}: ", (_CLASSIFY,)),
+    ("interp-forwarded-load-logged", _INTERP,
+     "                return value\n        load_addrs.append(addr)\n",
+     "                load_addrs.append(addr)\n"
+     "                return value\n        load_addrs.append(addr)\n",
+     (_MEMO + "test_a_forwarded_load_is_not_a_memory_access",)),
+    ("compile-ldd-read-unsigned", _INTERP,
+     '(8, False): "<q"', '(8, False): "<Q"',
+     (_MEMO + "test_loads_on_a_compiled_path[LDD-8-True]",)),
+    ("compile-tail-with-root-types", _INTERP,
+     "    types: dict[int, type] = {}     # slot -> int / float where known\n",
+     "    types = _compile.__dict__.setdefault(pb.label, {})\n",
+     (_TYPES + "2]",)),
+    ("compile-every-load-typed", _INTERP,
+     "            if not pi.older:            # nothing in the block can "
+     "forward\n", "            if True:\n", (_TYPES + "0]",)),
+    ("compile-buf-store-elided-across-exit", _INTERP,
+     "if use is not None and exits[use] == exits[pos]:",
+     "if use is not None:", (_CLASSIFY,)),
+    ("compile-inline-load-with-older-stores", _INTERP,
+     "f\"if {'block_stores or ' if pi.older else ''}page is None \"",
+     'f"if page is None "',
+     (_MEMO + "test_late_path_is_learnt_then_served_without_the_dataflow_"
+      "loop",)),
+    # Loop fixed points in the shadow warm-up; the last three survive
+    # (see JUSTIFIED).
+    ("warm-skip-replays-nothing", _SHADOW,
+     "period = [(at, reads[at]) for at in range(i - p, i) if at in reads]",
+     "period = []", (_FIXED + "test_store_to_a_code_line[4096]",)),
+    ("warm-collapse-past-owner", _SHADOW,
+     "                        if entry.owner is None:\n",
+     "                        if True:\n",
+     (_FIXED + "test_store_to_a_code_line[0]",)),
+    ("warm-pred-snapshot-no-ras-top", _SHADOW,
+     "lambda i, j: (ghist, ras._top, changes)",
+     "lambda i, j: (ghist, changes)",
+     (_FIXED + "test_generated_loop_programs",)),
+    ("warm-pred-snapshot-no-change-count", _SHADOW,
+     "lambda i, j: (ghist, ras._top, changes)",
+     "lambda i, j: (ghist, ras._top)", (_FIXED + "test_nested_loops",)),
+    ("warm-pred-periods-by-address-only", _SHADOW,
+     "            columns, run, lambda i, j:",
+     "            (interval.addrs,), run, lambda i, j:",
+     (_FIXED + "test_skip_engages_on_a_one_block_loop",)),
+    ("warm-icache-snapshot-no-set-contents", _SHADOW,
+     "            return ([tuple(icache._sets.get(index, ()))\n"
+     "                     for icache in self.icaches for index in order],\n"
+     "                    list(pending.items()), dict(resident))",
+     "            return (list(pending.items()), dict(resident))", _ICACHE),
+    ("warm-icache-snapshot-no-resident", _SHADOW,
+     "list(pending.items()), dict(resident))", "list(pending.items()))",
+     _ICACHE),
+    ("warm-icache-snapshot-pending-unordered", _SHADOW,
+     "list(pending.items()), dict(resident))",
+     "sorted(pending.items()), dict(resident))", _ICACHE),
 ]
+
+#: Rows that survive on purpose: id -> why no test can see the bug.  The
+#: I-cache pass compares a loop period only after the same period ran
+#: once, and an LRU stack after two identical periods equals the stack
+#: after one; the snapshot keeps these parts so the exactness argument
+#: stays local.
+JUSTIFIED = {
+    "warm-icache-snapshot-no-set-contents":
+        "the period's I-cache sets are equal after one and after two runs",
+    "warm-icache-snapshot-no-resident":
+        "residency follows those stacks, so it is equal after both runs",
+    "warm-icache-snapshot-pending-unordered":
+        "both runs leave the period's blocks pending in its fetch order",
+}
 
 _COPY_IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".repro-cache")
@@ -132,6 +242,7 @@ def _commands(catcher) -> list:
 
 def main() -> int:
     survivors = 0
+    justified = []
     with tempfile.TemporaryDirectory() as tmp:
         tree = pathlib.Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=_COPY_IGNORE)
@@ -153,14 +264,22 @@ def main() -> int:
             # Exit 1 is a finding or a failed test; anything else (a
             # test id that no longer exists, a crash) catches nothing.
             caught = all(code == 1 for code in codes)
-            survivors += not caught
             shown = catcher if catcher == LINT else " ".join(catcher)
-            print(f"{'caught' if caught else 'SURVIVED':8} {mutant_id}: "
-                  f"{shown}" + ("" if caught else f" (exit {codes})"),
-                  flush=True)
-    print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} mutants caught")
+            if caught:
+                status = "caught"
+            elif mutant_id in JUSTIFIED and all(code == 0 for code in codes):
+                status = "survived"
+                justified.append(mutant_id)
+            else:
+                status = "SURVIVED"
+                survivors += 1
+            print(f"{status:8} {mutant_id}: {shown}"
+                  + ("" if caught else f" (exit {codes})"), flush=True)
+    print(f"{len(MUTANTS) - survivors - len(justified)}/{len(MUTANTS)} "
+          f"mutants caught, {len(justified)} justified survivors:")
+    for mutant_id in justified:
+        print(f"  {mutant_id}: {JUSTIFIED[mutant_id]}")
     return 1 if survivors else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,12 +1,14 @@
-"""Compiled block records agree with the ISA definitions.
+"""The timing model's block artifacts agree with the ISA definitions.
 
-For every suite benchmark on every composition size (plus a TRIPS-mode
-chip and a rectangle that does not start at core 0) each field of the
-per-(block, geometry) records the timing model indexes must equal what
-the ISA-level definitions give when derived per event: ``Target`` +
-``interleave.rf_bank_of`` + ``core_ids[index % ncores]`` for routes,
-``evaluate(op, operands, resolve_imm(imm))`` for bound evaluators,
-``op.operands + (pred is not None)`` for need counts.
+The instruction records (``isa.interp._PInst``) do not depend on the
+composition, so for every suite benchmark each one is checked once per
+program: ``evaluate(op, operands, resolve_imm(imm))`` for bound
+evaluators, ``op.operands + (pred is not None)`` for need counts, the
+opcode table for latency, issue class and energy key.  The placement
+(``tflex.decode.DecodedBlock``) is checked per composition, on every
+composition size plus a TRIPS-mode chip and a rectangle that does not
+start at core 0: routes against ``Target`` + ``interleave.rf_bank_of`` +
+``core_ids[index % ncores]``, dispatch groups, read slots, I-cache lines.
 """
 
 import copy
@@ -16,10 +18,10 @@ import pytest
 
 from repro.harness.runner import cached_program
 from repro.isa.instruction import TargetKind
+from repro.isa.interp import ALU, BRANCH, LOAD, NULL, STORE, prepare_block
 from repro.isa.opcodes import OpClass, evaluate, memory_size
 from repro.isa.program import HALT_ADDR
 from repro.tflex import TFlexSystem, interleave, tflex_config, trips_config
-from repro.tflex.decode import ALU, BRANCH, LOAD, NULL, STORE
 from repro.workloads import BENCHMARKS
 
 KIND_OF = {OpClass.LOAD: LOAD, OpClass.STORE: STORE,
@@ -43,7 +45,35 @@ def compositions():
     yield tflex_config(32), dict(size=4, origin=(2, 2))
 
 
-def check_routes(routes, targets, block, decoded, proc):
+def check_record(inst, pi, block, program):
+    op = inst.op
+    assert (pi.iid, pi.base) == (inst.iid, inst.iid << 2)
+    assert pi.kind == KIND_OF.get(op.opclass, ALU)
+    assert pi.is_fp == op.is_fp
+    assert pi.energy == ("fpu_op" if op.is_fp else "alu_op")
+    assert pi.latency == op.latency
+    assert pi.pred == inst.pred and pi.lsq_id == inst.lsq_id
+    assert pi.need == op.operands + (inst.pred is not None)
+    assert pi.dep_key == ((block.label, inst.lsq_id)
+                          if pi.kind in (LOAD, STORE) else None)
+    if pi.kind == ALU:
+        imm = program.resolve_imm(inst.imm)
+        for a, b in SAMPLES:
+            assert same(pi.evalf(a, b),
+                        evaluate(op, (a, b)[:op.operands], imm)), op.name
+    elif pi.kind in (LOAD, STORE):
+        assert pi.size == memory_size(op)
+        assert pi.fp == op.name.endswith("F")
+        assert pi.offset == int(inst.imm or 0)
+    elif pi.kind == BRANCH:
+        expected = {"HALT": HALT_ADDR, "RET": None}.get(op.name)
+        if op.name in ("BRO", "CALLO"):
+            expected = program.address_of(inst.branch_target)
+        assert pi.next_addr == expected
+        assert pi.exit_id == inst.exit_id
+
+
+def check_routes(routes, targets, block, pb, proc):
     assert len(routes) == len(targets)
     for (dest_id, dest, a, b), target in zip(routes, targets):
         if target.kind is TargetKind.WRITE:
@@ -54,54 +84,32 @@ def check_routes(routes, targets, block, decoded, proc):
         else:
             assert dest_id == proc.core_ids[target.index % proc.ncores]
             assert dest is proc.system.cores[dest_id]
-            assert a is decoded.records[target.index]
-            assert a.inst is block.insts[target.index]
-            assert b == 3 * target.index + int(target.slot)
+            assert a is pb.insts[target.index]
+            assert b == target.index << 2 | int(target.slot)
 
 
-def check_block(block, proc):
-    program = proc.program
+def check_placement(block, proc):
+    pb = prepare_block(proc.program, block)
     decoded = proc.decoded(block)
     assert proc.decoded(block) is decoded          # compiled once
-    assert len(decoded.records) == len(block.insts)
-    assert decoded.operands == [None] * (3 * len(block.insts))
-    for inst, record in zip(block.insts, decoded.records):
-        op = inst.op
-        assert (record.inst, record.iid, record.base) == (inst, inst.iid,
-                                                          3 * inst.iid)
-        assert record.kind == KIND_OF.get(op.opclass, ALU)
-        assert record.is_fp == op.is_fp
-        assert record.energy == ("fpu_op" if op.is_fp else "alu_op")
-        assert record.latency == op.latency
-        assert record.pred == inst.pred and record.lsq_id == inst.lsq_id
-        assert record.need == op.operands + (inst.pred is not None)
-        assert decoded.missing[inst.iid] == record.need + 1
-        check_routes(record.targets, inst.targets, block, decoded, proc)
-        if record.kind == ALU:
-            imm = program.resolve_imm(inst.imm)
-            for a, b in SAMPLES:
-                assert same(record.evalf(a, b),
-                            evaluate(op, (a, b)[:op.operands], imm)), op.name
-        elif record.kind in (LOAD, STORE):
-            assert record.size == memory_size(op)
-            assert record.fp == op.name.endswith("F")
-            assert record.offset == int(inst.imm or 0)
-            assert record.dep_key == (block.label, inst.lsq_id)
-        elif record.kind == BRANCH:
-            expected = {"HALT": HALT_ADDR, "RET": None}.get(op.name)
-            if op.name in ("BRO", "CALLO"):
-                expected = program.address_of(inst.branch_target)
-            assert record.next_addr == expected
+    assert decoded.operands == [None] * (len(block.insts) << 2)
+    assert len(decoded.routes) == len(block.insts)
+    for inst, pi in zip(block.insts, pb.insts):
+        assert decoded.missing[inst.iid] == pi.need + 1
+        check_routes(decoded.routes[inst.iid], inst.targets, block, pb, proc)
 
     # Instruction i executes on participating core i mod N, in
     # dispatch-width packets; reads resolve on their bank's core.
     width = proc.cfg.core.dispatch_width
     for index, groups in enumerate(decoded.groups):
         chunk = [r for group in groups for r in group]
+        # What the timing model dispatches is the program's own record.
+        assert all(r is pb.insts[r.iid] for r in chunk)
         assert [r.iid for r in chunk] == [
             i.iid for i in block.insts if i.iid % proc.ncores == index]
         assert all(0 < len(group) <= width for group in groups)
-        assert decoded.chunk_sizes[index] == len(chunk)
+        assert decoded.icache_lines[index] == max(
+            1, math.ceil(4 * len(chunk) / proc.cfg.line_size))
     compiled_reads = [read for reads in decoded.reads_by_core
                       for read in reads]
     assert len(compiled_reads) == len(block.reads)
@@ -114,32 +122,39 @@ def check_block(block, proc):
         r.reg, proc.num_rf_banks))      # stable: header order per bank
     for read, (reg, __, __, routes) in zip(by_bank, compiled_reads):
         assert reg == read.reg
-        check_routes(routes, read.targets, block, decoded, proc)
+        check_routes(routes, read.targets, block, pb, proc)
 
 
 @pytest.mark.parametrize("bench", sorted(BENCHMARKS))
 def test_records_match_isa_on_every_composition(bench):
+    """The records once per program, the placement per composition."""
     program, __, __ = cached_program("edge", bench, 1)
+    for block in program.blocks.values():
+        pb = prepare_block(program, block)
+        assert len(pb.insts) == len(block.insts)
+        for inst, pi in zip(block.insts, pb.insts):
+            check_record(inst, pi, block, program)
     for cfg, rect in compositions():
         system = TFlexSystem(cfg)
         proc = system.compose_rect(program=program, **rect)
         if "origin" in rect:
             assert proc.core_ids[0] != 0
         for block in program.blocks.values():
-            check_block(block, proc)
+            check_placement(block, proc)
 
 
 def test_records_belong_to_one_composition():
-    """Two compositions of one program never share records: each
-    resolves routes against its own ``core_ids``."""
+    """Two compositions of one program share its records but never
+    routes: each resolves them against its own ``core_ids``."""
     program, __, __ = cached_program("edge", "conv", 1)
     system = TFlexSystem(tflex_config(32))
     left = system.compose_rect(4, program, origin=(0, 0))
     right = system.compose_rect(4, program, origin=(2, 2))
     block = program.blocks[program.entry]
     assert left.decoded(block) is not right.decoded(block)
-    cores = {route[0] for record in right.decoded(block).records
-             for route in record.targets}
+    assert left.decoded(block).groups == right.decoded(block).groups
+    cores = {route[0] for routes in right.decoded(block).routes
+             for route in routes}
     assert cores <= set(right.core_ids)
     assert not cores & set(left.core_ids)
 

@@ -20,7 +20,9 @@ oracle**: the ISA interpreter (golden model), a 1-core TFlex composition
 (no distribution protocols), and an N-core composition (the full
 distributed fetch/execute/commit machinery).  All three must agree on
 architectural registers, scratch memory (and the program's data segment), and
-committed-block count.  The
+committed-block count.  Seeded cases also *co-run*: one program on two
+disjoint compositions of one chip, then on a third recomposed over
+their stale L1 lines, each agreeing with the interpreter.  The
 generator body is shared between a Hypothesis strategy (which keeps
 counterexamples shrinkable) and a plain seeded PRNG (`SEEDED_CASES`
 below — deterministic regression cases that need no Hypothesis database
@@ -33,7 +35,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import BlockBuilder, Interpreter, Program
-from repro.tflex import run_program
+from repro.tflex import TFlexSystem, rectangle, run_program, tflex_config
+from repro.tflex.placement import SHAPES
 
 from tests.generated_programs import selector_loop, selector_loops
 
@@ -174,22 +177,47 @@ def _scratch_words(memory, program):
                for addr, raw in sorted(program.data.items())])
 
 
-def assert_three_way_agreement(program: Program, ncores: int) -> None:
-    """Interpreter, 1-core sim, and N-core sim must agree exactly."""
+def assert_agrees_with_interpreter(program: Program, procs) -> None:
+    """Every processor ends in the interpreter's architectural state."""
     golden = Interpreter(program)
     result = golden.run(max_blocks=1000)
     assert result.halted and not result.truncated, \
         "golden run truncated by block budget — oracle comparison invalid"
     expected_scratch = _scratch_words(golden.mem, program)
 
-    for cores in (1, ncores):
-        proc = run_program(program, num_cores=cores, max_cycles=2_000_000)
-        label = f"{cores}-core"
+    for proc in procs:
+        label = f"{proc.name} ({proc.ncores} cores)"
         assert proc.regs == golden.regs, f"{label}: register state diverged"
         assert _scratch_words(proc.memory, program) == expected_scratch, \
             f"{label}: scratch memory diverged"
         assert proc.stats.blocks_committed == result.blocks_executed, \
             f"{label}: committed-block count diverged"
+
+
+def assert_three_way_agreement(program: Program, ncores: int) -> None:
+    """Interpreter, 1-core sim, and N-core sim must agree exactly."""
+    assert_agrees_with_interpreter(program, [
+        run_program(program, num_cores=cores, max_cycles=2_000_000)
+        for cores in (1, ncores)])
+
+
+def assert_co_run_agreement(program: Program, ncores: int) -> None:
+    """One program on a 1-core and an N-core composition of one chip at
+    once — its records under two placements, one L2 and DRAM — then,
+    after both decompose, on the whole chip in the first one's cache
+    context over the L1 lines they left (paper section 4.7)."""
+    cfg = tflex_config(32)
+    system = TFlexSystem(cfg)
+    width, height = SHAPES[ncores]
+    corner = (cfg.mesh_width - width, cfg.mesh_height - height)
+    pair = [system.compose_rect(1, program),
+            system.compose_rect(ncores, program, origin=corner)]
+    system.run(max_cycles=2_000_000)
+    for proc in pair:
+        system.decompose(proc)
+    whole = system.compose(rectangle(cfg, 32), program, ctx=pair[0].ctx)
+    system.run(max_cycles=4_000_000)
+    assert_agrees_with_interpreter(program, (*pair, whole))
 
 
 @settings(max_examples=60, deadline=None)
@@ -215,17 +243,31 @@ def test_simulator_matches_interpreter_on_loops(program, ncores):
     assert_three_way_agreement(program, ncores)
 
 
-@pytest.mark.parametrize("seed,ncores", SEEDED_CASES[:9])
-def test_seeded_loop_differential(seed, ncores):
-    """Deterministic loop cases: each path taken at least three times
-    (learnt, compiled, re-run), in a seed-determined order."""
+def _seeded_loop(seed: int) -> Program:
+    """Each path taken at least three times (learnt, compiled, re-run),
+    in a seed-determined order."""
     rng = random.Random(seed)
     npreds = rng.randint(1, 3)
     selectors = [rng.randrange(1 << (npreds + 1)) for __ in range(4)] * 3
     rng.shuffle(selectors)
-    program = selector_loop(
+    return selector_loop(
         selectors, npreds=npreds,
         store_slots=rng.sample(range(4), npreds),
         load_slots=[rng.randrange(4) for __ in range(rng.randint(1, 3))],
         nested=rng.random() < 0.5)
-    assert_three_way_agreement(program, ncores)
+
+
+@pytest.mark.parametrize("seed,ncores", SEEDED_CASES[:9])
+def test_seeded_loop_differential(seed, ncores):
+    """Deterministic loop cases."""
+    assert_three_way_agreement(_seeded_loop(seed), ncores)
+
+
+@pytest.mark.parametrize("seed,ncores", SEEDED_CASES[:9])
+def test_seeded_co_run(seed, ncores):
+    assert_co_run_agreement(build_random_program(SeededSource(seed)), ncores)
+
+
+@pytest.mark.parametrize("seed,ncores", SEEDED_CASES[:6])
+def test_seeded_loop_co_run(seed, ncores):
+    assert_co_run_agreement(_seeded_loop(seed), ncores)

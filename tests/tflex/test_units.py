@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.isa import BlockBuilder, Program
 from repro.isa.instruction import OperandSlot
+from repro.isa.interp import prepare_block
 from repro.tflex import (TFLEX, BlockState, EventQueue, TFlexSystem, pack,
                          rectangle, tflex_config, trips_config)
 from repro.tflex.instance import BlockInstance
@@ -303,14 +304,15 @@ class TestBlockInstance:
     @staticmethod
     def _deliver(instance, iid, slot, value):
         proc = instance.proc
-        proc._deliver_operand(instance, instance.decoded.records[iid],
-                              3 * iid + slot, value, proc.system.cores[0])
+        record = prepare_block(proc.program, instance.block).insts[iid]
+        proc._deliver_operand(instance, record, iid << 2 | slot, value,
+                              proc.system.cores[0])
 
     @staticmethod
     def _dispatch(instance, iid):
         proc = instance.proc
-        proc._dispatch_group(instance, (instance.decoded.records[iid],),
-                             proc.system.cores[0])
+        record = prepare_block(proc.program, instance.block).insts[iid]
+        proc._dispatch_group(instance, (record,), proc.system.cores[0])
 
     def test_not_ready_before_dispatch(self):
         instance, block = self._instance()
