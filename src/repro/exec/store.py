@@ -27,6 +27,7 @@ import pathlib
 import tempfile
 import time
 import zlib
+from itertools import chain
 from typing import Iterator, Optional, Union
 
 from repro.exec.spec import SCHEMA_VERSION, JobSpec, spec_hash
@@ -110,14 +111,19 @@ class BlobStore:
 
     @staticmethod
     def _encode(record: dict) -> bytes:
+        return BlobStore._compress([json.dumps(record, separators=(",", ":"))])
+
+    @staticmethod
+    def _compress(texts) -> bytes:
         # Compact separators + compression level 1: blobs are cold
         # storage for already-hashed content, so write latency (on the
         # recording run's critical path) beats ratio; ``mtime=0`` keeps
-        # the bytes deterministic for identical content.
+        # the bytes deterministic for identical content, however split.
         buffer = io.BytesIO()
         with gzip.GzipFile(fileobj=buffer, mode="wb",
                            compresslevel=1, mtime=0) as fh:
-            fh.write(json.dumps(record, separators=(",", ":")).encode("utf-8"))
+            for text in texts:
+                fh.write(text.encode("utf-8"))
         return buffer.getvalue()
 
     @staticmethod
@@ -160,6 +166,16 @@ class BlobStore:
         """Atomically persist one record; last writer wins on a race
         (both writers hold identical content for a content key)."""
         return self._write(key, {"payload": payload})
+
+    def store_text(self, key: str, payload_text) -> pathlib.Path:
+        """:meth:`store` for a payload given as pieces of its compact
+        JSON text, compressed as they come: the same bytes, and no
+        string of the whole payload."""
+        head = f'{{"schema":{self.salt},"key":{json.dumps(key)},"payload":'
+        path = self.path_for(key)
+        atomic_write(path, self._compress(chain([head], payload_text, ["}"])))
+        self.writes += 1
+        return path
 
     def _write(self, key: str, fields: dict) -> pathlib.Path:
         path = self.path_for(key)

@@ -219,6 +219,8 @@ class SampledRun:
                                  stats.blocks_committed, bench=self.spec.bench)
 
         self.dependence = set(proc.dependence_set)
+        # Fast-forward resumes, or the run ends, with these registers.
+        self.interp.regs[:] = proc.regs
         if finished:
             self.finished = True
             return
@@ -234,19 +236,23 @@ class SampledRun:
         runs — so moving state by O(1) reference swaps (contents
         identical to a ``state_dict``/``load_state`` round trip) is
         observably a copy in both directions, without materializing
-        per-window snapshots."""
+        per-window snapshots.  Every pair's geometry is compared before
+        any part moves, so a mismatch raises with nothing exchanged."""
         shadow = self.shadow
         shadow.settle()
         cores = system.cores
-        proc.ras.swap_state(shadow.ras)
-        for i, bank in enumerate(shadow.pred_banks):
-            cores[proc.core_of_index(i)].predictor.swap_state(bank)
-        for i, bank in enumerate(shadow.icaches):
-            cores[proc.core_of_index(i)].icache.swap_state(bank)
-        for b, bank in enumerate(shadow.dcaches):
-            cores[proc.dbank_core(b)].dcache.swap_state(bank)
-        for l2_bank, bank in zip(system.l2.banks, shadow.l2.banks):
-            l2_bank.swap_state(bank)
+        pairs = [(proc.ras, shadow.ras), *zip(system.l2.banks, shadow.l2.banks)]
+        pairs += [(cores[proc.core_of_index(i)].predictor, bank)
+                  for i, bank in enumerate(shadow.pred_banks)]
+        pairs += [(cores[proc.core_of_index(i)].icache, bank)
+                  for i, bank in enumerate(shadow.icaches)]
+        pairs += [(cores[proc.dbank_core(b)].dcache, bank)
+                  for b, bank in enumerate(shadow.dcaches)]
+        if any(part.warm_geometry() != bank.warm_geometry()
+               for part, bank in pairs):
+            raise ValueError("window and shadow warm geometries differ")
+        for part, bank in pairs:
+            part.swap_state(bank)
 
     def _inject(self, system: TFlexSystem, proc) -> None:
         """Move the shadow's warm state into the real structures."""
@@ -254,9 +260,8 @@ class SampledRun:
         rebuild_directory(system.l2, self._l1_by_global_core(system, proc))
 
     def _absorb(self, system: TFlexSystem, proc) -> None:
-        """Move the window's final state back into the shadow (and the
-        interpreter's registers) so fast-forward continues from it."""
-        self.interp.regs[:] = proc.regs
+        """Move the window's final state back into the shadow so
+        fast-forward continues from it."""
         self._swap_state(system, proc)
         self.shadow.rebuild_directory()
 
@@ -327,7 +332,7 @@ class SampledRun:
         self.blocks += executed
         self.insts += sum(interval.insts)
         self.loads += sum(interval.loads)
-        self.stores += sum(map(len, interval.stores)) >> 2
+        self.stores += len(interval.stores) >> 2
         if executed:
             self.addr = interval.nexts[-1]
         if interval.finished:
@@ -354,11 +359,11 @@ class SampledRun:
             branch_ops.append(outcome.branch_op)
             insts.append(outcome.insts_fired)
             loads.append(outcome.loads)
-            load_addrs.append(outcome.load_addrs)
-            flat = []
+            load_addrs.extend(outcome.load_addrs)
+            interval.load_ends.append(len(load_addrs))
             for __lsq, saddr, size, value, fp in outcome.stores:
-                flat += (saddr, size, value, 1 if fp else 0)
-            stores.append(flat)
+                stores += (saddr, size, value, 1 if fp else 0)
+            interval.store_ends.append(len(stores))
             addr = outcome.next_addr
             nexts.append(addr)
             if addr == HALT_ADDR:
@@ -375,17 +380,20 @@ class SampledRun:
         ``FlatMemory.store``) and land with direct page writes; only a
         page-straddling store takes the generic path."""
         pages = self.mem._pages
-        for saddr, raw in interval.stores_raw:
+        raw, ends = interval.stores_raw
+        start = 0
+        for saddr, end in zip(interval.stores[::4], ends):
             off = saddr & PAGE_MASK
-            end = off + len(raw)
-            if end <= PAGE_SIZE:
+            stop = off + end - start
+            if stop <= PAGE_SIZE:
                 number = saddr >> 12
                 page = pages.get(number)
                 if page is None:
                     page = pages[number] = bytearray(PAGE_SIZE)
-                page[off:end] = raw
+                page[off:stop] = raw[start:end]
             else:
-                self.mem.write_bytes(saddr, raw)
+                self.mem.write_bytes(saddr, raw[start:end])
+            start = end
 
     # ------------------------------------------------------------------
     # Extrapolation

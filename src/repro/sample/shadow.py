@@ -361,10 +361,10 @@ class ShadowUarch:
 
     def _warm_dcaches(self, interval, reads: dict) -> None:
         """Per block: the I-cache L2 reads ``reads`` recorded for it,
-        then the loads that went to memory (LSQ forwards never get
-        there), then committed stores via the same probe/upgrade/
-        allocate sequence as the commit drain.  A line's set and key
-        are resolved once per interval; a hit is one ``move_to_end``."""
+        then the lines of the loads that went to memory (LSQ forwards
+        never get there), then committed stores via the same probe/
+        upgrade/allocate sequence as the commit drain.  A line's set and
+        key are resolved once per interval; a hit is one ``move_to_end``."""
         ctx = self.ctx
         l2 = self.l2
         warm_read = l2.warm_read
@@ -375,9 +375,17 @@ class ShadowUarch:
         # Line number -> (its D-cache set, its key there, the bank, the
         # bank's core); sets are stable objects between transfers.
         dlines: dict[int, tuple] = {}
+        # A line loaded again right after itself in a block is there once
+        # (``FFInterval.load_lines``): it is MRU in its set and nothing
+        # ran in between, so it can neither miss nor reorder.  (Never
+        # across blocks: the block's stores run in between, and the next
+        # one's I-cache misses can reach the L2 and back-invalidate.)
+        lines, line_ends = interval.load_lines(line_size)
+        stores = interval.stores
+        line_start = store_start = 0
 
-        for i, (load_addrs, stores) in enumerate(
-                zip(interval.load_addrs, interval.stores)):
+        for i, (line_end, store_end) in enumerate(
+                zip(line_ends, interval.store_ends)):
             fetched = reads.get(i)
             if fetched:
                 for line_ctx, line_addr, cores in fetched:
@@ -392,21 +400,10 @@ class ShadowUarch:
                         else:
                             for core in cores[1:]:
                                 warm_read(line_ctx, line_addr, core)
-            # A load of the line the previous load of this block touched
-            # is skipped: that line is MRU in its set and nothing ran in
-            # between, so it can neither miss nor reorder.  (Not carried
-            # across blocks: this block's stores run in between, and the
-            # next one's I-cache misses can reach the L2 and
-            # back-invalidate.)
-            last = -1
-            for laddr in load_addrs:
-                line = laddr // line_size
-                if line == last:
-                    continue
-                last = line
+            for line in lines[line_start:line_end]:
                 entry = dlines.get(line)
                 if entry is None:
-                    entry = dlines[line] = self._dline(laddr)
+                    entry = dlines[line] = self._dline(line * line_size)
                 cache_set, key, dcache, bank_core = entry
                 try:
                     cache_set.move_to_end(key)
@@ -415,7 +412,8 @@ class ShadowUarch:
                     victim = dcache.fill(ctx, key[1], shared)
                     if victim is not None:
                         l2.l1_evicted(victim.ctx, victim.line_addr, bank_core)
-            for saddr in stores[::4]:       # [addr, size, value, fp] quads
+            # [addr, size, value, fp] quads
+            for saddr in stores[store_start:store_end:4]:
                 entry = dlines.get(saddr // line_size)
                 if entry is None:
                     entry = dlines[saddr // line_size] = self._dline(saddr)
@@ -428,6 +426,7 @@ class ShadowUarch:
                 victim = dcache.fill(ctx, saddr, modified)
                 if victim is not None:
                     l2.l1_evicted(victim.ctx, victim.line_addr, bank_core)
+            line_start, store_start = line_end, store_end
 
     def _dline(self, addr: int) -> tuple:
         """``(set, key, bank, bank core)`` of a data address's line."""

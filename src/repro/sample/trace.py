@@ -31,7 +31,10 @@ Correctness guards, layered:
 
 Replayed runs produce bit-identical ``RunResult`` payloads to direct
 interpretation — enforced by the cross-composition differential suite
-(``tests/sample/test_trace.py``) and the golden accuracy gates.
+(``tests/sample/test_trace.py``) and the golden accuracy gates.  In
+memory an interval's data columns are flat, with end offsets
+(:class:`FFInterval`); the recorder streams its blob a chunk of blocks
+at a time.
 
 The store root defaults to ``<cache-dir>/traces`` (the same resolution
 as the result store, hermetic under pytest); ``REPRO_FF_TRACE_DIR``
@@ -47,6 +50,8 @@ import json
 import os
 import pathlib
 import struct
+from array import array
+from itertools import accumulate, chain, islice
 from typing import Optional, Sequence
 
 import repro.obs as obs_lib
@@ -229,15 +234,6 @@ def encode_reg_delta(start_regs: Sequence, end_regs: Sequence) -> list:
             or type(start_regs[i]) is not type(end_regs[i])]
 
 
-def decode_reg_delta(start_regs: Sequence, delta: list) -> list:
-    """Apply an :func:`encode_reg_delta` delta; returns the end
-    register file as a new list."""
-    regs = list(start_regs)
-    for index, value in delta:
-        regs[index] = value
-    return regs
-
-
 def _encode_store_raw(size: int, value, fp: bool) -> bytes:
     """The exact bytes :meth:`FlatMemory.store` would write — encoding
     is deterministic, so replay can pre-compute it once per decoded
@@ -247,47 +243,92 @@ def _encode_store_raw(size: int, value, fp: bool) -> bytes:
     return (int(value) & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
 
 
-#: Per-block columns of an interval, in wire order.
-_COLUMNS = ("addrs", "exits", "nexts", "branch_ops", "insts", "loads",
-            "load_addrs", "stores")
+#: Per-block control columns of an interval, in wire order.
+_CONTROL = ("addrs", "exits", "nexts", "branch_ops", "insts", "loads")
+
+
+def block_spans(ends):
+    """``(start, end)`` per block of a flat column with end offsets."""
+    return zip(chain((0,), ends), ends)
 
 
 class FFInterval:
-    """One fast-forward interval as per-block columns plus the boundary
-    register delta: what the live loop appends to, the recorder keeps,
-    the codec reads and writes, and replay and warm-up consume.
+    """One fast-forward interval: what the live loop appends to, the
+    recorder keeps, the codec reads and writes, and replay and warm-up
+    consume.
 
-    ``branch_ops`` holds opcode names, ``loads`` functional load counts,
-    ``load_addrs`` the D-cache load addresses per block and ``stores``
-    each block's committed stores as the wire's flat
-    ``[addr, size, value, fp01] * n`` quads, in commit order.
+    The control columns (``addrs`` .. ``loads``) are lists, one entry
+    per block, as the warm-up's loop fixed points compare slices of
+    them.  The data columns ``load_addrs`` (an ``array``) and ``stores``
+    (``addr, size, value, fp01`` quads) are flat, in commit order, with
+    ``load_ends``/``store_ends`` where each block ends.
     """
 
-    __slots__ = ("start", *_COLUMNS, "reg_delta", "finished", "_stores_raw")
+    __slots__ = ("start", *_CONTROL, "load_addrs", "load_ends",
+                 "stores", "store_ends", "reg_delta", "finished",
+                 "_stores_raw", "_load_lines")
 
-    def __init__(self, start: int, columns=None, reg_delta=(),
+    def __init__(self, start: int, *, reg_delta=(),
                  finished: bool = False) -> None:
         self.start = start
-        for name, column in zip(_COLUMNS, columns or ([] for __ in _COLUMNS)):
-            setattr(self, name, column)
+        for name in _CONTROL:
+            setattr(self, name, [])
+        self.load_addrs, self.load_ends = array("Q"), array("Q")
+        self.stores, self.store_ends = [], array("Q")
         self.reg_delta = reg_delta        # [[index, value], ...] at the end
         self.finished = finished
         self._stores_raw = None
+        self._load_lines: dict = {}
+
+    @classmethod
+    def of_blocks(cls, start: int, columns, *, reg_delta=(),
+                  finished: bool = False) -> "FFInterval":
+        """An interval from per-block columns in wire order, the data
+        columns one list per block."""
+        interval = cls(start, reg_delta=reg_delta, finished=finished)
+        *control, load_addrs, stores = columns
+        for name, column in zip(_CONTROL, control):
+            setattr(interval, name, column)
+        for block in load_addrs:
+            interval.load_addrs.extend(block)
+            interval.load_ends.append(len(interval.load_addrs))
+        for block in stores:
+            interval.stores += block
+            interval.store_ends.append(len(interval.stores))
+        return interval
 
     def __len__(self) -> int:
         return len(self.addrs)
 
     @property
-    def stores_raw(self) -> list:
-        """``[(addr, raw_bytes), ...]`` in commit order — what replay
-        writes to memory; encoded on first use, once per in-memory
-        trace."""
+    def stores_raw(self) -> tuple:
+        """``(raw, ends)``: the bytes replay writes, one ``bytes`` in
+        commit order, and where each store's bytes end; encoded on first
+        use, once per in-memory trace."""
         if self._stores_raw is None:
-            self._stores_raw = [
-                (flat[i], _encode_store_raw(flat[i + 1], flat[i + 2],
-                                            flat[i + 3]))
-                for flat in self.stores for i in range(0, len(flat), 4)]
+            flat = self.stores
+            parts = [_encode_store_raw(flat[i + 1], flat[i + 2], flat[i + 3])
+                     for i in range(0, len(flat), 4)]
+            self._stores_raw = (b"".join(parts),
+                                array("Q", accumulate(map(len, parts))))
         return self._stores_raw
+
+    def load_lines(self, line_size: int) -> tuple:
+        """``(lines, ends)``: per block, the lines its loads touch, a
+        line loaded again right after itself kept once; derived once per
+        line size and shared by every composition's warm-up."""
+        if line_size not in self._load_lines:
+            lines, ends = array("Q"), array("Q")
+            for start, end in block_spans(self.load_ends):
+                last = -1
+                for addr in self.load_addrs[start:end]:
+                    line = addr // line_size
+                    if line != last:
+                        lines.append(line)
+                        last = line
+                ends.append(len(lines))
+            self._load_lines[line_size] = lines, ends
+        return self._load_lines[line_size]
 
 
 class FFTrace:
@@ -307,28 +348,44 @@ class FFTrace:
 
 
 def encode_trace(trace: FFTrace) -> dict:
-    """The JSON-safe payload for one trace: branch opcodes interned
-    into a shared table, every other column as it stands."""
-    op_index: dict = {}
-    encoded = []
+    """The JSON-safe payload for one trace (:func:`_encode_text`)."""
+    return json.loads("".join(_encode_text(trace)))
+
+
+def _encode_text(trace: FFTrace, chunk: int = 1024):
+    """One trace's payload as compact JSON text, in pieces: branch
+    opcodes interned into a shared table, the data columns one list per
+    block, made ``chunk`` blocks at a time, every other column as it
+    stands."""
+    def dumps(obj) -> str:
+        return json.dumps(obj, separators=(",", ":"))
+
+    op_index = {op: i for i, op in enumerate(dict.fromkeys(
+        chain.from_iterable(iv.branch_ops for iv in trace.intervals)))}
+    yield dumps({"schema": TRACE_SCHEMA, "bench": trace.bench,
+                 "scale": trace.scale,
+                 "sampling": dict(sorted(trace.sampling.items())),
+                 "program": trace.program, "branch_ops": list(op_index),
+                 })[:-1] + ',"intervals":['
+    separator = ""
     for iv in trace.intervals:
-        brix = [op_index.setdefault(op, len(op_index))
-                for op in iv.branch_ops]
-        encoded.append({
+        yield separator + dumps({
             "start": iv.start, "addrs": iv.addrs, "exits": iv.exits,
-            "nexts": iv.nexts, "brix": brix, "insts": iv.insts,
-            "loads": iv.loads, "la": iv.load_addrs, "st": iv.stores,
-            "regs": iv.reg_delta, "finished": iv.finished,
-        })
-    return {
-        "schema": TRACE_SCHEMA,
-        "bench": trace.bench,
-        "scale": trace.scale,
-        "sampling": dict(sorted(trace.sampling.items())),
-        "program": trace.program,
-        "branch_ops": list(op_index),
-        "intervals": encoded,
-    }
+            "nexts": iv.nexts, "brix": [op_index[op] for op in iv.branch_ops],
+            "insts": iv.insts, "loads": iv.loads})[:-1]
+        for name, blocks in (
+                ("la", (iv.load_addrs[a:b].tolist()
+                        for a, b in block_spans(iv.load_ends))),
+                ("st", (iv.stores[a:b] for a, b in block_spans(iv.store_ends)))):
+            yield f',"{name}":['
+            comma = ""
+            for part in iter(lambda: list(islice(blocks, chunk)), []):
+                yield comma + dumps(part)[1:-1]
+                comma = ","
+            yield "]"
+        yield "," + dumps({"regs": iv.reg_delta, "finished": iv.finished})[1:]
+        separator = ","
+    yield "]}"
 
 
 def decode_trace(payload: dict) -> FFTrace:
@@ -339,11 +396,11 @@ def decode_trace(payload: dict) -> FFTrace:
         raise ValueError(f"trace schema {schema!r} != {TRACE_SCHEMA}")
     ops = payload["branch_ops"]
     intervals = [
-        FFInterval(raw["start"],
-                   (raw["addrs"], raw["exits"], raw["nexts"],
-                    [ops[i] for i in raw["brix"]], raw["insts"],
-                    raw["loads"], raw["la"], raw["st"]),
-                   reg_delta=raw["regs"], finished=raw["finished"])
+        FFInterval.of_blocks(raw["start"],
+                             (raw["addrs"], raw["exits"], raw["nexts"],
+                              [ops[i] for i in raw["brix"]], raw["insts"],
+                              raw["loads"], raw["la"], raw["st"]),
+                             reg_delta=raw["regs"], finished=raw["finished"])
         for raw in payload["intervals"]]
     return FFTrace(bench=payload["bench"], scale=payload["scale"],
                    sampling=payload["sampling"],
@@ -385,7 +442,7 @@ class RecordSession:
         _cache_parsed(self.store, self.key, trace)
         obs = obs_lib.current()
         try:
-            path = self.store.store(self.key, encode_trace(trace))
+            path = self.store.store_text(self.key, _encode_text(trace))
         except OSError as exc:
             if obs.active:
                 obs.emit("trace.write_failed", bench=spec.bench, key=self.key,
@@ -461,7 +518,7 @@ def _read_trace(store: FFTraceStore, key: str) -> Optional[FFTrace]:
         return None
     try:
         return decode_trace(payload)
-    except (ValueError, KeyError, TypeError, IndexError):
+    except (ValueError, KeyError, TypeError, IndexError, OverflowError):
         return None
 
 

@@ -45,6 +45,11 @@ _CLASSIFY = _MEMO + "test_sample_programs_agree[predicated_classify]"
 _FIXED = "tests/sample/test_fixed_point.py::"
 _ICACHE = (_FIXED + "test_thrashing_sets[32]", _FIXED + "test_nested_loops",
            _FIXED + "test_generated_loop_programs")
+_TRACE = "src/repro/sample/trace.py"
+_DECODED = ("tests/sample/test_trace.py::"
+            "test_decoded_trace_replays_like_the_recorded_one")
+_STREAMED = ("tests/sample/test_trace.py::TestTraceRoundtrip::"
+             "test_streamed_text_is_the_payload_text")
 
 MUTANTS = [
     # Leaf WARM lists (REP101's own case): a field left off, or a name
@@ -213,6 +218,27 @@ MUTANTS = [
     ("warm-icache-snapshot-pending-unordered", _SHADOW,
      "list(pending.items()), dict(resident))",
      "sorted(pending.items()), dict(resident))", _ICACHE),
+    # Compact fast-forward intervals: flat data columns with per-block
+    # end offsets, the shared load-line column, the replay bytes and the
+    # streamed blob encoder.
+    ("trace-load-end-off-by-one", "src/repro/sample/engine.py",
+     "interval.load_ends.append(len(load_addrs))",
+     "interval.load_ends.append(len(load_addrs) + 1)", (_DECODED,)),
+    ("trace-load-lines-across-blocks", _TRACE,
+     "            for start, end in block_spans(self.load_ends):\n"
+     "                last = -1\n",
+     "            last = -1\n"
+     "            for start, end in block_spans(self.load_ends):\n",
+     ("tests/sample/test_lazy_lru.py::"
+      "test_repeat_skip_is_not_carried_across_blocks",)),
+    ("trace-land-bytes-one-late", "src/repro/sample/engine.py",
+     "page[off:stop] = raw[start:end]",
+     "page[off:stop] = raw[start + 1:end + 1]", (_DECODED,)),
+    ("trace-text-drops-interval-separator", _TRACE,
+     '        separator = ","\n', '        separator = ""\n', (_DECODED,)),
+    ("trace-text-drops-chunk-separator", _TRACE,
+     '                comma = ","\n', '                comma = ""\n',
+     (_STREAMED,)),
 ]
 
 #: Rows that survive on purpose: id -> why no test can see the bug.  The

@@ -144,6 +144,37 @@ class TestSampledResult:
         assert result.insts_committed > 0
 
 
+def test_swap_checks_every_pair_before_moving_any():
+    """The window hand-off pairs the shadow's RAS, predictor, I-, D- and
+    L2 banks with a window system's, in that order; a last D-cache pair
+    of another geometry must be refused with every part still where it
+    was (regression: the earlier parts had already been exchanged)."""
+    from repro.mem.cache import CacheBank
+    from repro.sample.shadow import ShadowUarch
+    from repro.tflex import TFlexSystem
+    from repro.tflex.placement import rectangle
+
+    run = SampledRun(JobSpec.edge("conv", 4, scale=2, sampling=SAMPLING))
+    run.step()                              # a window, then a warmed interval
+    system = TFlexSystem(run.cfg)
+    proc = system.compose(rectangle(run.cfg, run.ncores), run.program)
+    core = system.cores[proc.dbank_core(run.shadow.num_dbanks - 1)]
+    core.dcache = CacheBank(2 * run.cfg.core.dcache_bytes,
+                            run.cfg.core.dcache_assoc, run.cfg.line_size)
+    parts = [proc.ras, *(c.predictor for c in system.cores),
+             *(c.icache for c in system.cores),
+             *(c.dcache for c in system.cores), *system.l2.banks]
+    before = ([part.state_dict() for part in parts],
+              run.shadow.state_dict())
+    cold = ShadowUarch(run.cfg, run.ncores).state_dict()
+    assert all(before[1][part] != cold[part]
+               for part in ("pred", "icache", "dcache", "l2"))
+    with pytest.raises(ValueError, match="geometr"):
+        run._swap_state(system, proc)
+    assert ([part.state_dict() for part in parts],
+            run.shadow.state_dict()) == before
+
+
 class TestObservability:
     def test_window_and_ff_events_and_metrics(self):
         bundle = obs.configure(metrics=True)

@@ -80,7 +80,8 @@ def run(ncores, intervals, ops=None, sizes=None, loads=None, stores=None,
         if not rows:
             continue
         ghist = lazy.warm(
-            FFInterval(rows[0][0], [list(c) for c in zip(*rows)]), ghist,
+            FFInterval.of_blocks(rows[0][0], [list(c) for c in zip(*rows)]),
+            ghist,
             lambda a: SimpleNamespace(size=sizes.get(a // BLOCK_STRIDE, 40)))
         assert ghist == eager_ghist
         skipped.append(lazy.skipped)

@@ -151,7 +151,8 @@ def drive(ncores, icache_bytes, events, check_each=False):
                 eager_ghist = eager_block(
                     eager, eager_ghist, addr, size, exit_id,
                     nxt * BLOCK_STRIDE, op, loads, stores)
-            interval = FFInterval(rows[0][0], [list(c) for c in zip(*rows)])
+            interval = FFInterval.of_blocks(rows[0][0],
+                                            [list(c) for c in zip(*rows)])
             ghist = lazy.warm(interval, ghist,
                               lambda a: SimpleNamespace(size=sizes[a]))
             assert ghist == eager_ghist
@@ -207,7 +208,7 @@ def test_loop_nest_defers_and_settles():
     lazy = make_shadow(4, 8192)
     drive(4, 8192, [loop, "snapshot", loop, "window", loop, "roundtrip", loop])
     rows = [(n * BLOCK_STRIDE, 0, 0, "BRO", 1, 0, [], []) for n in range(3)] * 5
-    interval = FFInterval(0, [list(c) for c in zip(*rows)])
+    interval = FFInterval.of_blocks(0, [list(c) for c in zip(*rows)])
     lazy.warm(interval, 0, lambda a: SimpleNamespace(size=40))
     assert set(lazy._resident) == {0, BLOCK_STRIDE, 2 * BLOCK_STRIDE}
     assert list(lazy._pending) == [0, BLOCK_STRIDE, 2 * BLOCK_STRIDE]
@@ -229,7 +230,7 @@ def test_thrashing_set_does_not_flush_unrelated_blocks():
     lazy = make_shadow(1, 8192)
     rows = [(n * BLOCK_STRIDE, 0, 0, "BRO", 1, 0, [], [])
             for n in (0, 1, 4, 1, 8, 1) * 6 + (0,)]
-    interval = FFInterval(0, [list(c) for c in zip(*rows)])
+    interval = FFInterval.of_blocks(0, [list(c) for c in zip(*rows)])
     lazy.warm(interval, 0, lambda a: SimpleNamespace(size=3))
     assert list(lazy._pending.items()) == [(BLOCK_STRIDE, 3)]
     assert lazy._resident[BLOCK_STRIDE] == 3

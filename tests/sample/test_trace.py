@@ -28,8 +28,8 @@ from repro.sample.trace import (
     FFTraceStore,
     RecordSession,
     ReplaySession,
+    block_spans,
     configure_ff_trace,
-    decode_reg_delta,
     decode_trace,
     encode_reg_delta,
     encode_trace,
@@ -74,8 +74,10 @@ _regfiles = st.lists(_reg_values, min_size=8, max_size=8)
 class TestRegDelta:
     @given(_regfiles, _regfiles)
     def test_roundtrip(self, start, end):
-        delta = _json_roundtrip(encode_reg_delta(start, end))
-        assert decode_reg_delta(start, delta) == end
+        regs = list(start)
+        for index, value in _json_roundtrip(encode_reg_delta(start, end)):
+            regs[index] = value             # as the replay applies it
+        assert regs == end
 
     @given(_regfiles)
     def test_identity_is_empty(self, regs):
@@ -111,27 +113,37 @@ _intervals = st.lists(st.tuples(
 ), min_size=1, max_size=8)
 
 
+def _columns(blocks):
+    """Per-block columns in wire order (the data columns one list per
+    block)."""
+    return ([b * 64 for b, *_ in blocks],
+            [e for _, e, *_ in blocks],
+            [n * 64 for _, _, n, *_ in blocks],
+            [op for *_3, op, _i, _l, _s in blocks],
+            [i for *_4, i, _l, _s in blocks],
+            [len(l) for *_5, l, _s in blocks],
+            [list(l) for *_5, l, _s in blocks],
+            [list(s) for *_6, s in blocks])
+
+
 def _build_interval(blocks, start, finished):
-    return FFInterval(start, (
-        [b * 64 for b, *_ in blocks],
-        [e for _, e, *_ in blocks],
-        [n * 64 for _, _, n, *_ in blocks],
-        [op for *_3, op, _i, _l, _s in blocks],
-        [i for *_4, i, _l, _s in blocks],
-        [len(l) for *_5, l, _s in blocks],
-        [list(l) for *_5, l, _s in blocks],
-        [list(s) for *_6, s in blocks],
-    ), reg_delta=[[1, 42]], finished=finished)
+    return FFInterval.of_blocks(start, _columns(blocks), reg_delta=[[1, 42]],
+                                finished=finished)
 
 
 def _trace(intervals, bench="conv", scale=1, program="fp"):
     return FFTrace(bench, scale, dict(SAMPLING), program, intervals)
 
 
+#: An interval's columns and fields (its derived caches excluded).
+FIELDS = [name for name in FFInterval.__slots__ if not name.startswith("_")]
+
+
 def _same_interval(got, want):
-    """Field-for-field equality of two FFIntervals."""
-    return all(getattr(got, name) == getattr(want, name)
-               for name in FFInterval.__slots__ if name != "_stores_raw") \
+    """Field-for-field equality of two FFIntervals, in type too (an
+    int column entry is not a float one)."""
+    return repr([getattr(got, name) for name in FIELDS]) \
+        == repr([getattr(want, name) for name in FIELDS]) \
         and got.stores_raw == want.stores_raw
 
 
@@ -169,15 +181,44 @@ class TestTraceRoundtrip:
 
         via_store = FlatMemory()
         via_raw = FlatMemory()
-        quads = [flat[i:i + 4] for flat in decoded.stores
-                 for i in range(0, len(flat), 4)]
-        assert len(quads) == len(decoded.stores_raw)
-        for (addr, size, value, fp), (raddr, raw) in zip(
-                quads, decoded.stores_raw):
-            assert raddr == addr
+        flat = decoded.stores
+        quads = [flat[i:i + 4] for i in range(0, len(flat), 4)]
+        raw, ends = decoded.stores_raw
+        assert len(quads) == len(ends) and len(raw) == (ends[-1] if ends
+                                                        else 0)
+        for (addr, size, value, fp), (start, end) in zip(
+                quads, block_spans(ends)):
             via_store.store(addr, size, value, fp=bool(fp))
-            via_raw.write_bytes(raddr, raw)
+            via_raw.write_bytes(addr, raw[start:end])
         assert via_store._pages == via_raw._pages
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(_intervals, max_size=3), st.integers(1, 4))
+    def test_streamed_text_is_the_payload_text(self, raw_intervals, chunk):
+        """The recorder's blob text, streamed ``chunk`` blocks' data
+        lists at a time, is the compact JSON of the wire layout."""
+        from repro.sample.trace import _encode_text
+
+        trace = _trace([_build_interval(blocks, start=i * 4096,
+                                        finished=False)
+                        for i, blocks in enumerate(raw_intervals)])
+        text = "".join(_encode_text(trace, chunk))
+        # The wire layout, written out: opcodes interned in order of
+        # first use, every column as one list per block.
+        ops = list(dict.fromkeys(op for blocks in raw_intervals
+                                 for op in _columns(blocks)[3]))
+        wire = [dict(zip(("addrs", "exits", "nexts", "brix", "insts",
+                          "loads", "la", "st"), _columns(blocks)))
+                for blocks in raw_intervals]
+        want = {"schema": TRACE_SCHEMA, "bench": "conv", "scale": 1,
+                "sampling": dict(sorted(SAMPLING.items())), "program": "fp",
+                "branch_ops": ops,
+                "intervals": [{"start": i * 4096, **columns,
+                               "brix": [ops.index(op)
+                                        for op in columns["brix"]],
+                               "regs": [[1, 42]], "finished": False}
+                              for i, columns in enumerate(wire)]}
+        assert text == json.dumps(want, separators=(",", ":"))
 
     def test_unknown_schema_rejected(self):
         payload = encode_trace(_trace([]))
@@ -325,11 +366,110 @@ def test_recorder_caches_the_trace_it_would_decode():
             assert getattr(cached, name) == getattr(decoded, name)
             assert type(getattr(cached, name)) is type(getattr(decoded, name))
         assert len(cached.intervals) == len(decoded.intervals) >= 2
-        assert any(any(iv.stores) for iv in cached.intervals)
+        assert any(iv.stores for iv in cached.intervals)
         for got, want in zip(cached.intervals, decoded.intervals):
             assert _same_interval(got, want)
-            assert repr([getattr(got, n) for n in FFInterval.__slots__[:-1]]) \
-                == repr([getattr(want, n) for n in FFInterval.__slots__[:-1]])
+
+
+DENSE = {"ff_blocks": 48, "window_blocks": 16, "warmup_blocks": 4}
+
+
+def _recorded(spec):
+    """Record ``spec``'s trace; returns its key and the in-memory trace
+    the recorder kept."""
+    import repro.sample.trace as trace_mod
+
+    execute_spec(spec)
+    key = trace_key(spec)
+    return key, trace_mod._PARSED[FFTraceStore().root, key]
+
+
+def _replay(key, trace, spec):
+    """``spec`` run on ``trace``, every interval replayed."""
+    from repro.sample.engine import SampledRun
+
+    session = ReplaySession(key, trace, spec)
+    result = SampledRun(spec, trace=session).run()
+    assert not session.live and session.replayed == len(trace.intervals)
+    return result.to_dict()
+
+
+def test_decoded_trace_replays_like_the_recorded_one(tmp_path):
+    """``decode_trace(encode_trace(t))`` has ``t``'s columns and replays
+    to ``t``'s result, which is the live one; the blob the recorder
+    streamed is the one ``store`` writes for ``encode_trace(t)``."""
+    from repro.sample.engine import SampledRun
+
+    key, recorded = _recorded(JobSpec.edge("gzip", 4, scale=2,
+                                           sampling=DENSE))
+    decoded = decode_trace(_json_roundtrip(encode_trace(recorded)))
+    assert len(decoded.intervals) == len(recorded.intervals) >= 2
+    for got, want in zip(decoded.intervals, recorded.intervals):
+        assert _same_interval(got, want)
+
+    streamed = FFTraceStore().path_for(key).read_bytes()
+    whole = FFTraceStore(tmp_path / "whole").store(key, encode_trace(recorded))
+    assert whole.read_bytes() == streamed
+
+    spec = JobSpec.edge("gzip", 16, scale=2, sampling=DENSE)
+    live = SampledRun(spec).run().to_dict()
+    assert _replay(key, recorded, spec) == _replay(key, decoded, spec) == live
+
+
+def test_one_trace_replays_at_two_line_sizes():
+    """The load-line column is derived per line size and kept: one trace
+    replayed with 64 B lines, then 32 B ones (``overrides``), matches
+    live interpretation at both sizes."""
+    from repro.sample.engine import SampledRun
+
+    key, trace = _recorded(JobSpec.edge("conv", 2, scale=2, sampling=DENSE))
+    for line_size in (64, 32):
+        spec = JobSpec.edge("conv", 4, scale=2, sampling=DENSE,
+                            overrides={"line_size": line_size})
+        assert _replay(key, trace, spec) == SampledRun(spec).run().to_dict()
+    assert all(set(iv._load_lines) == {64, 32} for iv in trace.intervals)
+
+
+def retained_bytes_per_block(spec, root) -> float:
+    """What a recorded trace keeps alive, in ``tracemalloc`` bytes per
+    fast-forward block: traced memory with the recorder's trace cached,
+    less traced memory once it is dropped.  A first run with tracing
+    off builds and compiles the program, so neither side counts that."""
+    import gc
+    import tracemalloc
+
+    import repro.sample.trace as trace_mod
+    from repro.sample.engine import SampledRun
+
+    store = FFTraceStore(root)
+    SampledRun(spec).run()
+    tracemalloc.start()
+    try:
+        session = trace_mod.open_trace_session(spec, store)
+        run = SampledRun(spec, trace=session)
+        run.run()
+        session.finish(run)
+        del run, session
+        gc.collect()
+        with_trace = tracemalloc.get_traced_memory()[0]
+        trace = trace_mod._PARSED.pop((store.root, trace_key(spec)))
+        blocks = trace.blocks()
+        del trace
+        gc.collect()
+        return (with_trace - tracemalloc.get_traced_memory()[0]) / blocks
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("bench, bound", [
+    ("conv", 250),      # ~180 B: seven loads a block, stores rare
+    ("gzip", 350),      # ~300 B: two stores a block, each boxing an
+])                      # address and a value
+def test_recorded_trace_bytes_per_block(tmp_path, bench, bound):
+    spec = JobSpec.edge(bench, 4, scale=4,
+                        sampling={"ff_blocks": 1000, "window_blocks": 16,
+                                  "warmup_blocks": 4})
+    assert retained_bytes_per_block(spec, tmp_path / "t") <= bound
 
 
 class TestUnwritableStore:

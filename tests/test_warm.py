@@ -123,7 +123,7 @@ def _train_shadow(shadow, stream):
     ghist = 0
     for n in stream:
         addr = (n & 63) * BLOCK_STRIDE
-        interval = FFInterval(addr, (
+        interval = FFInterval.of_blocks(addr, (
             [addr], [(n >> 6) & 7], [((n >> 9) & 63) * BLOCK_STRIDE],
             [("BRO", "CALLO", "RET")[(n >> 15) % 3]], [1], [2],
             [[(n >> 2) * 8, n * 64]],

@@ -22,7 +22,10 @@ distributed fetch/execute/commit machinery).  All three must agree on
 architectural registers, scratch memory (and the program's data segment), and
 committed-block count.  Seeded cases also *co-run*: one program on two
 disjoint compositions of one chip, then on a third recomposed over
-their stale L1 lines, each agreeing with the interpreter.  The
+their stale L1 lines, each agreeing with the interpreter; and run
+*sampled*, windows and fast-forward intervals alternating every block
+or two, one composition recording the fast-forward trace and another
+replaying it, each ending in the interpreter's state.  The
 generator body is shared between a Hypothesis strategy (which keeps
 counterexamples shrinkable) and a plain seeded PRNG (`SEEDED_CASES`
 below — deterministic regression cases that need no Hypothesis database
@@ -271,3 +274,64 @@ def test_seeded_co_run(seed, ncores):
 @pytest.mark.parametrize("seed,ncores", SEEDED_CASES[:6])
 def test_seeded_loop_co_run(seed, ncores):
     assert_co_run_agreement(_seeded_loop(seed), ncores)
+
+
+# ----------------------------------------------------------------------
+# Sampled mode: windows on the timing model, fast-forward in between
+# ----------------------------------------------------------------------
+
+def assert_sampled_agreement(program: Program, ncores: int, sampling: dict,
+                             root) -> int:
+    """Sampled runs of one program: a 1-core composition records its
+    fast-forward intervals, an N-core one replays them.  Both end in the
+    interpreter's architectural state, and the replay's result is the
+    one tracing off gives.  Returns the intervals replayed."""
+    from repro.exec import JobSpec
+    from repro.harness import simulate
+    from repro.sample.engine import SampledRun
+    from repro.sample.trace import FFTraceStore, open_trace_session
+
+    golden = Interpreter(program)
+    assert golden.run(max_blocks=1000).halted
+    expected_scratch = _scratch_words(golden.mem, program)
+    name = f"oracle-{program.name}"
+    key = ("edge", name, 1)
+    simulate._PROGRAMS[key] = (program, None, None)
+    try:
+        specs = [JobSpec.edge(name, ncores=cores, sampling=sampling,
+                              verify=False) for cores in (1, ncores)]
+        store = FFTraceStore(root)
+        results = []
+        for spec, mode in zip(specs, ("record", "replay")):
+            session = open_trace_session(spec, store)
+            assert session.mode == mode
+            run = SampledRun(spec, trace=session)
+            results.append(run.run().to_dict())
+            session.finish(run)
+            assert run.interp.regs == golden.regs, f"{mode}: registers"
+            assert _scratch_words(run.mem, program) == expected_scratch, \
+                f"{mode}: scratch memory"
+        assert not session.live
+        assert results[1] == SampledRun(specs[1]).run().to_dict()
+        return session.replayed
+    finally:
+        del simulate._PROGRAMS[key]
+
+
+#: Short schedules, so a program of a few blocks still alternates
+#: windows and fast-forward intervals.
+DAG_SAMPLING = {"ff_blocks": 1, "window_blocks": 1, "warmup_blocks": 0}
+LOOP_SAMPLING = {"ff_blocks": 2, "window_blocks": 2, "warmup_blocks": 1}
+
+
+@pytest.mark.parametrize("seed,ncores", SEEDED_CASES)
+def test_seeded_sampled(seed, ncores, tmp_path):
+    assert assert_sampled_agreement(build_random_program(SeededSource(seed)),
+                                    ncores, DAG_SAMPLING, tmp_path) >= 1
+
+
+@pytest.mark.parametrize("seed,ncores", SEEDED_CASES[:9])
+def test_seeded_loop_sampled(seed, ncores, tmp_path):
+    assert assert_sampled_agreement(
+        _seeded_loop(seed), ncores,
+        dict(LOOP_SAMPLING, ff_blocks=2 + seed % 3), tmp_path) >= 2
