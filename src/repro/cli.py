@@ -59,6 +59,8 @@ import argparse
 import os
 import sys
 
+from repro.sample.config import SamplingConfig
+
 
 def _cmd_list(args) -> int:
     from repro.harness.reporting import format_table
@@ -84,7 +86,6 @@ def _cmd_run(args) -> int:
         print("repro: --sample applies to TFlex compositions only; "
               "the TRIPS baseline always runs in full detail",
               file=sys.stderr)
-        sampling = None
     faults = None
     if getattr(args, "inject", None):
         from repro.resil import FaultSchedule, parse_inject
@@ -311,9 +312,11 @@ def _cmd_lint(args) -> int:
     return report.exit_code
 
 
-#: ``--sample-*`` defaults, in blocks (``_validate`` reads them to tell
-#: a flag that was set from one that was not).
-SAMPLE_DEFAULTS = {"sample_ff": 448, "sample_window": 40, "sample_warmup": 8}
+#: ``--sample-*`` defaults, in blocks: ``SamplingConfig``'s own
+#: (``_validate`` reads them to tell a flag that was set from one that
+#: was not).
+SAMPLE_DEFAULTS = {"sample_" + name.removesuffix("_blocks"): blocks
+                   for name, blocks in SamplingConfig().to_dict().items()}
 
 
 def _add_sample_flags(sub_parser) -> None:
@@ -542,7 +545,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                          f"(`repro list` shows the suite)")
 
     if hasattr(args, "cores") and getattr(args, "machine", "tflex") == "tflex":
-        from repro.tflex.placement import SHAPES
+        from repro.tflex.config import SHAPES
 
         if args.cores not in SHAPES:
             parser.error(

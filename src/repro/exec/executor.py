@@ -46,16 +46,6 @@ STATUS_OK = "ok"             # simulated this run
 STATUS_CACHED = "cached"     # satisfied from the result store
 STATUS_FAILED = "failed"     # exhausted retries (raise/crash/timeout)
 
-def _failure_reason(error: str) -> str:
-    """Classify a worker error string for metric labels: ``timeout``
-    (wall clock exceeded), ``crash`` (the process died or its pipe
-    broke), or ``exception`` (the job raised)."""
-    if error.startswith("worker timed out"):
-        return "timeout"
-    if error.startswith("worker crashed") or error == "worker pipe broken":
-        return "crash"
-    return "exception"
-
 
 @dataclass
 class JobResult:
@@ -97,12 +87,13 @@ class _InProcessSlot:
         (tag, spec), self._job = self._job, None
         started = time.monotonic()
         try:
-            ok, value = True, self.worker(spec)
+            ok, value, reason = True, self.worker(spec), None
         except Exception as exc:    # boundary: a bad job is reported
             ok, value = False, f"{type(exc).__name__}: {exc}"
+            reason = "exception"
         return [PoolEvent(tag=tag, ok=ok, value=value,
                           duration=time.monotonic() - started,
-                          worker="in-process")]
+                          worker="in-process", reason=reason)]
 
     def shutdown(self) -> None:
         pass
@@ -234,8 +225,7 @@ class ParallelExecutor:
                     if event.ok:
                         finished.append((i, event.value, None))
                         continue
-                    error = event.value
-                    reason = _failure_reason(error)
+                    error, reason = event.value, event.reason
                     if self.obs.active:
                         if reason == "crash":
                             self.obs.metrics.inc("exec.crashes",

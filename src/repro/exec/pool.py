@@ -18,10 +18,6 @@ processes alive for the whole batch instead:
   **transparently respawns** them — a stuck or crashed worker costs one
   job (reported failed/retried by the executor), never the sweep.
 
-The failure strings ("worker timed out after Ns", "worker crashed
-(exit code N)", "worker pipe broken") are what the executor's
-retry/metric classification keys on.
-
 Observability: ``pool.spawn``/``pool.respawn``/``pool.kill`` events,
 ``exec.pool_reuse`` (jobs served by an already-warm worker) and
 ``exec.worker_respawns`` counters, and the ``exec.worker_idle_seconds``
@@ -255,7 +251,8 @@ class WorkerPool:
                 events.append(PoolEvent(
                     tag=pw.tag, ok=False,
                     value=f"worker timed out after {self.timeout:g}s",
-                    duration=now - pw.dispatched_at, worker=pw.name))
+                    duration=now - pw.dispatched_at, worker=pw.name,
+                    reason="timeout"))
                 pw.tag = None
                 self._stop(pw)
                 self._respawn(pw, reason="timeout")
@@ -271,7 +268,8 @@ class WorkerPool:
                         tag=pw.tag, ok=False,
                         value=(f"worker crashed (exit code "
                                f"{pw.process.exitcode})"),
-                        duration=now - pw.dispatched_at, worker=pw.name))
+                        duration=now - pw.dispatched_at, worker=pw.name,
+                        reason="crash"))
                     pw.tag = None
                 self._respawn(pw, reason="crash")
                 continue
@@ -309,7 +307,8 @@ class WorkerPool:
                 if pw.busy and tag == pw.tag:
                     events.append(PoolEvent(
                         tag=tag, ok=(status == "ok"), value=value,
-                        duration=service, worker=pw.name))
+                        duration=service, worker=pw.name,
+                        reason=None if status == "ok" else "exception"))
                     if self.obs.active:
                         self.obs.metrics.observe(
                             "exec.worker_idle_seconds", idle)
@@ -331,7 +330,8 @@ class WorkerPool:
                 error = f"worker crashed (exit code {pw.process.exitcode})"
             events.append(PoolEvent(
                 tag=pw.tag, ok=False, value=error,
-                duration=now - pw.dispatched_at, worker=pw.name))
+                duration=now - pw.dispatched_at, worker=pw.name,
+                reason="crash"))
             pw.tag = None
         self._respawn(pw, reason="pipe" if pipe_broken else "crash")
 

@@ -21,6 +21,8 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional
 
+from repro.sample.config import SamplingConfig
+
 #: Bump whenever the stored result schema or simulator semantics change;
 #: every on-disk record keyed under the old salt becomes a miss.
 #: 2: sampled-simulation support (``sampling`` spec field; RunResult
@@ -46,6 +48,13 @@ class JobSpec:
     out-of-order superscalar comparator.  Override mappings are frozen
     into sorted item tuples so equal configurations compare (and hash)
     equal regardless of construction order.
+
+    Which axes combine is decided here, for every constructor
+    (:meth:`edge`, :meth:`from_dict`, ``dataclasses.replace``): sampling
+    needs a TFlex edge spec without faults, faults need a TFlex edge
+    spec, and sampling items must make a valid
+    :class:`~repro.sample.SamplingConfig`.  Anything else raises
+    ``ValueError`` at construction, not inside a worker.
     """
 
     kind: str
@@ -66,6 +75,25 @@ class JobSpec:
     #: is the encoder, ``FaultSchedule.from_spec_items`` the decoder.
     faults: tuple = ()
 
+    def __post_init__(self) -> None:
+        tflex = self.kind == "edge" and not self.trips
+        if self.faults:
+            if self.sampling:
+                raise ValueError(
+                    "fault injection and sampled simulation cannot "
+                    "combine: a recomposition inside a fast-forward "
+                    "region is undefined")
+            if not tflex:
+                raise ValueError(
+                    "fault injection targets edge specs on the composable "
+                    "TFlex array, not the TRIPS baseline or the RISC core")
+        if self.sampling:
+            if not tflex:
+                raise ValueError(
+                    "sampled simulation applies to TFlex edge specs; the "
+                    "TRIPS baseline and the RISC core run in full detail")
+            SamplingConfig.from_dict(dict(self.sampling))
+
     @staticmethod
     def edge(bench: str, ncores: int = 8, trips: bool = False,
              scale: int = 1, ideal_handshake: bool = False,
@@ -74,18 +102,9 @@ class JobSpec:
              verify: bool = True,
              sampling: Optional[Mapping[str, Any]] = None,
              faults: Optional[tuple] = None) -> "JobSpec":
-        if faults:
-            if sampling:
-                raise ValueError(
-                    "fault injection and sampled simulation cannot "
-                    "combine: a recomposition inside a fast-forward "
-                    "region is undefined")
-            if trips:
-                raise ValueError(
-                    "fault injection targets the composable TFlex "
-                    "array, not the monolithic TRIPS baseline")
         # TRIPS ignores the requested composition size (the prototype is
-        # fixed); normalise it out so equivalent points share one hash.
+        # fixed) and always runs in full detail; normalise both out so
+        # equivalent points share one hash.
         return JobSpec(
             kind="edge", bench=bench, scale=scale,
             ncores=0 if trips else ncores, trips=trips,
@@ -93,7 +112,7 @@ class JobSpec:
             overrides=_freeze_overrides(overrides),
             core_overrides=_freeze_overrides(core_overrides),
             verify=verify,
-            sampling=_freeze_overrides(sampling),
+            sampling=() if trips else _freeze_overrides(sampling),
             faults=tuple(faults or ()))
 
     @staticmethod

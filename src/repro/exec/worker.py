@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.exec.spec import JobSpec
 
@@ -64,6 +65,10 @@ class PoolEvent:
     duration: float             # service seconds on the worker's clock
                                 # (the parent's, from dispatch, if lost)
     worker: str                 # worker name that served (or lost) it
+    #: Why a failed job failed: ``timeout`` (wall clock exceeded),
+    #: ``crash`` (the process died or its pipe broke) or ``exception``
+    #: (the job raised); None when ``ok``.
+    reason: Optional[str] = None
 
 
 def load_worker_side():

@@ -93,7 +93,7 @@ class RunResult:
     sampling: Optional[dict] = None
     #: Fault-injection metadata (schedule, injected events, recovery
     #: reports, per-segment stats); None for fault-free runs.  See
-    #: :mod:`repro.resil.run`.
+    #: :mod:`repro.harness.simulate`.
     resil: Optional[dict] = None
 
     @property
@@ -319,8 +319,8 @@ def run_edge_benchmark(name: str, ncores: int = 8, trips: bool = False,
     (``{"ff_blocks", "window_blocks", "warmup_blocks"}``) switches the
     point to the sampled engine — cycles become an extrapolated
     estimate, architectural results stay exact.  ``faults`` (the
-    ``spec_items()`` of a :class:`repro.resil.FaultSchedule`) routes
-    the point through the fault-injection driver.
+    ``spec_items()`` of a :class:`repro.resil.FaultSchedule`) injects
+    those faults into the run.
     """
     spec = JobSpec.edge(name, ncores=ncores, trips=trips, scale=scale,
                         ideal_handshake=ideal_handshake,

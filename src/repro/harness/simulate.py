@@ -2,12 +2,19 @@
 
 This is the one module that imports the simulator — the TFlex model,
 the RISC core, both compilers behind :mod:`repro.workloads.suite`, the
-sampling engine.  It loads on the first cold spec
+sampling engine, fault injection.  It loads on the first cold spec
 (:func:`repro.exec.worker.load_worker_side`: the in-process slot's
 first job, or a pool's parent just before its first fork), never to
 print ``--help`` or replay a warm store; everything else in
 :mod:`repro.harness` stays importable without it (docs/EXECUTION.md,
 "Import layering").
+
+Sampled edge specs go to :func:`repro.sample.engine.run_sampled`.
+Every other edge spec runs one body, :func:`_simulate_edge`, under the
+spec's :class:`~repro.resil.FaultSchedule`.  A fault-free spec is the
+empty schedule, which marks, degrades and schedules nothing, so the
+golden fixtures check that fault injection costs a fault-free run
+nothing.
 """
 
 from __future__ import annotations
@@ -17,10 +24,12 @@ from dataclasses import replace
 from repro.exec.spec import JobSpec
 from repro.harness.runner import RiscResult, RunResult
 from repro.power import EnergyModel, EnergyParams
+from repro.resil import (FaultInjector, FaultSchedule, RecompositionEngine,
+                         choose_composition)
 from repro.risc import OoOCore
 from repro.sample.engine import run_sampled
 from repro.tflex.config import MAX_CYCLES, tflex_config, trips_config
-from repro.tflex.placement import rectangle
+from repro.tflex.stats import ProcStats
 from repro.tflex.system import TFlexSystem
 from repro.workloads.suite import BENCHMARKS, verify_edge_run
 
@@ -91,38 +100,69 @@ def build_edge_config(spec: JobSpec):
 
 
 def _simulate_edge(spec: JobSpec) -> RunResult:
-    # Fault-injected specs route to the resilience driver (lazy import:
-    # repro.resil imports this module for build_edge_config).
-    if spec.faults:
-        from repro.resil import run_resilient
-
-        return run_resilient(spec)
-    # Sampled specs route to the fast-forward engine.  The TRIPS
-    # baseline always runs in full detail: its runs are short and its
-    # centralized structures make sampling gains marginal.
-    if spec.sampling and not spec.trips:
+    if spec.sampling:
         return run_sampled(spec)
 
+    cfg, ncores = build_edge_config(spec)
+    schedule = FaultSchedule.from_spec_items(spec.faults)
+    schedule.validate(cfg, max_cycles=MAX_CYCLES)
     program, expected, kernel = cached_program("edge", spec.bench,
                                                spec.scale)
-    cfg, ncores = build_edge_config(spec)
 
     system = TFlexSystem(cfg)
-    proc = system.compose(rectangle(cfg, ncores), program, name=spec.bench)
-    system.run(max_cycles=MAX_CYCLES)
-    if spec.verify:
-        verify_edge_run(kernel, proc.memory, expected)
+    engine = RecompositionEngine(system)
+    injector = FaultInjector(system, schedule, engine)
+    injector.apply_boot_faults()
+    # The largest rectangle that avoids the boot-dead cores: with none,
+    # ``rectangle(cfg, ncores)``; ``validate`` leaves one survivor.
+    dead = {core.id for core in system.cores if core.faulty}
+    proc = system.compose(choose_composition(cfg, ncores, dead), program,
+                          name=spec.bench)
+    engine.register(proc)
+    injector.arm()
+    system.run()
+    engine.finalize()
 
+    final = engine.current(proc.ctx)
+    if spec.verify:
+        verify_edge_run(kernel, final.memory, expected)
+    segments = engine.segments + [final]
+    stats = final.stats
+    if engine.segments:
+        stats = ProcStats.merged(s.stats for s in segments)
+        # Whole-run wall clock: recovery gaps are dead time the merged
+        # IPC must pay for.
+        stats.cycles = system.queue.now
+    # The composition the run ended on: after a mid-run kill, the
+    # recomposed survivors, which is what the degradation curves plot.
+    granted = len(final.core_ids)
+    dram_requests = system.dram.stats.requests
     params = EnergyParams.trips() if spec.trips else None
     power = EnergyModel(params).breakdown(
-        proc.stats.energy_events, proc.stats.cycles, proc.ncores,
-        dram_requests=system.dram.stats.requests)
+        stats.energy_events, stats.cycles, granted,
+        dram_requests=dram_requests)
 
-    return RunResult(
-        bench=spec.bench, label=spec.label(), num_cores=ncores,
-        cycles=proc.stats.cycles, insts_committed=proc.stats.insts_committed,
-        stats=proc.stats, power=power,
-        dram_requests=system.dram.stats.requests)
+    result = RunResult(
+        bench=spec.bench, label=spec.label(), num_cores=granted,
+        cycles=stats.cycles, insts_committed=stats.insts_committed,
+        stats=stats, power=power, dram_requests=dram_requests)
+    if schedule:
+        result.resil = {
+            "schedule": schedule.to_dict(),
+            "requested_cores": ncores,
+            "boot_faulty": schedule.boot_dead_cores(),
+            "injected": [e.to_dict() for e in injector.injected],
+            "recoveries": [r.to_dict() for r in engine.reports],
+            "segments": [
+                {"cores": list(s.core_ids),
+                 "cycles": s.stats.cycles,
+                 "insts_committed": s.stats.insts_committed,
+                 "blocks_committed": s.stats.blocks_committed,
+                 "ipc": s.stats.ipc}
+                for s in segments
+            ],
+        }
+    return result
 
 
 def _simulate_risc(spec: JobSpec) -> RiscResult:

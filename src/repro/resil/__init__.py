@@ -14,9 +14,12 @@ claim testable:
 * :mod:`repro.resil.recompose` — on core loss, abandons in-flight
   blocks, captures architectural + warm state through the sampled-
   simulation transfer surfaces, re-forms the composition on surviving
-  cores, and resumes;
-* :mod:`repro.resil.run` — the ``RunResult``-producing driver behind
-  ``JobSpec.faults`` and the ``repro resil`` degradation experiment.
+  cores, and resumes.
+
+There is no driver here: :func:`repro.harness.simulate.simulate_spec`
+runs every full-detail edge spec under its schedule (empty when
+``JobSpec.faults`` is), and this package imports nothing from
+:mod:`repro.harness`.
 """
 
 from repro.resil.faults import (FaultEvent, FaultSchedule, KINDS, NETS,
@@ -25,7 +28,6 @@ from repro.resil.injector import FaultInjector
 from repro.resil.recompose import (CompositionLost, RecompositionEngine,
                                    RecoveryReport, choose_composition,
                                    transfer_ras)
-from repro.resil.run import ResilientRun, run_resilient
 
 __all__ = [
     "FaultEvent",
@@ -39,6 +41,4 @@ __all__ = [
     "RecoveryReport",
     "choose_composition",
     "transfer_ras",
-    "ResilientRun",
-    "run_resilient",
 ]

@@ -14,12 +14,10 @@ module:
 
 On a kill the injector marks the core faulty, emits ``fault.inject``,
 and hands control to the :class:`~repro.resil.recompose.\
-RecompositionEngine` (when attached) to rebuild the victim composition.
+RecompositionEngine` to rebuild the victim composition.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.resil.faults import FaultEvent, FaultSchedule
 
@@ -27,13 +25,10 @@ from repro.resil.faults import FaultEvent, FaultSchedule
 class FaultInjector:
     """Arms one schedule against one system (single use)."""
 
-    def __init__(self, system, schedule: FaultSchedule,
-                 engine=None) -> None:
+    def __init__(self, system, schedule: FaultSchedule, engine) -> None:
         self.system = system
         self.schedule = schedule
-        #: Recomposition engine notified on each core kill; None runs
-        #: the faults without recovery (the victim composition
-        #: deadlocks unless it halts first — useful only in tests).
+        #: Recomposition engine notified on each core kill.
         self.engine = engine
         #: Events actually applied (kills on already-faulty cores are
         #: skipped and not recorded).
@@ -72,8 +67,7 @@ class FaultInjector:
             return
         core.faulty = True
         self._note(event)
-        if self.engine is not None:
-            self.engine.on_core_failure(event.core)
+        self.engine.on_core_failure(event.core)
 
     # -- observability -------------------------------------------------
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.isa.block import NUM_REGS
-from repro.tflex.placement import SHAPES, rectangle
+from repro.tflex.placement import SHAPES, pack
 
 
 class CompositionLost(RuntimeError):
@@ -77,17 +77,11 @@ def choose_composition(cfg, target: int,
     be placed.  Scans sizes descending, origins row-major, so the
     choice is deterministic."""
     for size in sorted(SHAPES, reverse=True):
-        if size > target:
-            continue
-        for oy in range(cfg.mesh_height):
-            for ox in range(cfg.mesh_width):
-                try:
-                    cores = rectangle(cfg, size, (ox, oy))
-                except ValueError:
-                    continue
-                if any(c in unavailable for c in cores):
-                    continue
-                return cores
+        if size <= target:
+            try:
+                return pack(cfg, [size], avoid=unavailable)[0]
+            except ValueError:
+                continue
     return None
 
 
@@ -123,14 +117,11 @@ class RecompositionEngine:
         #: yet in the current segment.
         self._resume_points: dict[int, tuple[int, int]] = {}
 
-    def register(self, proc, addr: Optional[int] = None,
-                 ghist: int = 0) -> None:
-        """Track a processor; ``addr`` is its segment entry point
-        (defaults to the program entry)."""
-        if addr is None:
-            addr = proc.program.address_of(proc.program.entry)
+    def register(self, proc) -> None:
+        """Track a processor that starts at its program's entry."""
         self._current[proc.ctx] = proc
-        self._resume_points[proc.ctx] = (addr, ghist)
+        self._resume_points[proc.ctx] = (
+            proc.program.address_of(proc.program.entry), 0)
 
     def current(self, ctx: int):
         """The processor currently carrying thread ``ctx``."""

@@ -48,6 +48,12 @@ class SamplingConfig:
     def from_dict(data: Optional[Mapping[str, Any]]) -> Optional["SamplingConfig"]:
         if not data:
             return None
-        cfg = SamplingConfig(**{k: int(v) for k, v in dict(data).items()})
+        data, known = dict(data), SamplingConfig().to_dict()
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ValueError(f"unknown sampling parameter(s) "
+                             f"{', '.join(unknown)} (expected "
+                             f"{', '.join(known)})")
+        cfg = SamplingConfig(**{k: int(v) for k, v in data.items()})
         cfg.validate()
         return cfg

@@ -39,8 +39,8 @@ Fidelity caveats, all timing-only: ``loads_executed`` counts functional
 loads during fast-forward but executed loads (including replays) inside
 windows; microarchitectural event counters (fetches, squashes, energy
 events, DRAM requests) are measured in the windows and scaled by
-committed-instruction coverage.  TRIPS-baseline specs are not sampled —
-the runner falls back to full detail for them.
+committed-instruction coverage.  TRIPS-baseline specs are never sampled:
+``JobSpec.edge`` drops their sampling items, like their ``ncores``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from repro.mem.flatmem import PAGE_MASK, PAGE_SIZE, FlatMemory
 from repro.sample.config import SamplingConfig
 from repro.sample.shadow import ShadowUarch, rebuild_directory
 from repro.sample.trace import FFInterval, encode_reg_delta
-from repro.tflex import MAX_CYCLES, TFlexSystem
+from repro.tflex import TFlexSystem
 from repro.tflex.placement import rectangle
 from repro.tflex.stats import ProcStats
 
@@ -92,8 +92,6 @@ class SampledRun:
 
         if spec.kind != "edge":
             raise ValueError(f"sampling only supports edge specs, not {spec.kind!r}")
-        if spec.trips:
-            raise ValueError("TRIPS-baseline specs are not sampled")
         if sampling is None:
             sampling = SamplingConfig.from_dict(spec.sampling_dict()) \
                 or SamplingConfig()
@@ -178,7 +176,7 @@ class SampledRun:
         else:
             proc.measure_mark = (system.queue.now, 0)
         proc.start(self.addr, self.ghist)
-        system.run(max_cycles=MAX_CYCLES)
+        system.run()
 
         stats = proc.stats
         end_cycle = proc.start_cycle + stats.cycles

@@ -175,23 +175,16 @@ def schedule_tag(sampling: dict) -> str:
             f"/wu{sampling['warmup_blocks']}")
 
 
-def _eligible(spec) -> bool:
-    """Specs whose fast-forward trajectory is composition-independent
-    and routed through the sampled engine: sampled EDGE points without
-    fault injection (TRIPS never samples)."""
-    return (spec.kind == "edge" and bool(spec.sampling)
-            and not spec.trips and not spec.faults)
-
-
 def trace_group(spec) -> Optional[tuple]:
     """Cheap grouping key — every spec in a group shares one trace.
-    ``None`` for specs the trace store does not apply to.
+    ``None`` for unsampled specs (``JobSpec`` allows sampling only on
+    fault-free TFlex edge specs).
 
     Unlike :func:`trace_key` this never builds the program, so batch
     planners (``prewarm_specs``) can partition without paying a
     workload build per spec.
     """
-    if not _eligible(spec):
+    if not spec.sampling:
         return None
     return (spec.bench, spec.scale, spec.sampling)
 
@@ -202,7 +195,7 @@ def trace_key(spec) -> Optional[str]:
     full sampling schedule.  Composition axes (``ncores``, overrides,
     ``ideal_handshake``, ``verify``) are deliberately absent — the
     interpreter never reads them."""
-    if not _eligible(spec):
+    if not spec.sampling:
         return None
     from repro.harness.simulate import cached_program
 

@@ -126,9 +126,10 @@ class SystemConfig:
 #: The paper's TFlex chip: 32 dual-issue cores in a 4x8 array.
 TFLEX = SystemConfig()
 
-#: Cycle budget of one driver-level run — a full-detail job, one
-#: detailed window of a sampled job, a fault-injected job — and the
-#: bound a ``kill:CORE@CYCLE`` must fall inside to ever fire.
+#: Cycle budget of one run — a full-detail or fault-injected job, one
+#: detailed window of a sampled job — and the default of every ``run``
+#: (``EventQueue``, ``TFlexSystem``, ``run_program``); also the bound a
+#: ``kill:CORE@CYCLE`` must fall inside to ever fire.
 MAX_CYCLES = 30_000_000
 
 
@@ -164,11 +165,15 @@ def trips_config() -> SystemConfig:
     )
 
 
+#: Rectangle shape (width, height) of each power-of-two composition size
+#: on a 4-wide mesh; a :func:`tflex_config` chip is exactly one of them.
+SHAPES = {1: (1, 1), 2: (2, 1), 4: (2, 2), 8: (4, 2), 16: (4, 4), 32: (4, 8)}
+
+
 def tflex_config(num_cores: int = 32) -> SystemConfig:
     """A TFlex chip sized to ``num_cores`` (power of two up to 32)."""
-    shapes = {1: (1, 1), 2: (2, 1), 4: (2, 2), 8: (4, 2), 16: (4, 4), 32: (4, 8)}
-    if num_cores not in shapes:
+    if num_cores not in SHAPES:
         raise ValueError(f"unsupported core count {num_cores}")
-    width, height = shapes[num_cores]
+    width, height = SHAPES[num_cores]
     return SystemConfig(name=f"tflex{num_cores}", num_cores=num_cores,
                         mesh_width=width, mesh_height=height)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Optional
 
+from repro.tflex.config import MAX_CYCLES
+
 
 class EventQueue:
     """A deterministic bucketed scheduler over integer cycles."""
@@ -65,7 +67,7 @@ class EventQueue:
         return sum(len(bucket) for bucket in self._buckets.values())
 
     def run(self, until: Optional[Callable[[], bool]] = None,
-            max_cycles: int = 10_000_000) -> bool:
+            max_cycles: int = MAX_CYCLES) -> bool:
         """Process events in order until the queue drains, :meth:`stop`
         is called, ``until()`` holds, or the cycle budget is exceeded.
 

@@ -7,12 +7,7 @@ processors of given sizes on one chip for multiprogrammed runs.
 
 from __future__ import annotations
 
-from repro.tflex.config import SystemConfig
-
-
-#: Rectangle shape (width, height) used for each power-of-two size on a
-#: 4-wide mesh.
-SHAPES = {1: (1, 1), 2: (2, 1), 4: (2, 2), 8: (4, 2), 16: (4, 4), 32: (4, 8)}
+from repro.tflex.config import SHAPES, SystemConfig
 
 
 def rectangle(cfg: SystemConfig, size: int, origin: tuple[int, int] = (0, 0)) -> list[int]:

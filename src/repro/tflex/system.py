@@ -16,7 +16,7 @@ from repro.isa.program import Program
 from repro.mem.dram import Dram
 from repro.mem.l2 import L2System
 from repro.noc import Network, Topology
-from repro.tflex.config import SystemConfig, TFLEX, tflex_config
+from repro.tflex.config import MAX_CYCLES, SystemConfig, TFLEX, tflex_config
 from repro.tflex.core import Core
 from repro.tflex.events import EventQueue
 from repro.tflex.placement import rectangle
@@ -124,7 +124,7 @@ class TFlexSystem:
     # Simulation
     # ------------------------------------------------------------------
 
-    def run(self, max_cycles: int = 10_000_000) -> int:
+    def run(self, max_cycles: int = MAX_CYCLES) -> int:
         """Run every composed processor to completion.
 
         Returns the final cycle.  Raises :class:`SimulationDeadlock` if
@@ -167,7 +167,7 @@ class TFlexSystem:
 
 def run_program(program: Program, num_cores: int = 8,
                 cfg: Optional[SystemConfig] = None,
-                max_cycles: int = 10_000_000) -> ComposedProcessor:
+                max_cycles: int = MAX_CYCLES) -> ComposedProcessor:
     """Convenience one-shot: run one program on an N-core composition.
 
     Builds a chip just large enough when no config is given.

@@ -50,6 +50,10 @@ _DECODED = ("tests/sample/test_trace.py::"
             "test_decoded_trace_replays_like_the_recorded_one")
 _STREAMED = ("tests/sample/test_trace.py::TestTraceRoundtrip::"
              "test_streamed_text_is_the_payload_text")
+_SIMULATE = "src/repro/harness/simulate.py"
+_RESIL_RUN = "tests/resil/test_run.py::"
+_KILL = _RESIL_RUN + "TestKillRecovery::"
+_AXES = "tests/exec/test_axes.py::"
 
 MUTANTS = [
     # Leaf WARM lists (REP101's own case): a field left off, or a name
@@ -239,6 +243,48 @@ MUTANTS = [
     ("trace-text-drops-chunk-separator", _TRACE,
      '                comma = ","\n', '                comma = ""\n',
      (_STREAMED,)),
+    # One edge driver: fault-injected runs take the full-detail path.
+    # (Summing the segment spans for ``cycles`` is no bug: a survivor is
+    # composed at its predecessor's failure, so the spans tile the run.)
+    ("driver-num-cores-requested", _SIMULATE,
+     "    granted = len(final.core_ids)\n", "    granted = ncores\n",
+     (_KILL + "test_recovers_and_verifies",
+      _RESIL_RUN + "TestBootFaults::test_dead_core_shrinks_composition")),
+    ("driver-cycles-last-segment", _SIMULATE,
+     "        stats.cycles = system.queue.now\n",
+     "        stats.cycles = final.stats.cycles\n",
+     (_KILL + "test_recovers_and_verifies",)),
+    ("driver-segments-not-merged", _SIMULATE,
+     "    if engine.segments:\n", "    if len(engine.segments) > 1:\n",
+     (_KILL + "test_recovers_and_verifies",)),
+    ("driver-resil-payload-without-faults", _SIMULATE,
+     "    if schedule:\n        result.resil", "    if True:\n        result.resil",
+     (_RESIL_RUN + "TestEmptyScheduleEquivalence::"
+      "test_no_resil_payload_without_faults",)),
+    ("driver-trips-priced-as-tflex", _SIMULATE,
+     "params = EnergyParams.trips() if spec.trips else None",
+     "params = None",
+     ("tests/harness/test_golden.py::test_driver_matches_golden[table2]",)),
+    # One spec contract: JobSpec decides which axes combine.
+    ("spec-trips-keeps-sampling", "src/repro/exec/spec.py",
+     "sampling=() if trips else _freeze_overrides(sampling)",
+     "sampling=_freeze_overrides(sampling)",
+     (_AXES + "test_pair[sampling+trips]",)),
+    ("spec-sampling-items-unchecked", "src/repro/exec/spec.py",
+     "            SamplingConfig.from_dict(dict(self.sampling))\n", "",
+     (_AXES + "TestSamplingContract::"
+      "test_malformed_sampling_rejected_at_construction[ff]",)),
+    ("spec-faults-on-trips", "src/repro/exec/spec.py",
+     "            if not tflex:\n                raise ValueError(\n"
+     "                    \"fault injection",
+     "            if False:\n                raise ValueError(\n"
+     "                    \"fault injection",
+     (_AXES + "test_pair[faults+trips]",)),
+    # The failure reason travels with the event.
+    ("exec-in-process-failure-as-crash", "src/repro/exec/executor.py",
+     '            reason = "exception"\n', '            reason = "crash"\n',
+     ("tests/exec/test_executor.py::TestRetryObservability::"
+      "test_serial_retry_counts_exceptions",)),
 ]
 
 #: Rows that survive on purpose: id -> why no test can see the bug.  The

@@ -1,42 +1,28 @@
-"""Fault-injected run tests: the empty-schedule equivalence gate, boot
-faults, mid-run kill recovery (differentially verified), cascading
-failures, link degradation, and the harness/obs integration."""
+"""Fault-injected runs through the one edge driver, ``simulate_spec``:
+no payload without faults, boot faults, mid-run kill recovery
+(differentially verified), cascading failures, link degradation, and
+the harness/obs integration.  That an empty schedule changes nothing is
+the golden fixtures' job: every fault-free edge spec runs this path."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import repro.obs
 from repro.exec import JobSpec
 from repro.harness import run_edge_benchmark
-from repro.harness.simulate import _simulate_edge, cached_program
-from repro.resil import (
-    CompositionLost,
-    FaultSchedule,
-    ResilientRun,
-    run_resilient,
-)
+from repro.harness.simulate import cached_program, simulate_spec
+from repro.resil import CompositionLost, FaultSchedule
 from repro.resil.faults import FaultEvent
 from repro.tflex import TFlexSystem, tflex_config
 
 
-def edge(bench, ncores, **kwargs):
-    return JobSpec.edge(bench, ncores=ncores, **kwargs)
+def edge(bench, ncores, schedule=None, **kwargs):
+    faults = schedule.spec_items() if schedule is not None else None
+    return JobSpec.edge(bench, ncores=ncores, faults=faults, **kwargs)
 
 
 class TestEmptyScheduleEquivalence:
-    """The checkpoint/recompose machinery must be invisible when no
-    fault fires: result-identical to the uninterrupted simulator."""
-
-    @settings(max_examples=6, deadline=None)
-    @given(st.sampled_from(["dither", "conv"]), st.sampled_from([2, 4]))
-    def test_result_identical(self, bench, ncores):
-        spec = edge(bench, ncores)
-        plain = _simulate_edge(spec)
-        resil = run_resilient(spec, FaultSchedule())
-        assert resil.to_dict() == plain.to_dict()
-
     def test_no_resil_payload_without_faults(self):
-        result = run_resilient(edge("dither", 2), FaultSchedule())
+        result = simulate_spec(edge("dither", 2, FaultSchedule()))
         assert result.resil is None
         assert "resil" not in result.to_dict()
 
@@ -44,8 +30,7 @@ class TestEmptyScheduleEquivalence:
 class TestSpecRouting:
     def test_harness_routes_fault_specs(self):
         schedule = FaultSchedule((FaultEvent("core_dead", core=0),))
-        result = _simulate_edge(edge("dither", 2,
-                                     faults=schedule.spec_items()))
+        result = simulate_spec(edge("dither", 2, schedule))
         assert result.resil is not None
         assert result.resil["boot_faulty"] == [0]
 
@@ -57,50 +42,48 @@ class TestSpecRouting:
         assert result.num_cores == 1    # survivor of a 2-core target
 
     def test_rejects_risc_trips_sampling(self):
-        faults = FaultSchedule.single_kill(0, 100)
+        faults = FaultSchedule.single_kill(0, 100).spec_items()
         with pytest.raises(ValueError, match="edge"):
-            ResilientRun(JobSpec.risc("dither"), faults)
-        trips_spec = JobSpec.edge("dither", trips=True)
+            JobSpec(kind="risc", bench="dither", ncores=1, faults=faults)
         with pytest.raises(ValueError, match="TRIPS"):
-            ResilientRun(trips_spec, faults)
-        sampled = JobSpec.edge("dither", ncores=2,
-                               sampling={"ff": 1000, "window": 40})
+            JobSpec.edge("dither", trips=True, faults=faults)
         with pytest.raises(ValueError, match="sampled"):
-            ResilientRun(sampled, faults)
+            JobSpec.edge("dither", ncores=2, faults=faults,
+                         sampling={"ff_blocks": 1000, "window_blocks": 40})
 
     def test_schedule_validated_against_chip(self):
         with pytest.raises(ValueError, match="cores 0..1"):
-            ResilientRun(edge("dither", 2), FaultSchedule.single_kill(7, 100))
+            simulate_spec(edge("dither", 2, FaultSchedule.single_kill(7, 100)))
 
 
 class TestBootFaults:
     def test_dead_core_shrinks_composition(self):
         schedule = FaultSchedule((FaultEvent("core_dead", core=0),))
-        result = run_resilient(edge("conv", 8), schedule)
+        result = simulate_spec(edge("conv", 8, schedule))
         # Core 0 breaks the 8-core rectangle; a 2x2 survivor remains.
         assert result.num_cores == 4
         assert result.resil["boot_faulty"] == [0]
         assert result.resil["recoveries"] == []
-        baseline = _simulate_edge(edge("conv", 8))
+        baseline = simulate_spec(edge("conv", 8))
         assert result.cycles != baseline.cycles
 
     def test_verified_against_interpreter(self):
-        # spec.verify=True means run_resilient differentially checked
-        # the final memory image against the golden interpreter.
+        # spec.verify=True means the run differentially checked the
+        # final memory image against the golden interpreter.
         schedule = FaultSchedule((FaultEvent("core_dead", core=1),))
-        result = run_resilient(edge("dither", 4, verify=True), schedule)
+        result = simulate_spec(edge("dither", 4, schedule, verify=True))
         assert result.resil["requested_cores"] == 4
 
     def test_all_boot_dead_is_rejected_up_front(self):
         schedule = FaultSchedule(tuple(FaultEvent("core_dead", core=c)
                                        for c in (0, 1)))
         with pytest.raises(ValueError, match="no survivor"):
-            ResilientRun(edge("dither", 2), schedule)
+            simulate_spec(edge("dither", 2, schedule))
 
 
 class TestKillRecovery:
     def _half_cycle(self, bench, ncores):
-        return _simulate_edge(edge(bench, ncores)).cycles // 2
+        return simulate_spec(edge(bench, ncores)).cycles // 2
 
     def test_recovers_and_verifies(self):
         ncores = 8
@@ -108,7 +91,7 @@ class TestKillRecovery:
         schedule = FaultSchedule.single_kill(0, kill_at)
         # verify=True: the post-recovery memory image must match the
         # golden interpreter exactly (the differential acceptance gate).
-        result = run_resilient(edge("conv", ncores, verify=True), schedule)
+        result = simulate_spec(edge("conv", ncores, schedule, verify=True))
 
         payload = result.resil
         assert [e["kind"] for e in payload["injected"]] == ["core_kill"]
@@ -126,12 +109,19 @@ class TestKillRecovery:
         assert report["ipc_after"] > 0
         assert len(payload["segments"]) == 2
         assert result.num_cores == 4
+        # Whole-run totals: the survivor is composed at the failure, so
+        # its span carries the recovery gap and the run ends one such
+        # span after the kill.
+        segments = payload["segments"]
+        assert result.cycles == kill_at + segments[-1]["cycles"]
+        assert result.insts_committed == sum(s["insts_committed"]
+                                             for s in segments)
 
     def test_failure_costs_cycles(self):
         ncores = 4
-        baseline = _simulate_edge(edge("dither", ncores))
+        baseline = simulate_spec(edge("dither", ncores))
         schedule = FaultSchedule.single_kill(1, baseline.cycles // 2)
-        result = run_resilient(edge("dither", ncores), schedule)
+        result = simulate_spec(edge("dither", ncores, schedule))
         assert result.cycles > baseline.cycles
         # Architectural work is conserved: same committed instructions.
         assert result.insts_committed >= baseline.insts_committed
@@ -146,7 +136,7 @@ class TestKillRecovery:
             FaultEvent("core_kill", core=0, cycle=kill_at),
             FaultEvent("core_kill", core=2, cycle=kill_at + 2000),
         ))
-        result = run_resilient(edge("conv", ncores, verify=True), schedule)
+        result = simulate_spec(edge("conv", ncores, schedule, verify=True))
         recoveries = result.resil["recoveries"]
         sizes = [(len(r["old_cores"]), len(r["new_cores"]))
                  for r in recoveries]
@@ -161,17 +151,17 @@ class TestKillRecovery:
             FaultEvent("core_kill", core=1, cycle=kill_at + 200),
         ))
         with pytest.raises(CompositionLost, match="no fault-free region"):
-            run_resilient(edge("dither", 2), schedule)
+            simulate_spec(edge("dither", 2, schedule))
 
 
 class TestLinkDegradation:
     def test_slow_link_costs_cycles(self):
-        baseline = _simulate_edge(edge("conv", 4))
+        baseline = simulate_spec(edge("conv", 4))
         schedule = FaultSchedule((
             FaultEvent("link_slow", link=(0, 1), extra=3),
             FaultEvent("link_slow", link=(1, 0), extra=3),
         ))
-        result = run_resilient(edge("conv", 4, verify=True), schedule)
+        result = simulate_spec(edge("conv", 4, schedule, verify=True))
         assert result.cycles > baseline.cycles
         assert result.num_cores == 4    # no core lost, only wires
         assert result.resil["recoveries"] == []
@@ -202,9 +192,9 @@ class TestObservability:
         obs = repro.obs.configure(metrics=True)
         events = []
         obs.bus.attach(repro.obs.CallbackSink(events.append))
-        kill_at = _simulate_edge(edge("dither", 4)).cycles // 2
-        run_resilient(edge("dither", 4),
-                      FaultSchedule.single_kill(0, kill_at))
+        kill_at = simulate_spec(edge("dither", 4)).cycles // 2
+        simulate_spec(edge("dither", 4,
+                           FaultSchedule.single_kill(0, kill_at)))
 
         kinds = [e["kind"] for e in events]
         assert "fault.inject" in kinds
@@ -219,7 +209,7 @@ class TestObservability:
     def test_recovery_profiler_phase(self):
         obs = repro.obs.configure(metrics=True)
         obs.profiler.enabled = True
-        kill_at = _simulate_edge(edge("dither", 4)).cycles // 2
-        run_resilient(edge("dither", 4),
-                      FaultSchedule.single_kill(0, kill_at))
+        kill_at = simulate_spec(edge("dither", 4)).cycles // 2
+        simulate_spec(edge("dither", 4,
+                           FaultSchedule.single_kill(0, kill_at)))
         assert "recovery" in obs.profiler.snapshot()

@@ -176,3 +176,18 @@ class TestColdPath:
             # ... and the first job imported nothing the fork had not
             # already handed it.
             assert set(jobs[0]) <= set(run.repro)
+
+
+def test_resil_imports_no_harness():
+    """``repro.resil`` is what the one edge driver arms, not a second
+    driver: importing it loads neither the harness nor the chip."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys, repro.resil; "
+                               "print(json.dumps(sorted(sys.modules)))"],
+        text=True, capture_output=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    modules = json.loads(done.stdout)
+    assert "repro.resil.recompose" in modules
+    assert [m for m in modules if m.startswith("repro.harness")] == []
+    assert "repro.tflex.system" not in modules
