@@ -33,13 +33,11 @@ retries is reported as one line and exit status 1.
 Simulating commands take ``--jobs N`` (warm pool workers for cold
 points; 1 runs them in this process), ``--cache-dir DIR`` and
 ``--no-cache`` (the persistent result store under ``.repro-cache/`` —
-see docs/EXECUTION.md),
-``--ff-trace/--no-ff-trace`` (shared fast-forward traces for sampled
-runs, recorded once per benchmark/schedule and replayed by every
-composition — on by default, disabled by ``--no-cache`` unless
-``--ff-trace`` asks for it explicitly), plus ``--trace-out FILE``
-(JSONL event trace) and ``--metrics`` (print the metrics registry) —
-see docs/OBSERVABILITY.md.
+see docs/EXECUTION.md; sampled runs share fast-forward traces under
+``<cache-dir>/traces``, recorded once per benchmark/schedule and
+replayed by every composition, and ``--no-cache`` turns those off
+too), plus ``--trace-out FILE`` (JSONL event trace) and ``--metrics``
+(print the metrics registry) — see docs/OBSERVABILITY.md.
 
 ``cache gc`` prunes the persistent cache (result records and
 fast-forward traces) by size and/or age:
@@ -56,7 +54,6 @@ accuracy/speedup trade-off.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.sample.config import SamplingConfig
@@ -357,16 +354,9 @@ def _add_exec_flags(sub_parser, jobs: bool = True) -> None:
         help="persistent result store location (default .repro-cache)")
     sub_parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable the persistent result store for this invocation")
-    ff_group = sub_parser.add_mutually_exclusive_group()
-    ff_group.add_argument(
-        "--ff-trace", dest="ff_trace", action="store_true", default=None,
-        help="record/replay shared fast-forward traces for sampled runs "
-             "(default; recorded once per benchmark+schedule under "
-             "<cache-dir>/traces and replayed by every composition)")
-    ff_group.add_argument(
-        "--no-ff-trace", dest="ff_trace", action="store_false",
-        help="interpret every sampled run's fast-forward live")
+        help="disable the persistent result store (and the shared "
+             "fast-forward traces under <cache-dir>/traces) for this "
+             "invocation")
     sub_parser.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="write a JSONL event trace of this invocation to FILE")
@@ -552,21 +542,10 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                 f"--cores must be a power of two up to 32, got {args.cores}")
 
     if getattr(args, "sample", False):
-        if args.sample_ff < 1:
-            parser.error(f"--sample-ff must be >= 1, got {args.sample_ff}")
-        if args.sample_window < 1:
-            parser.error(
-                f"--sample-window must be >= 1, got {args.sample_window}")
-        if args.sample_warmup < 0:
-            parser.error(
-                f"--sample-warmup must be >= 0, got {args.sample_warmup}")
-        if args.sample_warmup >= args.sample_window:
-            parser.error(
-                f"--sample-warmup ({args.sample_warmup}) must be smaller "
-                f"than --sample-window ({args.sample_window}): warm-up "
-                f"blocks run unmeasured before each window, so a warm-up "
-                f"that long leaves the window mostly unmeasured — raise "
-                f"--sample-window or lower --sample-warmup")
+        try:
+            SamplingConfig.from_dict(_sampling_from_args(args))
+        except ValueError as exc:
+            parser.error(f"--sample-*: {exc}")
     elif any(getattr(args, name, default) != default
              for name, default in SAMPLE_DEFAULTS.items()):
         parser.error("--sample-ff/--sample-window/--sample-warmup have no "
@@ -630,39 +609,23 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                 f"{args.cores}-core chip), got {args.max_dead}")
 
 
-def _configure_store(args) -> dict:
-    """Apply --cache-dir/--no-cache/--ff-trace; commands without the
-    flags (list, disasm, timeline) leave the store configuration
-    untouched.  Returns the environment entries it replaced, for
-    ``main`` to put back."""
+def _configure_store(args) -> None:
+    """Apply --cache-dir/--no-cache; commands without the flags (list,
+    disasm, timeline) leave the store configuration untouched.  The
+    fast-forward trace store rides the same directory: off disk means
+    no traces, otherwise they go to ``<cache-dir>/traces``.  Pool
+    workers are forked after this, so they inherit both settings."""
     if not hasattr(args, "no_cache"):
-        return {}
+        return
     from repro.harness.runner import configure_cache
+    from repro.sample.trace import configure_ff_trace
 
-    configure_cache(cache_dir=args.cache_dir, enabled=not args.no_cache)
-
-    # The fast-forward trace store rides the same cache directory.  It
-    # follows --no-cache (a no-disk invocation stays no-disk) unless
-    # --ff-trace explicitly asks for traces; the choice is mirrored
-    # into the environment so executor workers — which never see the
-    # parsed flags — resolve the same store.
-    import pathlib
-
-    from repro.sample.trace import (TRACE_DIR_ENV, TRACE_ENABLED_ENV,
-                                    configure_ff_trace, resolve_trace_dir)
-
-    ff_trace = getattr(args, "ff_trace", None)
-    enabled = ff_trace if ff_trace is not None else not args.no_cache
-    configure_ff_trace(
-        enabled=enabled,
-        cache_dir=(pathlib.Path(args.cache_dir) / "traces"
-                   if args.cache_dir else None))
-    saved = {name: os.environ.get(name)
-             for name in (TRACE_ENABLED_ENV, TRACE_DIR_ENV)}
-    os.environ[TRACE_ENABLED_ENV] = "1" if enabled else "0"
-    if enabled:
-        os.environ[TRACE_DIR_ENV] = str(resolve_trace_dir())
-    return saved
+    store = configure_cache(cache_dir=args.cache_dir,
+                            enabled=not args.no_cache)
+    if store is None:
+        configure_ff_trace(enabled=False)
+    else:
+        configure_ff_trace(enabled=True, cache_dir=store.root / "traces")
 
 
 def _configure_obs(args) -> None:
@@ -723,28 +686,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _validate(parser, args)
 
-    # _configure_store mirrors the ff-trace choice into the environment
-    # for executor workers; restore it on exit so in-process callers
-    # (tests, notebooks) don't leak one invocation's choice into the
-    # next.
-    saved_env: dict = {}
     try:
-        try:
-            saved_env = _configure_store(args)
-        except OSError as exc:
-            print(f"repro: {exc}", file=sys.stderr)
-            return 2
-        _configure_obs(args)
-        try:
-            return _dispatch(args)
-        finally:
-            _finalize_obs(args)
+        _configure_store(args)
+    except OSError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
+    _configure_obs(args)
+    try:
+        return _dispatch(args)
     finally:
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        _finalize_obs(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -33,8 +33,6 @@ from repro.isa.block import (
 from repro.isa.program import Program, ProgramError, HALT_ADDR
 from repro.isa.builder import BlockBuilder, Port, BlockTooLarge
 from repro.isa.interp import Interpreter, InterpResult, InterpError
-from repro.isa.encoding import encode_program, decode_program, EncodingError
-from repro.isa.asm import assemble, AsmError
 
 __all__ = [
     "OpClass",
@@ -65,9 +63,4 @@ __all__ = [
     "Interpreter",
     "InterpResult",
     "InterpError",
-    "encode_program",
-    "decode_program",
-    "EncodingError",
-    "assemble",
-    "AsmError",
 ]

@@ -264,9 +264,6 @@ class Network:
         """Latency without contention (no reservation made)."""
         return self.topology.distance(src, dst) * self.hop_latency
 
-    def reset_stats(self) -> None:
-        self.stats = NetworkStats()
-
     @property
     def average_latency(self) -> float:
         if self.stats.messages == 0:

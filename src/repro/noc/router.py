@@ -111,10 +111,6 @@ class RouterNetwork:
         self._in_flight += 1
         return True
 
-    @property
-    def in_flight(self) -> int:
-        return self._in_flight
-
     def step(self) -> list[Packet]:
         """Advance one cycle; returns packets delivered this cycle.
 

@@ -147,15 +147,6 @@ class EnergyModel:
         watts["leakage"] = params.leakage_core_w * num_cores
         return PowerBreakdown(watts=watts, cycles=cycles, num_cores=num_cores)
 
-    def run_power(self, proc, system) -> PowerBreakdown:
-        """Breakdown for one completed single-processor run."""
-        return self.breakdown(
-            proc.stats.energy_events,
-            cycles=proc.stats.cycles,
-            num_cores=proc.ncores,
-            dram_requests=system.dram.stats.requests,
-        )
-
     @staticmethod
     def perf2_per_watt(cycles: int, watts: float) -> float:
         """Figure 8 metric: performance² per watt (inverse energy-delay²

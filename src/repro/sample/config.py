@@ -21,8 +21,9 @@ class SamplingConfig:
 
     Every window commits ``warmup_blocks`` blocks to re-steady the
     pipeline after injection (excluded from measurement), then
-    ``window_blocks`` measured blocks; between windows the interpreter
-    fast-forwards ``ff_blocks`` blocks.  The first window starts at the
+    ``window_blocks`` measured blocks (the warm-up must be the shorter
+    of the two); between windows the interpreter fast-forwards
+    ``ff_blocks`` blocks.  The first window starts at the
     program entry, so a program shorter than one window degenerates to
     an exact detailed run.
     """
@@ -33,11 +34,19 @@ class SamplingConfig:
 
     def validate(self) -> None:
         if self.ff_blocks < 1:
-            raise ValueError("ff_blocks must be >= 1")
+            raise ValueError(f"ff_blocks must be >= 1, got {self.ff_blocks}")
         if self.window_blocks < 1:
-            raise ValueError("window_blocks must be >= 1")
+            raise ValueError(
+                f"window_blocks must be >= 1, got {self.window_blocks}")
         if self.warmup_blocks < 0:
-            raise ValueError("warmup_blocks must be >= 0")
+            raise ValueError(
+                f"warmup_blocks must be >= 0, got {self.warmup_blocks}")
+        if self.warmup_blocks >= self.window_blocks:
+            raise ValueError(
+                f"warmup_blocks ({self.warmup_blocks}) must be smaller than "
+                f"window_blocks ({self.window_blocks}): warm-up blocks run "
+                f"in detail but unmeasured before each window, so a longer "
+                f"warm-up spends most detailed blocks unmeasured")
 
     def to_dict(self) -> dict:
         return {"ff_blocks": self.ff_blocks,

@@ -37,17 +37,15 @@ memory an interval's data columns are flat, with end offsets
 at a time.
 
 The store root defaults to ``<cache-dir>/traces`` (the same resolution
-as the result store, hermetic under pytest); ``REPRO_FF_TRACE_DIR``
-overrides it and ``REPRO_FF_TRACE=0`` disables tracing — both are
-plain environment variables so executor worker processes inherit the
-CLI's configuration without protocol changes.
+as the result store, hermetic under pytest); :func:`configure_ff_trace`
+is the one switch — the CLI calls it from ``--cache-dir``/``--no-cache``
+— and forked executor workers inherit its process-wide setting.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 import struct
 from array import array
@@ -60,12 +58,8 @@ from repro.exec.store import BlobStore
 #: Bump when the trace layout changes; old blobs then read as misses.
 TRACE_SCHEMA = 1
 
-#: Environment switches (inherited by executor workers).
-TRACE_ENABLED_ENV = "REPRO_FF_TRACE"
-TRACE_DIR_ENV = "REPRO_FF_TRACE_DIR"
-
-#: Process-wide configuration (None = resolve from the environment).
-_OPTIONS: dict = {"enabled": None, "dir": None}
+#: Process-wide configuration (``dir`` None = ``<cache dir>/traces``).
+_OPTIONS: dict = {"enabled": True, "dir": None}
 
 #: (store root, key) -> FFTrace: one in-memory trace serves every replay
 #: in-process (a serial composition sweep parses — or, after recording,
@@ -83,9 +77,9 @@ def configure_ff_trace(enabled: Optional[bool] = None,
                        cache_dir=None) -> dict:
     """Set process-wide trace options; returns the active options.
 
-    ``enabled=None`` leaves the current setting; the CLI maps
-    ``--ff-trace``/``--no-ff-trace`` here and mirrors the choice into
-    the environment so worker processes agree.
+    ``enabled=None`` leaves the current setting; the CLI turns tracing
+    off with ``--no-cache`` and points it at ``<cache-dir>/traces``
+    otherwise.  Pool workers forked afterwards inherit the setting.
     """
     if enabled is not None:
         _OPTIONS["enabled"] = bool(enabled)
@@ -97,29 +91,21 @@ def configure_ff_trace(enabled: Optional[bool] = None,
 def reset_ff_trace() -> None:
     """Drop explicit configuration and the in-process parsed cache
     (tests; the on-disk store is untouched)."""
-    _OPTIONS["enabled"] = None
+    _OPTIONS["enabled"] = True
     _OPTIONS["dir"] = None
     _PARSED.clear()
 
 
 def trace_enabled() -> bool:
     """Whether sampled runs consult the trace store (default on)."""
-    if _OPTIONS["enabled"] is not None:
-        return _OPTIONS["enabled"]
-    env = os.environ.get(TRACE_ENABLED_ENV)
-    if env is not None:
-        return env.strip().lower() not in ("", "0", "no", "off", "false")
-    return True
+    return _OPTIONS["enabled"]
 
 
 def resolve_trace_dir() -> pathlib.Path:
-    """Trace-store root: explicit configuration, then
-    ``$REPRO_FF_TRACE_DIR``, then ``<result cache dir>/traces``."""
+    """Trace-store root: explicit configuration, else
+    ``<result cache dir>/traces``."""
     if _OPTIONS["dir"] is not None:
         return _OPTIONS["dir"]
-    env = os.environ.get(TRACE_DIR_ENV)
-    if env:
-        return pathlib.Path(env)
     from repro.harness.runner import resolve_cache_dir
 
     return resolve_cache_dir() / "traces"

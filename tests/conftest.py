@@ -9,8 +9,7 @@ import shutil
 import pytest
 
 from repro.harness import clear_cache, configure_cache, resolve_cache_dir
-from repro.sample.trace import (TRACE_ENABLED_ENV, configure_ff_trace,
-                                reset_ff_trace)
+from repro.sample.trace import configure_ff_trace, reset_ff_trace
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -42,18 +41,10 @@ def _hermetic_cache():
     clear_cache()
     configure_cache(enabled=False)
     configure_ff_trace(enabled=False)
-    # Pool workers resolve the trace store from the environment, not
-    # this process's configuration — pin the choice for them too.
-    saved = os.environ.get(TRACE_ENABLED_ENV)
-    os.environ[TRACE_ENABLED_ENV] = "0"
     yield
     clear_cache()
     configure_cache(enabled=False)
     reset_ff_trace()
-    if saved is None:
-        os.environ.pop(TRACE_ENABLED_ENV, None)
-    else:
-        os.environ[TRACE_ENABLED_ENV] = saved
     hermetic = resolve_cache_dir()
     if hermetic.name != ".repro-cache":
         shutil.rmtree(hermetic, ignore_errors=True)

@@ -76,7 +76,8 @@ class TestSamplingContract:
         {"ff_blocks": 0},
         {"window_blocks": 0},
         {"warmup_blocks": -1},
-    ], ids=["unknown-key", "ff", "window", "warmup"])
+        {"window_blocks": 8, "warmup_blocks": 8},
+    ], ids=["unknown-key", "ff", "window", "warmup", "warmup-vs-window"])
     def test_malformed_sampling_rejected_at_construction(self, items):
         sampling = dict(SAMPLING, **items)
         with pytest.raises(ValueError):

@@ -280,6 +280,18 @@ MUTANTS = [
      "            if False:\n                raise ValueError(\n"
      "                    \"fault injection",
      (_AXES + "test_pair[faults+trips]",)),
+    # One sampling rule, in SamplingConfig; --no-cache alone decides
+    # whether the CLI records fast-forward traces.
+    ("sampling-warmup-vs-window-unchecked", "src/repro/sample/config.py",
+     "        if self.warmup_blocks >= self.window_blocks:\n",
+     "        if False:\n",
+     (_AXES + "TestSamplingContract::"
+      "test_malformed_sampling_rejected_at_construction[warmup-vs-window]",)),
+    ("cli-traces-ignore-no-cache", "src/repro/cli.py",
+     "        configure_ff_trace(enabled=False)\n",
+     "        configure_ff_trace(enabled=True)\n",
+     ("tests/test_cli.py::TestFFTraceFlags::"
+      "test_no_cache_disables_traces_unless_asked",)),
     # The failure reason travels with the event.
     ("exec-in-process-failure-as-crash", "src/repro/exec/executor.py",
      '            reason = "exception"\n', '            reason = "crash"\n',

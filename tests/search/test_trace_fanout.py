@@ -19,8 +19,6 @@ from repro.harness.runner import prewarm_specs, run_spec
 from repro.obs import RingBufferSink
 from repro.sample.trace import (
     FFTraceStore,
-    TRACE_DIR_ENV,
-    TRACE_ENABLED_ENV,
     configure_ff_trace,
     prewarm_partition,
     reset_ff_trace,
@@ -117,11 +115,12 @@ def test_new_rung_schedule_records_again():
 
 @pytest.mark.slow
 def test_prewarm_specs_fans_out_with_shared_traces(tmp_path, monkeypatch):
-    """End to end through the parallel executor: worker processes
-    resolve the store from the environment, recorders run before the
-    fan-out, and exactly one trace per group lands on disk."""
-    monkeypatch.setenv(TRACE_ENABLED_ENV, "1")
-    monkeypatch.setenv(TRACE_DIR_ENV, str(tmp_path / "traces"))
+    """End to end through the parallel executor: forked worker
+    processes inherit ``configure_ff_trace`` with nothing set in the
+    environment, recorders run before the fan-out, and exactly one
+    trace per group lands on disk."""
+    monkeypatch.delenv("REPRO_FF_TRACE", raising=False)
+    monkeypatch.delenv("REPRO_FF_TRACE_DIR", raising=False)
     configure_ff_trace(enabled=True, cache_dir=tmp_path / "traces")
 
     specs = _rung_specs(RUNG, ncores=(2, 4))

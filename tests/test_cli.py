@@ -4,19 +4,21 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.harness import clear_cache, configure_cache, resolve_cache_dir
+from repro.sample.trace import configure_ff_trace, trace_enabled
 
 
 @pytest.fixture(autouse=True)
 def _store_off_after(tmp_path, monkeypatch):
-    """main() applies --cache-dir/--no-cache globally; keep any store a
-    command enables inside tmp_path, start from a cold in-process cache
-    (so store behaviour is deterministic), and restore the hermetic
-    default afterwards."""
+    """main() applies --cache-dir/--no-cache globally (result store and
+    fast-forward traces); keep any store a command enables inside
+    tmp_path, start from a cold in-process cache (so store behaviour is
+    deterministic), and restore the hermetic default afterwards."""
     monkeypatch.chdir(tmp_path)
     clear_cache()
     yield
     clear_cache()
     configure_cache(enabled=False)
+    configure_ff_trace(enabled=False)
 
 
 class TestParser:
@@ -134,12 +136,13 @@ class TestUpFrontValidation:
     def test_sample_ff_bounds(self, capsys):
         err = self._error(capsys, ["run", "conv", "--sample",
                                    "--sample-ff", "0"])
-        assert "--sample-ff must be >= 1" in err
+        assert "ff_blocks must be >= 1, got 0" in err
 
     def test_sample_warmup_vs_window(self, capsys):
         err = self._error(capsys, ["run", "conv", "--sample",
                                    "--sample-warmup", "50"])
-        assert "smaller than --sample-window" in err
+        assert "warmup_blocks (50) must be smaller than window_blocks (40)" \
+            in err
 
     def test_inject_bad_grammar(self, capsys):
         err = self._error(capsys, ["run", "conv", "--inject", "bogus"])
@@ -309,48 +312,22 @@ class TestHelpSmoke:
 
 
 class TestFFTraceFlags:
-    def test_flags_parse_and_conflict(self):
-        parser = build_parser()
-        assert parser.parse_args(["run", "conv"]).ff_trace is None
-        assert parser.parse_args(
-            ["run", "conv", "--ff-trace"]).ff_trace is True
-        assert parser.parse_args(
-            ["run", "conv", "--no-ff-trace"]).ff_trace is False
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "conv", "--ff-trace", "--no-ff-trace"])
-
-    def test_no_cache_disables_traces_unless_asked(self, monkeypatch,
-                                                   tmp_path, capsys):
-        """--no-cache keeps the invocation off disk, --ff-trace opts the
-        trace store back in, and the environment mirror is restored
-        either way."""
-        import os
-
-        from repro.sample.trace import (TRACE_DIR_ENV, TRACE_ENABLED_ENV,
-                                        trace_enabled)
-
-        monkeypatch.setenv(TRACE_ENABLED_ENV, "0")
-        monkeypatch.delenv(TRACE_DIR_ENV, raising=False)
-
-        assert main(["run", "dither", "--cores", "2", "--no-cache",
-                     "--sample", "--sample-ff", "64", "--sample-window",
-                     "16", "--sample-warmup", "4"]) == 0
-        assert os.environ[TRACE_ENABLED_ENV] == "0"
-        assert TRACE_DIR_ENV not in os.environ
+    def test_no_cache_disables_traces_unless_asked(self, tmp_path, capsys):
+        """--no-cache alone decides: it turns tracing off (whatever the
+        process had configured), and a run with a store records its
+        trace under ``<cache-dir>/traces``."""
+        sampled = ["run", "dither", "--cores", "2", "--sample",
+                   "--sample-ff", "64", "--sample-window", "16",
+                   "--sample-warmup", "4"]
+        configure_ff_trace(enabled=True, cache_dir=tmp_path / "elsewhere")
+        assert main([*sampled, "--no-cache"]) == 0
+        assert not trace_enabled()
 
         clear_cache()     # else the second run replays from memory
-        trace_dir = tmp_path / "store"
-        assert main(["run", "dither", "--cores", "2", "--no-cache",
-                     "--ff-trace", "--cache-dir", str(trace_dir),
-                     "--sample", "--sample-ff", "64", "--sample-window",
-                     "16", "--sample-warmup", "4"]) == 0
-        # The run recorded a trace even though results stayed off disk.
-        assert list((trace_dir / "traces").rglob("*.json.gz"))
-        assert not list(trace_dir.rglob("*.json"))
-        # Restored after exit: workers of later in-process invocations
-        # see the pre-CLI environment, not this run's mirror.
-        assert os.environ[TRACE_ENABLED_ENV] == "0"
-        assert TRACE_DIR_ENV not in os.environ
+        cache_dir = tmp_path / "store"
+        assert main([*sampled, "--cache-dir", str(cache_dir)]) == 0
+        assert list((cache_dir / "traces").rglob("*.json.gz"))
+        assert not (tmp_path / "elsewhere").exists()
         capsys.readouterr()
 
 
