@@ -51,11 +51,12 @@ from typing import Optional
 
 import repro.obs as obs_lib
 from repro.isa.interp import Interpreter
+from repro.isa.opcodes import BRANCH_KINDS
 from repro.isa.program import HALT_ADDR
 from repro.mem.flatmem import PAGE_MASK, PAGE_SIZE, FlatMemory
 from repro.sample.config import SamplingConfig
 from repro.sample.shadow import ShadowUarch, rebuild_directory
-from repro.sample.trace import FFInterval, encode_reg_delta
+from repro.sample.trace import STORE_SIZE, FFInterval, encode_reg_delta
 from repro.tflex import TFlexSystem
 from repro.tflex.placement import rectangle
 from repro.tflex.stats import ProcStats
@@ -330,7 +331,7 @@ class SampledRun:
         self.blocks += executed
         self.insts += sum(interval.insts)
         self.loads += sum(interval.loads)
-        self.stores += len(interval.stores) >> 2
+        self.stores += len(interval.store_addrs)
         if executed:
             self.addr = interval.nexts[-1]
         if interval.finished:
@@ -342,26 +343,28 @@ class SampledRun:
         committing each, into a new interval's columns."""
         interp = self.interp
         block_at = self.program.block_at
+        op_index = BRANCH_KINDS.index
         addr = self.addr
         interval = FFInterval(addr)
         start_regs = list(interp.regs)
-        addrs, exits, nexts, branch_ops, insts, loads, load_addrs, stores = (
+        addrs, exits, nexts, branch_ops, insts, loads, load_addrs = (
             interval.addrs, interval.exits, interval.nexts,
             interval.branch_ops, interval.insts, interval.loads,
-            interval.load_addrs, interval.stores)
+            interval.load_addrs)
+        add_store, store_addrs = interval.add_store, interval.store_addrs
         for __ in range(n_blocks):
             outcome = interp.execute_block(block_at(addr))
             interp.commit(outcome)
             addrs.append(addr)
             exits.append(outcome.exit_id)
-            branch_ops.append(outcome.branch_op)
+            branch_ops.append(op_index(outcome.branch_op))
             insts.append(outcome.insts_fired)
             loads.append(outcome.loads)
             load_addrs.extend(outcome.load_addrs)
             interval.load_ends.append(len(load_addrs))
             for __lsq, saddr, size, value, fp in outcome.stores:
-                stores += (saddr, size, value, 1 if fp else 0)
-            interval.store_ends.append(len(stores))
+                add_store(saddr, size, value, fp)
+            interval.store_ends.append(len(store_addrs))
             addr = outcome.next_addr
             nexts.append(addr)
             if addr == HALT_ADDR:
@@ -374,24 +377,26 @@ class SampledRun:
         """Apply a recorded interval's stores to memory in commit order
         — with the boundary register delta, functionally identical to
         :meth:`_interpret` without interpreting a single instruction.
-        The bytes were encoded once per trace (byte-identical to
-        ``FlatMemory.store``) and land with direct page writes; only a
-        page-straddling store takes the generic path."""
+        A store's bytes are the first ``size`` of its value's 8 in
+        ``store_bits`` (byte-identical to ``FlatMemory.store``) and land
+        with direct page writes; only a page-straddling store takes the
+        generic path."""
         pages = self.mem._pages
-        raw, ends = interval.stores_raw
-        start = 0
-        for saddr, end in zip(interval.stores[::4], ends):
+        bits = interval.store_bits
+        at = 0
+        for saddr, kind in zip(interval.store_addrs, interval.store_kinds):
+            size = kind & STORE_SIZE
             off = saddr & PAGE_MASK
-            stop = off + end - start
+            stop = off + size
             if stop <= PAGE_SIZE:
                 number = saddr >> 12
                 page = pages.get(number)
                 if page is None:
                     page = pages[number] = bytearray(PAGE_SIZE)
-                page[off:stop] = raw[start:end]
+                page[off:stop] = bits[at:at + size]
             else:
-                self.mem.write_bytes(saddr, raw[start:end])
-            start = end
+                self.mem.write_bytes(saddr, bits[at:at + size])
+            at += 8
 
     # ------------------------------------------------------------------
     # Extrapolation

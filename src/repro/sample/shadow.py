@@ -41,7 +41,8 @@ from repro.tflex import interleave
 from repro.tflex.config import SystemConfig
 from repro.warm import stage_all
 
-_KIND_OF = {name: BranchKind.of_opcode(name) for name in BRANCH_KINDS}
+#: ``FFInterval.branch_ops`` entry -> the predictor's branch kind.
+_KIND_OF = tuple(BranchKind.of_opcode(name) for name in BRANCH_KINDS)
 
 #: Longest loop period, in blocks, a warm-up pass looks for a fixed
 #: point in (:func:`_skip_fixed_points`); conv's loop is 9 blocks.
@@ -202,14 +203,8 @@ class ShadowUarch:
         for b, core_index in enumerate(self._dbank_core):
             self._l1_by_core[core_index].append(self.dcaches[b])
 
-        # Lazy I-cache LRU (see ``warm``).  Block address -> size of the
-        # blocks whose whole footprint is known to be cached; the
-        # re-fetches of such blocks not yet applied to the LRU stacks,
-        # oldest first; and, per (addr, size), the footprint resolved
-        # to set objects.  All derived from the I-caches, all dropped
-        # by ``settle`` before every transfer.
-        self._resident: dict[int, int] = {}
-        self._pending: dict[int, int] = {}
+        # Per (addr, size), a block's I-cache footprint resolved to set
+        # objects; dropped by ``settle`` before every transfer.
         self._ic_touches: dict[tuple, tuple] = {}
         #: Blocks the last ``warm`` skipped at a loop fixed point:
         #: (predictor/RAS pass, I-cache pass).
@@ -298,58 +293,33 @@ class ShadowUarch:
         transfer (:meth:`_icache_touches`), with no per-access stats —
         nothing reads shadow stats, and ``state_dict`` carries only
         resident state.  A miss takes the exact protocol sequence
-        ``CacheBank.access`` callers use.  Lazier still: once every line
-        of a block's per-core footprint has been touched and none has
-        been evicted since, the block is *resident*: fetching it again
-        can only reorder LRU stacks, and a stack's order depends only on
-        each line's **last** touch.  So a re-fetch is one entry in
-        ``_pending`` (insertion order = last-fetch order) and the
-        touches are applied, once per block, before anything can
-        observe or evict in a set they reorder: a fetch of a
-        non-resident block that shares a set index with one of them
-        (:meth:`_fetch`; the I-caches share one geometry, so a line has
-        the same set index in every core), a snapshot, a state transfer
-        (:meth:`settle`).  This is exact because the I-caches are
-        private (see :meth:`warm`), so nothing but :meth:`_touch`'s own
-        fills ever removes or reorders their lines, and because an
-        evicted line names the one block it belonged to (blocks sit
-        ``BLOCK_STRIDE`` apart and a footprint is shorter than that; a
-        block this does not hold for is never marked resident).
+        ``CacheBank.access`` callers use.
 
         A loop period is a fixed point when the I-cache sets its blocks
-        and the pending ones map to, ``_pending`` and ``_resident`` are
-        as they were before it; a skipped period repeats the L2 reads of
-        the period before it.
+        map to are as they were before it: a period touches nothing
+        else, so a repeat of it would read and leave those sets the
+        same.  A skipped period repeats the L2 reads of the period
+        before it.
         """
         sizes = {addr: block_at(addr).size for addr in dict.fromkeys(addrs)}
-        resident = self._resident
-        pending = self._pending
         touches = self._icache_touches
         reads: dict[int, list] = {}
 
         def run(i: int, j: int) -> None:
             for k in range(i, j):
                 addr = addrs[k]
-                size = sizes[addr]
-                if resident.get(addr) == size:
-                    pending.pop(addr, None)
-                    pending[addr] = size
-                else:
-                    fetched: list = []
-                    self._fetch(addr, size, fetched)
-                    if fetched:
-                        reads[k] = _line_runs(fetched)
+                fetched: list = []
+                self._touch(addr, sizes[addr], fetched)
+                if fetched:
+                    reads[k] = _line_runs(fetched)
 
-        def state(i: int, j: int) -> tuple:
+        def state(i: int, j: int) -> list:
             indices: set = set()
             for addr in dict.fromkeys(addrs[i:j]):
                 indices |= touches(addr, sizes[addr])[1]
-            for addr, size in pending.items():
-                indices |= touches(addr, size)[1]
             order = sorted(indices)
-            return ([tuple(icache._sets.get(index, ()))
-                     for icache in self.icaches for index in order],
-                    list(pending.items()), dict(resident))
+            return [tuple(icache._sets.get(index, ()))
+                    for icache in self.icaches for index in order]
 
         def skip(i: int, p: int, k: int) -> None:
             period = [(at, reads[at]) for at in range(i - p, i) if at in reads]
@@ -381,7 +351,7 @@ class ShadowUarch:
         # across blocks: the block's stores run in between, and the next
         # one's I-cache misses can reach the L2 and back-invalidate.)
         lines, line_ends = interval.load_lines(line_size)
-        stores = interval.stores
+        store_addrs = interval.store_addrs
         line_start = store_start = 0
 
         for i, (line_end, store_end) in enumerate(
@@ -412,8 +382,7 @@ class ShadowUarch:
                     victim = dcache.fill(ctx, key[1], shared)
                     if victim is not None:
                         l2.l1_evicted(victim.ctx, victim.line_addr, bank_core)
-            # [addr, size, value, fp] quads
-            for saddr in stores[store_start:store_end:4]:
+            for saddr in store_addrs[store_start:store_end]:
                 entry = dlines.get(saddr // line_size)
                 if entry is None:
                     entry = dlines[saddr // line_size] = self._dline(saddr)
@@ -458,52 +427,20 @@ class ShadowUarch:
             memo = self._ic_touches[addr, size] = (tuple(touches), indices)
         return memo
 
-    def _touch(self, addr: int, size: int, reads: list) -> bool:
+    def _touch(self, addr: int, size: int, reads: list) -> None:
         """Fetch one block through the I-caches, line by line, appending
-        each miss's L2 read to ``reads``; a block that loses a line to a
-        fill stops being resident.  True when this block kept all of its
-        own."""
-        kept = True
+        each miss's L2 read to ``reads``."""
         for cache_set, key, icache, read in \
                 self._icache_touches(addr, size)[0]:
             try:
                 cache_set.move_to_end(key)
             except KeyError:
                 reads.append(read)
-                victim = icache.fill(key[0], key[1], LineState.SHARED)
-                if victim is not None:
-                    base = victim.line_addr - victim.line_addr % BLOCK_STRIDE
-                    self._resident.pop(base, None)
-                    kept = kept and base != addr
-        return kept
-
-    def _fetch(self, addr: int, size: int, reads: list) -> None:
-        """Fetch a block not known to be resident: first the deferred
-        touches (they are older) if any of them shares a set index with
-        this block's lines, then its own."""
-        indices = self._icache_touches(addr, size)[1]
-        if not all(indices.isdisjoint(self._icache_touches(a, s)[1])
-                   for a, s in self._pending.items()):
-            self._apply_pending()
-        self._resident.pop(addr, None)      # same address, another size
-        if self._touch(addr, size, reads) and not addr % BLOCK_STRIDE \
-                and 4 * size + self.line_size <= BLOCK_STRIDE:
-            self._resident[addr] = size
-
-    def _apply_pending(self) -> None:
-        """Apply the deferred touches; a pending block is resident, so
-        each is a hit (a ``KeyError`` here is a broken invariant)."""
-        for addr, size in self._pending.items():
-            for cache_set, key, __, __ in self._icache_touches(addr, size)[0]:
-                cache_set.move_to_end(key)
-        self._pending.clear()
+                icache.fill(key[0], key[1], LineState.SHARED)
 
     def settle(self) -> None:
-        """Bring the I-caches up to date and forget what was derived
-        from them.  Call before reading or moving ``icaches`` from
-        outside ``warm``."""
-        self._apply_pending()
-        self._resident.clear()
+        """Forget what was derived from the I-cache sets.  Call before
+        reading or moving ``icaches`` from outside ``warm``."""
         self._ic_touches.clear()
 
     # ------------------------------------------------------------------

@@ -32,9 +32,9 @@ Correctness guards, layered:
 Replayed runs produce bit-identical ``RunResult`` payloads to direct
 interpretation — enforced by the cross-composition differential suite
 (``tests/sample/test_trace.py``) and the golden accuracy gates.  In
-memory an interval's data columns are flat, with end offsets
-(:class:`FFInterval`); the recorder streams its blob a chunk of blocks
-at a time.
+memory every column of an interval is a fixed-width ``array``, the data
+columns flat with end offsets (:class:`FFInterval`); the recorder
+streams its blob a chunk of blocks at a time.
 
 The store root defaults to ``<cache-dir>/traces`` (the same resolution
 as the result store, hermetic under pytest); :func:`configure_ff_trace`
@@ -49,7 +49,7 @@ import json
 import pathlib
 import struct
 from array import array
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 import repro.obs as obs_lib
@@ -213,17 +213,36 @@ def encode_reg_delta(start_regs: Sequence, end_regs: Sequence) -> list:
             or type(start_regs[i]) is not type(end_regs[i])]
 
 
-def _encode_store_raw(size: int, value, fp: bool) -> bytes:
-    """The exact bytes :meth:`FlatMemory.store` would write — encoding
-    is deterministic, so replay can pre-compute it once per decoded
-    trace instead of once per store per composition."""
+_INT64 = struct.Struct("<q")
+_DOUBLE = struct.Struct("<d")
+
+
+def store_bits(size: int, value, fp) -> bytes:
+    """A store's value as :class:`FFInterval` keeps it: 8 little-endian
+    bytes, an int as its signed 64-bit pattern and an fp value as its
+    double.  The first ``size`` of them are what ``FlatMemory.store``
+    writes, and the wire's value prints back from them exactly.  A store
+    that could not print back — an int store of anything but an int in
+    signed 64 bits, an fp store of anything but an 8-byte float — raises
+    ``ValueError`` (``OverflowError`` out of range)."""
     if fp:
-        return struct.pack("<d", float(value))
-    return (int(value) & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
+        if type(value) is not float or size != 8:
+            raise ValueError(f"fp store of {size} B {value!r}")
+        return _DOUBLE.pack(value)
+    if type(value) is not int or size not in (1, 2, 4, 8):
+        raise ValueError(f"int store of {size} B {value!r}")
+    return value.to_bytes(8, "little", signed=True)
 
 
-#: Per-block control columns of an interval, in wire order.
-_CONTROL = ("addrs", "exits", "nexts", "branch_ops", "insts", "loads")
+#: An interval's per-block control columns, in wire order, with their
+#: ``array`` type codes: block addresses lie in the code segment, far
+#: below 4 GiB, and a block has at most 128 instructions and 8 exits.
+_CONTROL = (("addrs", "I"), ("exits", "B"), ("nexts", "I"),
+            ("branch_ops", "B"), ("insts", "B"), ("loads", "B"))
+
+#: ``store_kinds``: a store's size, with the ``_FP`` flag on an fp store.
+_FP = 0x80
+STORE_SIZE = 0x7F
 
 
 def block_spans(ends):
@@ -236,68 +255,86 @@ class FFInterval:
     recorder keeps, the codec reads and writes, and replay and warm-up
     consume.
 
-    The control columns (``addrs`` .. ``loads``) are lists, one entry
-    per block, as the warm-up's loop fixed points compare slices of
-    them.  The data columns ``load_addrs`` (an ``array``) and ``stores``
-    (``addr, size, value, fp01`` quads) are flat, in commit order, with
-    ``load_ends``/``store_ends`` where each block ends.
+    Every column is a fixed-width ``array`` (``store_bits`` a
+    ``bytearray``), so an interval holds no Python object per block or
+    per store.  The control columns
+    (``addrs`` .. ``loads``) have one entry per block; ``branch_ops``
+    holds indices into ``repro.isa.opcodes.BRANCH_KINDS``.  The data
+    columns are flat, in commit order, with ``load_ends``/``store_ends``
+    where each block ends: ``load_addrs``, and per store its address
+    (``store_addrs``), its size with the ``_FP`` flag (``store_kinds``)
+    and its value as 8 little-endian bytes (``store_bits``, see
+    :func:`store_bits`).  A store's first ``size`` bytes there are the
+    bytes replay writes.
     """
 
-    __slots__ = ("start", *_CONTROL, "load_addrs", "load_ends",
-                 "stores", "store_ends", "reg_delta", "finished",
-                 "_stores_raw", "_load_lines")
+    __slots__ = ("start", *(name for name, __ in _CONTROL), "load_addrs",
+                 "load_ends", "store_addrs", "store_kinds", "store_bits",
+                 "store_ends", "reg_delta", "finished", "_load_lines")
 
     def __init__(self, start: int, *, reg_delta=(),
                  finished: bool = False) -> None:
         self.start = start
-        for name in _CONTROL:
-            setattr(self, name, [])
-        self.load_addrs, self.load_ends = array("Q"), array("Q")
-        self.stores, self.store_ends = [], array("Q")
+        for name, typecode in _CONTROL:
+            setattr(self, name, array(typecode))
+        self.load_addrs, self.load_ends = array("Q"), array("I")
+        self.store_addrs, self.store_kinds = array("Q"), array("B")
+        self.store_bits, self.store_ends = bytearray(), array("I")
         self.reg_delta = reg_delta        # [[index, value], ...] at the end
         self.finished = finished
-        self._stores_raw = None
         self._load_lines: dict = {}
 
     @classmethod
     def of_blocks(cls, start: int, columns, *, reg_delta=(),
                   finished: bool = False) -> "FFInterval":
-        """An interval from per-block columns in wire order, the data
-        columns one list per block."""
+        """An interval from per-block columns in wire order: branch ops
+        by name, the data columns one list per block (stores as flat
+        ``addr, size, value, fp01`` quads)."""
+        from repro.isa.opcodes import BRANCH_KINDS
+
         interval = cls(start, reg_delta=reg_delta, finished=finished)
         *control, load_addrs, stores = columns
-        for name, column in zip(_CONTROL, control):
-            setattr(interval, name, column)
+        control[3] = map(BRANCH_KINDS.index, control[3])
+        for (name, typecode), column in zip(_CONTROL, control):
+            setattr(interval, name, array(typecode, column))
         for block in load_addrs:
             interval.load_addrs.extend(block)
             interval.load_ends.append(len(interval.load_addrs))
         for block in stores:
-            interval.stores += block
-            interval.store_ends.append(len(interval.stores))
+            for at in range(0, len(block), 4):
+                interval.add_store(*block[at:at + 4])
+            interval.store_ends.append(len(interval.store_addrs))
         return interval
 
     def __len__(self) -> int:
         return len(self.addrs)
 
-    @property
-    def stores_raw(self) -> tuple:
-        """``(raw, ends)``: the bytes replay writes, one ``bytes`` in
-        commit order, and where each store's bytes end; encoded on first
-        use, once per in-memory trace."""
-        if self._stores_raw is None:
-            flat = self.stores
-            parts = [_encode_store_raw(flat[i + 1], flat[i + 2], flat[i + 3])
-                     for i in range(0, len(flat), 4)]
-            self._stores_raw = (b"".join(parts),
-                                array("Q", accumulate(map(len, parts))))
-        return self._stores_raw
+    def add_store(self, addr: int, size: int, value, fp) -> None:
+        """Append one committed store to the data columns."""
+        self.store_bits += store_bits(size, value, fp)
+        self.store_addrs.append(addr)
+        self.store_kinds.append(size | _FP if fp else size)
+
+    def store_quads(self):
+        """Per block, the wire's flat ``addr, size, value, fp01`` list,
+        the value printed back from its bytes."""
+        addrs, kinds, bits = self.store_addrs, self.store_kinds, \
+            self.store_bits
+        for start, end in block_spans(self.store_ends):
+            quads: list = []
+            for i in range(start, end):
+                kind = kinds[i]
+                fp = kind & _FP
+                value = (_DOUBLE if fp else _INT64).unpack_from(bits, 8 * i)[0]
+                quads += (addrs[i], kind & STORE_SIZE, value, 1 if fp else 0)
+            yield quads
 
     def load_lines(self, line_size: int) -> tuple:
         """``(lines, ends)``: per block, the lines its loads touch, a
         line loaded again right after itself kept once; derived once per
         line size and shared by every composition's warm-up."""
         if line_size not in self._load_lines:
-            lines, ends = array("Q"), array("Q")
+            lines, ends = array("Q"), array("I")
             for start, end in block_spans(self.load_ends):
                 last = -1
                 for addr in self.load_addrs[start:end]:
@@ -333,35 +370,51 @@ def encode_trace(trace: FFTrace) -> dict:
 
 def _encode_text(trace: FFTrace, chunk: int = 1024):
     """One trace's payload as compact JSON text, in pieces: branch
-    opcodes interned into a shared table, the data columns one list per
-    block, made ``chunk`` blocks at a time, every other column as it
-    stands."""
+    opcodes interned into a table in order of first use, and every
+    column listed ``chunk`` blocks at a time, the data columns one list
+    per block (:meth:`FFInterval.store_quads` for the stores)."""
+    from repro.isa.opcodes import BRANCH_KINDS
+
     def dumps(obj) -> str:
         return json.dumps(obj, separators=(",", ":"))
 
-    op_index = {op: i for i, op in enumerate(dict.fromkeys(
-        chain.from_iterable(iv.branch_ops for iv in trace.intervals)))}
+    def listed(name: str, parts):
+        yield f',"{name}":['
+        comma = ""
+        for part in parts:
+            yield comma + dumps(part)[1:-1]
+            comma = ","
+        yield "]"
+
+    def grouped(blocks):
+        while part := list(islice(blocks, chunk)):
+            yield part
+
+    used = dict.fromkeys(chain.from_iterable(
+        iv.branch_ops for iv in trace.intervals))
+    brix = bytearray(256)                 # opcode index -> wire index
+    for wire_index, op in enumerate(used):
+        brix[op] = wire_index
     yield dumps({"schema": TRACE_SCHEMA, "bench": trace.bench,
                  "scale": trace.scale,
                  "sampling": dict(sorted(trace.sampling.items())),
-                 "program": trace.program, "branch_ops": list(op_index),
+                 "program": trace.program,
+                 "branch_ops": [BRANCH_KINDS[op] for op in used],
                  })[:-1] + ',"intervals":['
     separator = ""
     for iv in trace.intervals:
-        yield separator + dumps({
-            "start": iv.start, "addrs": iv.addrs, "exits": iv.exits,
-            "nexts": iv.nexts, "brix": [op_index[op] for op in iv.branch_ops],
-            "insts": iv.insts, "loads": iv.loads})[:-1]
-        for name, blocks in (
-                ("la", (iv.load_addrs[a:b].tolist()
-                        for a, b in block_spans(iv.load_ends))),
-                ("st", (iv.stores[a:b] for a, b in block_spans(iv.store_ends)))):
-            yield f',"{name}":['
-            comma = ""
-            for part in iter(lambda: list(islice(blocks, chunk)), []):
-                yield comma + dumps(part)[1:-1]
-                comma = ","
-            yield "]"
+        yield separator + '{"start":' + dumps(iv.start)
+        steps = range(0, len(iv), chunk)
+        for name, column in (
+                ("addrs", iv.addrs), ("exits", iv.exits),
+                ("nexts", iv.nexts),
+                ("brix", iv.branch_ops.tobytes().translate(brix)),
+                ("insts", iv.insts), ("loads", iv.loads)):
+            yield from listed(name, (list(column[a:a + chunk])
+                                     for a in steps))
+        yield from listed("la", grouped(
+            iv.load_addrs[a:b].tolist() for a, b in block_spans(iv.load_ends)))
+        yield from listed("st", grouped(iv.store_quads()))
         yield "," + dumps({"regs": iv.reg_delta, "finished": iv.finished})[1:]
         separator = ","
     yield "]}"

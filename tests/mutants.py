@@ -48,8 +48,8 @@ _ICACHE = (_FIXED + "test_thrashing_sets[32]", _FIXED + "test_nested_loops",
 _TRACE = "src/repro/sample/trace.py"
 _DECODED = ("tests/sample/test_trace.py::"
             "test_decoded_trace_replays_like_the_recorded_one")
-_STREAMED = ("tests/sample/test_trace.py::TestTraceRoundtrip::"
-             "test_streamed_text_is_the_payload_text")
+_ROUNDTRIP = "tests/sample/test_trace.py::TestTraceRoundtrip::"
+_STREAMED = _ROUNDTRIP + "test_streamed_text_is_the_payload_text"
 _SIMULATE = "src/repro/harness/simulate.py"
 _RESIL_RUN = "tests/resil/test_run.py::"
 _KILL = _RESIL_RUN + "TestKillRecovery::"
@@ -191,8 +191,8 @@ MUTANTS = [
      'f"if page is None "',
      (_MEMO + "test_late_path_is_learnt_then_served_without_the_dataflow_"
       "loop",)),
-    # Loop fixed points in the shadow warm-up; the last three survive
-    # (see JUSTIFIED).
+    # Loop fixed points in the shadow warm-up; the I-cache snapshot
+    # survives (see JUSTIFIED).
     ("warm-skip-replays-nothing", _SHADOW,
      "period = [(at, reads[at]) for at in range(i - p, i) if at in reads]",
      "period = []", (_FIXED + "test_store_to_a_code_line[4096]",)),
@@ -212,19 +212,12 @@ MUTANTS = [
      "            (interval.addrs,), run, lambda i, j:",
      (_FIXED + "test_skip_engages_on_a_one_block_loop",)),
     ("warm-icache-snapshot-no-set-contents", _SHADOW,
-     "            return ([tuple(icache._sets.get(index, ()))\n"
-     "                     for icache in self.icaches for index in order],\n"
-     "                    list(pending.items()), dict(resident))",
-     "            return (list(pending.items()), dict(resident))", _ICACHE),
-    ("warm-icache-snapshot-no-resident", _SHADOW,
-     "list(pending.items()), dict(resident))", "list(pending.items()))",
-     _ICACHE),
-    ("warm-icache-snapshot-pending-unordered", _SHADOW,
-     "list(pending.items()), dict(resident))",
-     "sorted(pending.items()), dict(resident))", _ICACHE),
-    # Compact fast-forward intervals: flat data columns with per-block
-    # end offsets, the shared load-line column, the replay bytes and the
-    # streamed blob encoder.
+     "            return [tuple(icache._sets.get(index, ()))\n"
+     "                    for icache in self.icaches for index in order]",
+     "            return []", _ICACHE),
+    # Compact fast-forward intervals: typed flat columns with per-block
+    # end offsets, the shared load-line column, stores kept as their
+    # values' 64-bit patterns, and the streamed blob encoder.
     ("trace-load-end-off-by-one", "src/repro/sample/engine.py",
      "interval.load_ends.append(len(load_addrs))",
      "interval.load_ends.append(len(load_addrs) + 1)", (_DECODED,)),
@@ -236,12 +229,29 @@ MUTANTS = [
      ("tests/sample/test_lazy_lru.py::"
       "test_repeat_skip_is_not_carried_across_blocks",)),
     ("trace-land-bytes-one-late", "src/repro/sample/engine.py",
-     "page[off:stop] = raw[start:end]",
-     "page[off:stop] = raw[start + 1:end + 1]", (_DECODED,)),
+     "page[off:stop] = bits[at:at + size]",
+     "page[off:stop] = bits[at + 1:at + 1 + size]", (_DECODED,)),
+    ("trace-land-whole-pattern", "src/repro/sample/engine.py",
+     "            size = kind & STORE_SIZE\n", "            size = 8\n",
+     (_ROUNDTRIP + "test_stores_raw_matches_flatmemory_encoding",)),
+    ("trace-store-value-printed-unsigned", _TRACE,
+     '_INT64 = struct.Struct("<q")', '_INT64 = struct.Struct("<Q")',
+     (_STREAMED,)),
+    ("trace-store-kind-drops-fp", _TRACE,
+     "self.store_kinds.append(size | _FP if fp else size)",
+     "self.store_kinds.append(size)", (_STREAMED,)),
+    ("trace-store-fp-int-accepted", _TRACE,
+     "        if type(value) is not float or size != 8:\n",
+     "        if size != 8:\n",
+     ("tests/sample/test_trace.py::"
+      "test_unrepresentable_store_is_an_error[8-3-1]",)),
+    ("trace-brix-global-index", _TRACE,
+     "        brix[op] = wire_index\n", "        brix[op] = op\n",
+     (_STREAMED,)),
     ("trace-text-drops-interval-separator", _TRACE,
      '        separator = ","\n', '        separator = ""\n', (_DECODED,)),
     ("trace-text-drops-chunk-separator", _TRACE,
-     '                comma = ","\n', '                comma = ""\n',
+     '            comma = ","\n', '            comma = ""\n',
      (_STREAMED,)),
     # One edge driver: fault-injected runs take the full-detail path.
     # (Summing the segment spans for ``cycles`` is no bug: a survivor is
@@ -301,16 +311,12 @@ MUTANTS = [
 
 #: Rows that survive on purpose: id -> why no test can see the bug.  The
 #: I-cache pass compares a loop period only after the same period ran
-#: once, and an LRU stack after two identical periods equals the stack
-#: after one; the snapshot keeps these parts so the exactness argument
-#: stays local.
+#: once, and an LRU set after two identical runs of an access sequence
+#: equals the set after one; the snapshot is kept so the exactness
+#: argument stays local.
 JUSTIFIED = {
     "warm-icache-snapshot-no-set-contents":
         "the period's I-cache sets are equal after one and after two runs",
-    "warm-icache-snapshot-no-resident":
-        "residency follows those stacks, so it is equal after both runs",
-    "warm-icache-snapshot-pending-unordered":
-        "both runs leave the period's blocks pending in its fetch order",
 }
 
 _COPY_IGNORE = shutil.ignore_patterns(

@@ -109,8 +109,9 @@ def test_skip_engages_on_a_one_block_loop():
 
 def test_one_core_has_no_predictor_pass_to_skip():
     """One block in flight: the predictor is never consulted, only the
-    global history is kept."""
-    assert run(1, [[5] * 300]) == [(0, 297)]
+    global history is kept.  The I-cache pass misses on the first block
+    and finds its fixed point on the second."""
+    assert run(1, [[5] * 300]) == [(0, 298)]
 
 
 @pytest.mark.parametrize("ncores", [1, 4, 32])

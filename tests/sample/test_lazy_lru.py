@@ -1,13 +1,14 @@
-"""The shadow's lazy I-cache LRU is exactly the eager one.
+"""The shadow's warm-up is exactly the eager per-block one.
 
-``ShadowUarch.warm`` defers the LRU touches of re-fetched resident
-blocks and applies them, once per block in last-fetch order, before
-anything can observe or evict in a set they reorder.  The reference
-below touches every line of every fetched block on the spot, through
-the public ``CacheBank``/``L2System`` calls the per-block warm-up was
-written with; random streams — tiny I-caches that evict, one address
-fetched at several sizes, unaligned addresses, snapshots and state
-transfers at random points — must leave both with equal
+``ShadowUarch.warm`` runs an interval as three passes, resolves each
+block's I-cache footprint to set objects once per transfer, skips loop
+periods at fixed points, replays the I-cache passes' L2 reads in the
+D-cache pass and touches a load's line once while it stays MRU.  The
+reference below touches every line of every fetched block on the spot,
+through the public ``CacheBank``/``L2System`` calls the per-block
+warm-up was written with; random streams — tiny I-caches that evict,
+one address fetched at several sizes, unaligned addresses, snapshots
+and state transfers at random points — must leave both with equal
 ``state_dict()``s and equal directories.
 """
 
@@ -89,9 +90,9 @@ def directory(shadow):
             for key, entry in shadow.l2.directory.items()}
 
 
-def same(lazy, eager):
-    return (lazy.state_dict() == eager.state_dict()
-            and directory(lazy) == directory(eager))
+def same(shadow, eager):
+    return (shadow.state_dict() == eager.state_dict()
+            and directory(shadow) == directory(eager))
 
 
 def transfer(shadow, kind):
@@ -128,14 +129,14 @@ _events = st.lists(st.one_of(
 
 
 def drive(ncores, icache_bytes, events, check_each=False):
-    lazy = make_shadow(ncores, icache_bytes)
+    shadow = make_shadow(ncores, icache_bytes)
     eager = make_shadow(ncores, icache_bytes)
     ghist = eager_ghist = 0
     for event in events:
         if event == "snapshot":
-            assert same(lazy, eager)
+            assert same(shadow, eager)
         elif isinstance(event, str):
-            transfer(lazy, event)
+            transfer(shadow, event)
             transfer(eager, event)
         else:
             sizes = {}
@@ -153,12 +154,12 @@ def drive(ncores, icache_bytes, events, check_each=False):
                     nxt * BLOCK_STRIDE, op, loads, stores)
             interval = FFInterval.of_blocks(rows[0][0],
                                             [list(c) for c in zip(*rows)])
-            ghist = lazy.warm(interval, ghist,
+            ghist = shadow.warm(interval, ghist,
                               lambda a: SimpleNamespace(size=sizes[a]))
             assert ghist == eager_ghist
             if check_each:
-                assert same(lazy, eager)
-    assert same(lazy, eager)
+                assert same(shadow, eager)
+    assert same(shadow, eager)
 
 
 @settings(max_examples=120, deadline=None)
@@ -202,38 +203,37 @@ def test_repeat_skip_is_not_carried_across_blocks():
 
 
 def test_loop_nest_defers_and_settles():
-    """A resident loop is served from the pending list — and the
-    deferred touches really are applied at the flush points."""
+    """A cached loop's repeats are skipped in the I-cache pass from its
+    second period on, their L2 reads deferred to the D-cache pass, and
+    exact across snapshots and transfers; ``settle`` drops the resolved
+    footprints."""
     loop = [(n, 0, 40, 0, (n + 1) % 3, "BRO", [], []) for n in range(3)] * 20
-    lazy = make_shadow(4, 8192)
     drive(4, 8192, [loop, "snapshot", loop, "window", loop, "roundtrip", loop])
+    shadow = make_shadow(4, 8192)
     rows = [(n * BLOCK_STRIDE, 0, 0, "BRO", 1, 0, [], []) for n in range(3)] * 5
     interval = FFInterval.of_blocks(0, [list(c) for c in zip(*rows)])
-    lazy.warm(interval, 0, lambda a: SimpleNamespace(size=40))
-    assert set(lazy._resident) == {0, BLOCK_STRIDE, 2 * BLOCK_STRIDE}
-    assert list(lazy._pending) == [0, BLOCK_STRIDE, 2 * BLOCK_STRIDE]
-    lazy.settle()
-    assert not lazy._pending and not lazy._resident
+    shadow.warm(interval, 0, lambda a: SimpleNamespace(size=40))
+    assert shadow.skipped[1] == 9
+    assert shadow._ic_touches
+    shadow.settle()
+    assert not shadow._ic_touches
 
 
 def test_thrashing_set_does_not_flush_unrelated_blocks():
-    """Blocks that evict each other in one set leave the deferred
-    touches of blocks in other sets pending (and the result exact)."""
+    """Blocks that evict each other in one set leave the line of a block
+    in another set cached (and the result exact)."""
     # 8 KB, 2-way, 64 B lines: 64 sets, and blocks sit 16 lines apart,
     # so blocks 0, 4 and 8 collide in set 0 (3 lines, 2 ways) while
     # block 1 sits alone in set 16.
     cycle = [(n, 0, 3, 0, 0, "BRO", [], []) for n in (0, 1, 4, 1, 8, 1)] * 6
     drive(1, 8192, [cycle, "snapshot", cycle])
 
-    # The stream ends on a miss in set 0: had any thrashing fetch
-    # flushed the deferred touches, block 1 would not be pending now.
-    lazy = make_shadow(1, 8192)
+    shadow = make_shadow(1, 8192)
     rows = [(n * BLOCK_STRIDE, 0, 0, "BRO", 1, 0, [], [])
             for n in (0, 1, 4, 1, 8, 1) * 6 + (0,)]
     interval = FFInterval.of_blocks(0, [list(c) for c in zip(*rows)])
-    lazy.warm(interval, 0, lambda a: SimpleNamespace(size=3))
-    assert list(lazy._pending.items()) == [(BLOCK_STRIDE, 3)]
-    assert lazy._resident[BLOCK_STRIDE] == 3
-    assert 4 * BLOCK_STRIDE not in lazy._resident   # just evicted by block 0
-    lazy.settle()
-    assert not lazy._pending
+    shadow.warm(interval, 0, lambda a: SimpleNamespace(size=3))
+    icache = shadow.icaches[0]
+    assert icache.probe(shadow.ctx, BLOCK_STRIDE) is not None
+    assert icache.probe(shadow.ctx, 4 * BLOCK_STRIDE) is None  # evicted by 0
+    assert icache.probe(shadow.ctx, 8 * BLOCK_STRIDE) is not None

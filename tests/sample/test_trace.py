@@ -11,9 +11,10 @@ benchmarks of every category.
 import gzip
 import json
 import pathlib
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.obs as obs_lib
 from repro.exec import ResultStore
@@ -28,7 +29,6 @@ from repro.sample.trace import (
     FFTraceStore,
     RecordSession,
     ReplaySession,
-    block_spans,
     configure_ff_trace,
     decode_trace,
     encode_reg_delta,
@@ -93,14 +93,17 @@ class TestRegDelta:
             encode_reg_delta([0], [0, 0])
 
 
-_stores = st.lists(
-    st.tuples(st.integers(0, 1 << 20),                     # address
-              st.sampled_from([1, 2, 4, 8]),               # size
-              st.integers(-(2 ** 31), 2 ** 31 - 1),        # value
-              st.booleans()),                              # fp
-    max_size=6).map(
-        lambda items: [field for a, s, v, fp in items for field in
-                       (a, 8 if fp else s, float(v) if fp else v, int(fp))])
+# Stores as the wire has them, flat ``addr, size, value, fp01`` quads:
+# an int store of any size and any 64-bit value (negative, or wider
+# than its size), or an 8-byte fp store of any non-NaN double (JSON
+# prints every NaN alike, so its bits cannot round-trip).
+_stores = st.lists(st.one_of(
+    st.tuples(st.integers(0, 1 << 20), st.sampled_from([1, 2, 4, 8]),
+              st.integers(-(2 ** 63), 2 ** 63 - 1), st.just(0)),
+    st.tuples(st.integers(0, 1 << 20), st.just(8),
+              st.floats(allow_nan=False), st.just(1))),
+    max_size=6).map(lambda items: [field for item in items
+                                   for field in item])
 
 _intervals = st.lists(st.tuples(
     st.integers(0, 63),                                    # block number
@@ -143,13 +146,34 @@ def _same_interval(got, want):
     """Field-for-field equality of two FFIntervals, in type too (an
     int column entry is not a float one)."""
     return repr([getattr(got, name) for name in FIELDS]) \
-        == repr([getattr(want, name) for name in FIELDS]) \
-        and got.stores_raw == want.stores_raw
+        == repr([getattr(want, name) for name in FIELDS])
+
+
+#: Every store shape the wire carries, as ``(size, value, fp01)``: int
+#: stores of each size, negative, and wider than their size but inside
+#: 64 bits, and fp stores.
+STORE_SHAPES = [
+    (1, 0x7F, 0), (1, -1, 0), (1, 0x1234, 0),
+    (2, 0xBEEF, 0), (2, -2, 0), (2, 1 << 40, 0),
+    (4, 0xDEADBEEF, 0), (4, -(1 << 31), 0), (4, -(1 << 40) - 7, 0),
+    (8, (1 << 63) - 1, 0), (8, -(1 << 63), 0), (8, 0, 0),
+    (8, 2.5, 1), (8, -0.0, 1), (8, 1e300, 1), (8, -5e-324, 1),
+    (8, float("inf"), 1),
+]
+
+#: ``_intervals`` blocks storing every shape: one block each, then one
+#: block with all of them, then one with none.
+SHAPE_BLOCKS = [(n, 0, n + 1, "BRO", 1, [], [8 * n, *shape])
+                for n, shape in enumerate(STORE_SHAPES)] + [
+    (40, 1, 41, "RET", 9, [], [field for n, shape in enumerate(STORE_SHAPES)
+                               for field in (4096 + 8 * n, *shape)]),
+    (41, 2, 0, "CALLO", 2, [8], [])]
 
 
 class TestTraceRoundtrip:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(_intervals, min_size=1, max_size=3))
+    @example(raw_intervals=[SHAPE_BLOCKS])
     def test_encode_decode_roundtrip(self, raw_intervals):
         intervals = [
             _build_interval(blocks, start=i * 4096,
@@ -170,30 +194,30 @@ class TestTraceRoundtrip:
 
     @settings(max_examples=25, deadline=None)
     @given(_intervals)
+    @example(blocks=SHAPE_BLOCKS)
     def test_stores_raw_matches_flatmemory_encoding(self, blocks):
-        """The pre-encoded store bytes must be exactly what
-        ``FlatMemory.store`` would have written."""
+        """The raw bytes replay lands from a decoded interval's store
+        columns must be exactly what ``FlatMemory.store`` would have
+        written."""
         from repro.mem.flatmem import FlatMemory
+        from repro.sample.engine import SampledRun
 
         interval = _build_interval(blocks, start=0, finished=True)
         payload = _json_roundtrip(encode_trace(_trace([interval])))
         decoded = decode_trace(payload).intervals[0]
 
         via_store = FlatMemory()
-        via_raw = FlatMemory()
-        flat = decoded.stores
-        quads = [flat[i:i + 4] for i in range(0, len(flat), 4)]
-        raw, ends = decoded.stores_raw
-        assert len(quads) == len(ends) and len(raw) == (ends[-1] if ends
-                                                        else 0)
-        for (addr, size, value, fp), (start, end) in zip(
-                quads, block_spans(ends)):
-            via_store.store(addr, size, value, fp=bool(fp))
-            via_raw.write_bytes(addr, raw[start:end])
-        assert via_store._pages == via_raw._pages
+        for quads in _columns(blocks)[7]:
+            for at in range(0, len(quads), 4):
+                addr, size, value, fp = quads[at:at + 4]
+                via_store.store(addr, size, value, fp=bool(fp))
+        landed = SimpleNamespace(mem=FlatMemory())
+        SampledRun._land_stores(landed, decoded)
+        assert via_store._pages == landed.mem._pages
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(_intervals, max_size=3), st.integers(1, 4))
+    @example(raw_intervals=[SHAPE_BLOCKS], chunk=3)
     def test_streamed_text_is_the_payload_text(self, raw_intervals, chunk):
         """The recorder's blob text, streamed ``chunk`` blocks' data
         lists at a time, is the compact JSON of the wire layout."""
@@ -225,6 +249,49 @@ class TestTraceRoundtrip:
         payload["schema"] = TRACE_SCHEMA + 1
         with pytest.raises(ValueError):
             decode_trace(payload)
+
+
+@pytest.mark.parametrize("size, value, fp", [
+    (8, 1.5, 0), (4, True, 0), (8, 3, 1), (4, 2.0, 1), (3, 1, 0),
+    (8, 1 << 63, 0), (1, -(1 << 63) - 1, 0)])
+def test_unrepresentable_store_is_an_error(size, value, fp):
+    """A store the wire could not print back exactly is refused, when
+    recorded and when decoded (a decode error reads as a miss): it is
+    never kept another way."""
+    with pytest.raises((ValueError, OverflowError)):
+        FFInterval(0).add_store(0, size, value, fp)
+    payload = encode_trace(_trace([_build_interval(
+        [(0, 0, 1, "BRO", 1, [], [])], start=0, finished=True)]))
+    payload["intervals"][0]["st"] = [[0, size, value, fp]]
+    with pytest.raises((ValueError, OverflowError)):
+        decode_trace(_json_roundtrip(payload))
+
+
+def test_every_benchmark_trace_round_trips_its_wire_text():
+    """Each benchmark's scale-1 run, interpreted into intervals as the
+    recorder does, encodes to text that decodes and re-encodes to the
+    same text byte for byte; its decoded stores, landed on the initial
+    image, give the interpreter's final memory."""
+    from repro.sample.engine import SampledRun
+    from repro.sample.trace import _encode_text
+    from repro.workloads import BENCHMARKS
+
+    for bench in sorted(BENCHMARKS):
+        spec = JobSpec.edge(bench, 1, scale=1, sampling=SAMPLING)
+        run = SampledRun(spec)
+        intervals = []
+        while not intervals or not intervals[-1].finished:
+            intervals.append(run._interpret(4096))
+            run.addr = intervals[-1].nexts[-1]
+        text = "".join(_encode_text(_trace(intervals, bench=bench)))
+        decoded = decode_trace(json.loads(text))
+        assert "".join(_encode_text(decoded)) == text, bench
+        assert all(_same_interval(got, want) for got, want in
+                   zip(decoded.intervals, intervals, strict=True)), bench
+        landed = SampledRun(spec)
+        for interval in decoded.intervals:
+            landed._land_stores(interval)
+        assert landed.mem._pages == run.mem._pages, bench
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +433,7 @@ def test_recorder_caches_the_trace_it_would_decode():
             assert getattr(cached, name) == getattr(decoded, name)
             assert type(getattr(cached, name)) is type(getattr(decoded, name))
         assert len(cached.intervals) == len(decoded.intervals) >= 2
-        assert any(iv.stores for iv in cached.intervals)
+        assert any(iv.store_addrs for iv in cached.intervals)
         for got, want in zip(cached.intervals, decoded.intervals):
             assert _same_interval(got, want)
 
@@ -430,11 +497,13 @@ def test_one_trace_replays_at_two_line_sizes():
     assert all(set(iv._load_lines) == {64, 32} for iv in trace.intervals)
 
 
-def retained_bytes_per_block(spec, root) -> float:
+def retained_bytes_per_block(spec, root, replay=None) -> float:
     """What a recorded trace keeps alive, in ``tracemalloc`` bytes per
     fast-forward block: traced memory with the recorder's trace cached,
-    less traced memory once it is dropped.  A first run with tracing
-    off builds and compiles the program, so neither side counts that."""
+    less traced memory once it is dropped.  With ``replay``, a spec of
+    the same trace, that spec replays it once before the count, so the
+    columns its warm-up derives count too.  First runs with tracing off
+    build and compile the program, so neither side counts that."""
     import gc
     import tracemalloc
 
@@ -442,13 +511,18 @@ def retained_bytes_per_block(spec, root) -> float:
     from repro.sample.engine import SampledRun
 
     store = FFTraceStore(root)
-    SampledRun(spec).run()
+    for warm in (spec, replay):
+        if warm is not None:
+            SampledRun(warm).run()
     tracemalloc.start()
     try:
         session = trace_mod.open_trace_session(spec, store)
         run = SampledRun(spec, trace=session)
         run.run()
         session.finish(run)
+        if replay is not None:
+            _replay(session.key, trace_mod._PARSED[store.root, session.key],
+                    replay)
         del run, session
         gc.collect()
         with_trace = tracemalloc.get_traced_memory()[0]
@@ -461,15 +535,31 @@ def retained_bytes_per_block(spec, root) -> float:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("bench, bound", [
-    ("conv", 250),      # ~180 B: seven loads a block, stores rare
-    ("gzip", 350),      # ~300 B: two stores a block, each boxing an
-])                      # address and a value
-def test_recorded_trace_bytes_per_block(tmp_path, bench, bound):
-    spec = JobSpec.edge(bench, 4, scale=4,
+def _bytes_spec(bench, **kwargs):
+    return JobSpec.edge(bench, 4, scale=4,
                         sampling={"ff_blocks": 1000, "window_blocks": 16,
-                                  "warmup_blocks": 4})
-    assert retained_bytes_per_block(spec, tmp_path / "t") <= bound
+                                  "warmup_blocks": 4}, **kwargs)
+
+
+@pytest.mark.parametrize("bench, bound", [
+    ("conv", 130),      # ~102 B: seven 8-byte load addresses a block
+    ("gzip", 140),      # ~130 B: and two 17-byte stores a block
+])
+def test_recorded_trace_bytes_per_block(tmp_path, bench, bound):
+    assert retained_bytes_per_block(_bytes_spec(bench), tmp_path / "t") \
+        <= bound
+
+
+@pytest.mark.parametrize("bench, bound", [
+    ("conv", 145),      # ~125 B
+    ("gzip", 175),      # ~162 B
+])
+def test_replayed_trace_bytes_per_block(tmp_path, bench, bound):
+    """One replay at a second line size adds that size's load-line
+    column, and nothing else that grows with the trace."""
+    replay = _bytes_spec(bench, overrides={"line_size": 32})
+    assert retained_bytes_per_block(_bytes_spec(bench), tmp_path / "t",
+                                    replay) <= bound
 
 
 class TestUnwritableStore:
