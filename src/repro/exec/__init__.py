@@ -12,12 +12,12 @@ into three composable pieces:
   plain-JSON codec, keyed by job spec) with corruption-tolerant reads,
   and ``atomic_write``, the only temp-file + fsync + rename sequence.
 * :mod:`repro.exec.pool` — :class:`WorkerPool`, persistent warm worker
-  processes served over a request/reply pipe, with a terminate→kill
-  watchdog and transparent respawn.
+  processes served over a request/reply pipe, with transparent respawn
+  and a terminate→kill escalation on stop.
 * :mod:`repro.exec.executor` — :class:`ParallelExecutor`, the one
   dispatch loop (warm pool, or an in-process slot at ``jobs=1``; cold
-  jobs go out in input order) with per-job timeout, duplicate-spec
-  coalescing, one retry on worker crash, and a live progress/ETA
+  jobs go out in input order) with duplicate-spec coalescing, one retry
+  when a job raises or its worker crashes, and a live progress/ETA
   reporter.
 
 The harness (:mod:`repro.harness.runner`) puts its in-process result

@@ -8,19 +8,18 @@ at most ``jobs`` concurrent workers, with:
 * coalescing of equal-hash specs within the batch — one runs, every
   duplicate receives the same payload;
 * dispatch in input order, a failed attempt ahead of new work;
-* a per-job wall-clock timeout enforced by a terminate→kill watchdog;
-* one retry (configurable) when a worker raises, crashes, or times
-  out — a bad job is *reported* failed, it never kills the sweep;
+* one retry when a worker raises or crashes — a bad job is *reported*
+  failed, it never kills the sweep;
 * optional live progress/ETA reporting.
 
 Every job takes the same route.  The loop talks to its workers through
 the ``has_idle/dispatch/poll/busy_count/shutdown`` calls of
 :class:`~repro.exec.pool.WorkerPool` — ``jobs`` long-lived processes
 that import the simulator once and serve specs over a request/reply
-pipe.  ``jobs=1`` without a timeout swaps in :class:`_InProcessSlot`,
-which offers the same calls and runs the job in this process, so a
-serial sweep pays no process at all; ``jobs=1`` *with* a timeout uses a
-one-worker pool, because only a process can be killed.
+pipe.  ``jobs=1`` swaps in :class:`_InProcessSlot`, which offers the
+same calls and runs the job in this process, so a serial sweep pays no
+process at all.  No job has a wall-clock budget: a simulation's budget
+is in-model (``MAX_CYCLES``).
 
 Results come back in input order as :class:`JobResult` records; the
 parent (not the workers) persists successful payloads to the store, so
@@ -44,7 +43,7 @@ from repro.exec.worker import PoolEvent, execute_spec
 #: Job states a sweep can end in.
 STATUS_OK = "ok"             # simulated this run
 STATUS_CACHED = "cached"     # satisfied from the result store
-STATUS_FAILED = "failed"     # exhausted retries (raise/crash/timeout)
+STATUS_FAILED = "failed"     # exhausted retries (raise/crash)
 
 
 @dataclass
@@ -67,8 +66,7 @@ class _InProcessSlot:
     """The ``jobs=1`` stand-in for :class:`WorkerPool`: one slot whose
     :meth:`dispatch` accepts a job and whose next :meth:`poll` runs
     ``worker(spec)`` in this process and hands it back finished — so,
-    as with a pool, the previous job is persisted between the two.
-    There is no process to kill, so it cannot enforce a timeout."""
+    as with a pool, the previous job is persisted between the two."""
 
     def __init__(self, worker: Callable[[JobSpec], dict]) -> None:
         self.worker = worker
@@ -83,7 +81,7 @@ class _InProcessSlot:
     def dispatch(self, tag, spec: JobSpec) -> None:
         self._job = (tag, spec)
 
-    def poll(self, wait: float = 0.0) -> list[PoolEvent]:
+    def poll(self) -> list[PoolEvent]:
         (tag, spec), self._job = self._job, None
         started = time.monotonic()
         try:
@@ -93,7 +91,7 @@ class _InProcessSlot:
             reason = "exception"
         return [PoolEvent(tag=tag, ok=ok, value=value,
                           duration=time.monotonic() - started,
-                          worker="in-process", reason=reason)]
+                          reason=reason)]
 
     def shutdown(self) -> None:
         pass
@@ -102,23 +100,14 @@ class _InProcessSlot:
 class ParallelExecutor:
     """Runs a batch of job specs, in parallel when ``jobs > 1``."""
 
-    #: Watchdog tick: the longest a sweep blocks with no reply and no
-    #: death to wake it, hence how late a timeout or a missed heartbeat
-    #: is noticed.  A finished or crashed job never waits for it.
-    poll_interval = 0.01
-    #: Grace period for the terminate→kill escalation on unresponsive
-    #: workers — a worker that ignores SIGTERM is SIGKILLed after this
-    #: many seconds instead of wedging the sweep.
-    grace = 5.0
+    #: Re-runs a failed job gets before it is reported failed.
+    retries = 1
 
-    def __init__(self, jobs: int = 1, timeout: Optional[float] = None,
-                 retries: int = 1, store: Optional[ResultStore] = None,
+    def __init__(self, jobs: int = 1, store: Optional[ResultStore] = None,
                  worker: Callable[[JobSpec], dict] = execute_spec,
                  progress: bool = False,
                  obs: Optional[obs_lib.Observability] = None) -> None:
         self.jobs = max(1, int(jobs))
-        self.timeout = timeout
-        self.retries = max(0, int(retries))
         self.store = store
         self.worker = worker
         self.progress = progress
@@ -192,16 +181,15 @@ class ParallelExecutor:
         pending = deque(todo)
         attempts = {i: 0 for i in todo}
         spent = {i: 0.0 for i in todo}
-        if self.jobs <= 1 and self.timeout is None:
+        if self.jobs == 1:
             pool = _InProcessSlot(self.worker)
         else:
             # multiprocessing loads with the first pool, not with the
             # executor: a warm replay never gets here.
             from repro.exec.pool import WorkerPool
 
-            pool = WorkerPool(size=min(self.jobs, len(todo)),
-                              worker=self.worker, timeout=self.timeout,
-                              grace=self.grace, obs=self.obs)
+            pool = WorkerPool(min(self.jobs, len(todo)), self.worker,
+                              self.obs)
 
         def refill() -> None:
             while pending and pool.has_idle():
@@ -219,21 +207,16 @@ class ParallelExecutor:
                 # attempt before new work), and only then record: store
                 # writes, events and progress overlap the next jobs.
                 finished = []               # (index, payload, error)
-                for event in pool.poll(self.poll_interval):
+                for event in pool.poll():
                     i = event.tag
                     spent[i] += event.duration
                     if event.ok:
                         finished.append((i, event.value, None))
                         continue
                     error, reason = event.value, event.reason
-                    if self.obs.active:
-                        if reason == "crash":
-                            self.obs.metrics.inc("exec.crashes",
-                                                 bench=specs[i].bench)
-                        elif reason == "timeout":
-                            self.obs.emit("job.timeout", index=i,
-                                          timeout=self.timeout)
-                            self.obs.metrics.inc("exec.timeouts")
+                    if self.obs.active and reason == "crash":
+                        self.obs.metrics.inc("exec.crashes",
+                                             bench=specs[i].bench)
                     if attempts[i] <= self.retries:
                         self._note_retry(specs[i], attempts[i], error,
                                          reason, reporter)
@@ -299,10 +282,9 @@ class ParallelExecutor:
 
 
 def run_specs(specs: Sequence[JobSpec], jobs: int = 1,
-              timeout: Optional[float] = None,
               store: Optional[ResultStore] = None,
               progress: bool = False, **kwargs) -> list[JobResult]:
     """Convenience wrapper: build an executor and run one batch."""
-    executor = ParallelExecutor(jobs=jobs, timeout=timeout, store=store,
-                                progress=progress, **kwargs)
+    executor = ParallelExecutor(jobs=jobs, store=store, progress=progress,
+                                **kwargs)
     return executor.run(specs)

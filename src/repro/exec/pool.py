@@ -13,10 +13,16 @@ processes alive for the whole batch instead:
 * jobs travel over a duplex request/reply pipe
   (:mod:`repro.exec.worker` documents the message protocol), so a job
   costs one pickled spec each way instead of a process;
-* a watchdog escalates ``terminate()`` → grace → ``kill()`` on workers
-  that exceed the per-job timeout or stop answering heartbeats, and
-  **transparently respawns** them — a stuck or crashed worker costs one
-  job (reported failed/retried by the executor), never the sweep.
+* a worker that dies, or whose pipe breaks, is noticed through its
+  process sentinel or its pipe and **transparently respawned** — a
+  crashed worker costs one job (reported failed/retried by the
+  executor), never the sweep;
+* stopping a worker escalates ``terminate()`` → grace → ``kill()``, so
+  one that traps SIGTERM cannot wedge a shutdown.
+
+There is no wall-clock budget per job: a simulation's budget is
+in-model (``MAX_CYCLES``), so :meth:`WorkerPool.poll` blocks until a
+reply or a death and needs no tick.
 
 Observability: ``pool.spawn``/``pool.respawn``/``pool.kill`` events,
 ``exec.pool_reuse`` (jobs served by an already-warm worker) and
@@ -36,11 +42,7 @@ import repro.obs as obs_lib
 from repro.exec.spec import JobSpec
 from repro.exec.worker import (
     MSG_JOB,
-    MSG_PING,
     MSG_SHUTDOWN,
-    REPLY_PONG,
-    REPLY_READY,
-    REPLY_RESULT,
     PoolEvent,
     execute_spec,
     load_worker_side,
@@ -51,9 +53,8 @@ from repro.exec.worker import (
 class _PoolWorker:
     """Parent-side state for one worker slot (respawns in place)."""
 
-    __slots__ = ("slot", "generation", "process", "conn", "tag", "spec",
-                 "dispatched_at", "jobs_done", "last_seen",
-                 "ping_token", "ping_sent_at")
+    __slots__ = ("slot", "generation", "process", "conn", "tag",
+                 "dispatched_at", "jobs_done")
 
     def __init__(self, slot: int) -> None:
         self.slot = slot
@@ -61,12 +62,8 @@ class _PoolWorker:
         self.process = None
         self.conn = None
         self.tag = None             # None = idle
-        self.spec = None
         self.dispatched_at = 0.0
         self.jobs_done = 0
-        self.last_seen = 0.0
-        self.ping_token = 0
-        self.ping_sent_at = None    # None = no ping outstanding
 
     @property
     def name(self) -> str:
@@ -81,26 +78,22 @@ class WorkerPool:
     """``size`` warm workers behind a dispatch/poll interface.
 
     The pool is deliberately passive: :meth:`dispatch` hands one job to
-    an idle worker, :meth:`poll` waits for the first reply or death,
-    performs one watchdog sweep and returns every job that finished (or
-    was lost) since the last call.
+    an idle worker, :meth:`poll` blocks until a reply or a death and
+    returns every job that finished (or was lost) since the last call.
     Scheduling policy, retries, and result persistence stay in the
     executor.
     """
 
+    #: Seconds a stopping worker gets after ``terminate()``, and again
+    #: after ``kill()``: one that ignores SIGTERM is SIGKILLed after this
+    #: long instead of wedging the sweep.
+    grace = 5.0
+
     def __init__(self, size: int,
                  worker: Callable[[JobSpec], dict] = execute_spec,
-                 timeout: Optional[float] = None,
-                 grace: float = 5.0,
-                 heartbeat_interval: float = 15.0,
-                 heartbeat_grace: float = 10.0,
                  obs: Optional[obs_lib.Observability] = None) -> None:
         self.size = max(1, int(size))
         self.worker_fn = worker
-        self.timeout = timeout
-        self.grace = grace
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_grace = heartbeat_grace
         self._ctx = multiprocessing.get_context()
         self.obs = obs if obs is not None else obs_lib.current()
         self.respawns = 0
@@ -123,10 +116,7 @@ class WorkerPool:
         pw.process = process
         pw.conn = parent_conn
         pw.tag = None
-        pw.spec = None
         pw.jobs_done = 0
-        pw.last_seen = time.monotonic()
-        pw.ping_sent_at = None
         if self.obs.active:
             self.obs.emit("pool.spawn", worker=pw.name)
 
@@ -212,9 +202,7 @@ class WorkerPool:
                     raise
         warm = pw.jobs_done > 0
         pw.tag = tag
-        pw.spec = spec
         pw.dispatched_at = time.monotonic()
-        pw.ping_sent_at = None
         if warm:
             self.reused += 1
         if self.obs.active:
@@ -223,40 +211,24 @@ class WorkerPool:
             if warm:
                 self.obs.metrics.inc("exec.pool_reuse")
 
-    # -- completion / watchdog -----------------------------------------
+    # -- completion ----------------------------------------------------
 
-    def poll(self, wait: float = 0.0) -> list[PoolEvent]:
-        """One scheduler sweep: drain replies, enforce the per-job
-        timeout, detect dead or unresponsive workers, respawn losses.
-        Returns the jobs that finished (or failed) during the sweep.
-
-        The sweep is preceded by a block of at most ``wait`` seconds on
-        the busy workers' pipes and every worker's process sentinel, so
-        a reply or a death wakes the caller at once; ``wait`` is only
-        the tick at which timeouts and heartbeats are looked at."""
-        if wait > 0:
-            ready = [pw.conn for pw in self.workers if pw.busy]
-            ready += [pw.process.sentinel for pw in self.workers]
-            try:
-                wait_any(ready, wait)
-            except (OSError, ValueError):
-                pass                # a dead descriptor: the sweep names it
+    def poll(self) -> list[PoolEvent]:
+        """Block on the busy workers' pipes and every worker's process
+        sentinel until a reply or a death, then drain every reply,
+        classify every dead worker and respawn it.  Returns the jobs
+        that finished (or were lost) since the last call."""
+        ready = [pw.conn for pw in self.workers if pw.busy]
+        ready += [pw.process.sentinel for pw in self.workers]
+        try:
+            wait_any(ready)
+        except (OSError, ValueError):
+            pass                    # a dead descriptor: the sweep names it
         events: list[PoolEvent] = []
         now = time.monotonic()
         for pw in self.workers:
             if self._drain(pw, events, now) is False:
                 continue            # worker was replaced during drain
-            if (pw.busy and self.timeout is not None
-                    and now - pw.dispatched_at > self.timeout):
-                events.append(PoolEvent(
-                    tag=pw.tag, ok=False,
-                    value=f"worker timed out after {self.timeout:g}s",
-                    duration=now - pw.dispatched_at, worker=pw.name,
-                    reason="timeout"))
-                pw.tag = None
-                self._stop(pw)
-                self._respawn(pw, reason="timeout")
-                continue
             if not pw.process.is_alive():
                 # Drain once more: the worker may have sent its reply
                 # and exited between the drain above and this check.
@@ -268,13 +240,9 @@ class WorkerPool:
                         tag=pw.tag, ok=False,
                         value=(f"worker crashed (exit code "
                                f"{pw.process.exitcode})"),
-                        duration=now - pw.dispatched_at, worker=pw.name,
-                        reason="crash"))
+                        duration=now - pw.dispatched_at, reason="crash"))
                     pw.tag = None
                 self._respawn(pw, reason="crash")
-                continue
-            if not pw.busy:
-                self._heartbeat(pw, now)
         return events
 
     def _drain(self, pw: _PoolWorker, events: list[PoolEvent],
@@ -287,7 +255,7 @@ class WorkerPool:
             try:
                 if not pw.conn.poll():
                     return True
-                message = pw.conn.recv()
+                __, tag, status, value, service, idle = pw.conn.recv()
             except EOFError:
                 # Clean close without a reply: the worker exited (or is
                 # exiting) — classify by exit code.
@@ -298,24 +266,16 @@ class WorkerPool:
                 # unusable even if the process lives.
                 self._lost(pw, events, now, pipe_broken=True)
                 return False
-            kind = message[0]
-            if kind == REPLY_READY or kind == REPLY_PONG:
-                pw.last_seen = now
-                pw.ping_sent_at = None
-            elif kind == REPLY_RESULT:
-                __, tag, status, value, service, idle = message
-                if pw.busy and tag == pw.tag:
-                    events.append(PoolEvent(
-                        tag=tag, ok=(status == "ok"), value=value,
-                        duration=service, worker=pw.name,
-                        reason=None if status == "ok" else "exception"))
-                    if self.obs.active:
-                        self.obs.metrics.observe(
-                            "exec.worker_idle_seconds", idle)
-                    pw.tag = None
-                    pw.spec = None
-                    pw.jobs_done += 1
-                    pw.last_seen = now
+            if pw.busy and tag == pw.tag:
+                events.append(PoolEvent(
+                    tag=tag, ok=(status == "ok"), value=value,
+                    duration=service,
+                    reason=None if status == "ok" else "exception"))
+                if self.obs.active:
+                    self.obs.metrics.observe("exec.worker_idle_seconds",
+                                             idle)
+                pw.tag = None
+                pw.jobs_done += 1
 
     def _lost(self, pw: _PoolWorker, events: list[PoolEvent], now: float,
               pipe_broken: bool) -> None:
@@ -330,26 +290,6 @@ class WorkerPool:
                 error = f"worker crashed (exit code {pw.process.exitcode})"
             events.append(PoolEvent(
                 tag=pw.tag, ok=False, value=error,
-                duration=now - pw.dispatched_at, worker=pw.name,
-                reason="crash"))
+                duration=now - pw.dispatched_at, reason="crash"))
             pw.tag = None
         self._respawn(pw, reason="pipe" if pipe_broken else "crash")
-
-    def _heartbeat(self, pw: _PoolWorker, now: float) -> None:
-        """Idle-worker liveness: ping after a quiet interval; a worker
-        that neither pongs nor dies within the heartbeat grace is
-        wedged — replace it before it eats a job."""
-        if pw.ping_sent_at is not None:
-            if now - pw.ping_sent_at > self.heartbeat_grace:
-                self._stop(pw)
-                self._respawn(pw, reason="heartbeat")
-            return
-        if now - pw.last_seen < self.heartbeat_interval:
-            return
-        pw.ping_token += 1
-        try:
-            pw.conn.send((MSG_PING, pw.ping_token))
-            pw.ping_sent_at = now
-        except (OSError, ValueError):
-            self._stop(pw)
-            self._respawn(pw, reason="pipe")

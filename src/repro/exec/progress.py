@@ -23,15 +23,15 @@ def _fmt_seconds(seconds: float) -> str:
 class ProgressReporter:
     """Prints ``[done/total] pct elapsed eta`` lines, rate-limited."""
 
+    #: Least seconds between two emitted lines; the last update always
+    #: emits.
+    min_interval = 0.5
+
     def __init__(self, total: int, stream: Optional[TextIO] = None,
-                 min_interval: float = 0.5,
-                 clock: Callable[[], float] = time.monotonic,
-                 prefix: str = "exec") -> None:
+                 clock: Callable[[], float] = time.monotonic) -> None:
         self.total = total
         self.stream = stream if stream is not None else sys.stderr
-        self.min_interval = min_interval
         self.clock = clock
-        self.prefix = prefix
         self.done = 0
         self.failed = 0
         self.cached = 0
@@ -91,7 +91,7 @@ class ProgressReporter:
             eta_text = _fmt_seconds(eta)
         else:
             eta_text = "?"
-        text = (f"{self.prefix}: [{self.done}/{self.total}] {pct:3.0f}% "
+        text = (f"exec: [{self.done}/{self.total}] {pct:3.0f}% "
                 f"elapsed {_fmt_seconds(elapsed)} eta {eta_text}")
         if self.failed:
             text += f" failed {self.failed}"

@@ -11,8 +11,8 @@ Two entry points:
   warm inside the worker process across jobs; see
   :func:`repro.harness.simulate.cached_program`.)
 * :func:`pool_worker_main` is the long-lived warm-pool loop: import
-  once, then serve ``job``/``ping`` requests over a duplex pipe until
-  told to shut down (or the pipe dies).  See :mod:`repro.exec.pool`
+  once, then serve ``job`` requests over a duplex pipe until told to
+  shut down (or the pipe dies).  See :mod:`repro.exec.pool`
   for the parent side and the protocol invariants.
 """
 
@@ -27,20 +27,14 @@ from repro.exec.spec import JobSpec
 # -- request/reply protocol (parent -> worker | worker -> parent) ------
 #
 # Every message is a plain tuple whose first element is one of these
-# tags.  Requests:   (MSG_JOB, tag, spec) | (MSG_PING, token)
-#                    | (MSG_SHUTDOWN,)
-# Replies:           (REPLY_READY,) once at startup,
-#                    (REPLY_RESULT, tag, "ok"|"error", payload|message,
+# tags.  Requests:   (MSG_JOB, tag, spec) | (MSG_SHUTDOWN,)
+# Reply:             (REPLY_RESULT, tag, "ok"|"error", payload|message,
 #                     service seconds, idle seconds) — both on the
 #                    worker's clock: the job itself, and the time blocked
-#                    in recv() since the previous reply,
-#                    (REPLY_PONG, token).
+#                    in recv() since the previous reply.
 MSG_JOB = "job"
-MSG_PING = "ping"
 MSG_SHUTDOWN = "shutdown"
-REPLY_READY = "ready"
 REPLY_RESULT = "result"
-REPLY_PONG = "pong"
 
 #: The serving pool worker's request pipe, while :func:`pool_worker_main`
 #: is running.  Lets worker-side code (and fault-injection tests) reach
@@ -64,10 +58,8 @@ class PoolEvent:
     value: object               # payload dict | error string
     duration: float             # service seconds on the worker's clock
                                 # (the parent's, from dispatch, if lost)
-    worker: str                 # worker name that served (or lost) it
-    #: Why a failed job failed: ``timeout`` (wall clock exceeded),
-    #: ``crash`` (the process died or its pipe broke) or ``exception``
-    #: (the job raised); None when ``ok``.
+    #: Why a failed job failed: ``crash`` (the process died or its pipe
+    #: broke) or ``exception`` (the job raised); None when ``ok``.
     reason: Optional[str] = None
 
 
@@ -96,33 +88,20 @@ def pool_worker_main(conn, worker_fn) -> None:
     stays warm for the next job.  Only transport death (pipe closed or
     unwritable — the parent is gone) or an explicit shutdown request
     ends the loop.  ``os._exit``/signals still kill the process, which
-    the parent-side watchdog observes as a crash and respawns.
+    the parent observes through its sentinel as a crash and respawns.
     """
     global _ACTIVE_CONN
     _ACTIVE_CONN = conn
     try:
-        try:
-            conn.send((REPLY_READY,))
-        except (OSError, ValueError):
-            return
         idle_since = time.monotonic()
         while True:
             try:
                 message = conn.recv()
             except (EOFError, OSError):
                 return
-            kind = message[0]
-            if kind == MSG_SHUTDOWN:
+            if message[0] == MSG_SHUTDOWN:
                 return
-            if kind == MSG_PING:
-                try:
-                    conn.send((REPLY_PONG, message[1]))
-                except (OSError, ValueError):
-                    return
-                continue
-            if kind != MSG_JOB:
-                continue                # unknown request: ignore, stay up
-            tag, spec = message[1], message[2]
+            __, tag, spec = message
             started = time.monotonic()
             try:
                 status, value = "ok", worker_fn(spec)

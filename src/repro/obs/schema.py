@@ -38,15 +38,14 @@ EVENTS: dict[str, str] = {
     # Exec engine (repro.exec.executor / pool / store)
     "job.start": "executor handed a job to a worker",
     "job.done": "job finished and its result was recorded",
-    "job.retry": "job is being re-run after a worker crash",
-    "job.timeout": "job exceeded its wall-clock budget and was killed",
+    "job.retry": "job is being re-run after it raised or its worker crashed",
     "job.cached": "job satisfied from the on-disk result store",
     "job.coalesced": "duplicate in-flight spec piggy-backed on a peer",
     "run.cache_hit": "in-process memo hit (repro.harness.runner)",
     "pool.spawn": "warm worker pool spawned a worker process",
     "pool.dispatch": "pool dispatched a job to a warm worker",
-    "pool.respawn": "pool replaced a dead or stale worker",
-    "pool.kill": "pool killed a worker (timeout or shutdown)",
+    "pool.respawn": "pool replaced a dead worker or one whose pipe broke",
+    "pool.kill": "pool stopped a worker (lost, or at shutdown)",
     "pool.stop": "worker pool shut down",
     "cache.gc": "result-store garbage collection pass finished",
     # Fault injection / recomposition (repro.resil)
@@ -108,9 +107,8 @@ METRICS: dict[str, str] = {
     "noc.local_deliveries": "messages delivered without entering the mesh",
     # Exec engine
     "exec.jobs": "jobs completed by the executor",
-    "exec.retries": "jobs re-run after worker crashes",
+    "exec.retries": "jobs re-run after they raised or their worker crashed",
     "exec.crashes": "worker crashes observed",
-    "exec.timeouts": "jobs killed on wall-clock budget",
     "exec.coalesced": "duplicate specs coalesced in flight",
     "exec.store_errors": "result-store writes that failed (job kept ok)",
     "exec.job_seconds": "histogram of per-job service seconds",

@@ -295,14 +295,16 @@ class ShadowUarch:
         resident state.  A miss takes the exact protocol sequence
         ``CacheBank.access`` callers use.
 
-        A loop period is a fixed point when the I-cache sets its blocks
-        map to are as they were before it: a period touches nothing
-        else, so a repeat of it would read and leave those sets the
-        same.  A skipped period repeats the L2 reads of the period
-        before it.
+        Every repeated loop period is a fixed point, so the pass needs
+        no snapshot: a period is compared only after the same blocks ran
+        once just before it, so it is the second run of one access
+        sequence, and an LRU set after two runs of an access sequence
+        equals the set after one (each line the sequence touches ends
+        at its last-use rank, and the lines it does not touch keep
+        their order below them).  A skipped period repeats the L2
+        reads of the period before it.
         """
         sizes = {addr: block_at(addr).size for addr in dict.fromkeys(addrs)}
-        touches = self._icache_touches
         reads: dict[int, list] = {}
 
         def run(i: int, j: int) -> None:
@@ -313,21 +315,14 @@ class ShadowUarch:
                 if fetched:
                     reads[k] = _line_runs(fetched)
 
-        def state(i: int, j: int) -> list:
-            indices: set = set()
-            for addr in dict.fromkeys(addrs[i:j]):
-                indices |= touches(addr, sizes[addr])[1]
-            order = sorted(indices)
-            return [tuple(icache._sets.get(index, ()))
-                    for icache in self.icaches for index in order]
-
         def skip(i: int, p: int, k: int) -> None:
             period = [(at, reads[at]) for at in range(i - p, i) if at in reads]
             for shift in range(p, (k + 1) * p, p):
                 for at, fetched in period:
                     reads[at + shift] = fetched
 
-        return reads, _skip_fixed_points((addrs,), run, state, skip)
+        return reads, _skip_fixed_points((addrs,), run,
+                                         lambda i, j: None, skip)
 
     def _warm_dcaches(self, interval, reads: dict) -> None:
         """Per block: the I-cache L2 reads ``reads`` recorded for it,
@@ -407,10 +402,9 @@ class ShadowUarch:
     def _icache_touches(self, addr: int, size: int) -> tuple:
         """A block's I-cache lines in fetch order, each as ``(set, key,
         bank, L2 read)`` — the read being ``warm_read``'s ``(ctx, line,
-        core index)`` — and the set indices they fall in; kept until the
-        next transfer moves the sets.  Instruction ``i`` is fetched by
-        core ``i mod N``, and each core's slice occupies its own lines
-        keyed from the block base address."""
+        core index)``; kept until the next transfer moves the sets.
+        Instruction ``i`` is fetched by core ``i mod N``, and each core's
+        slice occupies its own lines keyed from the block base address."""
         memo = self._ic_touches.get((addr, size))
         if memo is None:
             ncores = self.ncores
@@ -422,16 +416,13 @@ class ShadowUarch:
                     la = icache.line_addr(addr + offset)
                     touches.append((icache._set_of(la), (self.ctx, la),
                                     icache, (self.ctx, la, core_index)))
-            indices = frozenset((key[1] // line) % icache.num_sets
-                                for __, key, icache, __ in touches)
-            memo = self._ic_touches[addr, size] = (tuple(touches), indices)
+            memo = self._ic_touches[addr, size] = tuple(touches)
         return memo
 
     def _touch(self, addr: int, size: int, reads: list) -> None:
         """Fetch one block through the I-caches, line by line, appending
         each miss's L2 read to ``reads``."""
-        for cache_set, key, icache, read in \
-                self._icache_touches(addr, size)[0]:
+        for cache_set, key, icache, read in self._icache_touches(addr, size):
             try:
                 cache_set.move_to_end(key)
             except KeyError:

@@ -1,5 +1,5 @@
 """ParallelExecutor: one dispatch loop at every ``jobs`` — retry,
-timeout, coalescing, store integration.
+coalescing, store integration.
 
 Worker functions live at module level so they pickle into children.
 """
@@ -129,15 +129,6 @@ class TestFailureHandling:
         assert r.attempts == 2
         assert r.payload == _ok_worker(_specs(1)[0])
 
-    def test_timeout_terminates_worker(self):
-        executor = ParallelExecutor(jobs=2, timeout=0.25, retries=0,
-                                    worker=_sleep_worker)
-        started = time.monotonic()
-        (r,) = executor.run(_specs(1))
-        assert r.status == "failed"
-        assert "timed out" in r.error
-        assert time.monotonic() - started < 10      # not the 30s sleep
-
     def test_serial_path_retries_raises(self):
         results = run_specs(_specs(4), jobs=1, worker=_raise_on_scale_2)
         by_scale = {r.spec.scale: r for r in results}
@@ -176,10 +167,11 @@ class _LaggedConn:
 
 
 @pytest.fixture
-def busy_pool():
+def busy_pool(monkeypatch):
     """A one-worker pool whose slot holds job 0, ready to have its
     pipe or process swapped for a stub."""
-    pool = WorkerPool(size=1, worker=_sleep_worker, grace=1.0)
+    monkeypatch.setattr(WorkerPool, "grace", 1.0)
+    pool = WorkerPool(size=1, worker=_sleep_worker)
     pool.dispatch(0, _specs(1)[0])
     yield pool
     pool.shutdown()
@@ -253,10 +245,10 @@ class TestCoalescing:
         assert results[0].payload == results[2].payload == results[3].payload
         assert len(list(tmp_path.iterdir())) == 2    # two unique hashes
 
-    def test_duplicate_shares_failure_too(self, jobs):
+    def test_duplicate_shares_failure_too(self, monkeypatch, jobs):
+        monkeypatch.setattr(ParallelExecutor, "retries", 0)
         bad = _specs(4)[1]                           # scale=2: raises
-        results = run_specs([bad, bad], jobs=jobs, retries=0,
-                            worker=_raise_on_scale_2)
+        results = run_specs([bad, bad], jobs=jobs, worker=_raise_on_scale_2)
         assert [r.status for r in results] == ["failed", "failed"]
         assert results[1].error == results[0].error
 
@@ -269,20 +261,6 @@ class TestCoalescing:
         assert obs.metrics.counter("exec.coalesced") == 2
         # Only the primary counts as an executed job.
         assert obs.metrics.counter("exec.jobs", status="ok") == 1
-
-
-class TestSerialTimeout:
-    """``timeout=`` is honoured at every ``jobs``: a timed ``jobs=1``
-    batch runs on one pool worker, because only a process can be
-    killed (regression: the in-process path ignored it, later warned)."""
-
-    def test_jobs_1_timeout_is_enforced(self):
-        started = time.monotonic()
-        (r,) = run_specs(_specs(1), jobs=1, timeout=0.25, retries=0,
-                         worker=_sleep_worker)
-        assert r.status == "failed"
-        assert r.error == "worker timed out after 0.25s"
-        assert time.monotonic() - started < 10      # not the 30s sleep
 
 
 @_SERIAL_AND_POOL

@@ -1,4 +1,4 @@
-"""WorkerPool: warm reuse, watchdog escalation, transparent respawn.
+"""WorkerPool: warm reuse, stop escalation, transparent respawn.
 
 Worker functions live at module level so they pickle into children.
 The nasty ones model the three ways a real worker dies: ignoring
@@ -6,13 +6,15 @@ SIGTERM (stuck in C code), breaking the pipe mid-send, and crashing
 outright.
 
 Includes the event-driven-wake latency tests (``TestEventDrivenWake``:
-two-second budgets under a five-second watchdog tick) and the SIGKILL
-chaos sweeps (``TestChaos``); ~15 s in all.  A wedged dispatch loop
-would hang here, which is why CI puts a timeout on the tier-1 step.
+two-second budgets on a poll that blocks until a reply or a death) and
+the SIGKILL chaos sweeps (``TestChaos``); ~15 s in all.  A wedged
+dispatch loop would hang here, which is why CI puts a time limit on the
+tier-1 step.
 """
 
 import multiprocessing
 import os
+import pathlib
 import random
 import signal
 import struct
@@ -20,6 +22,7 @@ import time
 
 import pytest
 
+import repro.exec.executor as executor_mod
 from repro.exec import JobSpec, ParallelExecutor, ResultStore, run_specs
 from repro.exec.pool import WorkerPool
 from repro.obs import CallbackSink, Observability
@@ -36,9 +39,16 @@ def _ok_worker(spec):
 
 def _sigterm_ignoring_worker(spec):
     """The acceptance scenario: a worker wedged with SIGTERM trapped.
-    Only SIGKILL (the watchdog's escalation) can take it down."""
+    Only SIGKILL (the stop's escalation) can take it down.  It touches
+    the file named by ``REPRO_TEST_TRAPPED`` once the trap is set."""
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    pathlib.Path(os.environ["REPRO_TEST_TRAPPED"]).touch()
     time.sleep(60)
+    return _ok_worker(spec)
+
+
+def _sleep_worker(spec):
+    time.sleep(20)
     return _ok_worker(spec)
 
 
@@ -92,39 +102,48 @@ class TestWarmReuse:
 
 
 class TestWatchdog:
-    def test_sigterm_ignoring_worker_is_killed_within_grace(self):
-        """Regression (acceptance criterion): a worker that traps
-        SIGTERM used to wedge the sweep in an unbounded join().  The
-        watchdog must escalate to SIGKILL within the grace period and
-        mark the job failed."""
-        executor = ParallelExecutor(jobs=2, timeout=0.3, retries=0,
-                                    worker=_sigterm_ignoring_worker)
-        executor.grace = 1.0
-        started = time.monotonic()
-        (r,) = executor.run(_specs(1))
-        elapsed = time.monotonic() - started
-        assert r.status == "failed"
-        assert "timed out" in r.error
-        # timeout + terminate-grace + kill-grace + scheduling slack —
-        # nowhere near the worker's 60s sleep.
-        assert elapsed < 15
+    """Stopping a worker escalates terminate → grace → kill."""
 
-    def test_timeout_error_string_matches_spawn_path(self):
-        (r,) = run_specs(_specs(1), jobs=2, timeout=0.2, retries=0,
-                         worker=_sigterm_ignoring_worker)
-        assert r.error.startswith("worker timed out after 0.2s")
+    def test_sigterm_ignoring_worker_is_killed_within_grace(
+            self, tmp_path, monkeypatch):
+        """Regression (acceptance criterion): a worker that traps
+        SIGTERM used to wedge the sweep in an unbounded join().  Shutting
+        the pool down with its job in flight must escalate to SIGKILL
+        after the grace period, well inside the job's 60 s sleep."""
+        trapped = tmp_path / "trapped"
+        monkeypatch.setenv("REPRO_TEST_TRAPPED", str(trapped))
+        monkeypatch.setattr(WorkerPool, "grace", 1.0)
+        obs = _obs()
+        kills = []
+        obs.bus.attach(CallbackSink(kills.append, kinds=("pool.kill",)))
+        pool = WorkerPool(size=1, worker=_sigterm_ignoring_worker, obs=obs)
+        (pw,) = pool.workers
+        try:
+            pool.dispatch(0, _specs(1)[0])
+            while not trapped.exists() and pw.process.is_alive():
+                time.sleep(0.01)
+            assert trapped.exists()
+            started = time.monotonic()
+            pool.shutdown()
+            assert time.monotonic() - started < 15
+            assert [e["escalated"] for e in kills] == [True]
+            assert not pw.process.is_alive()
+        finally:
+            if pw.process.is_alive():
+                pw.process.kill()
 
 
 class TestRespawn:
-    def test_pipe_broken_mid_send_fails_job_not_sweep(self):
+    def test_pipe_broken_mid_send_fails_job_not_sweep(self, monkeypatch):
         """A worker that corrupts the reply stream and dies loses its
         own job; the pool respawns the slot and the sweep completes."""
+        monkeypatch.setattr(ParallelExecutor, "retries", 0)
         obs = _obs()
         specs = _specs(1)
         # jobs=2 with one cold spec: a one-slot pool (jobs=1 would run
         # the job in this process).
-        results = run_specs(specs, jobs=2, retries=0,
-                            worker=_broken_pipe_worker, obs=obs)
+        results = run_specs(specs, jobs=2, worker=_broken_pipe_worker,
+                            obs=obs)
         (r,) = results
         assert r.status == "failed"
         assert "worker" in r.error      # pipe broken / crashed (exit 0)
@@ -133,13 +152,14 @@ class TestRespawn:
             for reason in ("pipe", "crash"))
         assert respawns >= 1
 
-    def test_respawn_after_crash_keeps_serving(self):
+    def test_respawn_after_crash_keeps_serving(self, monkeypatch):
         """One job crashes its worker; the pool replaces the slot and
         every other job still completes."""
+        monkeypatch.setattr(ParallelExecutor, "retries", 0)
         obs = _obs()
         specs = _specs(4)
-        results = run_specs(specs, jobs=2, retries=0,
-                            worker=_crash_on_scale_2, obs=obs)
+        results = run_specs(specs, jobs=2, worker=_crash_on_scale_2,
+                            obs=obs)
         by_scale = {r.spec.scale: r for r in results}
         assert by_scale[2].status == "failed"
         assert "exit code 13" in by_scale[2].error
@@ -171,8 +191,9 @@ class TestPoolUnit:
         finally:
             pool.shutdown()
 
-    def test_shutdown_is_idempotent_and_fast(self):
-        pool = WorkerPool(size=2, worker=_ok_worker, grace=2.0)
+    def test_shutdown_is_idempotent_and_fast(self, monkeypatch):
+        monkeypatch.setattr(WorkerPool, "grace", 2.0)
+        pool = WorkerPool(size=2, worker=_ok_worker)
         started = time.monotonic()
         pool.shutdown()
         pool.shutdown()
@@ -196,17 +217,30 @@ class TestPoolUnit:
         finally:
             pool.shutdown()
 
+    def test_an_idle_worker_death_wakes_poll(self):
+        """poll() blocks on every worker's sentinel, idle ones too: an
+        idle worker killed while the other runs a 20 s job is replaced
+        at once, and poll returns no finished job instead of waiting
+        for that one."""
+        pool = WorkerPool(size=2, worker=_sleep_worker)
+        busy, idle = pool.workers
+        try:
+            pool.dispatch(0, _specs(1)[0])
+            os.kill(idle.process.pid, signal.SIGKILL)
+            assert pool.poll() == []
+            assert busy.busy and busy.generation == 0
+            assert idle.generation == 1 and idle.process.is_alive()
+        finally:
+            pool.shutdown()
+
 
 class TestEventDrivenWake:
-    """``poll_interval`` is the watchdog tick, not the reaction time: a
-    reply or a death wakes the dispatch loop through the pipe or the
-    process sentinel.  With a five-second tick, anything that still
-    waited for one would blow the two-second budgets below."""
+    """The dispatch loop has no tick: a reply or a death wakes it
+    through the pipe or the process sentinel, within the two-second
+    budgets below."""
 
     def _executor(self, **kwargs):
-        executor = ParallelExecutor(jobs=2, **kwargs)
-        executor.poll_interval = 5.0
-        return executor
+        return ParallelExecutor(jobs=2, **kwargs)
 
     def test_a_reply_wakes_the_parent(self):
         started = time.monotonic()
@@ -246,29 +280,41 @@ def _raise_on_2_cores(spec):
     return _ok_worker(spec)
 
 
-#: One slot either way — the in-process one, or a one-worker pool
-#: (``timeout=`` needs a process to kill) — so the order is exact.
+def _one_worker_pool(monkeypatch, obs):
+    """Make ``jobs=1`` run on a one-worker pool instead of in this
+    process, reporting to ``obs``."""
+    monkeypatch.setattr(executor_mod, "_InProcessSlot",
+                        lambda worker: WorkerPool(1, worker, obs))
+
+
+#: One slot either way — the in-process one, or a one-worker pool — so
+#: the order is exact.
 _ONE_SLOT = pytest.mark.parametrize(
-    "timeout", [None, 60.0], ids=["in-process", "one-worker-pool"])
+    "pooled", [False, True], ids=["in-process", "one-worker-pool"])
 
 
 @_ONE_SLOT
 class TestDispatchBeforePersist:
-    def _run(self, tmp_path, timeout, worker):
+    @pytest.fixture(autouse=True)
+    def _slot(self, monkeypatch, pooled):
+        self.obs = _obs()
+        if pooled:
+            _one_worker_pool(monkeypatch, self.obs)
+
+    def _run(self, tmp_path, worker):
         log = []
-        obs = _obs()
-        obs.bus.attach(CallbackSink(
+        self.obs.bus.attach(CallbackSink(
             lambda e: log.append(("start", e["label"], e["attempt"])),
             kinds=("job.start",)))
         results = run_specs(
             [JobSpec.edge("conv", ncores=n) for n in (1, 2, 4, 8)],
-            jobs=1, timeout=timeout, worker=worker, obs=obs,
+            jobs=1, worker=worker, obs=self.obs,
             store=_LoggingStore(tmp_path, log))
         return [r.status for r in results], log
 
     def test_the_freed_slot_is_refilled_before_the_record_is_written(
-            self, tmp_path, timeout):
-        statuses, log = self._run(tmp_path, timeout, _ok_worker)
+            self, tmp_path):
+        statuses, log = self._run(tmp_path, _ok_worker)
         assert statuses == ["ok"] * 4
         assert log == [("start", "tflex-1", 1),
                        ("start", "tflex-2", 1), ("store", "tflex-1"),
@@ -277,8 +323,8 @@ class TestDispatchBeforePersist:
                        ("store", "tflex-8")]
 
     def test_a_failed_attempt_is_redispatched_before_any_new_spec(
-            self, tmp_path, timeout):
-        statuses, log = self._run(tmp_path, timeout, _raise_on_2_cores)
+            self, tmp_path):
+        statuses, log = self._run(tmp_path, _raise_on_2_cores)
         assert statuses == ["ok", "failed", "ok", "ok"]
         assert log == [("start", "tflex-1", 1),
                        ("start", "tflex-2", 1), ("store", "tflex-1"),
@@ -295,7 +341,8 @@ class _SlowStore(ResultStore):
 
 
 class TestWorkerClock:
-    def test_duration_and_idle_time_are_the_workers_own(self, tmp_path):
+    def test_duration_and_idle_time_are_the_workers_own(
+            self, tmp_path, monkeypatch):
         """Three 30 ms jobs on one pool worker behind a store that takes
         100 ms a record: the parent is still writing record N when job
         N+1 finishes, so on the parent's clock every job "took" 100 ms.
@@ -303,8 +350,9 @@ class TestWorkerClock:
         what it spent blocked in recv() before each job — shows the
         70 ms the parent made it wait."""
         obs = _obs()
-        results = run_specs(_specs(3), jobs=1, timeout=60.0, obs=obs,
-                            worker=_nap_worker, store=_SlowStore(tmp_path))
+        _one_worker_pool(monkeypatch, obs)
+        results = run_specs(_specs(3), jobs=1, obs=obs, worker=_nap_worker,
+                            store=_SlowStore(tmp_path))
         assert all(0.03 <= r.duration < 0.09 for r in results)
         assert obs.metrics.histogram("exec.job_seconds").max < 0.09
         idle = obs.metrics.histogram("exec.worker_idle_seconds")

@@ -48,12 +48,12 @@ class TestRendering:
 
 
 class TestEtaWithCache:
-    def test_eta_ignores_cached_jobs(self):
+    def test_eta_ignores_cached_jobs(self, monkeypatch):
         """Warm store hits complete instantly; counting them in the rate
         would wildly underestimate the ETA on mixed warm/cold sweeps."""
+        monkeypatch.setattr(ProgressReporter, "min_interval", 0.0)
         clock = FakeClock()
-        rep = ProgressReporter(total=10, stream=io.StringIO(), clock=clock,
-                               min_interval=0.0)
+        rep = ProgressReporter(total=10, stream=io.StringIO(), clock=clock)
         for _ in range(4):
             rep.update(cached=True)      # instant warm hits
         clock.now += 8.0
@@ -104,22 +104,22 @@ class TestFinish:
 
 
 class TestRateLimiting:
-    def test_intermediate_updates_coalesce(self):
+    def test_intermediate_updates_coalesce(self, monkeypatch):
+        monkeypatch.setattr(ProgressReporter, "min_interval", 1.0)
         clock = FakeClock()
         stream = io.StringIO()
-        rep = ProgressReporter(total=100, stream=stream, min_interval=1.0,
-                               clock=clock)
+        rep = ProgressReporter(total=100, stream=stream, clock=clock)
         for _ in range(50):
             clock.now += 0.01    # 50 completions in half a second
             rep.update()
         # First update emits, the rest fall inside the interval.
         assert stream.getvalue().count("\r") == 1
 
-    def test_final_update_always_emits(self):
+    def test_final_update_always_emits(self, monkeypatch):
+        monkeypatch.setattr(ProgressReporter, "min_interval", 60.0)
         clock = FakeClock()
         stream = io.StringIO()
-        rep = ProgressReporter(total=3, stream=stream, min_interval=60.0,
-                               clock=clock)
+        rep = ProgressReporter(total=3, stream=stream, clock=clock)
         for _ in range(3):
             clock.now += 0.01
             rep.update()

@@ -43,8 +43,6 @@ _MEMO = "tests/isa/test_path_memo.py::"
 _TYPES = _MEMO + "test_operand_types_on_compiled_paths[selectors"
 _CLASSIFY = _MEMO + "test_sample_programs_agree[predicated_classify]"
 _FIXED = "tests/sample/test_fixed_point.py::"
-_ICACHE = (_FIXED + "test_thrashing_sets[32]", _FIXED + "test_nested_loops",
-           _FIXED + "test_generated_loop_programs")
 _TRACE = "src/repro/sample/trace.py"
 _DECODED = ("tests/sample/test_trace.py::"
             "test_decoded_trace_replays_like_the_recorded_one")
@@ -54,6 +52,7 @@ _SIMULATE = "src/repro/harness/simulate.py"
 _RESIL_RUN = "tests/resil/test_run.py::"
 _KILL = _RESIL_RUN + "TestKillRecovery::"
 _AXES = "tests/exec/test_axes.py::"
+_POOL = "src/repro/exec/pool.py"
 
 MUTANTS = [
     # Leaf WARM lists (REP101's own case): a field left off, or a name
@@ -191,8 +190,7 @@ MUTANTS = [
      'f"if page is None "',
      (_MEMO + "test_late_path_is_learnt_then_served_without_the_dataflow_"
       "loop",)),
-    # Loop fixed points in the shadow warm-up; the I-cache snapshot
-    # survives (see JUSTIFIED).
+    # Loop fixed points in the shadow warm-up.
     ("warm-skip-replays-nothing", _SHADOW,
      "period = [(at, reads[at]) for at in range(i - p, i) if at in reads]",
      "period = []", (_FIXED + "test_store_to_a_code_line[4096]",)),
@@ -211,10 +209,6 @@ MUTANTS = [
      "            columns, run, lambda i, j:",
      "            (interval.addrs,), run, lambda i, j:",
      (_FIXED + "test_skip_engages_on_a_one_block_loop",)),
-    ("warm-icache-snapshot-no-set-contents", _SHADOW,
-     "            return [tuple(icache._sets.get(index, ()))\n"
-     "                    for icache in self.icaches for index in order]",
-     "            return []", _ICACHE),
     # Compact fast-forward intervals: typed flat columns with per-block
     # end offsets, the shared load-line column, stores kept as their
     # values' 64-bit patterns, and the streamed blob encoder.
@@ -307,17 +301,30 @@ MUTANTS = [
      '            reason = "exception"\n', '            reason = "crash"\n',
      ("tests/exec/test_executor.py::TestRetryObservability::"
       "test_serial_retry_counts_exceptions",)),
+    # The pool's poll blocks on replies and deaths, with no tick: an
+    # idle worker's death must wake it, a stop must escalate to SIGKILL,
+    # and a worker found dead is drained once more before it counts as
+    # a crash.
+    ("pool-wait-skips-idle-sentinels", _POOL,
+     "        ready += [pw.process.sentinel for pw in self.workers]\n",
+     "        ready += [pw.process.sentinel for pw in self.workers"
+     " if pw.busy]\n",
+     ("tests/exec/test_pool.py::TestPoolUnit::"
+      "test_an_idle_worker_death_wakes_poll",)),
+    ("pool-stop-never-kills", _POOL,
+     "                process.kill()\n", "                pass\n",
+     ("tests/exec/test_pool.py::TestWatchdog::"
+      "test_sigterm_ignoring_worker_is_killed_within_grace",)),
+    ("pool-no-drain-after-death", _POOL,
+     "                if self._drain(pw, events, now) is False:\n"
+     "                    continue        # ... or closed its pipe: replaced\n",
+     "",
+     ("tests/exec/test_executor.py::TestSendExitRace::"
+      "test_result_sent_just_before_exit_is_not_a_crash",)),
 ]
 
-#: Rows that survive on purpose: id -> why no test can see the bug.  The
-#: I-cache pass compares a loop period only after the same period ran
-#: once, and an LRU set after two identical runs of an access sequence
-#: equals the set after one; the snapshot is kept so the exactness
-#: argument stays local.
-JUSTIFIED = {
-    "warm-icache-snapshot-no-set-contents":
-        "the period's I-cache sets are equal after one and after two runs",
-}
+#: Rows that survive on purpose: id -> why no test can see the bug.
+JUSTIFIED: dict[str, str] = {}
 
 _COPY_IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".repro-cache")

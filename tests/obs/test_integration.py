@@ -167,8 +167,7 @@ class TestExecutorEvents:
     def test_failed_job_reports_attempts(self):
         obs = Observability(metrics_enabled=True)
         ring = obs.bus.attach(RingBufferSink())
-        ex = ParallelExecutor(jobs=1, worker=_failing_worker, retries=1,
-                              obs=obs)
+        ex = ParallelExecutor(jobs=1, worker=_failing_worker, obs=obs)
         results = ex.run(self._specs(1))
         assert results[0].status == "failed"
         done = ring.of_kind("job.done")
