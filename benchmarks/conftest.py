@@ -14,7 +14,6 @@ import pathlib
 import pytest
 
 from repro.harness import clear_cache, configure_cache, fig6_performance
-from repro.sample.trace import configure_ff_trace, reset_ff_trace
 
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -24,13 +23,11 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 def _hermetic_cache():
     """Keep tier-1 runs hermetic: start from an empty in-process cache
     and never read or write a persistent store (results or fast-forward
-    traces) left over from earlier CLI invocations."""
+    traces, which follow it) left over from earlier CLI invocations."""
     clear_cache()
     configure_cache(enabled=False)
-    configure_ff_trace(enabled=False)
     yield
     clear_cache()
-    reset_ff_trace()
 
 
 @pytest.fixture(scope="session")

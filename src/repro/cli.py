@@ -264,10 +264,9 @@ def _cmd_cache(args) -> int:
     import pathlib
 
     from repro.exec.store import gc_cache
-    from repro.harness import resolve_cache_dir
+    from repro.harness.runner import DEFAULT_CACHE_DIR
 
-    root = (pathlib.Path(args.cache_dir) if args.cache_dir
-            else resolve_cache_dir())
+    root = pathlib.Path(args.cache_dir or DEFAULT_CACHE_DIR)
     report = gc_cache(root, max_bytes=args.max_bytes_parsed,
                       max_age_days=args.max_age_days, dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
@@ -612,20 +611,14 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
 def _configure_store(args) -> None:
     """Apply --cache-dir/--no-cache; commands without the flags (list,
     disasm, timeline) leave the store configuration untouched.  The
-    fast-forward trace store rides the same directory: off disk means
-    no traces, otherwise they go to ``<cache-dir>/traces``.  Pool
-    workers are forked after this, so they inherit both settings."""
+    fast-forward trace store follows: off with ``--no-cache``, else at
+    ``<cache-dir>/traces``.  Pool workers are forked after this, so
+    they inherit both."""
     if not hasattr(args, "no_cache"):
         return
     from repro.harness.runner import configure_cache
-    from repro.sample.trace import configure_ff_trace
 
-    store = configure_cache(cache_dir=args.cache_dir,
-                            enabled=not args.no_cache)
-    if store is None:
-        configure_ff_trace(enabled=False)
-    else:
-        configure_ff_trace(enabled=True, cache_dir=store.root / "traces")
+    configure_cache(cache_dir=args.cache_dir, enabled=not args.no_cache)
 
 
 def _configure_obs(args) -> None:

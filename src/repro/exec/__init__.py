@@ -16,9 +16,8 @@ into three composable pieces:
   and a terminate→kill escalation on stop.
 * :mod:`repro.exec.executor` — :class:`ParallelExecutor`, the one
   dispatch loop (warm pool, or an in-process slot at ``jobs=1``; cold
-  jobs go out in input order) with duplicate-spec coalescing, one retry
-  when a job raises or its worker crashes, and a live progress/ETA
-  reporter.
+  jobs go out in input order) with one retry when a job raises or its
+  worker crashes, and a live progress/ETA reporter.
 
 The harness (:mod:`repro.harness.runner`) puts its in-process result
 dict in front of the executor, so warm-cache replays of any figure driver are

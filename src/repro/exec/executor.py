@@ -4,9 +4,9 @@ The executor runs a batch of :class:`~repro.exec.spec.JobSpec` jobs on
 at most ``jobs`` concurrent workers, with:
 
 * a consultation of the :class:`~repro.exec.store.ResultStore` first,
-  so warm jobs never touch a worker;
-* coalescing of equal-hash specs within the batch — one runs, every
-  duplicate receives the same payload;
+  so warm jobs never touch a worker (a spec passed twice runs twice:
+  the caller dedups, :func:`repro.harness.runner.prewarm_specs` by
+  content hash);
 * dispatch in input order, a failed attempt ahead of new work;
 * one retry when a worker raises or crashes — a bad job is *reported*
   failed, it never kills the sweep;
@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import repro.obs as obs_lib
 from repro.exec.progress import ProgressReporter
-from repro.exec.spec import JobSpec, spec_hash
+from repro.exec.spec import JobSpec
 from repro.exec.store import ResultStore
 from repro.exec.worker import PoolEvent, execute_spec
 
@@ -123,31 +123,17 @@ class ParallelExecutor:
         specs = list(specs)
         results: list[Optional[JobResult]] = [None] * len(specs)
         todo: list[int] = []
-        primary: dict[str, int] = {}        # spec hash -> first cold index
-        coalesced: dict[int, int] = {}      # duplicate index -> primary
         for i, spec in enumerate(specs):
             payload = self.store.load(spec) if self.store is not None else None
-            if payload is not None:
-                results[i] = JobResult(spec=spec, status=STATUS_CACHED,
-                                       payload=payload)
-                if self.obs.active:
-                    self.obs.emit("job.cached", bench=spec.bench,
-                                  label=spec.label())
-                    self.obs.metrics.inc("exec.jobs", status=STATUS_CACHED)
+            if payload is None:
+                todo.append(i)
                 continue
-            key = spec_hash(spec)
-            first = primary.get(key)
-            if first is not None:
-                # Equal-hash duplicate within the batch: run it once,
-                # hand the duplicate the primary's payload afterwards.
-                coalesced[i] = first
-                if self.obs.active:
-                    self.obs.emit("job.coalesced", bench=spec.bench,
-                                  label=spec.label(), primary=first)
-                    self.obs.metrics.inc("exec.coalesced")
-                continue
-            primary[key] = i
-            todo.append(i)
+            results[i] = JobResult(spec=spec, status=STATUS_CACHED,
+                                   payload=payload)
+            if self.obs.active:
+                self.obs.emit("job.cached", bench=spec.bench,
+                              label=spec.label())
+                self.obs.metrics.inc("exec.jobs", status=STATUS_CACHED)
 
         reporter = (ProgressReporter(total=len(specs))
                     if self.progress and specs else None)
@@ -158,18 +144,10 @@ class ParallelExecutor:
         try:
             if todo:
                 self._dispatch(specs, todo, results, reporter)
-            for i, first in coalesced.items():
-                outcome = results[first]
-                results[i] = JobResult(
-                    spec=specs[i], status=outcome.status,
-                    payload=outcome.payload, error=outcome.error)
-                if reporter is not None:
-                    reporter.update(label=specs[i].bench,
-                                    ok=outcome.ok, cached=True)
         finally:
             if reporter is not None:
                 reporter.finish()
-        return [r for r in results if r is not None]
+        return results
 
     # -- the dispatch loop ---------------------------------------------
 
@@ -284,7 +262,8 @@ class ParallelExecutor:
 def run_specs(specs: Sequence[JobSpec], jobs: int = 1,
               store: Optional[ResultStore] = None,
               progress: bool = False, **kwargs) -> list[JobResult]:
-    """Convenience wrapper: build an executor and run one batch."""
+    """Convenience wrapper: build an executor and run one batch.  Each
+    spec runs, duplicates included: dedup is the caller's."""
     executor = ParallelExecutor(jobs=jobs, store=store, progress=progress,
                                 **kwargs)
     return executor.run(specs)

@@ -21,7 +21,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "get_store": "runner",
     "prewarm_specs": "runner",
     "run_all": "runner",
-    "resolve_cache_dir": "runner",
     "cached_program": "simulate",
     "simulation_count": "simulate",
     "FigBestResult": "experiments",

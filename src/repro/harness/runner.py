@@ -7,24 +7,24 @@ Every simulation point takes one route, :func:`prewarm_specs` (a lone
    7/8/10 reuse figure 6's sweep within one process);
 2. everything not in it goes to :func:`repro.exec.run_specs`, which
    owns the rest: it reads the persistent
-   :class:`~repro.exec.store.ResultStore` under ``--cache-dir`` (default
-   off for library use; the CLI enables it, or set ``REPRO_CACHE_DIR``),
-   runs what is cold — in this process at ``jobs=1``, on warm pool
-   workers otherwise, :func:`simulate_spec` either way — and writes the
-   store;
+   :class:`~repro.exec.store.ResultStore` that :func:`configure_cache`
+   set up (off until something calls it; the CLI does, from
+   ``--cache-dir``/``--no-cache``), runs what is cold — in this process
+   at ``jobs=1``, on warm pool workers otherwise, :func:`simulate_spec`
+   either way — and writes the store;
 3. successes are materialised back into the dict.
 
 Cache keys are *content hashes of the resolved spec* (sorted, typed
 override items — see :mod:`repro.exec.spec`), never the human-readable
-label, so two overrides that merely format identically cannot collide.
+label or spec equality, so two overrides that merely format or compare
+equal (``1``, ``1.0``) cannot collide.  That dedup is the only one: the
+executor runs every spec it is handed.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -46,34 +46,9 @@ __getattr__, __dir__, _ = lazy_exports(__name__, {
     "simulation_count": "simulate",
 })
 
-#: Environment variable that switches the persistent store on for
-#: library (non-CLI) use.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Default store location, used by the CLI unless ``--cache-dir`` says
-#: otherwise.
+#: Store location when ``configure_cache`` is given no directory: the
+#: current working directory's ``.repro-cache``.
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-
-def resolve_cache_dir() -> pathlib.Path:
-    """Default persistent-store location, hermetic under pytest.
-
-    Resolution order:
-
-    1. ``$REPRO_CACHE_DIR`` — explicit override, always wins;
-    2. under pytest (``PYTEST_CURRENT_TEST`` set): a per-process
-       directory beneath ``$XDG_CACHE_HOME`` (or the system temp dir),
-       so test runs can exercise the store without ever leaking
-       ``.repro-cache/`` into the working tree;
-    3. :data:`DEFAULT_CACHE_DIR` in the current working directory.
-    """
-    env_dir = os.environ.get(CACHE_DIR_ENV)
-    if env_dir:
-        return pathlib.Path(env_dir)
-    if "PYTEST_CURRENT_TEST" in os.environ:
-        base = os.environ.get("XDG_CACHE_HOME") or tempfile.gettempdir()
-        return pathlib.Path(base) / f"repro-cache-pytest-{os.getpid()}"
-    return pathlib.Path(DEFAULT_CACHE_DIR)
 
 
 @dataclass
@@ -159,8 +134,7 @@ class RiscResult:
 # ----------------------------------------------------------------------
 
 _CACHE: dict[str, object] = {}          # spec hash -> result object
-_STORE_UNSET = object()
-_STORE: object = _STORE_UNSET           # lazily resolved ResultStore|None
+_STORE: Optional[ResultStore] = None    # off until configure_cache
 
 
 def clear_cache() -> None:
@@ -177,16 +151,21 @@ def configure_cache(cache_dir: Union[str, pathlib.Path, None] = None,
     """Point the persistent store at ``cache_dir`` (or disable it).
 
     ``configure_cache(enabled=False)`` turns persistence off;
-    ``configure_cache()`` enables it at the :func:`resolve_cache_dir`
-    default (``.repro-cache``, or a temp-dir path under pytest).
+    ``configure_cache()`` enables it at :data:`DEFAULT_CACHE_DIR` in the
+    working directory.  Fast-forward traces follow the store (at
+    ``<root>/traces``, off with it): any earlier
+    :func:`~repro.sample.trace.configure_ff_trace` override is dropped.
     Returns the active store, if any.
     """
     global _STORE
+    from repro.sample.trace import reset_ff_trace
+
+    reset_ff_trace()
     if not enabled:
         _STORE = None
     else:
-        root = (pathlib.Path(cache_dir) if cache_dir is not None
-                else resolve_cache_dir())
+        root = pathlib.Path(cache_dir if cache_dir is not None
+                            else DEFAULT_CACHE_DIR)
         if root.exists() and not root.is_dir():
             raise NotADirectoryError(
                 f"cache dir exists and is not a directory: {root}")
@@ -195,12 +174,7 @@ def configure_cache(cache_dir: Union[str, pathlib.Path, None] = None,
 
 
 def get_store() -> Optional[ResultStore]:
-    """The active persistent store, resolving ``REPRO_CACHE_DIR`` on
-    first use; ``None`` when persistence is off."""
-    global _STORE
-    if _STORE is _STORE_UNSET:
-        env_dir = os.environ.get(CACHE_DIR_ENV)
-        _STORE = ResultStore(env_dir) if env_dir else None
+    """The active persistent store; ``None`` when persistence is off."""
     return _STORE
 
 
@@ -256,8 +230,10 @@ def prewarm_specs(specs: Sequence[JobSpec], jobs: int = 1,
     its retries — after every success of the batch has been cached, so
     a re-run only repeats the failures.
     """
-    keys = {spec: spec_hash(spec) for spec in specs}
-    cold = [spec for spec, key in keys.items() if key not in _CACHE]
+    # Keyed by content hash, not spec equality: ``1`` and ``1.0`` are
+    # equal overrides but different jobs.  A repeat runs once.
+    keyed = {spec_hash(spec): spec for spec in specs}
+    cold = [spec for key, spec in keyed.items() if key not in _CACHE]
 
     # Shared fast-forward traces: run one recorder per (program, scale,
     # schedule) group *before* the rest, so N compositions of one
@@ -283,7 +259,8 @@ def prewarm_specs(specs: Sequence[JobSpec], jobs: int = 1,
             continue
         if outcome.status == STATUS_CACHED:
             _note_cache_hit(outcome.spec, "store")
-        _CACHE[keys[outcome.spec]] = _result_from_payload(outcome.payload)
+        _CACHE[spec_hash(outcome.spec)] = _result_from_payload(
+            outcome.payload)
     if failed is not None:
         raise JobFailed(failed)
     return outcomes

@@ -21,10 +21,9 @@ of this contract; the interpreter enforces the dynamic part.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.isa.instruction import Instruction, Target, TargetKind, OperandSlot
-from repro.isa.opcodes import OpClass
 
 
 #: Maximum instructions per block (TRIPS ISA).
@@ -127,11 +126,6 @@ class Block:
     @property
     def branches(self) -> list[Instruction]:
         return [i for i in self.insts if i.is_branch]
-
-    @property
-    def exit_labels(self) -> dict[int, Optional[str]]:
-        """Map of exit ID to static successor label (None for RET/HALT)."""
-        return {b.exit_id: b.branch_target for b in self.branches}
 
     def successors(self) -> set[str]:
         """Static successor labels (excludes dynamic RET targets)."""
@@ -258,18 +252,6 @@ class Block:
     # ------------------------------------------------------------------
     # Composition helpers
     # ------------------------------------------------------------------
-
-    def insts_for_core(self, core_index: int, num_cores: int) -> Iterator[Instruction]:
-        """Instructions mapped to one participating core.
-
-        TFlex interleaves instruction IDs across participating cores
-        using the low-order target bits (paper section 4.4): with N
-        cores, instruction *i* executes on core ``i mod N`` of the
-        composed processor.
-        """
-        for inst in self.insts:
-            if inst.iid % num_cores == core_index:
-                yield inst
 
     def disassemble(self) -> str:
         """Multi-line human-readable listing of the block."""

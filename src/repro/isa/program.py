@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.isa.block import Block, BlockError, NUM_REGS
 from repro.isa.instruction import LabelRef
@@ -92,12 +92,6 @@ class Program:
         self.data[addr] = raw
         return addr
 
-    def add_bytes(self, raw: bytes) -> int:
-        """Place raw bytes in the data segment, returning the base address."""
-        addr = self.alloc_data(len(raw))
-        self.data[addr] = bytes(raw)
-        return addr
-
     # ------------------------------------------------------------------
     # Addressing
     # ------------------------------------------------------------------
@@ -120,13 +114,6 @@ class Program:
         if rem != 0 or not 0 <= index < len(self.order):
             raise ProgramError(f"address {addr:#x} is not a block address")
         return self.order[index]
-
-    def sequential_next(self, label: str) -> Optional[str]:
-        """Block laid out immediately after ``label`` (call-return continuation)."""
-        index = self.order.index(label)
-        if index + 1 < len(self.order):
-            return self.order[index + 1]
-        return None
 
     def block_at(self, addr: int) -> Block:
         return self.blocks[self.label_at(addr)]
@@ -163,11 +150,6 @@ class Program:
         for reg in self.reg_init:
             if not 0 <= reg < NUM_REGS:
                 raise ProgramError(f"initial value for nonexistent register r{reg}")
-
-    @property
-    def total_instructions(self) -> int:
-        """Static instruction count across all blocks."""
-        return sum(b.size for b in self.blocks.values())
 
     def disassemble(self) -> str:
         """Full program listing."""

@@ -226,10 +226,6 @@ class LsqBank:
                          if e.gseq < gseq or e.ctx != ctx]
         return before - len(self._entries)
 
-    def entries_snapshot(self) -> list[LsqEntry]:
-        """Copy of current entries (tests/diagnostics)."""
-        return list(self._entries)
-
     def youngest_gseq(self, ctx: int = 0) -> Optional[int]:
         """Age of the youngest same-context block occupying this bank.
 

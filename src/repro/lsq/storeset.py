@@ -59,9 +59,6 @@ class StoreSetPredictor:
     def tracked(self, load_key: MemKey) -> bool:
         return load_key in self._sets
 
-    def store_set(self, load_key: MemKey) -> list[MemKey]:
-        return list(self._sets.get(load_key, ()))
-
     def must_wait(self, load_key: MemKey, load_gseq: int, load_lsq: int,
                   inflight) -> bool:
         """True while a predicted-conflicting store is still unresolved.

@@ -91,11 +91,3 @@ class FlatMemory:
         """Install an initial data segment (Program.data)."""
         for addr, raw in data.items():
             self.write_bytes(addr, raw)
-
-    def read_words(self, addr: int, count: int, fp: bool = False) -> list:
-        """Read ``count`` consecutive 8-byte values."""
-        return [self.load(addr + 8 * i, 8, fp=fp) for i in range(count)]
-
-    def footprint_pages(self) -> int:
-        """Number of pages touched (for tests and stats)."""
-        return len(self._pages)

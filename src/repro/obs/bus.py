@@ -113,10 +113,6 @@ class TraceBus:
         self._sinks.append(sink)
         return sink
 
-    def detach(self, sink: Sink) -> None:
-        if sink in self._sinks:
-            self._sinks.remove(sink)
-
     def emit(self, kind: str, **fields) -> None:
         """Build and deliver one event.  Prefer guarding the call site
         with ``Observability.active`` so the kwargs dict is never built

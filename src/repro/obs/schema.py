@@ -40,7 +40,6 @@ EVENTS: dict[str, str] = {
     "job.done": "job finished and its result was recorded",
     "job.retry": "job is being re-run after it raised or its worker crashed",
     "job.cached": "job satisfied from the on-disk result store",
-    "job.coalesced": "duplicate in-flight spec piggy-backed on a peer",
     "run.cache_hit": "in-process memo hit (repro.harness.runner)",
     "pool.spawn": "warm worker pool spawned a worker process",
     "pool.dispatch": "pool dispatched a job to a warm worker",
@@ -109,7 +108,6 @@ METRICS: dict[str, str] = {
     "exec.jobs": "jobs completed by the executor",
     "exec.retries": "jobs re-run after they raised or their worker crashed",
     "exec.crashes": "worker crashes observed",
-    "exec.coalesced": "duplicate specs coalesced in flight",
     "exec.store_errors": "result-store writes that failed (job kept ok)",
     "exec.job_seconds": "histogram of per-job service seconds",
     "exec.pool_reuse": "jobs served by an already-warm worker",

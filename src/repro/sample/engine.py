@@ -87,18 +87,15 @@ class SampledRun:
     extrapolated :class:`~repro.harness.runner.RunResult`.
     """
 
-    def __init__(self, spec, sampling: Optional[SamplingConfig] = None,
-                 trace=None) -> None:
+    def __init__(self, spec, trace=None) -> None:
         from repro.harness.simulate import build_edge_config, cached_program
 
-        if spec.kind != "edge":
-            raise ValueError(f"sampling only supports edge specs, not {spec.kind!r}")
-        if sampling is None:
-            sampling = SamplingConfig.from_dict(spec.sampling_dict()) \
-                or SamplingConfig()
-        sampling.validate()
+        if spec.kind != "edge" or not spec.sampling:
+            raise ValueError(f"a sampled run needs an edge spec with "
+                             f"sampling, not {spec.label()!r}")
         self.spec = spec
-        self.sampling = sampling
+        #: Validated when the spec was built (``JobSpec.__post_init__``).
+        self.sampling = SamplingConfig.from_dict(spec.sampling_dict())
         self.cfg, self.ncores = build_edge_config(spec)
         self.program, self.expected, self.kernel = \
             cached_program("edge", spec.bench, spec.scale)

@@ -36,10 +36,12 @@ memory every column of an interval is a fixed-width ``array``, the data
 columns flat with end offsets (:class:`FFInterval`); the recorder
 streams its blob a chunk of blocks at a time.
 
-The store root defaults to ``<cache-dir>/traces`` (the same resolution
-as the result store, hermetic under pytest); :func:`configure_ff_trace`
-is the one switch — the CLI calls it from ``--cache-dir``/``--no-cache``
-— and forked executor workers inherit its process-wide setting.
+Traces follow the result store: on exactly when
+:func:`repro.harness.runner.configure_cache` enabled one, at
+``<store root>/traces``.  :func:`configure_ff_trace` is the explicit
+override (the benchmark records traces with the result store off), and
+the next ``configure_cache`` drops it.  Forked executor workers inherit
+the process-wide setting.
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ from repro.exec.store import BlobStore
 #: Bump when the trace layout changes; old blobs then read as misses.
 TRACE_SCHEMA = 1
 
-#: Process-wide configuration (``dir`` None = ``<cache dir>/traces``).
-_OPTIONS: dict = {"enabled": True, "dir": None}
+#: The explicit override (:func:`configure_ff_trace`): ``None`` follows
+#: the result store, ``False`` is off, a path is the trace root.
+_override = None
 
 #: (store root, key) -> FFTrace: one in-memory trace serves every replay
 #: in-process (a serial composition sweep parses — or, after recording,
@@ -73,42 +76,32 @@ _PARSED_CAP = 4
 # Configuration
 # ----------------------------------------------------------------------
 
-def configure_ff_trace(enabled: Optional[bool] = None,
-                       cache_dir=None) -> dict:
-    """Set process-wide trace options; returns the active options.
-
-    ``enabled=None`` leaves the current setting; the CLI turns tracing
-    off with ``--no-cache`` and points it at ``<cache-dir>/traces``
-    otherwise.  Pool workers forked afterwards inherit the setting.
-    """
-    if enabled is not None:
-        _OPTIONS["enabled"] = bool(enabled)
-    if cache_dir is not None:
-        _OPTIONS["dir"] = pathlib.Path(cache_dir)
-    return dict(_OPTIONS)
+def configure_ff_trace(enabled: bool, cache_dir=None) -> None:
+    """Override the trace store: off, or at ``cache_dir``, whatever the
+    result store does.  Pool workers forked afterwards inherit it."""
+    global _override
+    if enabled and cache_dir is None:
+        raise ValueError("an enabled trace override needs a cache_dir")
+    _override = pathlib.Path(cache_dir) if enabled else False
 
 
 def reset_ff_trace() -> None:
-    """Drop explicit configuration and the in-process parsed cache
-    (tests; the on-disk store is untouched)."""
-    _OPTIONS["enabled"] = True
-    _OPTIONS["dir"] = None
+    """Drop the override, so traces follow the result store again, and
+    the in-process parsed cache (the on-disk store is untouched)."""
+    global _override
+    _override = None
     _PARSED.clear()
 
 
-def trace_enabled() -> bool:
-    """Whether sampled runs consult the trace store (default on)."""
-    return _OPTIONS["enabled"]
+def trace_root() -> Optional[pathlib.Path]:
+    """Where sampled runs record and replay traces; ``None`` when
+    tracing is off."""
+    if _override is not None:
+        return _override or None
+    from repro.harness.runner import get_store
 
-
-def resolve_trace_dir() -> pathlib.Path:
-    """Trace-store root: explicit configuration, else
-    ``<result cache dir>/traces``."""
-    if _OPTIONS["dir"] is not None:
-        return _OPTIONS["dir"]
-    from repro.harness.runner import resolve_cache_dir
-
-    return resolve_cache_dir() / "traces"
+    store = get_store()
+    return None if store is None else store.root / "traces"
 
 
 class FFTraceStore(BlobStore):
@@ -116,9 +109,8 @@ class FFTraceStore(BlobStore):
     :class:`repro.exec.store.BlobStore` rooted at the trace directory
     and salted with the trace schema."""
 
-    def __init__(self, root=None) -> None:
-        super().__init__(root if root is not None else resolve_trace_dir(),
-                         salt=TRACE_SCHEMA)
+    def __init__(self, root) -> None:
+        super().__init__(root, salt=TRACE_SCHEMA)
 
 
 # ----------------------------------------------------------------------
@@ -557,13 +549,14 @@ def _read_trace(store: FFTraceStore, key: str) -> Optional[FFTrace]:
 def open_trace_session(spec, store: Optional[FFTraceStore] = None):
     """The record-or-replay session for one sampled run, or ``None``
     when tracing is off or does not apply to the spec."""
-    if store is None and not trace_enabled():
-        return None
+    if store is None:
+        root = trace_root()
+        if root is None:
+            return None
+        store = FFTraceStore(root)
     key = trace_key(spec)
     if key is None:
         return None
-    if store is None:
-        store = FFTraceStore()
     trace = _PARSED.get((store.root, key))
     if trace is None:
         trace = _read_trace(store, key)
@@ -592,7 +585,8 @@ def prewarm_partition(specs: Sequence) -> tuple[list, list]:
     passes through untouched.
     """
     specs = list(specs)
-    if not trace_enabled():
+    root = trace_root()
+    if root is None:
         return [], specs
     groups: dict[tuple, list] = {}
     order: list = []                     # (kind, payload) preserving input
@@ -618,7 +612,7 @@ def prewarm_partition(specs: Sequence) -> tuple[list, list]:
             rest.extend(members)
             continue
         if store is None:
-            store = FFTraceStore()
+            store = FFTraceStore(root)
         key = trace_key(members[0])
         trace = None
         if key is not None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.tflex.placement import pack
 
@@ -46,11 +46,6 @@ class SpeedupTable:
     def alone(self, bench: str) -> float:
         """Best performance the benchmark achieves with the chip to itself."""
         return max(self.perf[bench].values())
-
-    def best_size(self, bench: str) -> int:
-        """Composition size achieving the alone performance."""
-        sizes = self.perf[bench]
-        return max(sizes, key=lambda k: (sizes[k], -k))
 
     def sizes(self) -> list[int]:
         first = next(iter(self.perf.values()))

@@ -9,11 +9,13 @@ set, each rung promotes the top fraction to higher fidelity, and only
 the final (full-detail) rung decides the argmax.
 
 * :mod:`repro.search.space` — :class:`SearchSpace` / :class:`Candidate`:
-  the explicit candidate set, resolving to ordinary job specs.
+  the explicit candidate set of composition sizes, resolving to
+  ordinary job specs.
 * :mod:`repro.search.objective` — the three BEST objectives, shared
   with the figure drivers' models.
-* :mod:`repro.search.halving` — the halving engine, its fidelity
-  ladder, and the per-benchmark :class:`SearchResult` trail.
+* :mod:`repro.search.halving` — the halving engine, its one fidelity
+  ladder (:data:`DEFAULT_LADDER`), and the per-benchmark
+  :class:`SearchResult` trail.
 
 Entry points: ``repro search`` on the CLI, or
 :func:`repro.harness.fig_best` for the figure-style driver.  See
@@ -31,11 +33,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "OBJECTIVES": "objective",
     "Objective": "objective",
     "get_objective": "objective",
-    "COARSE_SAMPLING": "halving",
     "DEFAULT_LADDER": "halving",
-    "FINE_SAMPLING": "halving",
     "BenchSearchResult": "halving",
-    "FidelityTier": "halving",
     "HalvingConfig": "halving",
     "RungReport": "halving",
     "SearchResult": "halving",

@@ -5,8 +5,8 @@ every candidate in full detail.  Successive halving spends most of its
 budget at *cheap* fidelity instead: rung 0 evaluates the whole
 candidate set with coarse sampled simulation, each rung promotes the
 top ``1/eta`` fraction to the next (more faithful) tier, and only the
-final rung — always full detail — decides the argmax.  With the
-default three-tier ladder over the six-point composition sweep this
+final rung — always full detail — decides the argmax.  With its
+three-tier ladder over the six-point composition sweep this
 runs 6 coarse + 3 fine sampled evaluations and just 2 detailed ones
 per benchmark, a 3x reduction in detailed-simulation work; the sampled
 tiers only have to keep the true BEST *alive*, not rank it first,
@@ -16,7 +16,7 @@ which is a far weaker accuracy demand than estimating its cycles
 Every evaluation is a plain :class:`~repro.exec.spec.JobSpec` routed
 through :func:`repro.harness.runner.run_spec`, so results content-hash
 into the persistent store, cold rungs fan out over the warm worker
-pool with LJF dispatch, and a re-run of the same search is pure cache
+pool, and a re-run of the same search is pure cache
 replay.  The search itself adds no randomness: candidate order breaks
 score ties (stable sort), and the seed only feeds the optional
 deterministic subsample of oversized spaces — fixed seed, fixed
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import repro.obs as obs_lib
 from repro.search.objective import Objective, get_objective
@@ -68,7 +68,7 @@ class FidelityTier:
         return dict(self.sampling) if self.sampling else None
 
 
-#: The default ladder: coarse sampled -> fine sampled -> full detail.
+#: The one ladder: coarse sampled -> fine sampled -> full detail.
 DEFAULT_LADDER = (
     FidelityTier.make("coarse", COARSE_SAMPLING),
     FidelityTier.make("fine", FINE_SAMPLING),
@@ -78,24 +78,14 @@ DEFAULT_LADDER = (
 
 @dataclass(frozen=True)
 class HalvingConfig:
-    """Shape of one search: the fidelity ladder, the promotion factor,
-    and the (subsample-only) seed."""
+    """Shape of one search over :data:`DEFAULT_LADDER`: the promotion
+    factor, and the (subsample-only) seed and candidate cap."""
 
-    ladder: tuple[FidelityTier, ...] = DEFAULT_LADDER
     eta: int = 2
     seed: int = 2007
     max_candidates: Optional[int] = None
 
     def validate(self) -> None:
-        if not self.ladder:
-            raise ValueError("halving ladder needs at least one tier")
-        if not self.ladder[-1].detailed:
-            raise ValueError(
-                "the final halving tier must be full detail (the argmax "
-                "has to be decided on exact cycle counts)")
-        names = [tier.name for tier in self.ladder]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate tier names in ladder: {names}")
         if self.eta < 2:
             raise ValueError(f"eta must be >= 2, got {self.eta}")
         if self.max_candidates is not None and self.max_candidates < 1:
@@ -173,7 +163,7 @@ class SearchResult:
     def render(self) -> str:
         from repro.harness.reporting import format_table
 
-        tiers = [tier.name for tier in self.config.ladder]
+        tiers = [tier.name for tier in DEFAULT_LADDER]
         headers = ["benchmark", "BEST", "score"] + [f"evals@{t}" for t in tiers]
         rows = []
         for bench in self.space.benchmarks:
@@ -224,7 +214,7 @@ def search_best(space: SearchSpace, objective: str | Objective,
         obs.emit("search.start", objective=objective.name,
                  benchmarks=list(space.benchmarks),
                  candidates=[c.label() for c in space.candidates],
-                 tiers=[t.name for t in config.ladder], eta=config.eta,
+                 tiers=[t.name for t in DEFAULT_LADDER], eta=config.eta,
                  seed=config.seed)
 
     alive: dict[str, list[Candidate]] = {
@@ -232,7 +222,7 @@ def search_best(space: SearchSpace, objective: str | Objective,
     reports: dict[str, list[RungReport]] = {b: [] for b in space.benchmarks}
     final_scores: dict[str, dict[Candidate, float]] = {}
 
-    for rung, tier in enumerate(config.ladder):
+    for rung, tier in enumerate(DEFAULT_LADDER):
         sampling = tier.sampling_dict()
         batch = [(bench, cand, space.spec_for(bench, cand, sampling))
                  for bench in space.benchmarks for cand in alive[bench]]
@@ -246,7 +236,7 @@ def search_best(space: SearchSpace, objective: str | Objective,
                 obs.metrics.inc("search.evals", fidelity=tier.name,
                                 objective=objective.name)
 
-        last = rung == len(config.ladder) - 1
+        last = rung == len(DEFAULT_LADDER) - 1
         for bench in space.benchmarks:
             ranked = sorted(alive[bench],
                             key=lambda c: -scored[bench][c])  # stable: ties

@@ -3,10 +3,10 @@
 The paper's BEST lines (figures 6-8) pick, per application, the
 composition that maximizes an objective.  A :class:`SearchSpace` makes
 that candidate set explicit: an ordered tuple of :class:`Candidate`
-configurations (composition size plus optional config overrides), each
-of which resolves to a normal :class:`~repro.exec.spec.JobSpec` at any
-fidelity tier — so every evaluation the search performs content-hashes
-into the existing result store exactly like a sweep point would.
+composition sizes, each of which resolves to a normal
+:class:`~repro.exec.spec.JobSpec` at any fidelity tier — so every
+evaluation the search performs content-hashes into the existing result
+store exactly like a sweep point would.
 
 Candidate order is semantically meaningful: scores are ranked with a
 *stable* sort, so ties resolve to the earliest candidate.  The default
@@ -29,29 +29,13 @@ DEFAULT_CORE_COUNTS = (1, 2, 4, 8, 16, 32)
 
 @dataclass(frozen=True)
 class Candidate:
-    """One point of the design space: a composition size plus optional
-    config overrides (frozen to sorted item tuples, like JobSpec)."""
+    """One point of the design space: a composition size."""
 
     ncores: int
-    overrides: tuple = ()
-    core_overrides: tuple = ()
-
-    @staticmethod
-    def make(ncores: int,
-             overrides: Optional[Mapping[str, Any]] = None,
-             core_overrides: Optional[Mapping[str, Any]] = None) -> "Candidate":
-        freeze = (lambda m: tuple(sorted((str(k), v) for k, v in m.items()))
-                  if m else ())
-        return Candidate(ncores=ncores, overrides=freeze(overrides),
-                         core_overrides=freeze(core_overrides))
 
     def label(self) -> str:
         """The figure-driver label this candidate corresponds to."""
-        text = f"tflex-{self.ncores}"
-        for source in (self.overrides, self.core_overrides):
-            for name, value in source:
-                text += f"+{name}={value}"
-        return text
+        return f"tflex-{self.ncores}"
 
 
 @dataclass(frozen=True)
@@ -77,11 +61,8 @@ class SearchSpace:
                  sampling: Optional[Mapping[str, Any]] = None) -> JobSpec:
         """The job spec evaluating ``candidate`` on ``bench`` at one
         fidelity (``sampling=None`` is full detail)."""
-        return JobSpec.edge(
-            bench, ncores=candidate.ncores, scale=self.scale,
-            overrides=dict(candidate.overrides) or None,
-            core_overrides=dict(candidate.core_overrides) or None,
-            sampling=sampling)
+        return JobSpec.edge(bench, ncores=candidate.ncores, scale=self.scale,
+                            sampling=sampling)
 
     def subsample(self, max_candidates: int, seed: int) -> "SearchSpace":
         """A deterministic subset of at most ``max_candidates``
@@ -107,5 +88,5 @@ def default_space(benchmarks: Sequence[str],
     per composition size, ascending (the exhaustive drivers' order)."""
     return SearchSpace(
         benchmarks=tuple(benchmarks),
-        candidates=tuple(Candidate.make(n) for n in core_counts),
+        candidates=tuple(Candidate(n) for n in core_counts),
         scale=scale)

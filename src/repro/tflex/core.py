@@ -11,7 +11,7 @@ total), oldest block first.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.tflex.instance import BlockState
 from repro.lsq import LsqBank
@@ -157,6 +157,3 @@ class Core:
         if ready and not self._issue_scheduled:
             self._issue_scheduled = True
             self._queue.at(self._queue.now + 1, self._issue_tick)
-
-    def ready_count(self) -> int:
-        return len(self._ready)

@@ -14,7 +14,7 @@ than one per event.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.tflex.config import MAX_CYCLES
 
@@ -34,13 +34,9 @@ class EventQueue:
         self._stopped = False
 
     def stop(self) -> None:
-        """Request that :meth:`run` return before the next event.
-
-        The fast-path alternative to polling an ``until`` predicate: a
-        handler that detects the stop condition (e.g. the last processor
-        halting) flags it once, instead of the loop re-evaluating the
-        condition before every event.
-        """
+        """Request that :meth:`run` return before the next event — the
+        one way to stop a run: a handler that detects the stop
+        condition (e.g. the last processor halting) flags it once."""
         self._stopped = True
 
     def clear_stop(self) -> None:
@@ -66,18 +62,16 @@ class EventQueue:
     def pending(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 
-    def run(self, until: Optional[Callable[[], bool]] = None,
-            max_cycles: int = MAX_CYCLES) -> bool:
+    def run(self, max_cycles: int = MAX_CYCLES) -> bool:
         """Process events in order until the queue drains, :meth:`stop`
-        is called, ``until()`` holds, or the cycle budget is exceeded.
+        is called, or the cycle budget is exceeded.
 
         Returns True if stopped (normal completion for simulations) or
         on queue drain, False on budget exhaustion — the first event
         past the budget stays queued, so a later ``run`` with a larger
-        budget resumes with nothing lost.  Both stop checks happen
-        *before* the next event, so a handler that flags the stop
-        condition leaves ``now`` at its own cycle — identical to the
-        polled ``until`` semantics.
+        budget resumes with nothing lost.  The stop check happens
+        *before* the next event, so a handler that flags it leaves
+        ``now`` at its own cycle and the rest of its bucket queued.
         """
         self._stopped = False
         buckets = self._buckets
@@ -85,7 +79,7 @@ class EventQueue:
         events = self.events_processed
         try:
             while cycles:
-                if self._stopped or (until is not None and until()):
+                if self._stopped:
                     break
                 cycle = cycles[0]
                 if cycle > max_cycles:
@@ -101,8 +95,7 @@ class EventQueue:
                     continue
                 ran = 0
                 for fn in bucket:
-                    if ran and (self._stopped
-                                or (until is not None and until())):
+                    if ran and self._stopped:
                         # Stopped mid-cycle: the unrun tail goes back in
                         # front of anything scheduled for this cycle
                         # meanwhile.

@@ -153,6 +153,3 @@ class RegfileBank:
             else:
                 break
         return best
-
-    def pending_count(self) -> int:
-        return sum(len(w) for w in self._pending.values())

@@ -32,9 +32,6 @@ class LatencyBreakdown:
     def means(self) -> dict[str, float]:
         return {name: self.mean(name) for name in sorted(self.components)}
 
-    def total_mean(self) -> float:
-        return sum(self.means().values())
-
     def add(self, other: "LatencyBreakdown") -> None:
         self.samples += other.samples
         self.components.update(other.components)

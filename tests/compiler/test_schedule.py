@@ -46,7 +46,9 @@ class TestPlaceBlock:
             sorted(i.op.name for i in block.insts)
         # LSQ ids and exits are untouched.
         assert placed.store_ids == block.store_ids
-        assert placed.exit_labels == block.exit_labels
+        exits = [(b.exit_id, b.branch_target) for b in block.branches]
+        assert [(b.exit_id, b.branch_target)
+                for b in placed.branches] == exits
 
     def test_slots_balanced(self):
         """No core may receive more than ceil(size/N) instructions."""

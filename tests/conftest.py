@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import os
 import pathlib
-import shutil
 
 import pytest
 
-from repro.harness import clear_cache, configure_cache, resolve_cache_dir
-from repro.sample.trace import configure_ff_trace, reset_ff_trace
+from repro.harness import clear_cache, configure_cache
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -32,19 +30,10 @@ def _repo_root_stays_clean():
 @pytest.fixture(scope="session", autouse=True)
 def _hermetic_cache():
     """Hermetic tier-1 runs: empty in-process cache, persistent store
-    and fast-forward trace store disabled (tests that exercise either
-    enable it on a tmp_path and restore this state afterwards).  Any
-    store a test enables at the default location lands in the
-    pytest-scoped temp path resolved by ``resolve_cache_dir``; that
-    path is removed when the session ends so repeated runs start cold
-    and nothing leaks into the working tree."""
+    off and with it the fast-forward trace store (tests that exercise
+    either enable it on a tmp_path and restore this state afterwards)."""
     clear_cache()
     configure_cache(enabled=False)
-    configure_ff_trace(enabled=False)
     yield
     clear_cache()
     configure_cache(enabled=False)
-    reset_ff_trace()
-    hermetic = resolve_cache_dir()
-    if hermetic.name != ".repro-cache":
-        shutil.rmtree(hermetic, ignore_errors=True)

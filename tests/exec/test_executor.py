@@ -1,5 +1,5 @@
-"""ParallelExecutor: one dispatch loop at every ``jobs`` — retry,
-coalescing, store integration.
+"""ParallelExecutor: one dispatch loop at every ``jobs`` — retry and
+store integration.
 
 Worker functions live at module level so they pickle into children.
 """
@@ -42,14 +42,6 @@ def _sleep_worker(spec):
 
 def _nap_worker(spec):
     time.sleep(0.1)
-    return _ok_worker(spec)
-
-
-def _counting_worker(spec):
-    """Leave one uniquely-named breadcrumb file per execution, so tests
-    can count how many times work actually ran across processes."""
-    trail = pathlib.Path(os.environ["REPRO_TEST_COUNT_DIR"])
-    (trail / f"{os.getpid()}-{time.monotonic_ns()}").write_text(spec.bench)
     return _ok_worker(spec)
 
 
@@ -231,36 +223,32 @@ class TestSendExitRace:
 
 @_SERIAL_AND_POOL
 class TestCoalescing:
-    """Equal-hash duplicates within one batch run once; every duplicate
-    receives the primary's payload (regression: each used to simulate —
-    or worse, race two writers onto one store record)."""
+    """Equal-hash duplicates within one batch run once and every
+    duplicate reads back the one result.  The dedup is the harness
+    batch's (``prewarm_specs``); ``run_specs`` runs each spec it is
+    handed."""
 
-    def test_duplicates_run_once(self, tmp_path, monkeypatch, jobs):
-        monkeypatch.setenv("REPRO_TEST_COUNT_DIR", str(tmp_path))
-        spec = JobSpec.edge("conv", ncores=2, scale=1)
-        other = JobSpec.edge("conv", ncores=2, scale=2)
-        results = run_specs([spec, other, spec, spec], jobs=jobs,
-                            worker=_counting_worker)
-        assert [r.status for r in results] == ["ok"] * 4
-        assert results[0].payload == results[2].payload == results[3].payload
-        assert len(list(tmp_path.iterdir())) == 2    # two unique hashes
+    def test_duplicates_run_once(self, tmp_path, jobs):
+        from repro.harness import clear_cache, configure_cache
+        from repro.harness.runner import prewarm_specs, run_all
 
-    def test_duplicate_shares_failure_too(self, monkeypatch, jobs):
-        monkeypatch.setattr(ParallelExecutor, "retries", 0)
-        bad = _specs(4)[1]                           # scale=2: raises
-        results = run_specs([bad, bad], jobs=jobs, worker=_raise_on_scale_2)
-        assert [r.status for r in results] == ["failed", "failed"]
-        assert results[1].error == results[0].error
-
-    def test_coalesced_metric_counts_duplicates(self, jobs):
-        from repro.obs import Observability
-
-        obs = Observability(metrics_enabled=True)
-        spec = JobSpec.edge("conv", ncores=2, scale=1)
-        run_specs([spec, spec, spec], jobs=jobs, worker=_ok_worker, obs=obs)
-        assert obs.metrics.counter("exec.coalesced") == 2
-        # Only the primary counts as an executed job.
-        assert obs.metrics.counter("exec.jobs", status="ok") == 1
+        clear_cache()
+        store = configure_cache(tmp_path / "store")
+        try:
+            spec = JobSpec.edge("dither", ncores=2)
+            other = JobSpec.edge("dither", ncores=4)
+            batch = [spec, other, spec, spec]
+            outcomes = prewarm_specs(batch, jobs=jobs)
+            assert sorted(o.spec.ncores for o in outcomes) == [2, 4]
+            assert all(o.status == "ok" for o in outcomes)
+            assert store.writes == 2                 # two unique hashes
+            runs = run_all(batch, jobs=jobs)         # all memory hits
+            assert store.writes == 2
+            assert runs[0] is runs[2] is runs[3]
+            assert runs[1] is not runs[0]
+        finally:
+            clear_cache()
+            configure_cache(enabled=False)
 
 
 @_SERIAL_AND_POOL

@@ -181,6 +181,35 @@ class TestSpecKeyedCache:
         assert a.label() == b.label()
         assert spec_hash(a) != spec_hash(b)
 
+    def test_batch_keyed_by_hash_not_equality(self, isolated_cache):
+        """``1`` and ``1.0`` make equal specs but different jobs: one
+        batch holding both runs both, each result is its solo run's,
+        and a repeated spec runs once."""
+        import json
+
+        from repro.exec import JobSpec
+        from repro.harness.runner import prewarm_specs, run_all, run_spec
+
+        def text(run):      # 3300 == 3300.0, but not as JSON
+            return json.dumps(run.to_dict(), sort_keys=True)
+
+        a = JobSpec.edge("dither", 2, overrides={"hop_latency": 1})
+        b = JobSpec.edge("dither", 2, overrides={"hop_latency": 1.0})
+        assert a == b and spec_hash(a) != spec_hash(b)
+        sims = simulation_count()
+        assert len(prewarm_specs([a, b])) == 2
+        ra, rb = run_spec(a), run_spec(b)                 # memory hits
+        assert simulation_count() == sims + 2
+        clear_cache()
+        assert text(run_spec(b)) == text(rb)
+        assert text(run_spec(a)) == text(ra) != text(rb)
+
+        clear_cache()
+        sims = simulation_count()
+        runs = run_all([a, a, a])
+        assert simulation_count() == sims + 1
+        assert runs[0] is runs[1] is runs[2]
+
     def test_verify_flag_part_of_key(self):
         from repro.exec import JobSpec
 

@@ -314,8 +314,12 @@ class TestBlockValidation:
         b.write(10, x)
         b.branch("HALT", exit_id=0)
         block = b.build()
+        # Instructions are stored in ID order, so the simulator's slice
+        # ``insts[core::N]`` is exactly the IDs ``i mod N == core``.
         for ncores in (1, 2, 4, 8):
             seen = []
             for core in range(ncores):
-                seen += [i.iid for i in block.insts_for_core(core, ncores)]
+                chunk = block.insts[core::ncores]
+                assert all(i.iid % ncores == core for i in chunk)
+                seen += [i.iid for i in chunk]
             assert sorted(seen) == list(range(block.size))

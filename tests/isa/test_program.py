@@ -42,8 +42,10 @@ class TestAddressing:
 
     def test_sequential_next(self):
         prog = two_block_program()
-        assert prog.sequential_next("a") == "b"
-        assert prog.sequential_next("b") is None
+        # The call-return continuation is the next block in layout.
+        assert prog.label_at(prog.address_of("a") + BLOCK_STRIDE) == "b"
+        with pytest.raises(ProgramError):
+            prog.label_at(prog.address_of("b") + BLOCK_STRIDE)
 
     def test_duplicate_label_rejected(self):
         prog = two_block_program()
@@ -77,8 +79,9 @@ class TestDataSegment:
 
     def test_add_bytes(self):
         prog = Program(entry="x")
-        addr = prog.add_bytes(b"abc")
-        assert prog.data[addr] == b"abc"
+        addr = prog.alloc_data(3)
+        prog.data[addr] = b"abc"
+        assert prog.alloc_data(8) == addr + 8      # aligned past it
 
 
 class TestValidation:
@@ -96,7 +99,7 @@ class TestValidation:
 
     def test_total_instructions(self):
         prog = two_block_program()
-        assert prog.total_instructions == 2
+        assert sum(b.size for b in prog.blocks.values()) == 2
 
     def test_disassemble_includes_all_blocks(self):
         text = two_block_program().disassemble()

@@ -128,7 +128,7 @@ class TestLifecycle:
         bank.load(3, 0, 0x110, 8)
         assert bank.squash_from(2) == 2
         assert bank.occupancy == 1
-        assert bank.entries_snapshot()[0].gseq == 1
+        assert bank._entries[0].gseq == 1
 
     def test_stores_of_block_in_lsq_order(self):
         bank = make()

@@ -63,7 +63,7 @@ class TestPredictorUnit:
         pred = StoreSetPredictor(max_set=2)
         for lsq in range(5):
             pred.record_violation(("L", 0), ("S", lsq))
-        assert len(pred.store_set(("L", 0))) <= 2
+        assert len(pred._sets[("L", 0)]) <= 2
 
     def test_lru_eviction(self):
         pred = StoreSetPredictor(max_loads=2)

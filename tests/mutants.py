@@ -53,6 +53,9 @@ _RESIL_RUN = "tests/resil/test_run.py::"
 _KILL = _RESIL_RUN + "TestKillRecovery::"
 _AXES = "tests/exec/test_axes.py::"
 _POOL = "src/repro/exec/pool.py"
+_RUNNER = "src/repro/harness/runner.py"
+_NO_CACHE = ("tests/test_cli.py::TestFFTraceFlags::"
+             "test_no_cache_disables_traces_unless_asked")
 
 MUTANTS = [
     # Leaf WARM lists (REP101's own case): a field left off, or a name
@@ -284,18 +287,32 @@ MUTANTS = [
      "            if False:\n                raise ValueError(\n"
      "                    \"fault injection",
      (_AXES + "test_pair[faults+trips]",)),
-    # One sampling rule, in SamplingConfig; --no-cache alone decides
-    # whether the CLI records fast-forward traces.
+    # One sampling rule, in SamplingConfig; fast-forward traces follow
+    # the result store: off while it is off, whatever was set before.
     ("sampling-warmup-vs-window-unchecked", "src/repro/sample/config.py",
      "        if self.warmup_blocks >= self.window_blocks:\n",
      "        if False:\n",
      (_AXES + "TestSamplingContract::"
       "test_malformed_sampling_rejected_at_construction[warmup-vs-window]",)),
-    ("cli-traces-ignore-no-cache", "src/repro/cli.py",
-     "        configure_ff_trace(enabled=False)\n",
-     "        configure_ff_trace(enabled=True)\n",
-     ("tests/test_cli.py::TestFFTraceFlags::"
-      "test_no_cache_disables_traces_unless_asked",)),
+    ("cli-traces-ignore-no-cache", _TRACE,
+     '    return None if store is None else store.root / "traces"\n',
+     '    return (pathlib.Path(".repro-cache") if store is None\n'
+     '            else store.root) / "traces"\n',
+     (_NO_CACHE, "tests/harness/test_cache_hermetic.py::"
+      "test_storeless_sampled_run_leaves_cwd_empty")),
+    ("store-keeps-trace-override", _RUNNER,
+     "    reset_ff_trace()\n    if not enabled:\n",
+     "    if not enabled:\n",
+     (_NO_CACHE,)),
+    # The runner's hash-keyed batch is the one dedup: equal specs of
+    # different types (1, 1.0) are different jobs.
+    ("runner-batch-keyed-by-spec", _RUNNER,
+     "    keyed = {spec_hash(spec): spec for spec in specs}\n"
+     "    cold = [spec for key, spec in keyed.items() if key not in _CACHE]\n",
+     "    keyed = {spec: spec_hash(spec) for spec in specs}\n"
+     "    cold = [spec for spec, key in keyed.items() if key not in _CACHE]\n",
+     ("tests/harness/test_runner_store.py::TestSpecKeyedCache::"
+      "test_batch_keyed_by_hash_not_equality",)),
     # The failure reason travels with the event.
     ("exec-in-process-failure-as-crash", "src/repro/exec/executor.py",
      '            reason = "exception"\n', '            reason = "crash"\n',

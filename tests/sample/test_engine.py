@@ -107,7 +107,7 @@ class TestRouting:
     def test_risc_spec_rejected(self):
         spec = JobSpec.risc("conv")
         with pytest.raises(ValueError):
-            SampledRun(spec, SamplingConfig())
+            SampledRun(spec)
 
 
 class TestSampledResult:

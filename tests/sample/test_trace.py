@@ -37,6 +37,7 @@ from repro.sample.trace import (
     reset_ff_trace,
     trace_group,
     trace_key,
+    trace_root,
 )
 
 
@@ -413,7 +414,7 @@ def test_cross_composition_replay_is_bit_identical(tmp_path):
         b = perjob.path_for(perjob.key(spec)).read_bytes()
         assert a == b, f"records diverge for {spec.label()}"
     # One trace per benchmark was recorded.
-    assert len(FFTraceStore()) == len(DIFF_BENCHMARKS)
+    assert len(FFTraceStore(trace_root())) == len(DIFF_BENCHMARKS)
 
 
 def test_recorder_caches_the_trace_it_would_decode():
@@ -426,7 +427,7 @@ def test_recorder_caches_the_trace_it_would_decode():
     for bench in ("conv", "gzip"):      # gzip stores, conv forwards
         spec = JobSpec.edge(bench, 4, scale=2, sampling=dense)
         execute_spec(spec)
-        store = FFTraceStore()
+        store = FFTraceStore(trace_root())
         cached = trace_mod._PARSED[store.root, trace_key(spec)]
         decoded = decode_trace(store.load(trace_key(spec)))
         for name in ("bench", "scale", "sampling", "program"):
@@ -448,7 +449,7 @@ def _recorded(spec):
 
     execute_spec(spec)
     key = trace_key(spec)
-    return key, trace_mod._PARSED[FFTraceStore().root, key]
+    return key, trace_mod._PARSED[FFTraceStore(trace_root()).root, key]
 
 
 def _replay(key, trace, spec):
@@ -474,7 +475,7 @@ def test_decoded_trace_replays_like_the_recorded_one(tmp_path):
     for got, want in zip(decoded.intervals, recorded.intervals):
         assert _same_interval(got, want)
 
-    streamed = FFTraceStore().path_for(key).read_bytes()
+    streamed = FFTraceStore(trace_root()).path_for(key).read_bytes()
     whole = FFTraceStore(tmp_path / "whole").store(key, encode_trace(recorded))
     assert whole.read_bytes() == streamed
 
@@ -610,7 +611,7 @@ class TestUnwritableStore:
 
         monkeypatch.setattr(store_mod, "atomic_write", no_space)
         self._check(reference)
-        assert len(FFTraceStore()) == 0
+        assert len(FFTraceStore(trace_root())) == 0
 
 
 class TestRepointedStore:
@@ -632,7 +633,7 @@ class TestRepointedStore:
             recorders, __ = prewarm_partition(self.GROUP)
             assert recorders == self.GROUP[:1]      # empty store: not traced
             results.append(execute_spec(self.SPEC))
-            assert len(FFTraceStore()) == 1
+            assert len(FFTraceStore(trace_root())) == 1
             assert prewarm_partition(self.GROUP)[0] == []
         assert results[0] == results[1]
         # Back at the first root, its own cached trace still serves.
@@ -655,13 +656,13 @@ def test_mismatching_trace_falls_back_to_live_run(tmp_path):
     spec = JobSpec.edge("conv", 4, scale=2, sampling=dense)
     reference = execute_spec(spec)
     key = trace_key(spec)
-    payload = FFTraceStore().load(key)
+    payload = FFTraceStore(trace_root()).load(key)
     assert payload is not None and len(payload["intervals"]) >= 2
 
     # Corrupt the second interval's start address on disk (and drop the
     # in-process parse) so replay only notices once it is under way.
     payload["intervals"][1]["start"] += 64
-    FFTraceStore().store(key, payload)
+    FFTraceStore(trace_root()).store(key, payload)
     import repro.sample.trace as trace_mod
 
     trace_mod._PARSED.clear()
@@ -761,7 +762,7 @@ class TestPrewarmPartition:
                  for n in (2, 4, 8)]
         reference = [execute_spec(spec) for spec in specs]
 
-        store = FFTraceStore()
+        store = FFTraceStore(trace_root())
         key = trace_key(specs[0])
         path = store.path_for(key)
         if damage == "truncated":
@@ -824,7 +825,7 @@ class TestPrewarmPartition:
         specs = [JobSpec.edge("conv", n, scale=2, sampling=SAMPLING)
                  for n in (2, 4)]
         execute_spec(specs[0])
-        store = FFTraceStore()
+        store = FFTraceStore(trace_root())
         key = trace_key(specs[0])
         payload = store.load(key)
         del payload["intervals"][0]["addrs"]

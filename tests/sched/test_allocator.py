@@ -34,7 +34,8 @@ class TestSpeedupTable:
     def test_alone_and_best_size(self):
         table = table_from({"a": saturating(8)})
         assert table.alone("a") == 4.0
-        assert table.best_size("a") == 8
+        assert max(table.sizes(),
+                   key=lambda n: table.performance("a", n)) == 8
 
     def test_missing_measurement(self):
         table = table_from({"a": {1: 1.0}})

@@ -15,17 +15,17 @@ import pytest
 
 import repro.obs
 from repro.search import (
-    FidelityTier,
+    DEFAULT_LADDER,
     HalvingConfig,
     SearchResult,
     default_space,
     search_best,
 )
 
-#: A three-tier ladder whose sampling parameters are easy to key on.
-LADDER = (FidelityTier.make("coarse", {"ff_blocks": 64}),
-          FidelityTier.make("fine", {"ff_blocks": 16}),
-          FidelityTier.make("detail"))
+#: The fast-forward lengths that tell the ladder's sampled tiers apart.
+COARSE_FF, FINE_FF = (tier.sampling_dict()["ff_blocks"]
+                      for tier in DEFAULT_LADDER[:2])
+assert (COARSE_FF, FINE_FF) == (256, 96)
 
 
 def install_scores(monkeypatch, table):
@@ -58,8 +58,8 @@ def uniform_table(space, by_ncores, coarse_by_ncores=None,
         for cand in space.candidates:
             n = cand.ncores
             table[(bench, n, None)] = by_ncores[n]
-            table[(bench, n, 64)] = (coarse_by_ncores or by_ncores)[n]
-            table[(bench, n, 16)] = (fine_by_ncores or by_ncores)[n]
+            table[(bench, n, COARSE_FF)] = (coarse_by_ncores or by_ncores)[n]
+            table[(bench, n, FINE_FF)] = (fine_by_ncores or by_ncores)[n]
     return table
 
 
@@ -69,15 +69,14 @@ class TestRungMechanics:
         cycles = {1: 600, 2: 500, 4: 400, 8: 300, 16: 200, 32: 100}
         calls = install_scores(monkeypatch,
                                uniform_table(space, cycles))
-        result = search_best(space, "speedup",
-                             HalvingConfig(ladder=LADDER))
+        result = search_best(space, "speedup")
         trail = result.per_bench["conv"]
         assert [len(r.entered) for r in trail.rungs] == [6, 3, 2]
         assert [r.tier for r in trail.rungs] == ["coarse", "fine", "detail"]
         assert trail.detailed_jobs() == 2
         assert result.detail_reduction() == 3.0
         # Rung fidelities actually reached the runner.
-        assert {ff for __, __n, ff in calls} == {64, 16, None}
+        assert {ff for __, __n, ff in calls} == {COARSE_FF, FINE_FF, None}
         assert trail.best.ncores == 32
 
     def test_best_survives_coarse_misranking(self, monkeypatch):
@@ -89,7 +88,7 @@ class TestRungMechanics:
         coarse = {1: 600, 2: 500, 4: 400, 8: 300, 16: 90, 32: 100}
         install_scores(monkeypatch,
                        uniform_table(space, detail, coarse_by_ncores=coarse))
-        result = search_best(space, "speedup", HalvingConfig(ladder=LADDER))
+        result = search_best(space, "speedup")
         assert result.per_bench["conv"].best.ncores == 32
 
     def test_elimination_loses_candidates_for_good(self, monkeypatch):
@@ -101,9 +100,9 @@ class TestRungMechanics:
         calls = install_scores(monkeypatch,
                                uniform_table(space, detail,
                                              coarse_by_ncores=coarse))
-        result = search_best(space, "speedup", HalvingConfig(ladder=LADDER))
+        result = search_best(space, "speedup")
         assert result.per_bench["conv"].best.ncores != 1
-        assert (("conv", 1, 16) not in calls
+        assert (("conv", 1, FINE_FF) not in calls
                 and ("conv", 1, None) not in calls)
 
     def test_ties_resolve_to_earliest_candidate(self, monkeypatch):
@@ -113,7 +112,7 @@ class TestRungMechanics:
         space = default_space(["conv"])
         cycles = {1: 100, 2: 100, 4: 100, 8: 100, 16: 100, 32: 100}
         install_scores(monkeypatch, uniform_table(space, cycles))
-        result = search_best(space, "speedup", HalvingConfig(ladder=LADDER))
+        result = search_best(space, "speedup")
         assert result.per_bench["conv"].best.ncores == 1
 
     def test_eta_3_schedule(self, monkeypatch):
@@ -121,31 +120,20 @@ class TestRungMechanics:
         cycles = {1: 600, 2: 500, 4: 400, 8: 300, 16: 200, 32: 100}
         install_scores(monkeypatch, uniform_table(space, cycles))
         result = search_best(space, "speedup",
-                             HalvingConfig(ladder=LADDER, eta=3))
+                             HalvingConfig(eta=3))
         assert [len(r.entered)
                 for r in result.per_bench["conv"].rungs] == [6, 2, 1]
-
-    def test_single_tier_ladder_is_exhaustive_detail(self, monkeypatch):
-        space = default_space(["conv"])
-        cycles = {1: 600, 2: 500, 4: 400, 8: 300, 16: 200, 32: 150}
-        calls = install_scores(monkeypatch, uniform_table(space, cycles))
-        result = search_best(
-            space, "speedup",
-            HalvingConfig(ladder=(FidelityTier.make("detail"),)))
-        assert result.per_bench["conv"].detailed_jobs() == 6
-        assert result.detail_reduction() == 1.0
-        assert all(ff is None for __, __n, ff in calls)
 
     def test_benchmarks_promoted_independently(self, monkeypatch):
         space = default_space(["a", "b"])
         table = {}
         for n, cyc in ((1, 600), (2, 500), (4, 400), (8, 300),
                        (16, 200), (32, 100)):
-            for ff in (64, 16, None):
+            for ff in (COARSE_FF, FINE_FF, None):
                 table[("a", n, ff)] = cyc          # "a" peaks at 32
                 table[("b", n, ff)] = 700 - cyc    # "b" peaks at 1
         install_scores(monkeypatch, table)
-        result = search_best(space, "speedup", HalvingConfig(ladder=LADDER))
+        result = search_best(space, "speedup")
         assert result.per_bench["a"].best.ncores == 32
         assert result.per_bench["b"].best.ncores == 1
 
@@ -153,7 +141,7 @@ class TestRungMechanics:
         space = default_space(["conv"])
         cycles = {1: 600, 2: 500, 4: 400, 8: 300, 16: 200, 32: 100}
         install_scores(monkeypatch, uniform_table(space, cycles))
-        cfg = HalvingConfig(ladder=LADDER, max_candidates=4, seed=7)
+        cfg = HalvingConfig(max_candidates=4, seed=7)
         first = search_best(space, "speedup", cfg)
         again = search_best(space, "speedup", cfg)
         assert len(first.per_bench["conv"].rungs[0].entered) == 4
@@ -163,25 +151,13 @@ class TestRungMechanics:
 
 class TestConfigValidation:
     def test_final_tier_must_be_detail(self):
-        cfg = HalvingConfig(ladder=(FidelityTier.make(
-            "coarse", {"ff_blocks": 64}),))
-        with pytest.raises(ValueError, match="full detail"):
-            search_best(default_space(["conv"]), "speedup", cfg)
+        # The argmax is decided on exact cycle counts.
+        assert [t.detailed for t in DEFAULT_LADDER] == [False, False, True]
 
     def test_eta_below_2_rejected(self):
         with pytest.raises(ValueError, match="eta"):
             search_best(default_space(["conv"]), "speedup",
                         HalvingConfig(eta=1))
-
-    def test_duplicate_tier_names_rejected(self):
-        cfg = HalvingConfig(ladder=(FidelityTier.make("x", {"ff_blocks": 9}),
-                                    FidelityTier.make("x")))
-        with pytest.raises(ValueError, match="duplicate"):
-            search_best(default_space(["conv"]), "speedup", cfg)
-
-    def test_empty_ladder_rejected(self):
-        with pytest.raises(ValueError, match="at least one tier"):
-            HalvingConfig(ladder=()).validate()
 
     def test_unknown_objective_rejected(self, monkeypatch):
         install_scores(monkeypatch, {})
@@ -198,7 +174,7 @@ class TestObservability:
         events = []
         obs.bus.attach(repro.obs.CallbackSink(events.append))
         try:
-            search_best(space, "speedup", HalvingConfig(ladder=LADDER))
+            search_best(space, "speedup")
             kinds = [e["kind"] for e in events]
             assert kinds[0] == "search.start"
             assert kinds.count("search.rung") == 3
@@ -228,7 +204,7 @@ class TestRendering:
         space = default_space(["conv"])
         cycles = {1: 600, 2: 500, 4: 400, 8: 300, 16: 200, 32: 100}
         install_scores(monkeypatch, uniform_table(space, cycles))
-        result = search_best(space, "speedup", HalvingConfig(ladder=LADDER))
+        result = search_best(space, "speedup")
         text = result.render()
         assert "tflex-32" in text
         assert "3.0x fewer" in text

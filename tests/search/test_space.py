@@ -9,18 +9,9 @@ from repro.search.space import DEFAULT_CORE_COUNTS
 
 class TestCandidate:
     def test_label_matches_sweep_label(self):
-        assert Candidate.make(8).label() == "tflex-8"
+        assert Candidate(8).label() == "tflex-8"
         spec = JobSpec.edge("conv", ncores=8)
-        assert Candidate.make(8).label() == spec.label()
-
-    def test_label_carries_overrides(self):
-        cand = Candidate.make(4, overrides={"l2_hit_cycles": 9})
-        assert cand.label() == "tflex-4+l2_hit_cycles=9"
-
-    def test_overrides_frozen_sorted(self):
-        a = Candidate.make(4, overrides={"b": 2, "a": 1})
-        b = Candidate.make(4, overrides={"a": 1, "b": 2})
-        assert a == b
+        assert Candidate(8).label() == spec.label()
 
 
 class TestSearchSpace:
@@ -34,29 +25,20 @@ class TestSearchSpace:
         """A candidate at full detail hashes identically to the
         exhaustive sweep's spec — search results share its cache."""
         space = default_space(["conv"], scale=2)
-        spec = space.spec_for("conv", Candidate.make(8))
+        spec = space.spec_for("conv", Candidate(8))
         assert spec_hash(spec) == spec_hash(JobSpec.edge("conv", ncores=8,
                                                          scale=2))
 
-    def test_spec_for_carries_sampling_and_overrides(self):
-        space = default_space(["conv"])
-        cand = Candidate.make(4, overrides={"l2_hit_cycles": 9})
-        spec = space.spec_for("conv", cand,
-                              sampling={"ff_blocks": 64})
-        assert spec.ncores == 4
-        assert spec.sampling_dict() == {"ff_blocks": 64}
-        assert spec.overrides_dict() == {"l2_hit_cycles": 9}
-
     def test_rejects_empty_axes(self):
         with pytest.raises(ValueError, match="benchmark"):
-            SearchSpace(benchmarks=(), candidates=(Candidate.make(1),))
+            SearchSpace(benchmarks=(), candidates=(Candidate(1),))
         with pytest.raises(ValueError, match="candidate"):
             SearchSpace(benchmarks=("conv",), candidates=())
 
     def test_rejects_duplicate_candidates(self):
         with pytest.raises(ValueError, match="unique"):
             SearchSpace(benchmarks=("conv",),
-                        candidates=(Candidate.make(4), Candidate.make(4)))
+                        candidates=(Candidate(4), Candidate(4)))
 
 
 class TestSubsample:

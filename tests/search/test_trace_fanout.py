@@ -23,6 +23,7 @@ from repro.sample.trace import (
     prewarm_partition,
     reset_ff_trace,
     schedule_tag,
+    trace_root,
 )
 
 
@@ -110,7 +111,7 @@ def test_new_rung_schedule_records_again():
         assert obs.metrics.counter("sample.trace_records", bench="conv",
                                    schedule=schedule_tag(sampling)) == 1
     assert obs.metrics.counter("sample.trace_mismatches", bench="conv") == 0
-    assert len(FFTraceStore()) == 2
+    assert len(FFTraceStore(trace_root())) == 2
 
 
 @pytest.mark.slow

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.cli import build_parser, main
-from repro.harness import clear_cache, configure_cache, resolve_cache_dir
-from repro.sample.trace import configure_ff_trace, trace_enabled
+from repro.harness import clear_cache, configure_cache
+from repro.sample.trace import configure_ff_trace, trace_root
 
 
 @pytest.fixture(autouse=True)
@@ -18,7 +18,6 @@ def _store_off_after(tmp_path, monkeypatch):
     yield
     clear_cache()
     configure_cache(enabled=False)
-    configure_ff_trace(enabled=False)
 
 
 class TestParser:
@@ -63,10 +62,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "tflex-2" in out
         assert "cycles" in out
-        # The default store landed in the hermetic pytest location, not
-        # the working directory.
-        assert list(resolve_cache_dir().rglob("*.json"))
-        assert not (tmp_path / ".repro-cache").exists()
+        # The default store is .repro-cache in the (tmp) working
+        # directory.
+        assert list((tmp_path / ".repro-cache").rglob("*.json"))
 
     def test_run_no_cache(self, capsys, tmp_path):
         assert main(["run", "dither", "--cores", "2", "--no-cache"]) == 0
@@ -321,7 +319,7 @@ class TestFFTraceFlags:
                    "--sample-warmup", "4"]
         configure_ff_trace(enabled=True, cache_dir=tmp_path / "elsewhere")
         assert main([*sampled, "--no-cache"]) == 0
-        assert not trace_enabled()
+        assert trace_root() is None
 
         clear_cache()     # else the second run replays from memory
         cache_dir = tmp_path / "store"

@@ -1,8 +1,9 @@
 """Event-order property of the bucketed kernel.
 
 A random schedule — absolute and relative times, handlers that schedule
-same-cycle and later events, ``stop()`` from inside a handler, ``until``
-predicates and cycle budgets, each followed by a resumed ``run()`` —
+same-cycle and later events, ``stop()`` from inside a handler (on its
+own, or once a run has executed a set number of events) and cycle
+budgets, each followed by a resumed ``run()`` —
 must execute in exactly the order of a reference ``(cycle, seq)``
 min-heap (the kernel the buckets replaced), with equal return value,
 ``now``, ``pending`` and ``events_processed`` at every return.
@@ -40,10 +41,10 @@ class ReferenceQueue:
     def pending(self):
         return len(self._heap)
 
-    def run(self, until=None, max_cycles=10_000_000):
+    def run(self, max_cycles=10_000_000):
         self._stopped = False
         while self._heap:
-            if self._stopped or (until is not None and until()):
+            if self._stopped:
                 return True
             if self._heap[0][0] > max_cycles:
                 return False
@@ -64,9 +65,10 @@ events = st.recursive(
                  max_size=4).map(tuple)),
     max_leaves=25)
 
-#: One ``run()`` call: stop once ``until_more`` further events ran
-#: (None: no predicate) and/or at a budget ``budget`` cycles past now.
-runs = st.lists(st.tuples(st.none() | st.integers(0, 6),
+#: One ``run()`` call: the handler that completes ``stop_after`` further
+#: events calls ``stop()`` (None: no such stop), and/or a budget
+#: ``budget`` cycles past now.
+runs = st.lists(st.tuples(st.none() | st.integers(1, 6),
                           st.none() | st.integers(0, 8)), max_size=8)
 
 
@@ -75,6 +77,7 @@ def play(queue, roots, plan):
     and the observable state after every ``run()``."""
     order = []
     names = iter(range(10**6))
+    target = None            # stop once len(order) reaches it
 
     def handler(event):
         name = next(names)
@@ -87,7 +90,7 @@ def play(queue, roots, plan):
                     queue.after(delay, handler(child))
                 else:
                     queue.at(queue.now + delay, handler(child))
-            if stops:
+            if stops or len(order) == target:
                 queue.stop()
         return fn
 
@@ -97,10 +100,9 @@ def play(queue, roots, plan):
     plan = list(plan)
     while plan or queue.pending:
         # Past the plan, plain runs (each makes progress) drain the rest.
-        until_more, budget = plan.pop(0) if plan else (None, None)
-        target = None if until_more is None else len(order) + until_more
+        stop_after, budget = plan.pop(0) if plan else (None, None)
+        target = None if stop_after is None else len(order) + stop_after
         returned = queue.run(
-            until=None if target is None else lambda: len(order) >= target,
             max_cycles=10_000_000 if budget is None else queue.now + budget)
         states.append((returned, queue.now, queue.pending,
                        queue.events_processed, len(order)))

@@ -15,7 +15,7 @@ class TestLatencyBreakdownRoundTrip:
         again = LatencyBreakdown.from_dict(LatencyBreakdown().to_dict())
         assert again.samples == 0
         assert again.components == Counter()
-        assert again.total_mean() == 0.0
+        assert again.means() == {}
 
     def test_components_missing_from_some_samples(self):
         # Real traces do this: one-core compositions record no
