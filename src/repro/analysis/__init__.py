@@ -20,7 +20,6 @@ exemption mechanism: a finding gets fixed.
 
 from repro.analysis.engine import (
     DEFAULT_SIM_PATHS,
-    PASSES,
     LintContext,
     LintReport,
     run_lint,
@@ -39,7 +38,6 @@ __all__ = [
     "LintContext",
     "LintError",
     "LintReport",
-    "PASSES",
     "SEVERITIES",
     "SourceModule",
     "iter_modules",

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.analysis.determinism import check_determinism
-from repro.analysis.findings import SEVERITIES, Finding, sort_findings
+from repro.analysis.findings import SEVERITIES, sort_findings
 from repro.analysis.hashaxes import DEFAULT_HASH_SURFACES, check_hash_axes
 from repro.analysis.obsnames import check_obs_names
 from repro.analysis.source import LintError, iter_modules
@@ -34,10 +34,6 @@ DEFAULT_SIM_PATHS = (
     "repro/compiler/", "repro/power/", "repro/sched/",
     "repro/exec/spec.py",
 )
-
-#: All pass ids, in report order.
-PASSES = ("determinism", "hashaxes", "obsnames")
-
 
 @dataclass
 class LintContext:

@@ -79,10 +79,6 @@ def _cmd_run(args) -> int:
               f"{result.insts} insts, {result.mispredictions} mispredicts")
         return 0
     sampling = _sampling_from_args(args)
-    if sampling and args.machine == "trips":
-        print("repro: --sample applies to TFlex compositions only; "
-              "the TRIPS baseline always runs in full detail",
-              file=sys.stderr)
     faults = None
     if getattr(args, "inject", None):
         from repro.resil import FaultSchedule, parse_inject
@@ -541,6 +537,9 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                 f"--cores must be a power of two up to 32, got {args.cores}")
 
     if getattr(args, "sample", False):
+        if getattr(args, "machine", "tflex") != "tflex":
+            parser.error(f"--sample applies to TFlex compositions only; "
+                         f"it cannot combine with --machine {args.machine}")
         try:
             SamplingConfig.from_dict(_sampling_from_args(args))
         except ValueError as exc:

@@ -27,12 +27,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.compiler.ast_nodes import (
-    Array, Assign, Bin, Call, Cmp, CMP_OPS, CompileError, Const, For,
-    FLOAT_BINOPS, FtoI, Function, If, INT_BINOPS, ItoF, KernelProgram, Load,
-    Return, Store, Un, Var, infer_type,
+    Assign, Bin, Call, Cmp, CMP_OPS, CompileError, Const, For, FLOAT_BINOPS,
+    FtoI, Function, If, INT_BINOPS, ItoF, KernelProgram, Load, Return, Store,
+    Un, Var,
 )
 from repro.isa.block import NUM_REGS
-from repro.isa.builder import BlockBuilder, BlockTooLarge, Port
+from repro.isa.builder import BlockBuilder, Port
 from repro.isa.program import Program
 
 

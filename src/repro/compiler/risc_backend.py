@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.compiler.ast_nodes import (
-    Assign, Bin, Call, Cmp, CMP_OPS, CompileError, Const, For, FtoI,
+    Assign, Bin, Call, Cmp, CompileError, Const, For, FtoI,
     Function, If, INT_BINOPS, FLOAT_BINOPS, ItoF, KernelProgram, Load,
     Return, Store, Un, Var,
 )

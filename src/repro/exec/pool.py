@@ -221,12 +221,17 @@ class WorkerPool:
         ready = [pw.conn for pw in self.workers if pw.busy]
         ready += [pw.process.sentinel for pw in self.workers]
         try:
-            wait_any(ready)
+            fired = set(wait_any(ready))
         except (OSError, ValueError):
-            pass                    # a dead descriptor: the sweep names it
+            fired = set()           # a dead descriptor: the sweep names it
         events: list[PoolEvent] = []
         now = time.monotonic()
         for pw in self.workers:
+            if pw.process.sentinel in fired:
+                # A sentinel fires as the exiting worker's descriptors
+                # close, a moment before it can be reaped: wait for
+                # that, so is_alive() below sees the death.
+                pw.process.join(self.grace)
             if self._drain(pw, events, now) is False:
                 continue            # worker was replaced during drain
             if not pw.process.is_alive():

@@ -282,8 +282,8 @@ def gc_cache(root: Union[str, pathlib.Path],
 
     Two independent bounds, both optional: records older than
     ``max_age_days`` go first, then the newest records are kept until
-    ``max_bytes`` is exhausted and the remainder (oldest-first) is
-    removed.  With neither bound this only reports the footprint.
+    the next one would overrun ``max_bytes``; it and every older record
+    are removed.  With neither bound this only reports the footprint.
     ``dry_run`` computes the same plan without deleting anything.
 
     Runs under the store's advisory lock so concurrent CLI invocations
@@ -325,15 +325,17 @@ def gc_cache(root: Union[str, pathlib.Path],
             doomed = [e for e in survivors if e[0] < cutoff]
             survivors = [e for e in survivors if e[0] >= cutoff]
         if max_bytes is not None:
+            # Keep a newest-first prefix: the first record that does not
+            # fit goes, and every older one with it.
             budget = max_bytes
-            kept = []
-            for entry in survivors:
-                if entry[1] <= budget:
-                    budget -= entry[1]
-                    kept.append(entry)
-                else:
-                    doomed.append(entry)
-            survivors = kept
+            kept = 0
+            for __mtime, size, __path, __kind in survivors:
+                if size > budget:
+                    break
+                budget -= size
+                kept += 1
+            doomed += survivors[kept:]
+            survivors = survivors[:kept]
 
         for __mtime, size, path, kind in doomed:
             if not dry_run:

@@ -33,7 +33,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "fig9_protocols": "experiments",
     "fig10_multiprogramming": "experiments",
     "figR_degradation": "experiments",
-    "figR_specs": "experiments",
     "table2_area_power": "experiments",
     "format_table": "reporting",
     "geomean": "reporting",

@@ -361,8 +361,6 @@ class Fig10Result:
     ws: dict[int, dict[str, float]]
     #: workload size -> {granularity: fraction of threads} under TFlex.
     allocation: dict[int, dict[int, float]]
-    #: Cores dead at boot (0 = the paper's pristine chip).
-    dead_cores: int = 0
 
     def average(self, label: str) -> float:
         return sum(self.ws[m][label] for m in self.sizes) / len(self.sizes)
@@ -404,84 +402,54 @@ class Fig10Result:
         return "\n\n".join([ws_tbl, alloc_tbl, summary])
 
 
-def fig10_multiprogramming(fig6: Fig6Result,
-                           sizes: Sequence[int] = (2, 4, 6, 8, 12, 16),
-                           granularities: Sequence[int] = (1, 2, 4, 8, 16),
-                           workloads_per_size: int = 8,
-                           seed: int = 2007,
-                           dead_cores: int = 0) -> Fig10Result:
+#: The paper's multiprogramming study: workload sizes (threads), the
+#: fixed-CMP granularities it compares against, and the seeded draw of
+#: workloads averaged at each size.
+FIG10_SIZES = (2, 4, 6, 8, 12, 16)
+FIG10_GRANULARITIES = (1, 2, 4, 8, 16)
+FIG10_WORKLOADS_PER_SIZE = 8
+FIG10_SEED = 2007
+
+
+def fig10_multiprogramming(fig6: Fig6Result) -> Fig10Result:
     """Paper methodology: WS computed analytically from the figure-6
     cores->speedup functions of the 12 hand-optimized benchmarks, with
-    an optimal DP allocator for TFlex.
-
-    ``dead_cores`` kills that many cores at boot (seeded, nested draw —
-    independent of the workload stream so the pristine figure is
-    untouched).  The TFlex allocator packs around the dead cores at a
-    one-core-per-fault cost; a fixed CMP loses every processor tile a
-    dead core lands in, which is the asymmetry the resilience
-    experiment quantifies.
-    """
-    from repro.sched import (degraded_assignment, fixed_cmp_assignment,
-                             optimal_assignment, surviving_processors,
+    an optimal DP allocator for TFlex."""
+    from repro.sched import (fixed_cmp_assignment, optimal_assignment,
                              symmetric_best_assignment)
-    from repro.tflex.config import tflex_config
 
     apps_pool = [b for b in SETS["hand"] if b in fig6.benchmarks]
     if not apps_pool:
         apps_pool = fig6.benchmarks
     table = fig6.speedup_table(apps_pool)
     allowed = tuple(fig6.core_counts)   # only measured composition sizes
-    granularities = tuple(g for g in granularities if g in allowed)
-    rng = Lcg(seed)
-
-    cfg = tflex_config(32)
-    dead: set[int] = set()
-    if dead_cores:
-        # Separate stream: the workload draw below must not shift.
-        from repro.resil.faults import FaultSchedule
-
-        dead = set(FaultSchedule.boot_dead(dead_cores, cfg.num_cores,
-                                           seed=seed + 999331)
-                   .boot_dead_cores())
-
-    def degraded_fixed(workload: list[str], g: int) -> float:
-        processors = surviving_processors(cfg, g, dead)
-        if not processors:
-            return 0.0
-        return fixed_cmp_assignment(workload, table, g,
-                                    total_cores=processors * g)[0]
+    granularities = tuple(g for g in FIG10_GRANULARITIES if g in allowed)
+    rng = Lcg(FIG10_SEED)
 
     ws: dict[int, dict[str, float]] = {}
     allocation: dict[int, dict[int, float]] = {}
-    for m in sizes:
+    for m in FIG10_SIZES:
         totals = {f"CMP-{g}": 0.0 for g in granularities}
         totals["VB-CMP"] = 0.0
         totals["TFlex"] = 0.0
         size_counts: dict[int, int] = {}
-        for __ in range(workloads_per_size):
+        for __ in range(FIG10_WORKLOADS_PER_SIZE):
             workload = [apps_pool[rng.next() % len(apps_pool)] for __ in range(m)]
-            if dead:
-                for g in granularities:
-                    totals[f"CMP-{g}"] += degraded_fixed(workload, g)
-                totals["VB-CMP"] += max(degraded_fixed(workload, g)
-                                        for g in allowed)
-                tflex_ws, assigned, __ = degraded_assignment(
-                    workload, table, cfg, dead, allowed)
-            else:
-                for g in granularities:
-                    totals[f"CMP-{g}"] += fixed_cmp_assignment(workload, table, g)[0]
-                totals["VB-CMP"] += symmetric_best_assignment(
-                    workload, table, allowed=allowed)[0]
-                tflex_ws, assigned = optimal_assignment(workload, table,
-                                                        allowed=allowed)
+            for g in granularities:
+                totals[f"CMP-{g}"] += fixed_cmp_assignment(workload, table, g)[0]
+            totals["VB-CMP"] += symmetric_best_assignment(
+                workload, table, allowed=allowed)[0]
+            tflex_ws, assigned = optimal_assignment(workload, table,
+                                                    allowed=allowed)
             totals["TFlex"] += tflex_ws
             for k in assigned:
                 size_counts[k] = size_counts.get(k, 0) + 1
-        ws[m] = {label: total / workloads_per_size for label, total in totals.items()}
+        ws[m] = {label: total / FIG10_WORKLOADS_PER_SIZE
+                 for label, total in totals.items()}
         assigned_total = sum(size_counts.values())
         allocation[m] = {k: c / assigned_total for k, c in sorted(size_counts.items())}
-    return Fig10Result(sizes=tuple(sizes), granularities=tuple(granularities),
-                       ws=ws, allocation=allocation, dead_cores=dead_cores)
+    return Fig10Result(sizes=FIG10_SIZES, granularities=granularities,
+                       ws=ws, allocation=allocation)
 
 
 # ----------------------------------------------------------------------
@@ -701,10 +669,11 @@ class FigRResult:
                   f"({self.target_cores}-core chip, seed {self.seed})")
 
 
-def _figR_plan(target_cores: int, max_dead: int,
-               benchmarks: Optional[Sequence[str]], seed: int, scale: int):
-    """``(names, schedules, specs)`` of the degradation sweep: one
-    schedule per dead count, the specs dead-count-major.
+def figR_degradation(target_cores: int = 16, max_dead: int = 6,
+                     benchmarks: Optional[Sequence[str]] = None,
+                     seed: int = 2007, scale: int = 1,
+                     jobs: int = 1, progress: bool = False) -> FigRResult:
+    """Run the dead-core sweep and assemble the degradation curve.
 
     One seeded nested permutation supplies the dead sets: the cores
     dead at k are a subset of those dead at k+1, so the curve can only
@@ -721,23 +690,6 @@ def _figR_plan(target_cores: int, max_dead: int,
     specs = [JobSpec.edge(name, ncores=target_cores, scale=scale,
                           faults=schedule.spec_items())
              for schedule in schedules for name in names]
-    return names, schedules, specs
-
-
-def figR_specs(target_cores: int = 16, max_dead: int = 6,
-               benchmarks: Optional[Sequence[str]] = None,
-               seed: int = 2007, scale: int = 1) -> list[JobSpec]:
-    """Every point of the degradation sweep, as job specs."""
-    return _figR_plan(target_cores, max_dead, benchmarks, seed, scale)[2]
-
-
-def figR_degradation(target_cores: int = 16, max_dead: int = 6,
-                     benchmarks: Optional[Sequence[str]] = None,
-                     seed: int = 2007, scale: int = 1,
-                     jobs: int = 1, progress: bool = False) -> FigRResult:
-    """Run the dead-core sweep and assemble the degradation curve."""
-    names, schedules, specs = _figR_plan(target_cores, max_dead, benchmarks,
-                                         seed, scale)
     results = iter(run_all(specs, jobs=jobs, progress=progress))
     runs: dict[str, dict[int, RunResult]] = {b: {} for b in names}
     for k in range(len(schedules)):

@@ -280,33 +280,31 @@ def run_all(specs: Sequence[JobSpec], jobs: int = 1,
 # ----------------------------------------------------------------------
 
 def run_edge_benchmark(name: str, ncores: int = 8, trips: bool = False,
-                       scale: int = 1, ideal_handshake: bool = False,
-                       overrides: Optional[dict] = None,
+                       scale: int = 1, overrides: Optional[dict] = None,
                        core_overrides: Optional[dict] = None,
-                       verify: bool = True,
                        sampling: Optional[dict] = None,
                        faults: Optional[tuple] = None) -> RunResult:
     """Run one benchmark on a TFlex composition (or the TRIPS baseline).
 
     Results are cached per resolved job spec (in-process, then the
     persistent store when enabled); architectural output is verified
-    against the Python reference unless disabled.
+    against the Python reference.
     ``overrides``/``core_overrides`` replace :class:`SystemConfig` /
     :class:`CoreConfig` fields for ablation studies.  ``sampling``
     (``{"ff_blocks", "window_blocks", "warmup_blocks"}``) switches the
     point to the sampled engine — cycles become an extrapolated
     estimate, architectural results stay exact.  ``faults`` (the
     ``spec_items()`` of a :class:`repro.resil.FaultSchedule`) injects
-    those faults into the run.
+    those faults into the run.  The other axes (``ideal_handshake``,
+    ``verify``) are set on a :class:`JobSpec` passed to :func:`run_all`,
+    as :func:`~repro.harness.experiments.fig9_protocols` does.
     """
     spec = JobSpec.edge(name, ncores=ncores, trips=trips, scale=scale,
-                        ideal_handshake=ideal_handshake,
                         overrides=overrides, core_overrides=core_overrides,
-                        verify=verify, sampling=sampling, faults=faults)
+                        sampling=sampling, faults=faults)
     return run_spec(spec)
 
 
-def run_risc_benchmark(name: str, scale: int = 1,
-                       verify: bool = True) -> RiscResult:
+def run_risc_benchmark(name: str, scale: int = 1) -> RiscResult:
     """Run one benchmark on the OoO superscalar baseline (figure 5)."""
-    return run_spec(JobSpec.risc(name, scale=scale, verify=verify))
+    return run_spec(JobSpec.risc(name, scale=scale))

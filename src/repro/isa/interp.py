@@ -426,10 +426,9 @@ def _compile(pb: PreparedBlock, seg: _Segment):
 class Interpreter:
     """Sequential block-atomic executor (the golden model)."""
 
-    def __init__(self, program: Program, memory: Optional[FlatMemory] = None,
-                 validate: bool = True) -> None:
-        if validate:
-            program.validate()
+    def __init__(self, program: Program,
+                 memory: Optional[FlatMemory] = None) -> None:
+        program.validate()
         self.program = program
         self.mem = memory if memory is not None else FlatMemory()
         self.mem.load_image(program.data)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.util import INT_MAX, INT_MIN, wrap64
+from repro.util import wrap64
 
 _WRAP = 1 << 64
 

@@ -11,7 +11,7 @@ hierarchy, as in the multiprogramming experiments.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 

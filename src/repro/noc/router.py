@@ -19,7 +19,7 @@ routing metadata fits one flit).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.noc.mesh import Topology

@@ -26,7 +26,6 @@ from typing import Optional
 from repro.obs.bus import (
     CallbackSink,
     JsonlSink,
-    NullSink,
     RingBufferSink,
     Sink,
     TraceBus,
@@ -124,7 +123,6 @@ __all__ = [
     "Histogram",
     "JsonlSink",
     "MetricsRegistry",
-    "NullSink",
     "Observability",
     "PhaseProfiler",
     "RingBufferSink",

@@ -31,14 +31,6 @@ class Sink:
         pass
 
 
-class NullSink(Sink):
-    """Swallows everything (explicit no-op; buses with no sinks never
-    even build the event dict)."""
-
-    def emit(self, event: dict) -> None:
-        pass
-
-
 class RingBufferSink(Sink):
     """Keeps the last ``capacity`` events in memory — the test sink.
 

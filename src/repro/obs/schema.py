@@ -156,7 +156,6 @@ PHASES: tuple[str, ...] = (
 
 EVENT_NAMES: frozenset = frozenset(EVENTS)
 METRIC_NAMES: frozenset = frozenset(METRICS)
-PHASE_NAMES: frozenset = frozenset(PHASES)
 
 __all__ = [
     "EVENTS",
@@ -164,6 +163,5 @@ __all__ = [
     "METRICS",
     "METRIC_NAMES",
     "PHASES",
-    "PHASE_NAMES",
     "TFLEX_SCALARS",
 ]

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.block import NUM_EXITS
 from repro.warm import WarmState
 
 

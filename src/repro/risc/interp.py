@@ -7,7 +7,7 @@ and load/store addresses), which the out-of-order model replays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.mem.flatmem import FlatMemory

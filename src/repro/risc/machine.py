@@ -14,7 +14,7 @@ comparison needs without a second execution engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.mem.cache import CacheBank

@@ -4,15 +4,12 @@ from repro.sched.allocator import (
     SpeedupTable,
     weighted_speedup,
     optimal_assignment,
-    degraded_assignment,
-    surviving_processors,
     fixed_cmp_assignment,
     symmetric_best_assignment,
     brute_force_assignment,
 )
 from repro.sched.controller import (
     AllocationEvent,
-    CoreFailure,
     Job,
     ReallocationController,
     ScheduleResult,
@@ -22,13 +19,10 @@ __all__ = [
     "SpeedupTable",
     "weighted_speedup",
     "optimal_assignment",
-    "degraded_assignment",
-    "surviving_processors",
     "fixed_cmp_assignment",
     "symmetric_best_assignment",
     "brute_force_assignment",
     "AllocationEvent",
-    "CoreFailure",
     "Job",
     "ReallocationController",
     "ScheduleResult",

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from repro.tflex.placement import pack
-
 
 #: Composition sizes a thread may receive.
 ALLOWED_SIZES = (1, 2, 4, 8, 16, 32)
@@ -133,50 +131,6 @@ def fixed_cmp_assignment(apps: Sequence[str], table: SpeedupTable,
     scheduled = list(apps[:processors])
     sizes = [granularity] * len(scheduled)
     return weighted_speedup(scheduled, sizes, table), sizes
-
-
-def degraded_assignment(apps: Sequence[str], table: SpeedupTable,
-                        cfg, dead: set[int],
-                        allowed: Sequence[int] = ALLOWED_SIZES,
-                        ) -> tuple[float, list[int], list[list[int]]]:
-    """Optimal WS allocation on a chip with failed cores, placement-
-    aware: the chosen sizes must actually pack as contiguous rectangles
-    avoiding ``dead`` (the composability fault story — a dead core
-    costs one core, but it can also fragment the mesh).
-
-    Runs the DP at the surviving-core budget, then checks packability;
-    on fragmentation, tightens the budget and re-solves.  Returns
-    ``(ws, sizes, placements)``.
-    """
-    allowed = sorted(set(k for k in allowed if k <= cfg.num_cores))
-    usable = cfg.num_cores - len(dead)
-    floor = len(apps) * allowed[0]
-    if floor > usable:
-        raise ValueError(
-            f"{len(apps)} threads cannot fit on {usable} surviving cores "
-            f"at minimum size {allowed[0]} ({len(dead)} dead)")
-    for budget in range(usable, floor - 1, -1):
-        ws, sizes = optimal_assignment(apps, table, budget, allowed)
-        try:
-            placements = pack(cfg, sizes, avoid=dead)
-        except ValueError:
-            continue
-        return ws, sizes, placements
-    # Minimum-size singles always pack when they fit the survivor count.
-    sizes = [allowed[0]] * len(apps)
-    return (weighted_speedup(apps, sizes, table), sizes,
-            pack(cfg, sizes, avoid=dead))
-
-
-def surviving_processors(cfg, granularity: int, dead: set[int]) -> int:
-    """Processors of a fixed-granularity CMP that survive ``dead``.
-
-    A fixed CMP cannot recompose: any processor tile containing a dead
-    core is lost whole — the asymmetry the degradation experiment
-    plots against the composable array's one-core-per-fault cost.
-    """
-    tiles = pack(cfg, [granularity] * (cfg.num_cores // granularity))
-    return sum(1 for tile in tiles if not set(tile) & dead)
 
 
 def symmetric_best_assignment(apps: Sequence[str], table: SpeedupTable,

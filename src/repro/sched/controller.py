@@ -20,8 +20,7 @@ work 1.0 takes 1.0 time units when running at its best composition.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.sched.allocator import (
@@ -30,6 +29,10 @@ from repro.sched.allocator import (
     optimal_assignment,
     symmetric_best_assignment,
 )
+
+
+#: The chip the controller allocates: the paper's 32-core TFlex array.
+CHIP_CORES = 32
 
 
 @dataclass
@@ -65,21 +68,6 @@ class AllocationEvent:
     running: dict[str, int]            # job name -> cores granted
     waiting: list[str]
     cores_used: int
-    #: Cores still alive at this decision (equals the chip size until
-    #: a :class:`CoreFailure` shrinks it).
-    capacity: int = 0
-
-
-@dataclass(frozen=True)
-class CoreFailure:
-    """``cores`` cores die at ``time`` (and stay dead)."""
-
-    time: float
-    cores: int = 1
-
-    def __post_init__(self) -> None:
-        if self.time < 0 or self.cores < 1:
-            raise ValueError("a failure needs time >= 0 and cores >= 1")
 
 
 @dataclass
@@ -110,57 +98,43 @@ class ScheduleResult:
 class ReallocationController:
     """Event-driven analytical scheduler simulation."""
 
-    def __init__(self, table: SpeedupTable, total_cores: int = 32,
-                 policy: str = "composable", granularity: int = 4,
-                 allowed: Sequence[int] = ALLOWED_SIZES) -> None:
+    def __init__(self, table: SpeedupTable, policy: str = "composable",
+                 granularity: int = 4) -> None:
         if policy not in ("composable", "symmetric", "fixed"):
             raise ValueError(f"unknown policy {policy!r}")
         self.table = table
-        self.total_cores = total_cores
         self.policy = policy
         self.granularity = granularity
-        self.allowed = tuple(k for k in allowed if k <= total_cores)
 
     # ------------------------------------------------------------------
     # Allocation policies
     # ------------------------------------------------------------------
 
-    def _allocate(self, active: list[Job],
-                  capacity: Optional[int] = None,
-                  ) -> tuple[dict[str, int], list[Job]]:
-        """(granted cores per job name, jobs left waiting).
-
-        ``capacity`` is the live core count — ``total_cores`` until
-        failures shrink it.
-        """
-        if capacity is None:
-            capacity = self.total_cores
-        if not active or capacity <= 0:
-            return {}, list(active)
-        allowed = tuple(k for k in self.allowed if k <= capacity)
+    def _allocate(self, active: list[Job]) -> tuple[dict[str, int], list[Job]]:
+        """(granted cores per job name, jobs left waiting)."""
+        if not active:
+            return {}, []
         if self.policy == "fixed":
-            processors = capacity // self.granularity
+            processors = CHIP_CORES // self.granularity
             running = active[:processors]
             waiting = active[processors:]
             return {j.name: self.granularity for j in running}, waiting
 
         # Elastic policies admit as many jobs as fit at minimum size.
-        admitted = capacity // min(allowed)
+        admitted = CHIP_CORES // min(ALLOWED_SIZES)
         running = active[:admitted]
         waiting = active[admitted:]
         apps = [j.bench for j in running]
         if self.policy == "composable":
-            __, sizes = optimal_assignment(apps, self.table, capacity,
-                                           allowed)
+            __, sizes = optimal_assignment(apps, self.table, CHIP_CORES)
         else:
-            __, sizes = symmetric_best_assignment(apps, self.table,
-                                                  capacity, allowed)
+            __, sizes = symmetric_best_assignment(apps, self.table, CHIP_CORES)
             # symmetric_best may schedule fewer jobs than running.
             while len(sizes) < len(running):
                 waiting.insert(0, running.pop())
                 apps = [j.bench for j in running]
-                __, sizes = symmetric_best_assignment(
-                    apps, self.table, capacity, allowed)
+                __, sizes = symmetric_best_assignment(apps, self.table,
+                                                      CHIP_CORES)
         return {j.name: k for j, k in zip(running, sizes)}, waiting
 
     def _rate(self, job: Job, cores: int) -> float:
@@ -171,34 +145,26 @@ class ReallocationController:
     # Simulation
     # ------------------------------------------------------------------
 
-    def run(self, jobs: Sequence[Job],
-            failures: Sequence[CoreFailure] = ()) -> ScheduleResult:
-        """Simulate the job stream; ``failures`` permanently remove
-        cores at their times, and the controller re-solves the
-        allocation at each one — the run-time half of the resilience
-        story (``repro.resil`` recovers the *threads*; this layer
-        re-plans the *chip*)."""
+    def run(self, jobs: Sequence[Job]) -> ScheduleResult:
+        """Simulate the job stream, re-solving the allocation at every
+        arrival and departure."""
         jobs = sorted(jobs, key=lambda j: (j.arrival, j.name))
         for job in jobs:
             job.remaining = job.work
             job.start = None
             job.finish = None
         pending = list(jobs)
-        faults = sorted(failures, key=lambda f: f.time)
         active: list[Job] = []
         trace: list[AllocationEvent] = []
         now = 0.0
-        capacity = self.total_cores
 
         while pending or active:
             if not active and pending:
                 now = max(now, pending[0].arrival)
             while pending and pending[0].arrival <= now + 1e-12:
                 active.append(pending.pop(0))
-            while faults and faults[0].time <= now + 1e-12:
-                capacity = max(0, capacity - faults.pop(0).cores)
 
-            granted, waiting = self._allocate(active, capacity)
+            granted, waiting = self._allocate(active)
             rates = {}
             for job in active:
                 cores = granted.get(job.name, 0)
@@ -208,22 +174,16 @@ class ReallocationController:
             trace.append(AllocationEvent(
                 time=now, running=dict(granted),
                 waiting=[j.name for j in waiting],
-                cores_used=sum(granted.values()),
-                capacity=capacity))
+                cores_used=sum(granted.values())))
 
-            # Next event: a completion, the next arrival, or a failure.
+            # Next event: a completion or the next arrival.
             horizon = pending[0].arrival if pending else float("inf")
-            if faults:
-                horizon = min(horizon, faults[0].time)
             next_done = float("inf")
             for job in active:
                 if rates[job.name] > 0:
                     next_done = min(next_done, now + job.remaining / rates[job.name])
             if next_done == float("inf") and horizon == float("inf"):
-                raise RuntimeError(
-                    "no progress: all active jobs starved"
-                    + (f" ({self.total_cores - capacity} cores failed)"
-                       if capacity < self.total_cores else ""))
+                raise RuntimeError("no progress: all active jobs starved")
             step_to = min(next_done, horizon)
 
             for job in active:

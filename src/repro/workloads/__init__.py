@@ -14,10 +14,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Benchmark": "suite",
     "BENCHMARKS": "suite",
-    "hand_optimized": "suite",
-    "spec_fp": "suite",
-    "spec_int": "suite",
-    "compiled_suite": "suite",
     "verify_edge_run": "suite",
     "read_array_values": "suite",
 })

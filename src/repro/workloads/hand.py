@@ -8,8 +8,6 @@ array names to reference values computed in Python.
 
 from __future__ import annotations
 
-import math
-
 from repro.compiler import (
     Array, Assign, Bin, Cmp, Const, For, Function, If, ItoF, KernelProgram,
     Load, Store, Un, Var,

@@ -9,10 +9,9 @@ low — these model compiler-generated (not hand-scheduled) code.
 from __future__ import annotations
 
 from repro.compiler import (
-    Array, Assign, Bin, Cmp, Const, For, Function, If, ItoF, KernelProgram,
-    Load, Store, Un, Var,
+    Array, Assign, Bin, Cmp, Const, For, Function, If, KernelProgram, Load,
+    Store, Un, Var,
 )
-from repro.util import wrap64
 from repro.workloads.data import Lcg
 
 

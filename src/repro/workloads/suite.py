@@ -61,26 +61,6 @@ def _registry() -> dict[str, Benchmark]:
 BENCHMARKS: dict[str, Benchmark] = _registry()
 
 
-def _members(set_name: str) -> list[Benchmark]:
-    return [BENCHMARKS[name] for name in SETS[set_name]]
-
-
-def hand_optimized() -> list[Benchmark]:
-    return _members("hand")
-
-
-def spec_int() -> list[Benchmark]:
-    return _members("spec_int")
-
-
-def spec_fp() -> list[Benchmark]:
-    return _members("spec_fp")
-
-
-def compiled_suite() -> list[Benchmark]:
-    return spec_int() + spec_fp()
-
-
 # ----------------------------------------------------------------------
 # Output verification
 # ----------------------------------------------------------------------

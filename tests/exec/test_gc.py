@@ -89,6 +89,22 @@ class TestGcCache:
         assert all(p.exists() for p in newest)
         assert not any(p.exists() for p in paths[:4])
 
+    def test_size_budget_never_keeps_an_older_record(self, tmp_path):
+        """A record that overruns the budget takes every older record
+        with it, even one small enough to fit what is left."""
+        paths = []
+        for i, (size, age) in enumerate(((10, 0), (100, 1), (5, 2))):
+            path = tmp_path / f"{i:02x}" / f"{i:02x}{'0' * 6}.json"
+            path.parent.mkdir()
+            path.write_bytes(b"x" * size)
+            stamp = self.NOW - age * 86400
+            os.utime(path, (stamp, stamp))
+            paths.append(path)
+        report = gc_cache(tmp_path, max_bytes=20, now=self.NOW)
+        assert report["kept"] == 1 and report["kept_bytes"] == 10
+        assert paths[0].exists()
+        assert not paths[1].exists() and not paths[2].exists()
+
     def test_dry_run_plans_without_deleting(self, tmp_path):
         paths = _populate(tmp_path, (10, 0), now=self.NOW)
         report = gc_cache(tmp_path, max_age_days=1, dry_run=True,

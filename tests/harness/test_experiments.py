@@ -19,6 +19,7 @@ from repro.harness import (
     run_risc_benchmark,
     table2_area_power,
 )
+from repro.harness.experiments import FIG10_SIZES
 
 
 SUBSET = ["conv", "dither", "mcf"]
@@ -54,7 +55,8 @@ class TestRunner:
     def test_labels(self):
         assert run_edge_benchmark("dither", ncores=2).label == "tflex-2"
         assert run_edge_benchmark("dither", trips=True).label == "trips"
-        ideal = run_edge_benchmark("dither", ncores=2, ideal_handshake=True)
+        [ideal] = run_all([JobSpec.edge("dither", ncores=2,
+                                        ideal_handshake=True)])
         assert ideal.label == "tflex-2-ideal"
 
     def test_power_attached(self):
@@ -110,14 +112,15 @@ class TestDownstreamFigures:
         assert "Figure 8" in result.render()
 
     def test_fig10(self, fig6_small):
-        result = fig10_multiprogramming(
-            fig6_small, sizes=(2, 4), granularities=(1, 2, 4),
-            workloads_per_size=3)
-        for m in (2, 4):
+        result = fig10_multiprogramming(fig6_small)
+        assert result.sizes == FIG10_SIZES
+        # Only the granularities the sweep measured become fixed CMPs.
+        assert result.granularities == SMALL_CORES
+        for m in FIG10_SIZES:
+            assert 0 < result.ws[m]["TFlex"] <= m + 1e-9
             assert result.ws[m]["TFlex"] >= result.ws[m]["VB-CMP"] - 1e-9
-            for g in (1, 2, 4):
+            for g in SMALL_CORES:
                 assert result.ws[m]["TFlex"] >= result.ws[m][f"CMP-{g}"] - 1e-9
-        assert 0 < result.ws[2]["TFlex"] <= 2.0 + 1e-9
         assert "Figure 10" in result.render()
 
     def test_table2(self, fig6_small):

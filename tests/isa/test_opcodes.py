@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.isa.opcodes import (
     _ALU,
     ALU_GLOBALS,
-    INT_MAX,
-    INT_MIN,
     OPCODES,
     OpClass,
     alu_source,
@@ -19,6 +17,7 @@ from repro.isa.opcodes import (
     memory_size,
     wrap64,
 )
+from repro.util import INT_MAX, INT_MIN
 
 
 int64 = st.integers(min_value=INT_MIN, max_value=INT_MAX)

@@ -4,8 +4,8 @@ import struct
 
 from hypothesis import given, strategies as st
 
-from repro.isa.opcodes import INT_MAX, INT_MIN
 from repro.mem import FlatMemory
+from repro.util import INT_MAX, INT_MIN
 
 
 class TestRawAccess:

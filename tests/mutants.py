@@ -338,6 +338,35 @@ MUTANTS = [
      "",
      ("tests/exec/test_executor.py::TestSendExitRace::"
       "test_result_sent_just_before_exit_is_not_a_crash",)),
+    # `cache gc --max-bytes` keeps a newest-first prefix: a small old
+    # record never outlives a newer one that did not fit.
+    ("gc-keeps-older-record-that-fits", "src/repro/exec/store.py",
+     "            kept = 0\n"
+     "            for __mtime, size, __path, __kind in survivors:\n"
+     "                if size > budget:\n"
+     "                    break\n"
+     "                budget -= size\n"
+     "                kept += 1\n"
+     "            doomed += survivors[kept:]\n"
+     "            survivors = survivors[:kept]\n",
+     "            kept = []\n"
+     "            for entry in survivors:\n"
+     "                if entry[1] <= budget:\n"
+     "                    budget -= entry[1]\n"
+     "                    kept.append(entry)\n"
+     "                else:\n"
+     "                    doomed.append(entry)\n"
+     "            survivors = kept\n",
+     ("tests/exec/test_gc.py::TestGcCache::"
+      "test_size_budget_never_keeps_an_older_record",)),
+    # --sample is a TFlex axis: any other machine fails up front.
+    ("cli-sample-on-any-machine", "src/repro/cli.py",
+     '        if getattr(args, "machine", "tflex") != "tflex":\n',
+     "        if False:\n",
+     ("tests/test_cli.py::TestUpFrontValidation::"
+      "test_sample_requires_tflex[trips]",
+      "tests/test_cli.py::TestUpFrontValidation::"
+      "test_sample_requires_tflex[ooo]")),
 ]
 
 #: Rows that survive on purpose: id -> why no test can see the bug.

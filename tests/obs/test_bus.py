@@ -6,7 +6,6 @@ import repro.obs as obs
 from repro.obs import (
     CallbackSink,
     JsonlSink,
-    NullSink,
     Observability,
     RingBufferSink,
     TraceBus,
@@ -74,9 +73,6 @@ class TestSinks:
         sink.emit({"kind": "a"})
         sink.emit({"kind": "b"})
         assert seen == [{"kind": "a"}]
-
-    def test_null_sink(self):
-        NullSink().emit({"kind": "x"})   # nothing to assert: no effect
 
     def test_jsonl_sink_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"

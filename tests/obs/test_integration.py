@@ -192,7 +192,7 @@ class TestCli:
         JSONL ending in a metrics snapshot whose figure-9 breakdown
         counters equal the ProcStats totals of the same runs."""
         from repro.cli import main
-        from repro.harness import run_edge_benchmark
+        from repro.harness import run_all
         from repro.harness import runner
         from repro.harness.experiments import CORE_COUNTS
 
@@ -219,10 +219,10 @@ class TestCli:
 
             # Re-read the very same points (in-process cache: no resim)
             # and sum their ProcStats breakdowns independently.
-            runs = [run_edge_benchmark(BENCH, ncores=n)
-                    for n in CORE_COUNTS]
-            runs.append(run_edge_benchmark(BENCH, ncores=max(CORE_COUNTS),
-                                           ideal_handshake=True))
+            runs = run_all(
+                [JobSpec.edge(BENCH, ncores=n) for n in CORE_COUNTS]
+                + [JobSpec.edge(BENCH, ncores=max(CORE_COUNTS),
+                                ideal_handshake=True)])
             fetch_totals: Counter = Counter()
             commit_totals: Counter = Counter()
             blocks = 0

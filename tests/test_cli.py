@@ -142,6 +142,14 @@ class TestUpFrontValidation:
         assert "warmup_blocks (50) must be smaller than window_blocks (40)" \
             in err
 
+    @pytest.mark.parametrize("machine", ["trips", "ooo"])
+    def test_sample_requires_tflex(self, capsys, machine):
+        """Regression: --machine ooo dropped --sample without a word,
+        and --machine trips ran in full detail after a stderr note."""
+        err = self._error(capsys, ["run", "conv", "--machine", machine,
+                                   "--sample"])
+        assert f"--machine {machine}" in err
+
     def test_inject_bad_grammar(self, capsys):
         err = self._error(capsys, ["run", "conv", "--inject", "bogus"])
         assert "not a fault spec" in err

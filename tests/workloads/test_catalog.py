@@ -33,9 +33,9 @@ def test_every_set_is_a_subset_of_all():
 def test_the_suite_helpers_and_aliases_read_the_sets():
     from repro.harness.golden import GOLDEN_BENCHMARKS
 
-    assert [b.name for b in suite.hand_optimized()] == list(SETS["hand"])
-    assert [b.name for b in suite.compiled_suite()] == list(
-        SETS["spec_int"] + SETS["spec_fp"])
+    for category in CATEGORIES:
+        assert [b.name for b in suite.BENCHMARKS.values()
+                if b.category == category] == list(SETS[category])
     assert GOLDEN_BENCHMARKS is SETS["golden"]
     assert not hasattr(suite, "_HIGH_ILP")
 
