@@ -54,7 +54,7 @@ def main() -> None:
         rows.append([policy, round(result.makespan, 2),
                      round(result.mean_turnaround, 2),
                      round(result.mean_slowdown, 2),
-                     f"{result.utilization(32):.0%}"])
+                     f"{result.utilization:.0%}"])
     print(format_table(
         ["policy", "makespan", "mean turnaround", "mean slowdown", "core util"],
         rows, title="8-job bursty stream on a 32-core chip"))

@@ -7,7 +7,10 @@ supplies the key (already a content hash); a record is
 the class's codec (gzip-1 compact JSON).  :class:`ResultStore` is the
 same store with a plain-JSON codec, keyed by
 :func:`repro.exec.spec.spec_hash` of a job spec (salted with the
-store's schema version) and echoing the spec in the record.
+store's schema version) and echoing the spec in the record.  The
+fast-forward trace store (:class:`repro.sample.trace.FFTraceStore`)
+keeps the layout, the schema and key echo and the miss rules, with its
+own column codec.
 
 Writes go through :func:`atomic_write`, the only temp-file + fsync +
 ``os.replace`` sequence in the package tree, so a crash mid-write can
@@ -20,14 +23,12 @@ from __future__ import annotations
 
 import contextlib
 import gzip
-import io
 import json
 import os
 import pathlib
 import tempfile
 import time
 import zlib
-from itertools import chain
 from typing import Iterator, Optional, Union
 
 from repro.exec.spec import SCHEMA_VERSION, JobSpec, spec_hash
@@ -64,14 +65,16 @@ def advisory_lock(path: Union[str, pathlib.Path]):
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
-def atomic_write(path: Union[str, pathlib.Path], data: bytes) -> None:
+def atomic_write(path: Union[str, pathlib.Path], data) -> None:
     """Durably replace ``path`` with ``data``, all or nothing.
 
-    The bytes go to a temp file in the target directory (same
-    filesystem, so the rename is atomic), are flushed and fsynced, and
-    only then renamed over ``path``: a reader sees the old content or
-    the new, and a killed writer can truncate the temp file but never
-    ``path`` itself.  The temp file is removed on any failure.
+    ``data`` is the bytes, or a function that writes them to the open
+    temp file (a codec streaming its record).  The bytes go to a temp
+    file in the target directory (same filesystem, so the rename is
+    atomic), are flushed and fsynced, and only then renamed over
+    ``path``: a reader sees the old content or the new, and a killed
+    writer can truncate the temp file but never ``path`` itself.  The
+    temp file is removed on any failure.
     """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -79,7 +82,10 @@ def atomic_write(path: Union[str, pathlib.Path], data: bytes) -> None:
         dir=path.parent, prefix=f".{path.name}-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            if callable(data):
+                data(handle)
+            else:
+                handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -89,11 +95,16 @@ def atomic_write(path: Union[str, pathlib.Path], data: bytes) -> None:
         raise
 
 
+#: What :meth:`BlobStore._read` returns for a record that does not read.
+MISS = object()
+
+
 class BlobStore:
     """Content-keyed record store (gzip JSON blobs); see the module
-    docstring for the layout and the durability contract.  The sampled
-    engine's fast-forward trace store
-    (:class:`repro.sample.trace.FFTraceStore`) is the direct client."""
+    docstring for the layout and the durability contract.  A subclass
+    changes the codec by overriding :meth:`_read` and :meth:`store`
+    (the fast-forward trace store) or :meth:`_encode` and
+    :meth:`_decode` (the result store)."""
 
     SUFFIX = ".json.gz"
 
@@ -111,20 +122,13 @@ class BlobStore:
 
     @staticmethod
     def _encode(record: dict) -> bytes:
-        return BlobStore._compress([json.dumps(record, separators=(",", ":"))])
-
-    @staticmethod
-    def _compress(texts) -> bytes:
         # Compact separators + compression level 1: blobs are cold
-        # storage for already-hashed content, so write latency (on the
-        # recording run's critical path) beats ratio; ``mtime=0`` keeps
-        # the bytes deterministic for identical content, however split.
-        buffer = io.BytesIO()
-        with gzip.GzipFile(fileobj=buffer, mode="wb",
-                           compresslevel=1, mtime=0) as fh:
-            for text in texts:
-                fh.write(text.encode("utf-8"))
-        return buffer.getvalue()
+        # storage for already-hashed content, so write latency beats
+        # ratio; ``mtime=0`` keeps the bytes deterministic for identical
+        # content.
+        return gzip.compress(
+            json.dumps(record, separators=(",", ":")).encode("utf-8"),
+            compresslevel=1, mtime=0)
 
     @staticmethod
     def _decode(data: bytes):
@@ -132,55 +136,50 @@ class BlobStore:
 
     # -- reads ---------------------------------------------------------
 
-    def _record(self, key: str) -> Optional[dict]:
-        """The record stored under ``key`` if it reads, parses and
-        echoes this store's schema and the key; else ``None``."""
+    def _read(self, key: str):
+        """The payload stored under ``key`` if its record reads, parses
+        and echoes this store's schema and the key; else :data:`MISS`."""
         try:
             record = self._decode(self.path_for(key).read_bytes())
         except (OSError, EOFError, ValueError, zlib.error):
-            return None
+            return MISS
         if (not isinstance(record, dict) or record.get("schema") != self.salt
                 or record.get("key") != key or "payload" not in record):
-            return None
-        return record
+            return MISS
+        return record["payload"]
 
-    def load(self, key: str) -> Optional[dict]:
+    def load(self, key: str):
         """The stored payload for ``key``, or ``None`` on any miss —
         including a corrupt, truncated, or schema-mismatched record."""
-        record = self._record(key)
-        if record is None:
+        payload = self._read(key)
+        if payload is MISS:
             self.misses += 1
             return None
         self.hits += 1
-        return record["payload"]
+        return payload
 
     def contains(self, key: str) -> bool:
         """Whether :meth:`load` would hit, without touching the
         hit/miss counters — a record that would miss on load must not
         report "cached" here."""
-        return self._record(key) is not None
+        return self._read(key) is not MISS
 
     # -- writes --------------------------------------------------------
 
-    def store(self, key: str, payload: dict) -> pathlib.Path:
+    def store(self, key: str, payload) -> pathlib.Path:
         """Atomically persist one record; last writer wins on a race
         (both writers hold identical content for a content key)."""
         return self._write(key, {"payload": payload})
 
-    def store_text(self, key: str, payload_text) -> pathlib.Path:
-        """:meth:`store` for a payload given as pieces of its compact
-        JSON text, compressed as they come: the same bytes, and no
-        string of the whole payload."""
-        head = f'{{"schema":{self.salt},"key":{json.dumps(key)},"payload":'
-        path = self.path_for(key)
-        atomic_write(path, self._compress(chain([head], payload_text, ["}"])))
-        self.writes += 1
-        return path
-
     def _write(self, key: str, fields: dict) -> pathlib.Path:
-        path = self.path_for(key)
-        atomic_write(path, self._encode(
+        return self._put(key, self._encode(
             {"schema": self.salt, "key": key, **fields}))
+
+    def _put(self, key: str, data) -> pathlib.Path:
+        """:func:`atomic_write` ``data`` (bytes or a writer) as the
+        record under ``key``."""
+        path = self.path_for(key)
+        atomic_write(path, data)
         self.writes += 1
         return path
 

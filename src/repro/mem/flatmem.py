@@ -16,6 +16,8 @@ from repro.util import wrap64
 PAGE_SIZE = 4096
 PAGE_MASK = PAGE_SIZE - 1
 
+_DOUBLE = struct.Struct("<d")
+
 
 class FlatMemory:
     """Sparse, paged, byte-addressable memory."""
@@ -49,9 +51,14 @@ class FlatMemory:
         return bytes(out)
 
     def write_bytes(self, addr: int, raw: bytes) -> None:
-        """Write raw bytes starting at ``addr``."""
+        """Write raw bytes starting at ``addr``: one slice assignment
+        when they stay inside one page, page by page otherwise."""
         if addr < 0:
             raise ValueError(f"negative address {addr:#x}")
+        offset = addr & PAGE_MASK
+        if offset + len(raw) <= PAGE_SIZE:
+            self._page(addr)[offset:offset + len(raw)] = raw
+            return
         pos = 0
         while pos < len(raw):
             offset = addr & PAGE_MASK
@@ -76,12 +83,20 @@ class FlatMemory:
         return value
 
     def store(self, addr: int, size: int, value, fp: bool = False) -> None:
-        """Store a value, truncating integers to ``size`` bytes."""
+        """Store a value, truncating integers to ``size`` bytes; a store
+        inside one page is one slice assignment (the interpreter's
+        commits are all but never anything else)."""
         if fp:
-            self.write_bytes(addr, struct.pack("<d", float(value)))
-            return
-        mask = (1 << (size * 8)) - 1
-        self.write_bytes(addr, (int(value) & mask).to_bytes(size, "little"))
+            raw = _DOUBLE.pack(float(value))
+        else:
+            mask = (1 << (size * 8)) - 1
+            raw = (int(value) & mask).to_bytes(size, "little")
+        offset = addr & PAGE_MASK
+        stop = offset + len(raw)
+        if stop <= PAGE_SIZE and addr >= 0:
+            self._page(addr)[offset:stop] = raw
+        else:
+            self.write_bytes(addr, raw)
 
     # ------------------------------------------------------------------
     # Convenience

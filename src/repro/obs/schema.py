@@ -131,6 +131,7 @@ METRICS: dict[str, str] = {
     "sample.ff_replayed_blocks": "blocks skipped via trace replay",
     "sample.warm_pred_skipped_blocks": "predictor warm-up blocks skipped at a loop fixed point",
     "sample.warm_icache_skipped_blocks": "I-cache warm-up blocks skipped at a loop fixed point",
+    "sample.warm_tail_skipped_blocks": "fast-forward blocks left unwarmed because no window follows them",
     "sample.trace_records": "fast-forward traces recorded",
     "sample.trace_replays": "fast-forward traces replayed",
     "sample.trace_mismatches": "recorded traces that failed validation",

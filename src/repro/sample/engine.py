@@ -15,8 +15,9 @@ once, alternating two regimes:
   :class:`~repro.sample.trace.FFInterval`: the golden-model interpreter
   executes ``ff_blocks`` blocks into its columns (or a recorded
   interval's stores are landed on memory instead), then the
-  :class:`ShadowUarch` warms on the columns, then one shared tail books
-  the interval.
+  :class:`ShadowUarch` warms on the columns — except on the interval
+  that ends the program, which no window follows — then one shared
+  tail books the interval.
 
 Because both regimes execute every block architecturally (windows
 commit exactly; fast-forward *is* the golden model) the final memory
@@ -304,7 +305,12 @@ class SampledRun:
             self.obs.metrics.inc(
                 "sample.ff_replayed_blocks" if replayed else "sample.ff_blocks",
                 executed, bench=bench)
-            pred_skipped, icache_skipped = self.shadow.skipped
+            if self.finished:           # the tail: not warmed at all
+                pred_skipped = icache_skipped = 0
+                self.obs.metrics.inc("sample.warm_tail_skipped_blocks",
+                                     executed, bench=bench)
+            else:
+                pred_skipped, icache_skipped = self.shadow.skipped
             self.obs.metrics.inc("sample.warm_pred_skipped_blocks",
                                  pred_skipped, bench=bench)
             self.obs.metrics.inc("sample.warm_icache_skipped_blocks",
@@ -312,7 +318,11 @@ class SampledRun:
 
     def _run_interval(self, interval, n_blocks: int) -> int:
         """One fast-forward interval: interpret it (or land a recorded
-        one's stores), warm the shadow on its columns, book it."""
+        one's stores), warm the shadow on its columns, book it.
+
+        The interval that ends the program is not warmed: no window
+        follows it, and :meth:`result` reads neither the shadow nor
+        ``ghist``, so its warm-up would be work no result reads."""
         if interval is None:
             interval = self._interpret(n_blocks)
             if self.trace is not None and self.trace.mode == "record":
@@ -322,8 +332,9 @@ class SampledRun:
         regs = self.interp.regs
         for reg, value in interval.reg_delta:   # live: already there
             regs[reg] = value
-        self.ghist = self.shadow.warm(interval, self.ghist,
-                                      self.program.block_at)
+        if not interval.finished:
+            self.ghist = self.shadow.warm(interval, self.ghist,
+                                          self.program.block_at)
         executed = len(interval)
         self.blocks += executed
         self.insts += sum(interval.insts)

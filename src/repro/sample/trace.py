@@ -33,8 +33,14 @@ Replayed runs produce bit-identical ``RunResult`` payloads to direct
 interpretation — enforced by the cross-composition differential suite
 (``tests/sample/test_trace.py``) and the golden accuracy gates.  In
 memory every column of an interval is a fixed-width ``array``, the data
-columns flat with end offsets (:class:`FFInterval`); the recorder
-streams its blob a chunk of blocks at a time.
+columns flat with end offsets (:class:`FFInterval`).  On disk a blob is
+those columns as they are held: a one-line JSON header (schema and key
+echo, byte order, metadata, and per interval its start, register
+delta, ``finished`` flag and column lengths), then each column's raw
+bytes (:func:`encode_trace`), gzip level 1.  The recorder streams it
+into the store's temp file, and a reader fills each column in place
+with one ``readinto`` (:func:`decode_trace`): no Python object per
+block or per store on either side.
 
 Traces follow the result store: on exactly when
 :func:`repro.harness.runner.configure_cache` enabled one, at
@@ -46,19 +52,22 @@ the process-wide setting.
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import json
 import pathlib
 import struct
+import sys
+import zlib
 from array import array
-from itertools import chain, islice
+from itertools import chain
 from typing import Optional, Sequence
 
 import repro.obs as obs_lib
-from repro.exec.store import BlobStore
+from repro.exec.store import MISS, BlobStore
 
 #: Bump when the trace layout changes; old blobs then read as misses.
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
 
 #: The explicit override (:func:`configure_ff_trace`): ``None`` follows
 #: the result store, ``False`` is off, a path is the trace root.
@@ -106,11 +115,30 @@ def trace_root() -> Optional[pathlib.Path]:
 
 class FFTraceStore(BlobStore):
     """Content-addressed fast-forward trace store: a
-    :class:`repro.exec.store.BlobStore` rooted at the trace directory
-    and salted with the trace schema."""
+    :class:`repro.exec.store.BlobStore` rooted at the trace directory,
+    salted with the trace schema, whose records are
+    :func:`encode_trace` blobs at gzip level 1 — streamed into the
+    temp file on write, and read column by column from the gzip stream
+    (never a whole compressed copy in memory)."""
 
     def __init__(self, root) -> None:
         super().__init__(root, salt=TRACE_SCHEMA)
+
+    def _read(self, key: str):
+        try:
+            with gzip.open(self.path_for(key), "rb") as blob:
+                return decode_trace(blob, key, self.salt)
+        except (OSError, EOFError, ValueError, KeyError, TypeError,
+                zlib.error):
+            return MISS
+
+    def store(self, key: str, trace: "FFTrace") -> pathlib.Path:
+        def write(handle) -> None:
+            with gzip.GzipFile(fileobj=handle, mode="wb", compresslevel=1,
+                               mtime=0) as blob:
+                for piece in encode_trace(trace, key, self.salt):
+                    blob.write(piece)
+        return self._put(key, write)
 
 
 # ----------------------------------------------------------------------
@@ -205,7 +233,6 @@ def encode_reg_delta(start_regs: Sequence, end_regs: Sequence) -> list:
             or type(start_regs[i]) is not type(end_regs[i])]
 
 
-_INT64 = struct.Struct("<q")
 _DOUBLE = struct.Struct("<d")
 
 
@@ -213,10 +240,10 @@ def store_bits(size: int, value, fp) -> bytes:
     """A store's value as :class:`FFInterval` keeps it: 8 little-endian
     bytes, an int as its signed 64-bit pattern and an fp value as its
     double.  The first ``size`` of them are what ``FlatMemory.store``
-    writes, and the wire's value prints back from them exactly.  A store
-    that could not print back — an int store of anything but an int in
-    signed 64 bits, an fp store of anything but an 8-byte float — raises
-    ``ValueError`` (``OverflowError`` out of range)."""
+    writes.  A store the interpreter cannot commit that way — an int
+    store of anything but an int in signed 64 bits, an fp store of
+    anything but an 8-byte float — raises ``ValueError``
+    (``OverflowError`` out of range)."""
     if fp:
         if type(value) is not float or size != 8:
             raise ValueError(f"fp store of {size} B {value!r}")
@@ -226,15 +253,24 @@ def store_bits(size: int, value, fp) -> bytes:
     return value.to_bytes(8, "little", signed=True)
 
 
-#: An interval's per-block control columns, in wire order, with their
-#: ``array`` type codes: block addresses lie in the code segment, far
-#: below 4 GiB, and a block has at most 128 instructions and 8 exits.
-_CONTROL = (("addrs", "I"), ("exits", "B"), ("nexts", "I"),
-            ("branch_ops", "B"), ("insts", "B"), ("loads", "B"))
+#: Every column of an interval, in blob order, with its ``array`` type
+#: code (``None``: the ``bytearray`` of store values).  Block addresses
+#: lie in the code segment, far below 4 GiB, and a block has at most
+#: 128 instructions and 8 exits.
+_COLUMNS = (("addrs", "I"), ("exits", "B"), ("nexts", "I"),
+            ("branch_ops", "B"), ("insts", "B"), ("loads", "B"),
+            ("load_addrs", "Q"), ("load_ends", "I"),
+            ("store_addrs", "Q"), ("store_kinds", "B"),
+            ("store_bits", None), ("store_ends", "I"))
+
+#: The columns with one entry per block.
+_PER_BLOCK = ("exits", "nexts", "branch_ops", "insts", "loads",
+              "load_ends", "store_ends")
 
 #: ``store_kinds``: a store's size, with the ``_FP`` flag on an fp store.
 _FP = 0x80
 STORE_SIZE = 0x7F
+_STORE_KINDS = bytes((1, 2, 4, 8, 8 | _FP))
 
 
 def block_spans(ends):
@@ -260,43 +296,18 @@ class FFInterval:
     bytes replay writes.
     """
 
-    __slots__ = ("start", *(name for name, __ in _CONTROL), "load_addrs",
-                 "load_ends", "store_addrs", "store_kinds", "store_bits",
-                 "store_ends", "reg_delta", "finished", "_load_lines")
+    __slots__ = ("start", *(name for name, __ in _COLUMNS), "reg_delta",
+                 "finished", "_load_lines")
 
     def __init__(self, start: int, *, reg_delta=(),
                  finished: bool = False) -> None:
         self.start = start
-        for name, typecode in _CONTROL:
-            setattr(self, name, array(typecode))
-        self.load_addrs, self.load_ends = array("Q"), array("I")
-        self.store_addrs, self.store_kinds = array("Q"), array("B")
-        self.store_bits, self.store_ends = bytearray(), array("I")
+        for name, typecode in _COLUMNS:
+            setattr(self, name,
+                    bytearray() if typecode is None else array(typecode))
         self.reg_delta = reg_delta        # [[index, value], ...] at the end
         self.finished = finished
         self._load_lines: dict = {}
-
-    @classmethod
-    def of_blocks(cls, start: int, columns, *, reg_delta=(),
-                  finished: bool = False) -> "FFInterval":
-        """An interval from per-block columns in wire order: branch ops
-        by name, the data columns one list per block (stores as flat
-        ``addr, size, value, fp01`` quads)."""
-        from repro.isa.opcodes import BRANCH_KINDS
-
-        interval = cls(start, reg_delta=reg_delta, finished=finished)
-        *control, load_addrs, stores = columns
-        control[3] = map(BRANCH_KINDS.index, control[3])
-        for (name, typecode), column in zip(_CONTROL, control):
-            setattr(interval, name, array(typecode, column))
-        for block in load_addrs:
-            interval.load_addrs.extend(block)
-            interval.load_ends.append(len(interval.load_addrs))
-        for block in stores:
-            for at in range(0, len(block), 4):
-                interval.add_store(*block[at:at + 4])
-            interval.store_ends.append(len(interval.store_addrs))
-        return interval
 
     def __len__(self) -> int:
         return len(self.addrs)
@@ -306,20 +317,6 @@ class FFInterval:
         self.store_bits += store_bits(size, value, fp)
         self.store_addrs.append(addr)
         self.store_kinds.append(size | _FP if fp else size)
-
-    def store_quads(self):
-        """Per block, the wire's flat ``addr, size, value, fp01`` list,
-        the value printed back from its bytes."""
-        addrs, kinds, bits = self.store_addrs, self.store_kinds, \
-            self.store_bits
-        for start, end in block_spans(self.store_ends):
-            quads: list = []
-            for i in range(start, end):
-                kind = kinds[i]
-                fp = kind & _FP
-                value = (_DOUBLE if fp else _INT64).unpack_from(bits, 8 * i)[0]
-                quads += (addrs[i], kind & STORE_SIZE, value, 1 if fp else 0)
-            yield quads
 
     def load_lines(self, line_size: int) -> tuple:
         """``(lines, ends)``: per block, the lines its loads touch, a
@@ -338,6 +335,24 @@ class FFInterval:
             self._load_lines[line_size] = lines, ends
         return self._load_lines[line_size]
 
+    def check(self) -> None:
+        """Raise ``ValueError`` unless the columns agree: one entry per
+        block in each per-block column, end offsets that end at their
+        data column's length, 8 value bytes per store, and every store
+        kind one :func:`store_bits` admits."""
+        blocks, stores = len(self.addrs), len(self.store_addrs)
+        if not (all(len(getattr(self, name)) == blocks
+                    for name in _PER_BLOCK)
+                and (self.load_ends[-1] if blocks else 0)
+                == len(self.load_addrs)
+                and (self.store_ends[-1] if blocks else 0) == stores
+                and len(self.store_kinds) == stores
+                and len(self.store_bits) == 8 * stores
+                and not self.store_kinds.tobytes().translate(
+                    None, _STORE_KINDS)):
+            raise ValueError(f"inconsistent columns in the interval at "
+                             f"{self.start:#x}")
+
 
 class FFTrace:
     """One trace: metadata plus ordered intervals."""
@@ -355,80 +370,66 @@ class FFTrace:
         return sum(len(iv) for iv in self.intervals)
 
 
-def encode_trace(trace: FFTrace) -> dict:
-    """The JSON-safe payload for one trace (:func:`_encode_text`)."""
-    return json.loads("".join(_encode_text(trace)))
-
-
-def _encode_text(trace: FFTrace, chunk: int = 1024):
-    """One trace's payload as compact JSON text, in pieces: branch
-    opcodes interned into a table in order of first use, and every
-    column listed ``chunk`` blocks at a time, the data columns one list
-    per block (:meth:`FFInterval.store_quads` for the stores)."""
+def encode_trace(trace: FFTrace, key: str, schema: int):
+    """One trace's blob, uncompressed, in pieces: a one-line JSON
+    header — the schema and key echo, the byte order, the trace's
+    metadata, the branch kinds ``branch_ops`` indexes, and per interval
+    its start, register delta, ``finished`` flag and column lengths —
+    then every interval's columns' raw bytes in :data:`_COLUMNS` order.
+    The columns go out as they are held: no per-value conversion."""
     from repro.isa.opcodes import BRANCH_KINDS
 
-    def dumps(obj) -> str:
-        return json.dumps(obj, separators=(",", ":"))
-
-    def listed(name: str, parts):
-        yield f',"{name}":['
-        comma = ""
-        for part in parts:
-            yield comma + dumps(part)[1:-1]
-            comma = ","
-        yield "]"
-
-    def grouped(blocks):
-        while part := list(islice(blocks, chunk)):
-            yield part
-
-    used = dict.fromkeys(chain.from_iterable(
-        iv.branch_ops for iv in trace.intervals))
-    brix = bytearray(256)                 # opcode index -> wire index
-    for wire_index, op in enumerate(used):
-        brix[op] = wire_index
-    yield dumps({"schema": TRACE_SCHEMA, "bench": trace.bench,
-                 "scale": trace.scale,
-                 "sampling": dict(sorted(trace.sampling.items())),
-                 "program": trace.program,
-                 "branch_ops": [BRANCH_KINDS[op] for op in used],
-                 })[:-1] + ',"intervals":['
-    separator = ""
+    header = {"schema": schema, "key": key, "byteorder": sys.byteorder,
+              "bench": trace.bench, "scale": trace.scale,
+              "sampling": trace.sampling, "program": trace.program,
+              "branch_kinds": BRANCH_KINDS,
+              "intervals": [{"start": iv.start, "regs": iv.reg_delta,
+                             "finished": iv.finished,
+                             "lengths": [len(getattr(iv, name))
+                                         for name, __ in _COLUMNS]}
+                            for iv in trace.intervals]}
+    yield json.dumps(header, separators=(",", ":")).encode() + b"\n"
     for iv in trace.intervals:
-        yield separator + '{"start":' + dumps(iv.start)
-        steps = range(0, len(iv), chunk)
-        for name, column in (
-                ("addrs", iv.addrs), ("exits", iv.exits),
-                ("nexts", iv.nexts),
-                ("brix", iv.branch_ops.tobytes().translate(brix)),
-                ("insts", iv.insts), ("loads", iv.loads)):
-            yield from listed(name, (list(column[a:a + chunk])
-                                     for a in steps))
-        yield from listed("la", grouped(
-            iv.load_addrs[a:b].tolist() for a, b in block_spans(iv.load_ends)))
-        yield from listed("st", grouped(iv.store_quads()))
-        yield "," + dumps({"regs": iv.reg_delta, "finished": iv.finished})[1:]
-        separator = ","
-    yield "]}"
+        for name, __ in _COLUMNS:
+            yield getattr(iv, name)
 
 
-def decode_trace(payload: dict) -> FFTrace:
-    """Rebuild an :class:`FFTrace` from :func:`encode_trace` output;
-    raises ``ValueError`` on an unknown schema or malformed payload."""
-    schema = payload.get("schema")
-    if schema != TRACE_SCHEMA:
-        raise ValueError(f"trace schema {schema!r} != {TRACE_SCHEMA}")
-    ops = payload["branch_ops"]
-    intervals = [
-        FFInterval.of_blocks(raw["start"],
-                             (raw["addrs"], raw["exits"], raw["nexts"],
-                              [ops[i] for i in raw["brix"]], raw["insts"],
-                              raw["loads"], raw["la"], raw["st"]),
-                             reg_delta=raw["regs"], finished=raw["finished"])
-        for raw in payload["intervals"]]
-    return FFTrace(bench=payload["bench"], scale=payload["scale"],
-                   sampling=payload["sampling"],
-                   program=payload["program"], intervals=intervals)
+def decode_trace(blob, key: str, schema: int) -> FFTrace:
+    """Read an :func:`encode_trace` blob from the binary file ``blob``
+    into columns, one ``readinto`` per column.  Raises
+    ``ValueError`` on another schema, key, byte order or branch-kind
+    table, on columns that disagree (:meth:`FFInterval.check`) or on
+    trailing bytes, and ``EOFError`` on a short body."""
+    from repro.isa.opcodes import BRANCH_KINDS
+
+    header = json.loads(blob.readline())
+    if not isinstance(header, dict) or [
+            header.get(field) for field in
+            ("schema", "key", "byteorder", "branch_kinds")] != [
+            schema, key, sys.byteorder, list(BRANCH_KINDS)]:
+        raise ValueError("not a trace blob of this schema, key and host")
+    intervals = []
+    for raw in header["intervals"]:
+        interval = FFInterval(raw["start"], reg_delta=raw["regs"],
+                              finished=raw["finished"])
+        lengths = raw["lengths"]
+        if len(lengths) != len(_COLUMNS) or min(lengths) < 0:
+            raise ValueError(f"column lengths {lengths}")
+        for (name, typecode), length in zip(_COLUMNS, lengths):
+            # Allocated at its exact size, then filled in place.
+            column = (bytearray(length) if typecode is None
+                      else array(typecode, (0,)) * length)
+            size = memoryview(column).nbytes
+            if blob.readinto(column) != size:
+                raise EOFError(f"{name}: fewer than {size} B")
+            setattr(interval, name, column)
+        interval.check()
+        intervals.append(interval)
+    if blob.read(1):
+        raise ValueError("trailing bytes after the last column")
+    return FFTrace(bench=header["bench"], scale=header["scale"],
+                   sampling=header["sampling"], program=header["program"],
+                   intervals=intervals)
 
 
 # ----------------------------------------------------------------------
@@ -466,7 +467,7 @@ class RecordSession:
         _cache_parsed(self.store, self.key, trace)
         obs = obs_lib.current()
         try:
-            path = self.store.store_text(self.key, _encode_text(trace))
+            path = self.store.store(self.key, trace)
         except OSError as exc:
             if obs.active:
                 obs.emit("trace.write_failed", bench=spec.bench, key=self.key,
@@ -534,18 +535,6 @@ def _cache_parsed(store: FFTraceStore, key: str, trace: FFTrace) -> None:
     _PARSED[store.root, key] = trace
 
 
-def _read_trace(store: FFTraceStore, key: str) -> Optional[FFTrace]:
-    """The trace stored under ``key``, decoded (``None``: not on disk,
-    or on disk but damaged or stale)."""
-    payload = store.load(key)
-    if payload is None:
-        return None
-    try:
-        return decode_trace(payload)
-    except (ValueError, KeyError, TypeError, IndexError, OverflowError):
-        return None
-
-
 def open_trace_session(spec, store: Optional[FFTraceStore] = None):
     """The record-or-replay session for one sampled run, or ``None``
     when tracing is off or does not apply to the spec."""
@@ -559,7 +548,7 @@ def open_trace_session(spec, store: Optional[FFTraceStore] = None):
         return None
     trace = _PARSED.get((store.root, key))
     if trace is None:
-        trace = _read_trace(store, key)
+        trace = store.load(key)
         if trace is not None:
             _cache_parsed(store, key, trace)
     if trace is not None:
@@ -618,7 +607,7 @@ def prewarm_partition(specs: Sequence) -> tuple[list, list]:
         if key is not None:
             trace = _PARSED.get((store.root, key))
             if trace is None:
-                trace = _read_trace(store, key)
+                trace = store.load(key)
                 # Kept only while there is room: evicting here would
                 # drop the groups that replay first.
                 if trace is not None and len(_PARSED) < _PARSED_CAP:

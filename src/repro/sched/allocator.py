@@ -21,6 +21,9 @@ from itertools import product
 from typing import Sequence
 
 
+#: The chip every allocation divides: the paper's 32-core TFlex array.
+CHIP_CORES = 32
+
 #: Composition sizes a thread may receive.
 ALLOWED_SIZES = (1, 2, 4, 8, 16, 32)
 
@@ -62,31 +65,30 @@ def weighted_speedup(apps: Sequence[str], sizes: Sequence[int],
 
 
 def optimal_assignment(apps: Sequence[str], table: SpeedupTable,
-                       total_cores: int = 32,
                        allowed: Sequence[int] = ALLOWED_SIZES,
                        ) -> tuple[float, list[int]]:
-    """Maximize WS by dynamic programming over the core budget.
+    """Maximize WS by dynamic programming over the chip's cores.
 
     Returns ``(ws, sizes)``.  Every thread receives at least the
     smallest allowed size; raises if the workload cannot fit.
     """
     allowed = sorted(set(allowed))
-    if len(apps) * allowed[0] > total_cores:
+    if len(apps) * allowed[0] > CHIP_CORES:
         raise ValueError(
-            f"{len(apps)} threads cannot fit in {total_cores} cores "
+            f"{len(apps)} threads cannot fit in {CHIP_CORES} cores "
             f"at minimum size {allowed[0]}")
 
     # dp[c] = (ws, sizes) best over the first i apps using exactly <= c cores.
     NEG = float("-inf")
-    dp: list[tuple[float, list[int]]] = [(0.0, [])] + [(NEG, [])] * total_cores
+    dp: list[tuple[float, list[int]]] = [(0.0, [])] + [(NEG, [])] * CHIP_CORES
     for app in apps:
-        new: list[tuple[float, list[int]]] = [(NEG, [])] * (total_cores + 1)
-        for used in range(total_cores + 1):
+        new: list[tuple[float, list[int]]] = [(NEG, [])] * (CHIP_CORES + 1)
+        for used in range(CHIP_CORES + 1):
             ws, sizes = dp[used]
             if ws == NEG:
                 continue
             for k in allowed:
-                if used + k > total_cores:
+                if used + k > CHIP_CORES:
                     break
                 gain = table.performance(app, k) / table.alone(app)
                 candidate = ws + gain
@@ -100,13 +102,12 @@ def optimal_assignment(apps: Sequence[str], table: SpeedupTable,
 
 
 def brute_force_assignment(apps: Sequence[str], table: SpeedupTable,
-                           total_cores: int = 32,
                            allowed: Sequence[int] = ALLOWED_SIZES,
                            ) -> tuple[float, list[int]]:
     """Exhaustive reference for testing the DP (exponential; small inputs)."""
     best_ws, best_sizes = float("-inf"), None
     for sizes in product(sorted(set(allowed)), repeat=len(apps)):
-        if sum(sizes) > total_cores:
+        if sum(sizes) > CHIP_CORES:
             continue
         ws = weighted_speedup(apps, sizes, table)
         if ws > best_ws:
@@ -117,33 +118,31 @@ def brute_force_assignment(apps: Sequence[str], table: SpeedupTable,
 
 
 def fixed_cmp_assignment(apps: Sequence[str], table: SpeedupTable,
-                         granularity: int, total_cores: int = 32,
-                         ) -> tuple[float, list[int]]:
-    """WS on a fixed CMP of ``total/granularity`` processors, each of
-    ``granularity`` cores.
+                         granularity: int) -> tuple[float, list[int]]:
+    """WS on a fixed CMP of ``CHIP_CORES/granularity`` processors, each
+    of ``granularity`` cores.
 
     With more threads than processors, WS stays constant (paper
     assumption): only the first ``processors`` threads contribute.
     """
-    processors = total_cores // granularity
+    processors = CHIP_CORES // granularity
     if processors < 1:
-        raise ValueError(f"granularity {granularity} exceeds {total_cores} cores")
+        raise ValueError(f"granularity {granularity} exceeds {CHIP_CORES} cores")
     scheduled = list(apps[:processors])
     sizes = [granularity] * len(scheduled)
     return weighted_speedup(scheduled, sizes, table), sizes
 
 
 def symmetric_best_assignment(apps: Sequence[str], table: SpeedupTable,
-                              total_cores: int = 32,
                               allowed: Sequence[int] = ALLOWED_SIZES,
                               ) -> tuple[float, list[int]]:
     """The hypothetical VB CMP: granularity variable per workload, but
     every processor equal-sized.  Picks the best granularity."""
     best = (float("-inf"), [])
     for granularity in sorted(set(allowed)):
-        if granularity > total_cores:
+        if granularity > CHIP_CORES:
             continue
-        ws, sizes = fixed_cmp_assignment(apps, table, granularity, total_cores)
+        ws, sizes = fixed_cmp_assignment(apps, table, granularity)
         if ws > best[0]:
             best = (ws, sizes)
     return best

@@ -25,14 +25,11 @@ from typing import Optional, Sequence
 
 from repro.sched.allocator import (
     ALLOWED_SIZES,
+    CHIP_CORES,
     SpeedupTable,
     optimal_assignment,
     symmetric_best_assignment,
 )
-
-
-#: The chip the controller allocates: the paper's 32-core TFlex array.
-CHIP_CORES = 32
 
 
 @dataclass
@@ -84,15 +81,16 @@ class ScheduleResult:
     def mean_slowdown(self) -> float:
         return sum(j.slowdown for j in self.jobs) / len(self.jobs)
 
-    def utilization(self, total_cores: int) -> float:
-        """Core-time granted / (total cores x makespan)."""
+    @property
+    def utilization(self) -> float:
+        """Core-time granted / (chip cores x makespan)."""
         if not self.trace or self.makespan == 0:
             return 0.0
         area = 0.0
         for i, event in enumerate(self.trace):
             end = self.trace[i + 1].time if i + 1 < len(self.trace) else self.makespan
             area += event.cores_used * (end - event.time)
-        return area / (total_cores * self.makespan)
+        return area / (CHIP_CORES * self.makespan)
 
 
 class ReallocationController:
@@ -126,15 +124,14 @@ class ReallocationController:
         waiting = active[admitted:]
         apps = [j.bench for j in running]
         if self.policy == "composable":
-            __, sizes = optimal_assignment(apps, self.table, CHIP_CORES)
+            __, sizes = optimal_assignment(apps, self.table)
         else:
-            __, sizes = symmetric_best_assignment(apps, self.table, CHIP_CORES)
+            __, sizes = symmetric_best_assignment(apps, self.table)
             # symmetric_best may schedule fewer jobs than running.
             while len(sizes) < len(running):
                 waiting.insert(0, running.pop())
                 apps = [j.bench for j in running]
-                __, sizes = symmetric_best_assignment(apps, self.table,
-                                                      CHIP_CORES)
+                __, sizes = symmetric_best_assignment(apps, self.table)
         return {j.name: k for j, k in zip(running, sizes)}, waiting
 
     def _rate(self, job: Job, cores: int) -> float:

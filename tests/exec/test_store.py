@@ -12,7 +12,7 @@ import pytest
 
 from repro.exec import BlobStore, JobSpec, ResultStore
 from repro.exec.store import atomic_write
-from repro.sample.trace import FFTraceStore
+from repro.sample.trace import FFInterval, FFTrace, FFTraceStore
 
 
 SPEC = JobSpec.edge("conv", ncores=4)
@@ -214,16 +214,21 @@ class TestInvalidation:
 @dataclasses.dataclass
 class _Kind:
     """How to talk to one store class: its identity type (a spec for
-    the result store, a ready-made content key for the others) and its
-    on-disk codec — the only two things the classes differ in."""
+    the result store, a ready-made content key for the others), its
+    payload type and its on-disk codec — the only things the classes
+    differ in."""
 
     name: str
     make: object                 # root -> store
     ident: object                # what load/contains/store take
     gzipped: bool
+    payload: object = dataclasses.field(default_factory=lambda: PAYLOAD)
 
     def key(self, store):
         return store.key(self.ident) if hasattr(store, "key") else self.ident
+
+    def same(self, got, want) -> bool:
+        return got == want
 
     def read(self, path):
         data = path.read_bytes()
@@ -234,11 +239,51 @@ class _Kind:
         path.write_bytes(gzip.compress(data) if self.gzipped else data)
 
 
+def _trace_payload():
+    """A one-interval trace with a load, an int and an fp store."""
+    interval = FFInterval(0, reg_delta=[[3, -7]], finished=True)
+    for name, value in (("addrs", 64), ("exits", 1), ("nexts", 0),
+                        ("branch_ops", 0), ("insts", 5), ("loads", 1),
+                        ("load_ends", 1), ("store_ends", 2)):
+        getattr(interval, name).append(value)
+    interval.load_addrs.append(4096)
+    interval.add_store(8, 4, -2, 0)
+    interval.add_store(16, 8, 0.25, 1)
+    return FFTrace("conv", 1, {"ff_blocks": 8}, "fp", [interval])
+
+
+class _TraceKind(_Kind):
+    """The trace store: a JSON header line (the record's fields), then
+    the column bytes, which stand in for its ``payload``."""
+
+    def same(self, got, want) -> bool:
+        fields = FFTrace.__slots__[:-1]
+        columns = [name for name in FFInterval.__slots__ if name[0] != "_"]
+        return [getattr(got, name) for name in fields] \
+            == [getattr(want, name) for name in fields] and repr(
+            [[getattr(iv, name) for name in columns] for iv in got.intervals]
+        ) == repr([[getattr(iv, name) for name in columns]
+                   for iv in want.intervals])
+
+    def read(self, path):
+        head, __, body = gzip.decompress(path.read_bytes()).partition(b"\n")
+        record = json.loads(head)
+        if isinstance(record, dict):
+            record["payload"] = body
+        return record
+
+    def write(self, path, record):
+        body = record.pop("payload", b"") if isinstance(record, dict) else b""
+        path.write_bytes(gzip.compress(
+            json.dumps(record).encode("utf-8") + b"\n" + body))
+
+
 KINDS = [
     _Kind("ResultStore", ResultStore, SPEC, gzipped=False),
     _Kind("BlobStore", lambda root: BlobStore(root, salt=7), "ab" * 32,
           gzipped=True),
-    _Kind("FFTraceStore", FFTraceStore, "cd" * 32, gzipped=True),
+    _TraceKind("FFTraceStore", FFTraceStore, "cd" * 32, gzipped=True,
+               payload=_trace_payload()),
 ]
 
 
@@ -286,14 +331,14 @@ class TestRecordContract:
         store = kind.make(tmp_path)
         assert store.load(kind.ident) is None
         assert not store.contains(kind.ident)
-        path = store.store(kind.ident, PAYLOAD)
+        path = store.store(kind.ident, kind.payload)
         key = kind.key(store)
         assert path == tmp_path / key[:2] / f"{key}{store.SUFFIX}"
         record = kind.read(path)
-        assert (record["schema"], record["key"], record["payload"]) \
-            == (store.salt, key, PAYLOAD)
+        assert (record["schema"], record["key"]) == (store.salt, key)
+        assert "payload" in record
         assert store.contains(kind.ident)
-        assert store.load(kind.ident) == PAYLOAD
+        assert kind.same(store.load(kind.ident), kind.payload)
         # ``contains`` never counts; ``load`` counted one miss, one hit.
         assert store.counters() == {"hits": 1, "misses": 1, "writes": 1}
         assert list(store.iter_keys()) == [key] and len(store) == 1
@@ -306,19 +351,19 @@ class TestRecordContract:
         """``load`` and ``contains`` apply the same validation: whatever
         one rejects the other rejects, and a rewrite heals it."""
         store = kind.make(tmp_path)
-        path = store.store(kind.ident, PAYLOAD)
+        path = store.store(kind.ident, kind.payload)
         damage(kind, path)
         assert not store.contains(kind.ident)
         assert store.counters() == {"hits": 0, "misses": 0, "writes": 1}
         assert store.load(kind.ident) is None
         assert store.counters() == {"hits": 0, "misses": 1, "writes": 1}
-        store.store(kind.ident, PAYLOAD)
+        store.store(kind.ident, kind.payload)
         assert store.contains(kind.ident)
-        assert store.load(kind.ident) == PAYLOAD
+        assert kind.same(store.load(kind.ident), kind.payload)
 
     def test_bytes_are_deterministic(self, kind, tmp_path):
-        first = kind.make(tmp_path / "a").store(kind.ident, PAYLOAD)
-        second = kind.make(tmp_path / "b").store(kind.ident, PAYLOAD)
+        first = kind.make(tmp_path / "a").store(kind.ident, kind.payload)
+        second = kind.make(tmp_path / "b").store(kind.ident, kind.payload)
         assert first.read_bytes() == second.read_bytes()
 
 

@@ -2,6 +2,7 @@
 
 import struct
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.mem import FlatMemory
@@ -63,6 +64,30 @@ class TestTypedAccess:
         bits = mem.load(0x600, 8)
         expected = struct.unpack("<q", struct.pack("<d", 1.5))[0]
         assert bits == expected
+
+    @given(st.one_of(st.integers(0, 1 << 20), st.integers(4088, 4096)),
+           st.sampled_from([1, 2, 4, 8]), st.integers(INT_MIN, INT_MAX),
+           st.booleans())
+    def test_store_writes_its_bytes_in_page_or_across(self, addr, size,
+                                                      value, fp):
+        """An in-page store (one slice assignment) and a page-straddling
+        one (the page loop) leave the bytes a byte-by-byte write of the
+        packed value leaves."""
+        raw = (struct.pack("<d", float(value)) if fp
+               else (value & ((1 << 8 * size) - 1)).to_bytes(size, "little"))
+        mem, ref = FlatMemory(), FlatMemory()
+        mem.store(addr, size, float(value) if fp else value, fp=fp)
+        for at, byte in enumerate(raw):
+            ref.write_bytes(addr + at, bytes([byte]))
+        assert mem._pages == ref._pages
+
+    def test_negative_address_raises(self):
+        mem = FlatMemory()
+        for write in (lambda: mem.store(-8, 8, 1),
+                      lambda: mem.write_bytes(-1, b"x")):
+            with pytest.raises(ValueError):
+                write()
+        assert mem._pages == {}
 
     def test_load_image_and_read_words(self):
         mem = FlatMemory()

@@ -47,7 +47,7 @@ _TRACE = "src/repro/sample/trace.py"
 _DECODED = ("tests/sample/test_trace.py::"
             "test_decoded_trace_replays_like_the_recorded_one")
 _ROUNDTRIP = "tests/sample/test_trace.py::TestTraceRoundtrip::"
-_STREAMED = _ROUNDTRIP + "test_streamed_text_is_the_payload_text"
+_LAYOUT = _ROUNDTRIP + "test_blob_is_a_header_line_then_column_bytes"
 _SIMULATE = "src/repro/harness/simulate.py"
 _RESIL_RUN = "tests/resil/test_run.py::"
 _KILL = _RESIL_RUN + "TestKillRecovery::"
@@ -214,7 +214,7 @@ MUTANTS = [
      (_FIXED + "test_skip_engages_on_a_one_block_loop",)),
     # Compact fast-forward intervals: typed flat columns with per-block
     # end offsets, the shared load-line column, stores kept as their
-    # values' 64-bit patterns, and the streamed blob encoder.
+    # values' 64-bit patterns, and the column blob codec.
     ("trace-load-end-off-by-one", "src/repro/sample/engine.py",
      "interval.load_ends.append(len(load_addrs))",
      "interval.load_ends.append(len(load_addrs) + 1)", (_DECODED,)),
@@ -231,25 +231,28 @@ MUTANTS = [
     ("trace-land-whole-pattern", "src/repro/sample/engine.py",
      "            size = kind & STORE_SIZE\n", "            size = 8\n",
      (_ROUNDTRIP + "test_stores_raw_matches_flatmemory_encoding",)),
-    ("trace-store-value-printed-unsigned", _TRACE,
-     '_INT64 = struct.Struct("<q")', '_INT64 = struct.Struct("<Q")',
-     (_STREAMED,)),
     ("trace-store-kind-drops-fp", _TRACE,
      "self.store_kinds.append(size | _FP if fp else size)",
-     "self.store_kinds.append(size)", (_STREAMED,)),
+     "self.store_kinds.append(size)", (_LAYOUT,)),
     ("trace-store-fp-int-accepted", _TRACE,
      "        if type(value) is not float or size != 8:\n",
      "        if size != 8:\n",
      ("tests/sample/test_trace.py::"
       "test_unrepresentable_store_is_an_error[8-3-1]",)),
-    ("trace-brix-global-index", _TRACE,
-     "        brix[op] = wire_index\n", "        brix[op] = op\n",
-     (_STREAMED,)),
-    ("trace-text-drops-interval-separator", _TRACE,
-     '        separator = ","\n', '        separator = ""\n', (_DECODED,)),
-    ("trace-text-drops-chunk-separator", _TRACE,
-     '            comma = ","\n', '            comma = ""\n',
-     (_STREAMED,)),
+    ("trace-codec-drops-column", _TRACE,
+     "        for name, __ in _COLUMNS:\n            yield getattr(iv, name)",
+     "        for name, __ in _COLUMNS[1:]:\n            yield getattr(iv, name)",
+     (_ROUNDTRIP + "test_encode_decode_roundtrip", _LAYOUT)),
+    ("trace-codec-ignores-lengths", _TRACE,
+     "        interval.check()\n", "",
+     ("tests/sample/test_trace.py::TestPrewarmPartition::"
+      "test_damaged_blob_gets_exactly_one_recorder[lengths-disagree]",)),
+    # The interval that ends the program is not warmed.
+    ("warm-tail-restored", "src/repro/sample/engine.py",
+     "        if not interval.finished:\n            self.ghist =",
+     "        if True:\n            self.ghist =",
+     ("tests/sample/test_trace.py::"
+      "test_the_interval_that_ends_the_program_is_not_warmed",)),
     # One edge driver: fault-injected runs take the full-detail path.
     # (Summing the segment spans for ``cycles`` is no bug: a survivor is
     # composed at its predecessor's failure, so the spans tile the run.)

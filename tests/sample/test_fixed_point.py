@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa.program import BLOCK_STRIDE
 from repro.sample.shadow import MAX_LOOP_PERIOD, ShadowUarch
-from repro.sample.trace import FFInterval
 from repro.tflex.config import tflex_config
+from tests.sample.intervals import interval_of_blocks
 from tests.sample.test_lazy_lru import directory, eager_block, transfer
 
 #: A conv-like loop: with 8 KB 2-way I-caches, blocks 0, 4 and 8 map to
@@ -80,7 +80,7 @@ def run(ncores, intervals, ops=None, sizes=None, loads=None, stores=None,
         if not rows:
             continue
         ghist = lazy.warm(
-            FFInterval.of_blocks(rows[0][0], [list(c) for c in zip(*rows)]),
+            interval_of_blocks(rows[0][0], [list(c) for c in zip(*rows)]),
             ghist,
             lambda a: SimpleNamespace(size=sizes.get(a // BLOCK_STRIDE, 40)))
         assert ghist == eager_ghist

@@ -22,9 +22,9 @@ from repro.mem.cache import CacheBank, LineState
 from repro.predictor.exits import GLOBAL_HISTORY_EXITS, push_history
 from repro.predictor.targets import BranchKind
 from repro.sample.shadow import ShadowUarch
-from repro.sample.trace import FFInterval
 from repro.tflex import interleave
 from repro.tflex.config import tflex_config
+from tests.sample.intervals import interval_of_blocks
 
 OPS = ("BRO", "CALLO", "RET", "HALT")
 
@@ -152,8 +152,8 @@ def drive(ncores, icache_bytes, events, check_each=False):
                 eager_ghist = eager_block(
                     eager, eager_ghist, addr, size, exit_id,
                     nxt * BLOCK_STRIDE, op, loads, stores)
-            interval = FFInterval.of_blocks(rows[0][0],
-                                            [list(c) for c in zip(*rows)])
+            interval = interval_of_blocks(rows[0][0],
+                                          [list(c) for c in zip(*rows)])
             ghist = shadow.warm(interval, ghist,
                               lambda a: SimpleNamespace(size=sizes[a]))
             assert ghist == eager_ghist
@@ -211,7 +211,7 @@ def test_loop_nest_defers_and_settles():
     drive(4, 8192, [loop, "snapshot", loop, "window", loop, "roundtrip", loop])
     shadow = make_shadow(4, 8192)
     rows = [(n * BLOCK_STRIDE, 0, 0, "BRO", 1, 0, [], []) for n in range(3)] * 5
-    interval = FFInterval.of_blocks(0, [list(c) for c in zip(*rows)])
+    interval = interval_of_blocks(0, [list(c) for c in zip(*rows)])
     shadow.warm(interval, 0, lambda a: SimpleNamespace(size=40))
     assert shadow.skipped[1] == 9
     assert shadow._ic_touches
@@ -231,7 +231,7 @@ def test_thrashing_set_does_not_flush_unrelated_blocks():
     shadow = make_shadow(1, 8192)
     rows = [(n * BLOCK_STRIDE, 0, 0, "BRO", 1, 0, [], [])
             for n in (0, 1, 4, 1, 8, 1) * 6 + (0,)]
-    interval = FFInterval.of_blocks(0, [list(c) for c in zip(*rows)])
+    interval = interval_of_blocks(0, [list(c) for c in zip(*rows)])
     shadow.warm(interval, 0, lambda a: SimpleNamespace(size=3))
     icache = shadow.icaches[0]
     assert icache.probe(shadow.ctx, BLOCK_STRIDE) is not None

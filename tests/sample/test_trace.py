@@ -9,8 +9,11 @@ benchmarks of every category.
 """
 
 import gzip
+import io
 import json
 import pathlib
+import struct
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -39,6 +42,7 @@ from repro.sample.trace import (
     trace_key,
     trace_root,
 )
+from tests.sample.intervals import interval_of_blocks
 
 
 SAMPLING = {"ff_blocks": 160, "window_blocks": 24, "warmup_blocks": 8}
@@ -64,7 +68,7 @@ def _json_roundtrip(obj):
 
 
 # ----------------------------------------------------------------------
-# Schema round-trips (property-based, through JSON)
+# Schema round-trips (property-based, through the column codec)
 # ----------------------------------------------------------------------
 
 _reg_values = st.one_of(st.integers(-(2 ** 63), 2 ** 63 - 1),
@@ -94,15 +98,15 @@ class TestRegDelta:
             encode_reg_delta([0], [0, 0])
 
 
-# Stores as the wire has them, flat ``addr, size, value, fp01`` quads:
-# an int store of any size and any 64-bit value (negative, or wider
-# than its size), or an 8-byte fp store of any non-NaN double (JSON
-# prints every NaN alike, so its bits cannot round-trip).
+# Stores as the interpreter commits them, flat ``addr, size, value,
+# fp01`` quads: an int store of any size and any 64-bit value
+# (negative, or wider than its size), or an 8-byte fp store of any
+# double, NaNs included; some of them straddle a page.
+_addrs = st.one_of(st.integers(0, 1 << 20), st.integers(4089, 4095))
 _stores = st.lists(st.one_of(
-    st.tuples(st.integers(0, 1 << 20), st.sampled_from([1, 2, 4, 8]),
+    st.tuples(_addrs, st.sampled_from([1, 2, 4, 8]),
               st.integers(-(2 ** 63), 2 ** 63 - 1), st.just(0)),
-    st.tuples(st.integers(0, 1 << 20), st.just(8),
-              st.floats(allow_nan=False), st.just(1))),
+    st.tuples(_addrs, st.just(8), st.floats(), st.just(1))),
     max_size=6).map(lambda items: [field for item in items
                                    for field in item])
 
@@ -114,12 +118,15 @@ _intervals = st.lists(st.tuples(
     st.integers(1, 128),                                   # insts
     st.lists(st.integers(0, 1 << 20), max_size=4),         # load addrs
     _stores,
-), min_size=1, max_size=8)
+), max_size=8)
+
+_reg_deltas = st.lists(st.tuples(st.integers(0, 127), _reg_values).map(list),
+                       max_size=4)
 
 
 def _columns(blocks):
-    """Per-block columns in wire order (the data columns one list per
-    block)."""
+    """Per-block columns in :func:`interval_of_blocks` order (the data
+    columns one list per block)."""
     return ([b * 64 for b, *_ in blocks],
             [e for _, e, *_ in blocks],
             [n * 64 for _, _, n, *_ in blocks],
@@ -130,13 +137,27 @@ def _columns(blocks):
             [list(s) for *_6, s in blocks])
 
 
-def _build_interval(blocks, start, finished):
-    return FFInterval.of_blocks(start, _columns(blocks), reg_delta=[[1, 42]],
-                                finished=finished)
+def _build_interval(blocks, start, finished, reg_delta=([1, 42],)):
+    return interval_of_blocks(start, _columns(blocks),
+                              reg_delta=list(reg_delta), finished=finished)
 
 
 def _trace(intervals, bench="conv", scale=1, program="fp"):
-    return FFTrace(bench, scale, dict(SAMPLING), program, intervals)
+    return FFTrace(bench, scale, dict(sorted(SAMPLING.items())), program,
+                   intervals)
+
+
+KEY = "ab" * 32
+
+
+def _blob(trace, key=KEY, schema=TRACE_SCHEMA) -> bytes:
+    """``trace``'s blob as the store writes it, before gzip."""
+    return b"".join(bytes(piece)
+                    for piece in encode_trace(trace, key, schema))
+
+
+def _decoded(blob: bytes, key=KEY) -> FFTrace:
+    return decode_trace(io.BytesIO(blob), key, TRACE_SCHEMA)
 
 
 #: An interval's columns and fields (its derived caches excluded).
@@ -150,40 +171,50 @@ def _same_interval(got, want):
         == repr([getattr(want, name) for name in FIELDS])
 
 
-#: Every store shape the wire carries, as ``(size, value, fp01)``: int
-#: stores of each size, negative, and wider than their size but inside
-#: 64 bits, and fp stores.
+#: Every store shape the interpreter commits, as ``(size, value,
+#: fp01)``: int stores of each size, negative, and wider than their
+#: size but inside 64 bits, and fp stores.
 STORE_SHAPES = [
     (1, 0x7F, 0), (1, -1, 0), (1, 0x1234, 0),
     (2, 0xBEEF, 0), (2, -2, 0), (2, 1 << 40, 0),
     (4, 0xDEADBEEF, 0), (4, -(1 << 31), 0), (4, -(1 << 40) - 7, 0),
     (8, (1 << 63) - 1, 0), (8, -(1 << 63), 0), (8, 0, 0),
     (8, 2.5, 1), (8, -0.0, 1), (8, 1e300, 1), (8, -5e-324, 1),
-    (8, float("inf"), 1),
+    (8, float("inf"), 1), (8, float("nan"), 1),
 ]
 
 #: ``_intervals`` blocks storing every shape: one block each, then one
-#: block with all of them, then one with none.
+#: block with all of them, then one with none, then one whose stores
+#: straddle a page.
 SHAPE_BLOCKS = [(n, 0, n + 1, "BRO", 1, [], [8 * n, *shape])
                 for n, shape in enumerate(STORE_SHAPES)] + [
     (40, 1, 41, "RET", 9, [], [field for n, shape in enumerate(STORE_SHAPES)
                                for field in (4096 + 8 * n, *shape)]),
-    (41, 2, 0, "CALLO", 2, [8], [])]
+    (41, 2, 0, "CALLO", 2, [8], []),
+    (42, 0, 43, "BRO", 2, [], [4095, 2, -3, 0, 8190, 8, 0.5, 1])]
+
+
+def _packed(code, values) -> bytes:
+    values = list(values)
+    return struct.pack(f"<{len(values)}{code}", *values)
+
+
+def _ends(lists):
+    return list(accumulate(len(items) for items in lists))
 
 
 class TestTraceRoundtrip:
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(_intervals, min_size=1, max_size=3))
-    @example(raw_intervals=[SHAPE_BLOCKS])
+    @given(st.lists(st.tuples(_intervals, _reg_deltas, st.booleans()),
+                    max_size=3))
+    @example(raw_intervals=[(SHAPE_BLOCKS, [[1, 42], [7, -0.5]], False),
+                            ([], [], True)])
     def test_encode_decode_roundtrip(self, raw_intervals):
-        intervals = [
-            _build_interval(blocks, start=i * 4096,
-                            finished=(i == len(raw_intervals) - 1))
-            for i, blocks in enumerate(raw_intervals)
-        ]
-        payload = _json_roundtrip(encode_trace(
-            _trace(intervals, scale=3, program="fp" * 32)))
-        trace = decode_trace(payload)
+        intervals = [_build_interval(blocks, i * 4096, finished, regs)
+                     for i, (blocks, regs, finished)
+                     in enumerate(raw_intervals)]
+        trace = _decoded(_blob(_trace(intervals, scale=3,
+                                      program="fp" * 32)))
 
         assert trace.bench == "conv"
         assert trace.scale == 3
@@ -204,8 +235,7 @@ class TestTraceRoundtrip:
         from repro.sample.engine import SampledRun
 
         interval = _build_interval(blocks, start=0, finished=True)
-        payload = _json_roundtrip(encode_trace(_trace([interval])))
-        decoded = decode_trace(payload).intervals[0]
+        decoded = _decoded(_blob(_trace([interval]))).intervals[0]
 
         via_store = FlatMemory()
         for quads in _columns(blocks)[7]:
@@ -217,64 +247,87 @@ class TestTraceRoundtrip:
         assert via_store._pages == landed.mem._pages
 
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(_intervals, max_size=3), st.integers(1, 4))
-    @example(raw_intervals=[SHAPE_BLOCKS], chunk=3)
-    def test_streamed_text_is_the_payload_text(self, raw_intervals, chunk):
-        """The recorder's blob text, streamed ``chunk`` blocks' data
-        lists at a time, is the compact JSON of the wire layout."""
-        from repro.sample.trace import _encode_text
+    @given(st.lists(_intervals, max_size=3))
+    @example(raw_intervals=[SHAPE_BLOCKS, []])
+    def test_blob_is_a_header_line_then_column_bytes(self, raw_intervals):
+        """The blob, written out by hand: a compact JSON header line,
+        then per interval its twelve columns' little-endian bytes —
+        block addresses as u32, counts and branch-kind indices as u8,
+        addresses as u64, end offsets as u32, store kinds with the fp
+        flag, and each store's value as its 8-byte pattern."""
+        from repro.isa.opcodes import BRANCH_KINDS
 
-        trace = _trace([_build_interval(blocks, start=i * 4096,
-                                        finished=False)
+        trace = _trace([_build_interval(blocks, i * 4096, False)
                         for i, blocks in enumerate(raw_intervals)])
-        text = "".join(_encode_text(trace, chunk))
-        # The wire layout, written out: opcodes interned in order of
-        # first use, every column as one list per block.
-        ops = list(dict.fromkeys(op for blocks in raw_intervals
-                                 for op in _columns(blocks)[3]))
-        wire = [dict(zip(("addrs", "exits", "nexts", "brix", "insts",
-                          "loads", "la", "st"), _columns(blocks)))
-                for blocks in raw_intervals]
-        want = {"schema": TRACE_SCHEMA, "bench": "conv", "scale": 1,
-                "sampling": dict(sorted(SAMPLING.items())), "program": "fp",
-                "branch_ops": ops,
-                "intervals": [{"start": i * 4096, **columns,
-                               "brix": [ops.index(op)
-                                        for op in columns["brix"]],
-                               "regs": [[1, 42]], "finished": False}
-                              for i, columns in enumerate(wire)]}
-        assert text == json.dumps(want, separators=(",", ":"))
+        body, described = b"", []
+        for i, blocks in enumerate(raw_intervals):
+            addrs, exits, nexts, ops, insts, loads, la, st_ = \
+                _columns(blocks)
+            stores = [quads[at:at + 4] for quads in st_
+                      for at in range(0, len(quads), 4)]
+            columns = [
+                _packed("I", addrs), _packed("B", exits),
+                _packed("I", nexts),
+                _packed("B", map(BRANCH_KINDS.index, ops)),
+                _packed("B", insts), _packed("B", loads),
+                _packed("Q", (a for block in la for a in block)),
+                _packed("I", _ends(la)),
+                _packed("Q", (addr for addr, *_ in stores)),
+                _packed("B", (size | 0x80 * fp for _, size, _, fp in stores)),
+                b"".join(struct.pack("<d", value) if fp else
+                         value.to_bytes(8, "little", signed=True)
+                         for *_, value, fp in stores),
+                _packed("I", (end // 4 for end in _ends(st_)))]
+            body += b"".join(columns)
+            sizes = (4, 1, 4, 1, 1, 1, 8, 4, 8, 1, 1, 4)
+            described.append({"start": i * 4096, "regs": [[1, 42]],
+                              "finished": False,
+                              "lengths": [len(column) // size for column, size
+                                          in zip(columns, sizes)]})
+        header = {"schema": TRACE_SCHEMA, "key": KEY, "byteorder": "little",
+                  "bench": "conv", "scale": 1,
+                  "sampling": dict(sorted(SAMPLING.items())),
+                  "program": "fp", "branch_kinds": list(BRANCH_KINDS),
+                  "intervals": described}
+        assert _blob(trace) == json.dumps(
+            header, separators=(",", ":")).encode() + b"\n" + body
 
     def test_unknown_schema_rejected(self):
-        payload = encode_trace(_trace([]))
-        payload["schema"] = TRACE_SCHEMA + 1
+        trace = _trace([_build_interval(SHAPE_BLOCKS, 0, True)])
         with pytest.raises(ValueError):
-            decode_trace(payload)
+            _decoded(_blob(trace, schema=TRACE_SCHEMA + 1))
+        with pytest.raises(ValueError):
+            _decoded(_blob(trace), key="cd" * 32)
+
+    @pytest.mark.parametrize("kind", [3, 8 | 0x80 | 1, 4 | 0x80, 0, 16])
+    def test_unknown_store_kind_rejected(self, kind):
+        """A store kind the recorder cannot write is refused on decode,
+        before replay could land its bytes."""
+        interval = _build_interval([(0, 0, 1, "BRO", 1, [], [0, 8, 1, 0])],
+                                   start=0, finished=True)
+        interval.store_kinds[0] = kind
+        with pytest.raises(ValueError):
+            _decoded(_blob(_trace([interval])))
 
 
 @pytest.mark.parametrize("size, value, fp", [
     (8, 1.5, 0), (4, True, 0), (8, 3, 1), (4, 2.0, 1), (3, 1, 0),
     (8, 1 << 63, 0), (1, -(1 << 63) - 1, 0)])
 def test_unrepresentable_store_is_an_error(size, value, fp):
-    """A store the wire could not print back exactly is refused, when
-    recorded and when decoded (a decode error reads as a miss): it is
-    never kept another way."""
+    """A store whose bytes the columns could not hold exactly — an int
+    store of anything but an int in signed 64 bits, an fp store of
+    anything but an 8-byte float — is refused when recorded: it is never
+    kept another way."""
     with pytest.raises((ValueError, OverflowError)):
         FFInterval(0).add_store(0, size, value, fp)
-    payload = encode_trace(_trace([_build_interval(
-        [(0, 0, 1, "BRO", 1, [], [])], start=0, finished=True)]))
-    payload["intervals"][0]["st"] = [[0, size, value, fp]]
-    with pytest.raises((ValueError, OverflowError)):
-        decode_trace(_json_roundtrip(payload))
 
 
 def test_every_benchmark_trace_round_trips_its_wire_text():
     """Each benchmark's scale-1 run, interpreted into intervals as the
-    recorder does, encodes to text that decodes and re-encodes to the
-    same text byte for byte; its decoded stores, landed on the initial
-    image, give the interpreter's final memory."""
+    recorder does, encodes to a blob that decodes and re-encodes to the
+    same bytes; its decoded stores, landed on the initial image, give
+    the interpreter's final memory."""
     from repro.sample.engine import SampledRun
-    from repro.sample.trace import _encode_text
     from repro.workloads import BENCHMARKS
 
     for bench in sorted(BENCHMARKS):
@@ -284,9 +337,9 @@ def test_every_benchmark_trace_round_trips_its_wire_text():
         while not intervals or not intervals[-1].finished:
             intervals.append(run._interpret(4096))
             run.addr = intervals[-1].nexts[-1]
-        text = "".join(_encode_text(_trace(intervals, bench=bench)))
-        decoded = decode_trace(json.loads(text))
-        assert "".join(_encode_text(decoded)) == text, bench
+        blob = _blob(_trace(intervals, bench=bench))
+        decoded = _decoded(blob)
+        assert _blob(decoded) == blob, bench
         assert all(_same_interval(got, want) for got, want in
                    zip(decoded.intervals, intervals, strict=True)), bench
         landed = SampledRun(spec)
@@ -352,7 +405,7 @@ class TestStoreHygiene:
     def test_corrupt_blob_reads_as_miss(self, tmp_path):
         store = FFTraceStore(tmp_path / "t")
         key = "ab" * 32
-        store.store(key, encode_trace(_trace([])))
+        store.store(key, _trace([]))
         assert store.load(key) is not None
 
         path = store.path_for(key)
@@ -367,12 +420,12 @@ class TestStoreHygiene:
         key = "cd" * 32
         old = FFTraceStore(tmp_path / "t")
         old.salt = TRACE_SCHEMA + 1
-        old.store(key, {"schema": TRACE_SCHEMA + 1})
+        old.store(key, _trace([]))
         assert FFTraceStore(tmp_path / "t").load(key) is None
 
     def test_key_mismatch_reads_as_miss(self, tmp_path):
         store = FFTraceStore(tmp_path / "t")
-        store.store("ef" * 32, encode_trace(_trace([])))
+        store.store("ef" * 32, _trace([]))
         moved = store.path_for("01" * 32)
         moved.parent.mkdir(parents=True, exist_ok=True)
         store.path_for("ef" * 32).rename(moved)
@@ -420,7 +473,7 @@ def test_cross_composition_replay_is_bit_identical(tmp_path):
 def test_recorder_caches_the_trace_it_would_decode():
     """``RecordSession.finish`` keeps the intervals it recorded instead
     of decoding the blob it just wrote: the cached trace must equal
-    ``decode_trace`` of that blob field for field."""
+    what the store reads back from that blob field for field."""
     import repro.sample.trace as trace_mod
 
     dense = {"ff_blocks": 48, "window_blocks": 16, "warmup_blocks": 4}
@@ -429,7 +482,7 @@ def test_recorder_caches_the_trace_it_would_decode():
         execute_spec(spec)
         store = FFTraceStore(trace_root())
         cached = trace_mod._PARSED[store.root, trace_key(spec)]
-        decoded = decode_trace(store.load(trace_key(spec)))
+        decoded = store.load(trace_key(spec))
         for name in ("bench", "scale", "sampling", "program"):
             assert getattr(cached, name) == getattr(decoded, name)
             assert type(getattr(cached, name)) is type(getattr(decoded, name))
@@ -463,21 +516,21 @@ def _replay(key, trace, spec):
 
 
 def test_decoded_trace_replays_like_the_recorded_one(tmp_path):
-    """``decode_trace(encode_trace(t))`` has ``t``'s columns and replays
-    to ``t``'s result, which is the live one; the blob the recorder
-    streamed is the one ``store`` writes for ``encode_trace(t)``."""
+    """The trace the store reads back from the recorder's blob has the
+    recorded trace's columns and replays to its result, which is the
+    live one; writing the recorded trace again gives the same bytes."""
     from repro.sample.engine import SampledRun
 
     key, recorded = _recorded(JobSpec.edge("gzip", 4, scale=2,
                                            sampling=DENSE))
-    decoded = decode_trace(_json_roundtrip(encode_trace(recorded)))
+    store = FFTraceStore(trace_root())
+    decoded = store.load(key)
     assert len(decoded.intervals) == len(recorded.intervals) >= 2
     for got, want in zip(decoded.intervals, recorded.intervals):
         assert _same_interval(got, want)
 
-    streamed = FFTraceStore(trace_root()).path_for(key).read_bytes()
-    whole = FFTraceStore(tmp_path / "whole").store(key, encode_trace(recorded))
-    assert whole.read_bytes() == streamed
+    again = FFTraceStore(tmp_path / "again").store(key, recorded)
+    assert again.read_bytes() == store.path_for(key).read_bytes()
 
     spec = JobSpec.edge("gzip", 16, scale=2, sampling=DENSE)
     live = SampledRun(spec).run().to_dict()
@@ -487,7 +540,8 @@ def test_decoded_trace_replays_like_the_recorded_one(tmp_path):
 def test_one_trace_replays_at_two_line_sizes():
     """The load-line column is derived per line size and kept: one trace
     replayed with 64 B lines, then 32 B ones (``overrides``), matches
-    live interpretation at both sizes."""
+    live interpretation at both sizes.  The interval that ends the
+    program is never warmed, so it derives none."""
     from repro.sample.engine import SampledRun
 
     key, trace = _recorded(JobSpec.edge("conv", 2, scale=2, sampling=DENSE))
@@ -495,7 +549,44 @@ def test_one_trace_replays_at_two_line_sizes():
         spec = JobSpec.edge("conv", 4, scale=2, sampling=DENSE,
                             overrides={"line_size": line_size})
         assert _replay(key, trace, spec) == SampledRun(spec).run().to_dict()
-    assert all(set(iv._load_lines) == {64, 32} for iv in trace.intervals)
+    assert [set(iv._load_lines) for iv in trace.intervals] \
+        == [{64, 32}] * (len(trace.intervals) - 1) + [set()]
+
+
+def test_the_interval_that_ends_the_program_is_not_warmed(monkeypatch):
+    """``ShadowUarch.warm`` runs once per fast-forward interval except
+    the one that ends the program, recording and replaying alike: no
+    window follows it.  Its blocks count as
+    ``sample.warm_tail_skipped_blocks``, and its loop fixed-point skips
+    as none (not the previous interval's again)."""
+    from repro.sample.shadow import ShadowUarch
+
+    warmed, skipped = [], []
+    real = ShadowUarch.warm
+
+    def warm(self, interval, *args):
+        warmed.append(interval)
+        ghist = real(self, interval, *args)
+        skipped.append(self.skipped)
+        return ghist
+
+    monkeypatch.setattr(ShadowUarch, "warm", warm)
+    obs = obs_lib.configure(metrics=True)
+    key, trace = _recorded(JobSpec.edge("conv", 4, scale=2, sampling=DENSE))
+    intervals = trace.intervals
+    assert len(intervals) >= 3 and intervals[-1].finished
+    assert warmed == intervals[:-1]
+    assert skipped[-1][0] > 0          # a repeat would show in the sums
+    counter = obs.metrics.counter
+    assert counter("sample.warm_tail_skipped_blocks", bench="conv") \
+        == len(intervals[-1]) > 0
+    for at, name in enumerate(("pred", "icache")):
+        assert counter(f"sample.warm_{name}_skipped_blocks", bench="conv") \
+            == sum(counts[at] for counts in skipped)
+
+    warmed.clear()
+    _replay(key, trace, JobSpec.edge("conv", 16, scale=2, sampling=DENSE))
+    assert warmed == intervals[:-1]
 
 
 def retained_bytes_per_block(spec, root, replay=None) -> float:
@@ -656,13 +747,13 @@ def test_mismatching_trace_falls_back_to_live_run(tmp_path):
     spec = JobSpec.edge("conv", 4, scale=2, sampling=dense)
     reference = execute_spec(spec)
     key = trace_key(spec)
-    payload = FFTraceStore(trace_root()).load(key)
-    assert payload is not None and len(payload["intervals"]) >= 2
+    trace = FFTraceStore(trace_root()).load(key)
+    assert trace is not None and len(trace.intervals) >= 2
 
     # Corrupt the second interval's start address on disk (and drop the
     # in-process parse) so replay only notices once it is under way.
-    payload["intervals"][1]["start"] += 64
-    FFTraceStore(trace_root()).store(key, payload)
+    trace.intervals[1].start += 64
+    FFTraceStore(trace_root()).store(key, trace)
     import repro.sample.trace as trace_mod
 
     trace_mod._PARSED.clear()
@@ -725,6 +816,55 @@ def test_disabled_tracing_records_nothing(tmp_path):
 # Prewarm partitioning (the executor's honest-work planner)
 # ----------------------------------------------------------------------
 
+def _header(path) -> dict:
+    """A stored blob's header line."""
+    with gzip.open(path) as blob:
+        return json.loads(blob.readline())
+
+
+def _edit_blob(path, edit) -> None:
+    """Rewrite a stored blob as ``edit(header, body)`` returns its body,
+    with the header as ``edit`` left it."""
+    head, __, body = gzip.decompress(path.read_bytes()).partition(b"\n")
+    header = json.loads(head)
+    body = edit(header, body)
+    path.write_bytes(gzip.compress(
+        json.dumps(header, separators=(",", ":")).encode() + b"\n" + body))
+
+
+def _swap_lengths(header, body):
+    """One more exit, one fewer instruction count: the body's size
+    still matches the header, its columns do not."""
+    lengths = header["intervals"][0]["lengths"]
+    lengths[1] += 1
+    lengths[4] -= 1
+    return body
+
+
+def _schema1_blob(path) -> None:
+    """The previous schema's layout: one gzip JSON record."""
+    path.write_bytes(gzip.compress(json.dumps(
+        {"schema": 1, "key": path.name.split(".")[0],
+         "payload": {"schema": 1, "intervals": []}}).encode()))
+
+
+#: Damage done to a recorded blob on disk, each a miss on read.
+DAMAGE = {
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:40]),
+    "stale-schema": lambda path: _edit_blob(path, lambda header, body: (
+        header.update(schema=TRACE_SCHEMA + 1), body)[1]),
+    "wrong-key": lambda path: _edit_blob(path, lambda header, body: (
+        header.update(key="0" * 64), body)[1]),
+    "truncated-body": lambda path: _edit_blob(
+        path, lambda header, body: body[:-1]),
+    "lengths-disagree": lambda path: _edit_blob(path, _swap_lengths),
+    "trailing-bytes": lambda path: _edit_blob(
+        path, lambda header, body: body + bytes(8)),
+    "schema-1-json": _schema1_blob,
+}
+
+
+
 class TestPrewarmPartition:
     def test_one_recorder_per_cold_group(self):
         specs = [JobSpec.edge("conv", n, scale=2, sampling=SAMPLING)
@@ -749,10 +889,13 @@ class TestPrewarmPartition:
         recorders, rest = prewarm_partition(specs)
         assert recorders == [] and rest == specs
 
-    @pytest.mark.parametrize("damage", ["truncated", "stale-schema",
-                                        "wrong-key"])
+    @pytest.mark.parametrize("damage", list(DAMAGE))
     def test_damaged_blob_gets_exactly_one_recorder(self, damage):
-        """Regression: ``contains`` was a bare ``is_file()``, so a blob
+        """A damaged blob is a miss for ``load``, ``contains`` and the
+        partition alike, so its group gets one recorder, every member's
+        result is the undamaged one, and the recorder heals the blob.
+
+        Regression: ``contains`` was a bare ``is_file()``, so a blob
         that ``load`` rejects still read as "traced" — the group got no
         recorder and every member re-interpreted the whole trajectory
         (N records racing to write, zero replays)."""
@@ -764,14 +907,7 @@ class TestPrewarmPartition:
 
         store = FFTraceStore(trace_root())
         key = trace_key(specs[0])
-        path = store.path_for(key)
-        if damage == "truncated":
-            path.write_bytes(path.read_bytes()[:40])
-        else:
-            record = json.loads(gzip.decompress(path.read_bytes()))
-            record.update({"schema": TRACE_SCHEMA + 1}
-                          if damage == "stale-schema" else {"key": "0" * 64})
-            path.write_bytes(gzip.compress(json.dumps(record).encode()))
+        DAMAGE[damage](store.path_for(key))
         trace_mod._PARSED.clear()
         clear_cache()
         assert not store.contains(key) and store.load(key) is None
@@ -805,34 +941,33 @@ class TestPrewarmPartition:
         trace_mod._PARSED.clear()       # as in a new process
         clear_cache()
         monkeypatch.setattr(trace_mod, "_PARSED_CAP", cap)
-        decoded, blobs = [], []
+        decoded = []
         original = trace_mod.decode_trace
-        monkeypatch.setattr(trace_mod, "decode_trace", lambda payload: (
-            decoded.append(payload["bench"]), original(payload))[1])
-        unzip = FFTraceStore._decode
-        monkeypatch.setattr(FFTraceStore, "_decode", staticmethod(
-            lambda data: (blobs.append(len(data)), unzip(data))[1]))
+        monkeypatch.setattr(trace_mod, "decode_trace", lambda *args: (
+            trace := original(*args), decoded.append(trace.bench))[0])
 
         recorders, rest = prewarm_partition(groups[0] + groups[1])
         assert recorders == [] and decoded == ["conv", "gzip"]
         for spec in rest:
             execute_spec(spec)
-        assert decoded == reads and len(blobs) == len(reads)
+        assert decoded == reads
 
     def test_undecodable_payload_gets_a_recorder(self):
-        """A blob whose envelope reads but whose payload does not
-        decode is a miss here, as it is for the replay."""
+        """A blob whose header echoes the schema and the key but whose
+        columns do not decode is a miss here, as it is for the replay
+        and for ``contains``."""
         specs = [JobSpec.edge("conv", n, scale=2, sampling=SAMPLING)
                  for n in (2, 4)]
         execute_spec(specs[0])
         store = FFTraceStore(trace_root())
         key = trace_key(specs[0])
-        payload = store.load(key)
-        del payload["intervals"][0]["addrs"]
-        store.store(key, payload)
+        path = store.path_for(key)
+        _edit_blob(path, lambda header, body: (
+            header["intervals"][0].pop("lengths"), body)[1])
+        assert _header(path)["key"] == key
         reset_ff_trace()
         configure_ff_trace(enabled=True, cache_dir=store.root)
-        assert store.contains(key)      # the envelope alone is intact
+        assert not store.contains(key)
         assert prewarm_partition(specs) == (specs[:1], specs[1:])
 
     def test_disabled_tracing_passes_through(self):

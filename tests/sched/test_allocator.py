@@ -2,7 +2,7 @@
 brute-force optimality check of the DP."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sched import (
     SpeedupTable,
@@ -12,6 +12,7 @@ from repro.sched import (
     symmetric_best_assignment,
     weighted_speedup,
 )
+from repro.sched.allocator import ALLOWED_SIZES
 
 
 def table_from(curves: dict[str, dict[int, float]]) -> SpeedupTable:
@@ -95,20 +96,25 @@ class TestOptimalAssignment:
             optimal_assignment(["a"] * 40, table)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=4),
+    @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=2, max_size=4),
            st.integers(2, 12))
+    @example(apps=["a", "b", "c", "a"], seed=5)
     def test_dp_matches_brute_force(self, apps, seed):
+        """Every curve peaks at 32 cores (a doubling gains at least
+        2 ** 0.3 > 1.1 / 0.9), so two to four apps always ask for more
+        than the chip and the DP's capacity rule decides the split."""
         import random
         rng = random.Random(seed)
         curves = {}
         for name in "abc":
-            curves[name] = {k: rng.uniform(0.1, 5.0) for k in (1, 2, 4, 8, 16, 32)}
+            slope = rng.uniform(0.3, 1.0)
+            curves[name] = {k: rng.uniform(0.9, 1.1) * k ** slope
+                            for k in ALLOWED_SIZES}
         table = table_from(curves)
-        ws_dp, __ = optimal_assignment(apps, table, total_cores=16,
-                                       allowed=(1, 2, 4, 8))
-        ws_bf, __ = brute_force_assignment(apps, table, total_cores=16,
-                                           allowed=(1, 2, 4, 8))
+        ws_dp, sizes = optimal_assignment(apps, table)
+        ws_bf, __ = brute_force_assignment(apps, table)
         assert ws_dp == pytest.approx(ws_bf)
+        assert sum(sizes) <= 32
 
 
 class TestFixedCmp:

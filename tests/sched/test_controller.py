@@ -107,7 +107,7 @@ class TestReallocation:
     def test_trace_utilization_bounded(self, table):
         controller = ReallocationController(table)
         result = controller.run(jobs_batch(table, count=8))
-        utilization = result.utilization(32)
+        utilization = result.utilization
         assert 0.0 < utilization <= 1.0
 
     def test_work_conserved(self, table):

@@ -45,8 +45,6 @@ ALLOWED = {
                         "replay simulates nothing",
     "evaluate": "the reference ALU semantics the bound evaluators are "
                 "tested against",
-    "encode_trace": "the payload the streamed trace encoder's text is "
-                    "tested against",
     "PHASES": "the profiler's phase registry, which tests check the "
               "profiler against",
     "INT_MIN": "the signed 64-bit range wrap64 folds into, which "

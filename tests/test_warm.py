@@ -32,9 +32,9 @@ from repro.predictor.exits import ExitPredictor, push_history
 from repro.predictor.ras import DistributedRas
 from repro.predictor.targets import BranchKind, TargetPredictor
 from repro.sample.shadow import ShadowUarch
-from repro.sample.trace import FFInterval
 from repro.tflex.config import tflex_config
 from repro.warm import WarmState
+from tests.sample.intervals import interval_of_blocks
 
 #: Contents are driven by a list of integers each trainer interprets.
 _streams = st.lists(st.integers(0, (1 << 20) - 1), max_size=60)
@@ -123,7 +123,7 @@ def _train_shadow(shadow, stream):
     ghist = 0
     for n in stream:
         addr = (n & 63) * BLOCK_STRIDE
-        interval = FFInterval.of_blocks(addr, (
+        interval = interval_of_blocks(addr, (
             [addr], [(n >> 6) & 7], [((n >> 9) & 63) * BLOCK_STRIDE],
             [("BRO", "CALLO", "RET")[(n >> 15) % 3]], [1], [2],
             [[(n >> 2) * 8, n * 64]],
