@@ -8,9 +8,9 @@ into three composable pieces:
   description of one simulation point, plus :func:`spec_hash`, its
   stable content address.
 * :mod:`repro.exec.store` — the one content-addressed record store
-  (:class:`BlobStore`; :class:`ResultStore` is the same store with a
-  plain-JSON codec, keyed by job spec) with corruption-tolerant reads,
-  and ``atomic_write``, the only temp-file + fsync + rename sequence.
+  layout (:class:`BlobStore`; :class:`ResultStore` adds a plain-JSON
+  codec, keyed by job spec) with corruption-tolerant reads, and
+  ``atomic_write``, the only temp-file + fsync + rename sequence.
 * :mod:`repro.exec.pool` — :class:`WorkerPool`, persistent warm worker
   processes served over a request/reply pipe, with transparent respawn
   and a terminate→kill escalation on stop.

@@ -1,16 +1,15 @@
 """Content-addressed on-disk record stores.
 
-One store class, one reader, one writer.  A :class:`BlobStore` keeps
+One store layout, one reader, one writer.  A :class:`BlobStore` keeps
 records under ``<root>/<key[:2]>/<key><SUFFIX>`` where the caller
 supplies the key (already a content hash); a record is
-``{"schema": salt, "key": key, ..., "payload": ...}`` passed through
-the class's codec (gzip-1 compact JSON).  :class:`ResultStore` is the
-same store with a plain-JSON codec, keyed by
+``{"schema": salt, "key": key, ..., "payload": ...}``, and one that
+does not echo the store's schema and the key is a miss.  The codec is
+the subclass's.  :class:`ResultStore` writes plain JSON, keyed by
 :func:`repro.exec.spec.spec_hash` of a job spec (salted with the
 store's schema version) and echoing the spec in the record.  The
 fast-forward trace store (:class:`repro.sample.trace.FFTraceStore`)
-keeps the layout, the schema and key echo and the miss rules, with its
-own column codec.
+writes a JSON header line and raw column bytes, gzip level 1.
 
 Writes go through :func:`atomic_write`, the only temp-file + fsync +
 ``os.replace`` sequence in the package tree, so a crash mid-write can
@@ -22,13 +21,11 @@ a cache *miss*, never an error, for ``load`` and ``contains`` alike.
 from __future__ import annotations
 
 import contextlib
-import gzip
 import json
 import os
 import pathlib
 import tempfile
 import time
-import zlib
 from typing import Iterator, Optional, Union
 
 from repro.exec.spec import SCHEMA_VERSION, JobSpec, spec_hash
@@ -100,11 +97,11 @@ MISS = object()
 
 
 class BlobStore:
-    """Content-keyed record store (gzip JSON blobs); see the module
-    docstring for the layout and the durability contract.  A subclass
-    changes the codec by overriding :meth:`_read` and :meth:`store`
-    (the fast-forward trace store) or :meth:`_encode` and
-    :meth:`_decode` (the result store)."""
+    """Content-keyed record store; see the module docstring for the
+    layout and the durability contract.  A subclass supplies the codec:
+    ``_encode``/``_decode`` between a record dict and its bytes (the
+    result store), or its own :meth:`_read` and ``store`` (the
+    fast-forward trace store)."""
 
     SUFFIX = ".json.gz"
 
@@ -118,22 +115,6 @@ class BlobStore:
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}{self.SUFFIX}"
 
-    # -- codec ---------------------------------------------------------
-
-    @staticmethod
-    def _encode(record: dict) -> bytes:
-        # Compact separators + compression level 1: blobs are cold
-        # storage for already-hashed content, so write latency beats
-        # ratio; ``mtime=0`` keeps the bytes deterministic for identical
-        # content.
-        return gzip.compress(
-            json.dumps(record, separators=(",", ":")).encode("utf-8"),
-            compresslevel=1, mtime=0)
-
-    @staticmethod
-    def _decode(data: bytes):
-        return json.loads(gzip.decompress(data))
-
     # -- reads ---------------------------------------------------------
 
     def _read(self, key: str):
@@ -141,7 +122,7 @@ class BlobStore:
         and echoes this store's schema and the key; else :data:`MISS`."""
         try:
             record = self._decode(self.path_for(key).read_bytes())
-        except (OSError, EOFError, ValueError, zlib.error):
+        except (OSError, ValueError):
             return MISS
         if (not isinstance(record, dict) or record.get("schema") != self.salt
                 or record.get("key") != key or "payload" not in record):
@@ -165,11 +146,6 @@ class BlobStore:
         return self._read(key) is not MISS
 
     # -- writes --------------------------------------------------------
-
-    def store(self, key: str, payload) -> pathlib.Path:
-        """Atomically persist one record; last writer wins on a race
-        (both writers hold identical content for a content key)."""
-        return self._write(key, {"payload": payload})
 
     def _write(self, key: str, fields: dict) -> pathlib.Path:
         return self._put(key, self._encode(

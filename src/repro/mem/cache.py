@@ -63,30 +63,11 @@ class _Sets(dict):
     built empty and a short run touches a few hundred of a system's
     ~10 000 sets.  An absent set and an empty one are the same state."""
 
-    __slots__ = ("num_sets",)
-
-    def __init__(self, num_sets: int, touched=()) -> None:
-        super().__init__(touched)
-        self.num_sets = num_sets
+    __slots__ = ()
 
     def __missing__(self, index: int) -> OrderedDict:
         cache_set = self[index] = OrderedDict()
         return cache_set
-
-
-def _encode_sets(sets: _Sets) -> list:
-    return [[[line.ctx, line.line_addr, line.state.value]
-             for line in sets.get(index, {}).values()]
-            for index in range(sets.num_sets)]
-
-
-def _decode_sets(snapshot: list) -> _Sets:
-    return _Sets(len(snapshot), (
-        (index, OrderedDict(((ctx, line_addr),
-                             Line(ctx=ctx, line_addr=line_addr,
-                                  state=LineState(state)))
-                            for ctx, line_addr, state in entries))
-        for index, entries in enumerate(snapshot) if entries))
 
 
 class CacheBank(WarmState):
@@ -111,7 +92,7 @@ class CacheBank(WarmState):
         self.assoc = assoc
         self.num_sets = num_lines // assoc
         self.stats = CacheStats()  # stays with its owner across swaps
-        self._sets = _Sets(self.num_sets)
+        self._sets = _Sets()
 
     def line_addr(self, addr: int) -> int:
         return addr & ~(self.line_size - 1)
@@ -210,28 +191,10 @@ class CacheBank(WarmState):
     # State transfer (sampled-simulation warm-up injection)
     # ------------------------------------------------------------------
 
-    #: One list per set in LRU-first order, so a round trip preserves
-    #: the eviction order and lines land in their stored set.
-    WARM = (("_sets", _encode_sets, _decode_sets),)
+    #: The sets move whole, so a swap keeps each set's LRU order (the
+    #: eviction victim) and every line in the set it hashes to.
+    WARM = ("_sets",)
 
     def warm_geometry(self) -> tuple:
         return (self.num_sets, self.line_size, self.assoc)
 
-    def check_warm(self, values: dict) -> None:
-        """A snapshot is whatever dict the caller hands ``load_state``,
-        not necessarily one this geometry produced: beyond the set
-        count, every set must fit the associativity and hold only
-        lines that hash to it — ``fill`` evicts one line per insertion
-        and ``probe`` looks in one set, so neither would ever repair an
-        oversize set or find a misfiled line."""
-        sets = values["_sets"]
-        if sets.num_sets != self.num_sets:
-            raise ValueError(f"{self.name}: snapshot geometry mismatch")
-        for index, cache_set in sets.items():
-            if len(cache_set) > self.assoc:
-                raise ValueError(f"{self.name}: snapshot set {index} holds "
-                                 f"{len(cache_set)} lines, assoc is {self.assoc}")
-            for __, line_addr in cache_set:
-                if (line_addr // self.line_size) % self.num_sets != index:
-                    raise ValueError(f"{self.name}: snapshot line "
-                                     f"{line_addr:#x} filed under set {index}")

@@ -24,7 +24,6 @@ from repro.predictor.exits import (
 )
 from repro.predictor.ras import DistributedRas, RasCheckpoint
 from repro.predictor.targets import BranchKind, TargetPredictor
-from repro.warm import stage_all
 
 _LOCAL_HIST_MASK = (1 << (EXIT_BITS * LOCAL_HISTORY_EXITS)) - 1
 _GLOBAL_HIST_MASK = (1 << (EXIT_BITS * GLOBAL_HISTORY_EXITS)) - 1
@@ -231,17 +230,3 @@ class PredictorBank:
             raise ValueError("PredictorBank: swap geometry mismatch")
         self.exits.swap_state(other.exits)
         self.targets.swap_state(other.targets)
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of both table sets (stats excluded)."""
-        return {"exits": self.exits.state_dict(),
-                "targets": self.targets.state_dict()}
-
-    def stage_state(self, state: dict):
-        return stage_all(((self.exits, state["exits"]),
-                          (self.targets, state["targets"])))
-
-    def load_state(self, state: dict) -> None:
-        """Replace all table contents with a :meth:`state_dict`
-        snapshot; one that fits either table set badly changes nothing."""
-        self.stage_state(state)()

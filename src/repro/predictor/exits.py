@@ -78,23 +78,10 @@ class ExitStats:
     correct: int = 0
 
 
-def _encode_patterns(entries: list) -> list:
-    return [[entry >> 2, entry & 3] for entry in entries]
-
-
-def _decode_patterns(pairs: list) -> list:
-    return [exit_id << 2 | confidence for exit_id, confidence in pairs]
-
-
 class ExitPredictor(WarmState):
     """Local/global/choice tournament over block exits (one core's bank)."""
 
-    WARM = (
-        ("_local_hist", list, list),
-        ("_local_pattern", _encode_patterns, _decode_patterns),
-        ("_global_pattern", _encode_patterns, _decode_patterns),
-        ("_choice", list, list),
-    )
+    WARM = ("_local_hist", "_local_pattern", "_global_pattern", "_choice")
 
     def __init__(self, local_l1: int = 64, local_l2: int = 128,
                  global_entries: int = 512, choice_entries: int = 512) -> None:

@@ -39,10 +39,10 @@ class RasStats:
 class DistributedRas(WarmState):
     """One logical stack sequentially partitioned across cores."""
 
-    #: Snapshots move between same-capacity stacks only (the stack
+    #: Swaps move state between same-capacity stacks only (the stack
     #: length is the geometry); ``resil.recompose.transfer_ras`` re-homes
     #: the live entries when the capacity changes.
-    WARM = (("_stack", list, list), ("_top", int, int))
+    WARM = ("_stack", "_top")
 
     def __init__(self, num_cores: int, entries_per_core: int = 16) -> None:
         self.num_cores = num_cores

@@ -45,30 +45,10 @@ class TargetStats:
     ctb_hits: int = 0
 
 
-def _encode_kinds(kinds: list) -> list:
-    return [kind.value for kind in kinds]
-
-
-def _decode_kinds(values: list) -> list:
-    return [BranchKind(value) for value in values]
-
-
-def _encode_tagged(table: list) -> list:
-    return [table[i:i + 2] for i in range(0, len(table), 2)]
-
-
-def _decode_tagged(pairs: list) -> list:
-    return [value for pair in pairs for value in pair]
-
-
 class TargetPredictor(WarmState):
     """One core's target-prediction tables."""
 
-    WARM = (
-        ("_btype", _encode_kinds, _decode_kinds),
-        ("_btb", _encode_tagged, _decode_tagged),
-        ("_ctb", _encode_tagged, _decode_tagged),
-    )
+    WARM = ("_btype", "_btb", "_ctb")
 
     def __init__(self, btype_entries: int = 256, btb_entries: int = 128,
                  ctb_entries: int = 16) -> None:

@@ -12,9 +12,10 @@ Recovery protocol, per victim processor, inside the failure event:
    architectural state sits exactly at the last committed block.
 2. **Capture** — registers, the distributed RAS contents, the
    dependence-violation history, and the committed-path resume point
-   (``last_commit_next``/``last_commit_ghist``) through the same
-   transfer vocabulary sampled simulation uses (``state_dict`` /
-   ``load_state``, in-place register copy, shared memory image).
+   (``last_commit_next``/``last_commit_ghist``): the RAS's declared
+   ``WARM`` fields re-homed to the new capacity (:func:`transfer_ras`;
+   ``swap_state`` needs equal capacities), an in-place register copy,
+   and the shared memory image.
 3. **Re-form** — the largest placeable composition (power-of-two
    rectangle) no bigger than the old one, avoiding faulty and occupied
    cores; the new processor reuses the victim's cache context tag, so
@@ -90,15 +91,14 @@ def transfer_ras(old, new) -> None:
     (possibly) different sizes: the youngest live entries survive, up
     to the new capacity — exactly the entries a deepening call stack
     would consult first."""
-    state = old.state_dict()
-    top, stack = state["top"], state["stack"]
+    top, stack = old._top, old._stack
     old_capacity = len(stack)
     live = min(top, old_capacity)          # overflow wraps clamp at capacity
     keep = min(live, new.capacity)
     new_stack = [0] * new.capacity
     for i in range(keep):
         new_stack[i] = stack[(top - keep + i) % old_capacity]
-    new.load_state({"stack": new_stack, "top": keep})
+    new._stack, new._top = new_stack, keep
 
 
 class RecompositionEngine:

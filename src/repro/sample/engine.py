@@ -228,11 +228,13 @@ class SampledRun:
     def _swap_state(self, system: TFlexSystem, proc) -> None:
         """Exchange warm state between the shadow and a window system.
 
-        Each window runs on a fresh ``TFlexSystem`` that is discarded
-        after :meth:`_absorb`, and the shadow is idle while the window
-        runs — so moving state by O(1) reference swaps (contents
-        identical to a ``state_dict``/``load_state`` round trip) is
-        observably a copy in both directions, without materializing
+        This is the only place warm state crosses between the two: each
+        shadow part is paired with the window part that plays its role,
+        and the pair exchanges its declared ``WARM`` fields by reference
+        (:meth:`repro.warm.WarmState.swap_state`).  Each window runs on
+        a fresh ``TFlexSystem`` that is discarded after :meth:`_absorb`,
+        and the shadow is idle while the window runs, so the O(1) swap
+        is observably a copy in both directions, without materializing
         per-window snapshots.  Every pair's geometry is compared before
         any part moves, so a mismatch raises with nothing exchanged."""
         shadow = self.shadow

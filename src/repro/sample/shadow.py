@@ -12,13 +12,13 @@ fast-forward interval at a time (:meth:`ShadowUarch.warm`), in program
 order, ignoring all timing results — and skipping the loop iterations
 that would leave a private structure exactly as they found it.
 
-State moves between the shadow and a real :class:`TFlexSystem` through
-the one transfer vocabulary every warm structure derives from its field
-declaration (:mod:`repro.warm`): ``swap_state`` per window, with
-``state_dict``/``load_state`` as the copying reference the tests hold
-it to.  The L2 directory is rebuilt from L1 contents on every transfer
-(the directory's invariant is "entry == some L1 holds the line", so it
-is derived state).
+State moves between the shadow and a real :class:`TFlexSystem` by the
+one transfer every warm structure derives from its ``WARM`` field list
+(:mod:`repro.warm`): an O(1) ``swap_state`` per part, paired by
+``SampledRun._swap_state`` once per window each way.  The shadow has no
+transfer of its own.  The L2 directory is rebuilt from L1 contents on
+every transfer (the directory's invariant is "entry == some L1 holds
+the line", so it is derived state).
 
 Fidelity notes: the shadow trains the predictor strictly in commit
 order, so wrong-path pollution from deep speculation is not modelled;
@@ -39,7 +39,6 @@ from repro.predictor.exits import GLOBAL_HISTORY_EXITS, push_history
 from repro.predictor.targets import BranchKind
 from repro.tflex import interleave
 from repro.tflex.config import SystemConfig
-from repro.warm import stage_all
 
 #: ``FFInterval.branch_ops`` entry -> the predictor's branch kind.
 _KIND_OF = tuple(BranchKind.of_opcode(name) for name in BRANCH_KINDS)
@@ -291,8 +290,8 @@ class ShadowUarch:
 
         A hit is one hashed ``move_to_end`` on a set resolved once per
         transfer (:meth:`_icache_touches`), with no per-access stats —
-        nothing reads shadow stats, and ``state_dict`` carries only
-        resident state.  A miss takes the exact protocol sequence
+        nothing reads shadow stats, and a swap moves only resident
+        state.  A miss takes the exact protocol sequence
         ``CacheBank.access`` callers use.
 
         Every repeated loop period is a fixed point, so the pass needs
@@ -441,28 +440,3 @@ class ShadowUarch:
     def rebuild_directory(self) -> None:
         self.settle()
         rebuild_directory(self.l2, self._l1_by_core)
-
-    def state_dict(self) -> dict:
-        """JSON-safe snapshot of every warm structure (directory
-        excluded — it is rebuilt from L1 contents on load)."""
-        self.settle()
-        return {
-            "pred": [bank.state_dict() for bank in self.pred_banks],
-            "ras": self.ras.state_dict(),
-            "icache": [bank.state_dict() for bank in self.icaches],
-            "dcache": [bank.state_dict() for bank in self.dcaches],
-            "l2": [bank.state_dict() for bank in self.l2.banks],
-        }
-
-    def load_state(self, state: dict) -> None:
-        banks = {"pred": self.pred_banks, "icache": self.icaches,
-                 "dcache": self.dcaches, "l2": self.l2.banks}
-        if any(len(state[key]) != len(group) for key, group in banks.items()):
-            raise ValueError("shadow snapshot geometry mismatch")
-        commit = stage_all(
-            [(self.ras, state["ras"])]
-            + [(bank, snapshot) for key, group in banks.items()
-               for bank, snapshot in zip(group, state[key])])
-        self.settle()
-        commit()
-        self.rebuild_directory()

@@ -66,8 +66,9 @@ from typing import Optional, Sequence
 import repro.obs as obs_lib
 from repro.exec.store import MISS, BlobStore
 
-#: Bump when the trace layout changes; old blobs then read as misses.
-TRACE_SCHEMA = 2
+#: Bump when the trace layout or what it records changes; old blobs
+#: then read as misses.
+TRACE_SCHEMA = 3
 
 #: The explicit override (:func:`configure_ff_trace`): ``None`` follows
 #: the result store, ``False`` is off, a path is the trace root.
@@ -221,19 +222,26 @@ def trace_key(spec) -> Optional[str]:
 # Schema: encode / decode
 # ----------------------------------------------------------------------
 
+_DOUBLE = struct.Struct("<d")
+
+
+def _pattern(value) -> tuple:
+    """What a register holds, bit for bit: its type and, for a float,
+    its double's bytes (``-0.0 == 0.0`` but the two differ here)."""
+    return type(value), (_DOUBLE.pack(value) if type(value) is float
+                         else value)
+
+
 def encode_reg_delta(start_regs: Sequence, end_regs: Sequence) -> list:
     """Sparse ``[[index, value], ...]`` delta between two register
     files of equal length (typically a handful of entries per
-    interval against the 128-register file)."""
+    interval against the 128-register file): every register whose
+    type or bit pattern changed."""
     if len(start_regs) != len(end_regs):
         raise ValueError(f"register files differ in length: "
                          f"{len(start_regs)} vs {len(end_regs)}")
     return [[i, end_regs[i]] for i in range(len(start_regs))
-            if start_regs[i] != end_regs[i]
-            or type(start_regs[i]) is not type(end_regs[i])]
-
-
-_DOUBLE = struct.Struct("<d")
+            if _pattern(start_regs[i]) != _pattern(end_regs[i])]
 
 
 def store_bits(size: int, value, fp) -> bytes:

@@ -1,0 +1,173 @@
+"""Traffic census: the ``src/repro`` functions a fixed traffic list never runs.
+
+``tests/test_reach.py`` asks whether any line names a definition; a
+cluster of definitions that only reach each other passes it.  This
+script asks what runs.  It copies the tree to a temporary directory and
+runs :data:`TRAFFIC` there — every example, the CLI commands and the
+figure harnesses, at small sizes and ``--jobs 1`` throughout, so that
+no forked worker's ``os._exit`` hides its calls.  Each Python process
+gets a profiler (``sys.setprofile`` and ``threading.setprofile``,
+installed by a ``sitecustomize`` module put first on ``PYTHONPATH``)
+that writes the code objects it ran when the process exits.  The script
+then prints every function definition under ``src/repro`` whose code
+never ran, and a count.
+
+Run it from the repo root::
+
+    PYTHONPATH=src python tests/census.py > census.txt
+
+It is evidence, not a gate: error paths never run by design.  It exits
+1 only if a traffic command fails.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+_COPY_IGNORE = shutil.ignore_patterns(
+    ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".repro-cache")
+
+_PAIR = ("--bench", "conv", "--bench", "gzip")
+_SWEEP = ("--jobs", "1", "--cache-dir", "{store}")
+
+#: What runs, in order: ``("example", script)``, ``("repro", argv)``
+#: (``{store}`` is one result store shared by every command), or
+#: ``("pytest", argv)`` from the tree's root.
+TRAFFIC = [
+    *(("example", f"examples/{name}.py") for name in (
+        "quickstart", "composition_sweep", "custom_kernel",
+        "multiprogramming", "os_reallocation", "smt_vs_composition")),
+    ("repro", ("list",)),
+    ("repro", ("run", "conv", "--cores", "4", "--cache-dir", "{store}")),
+    ("repro", ("run", "conv", "--cores", "4", "--sample",
+               "--cache-dir", "{store}")),
+    ("repro", ("disasm", "conv")),
+    ("repro", ("timeline", "conv", "--cores", "4")),
+    ("repro", ("profile", "conv", "--cores", "4")),
+    ("repro", ("lint",)),
+    *(("repro", (fig, *_PAIR, *_SWEEP)) for fig in (
+        "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table2")),
+    ("repro", ("sweep", "conv", *_SWEEP)),
+    ("repro", ("sweep", "gzip", *_SWEEP)),
+    ("repro", ("resil", "--cores", "8", "--max-dead", "2", *_PAIR,
+               *_SWEEP)),
+    ("repro", ("search", *_PAIR, *_SWEEP)),
+    ("repro", ("fig6", "--scale", "2", "--sample", *_PAIR, *_SWEEP)),
+    ("repro", ("cache", "gc", "--dry-run", "--cache-dir", "{store}")),
+    ("pytest", ("-q", "-p", "no:cacheprovider", "benchmarks",
+                "--ignore=benchmarks/perf")),
+]
+
+#: Written as ``sitecustomize.py``; ``{src}`` and ``{out}`` are filled in.
+_PROFILER = '''\
+import atexit, json, sys, tempfile, threading
+
+_seen = set()
+
+
+def _profile(frame, event, arg, _add=_seen.add):
+    if event == "call":
+        _add(frame.f_code)
+
+
+sys.setprofile(_profile)
+threading.setprofile(_profile)
+
+
+@atexit.register
+def _dump():
+    sys.setprofile(None)
+    ran = sorted({{(code.co_filename, code.co_firstlineno) for code in _seen
+                  if code.co_filename.startswith({src!r})}})
+    fd, __ = tempfile.mkstemp(dir={out!r}, suffix=".json")
+    with open(fd, "w") as handle:
+        json.dump(ran, handle)
+'''
+
+
+def definitions(src: pathlib.Path):
+    """Every function definition under ``src``: ``(path, first line,
+    qualified name, lines)``, the first line being the first
+    decorator's, as the code object's ``co_firstlineno`` is."""
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def walk(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [decorator.lineno for
+                                                  decorator in
+                                                  child.decorator_list])
+                    yield (path, first, prefix + child.name,
+                           child.end_lineno - first + 1)
+                    yield from walk(child, f"{prefix}{child.name}.")
+                elif isinstance(child, ast.ClassDef):
+                    yield from walk(child, f"{prefix}{child.name}.")
+                else:
+                    yield from walk(child, prefix)
+        yield from walk(tree, "")
+
+
+def _command(kind, argv, tree: pathlib.Path, store: pathlib.Path):
+    if kind == "example":
+        return [sys.executable, str(tree / argv)]
+    if kind == "repro":
+        return [sys.executable, "-m", "repro",
+                *(arg.format(store=store) for arg in argv)]
+    return [sys.executable, "-m", "pytest", *argv]
+
+
+def main() -> int:
+    failed = 0
+    ran = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        tree, out, site = tmp / "tree", tmp / "out", tmp / "site"
+        shutil.copytree(ROOT, tree, ignore=_COPY_IGNORE)
+        out.mkdir()
+        site.mkdir()
+        src = tree / "src"
+        (site / "sitecustomize.py").write_text(
+            _PROFILER.format(src=str(src / "repro"), out=str(out)),
+            encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(site), str(src)]), PYTHONDONTWRITEBYTECODE="1")
+        for kind, argv in TRAFFIC:
+            # Examples and CLI commands run from an empty directory, so
+            # nothing they write lands in the tree.
+            cwd = tree if kind == "pytest" else pathlib.Path(
+                tempfile.mkdtemp(dir=tmp))
+            command = _command(kind, argv, tree, tmp / "store")
+            done = subprocess.run(command, cwd=cwd, env=env, text=True,
+                                  stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE)
+            if done.returncode:
+                failed += 1
+                print(f"FAILED (exit {done.returncode}): "
+                      f"{' '.join(command[1:])}\n{done.stderr[-2000:]}",
+                      file=sys.stderr)
+        for dump in out.glob("*.json"):
+            ran.update((filename, line)
+                       for filename, line in json.loads(dump.read_text()))
+        defs = list(definitions(src / "repro"))
+        never = [(path.relative_to(tree), line, name, lines)
+                 for path, line, name, lines in defs
+                 if (str(path), line) not in ran]
+    for path, line, name, lines in never:
+        print(f"{path}:{line} {name} ({lines} lines)")
+    print(f"{len(never)} of {len(defs)} function definitions "
+          f"({sum(lines for *__, lines in never)} lines) never ran")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

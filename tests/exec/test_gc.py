@@ -7,8 +7,9 @@ import os
 import pytest
 
 import repro.obs as obs_lib
-from repro.exec.store import BlobStore, gc_cache, parse_size
+from repro.exec.store import gc_cache, parse_size
 from repro.obs import RingBufferSink
+from repro.sample.trace import FFTrace, FFTraceStore
 
 
 @pytest.fixture(autouse=True)
@@ -143,46 +144,52 @@ class TestGcCache:
 
 
 class TestBlobStore:
+    """The store layout, miss rules and maintenance, through the gzip
+    blob store the fast-forward traces live in."""
+
     KEY = "ab" * 32
 
+    @staticmethod
+    def _trace(scale):
+        return FFTrace("conv", scale, {"ff_blocks": 8}, "fp", [])
+
     def test_roundtrip(self, tmp_path):
-        store = BlobStore(tmp_path, salt=7)
-        payload = {"x": [1, 2.5, "three"], "nested": {"ok": True}}
-        path = store.store(self.KEY, payload)
+        store = FFTraceStore(tmp_path)
+        path = store.store(self.KEY, self._trace(3))
         assert path == store.path_for(self.KEY)
-        assert store.load(self.KEY) == payload
+        assert store.load(self.KEY).scale == 3
         assert store.counters() == {"hits": 1, "misses": 0, "writes": 1}
         assert len(store) == 1
 
     def test_bytes_are_deterministic(self, tmp_path):
-        """mtime=0 + compact separators: identical content produces
-        identical bytes, so concurrent writers of one content key can
-        never disagree."""
-        a = BlobStore(tmp_path / "a", salt=1)
-        b = BlobStore(tmp_path / "b", salt=1)
-        payload = {"v": list(range(64))}
-        a.store(self.KEY, payload)
-        b.store(self.KEY, payload)
+        """mtime=0: identical content produces identical bytes, so
+        concurrent writers of one content key can never disagree."""
+        a = FFTraceStore(tmp_path / "a")
+        b = FFTraceStore(tmp_path / "b")
+        a.store(self.KEY, self._trace(1))
+        b.store(self.KEY, self._trace(1))
         assert a.path_for(self.KEY).read_bytes() \
             == b.path_for(self.KEY).read_bytes()
 
     def test_no_temp_files_left_behind(self, tmp_path):
-        store = BlobStore(tmp_path, salt=1)
-        store.store(self.KEY, {"v": 1})
+        store = FFTraceStore(tmp_path)
+        store.store(self.KEY, self._trace(1))
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_corruption_and_salt_misses(self, tmp_path):
-        store = BlobStore(tmp_path, salt=1)
-        store.store(self.KEY, {"v": 1})
-        assert BlobStore(tmp_path, salt=2).load(self.KEY) is None
+        store = FFTraceStore(tmp_path)
+        store.store(self.KEY, self._trace(1))
+        other = FFTraceStore(tmp_path)
+        other.salt += 1
+        assert other.load(self.KEY) is None
         store.path_for(self.KEY).write_bytes(b"not gzip")
         assert store.load(self.KEY) is None
-        store.store(self.KEY, {"v": 2})        # rewrite heals
-        assert store.load(self.KEY) == {"v": 2}
+        store.store(self.KEY, self._trace(2))        # rewrite heals
+        assert store.load(self.KEY).scale == 2
 
     def test_clear(self, tmp_path):
-        store = BlobStore(tmp_path, salt=1)
-        store.store(self.KEY, {"v": 1})
-        store.store("cd" * 32, {"v": 2})
+        store = FFTraceStore(tmp_path)
+        store.store(self.KEY, self._trace(1))
+        store.store("cd" * 32, self._trace(2))
         assert store.clear() == 2
         assert len(store) == 0

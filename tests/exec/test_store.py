@@ -1,7 +1,7 @@
 """The record store: atomic writes, corruption tolerance, salt
 invalidation — ``ResultStore`` specifics first, then the one contract
-every store class (``ResultStore``, ``BlobStore``, ``FFTraceStore``)
-and every ``atomic_write`` caller shares."""
+every store class (``ResultStore``, ``FFTraceStore``) and every
+``atomic_write`` caller shares."""
 
 import dataclasses
 import gzip
@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.exec import BlobStore, JobSpec, ResultStore
+from repro.exec import JobSpec, ResultStore
 from repro.exec.store import atomic_write
 from repro.sample.trace import FFInterval, FFTrace, FFTraceStore
 
@@ -214,14 +214,13 @@ class TestInvalidation:
 @dataclasses.dataclass
 class _Kind:
     """How to talk to one store class: its identity type (a spec for
-    the result store, a ready-made content key for the others), its
+    the result store, a ready-made content key for the trace store), its
     payload type and its on-disk codec — the only things the classes
     differ in."""
 
     name: str
     make: object                 # root -> store
     ident: object                # what load/contains/store take
-    gzipped: bool
     payload: object = dataclasses.field(default_factory=lambda: PAYLOAD)
 
     def key(self, store):
@@ -231,12 +230,10 @@ class _Kind:
         return got == want
 
     def read(self, path):
-        data = path.read_bytes()
-        return json.loads(gzip.decompress(data) if self.gzipped else data)
+        return json.loads(path.read_bytes())
 
     def write(self, path, record):
-        data = json.dumps(record).encode("utf-8")
-        path.write_bytes(gzip.compress(data) if self.gzipped else data)
+        path.write_bytes(json.dumps(record).encode("utf-8"))
 
 
 def _trace_payload():
@@ -279,10 +276,8 @@ class _TraceKind(_Kind):
 
 
 KINDS = [
-    _Kind("ResultStore", ResultStore, SPEC, gzipped=False),
-    _Kind("BlobStore", lambda root: BlobStore(root, salt=7), "ab" * 32,
-          gzipped=True),
-    _TraceKind("FFTraceStore", FFTraceStore, "cd" * 32, gzipped=True,
+    _Kind("ResultStore", ResultStore, SPEC),
+    _TraceKind("FFTraceStore", FFTraceStore, "cd" * 32,
                payload=_trace_payload()),
 ]
 
@@ -377,8 +372,8 @@ def _write_result(root, tag):
 
 
 def _write_blob(root, tag):
-    BlobStore(root).store("ab" * 32, {"tag": tag})
-    return lambda: BlobStore(root).load("ab" * 32)["tag"]
+    FFTraceStore(root).store("ab" * 32, FFTrace("conv", tag, {}, "fp", []))
+    return lambda: FFTraceStore(root).load("ab" * 32).scale
 
 
 WRITERS = {"store": _write_result, "blob": _write_blob}

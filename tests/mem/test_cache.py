@@ -192,50 +192,3 @@ class TestL2System:
         assert l2.stats.recalls == 1
         assert (0, victim_addr) not in l2.directory
 
-
-class TestSnapshotValidation:
-    """A snapshot is whatever dict the caller hands over: one that cannot
-    be the state of this bank raises ``ValueError`` and leaves the bank
-    as it was.  (The transfer contract itself is tests/test_warm.py.)"""
-
-    def make(self):
-        bank = CacheBank(1024, 2, 64, name="t")      # 8 sets, 2-way
-        bank.fill(0, 0x40)
-        bank.fill(1, 0x240, LineState.MODIFIED)
-        return bank
-
-    def _rejected(self, mutate):
-        bank = self.make()
-        before = bank.state_dict()
-        snapshot = bank.state_dict()
-        mutate(snapshot["sets"])
-        with pytest.raises(ValueError):
-            bank.load_state(snapshot)
-        assert bank.state_dict() == before
-        assert bank.probe(1, 0x240).state is LineState.MODIFIED
-
-    def test_wrong_set_count_rejected(self):
-        self._rejected(lambda sets: sets.pop())
-
-    def test_oversize_set_rejected(self):
-        """``fill`` evicts one line per insertion, so a set loaded with
-        more than ``assoc`` lines would stay oversize forever."""
-        self._rejected(lambda sets: sets[1].extend(
-            [[0, 0x240 + 0x200 * n, "S"] for n in range(1, 3)]))
-
-    def test_line_under_the_wrong_set_rejected(self):
-        """``probe`` looks only in the set the address hashes to."""
-        self._rejected(lambda sets: sets[3].append([0, 0x40, "S"]))
-
-    def test_unknown_line_state_rejected(self):
-        def exclusive(sets):
-            sets[1][0] = [0, 0x40, "E"]          # MSI only: no such state
-        self._rejected(exclusive)
-
-    def test_full_sets_in_the_right_place_load(self):
-        bank = self.make()
-        snapshot = bank.state_dict()
-        snapshot["sets"][1] = [[0, 0x40, "S"], [0, 0x240, "M"]]
-        bank.load_state(snapshot)
-        assert bank.probe(0, 0x240).state is LineState.MODIFIED
-        assert bank.resident_lines() == 2

@@ -2,19 +2,17 @@
 
 The reference is the same class with every set touched up front — what
 the constructor used to do — so any difference a lazily absent set
-could make (snapshot shape, iteration order, a victim, a stat) shows as
-an inequality between the two.  Plus the places an absent set meets the
-transfer surface: swaps between banks that touched different sets, and
-snapshots that name sets the target never built.
+could make (warm fields, iteration order, a victim, a stat) shows as an
+inequality between the two.  Plus the place an absent set meets the
+transfer surface: swaps between banks that touched different sets.
 """
 
 import dataclasses
-import json
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mem.cache import CacheBank, LineState
+from tests.warm_fields import fields
 
 
 def _eager(*geometry):
@@ -49,7 +47,7 @@ def _apply(bank, op, ctx, addr):
 
 
 def _observe(bank):
-    return (bank.state_dict(), [_line(line) for line in bank.iter_lines()],
+    return (fields(bank), [_line(line) for line in bank.iter_lines()],
             bank.resident_lines(), dataclasses.asdict(bank.stats))
 
 
@@ -69,13 +67,6 @@ def test_lazy_bank_equals_pretouched_bank(geometry, ops):
     for op, ctx, addr in ops:
         assert _apply(lazy, op, ctx, addr) == _apply(eager, op, ctx, addr)
     assert _observe(lazy) == _observe(eager)
-    assert len(lazy.state_dict()["sets"]) == lazy.num_sets
-    # ... and a snapshot of either loads into the other kind.
-    state = json.loads(json.dumps(lazy.state_dict()))
-    fresh_lazy, fresh_eager = CacheBank(*geometry), _eager(*geometry)
-    fresh_lazy.load_state(state)
-    fresh_eager.load_state(state)
-    assert fresh_lazy.state_dict() == fresh_eager.state_dict() == state
 
 
 def test_iter_lines_is_in_set_order_whatever_the_touch_order():
@@ -92,31 +83,13 @@ def test_swap_between_banks_with_disjoint_touched_sets():
         a.fill(0, index * 64)
     for index in (5, 6):
         b.fill(1, index * 64, LineState.MODIFIED)
-    state_a, state_b = a.state_dict(), b.state_dict()
+    state_a, state_b = fields(a), fields(b)
     a.swap_state(b)
-    assert (a.state_dict(), b.state_dict()) == (state_b, state_a)
+    assert (fields(a), fields(b)) == (state_b, state_a)
     # Each bank now answers for the other's lines, and builds the sets
     # it still lacks on demand.
     assert a.probe(1, 5 * 64).state is LineState.MODIFIED
     assert a.probe(0, 0) is None and b.probe(0, 0) is not None
     assert b.fill(0, 7 * 64) is None
     assert a.resident_lines() == 2 and b.resident_lines() == 4
-
-
-@pytest.mark.parametrize("damage", [
-    lambda sets: sets[3].extend([[0, 0xC0 + 0x200 * n, "S"] for n in range(3)]),
-    lambda sets: sets[3].append([0, 0x40, "S"]),
-    lambda sets: sets.pop(),
-    lambda sets: sets.append([]),
-], ids=["oversize", "misfiled", "too-few-sets", "too-many-sets"])
-def test_bad_snapshot_into_a_never_touched_bank_is_rejected(damage):
-    """``check_warm`` reads the decoded snapshot, not the bank's sets:
-    a bank that has built none of its sets still refuses."""
-    bank = CacheBank(1024, 2, 64, name="t")
-    snapshot = bank.state_dict()
-    damage(snapshot["sets"])
-    with pytest.raises(ValueError):
-        bank.load_state(snapshot)
-    assert bank.resident_lines() == 0
-    assert bank.state_dict() == CacheBank(1024, 2, 64).state_dict()
 

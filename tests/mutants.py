@@ -33,7 +33,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 LINT = "repro lint"
 
 _WARM = "tests/test_warm.py::"
-_LOADS_BACK = _WARM + "test_snapshot_survives_json_and_loads_back_equal"
+_SWAP = _WARM + "test_swap_equals_copy_both_ways"
+_WINDOW = _WARM + "test_load_moves_every_reachable_warm_part[shadow-2]"
 _INTERP = "src/repro/isa/interp.py"
 _SHADOW = "src/repro/sample/shadow.py"
 _DECODE = "src/repro/tflex/decode.py"
@@ -58,34 +59,28 @@ _NO_CACHE = ("tests/test_cli.py::TestFFTraceFlags::"
              "test_no_cache_disables_traces_unless_asked")
 
 MUTANTS = [
-    # Leaf WARM lists (REP101's own case): a field left off, or a name
-    # __init__ never assigns.
+    # Leaf WARM lists (REP101's own case): a field left off stays
+    # behind on a swap, and a name __init__ never assigns fails getattr.
     ("REP101-ras-drops-top", "src/repro/predictor/ras.py",
-     'WARM = (("_stack", list, list), ("_top", int, int))',
-     'WARM = (("_stack", list, list),)',
-     ("tests/resil/test_recompose.py::TestTransferRas::"
-      "test_same_capacity_round_trip",)),
+     'WARM = ("_stack", "_top")', 'WARM = ("_stack",)', (_SWAP + "[ras]",)),
     ("REP101-exits-drops-choice", "src/repro/predictor/exits.py",
-     '        ("_choice", list, list),\n', "",
-     (_LOADS_BACK + "[exits]",)),
+     '"_global_pattern", "_choice")', '"_global_pattern")',
+     (_SWAP + "[exits]",)),
     ("REP101-exits-drops-local-hist", "src/repro/predictor/exits.py",
-     '        ("_local_hist", list, list),\n', "",
-     (_LOADS_BACK + "[exits]",)),
+     'WARM = ("_local_hist", ', "WARM = (", (_SWAP + "[exits]",)),
     ("REP101-targets-drops-ctb", "src/repro/predictor/targets.py",
-     '        ("_ctb", _encode_tagged, _decode_tagged),\n', "",
-     (_LOADS_BACK + "[targets]",)),
+     'WARM = ("_btype", "_btb", "_ctb")', 'WARM = ("_btype", "_btb")',
+     (_SWAP + "[targets]",)),
     ("REP101-cache-names-unassigned", "src/repro/mem/cache.py",
-     'WARM = (("_sets", _encode_sets, _decode_sets),)',
-     'WARM = (("_sets", _encode_sets, _decode_sets), ("_mru", list, list))',
-     (_LOADS_BACK + "[cache]",)),
+     'WARM = ("_sets",)', 'WARM = ("_sets", "_mru")', (_SWAP + "[cache]",)),
     # Composites, which REP101 read by attribute name and so missed.
     ("composite-bank-swap-skips-targets", "src/repro/predictor/bank.py",
      "        self.targets.swap_state(other.targets)\n", "",
-     (_WARM + "test_swap_equals_load_roundtrip_both_ways[predictor-bank]",)),
-    ("composite-shadow-load-skips-ras", "src/repro/sample/shadow.py",
-     '            [(self.ras, state["ras"])]\n            + [(bank, snapshot)',
-     "            [(bank, snapshot)",
-     (_LOADS_BACK + "[shadow-2]",)),
+     (_SWAP + "[predictor-bank]",
+      _WARM + "test_swap_moves_every_reachable_warm_part[predictor-bank]")),
+    ("composite-window-swap-skips-ras", "src/repro/sample/engine.py",
+     "pairs = [(proc.ras, shadow.ras), *zip(",
+     "pairs = [*zip(", (_WINDOW,)),
     ("composite-shadow-part-off-surface", "src/repro/sample/shadow.py",
      "        self.skipped = (0, 0)\n",
      "        self.skipped = (0, 0)\n"
@@ -101,7 +96,7 @@ MUTANTS = [
      "                                 victim.state)\n"
      "                return victim\n"
      "            dcache.fill = fill\n",
-     (_WARM + "test_load_moves_every_reachable_warm_part[shadow-2]",)),
+     (_WINDOW,)),
     # The registry <-> docs direction (REP403's case).
     ("REP403-doc-drops-pool-stop", "docs/OBSERVABILITY.md",
      "| `pool.stop` | `respawns, reused` (end-of-sweep pool summary) |\n", "",
@@ -243,6 +238,13 @@ MUTANTS = [
      "        for name, __ in _COLUMNS:\n            yield getattr(iv, name)",
      "        for name, __ in _COLUMNS[1:]:\n            yield getattr(iv, name)",
      (_ROUNDTRIP + "test_encode_decode_roundtrip", _LAYOUT)),
+    ("trace-reg-delta-by-value", _TRACE,
+     "            if _pattern(start_regs[i]) != _pattern(end_regs[i])]",
+     "            if start_regs[i] != end_regs[i]\n"
+     "            or type(start_regs[i]) is not type(end_regs[i])]",
+     ("tests/sample/test_trace.py::TestRegDelta::"
+      "test_negative_zero_is_a_delta",
+      _ROUNDTRIP + "test_negative_zero_register_keeps_its_sign")),
     ("trace-codec-ignores-lengths", _TRACE,
      "        interval.check()\n", "",
      ("tests/sample/test_trace.py::TestPrewarmPartition::"

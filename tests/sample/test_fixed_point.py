@@ -6,8 +6,9 @@ left its structure unchanged, and replays the skipped periods' I-cache
 L2 reads in place.  The reference is ``test_lazy_lru``'s eager
 per-block loop — one block at a time, every line touched on the spot,
 nothing split, deferred or skipped.  Every stream below must leave both
-with equal ``state_dict()``s (the L2's LRU order included), equal live
-and rebuilt directories, and equal global histories.
+with equal warm fields (``tests.warm_fields``; the L2's LRU order
+included), equal live and rebuilt directories, and equal global
+histories.
 """
 
 import random
@@ -22,6 +23,7 @@ from repro.sample.shadow import MAX_LOOP_PERIOD, ShadowUarch
 from repro.tflex.config import tflex_config
 from tests.sample.intervals import interval_of_blocks
 from tests.sample.test_lazy_lru import directory, eager_block, transfer
+from tests.warm_fields import fields
 
 #: A conv-like loop: with 8 KB 2-way I-caches, blocks 0, 4 and 8 map to
 #: one set and evict each other on every iteration.
@@ -86,7 +88,7 @@ def run(ncores, intervals, ops=None, sizes=None, loads=None, stores=None,
         assert ghist == eager_ghist
         skipped.append(lazy.skipped)
     assert directory(lazy) == directory(eager)
-    assert lazy.state_dict() == eager.state_dict()
+    assert fields(lazy) == fields(eager)
     lazy.rebuild_directory()
     eager.rebuild_directory()
     assert directory(lazy) == directory(eager)

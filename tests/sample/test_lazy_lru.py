@@ -7,9 +7,9 @@ D-cache pass and touches a load's line once while it stays MRU.  The
 reference below touches every line of every fetched block on the spot,
 through the public ``CacheBank``/``L2System`` calls the per-block
 warm-up was written with; random streams — tiny I-caches that evict,
-one address fetched at several sizes, unaligned addresses, snapshots
-and state transfers at random points — must leave both with equal
-``state_dict()``s and equal directories.
+one address fetched at several sizes, unaligned addresses, comparisons
+and state transfers at random points — must leave both with equal warm
+fields (``tests.warm_fields``) and equal directories.
 """
 
 from dataclasses import replace
@@ -25,6 +25,7 @@ from repro.sample.shadow import ShadowUarch
 from repro.tflex import interleave
 from repro.tflex.config import tflex_config
 from tests.sample.intervals import interval_of_blocks
+from tests.warm_fields import fields
 
 OPS = ("BRO", "CALLO", "RET", "HALT")
 
@@ -91,15 +92,13 @@ def directory(shadow):
 
 
 def same(shadow, eager):
-    return (shadow.state_dict() == eager.state_dict()
+    return (fields(shadow) == fields(eager)
             and directory(shadow) == directory(eager))
 
 
 def transfer(shadow, kind):
     """What can move a shadow's state between intervals."""
-    if kind == "roundtrip":
-        shadow.load_state(shadow.state_dict())
-    elif kind == "directory":
+    if kind == "directory":
         shadow.rebuild_directory()
     else:                               # window hand-off: out, run, back in
         shadow.settle()
@@ -124,7 +123,7 @@ _block = st.tuples(
 
 _events = st.lists(st.one_of(
     st.lists(_block, min_size=1, max_size=30),           # one interval
-    st.sampled_from(["snapshot", "roundtrip", "directory", "window"])),
+    st.sampled_from(["snapshot", "directory", "window"])),
     min_size=1, max_size=12)
 
 
@@ -208,7 +207,7 @@ def test_loop_nest_defers_and_settles():
     exact across snapshots and transfers; ``settle`` drops the resolved
     footprints."""
     loop = [(n, 0, 40, 0, (n + 1) % 3, "BRO", [], []) for n in range(3)] * 20
-    drive(4, 8192, [loop, "snapshot", loop, "window", loop, "roundtrip", loop])
+    drive(4, 8192, [loop, "snapshot", loop, "window", loop, "directory", loop])
     shadow = make_shadow(4, 8192)
     rows = [(n * BLOCK_STRIDE, 0, 0, "BRO", 1, 0, [], []) for n in range(3)] * 5
     interval = interval_of_blocks(0, [list(c) for c in zip(*rows)])

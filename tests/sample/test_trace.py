@@ -76,13 +76,24 @@ _reg_values = st.one_of(st.integers(-(2 ** 63), 2 ** 63 - 1),
 _regfiles = st.lists(_reg_values, min_size=8, max_size=8)
 
 
+def _patterns(regs):
+    """Registers bit for bit: ``-0.0 == 0.0``, but not here."""
+    return [(type(value), struct.pack("<d", value)
+             if type(value) is float else value) for value in regs]
+
+
 class TestRegDelta:
     @given(_regfiles, _regfiles)
     def test_roundtrip(self, start, end):
         regs = list(start)
         for index, value in _json_roundtrip(encode_reg_delta(start, end)):
             regs[index] = value             # as the replay applies it
-        assert regs == end
+        assert _patterns(regs) == _patterns(end)
+
+    def test_negative_zero_is_a_delta(self):
+        """``0.0 != -0.0`` is false; the register still changed."""
+        delta = encode_reg_delta([0.0, 1, -0.0], [-0.0, 1, 0.0])
+        assert repr(delta) == "[[0, -0.0], [2, 0.0]]"
 
     @given(_regfiles)
     def test_identity_is_empty(self, regs):
@@ -223,6 +234,18 @@ class TestTraceRoundtrip:
         assert len(trace.intervals) == len(intervals)
         for got, want in zip(trace.intervals, intervals):
             assert _same_interval(got, want)
+
+    def test_negative_zero_register_keeps_its_sign(self):
+        """A register that went from 0.0 to -0.0 in an interval resumes
+        as -0.0 after the blob's round trip, as in the live run."""
+        start, end = [0.0, 7, -0.0, 2.5], [-0.0, 7, 0.0, 2.5]
+        interval = _build_interval([], 0, False,
+                                   encode_reg_delta(start, end))
+        decoded = _decoded(_blob(_trace([interval]))).intervals[0]
+        regs = list(start)
+        for index, value in decoded.reg_delta:
+            regs[index] = value
+        assert _patterns(regs) == _patterns(end)
 
     @settings(max_examples=25, deadline=None)
     @given(_intervals)
