@@ -343,7 +343,7 @@ def _compile(pb: PreparedBlock, seg: _Segment):
             y = ""
             if op.has_imm:
                 imm = coerce(pi.imm) if coerce else pi.imm
-                if type(imm) in (int, float):
+                if type(imm) in (int, float) and imm == imm:   # NaN: by name
                     y = f"({imm!r})"
                 else:
                     y = f"c{pos}"

@@ -1,8 +1,9 @@
 """Opcode definitions and evaluation semantics for the EDGE ISA.
 
 Opcode semantics live here, in one place, so that the golden-model
-interpreter (:mod:`repro.isa.interp`) and the cycle-level simulator
-(:mod:`repro.tflex`) are guaranteed to compute identical values.
+interpreter (:mod:`repro.isa.interp`), the cycle-level simulator
+(:mod:`repro.tflex`) and the RISC baseline (:mod:`repro.risc`, through
+``repro.risc.isa.ALU_NAMES``) are guaranteed to compute identical values.
 
 Integer values are 64-bit two's complement; floating point values are
 IEEE-754 doubles (Python floats).  The :func:`evaluate` function is the
@@ -181,11 +182,13 @@ def _w(expr: str) -> str:
             f" else (w + {_HALF}) % {_WRAP} - {_HALF})")
 
 
-#: ALU semantics, the only copy: opcode -> (operand coercion, result type,
-#: expression source).  ``{x}`` is operand 0 and ``{y}`` operand 1 — or,
-#: for the ``*I`` form of a two-operand opcode and for MOVI, the
-#: immediate.  The result type is exact (``type(value) is result``) given
-#: operands of the coerced type; ``None``: the type of what is moved.
+#: ALU semantics, the only copy (the RISC ISA's ALU ops run these rows
+#: too): opcode -> (operand coercion, result type, expression source).
+#: ``{x}`` is operand 0 and ``{y}`` operand 1 — or, for the ``*I`` form
+#: of a two-operand opcode and for MOVI, the immediate.  The result type
+#: is exact (``type(value) is result``) given operands of the coerced
+#: type; ``None``: the type of what is moved.  FDIV by zero gives +inf,
+#: FSQRT of a negative value NaN, and FTOI of a non-finite value 0.
 _ALU = {
     "ADD": (int, int, _w("{x} + {y}")),
     "SUB": (int, int, _w("{x} - {y}")),
@@ -218,7 +221,7 @@ _ALU = {
     "FABS": (float, float, "abs({x})"),
     "FNEG": (float, float, "-{x}"),
     "ITOF": (int, float, "float({x})"),
-    "FTOI": (float, int, "0 if {x} != {x} else " + _w("int({x})")),  # NaN: 0
+    "FTOI": (float, int, "0 if not isfinite({x}) else " + _w("int({x})")),
     "MOV": (None, None, "{x}"),
     "MOVI": (None, None, "{y}"),
 }
@@ -227,7 +230,8 @@ _ALU = {
 #: function built from the table (here and in ``isa.interp``'s compiled
 #: block paths).
 ALU_GLOBALS = {"__builtins__": {}, "int": int, "float": float, "abs": abs,
-               "sqrt": math.sqrt, "inf": math.inf, "nan": math.nan}
+               "sqrt": math.sqrt, "isfinite": math.isfinite,
+               "inf": math.inf, "nan": math.nan}
 
 #: (table row, immediate form?) -> compiled function / factory.
 _COMPILED: dict = {}

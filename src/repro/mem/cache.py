@@ -163,13 +163,6 @@ class CacheBank(WarmState):
         cache_set[key] = Line(ctx=ctx, line_addr=line_addr, state=state)
         return victim
 
-    def upgrade(self, ctx: int, addr: int) -> None:
-        """Transition a resident line to MODIFIED."""
-        line = self.probe(ctx, addr)
-        if line is None:
-            raise KeyError(f"{self.name}: upgrade of absent line {addr:#x}")
-        line.state = LineState.MODIFIED
-
     def invalidate(self, ctx: int, addr: int) -> Optional[Line]:
         """Remove a line (directory-initiated). Returns it if present."""
         line_addr = self.line_addr(addr)

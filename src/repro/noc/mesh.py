@@ -73,15 +73,10 @@ class Topology:
         bad = a if not 0 <= a < n else b
         raise ValueError(f"node {bad} outside {self.width}x{self.height} mesh")
 
-    def route(self, src: int, dst: int) -> list[tuple[int, int]]:
-        """Dimension-order (X then Y) path as a list of directed links.
-
-        Each link is ``(from_node, to_node)`` for adjacent nodes.
-        """
-        return list(self.routes_cached(src, dst))
-
     def routes_cached(self, src: int, dst: int) -> tuple[tuple[int, int], ...]:
-        """Memoized dimension-order path (shared tuple — do not mutate)."""
+        """Memoized dimension-order (X then Y) path, each link
+        ``(from_node, to_node)`` for adjacent nodes (a shared tuple — do
+        not mutate)."""
         key = src * self._num_nodes + dst
         cached = self._routes.get(key)
         if cached is not None:
@@ -110,13 +105,6 @@ class NetworkStats:
     total_latency: int = 0
     contention_cycles: int = 0
     local_deliveries: int = 0
-
-    def merge(self, other: "NetworkStats") -> None:
-        self.messages += other.messages
-        self.hops += other.hops
-        self.total_latency += other.total_latency
-        self.contention_cycles += other.contention_cycles
-        self.local_deliveries += other.local_deliveries
 
     def to_metrics(self, metrics, **labels) -> None:
         """Export into a :class:`repro.obs.MetricsRegistry`.

@@ -18,7 +18,7 @@ call entirely when observability is off) lives with the caller — see
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 #: Histogram buckets: upper bounds 2**0 .. 2**N, plus an overflow slot.
 HISTOGRAM_BUCKETS = 24
@@ -116,13 +116,6 @@ class MetricsRegistry:
     def counter_total(self, name: str) -> float:
         """Sum of a counter over every label combination."""
         return sum(v for (n, __), v in self._counters.items() if n == name)
-
-    def series(self) -> Iterator[str]:
-        """Every live series, formatted, in sorted order."""
-        keys = (list(self._counters) + list(self._gauges)
-                + list(self._histograms))
-        for name, labels in sorted(keys):
-            yield format_series(name, labels)
 
     def __len__(self) -> int:
         return (len(self._counters) + len(self._gauges)

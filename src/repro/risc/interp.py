@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.isa.opcodes import OPCODES, bind_evaluator
 from repro.mem.flatmem import FlatMemory
-from repro.risc.isa import NUM_RISC_REGS, RInst, RiscError, RiscProgram, evaluate_alu
+from repro.risc.isa import (
+    ALU_CLASSES, ALU_NAMES, NUM_RISC_REGS, RInst, RiscError, RiscProgram)
 
 
 @dataclass
@@ -32,6 +34,19 @@ class RiscRunResult:
     trace: Optional[list[TraceEntry]] = None
 
 
+def alu_evaluator(inst: RInst):
+    """``f(a, b)`` computing an ALU instruction from its source registers'
+    values: the EDGE opcode's :func:`repro.isa.opcodes.bind_evaluator`
+    under its :data:`repro.risc.isa.ALU_NAMES` name, the ``*I`` form when
+    the instruction carries an immediate."""
+    name = ALU_NAMES.get(inst.op, inst.op)
+    if inst.imm is not None and name != "MOVI":
+        name += "I"
+    if name not in OPCODES:
+        raise RiscError(f"{inst.describe()}: no ALU form {name}")
+    return bind_evaluator(OPCODES[name], inst.imm)
+
+
 class RiscInterpreter:
     """In-order functional execution (golden model + trace source)."""
 
@@ -42,11 +57,14 @@ class RiscInterpreter:
         self.mem = memory if memory is not None else FlatMemory()
         self.mem.load_image(program.data)
         self.regs: list = [0] * NUM_RISC_REGS
+        self._alu = [alu_evaluator(inst) if inst.opclass in ALU_CLASSES
+                     else None for inst in program.insts]
 
     def run(self, max_insts: int = 5_000_000,
             record_trace: bool = False) -> RiscRunResult:
         program = self.program
         regs = self.regs
+        alu = self._alu
         pc = program.pc_of("main")
         executed = 0
         trace: Optional[list[TraceEntry]] = [] if record_trace else None
@@ -92,9 +110,7 @@ class RiscInterpreter:
             elif op == "JR":
                 next_pc = regs[inst.rs1]
             else:
-                a = regs[inst.rs1]
-                b = regs[inst.rs2]
-                regs[inst.rd] = evaluate_alu(inst, a, b)
+                regs[inst.rd] = alu[pc](regs[inst.rs1], regs[inst.rs2])
 
             regs[0] = 0     # r0 stays zero
             if record_trace:

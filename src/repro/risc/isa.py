@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.util import wrap64
-
 
 NUM_RISC_REGS = 64
 
@@ -34,6 +32,16 @@ OPS: dict[str, tuple[str, int]] = {
     "JAL": ("jump", 1), "JR": ("jump", 1),
     "HALT": ("halt", 1),
 }
+
+
+#: RISC opcode -> the ``repro.isa.opcodes._ALU`` row that computes it,
+#: where the names differ; every other ALU opcode has its EDGE name.
+#: An immediate selects the row's ``*I`` form (LI is MOVI already).
+ALU_NAMES = {"SLT": "TLT", "SLE": "TLE", "SEQ": "TEQ", "SNE": "TNE",
+             "FEQ": "FTEQ", "FLT": "FTLT", "FLE": "FTLE", "LI": "MOVI"}
+
+#: The classes of the opcodes that produce a value through the ALU.
+ALU_CLASSES = frozenset({"alu", "mul", "div", "fp", "fmul", "fdiv"})
 
 
 class RiscError(Exception):
@@ -158,62 +166,3 @@ class RiscProgram:
                 lines.append(f"{name}:")
             lines.append(f"  {pc:4d}  {inst.describe()}")
         return "\n".join(lines)
-
-
-def evaluate_alu(inst: RInst, a, b):
-    """Compute an ALU/FP result (shared by interpreter and timing model)."""
-    op = inst.op
-    if op == "LI":
-        return inst.imm
-    if op == "MOV":
-        return a
-    if op == "NOT":
-        return wrap64(~int(a))
-    if op == "NEG":
-        return wrap64(-int(a))
-    if op in ("FABS",):
-        return abs(float(a))
-    if op == "FNEG":
-        return -float(a)
-    if op == "ITOF":
-        return float(int(a))
-    if op == "FTOI":
-        value = float(a)
-        return 0 if value != value else wrap64(int(value))
-    if op == "FSQRT":
-        import math
-        return math.sqrt(a) if a >= 0 else math.nan
-
-    if inst.imm is not None and op not in ("LD", "LDF", "ST", "STF"):
-        b = inst.imm
-    int_ops = {
-        "ADD": lambda: wrap64(int(a) + int(b)),
-        "SUB": lambda: wrap64(int(a) - int(b)),
-        "MUL": lambda: wrap64(int(a) * int(b)),
-        "DIV": lambda: 0 if int(b) == 0 else wrap64(int(int(a) / int(b))),
-        "MOD": lambda: 0 if int(b) == 0 else wrap64(int(a) - int(int(a) / int(b)) * int(b)),
-        "AND": lambda: int(a) & int(b),
-        "OR": lambda: int(a) | int(b),
-        "XOR": lambda: int(a) ^ int(b),
-        "SHL": lambda: wrap64(int(a) << (int(b) & 63)),
-        "SHR": lambda: wrap64((int(a) % (1 << 64)) >> (int(b) & 63)),
-        "SRA": lambda: wrap64(int(a) >> (int(b) & 63)),
-        "SLT": lambda: int(int(a) < int(b)),
-        "SLE": lambda: int(int(a) <= int(b)),
-        "SEQ": lambda: int(int(a) == int(b)),
-        "SNE": lambda: int(int(a) != int(b)),
-    }
-    if op in int_ops:
-        return int_ops[op]()
-    fp_ops = {
-        "FADD": lambda: float(a) + float(b),
-        "FSUB": lambda: float(a) - float(b),
-        "FMUL": lambda: float(a) * float(b),
-        "FDIV": lambda: float("inf") if float(b) == 0.0 else float(a) / float(b),
-        "FEQ": lambda: int(float(a) == float(b)),
-        "FLT": lambda: int(float(a) < float(b)),
-        "FLE": lambda: int(float(a) <= float(b)),
-    }
-    if op in fp_ops:
-        return fp_ops[op]()
-    raise RiscError(f"evaluate_alu cannot execute {op}")

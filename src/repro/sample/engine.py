@@ -57,7 +57,7 @@ from repro.isa.program import HALT_ADDR
 from repro.mem.flatmem import PAGE_MASK, PAGE_SIZE, FlatMemory
 from repro.sample.config import SamplingConfig
 from repro.sample.shadow import ShadowUarch, rebuild_directory
-from repro.sample.trace import STORE_SIZE, FFInterval, encode_reg_delta
+from repro.sample.trace import STORE_SIZE, FFInterval
 from repro.tflex import TFlexSystem
 from repro.tflex.placement import rectangle
 from repro.tflex.stats import ProcStats
@@ -331,9 +331,9 @@ class SampledRun:
                 self.trace.add(interval)
         else:
             self._land_stores(interval)
-        regs = self.interp.regs
-        for reg, value in interval.reg_delta:   # live: already there
-            regs[reg] = value
+            regs = self.interp.regs
+            for reg, value in interval.end_regs():
+                regs[reg] = value
         if not interval.finished:
             self.ghist = self.shadow.warm(interval, self.ghist,
                                           self.program.block_at)
@@ -380,7 +380,7 @@ class SampledRun:
             if addr == HALT_ADDR:
                 interval.finished = True
                 break
-        interval.reg_delta = encode_reg_delta(start_regs, interp.regs)
+        interval.set_regs(start_regs, interp.regs)
         return interval
 
     def _land_stores(self, interval: FFInterval) -> None:

@@ -35,12 +35,24 @@ interpretation — enforced by the cross-composition differential suite
 memory every column of an interval is a fixed-width ``array``, the data
 columns flat with end offsets (:class:`FFInterval`).  On disk a blob is
 those columns as they are held: a one-line JSON header (schema and key
-echo, byte order, metadata, and per interval its start, register
-delta, ``finished`` flag and column lengths), then each column's raw
-bytes (:func:`encode_trace`), gzip level 1.  The recorder streams it
-into the store's temp file, and a reader fills each column in place
-with one ``readinto`` (:func:`decode_trace`): no Python object per
-block or per store on either side.
+echo, byte order, metadata, and per interval its start, ``finished``
+flag and column lengths), then each column's raw bytes
+(:func:`encode_trace`), gzip level 1::
+
+    {"schema": 4, "key": ..., "intervals": [{"start": ..., "finished":
+     ..., "lengths": [15 column lengths]}, ...]}          (one line)
+    then per interval, in this order:
+      addrs u32 | exits u8 | nexts u32 | branch_ops u8 | insts u8 |
+      loads u8 | load_addrs u64 | load_ends u32 |
+      store_addrs u64 | store_kinds u8 | store_bits 8 B | store_ends u32 |
+      reg_index u8 | reg_kinds u8 | reg_bits 8 B
+
+A value, in memory or in a register, crosses the blob only as its 8
+bytes beside a kind, so a NaN's payload and a zero's sign survive.  The
+recorder streams the blob into the store's temp file, and a reader
+fills each column in place with one ``readinto``
+(:func:`decode_trace`): no Python object per block or per store on
+either side.
 
 Traces follow the result store: on exactly when
 :func:`repro.harness.runner.configure_cache` enabled one, at
@@ -68,7 +80,7 @@ from repro.exec.store import MISS, BlobStore
 
 #: Bump when the trace layout or what it records changes; old blobs
 #: then read as misses.
-TRACE_SCHEMA = 3
+TRACE_SCHEMA = 4
 
 #: The explicit override (:func:`configure_ff_trace`): ``None`` follows
 #: the result store, ``False`` is off, a path is the trace root.
@@ -225,25 +237,6 @@ def trace_key(spec) -> Optional[str]:
 _DOUBLE = struct.Struct("<d")
 
 
-def _pattern(value) -> tuple:
-    """What a register holds, bit for bit: its type and, for a float,
-    its double's bytes (``-0.0 == 0.0`` but the two differ here)."""
-    return type(value), (_DOUBLE.pack(value) if type(value) is float
-                         else value)
-
-
-def encode_reg_delta(start_regs: Sequence, end_regs: Sequence) -> list:
-    """Sparse ``[[index, value], ...]`` delta between two register
-    files of equal length (typically a handful of entries per
-    interval against the 128-register file): every register whose
-    type or bit pattern changed."""
-    if len(start_regs) != len(end_regs):
-        raise ValueError(f"register files differ in length: "
-                         f"{len(start_regs)} vs {len(end_regs)}")
-    return [[i, end_regs[i]] for i in range(len(start_regs))
-            if _pattern(start_regs[i]) != _pattern(end_regs[i])]
-
-
 def store_bits(size: int, value, fp) -> bytes:
     """A store's value as :class:`FFInterval` keeps it: 8 little-endian
     bytes, an int as its signed 64-bit pattern and an fp value as its
@@ -261,15 +254,22 @@ def store_bits(size: int, value, fp) -> bytes:
     return value.to_bytes(8, "little", signed=True)
 
 
+def _bits(value) -> bytes:
+    """A register's value as the register columns keep it (see
+    :func:`store_bits`)."""
+    return store_bits(8, value, type(value) is float)
+
+
 #: Every column of an interval, in blob order, with its ``array`` type
-#: code (``None``: the ``bytearray`` of store values).  Block addresses
-#: lie in the code segment, far below 4 GiB, and a block has at most
-#: 128 instructions and 8 exits.
+#: code (``None``: a ``bytearray`` of 8-byte values).  Block addresses
+#: lie in the code segment, far below 4 GiB, a block has at most 128
+#: instructions and 8 exits, and the register file 128 registers.
 _COLUMNS = (("addrs", "I"), ("exits", "B"), ("nexts", "I"),
             ("branch_ops", "B"), ("insts", "B"), ("loads", "B"),
             ("load_addrs", "Q"), ("load_ends", "I"),
             ("store_addrs", "Q"), ("store_kinds", "B"),
-            ("store_bits", None), ("store_ends", "I"))
+            ("store_bits", None), ("store_ends", "I"),
+            ("reg_index", "B"), ("reg_kinds", "B"), ("reg_bits", None))
 
 #: The columns with one entry per block.
 _PER_BLOCK = ("exits", "nexts", "branch_ops", "insts", "loads",
@@ -279,6 +279,8 @@ _PER_BLOCK = ("exits", "nexts", "branch_ops", "insts", "loads",
 _FP = 0x80
 STORE_SIZE = 0x7F
 _STORE_KINDS = bytes((1, 2, 4, 8, 8 | _FP))
+#: ``reg_kinds``: an int register's and an fp register's store kind.
+_REG_KINDS = bytes((8, 8 | _FP))
 
 
 def block_spans(ends):
@@ -301,19 +303,20 @@ class FFInterval:
     (``store_addrs``), its size with the ``_FP`` flag (``store_kinds``)
     and its value as 8 little-endian bytes (``store_bits``, see
     :func:`store_bits`).  A store's first ``size`` bytes there are the
-    bytes replay writes.
+    bytes replay writes.  The register columns hold, per register the
+    interval changed, its number (``reg_index``), its kind as a store's
+    (``reg_kinds``: 8, with ``_FP`` for a float) and its end value's 8
+    bytes (``reg_bits``), written by the same :func:`store_bits`.
     """
 
-    __slots__ = ("start", *(name for name, __ in _COLUMNS), "reg_delta",
-                 "finished", "_load_lines")
+    __slots__ = ("start", *(name for name, __ in _COLUMNS), "finished",
+                 "_load_lines")
 
-    def __init__(self, start: int, *, reg_delta=(),
-                 finished: bool = False) -> None:
+    def __init__(self, start: int, *, finished: bool = False) -> None:
         self.start = start
         for name, typecode in _COLUMNS:
             setattr(self, name,
                     bytearray() if typecode is None else array(typecode))
-        self.reg_delta = reg_delta        # [[index, value], ...] at the end
         self.finished = finished
         self._load_lines: dict = {}
 
@@ -325,6 +328,31 @@ class FFInterval:
         self.store_bits += store_bits(size, value, fp)
         self.store_addrs.append(addr)
         self.store_kinds.append(size | _FP if fp else size)
+
+    def add_reg(self, index: int, value) -> None:
+        """Append one register's end value to the register columns."""
+        self.reg_bits += _bits(value)
+        self.reg_index.append(index)
+        self.reg_kinds.append(8 | _FP if type(value) is float else 8)
+
+    def set_regs(self, start_regs: Sequence, end_regs: Sequence) -> None:
+        """Keep every register whose kind or bits differ between two
+        register files of equal length: ``-0.0 == 0.0`` and ``1 == 1.0``
+        are changes here, and an unchanged NaN is none."""
+        for index, (old, new) in enumerate(zip(start_regs, end_regs,
+                                               strict=True)):
+            if old is not new and (type(old) is not type(new)
+                                   or _bits(old) != _bits(new)):
+                self.add_reg(index, new)
+
+    def end_regs(self):
+        """``(index, value)`` per kept register, bit for bit as kept."""
+        bits = self.reg_bits
+        for at, (index, kind) in enumerate(zip(self.reg_index,
+                                               self.reg_kinds)):
+            raw = bits[8 * at:8 * at + 8]
+            yield index, (_DOUBLE.unpack(raw)[0] if kind & _FP
+                          else int.from_bytes(raw, "little", signed=True))
 
     def load_lines(self, line_size: int) -> tuple:
         """``(lines, ends)``: per block, the lines its loads touch, a
@@ -346,9 +374,14 @@ class FFInterval:
     def check(self) -> None:
         """Raise ``ValueError`` unless the columns agree: one entry per
         block in each per-block column, end offsets that end at their
-        data column's length, 8 value bytes per store, and every store
-        kind one :func:`store_bits` admits."""
+        data column's length, 8 value bytes per store and per register,
+        every store kind one :func:`store_bits` admits, every register
+        kind an int's or a float's, and every register number below the
+        register file's 128."""
+        from repro.isa.block import NUM_REGS
+
         blocks, stores = len(self.addrs), len(self.store_addrs)
+        regs = len(self.reg_index)
         if not (all(len(getattr(self, name)) == blocks
                     for name in _PER_BLOCK)
                 and (self.load_ends[-1] if blocks else 0)
@@ -357,7 +390,12 @@ class FFInterval:
                 and len(self.store_kinds) == stores
                 and len(self.store_bits) == 8 * stores
                 and not self.store_kinds.tobytes().translate(
-                    None, _STORE_KINDS)):
+                    None, _STORE_KINDS)
+                and len(self.reg_kinds) == regs
+                and len(self.reg_bits) == 8 * regs
+                and max(self.reg_index, default=0) < NUM_REGS
+                and not self.reg_kinds.tobytes().translate(
+                    None, _REG_KINDS)):
             raise ValueError(f"inconsistent columns in the interval at "
                              f"{self.start:#x}")
 
@@ -382,17 +420,17 @@ def encode_trace(trace: FFTrace, key: str, schema: int):
     """One trace's blob, uncompressed, in pieces: a one-line JSON
     header — the schema and key echo, the byte order, the trace's
     metadata, the branch kinds ``branch_ops`` indexes, and per interval
-    its start, register delta, ``finished`` flag and column lengths —
-    then every interval's columns' raw bytes in :data:`_COLUMNS` order.
-    The columns go out as they are held: no per-value conversion."""
+    its start, ``finished`` flag and column lengths — then every
+    interval's columns' raw bytes in :data:`_COLUMNS` order.  The
+    columns go out as they are held: no per-value conversion, and no
+    register or memory value in the header."""
     from repro.isa.opcodes import BRANCH_KINDS
 
     header = {"schema": schema, "key": key, "byteorder": sys.byteorder,
               "bench": trace.bench, "scale": trace.scale,
               "sampling": trace.sampling, "program": trace.program,
               "branch_kinds": BRANCH_KINDS,
-              "intervals": [{"start": iv.start, "regs": iv.reg_delta,
-                             "finished": iv.finished,
+              "intervals": [{"start": iv.start, "finished": iv.finished,
                              "lengths": [len(getattr(iv, name))
                                          for name, __ in _COLUMNS]}
                             for iv in trace.intervals]}
@@ -418,8 +456,7 @@ def decode_trace(blob, key: str, schema: int) -> FFTrace:
         raise ValueError("not a trace blob of this schema, key and host")
     intervals = []
     for raw in header["intervals"]:
-        interval = FFInterval(raw["start"], reg_delta=raw["regs"],
-                              finished=raw["finished"])
+        interval = FFInterval(raw["start"], finished=raw["finished"])
         lengths = raw["lengths"]
         if len(lengths) != len(_COLUMNS) or min(lengths) < 0:
             raise ValueError(f"column lengths {lengths}")

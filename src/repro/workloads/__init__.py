@@ -15,5 +15,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "Benchmark": "suite",
     "BENCHMARKS": "suite",
     "verify_edge_run": "suite",
-    "read_array_values": "suite",
 })

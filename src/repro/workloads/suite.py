@@ -80,35 +80,20 @@ def _array_slot(kernel: KernelProgram, array_name: str) -> tuple:
     raise KeyError(f"{kernel.name}: no array {array_name!r}")
 
 
-def read_array_values(kernel: KernelProgram, load, array_name: str) -> list:
-    """Read one array back given ``load(addr, size, fp) -> value``."""
-    offset, arr = _array_slot(kernel, array_name)
-    return [load(offset + 8 * i, 8, arr.elem == "float")
-            for i in range(arr.size)]
-
-
 def verify_edge_run(kernel: KernelProgram, memory, expected: dict,
                     rel_tol: float = 1e-9) -> None:
-    """Assert that a simulator/interpreter memory matches the reference.
+    """Assert that a simulator/interpreter ``FlatMemory`` matches the
+    reference.
 
     ``expected`` maps array names to value prefixes (shorter lists check
-    only the written prefix)."""
-    read_bytes = getattr(memory, "read_bytes", None)
+    only the written prefix).  Each prefix is one ranged read and one
+    unpack: ``<q`` is ``FlatMemory.load``'s size-8 int (two's-complement
+    signed 64-bit) and ``<d`` its IEEE double."""
     for array_name, values in expected.items():
         n = len(values)
-        if read_bytes is not None:
-            # Bulk path: one ranged read + one unpack covering exactly
-            # the checked prefix.  ``<q`` matches ``FlatMemory.load``'s
-            # size-8 semantics (two's-complement signed 64-bit) and
-            # ``<d`` its IEEE-double decode, so the values compared are
-            # identical to the per-element path below.
-            offset, arr = _array_slot(kernel, array_name)
-            got = struct.unpack(
-                ("<%dd" if arr.elem == "float" else "<%dq") % n,
-                read_bytes(offset, 8 * n))
-        else:
-            got = read_array_values(
-                kernel, lambda a, s, fp: memory.load(a, s, fp=fp), array_name)
+        offset, arr = _array_slot(kernel, array_name)
+        got = struct.unpack(("<%dd" if arr.elem == "float" else "<%dq") % n,
+                            memory.read_bytes(offset, 8 * n))
         for i, reference in enumerate(values):
             actual = got[i]
             if isinstance(reference, float):

@@ -4,13 +4,16 @@
 cluster of definitions that only reach each other passes it.  This
 script asks what runs.  It copies the tree to a temporary directory and
 runs :data:`TRAFFIC` there — every example, the CLI commands and the
-figure harnesses, at small sizes and ``--jobs 1`` throughout, so that
-no forked worker's ``os._exit`` hides its calls.  Each Python process
-gets a profiler (``sys.setprofile`` and ``threading.setprofile``,
-installed by a ``sitecustomize`` module put first on ``PYTHONPATH``)
-that writes the code objects it ran when the process exits.  The script
-then prints every function definition under ``src/repro`` whose code
-never ran, and a count.
+figure harnesses, at small sizes and ``--jobs 1``, plus one ``--jobs 2``
+sweep through the worker pool and a sampled run in a fresh process that
+replays the trace an earlier one stored.  Each Python process gets a
+profiler (``sys.setprofile`` and ``threading.setprofile``, installed by
+a ``sitecustomize`` module put first on ``PYTHONPATH``) that writes the
+code objects it ran when the process exits — at exit, or in
+``os._exit``, which a forked pool worker leaves by.  The script then
+prints every function definition under ``src/repro`` whose code never
+ran, and a count: first those :data:`REASONS` explains, each with its
+reason, then the rest.
 
 Run it from the repo root::
 
@@ -50,6 +53,9 @@ TRAFFIC = [
     ("repro", ("run", "conv", "--cores", "4", "--cache-dir", "{store}")),
     ("repro", ("run", "conv", "--cores", "4", "--sample",
                "--cache-dir", "{store}")),
+    # Another composition, so a result miss that replays the stored blob.
+    ("repro", ("run", "conv", "--cores", "8", "--sample",
+               "--cache-dir", "{store}")),
     ("repro", ("disasm", "conv")),
     ("repro", ("timeline", "conv", "--cores", "4")),
     ("repro", ("profile", "conv", "--cores", "4")),
@@ -62,14 +68,61 @@ TRAFFIC = [
                *_SWEEP)),
     ("repro", ("search", *_PAIR, *_SWEEP)),
     ("repro", ("fig6", "--scale", "2", "--sample", *_PAIR, *_SWEEP)),
+    # A store of its own, so the pool's workers simulate.
+    ("repro", ("fig6", *_PAIR, "--jobs", "2", "--cache-dir", "{store}-pool")),
     ("repro", ("cache", "gc", "--dry-run", "--cache-dir", "{store}")),
     ("pytest", ("-q", "-p", "no:cacheprovider", "benchmarks",
                 "--ignore=benchmarks/perf")),
 ]
 
+_ERROR = "an error or debug path, which no correct run takes"
+_RETRY = "a worker crash or a retry, which no correct run takes"
+_INJECT = ("a fault only `repro run --inject` schedules: a mid-run core "
+           "kill and the recomposition it starts, or a degraded link "
+           "(figR injects only boot-time dead cores)")
+_RAS = ("the distributed RAS and the calls that would use it: the suite "
+        "has no call (ROADMAP item 8)")
+_TARGET = "the paper's 9-bit target format, which docs/ISA.md keeps"
+_GOLDEN = "golden fixture regeneration, run by hand for a model change"
+
+#: Definitions the traffic never runs on purpose: ``module.qualname``
+#: (the module file's stem, then the name as printed) -> why.  They are
+#: printed apart from the rest, which are the candidates to delete or
+#: give traffic.
+REASONS = {
+    "datapath.DatapathMixin._bad_address": _ERROR,
+    "system.TFlexSystem._dump": _ERROR,
+    "processor.ComposedProcessor.debug_state": _ERROR,
+    **{f"pool.WorkerPool.{name}": _RETRY
+       for name in ("_respawn", "_lost", "_stop")},
+    "executor.ParallelExecutor._note_retry": _RETRY,
+    "progress.ProgressReporter.note_retry": _RETRY,
+    **{f"recompose.{name}": _INJECT for name in (
+        "RecompositionEngine.on_core_failure", "RecompositionEngine._recover",
+        "RecompositionEngine._resume",
+        "RecompositionEngine._recovery_latency", "RecoveryReport.to_dict",
+        "transfer_ras")},
+    "protocol.ProtocolMixin.interrupt": _INJECT,
+    "mesh.Network.degrade_link": _INJECT,
+    "mesh.Network._delay_degraded": _INJECT,
+    "injector.FaultInjector._fire_kill": _INJECT,
+    "injector.FaultInjector._nets": _INJECT,
+    "faults.parse_inject": _INJECT,
+    **{f"ras.DistributedRas.{name}": _RAS for name in (
+        "core_of_slot", "top_core", "depth", "checkpoint", "push", "pop",
+        "restore")},
+    "edge_backend._EdgeFunc._emit_call": _RAS,
+    "risc_backend._RiscFunc._emit_call": _RAS,
+    "instruction.Target.encode": _TARGET,
+    "instruction.Target.decode": _TARGET,
+    **{f"golden.{name}": _GOLDEN for name in (
+        "_fig6_payload", "_normalized_payload", "_fig9_payload",
+        "_fig10_payload", "collect_fixtures", "write_fixtures", "main")},
+}
+
 #: Written as ``sitecustomize.py``; ``{src}`` and ``{out}`` are filled in.
 _PROFILER = '''\
-import atexit, json, sys, tempfile, threading
+import atexit, json, os, sys, tempfile, threading
 
 _seen = set()
 
@@ -91,6 +144,14 @@ def _dump():
     fd, __ = tempfile.mkstemp(dir={out!r}, suffix=".json")
     with open(fd, "w") as handle:
         json.dump(ran, handle)
+
+
+def _exit(status, _exit=os._exit):
+    _dump()
+    _exit(status)
+
+
+os._exit = _exit
 '''
 
 
@@ -162,10 +223,25 @@ def main() -> int:
         never = [(path.relative_to(tree), line, name, lines)
                  for path, line, name, lines in defs
                  if (str(path), line) not in ran]
-    for path, line, name, lines in never:
-        print(f"{path}:{line} {name} ({lines} lines)")
+    def key(row):
+        return f"{row[0].stem}.{row[2]}"
+
+    explained = [row for row in never if key(row) in REASONS]
+    for row in explained:
+        path, line, name, lines = row
+        print(f"{path}:{line} {name} ({lines} lines): {REASONS[key(row)]}")
+    print(f"{len(explained)} of them explained above\n")
+    for row in never:
+        if key(row) not in REASONS:
+            path, line, name, lines = row
+            print(f"{path}:{line} {name} ({lines} lines)")
+    stale = sorted(set(REASONS) - {key(row) for row in defs})
+    if stale:
+        print(f"REASONS names no definition: {', '.join(stale)}")
     print(f"{len(never)} of {len(defs)} function definitions "
-          f"({sum(lines for *__, lines in never)} lines) never ran")
+          f"({sum(lines for *__, lines in never)} lines) never ran, "
+          f"{len(explained)} ({sum(row[3] for row in explained)} lines) "
+          f"explained")
     return 1 if failed else 0
 
 

@@ -238,7 +238,8 @@ class _Kind:
 
 def _trace_payload():
     """A one-interval trace with a load, an int and an fp store."""
-    interval = FFInterval(0, reg_delta=[[3, -7]], finished=True)
+    interval = FFInterval(0, finished=True)
+    interval.add_reg(3, -7)
     for name, value in (("addrs", 64), ("exits", 1), ("nexts", 0),
                         ("branch_ops", 0), ("insts", 5), ("loads", 1),
                         ("load_ends", 1), ("store_ends", 2)):

@@ -306,3 +306,41 @@ class TestWrapFastPath:
         assert alu_source(OPCODES["MOVI"]) is _ALU["MOVI"]
         with pytest.raises(ValueError):
             alu_source(OPCODES["LDD"])
+
+
+# ----------------------------------------------------------------------
+# FTOI of a non-finite value: one rule, on every machine
+# ----------------------------------------------------------------------
+
+NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
+def test_ftoi_of_non_finite_is_zero_on_every_machine():
+    """``FTOI`` of +inf, -inf and NaN gives 0 on the EDGE interpreter, a
+    4-core TFlex run and the RISC interpreter (which runs the same row)."""
+    from repro.isa import BlockBuilder, Interpreter, Program
+    from repro.risc import RiscInterpreter, RiscProgram
+    from repro.risc.isa import RInst
+    from repro.tflex import run_program
+
+    program = Program(entry="b0", name="ftoi")
+    b = BlockBuilder("b0")
+    for reg, value in enumerate(NON_FINITE, start=1):
+        b.write(reg, b.op("FTOI", b.movi(value)))
+    b.branch("HALT", exit_id=0)
+    program.add_block(b.build())
+    interp = Interpreter(program)
+    assert interp.run().halted
+    proc = run_program(program, num_cores=4)
+
+    risc = RiscProgram(name="ftoi")
+    risc.label("main")
+    for reg, value in enumerate(NON_FINITE, start=1):
+        risc.emit(RInst("LI", rd=10 + reg, imm=value))
+        risc.emit(RInst("FTOI", rd=reg, rs1=10 + reg))
+    risc.emit(RInst("HALT"))
+    risc_interp = RiscInterpreter(risc)
+    assert risc_interp.run().halted
+
+    for regs in (interp.regs, proc.regs, risc_interp.regs):
+        assert [(type(v), v) for v in regs[1:4]] == [(int, 0)] * 3

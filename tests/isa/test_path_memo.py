@@ -12,6 +12,7 @@ final state, equal ``InterpError`` text.
 """
 
 import dataclasses
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from repro.isa import BlockBuilder, Interpreter, InterpError, Program
 from repro.isa.program import DATA_BASE, HALT_ADDR
 from repro.workloads import BENCHMARKS
 
+from tests.bits import exact
 from tests.generated_programs import selector_loop, selector_loops
 from tests.sample_programs import ALL_SAMPLES
 
@@ -59,14 +61,14 @@ def lockstep(program, max_blocks=100_000):
         assert got_error == want_error
         if want_error is not None:
             return want_error
-        # repr: 1 and 1.0 and True must not compare equal here.
-        assert repr(dataclasses.asdict(got)) == repr(dataclasses.asdict(want))
+        # Bit for bit: 1, 1.0 and True, or 0.0 and -0.0, differ here.
+        assert exact(dataclasses.asdict(got)) == exact(dataclasses.asdict(want))
         plain.commit(want)
         memo.commit(got)
         addr = want.next_addr
     else:
         raise AssertionError("block budget exhausted")
-    assert repr(memo.regs) == repr(plain.regs)
+    assert exact(memo.regs) == exact(plain.regs)
     assert memo.mem._pages == plain.mem._pages
     return None
 
@@ -107,7 +109,7 @@ def test_whole_program_run_matches_after_relearning():
     first, second = Interpreter(program), Interpreter(program)
     a = first.run(record_path=True)
     b = second.run(record_path=True)
-    assert a == b and first.regs == second.regs
+    assert a == b and exact(first.regs) == exact(second.regs)
     assert first.mem._pages == second.mem._pages
 
 
@@ -371,13 +373,25 @@ def test_operand_types_on_compiled_paths(selectors):
     interp.run()
     last = len(selectors) - 1
     want = [9, 5, 9.0, 5.0, -1, int(last + 2.5), 2 + last]
-    assert repr(interp.regs[11:18]) == repr(want)
+    assert exact(interp.regs[11:18]) == exact(want)
     r18 = r19 = 0           # ADDI(phi(first, 3, 2.5), 1) when second holds
     for sel in selectors:
         p, q = sel & 1, sel >> 1
         r18 = (4 if p else 3) if q else r18
         r19 = (4 if q else 3) if p else r19
-    assert repr(interp.regs[18:20]) == repr([r18, r19])
+    assert exact(interp.regs[18:20]) == exact([r18, r19])
+
+
+def test_a_nan_immediate_keeps_its_bits_on_a_compiled_path():
+    """A MOVI of a negative NaN with a payload: the compiled path names
+    the constant instead of printing it, since ``repr`` would read back
+    as ``nan``, another NaN."""
+    nan = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0001))[0]
+
+    def body(b, prog, i, sel):
+        b.write(11, b.movi(nan))
+
+    assert lockstep(_loop("nan", [0] * 3, body)) is None
 
 
 def _same_error_every_run(program, kind, runs=3):
@@ -426,7 +440,7 @@ def test_value_dependent_error_on_a_compiled_path():
             interp.commit(execute(interp, body_block))
         with pytest.raises(ValueError, match="NaN"):
             execute(interp, body_block)
-    assert repr(plain.regs) == repr(memo.regs)
+    assert exact(plain.regs) == exact(memo.regs)
 
 
 # ----------------------------------------------------------------------
@@ -468,7 +482,7 @@ def test_loads_on_a_compiled_path(op, size, signed):
         outcome = interp.execute_block(block)
         interp.commit(outcome)
         want = reference.load(addr, size, fp=signed is None)
-        assert repr(interp.regs[11]) == repr(want)
+        assert exact(interp.regs[11]) == exact(want)
         assert outcome.load_addrs[-1] == addr
     if op == "LDD":
         interp = Interpreter(program)

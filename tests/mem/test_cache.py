@@ -58,19 +58,17 @@ class TestCacheBank:
         assert bank.stats.writebacks == 1
 
     def test_upgrade_and_invalidate(self):
+        """A fill of a resident line is its upgrade: the state changes,
+        nothing is evicted."""
         bank = self.make()
         bank.fill(0, 0x2000)
-        bank.upgrade(0, 0x2000)
+        assert bank.fill(0, 0x2000, LineState.MODIFIED) is None
         assert bank.probe(0, 0x2000).state is LineState.MODIFIED
+        assert bank.resident_lines() == 1
         line = bank.invalidate(0, 0x2000)
         assert line is not None
         assert bank.probe(0, 0x2000) is None
         assert bank.invalidate(0, 0x2000) is None
-
-    def test_upgrade_absent_raises(self):
-        bank = self.make()
-        with pytest.raises(KeyError):
-            bank.upgrade(0, 0x3000)
 
     @given(st.lists(st.integers(0, 255), min_size=1, max_size=200))
     def test_occupancy_bounded(self, line_numbers):

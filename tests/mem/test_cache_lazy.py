@@ -38,12 +38,7 @@ def _apply(bank, op, ctx, addr):
         return _line(bank.fill(ctx, addr))
     if op == "fill-m":
         return _line(bank.fill(ctx, addr, LineState.MODIFIED))
-    if op == "invalidate":
-        return _line(bank.invalidate(ctx, addr))
-    try:
-        return bank.upgrade(ctx, addr)
-    except KeyError as exc:
-        return str(exc)
+    return _line(bank.invalidate(ctx, addr))
 
 
 def _observe(bank):
@@ -53,7 +48,7 @@ def _observe(bank):
 
 _ops = st.lists(st.tuples(
     st.sampled_from(["read", "write", "probe", "fill", "fill-m",
-                     "invalidate", "upgrade"]),
+                     "invalidate"]),
     st.integers(0, 2),                       # ctx
     st.integers(0, 4095)), max_size=120)     # 64 lines over 8 or 16 sets
 _geometries = st.sampled_from([(1024, 2, 64), (2048, 1, 64), (4096, 4, 64)])

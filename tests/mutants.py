@@ -49,6 +49,7 @@ _DECODED = ("tests/sample/test_trace.py::"
             "test_decoded_trace_replays_like_the_recorded_one")
 _ROUNDTRIP = "tests/sample/test_trace.py::TestTraceRoundtrip::"
 _LAYOUT = _ROUNDTRIP + "test_blob_is_a_header_line_then_column_bytes"
+_REGS = "tests/sample/test_trace.py::TestRegDelta::"
 _SIMULATE = "src/repro/harness/simulate.py"
 _RESIL_RUN = "tests/resil/test_run.py::"
 _KILL = _RESIL_RUN + "TestKillRecovery::"
@@ -239,12 +240,27 @@ MUTANTS = [
      "        for name, __ in _COLUMNS[1:]:\n            yield getattr(iv, name)",
      (_ROUNDTRIP + "test_encode_decode_roundtrip", _LAYOUT)),
     ("trace-reg-delta-by-value", _TRACE,
-     "            if _pattern(start_regs[i]) != _pattern(end_regs[i])]",
-     "            if start_regs[i] != end_regs[i]\n"
-     "            or type(start_regs[i]) is not type(end_regs[i])]",
-     ("tests/sample/test_trace.py::TestRegDelta::"
-      "test_negative_zero_is_a_delta",
+     "                                   or _bits(old) != _bits(new)):",
+     "                                   or old != new):",
+     (_REGS + "test_negative_zero_is_a_delta",
       _ROUNDTRIP + "test_negative_zero_register_keeps_its_sign")),
+    ("trace-reg-kind-dropped", _TRACE,
+     "            yield index, (_DOUBLE.unpack(raw)[0] if kind & _FP\n"
+     "                          else int.from_bytes(",
+     "            yield index, (int.from_bytes(",
+     (_REGS + "test_roundtrip",
+      _ROUNDTRIP + "test_negative_zero_register_keeps_its_sign")),
+    # One fp semantics: the ALU table's FTOI is total, and the oracle
+    # compares bits.
+    ("ftoi-nonfinite-raises", "src/repro/isa/opcodes.py",
+     '"0 if not isfinite({x}) else "', '"0 if {x} != {x} else "',
+     ("tests/isa/test_opcodes.py::"
+      "test_ftoi_of_non_finite_is_zero_on_every_machine",)),
+    ("oracle-compares-by-value", "tests/bits.py",
+     "        return float, _DOUBLE.pack(value)",
+     "        return float, value",
+     ("tests/tflex/test_random_programs.py::"
+      "test_oracle_compares_bits_not_values",)),
     ("trace-codec-ignores-lengths", _TRACE,
      "        interval.check()\n", "",
      ("tests/sample/test_trace.py::TestPrewarmPartition::"

@@ -40,14 +40,14 @@ class TestTopology:
     @given(st.integers(0, 31), st.integers(0, 31))
     def test_route_length_is_distance(self, a, b):
         topo = Topology(4, 8)
-        links = topo.route(a, b)
+        links = topo.routes_cached(a, b)
         assert len(links) == topo.distance(a, b)
 
     @given(st.integers(0, 31), st.integers(0, 31))
     def test_route_is_connected(self, a, b):
         topo = Topology(4, 8)
         node = a
-        for src, dst in topo.route(a, b):
+        for src, dst in topo.routes_cached(a, b):
             assert src == node
             assert topo.distance(src, dst) == 1
             node = dst

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.risc import OoOCore, OoOConfig, RiscInterpreter, RiscProgram, RiscError
-from repro.risc.isa import RInst, evaluate_alu
+from repro.isa.opcodes import _ALU, OPCODES
+from repro.risc.interp import alu_evaluator
+from repro.risc.isa import ALU_CLASSES, ALU_NAMES, OPS, RInst
 
 
 def program_sum_loop(n=10) -> RiscProgram:
@@ -23,11 +25,26 @@ def program_sum_loop(n=10) -> RiscProgram:
 
 class TestIsa:
     def test_evaluate_alu_basics(self):
-        assert evaluate_alu(RInst("ADD", rs1=1, rs2=2), 2, 3) == 5
-        assert evaluate_alu(RInst("ADD", rs1=1, imm=10), 2, None) == 12
-        assert evaluate_alu(RInst("SLT", rs1=1, rs2=2), 1, 2) == 1
-        assert evaluate_alu(RInst("FMUL", rs1=1, rs2=2), 1.5, 2.0) == 3.0
-        assert evaluate_alu(RInst("LI", imm=-3), None, None) == -3
+        assert alu_evaluator(RInst("ADD", rs1=1, rs2=2))(2, 3) == 5
+        assert alu_evaluator(RInst("ADD", rs1=1, imm=10))(2, None) == 12
+        assert alu_evaluator(RInst("SLT", rs1=1, rs2=2))(1, 2) == 1
+        assert alu_evaluator(RInst("SLE", rs1=1, imm=1))(2, None) == 0
+        assert alu_evaluator(RInst("FMUL", rs1=1, rs2=2))(1.5, 2.0) == 3.0
+        assert alu_evaluator(RInst("LI", imm=-3))(None, None) == -3
+
+    def test_name_map_covers_every_alu_opcode(self):
+        """Every value-producing RISC opcode runs an EDGE ``_ALU`` row,
+        and every opcode the map renames exists on both sides."""
+        alu_ops = [op for op, (cls, __) in OPS.items() if cls in ALU_CLASSES]
+        assert set(ALU_NAMES) <= set(alu_ops)
+        for op in alu_ops:
+            name = ALU_NAMES.get(op, op)
+            assert name in _ALU and name in OPCODES, op
+            alu_evaluator(RInst(op, rd=1, rs1=1, rs2=2,
+                                imm=0 if op == "LI" else None))
+        for op in ("ADD", "SUB", "MUL", "DIV", "MOD", "AND", "OR", "XOR",
+                   "SHL", "SHR", "SRA", "SLT", "SLE", "SEQ", "SNE"):
+            alu_evaluator(RInst(op, rd=1, rs1=1, imm=3))   # the *I form
 
     def test_sources_and_destination(self):
         st = RInst("ST", rs1=1, rs2=2, imm=0)

@@ -9,12 +9,15 @@ from repro.sample.trace import FFInterval
 CONTROL = ("addrs", "exits", "nexts", "branch_ops", "insts", "loads")
 
 
-def interval_of_blocks(start: int, columns, *, reg_delta=(),
+def interval_of_blocks(start: int, columns, *, regs=(),
                        finished: bool = False) -> FFInterval:
     """An interval from per-block columns: the six control columns
     (branch ops by name), then the load addresses and the stores, one
-    list per block (stores as flat ``addr, size, value, fp01`` quads)."""
-    interval = FFInterval(start, reg_delta=reg_delta, finished=finished)
+    list per block (stores as flat ``addr, size, value, fp01`` quads);
+    ``regs`` holds ``(index, value)`` per register it ends with."""
+    interval = FFInterval(start, finished=finished)
+    for index, value in regs:
+        interval.add_reg(index, value)
     *control, load_addrs, stores = columns
     control[3] = map(BRANCH_KINDS.index, control[3])
     for name, column in zip(CONTROL, control):

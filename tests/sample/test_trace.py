@@ -34,7 +34,6 @@ from repro.sample.trace import (
     ReplaySession,
     configure_ff_trace,
     decode_trace,
-    encode_reg_delta,
     encode_trace,
     prewarm_partition,
     reset_ff_trace,
@@ -42,6 +41,7 @@ from repro.sample.trace import (
     trace_key,
     trace_root,
 )
+from tests.bits import exact
 from tests.sample.intervals import interval_of_blocks
 
 
@@ -63,50 +63,65 @@ def _isolated(tmp_path):
     obs_lib.reset()
 
 
-def _json_roundtrip(obj):
-    return json.loads(json.dumps(obj))
-
-
 # ----------------------------------------------------------------------
 # Schema round-trips (property-based, through the column codec)
 # ----------------------------------------------------------------------
 
-_reg_values = st.one_of(st.integers(-(2 ** 63), 2 ** 63 - 1),
-                        st.floats(allow_nan=False, allow_infinity=False))
+#: A negative quiet NaN with payload 1: JSON would bring it back as
+#: ``float("nan")``, 0x7ff8000000000000.
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_0001))[0]
+
+_reg_values = st.one_of(st.integers(-(2 ** 63), 2 ** 63 - 1), st.floats(),
+                        st.just(NAN_PAYLOAD))
 _regfiles = st.lists(_reg_values, min_size=8, max_size=8)
 
 
-def _patterns(regs):
-    """Registers bit for bit: ``-0.0 == 0.0``, but not here."""
-    return [(type(value), struct.pack("<d", value)
-             if type(value) is float else value) for value in regs]
+def _resumed(start, interval):
+    """``start`` with an interval's kept registers landed, as replay
+    lands them."""
+    regs = list(start)
+    for index, value in interval.end_regs():
+        regs[index] = value
+    return regs
+
+
+def _regs_interval(start, end) -> FFInterval:
+    interval = FFInterval(0)
+    interval.set_regs(start, end)
+    return interval
 
 
 class TestRegDelta:
     @given(_regfiles, _regfiles)
+    @example([0.0, 1, NAN_PAYLOAD, 2.5] * 2, [-0.0, 1.0, NAN_PAYLOAD,
+                                               float("nan")] * 2)
     def test_roundtrip(self, start, end):
-        regs = list(start)
-        for index, value in _json_roundtrip(encode_reg_delta(start, end)):
-            regs[index] = value             # as the replay applies it
-        assert _patterns(regs) == _patterns(end)
+        """Through the blob: every register comes back bit for bit."""
+        interval = _regs_interval(start, end)
+        decoded = _decoded(_blob(_trace([interval]))).intervals[0]
+        assert exact(_resumed(start, decoded)) == exact(end)
 
     def test_negative_zero_is_a_delta(self):
         """``0.0 != -0.0`` is false; the register still changed."""
-        delta = encode_reg_delta([0.0, 1, -0.0], [-0.0, 1, 0.0])
-        assert repr(delta) == "[[0, -0.0], [2, 0.0]]"
+        interval = _regs_interval([0.0, 1, -0.0], [-0.0, 1, 0.0])
+        assert repr(list(interval.end_regs())) == "[(0, -0.0), (2, 0.0)]"
 
     @given(_regfiles)
     def test_identity_is_empty(self, regs):
-        assert encode_reg_delta(regs, regs) == []
+        """Equal bits are no change, also for a NaN read back into a new
+        object (``nan != nan``)."""
+        copies = [struct.unpack("<d", struct.pack("<d", value))[0]
+                  if type(value) is float else value for value in regs]
+        assert not _regs_interval(regs, copies).reg_index
 
     def test_type_change_is_a_delta(self):
         # 1 == 1.0 in Python, but the register file distinguishes the
         # int from the float; the delta must carry it.
-        assert encode_reg_delta([1], [1.0]) != []
+        assert list(_regs_interval([1], [1.0]).end_regs()) == [(0, 1.0)]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            encode_reg_delta([0], [0, 0])
+            _regs_interval([0], [0, 0])
 
 
 # Stores as the interpreter commits them, flat ``addr, size, value,
@@ -131,7 +146,7 @@ _intervals = st.lists(st.tuples(
     _stores,
 ), max_size=8)
 
-_reg_deltas = st.lists(st.tuples(st.integers(0, 127), _reg_values).map(list),
+_reg_deltas = st.lists(st.tuples(st.integers(0, 127), _reg_values),
                        max_size=4)
 
 
@@ -148,9 +163,9 @@ def _columns(blocks):
             [list(s) for *_6, s in blocks])
 
 
-def _build_interval(blocks, start, finished, reg_delta=([1, 42],)):
-    return interval_of_blocks(start, _columns(blocks),
-                              reg_delta=list(reg_delta), finished=finished)
+def _build_interval(blocks, start, finished, regs=((1, 42),)):
+    return interval_of_blocks(start, _columns(blocks), regs=regs,
+                              finished=finished)
 
 
 def _trace(intervals, bench="conv", scale=1, program="fp"):
@@ -218,8 +233,9 @@ class TestTraceRoundtrip:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(_intervals, _reg_deltas, st.booleans()),
                     max_size=3))
-    @example(raw_intervals=[(SHAPE_BLOCKS, [[1, 42], [7, -0.5]], False),
-                            ([], [], True)])
+    @example(raw_intervals=[(SHAPE_BLOCKS, [(1, 42), (7, -0.5),
+                                            (9, NAN_PAYLOAD), (127, -0.0)],
+                             False), ([], [], True)])
     def test_encode_decode_roundtrip(self, raw_intervals):
         intervals = [_build_interval(blocks, i * 4096, finished, regs)
                      for i, (blocks, regs, finished)
@@ -237,15 +253,12 @@ class TestTraceRoundtrip:
 
     def test_negative_zero_register_keeps_its_sign(self):
         """A register that went from 0.0 to -0.0 in an interval resumes
-        as -0.0 after the blob's round trip, as in the live run."""
-        start, end = [0.0, 7, -0.0, 2.5], [-0.0, 7, 0.0, 2.5]
-        interval = _build_interval([], 0, False,
-                                   encode_reg_delta(start, end))
-        decoded = _decoded(_blob(_trace([interval]))).intervals[0]
-        regs = list(start)
-        for index, value in decoded.reg_delta:
-            regs[index] = value
-        assert _patterns(regs) == _patterns(end)
+        as -0.0 after the blob's round trip, as in the live run, and a
+        negative NaN keeps its sign and payload."""
+        start = [0.0, 7, -0.0, 2.5, float("nan")]
+        end = [-0.0, 7, 0.0, 2.5, NAN_PAYLOAD]
+        decoded = _decoded(_blob(_trace([_regs_interval(start, end)])))
+        assert exact(_resumed(start, decoded.intervals[0])) == exact(end)
 
     @settings(max_examples=25, deadline=None)
     @given(_intervals)
@@ -274,10 +287,12 @@ class TestTraceRoundtrip:
     @example(raw_intervals=[SHAPE_BLOCKS, []])
     def test_blob_is_a_header_line_then_column_bytes(self, raw_intervals):
         """The blob, written out by hand: a compact JSON header line,
-        then per interval its twelve columns' little-endian bytes —
+        then per interval its fifteen columns' little-endian bytes —
         block addresses as u32, counts and branch-kind indices as u8,
         addresses as u64, end offsets as u32, store kinds with the fp
-        flag, and each store's value as its 8-byte pattern."""
+        flag, each store's value as its 8-byte pattern, and the
+        register columns: numbers and kinds as u8, values as 8 bytes.
+        No value is in the header."""
         from repro.isa.opcodes import BRANCH_KINDS
 
         trace = _trace([_build_interval(blocks, i * 4096, False)
@@ -300,11 +315,11 @@ class TestTraceRoundtrip:
                 b"".join(struct.pack("<d", value) if fp else
                          value.to_bytes(8, "little", signed=True)
                          for *_, value, fp in stores),
-                _packed("I", (end // 4 for end in _ends(st_)))]
+                _packed("I", (end // 4 for end in _ends(st_))),
+                _packed("B", [1]), _packed("B", [8]), _packed("q", [42])]
             body += b"".join(columns)
-            sizes = (4, 1, 4, 1, 1, 1, 8, 4, 8, 1, 1, 4)
-            described.append({"start": i * 4096, "regs": [[1, 42]],
-                              "finished": False,
+            sizes = (4, 1, 4, 1, 1, 1, 8, 4, 8, 1, 1, 4, 1, 1, 1)
+            described.append({"start": i * 4096, "finished": False,
                               "lengths": [len(column) // size for column, size
                                           in zip(columns, sizes)]})
         header = {"schema": TRACE_SCHEMA, "key": KEY, "byteorder": "little",
@@ -329,6 +344,18 @@ class TestTraceRoundtrip:
         interval = _build_interval([(0, 0, 1, "BRO", 1, [], [0, 8, 1, 0])],
                                    start=0, finished=True)
         interval.store_kinds[0] = kind
+        with pytest.raises(ValueError):
+            _decoded(_blob(_trace([interval])))
+
+    @pytest.mark.parametrize("column, value", [
+        ("reg_kinds", 4), ("reg_kinds", 0x80), ("reg_kinds", 1 | 0x80),
+        ("reg_index", 128), ("reg_index", 255)])
+    def test_unknown_register_kind_or_number_rejected(self, column, value):
+        """A register kind other than an int's or a float's, or a number
+        past the 128-register file, is refused on decode."""
+        interval = _build_interval([], start=0, finished=True,
+                                   regs=[(0, 1), (127, 2.0)])
+        getattr(interval, column)[1] = value
         with pytest.raises(ValueError):
             _decoded(_blob(_trace([interval])))
 

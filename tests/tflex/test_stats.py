@@ -148,23 +148,6 @@ class TestProcStatsToMetrics:
 
 
 class TestNetworkStats:
-    def test_merge_adds_fieldwise(self):
-        a = NetworkStats(messages=3, hops=7, total_latency=11,
-                         contention_cycles=2, local_deliveries=5)
-        b = NetworkStats(messages=1, hops=2, total_latency=4,
-                         contention_cycles=1, local_deliveries=0)
-        a.merge(b)
-        assert a == NetworkStats(messages=4, hops=9, total_latency=15,
-                                 contention_cycles=3, local_deliveries=5)
-        # The merged-from side is untouched.
-        assert b.messages == 1
-
-    def test_merge_empty_is_identity(self):
-        a = NetworkStats(messages=3, hops=7, total_latency=11)
-        before = NetworkStats(**vars(a))
-        a.merge(NetworkStats())
-        assert a == before
-
     def test_to_metrics_gauges_overwrite(self):
         reg = MetricsRegistry()
         stats = NetworkStats(messages=3, hops=7, total_latency=11)

@@ -8,11 +8,7 @@ from repro.isa import Interpreter
 from repro.isa.block import BLOCK_MAX_INSTS
 from repro.risc import RiscInterpreter
 from repro.tflex import run_program
-from repro.workloads import (
-    BENCHMARKS,
-    read_array_values,
-    verify_edge_run,
-)
+from repro.workloads import BENCHMARKS, verify_edge_run
 from repro.workloads.data import Lcg
 
 
@@ -98,7 +94,7 @@ def test_scale_parameter_grows_work():
     assert big_dyn > small_dyn * 1.5
 
 
-def test_read_array_values_unknown_array():
-    __, __e, kernel = BENCHMARKS["conv"].edge_program()
+def test_verify_unknown_array():
+    program, __e, kernel = BENCHMARKS["conv"].edge_program()
     with pytest.raises(KeyError):
-        read_array_values(kernel, lambda a, s, fp: 0, "missing")
+        verify_edge_run(kernel, Interpreter(program).mem, {"missing": [0]})
