@@ -15,7 +15,7 @@ Writes go through :func:`atomic_write`, the only temp-file + fsync +
 ``os.replace`` sequence in the package tree, so a crash mid-write can
 never leave a record that parses.  Reads are corruption-tolerant: a
 truncated, unparsable, wrong-shape, wrong-schema or wrong-key record is
-a cache *miss*, never an error, for ``load`` and ``contains`` alike.
+a cache *miss*, never an error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import os
 import pathlib
 import tempfile
 import time
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from repro.exec.spec import SCHEMA_VERSION, JobSpec, spec_hash
 
@@ -139,12 +139,6 @@ class BlobStore:
         self.hits += 1
         return payload
 
-    def contains(self, key: str) -> bool:
-        """Whether :meth:`load` would hit, without touching the
-        hit/miss counters — a record that would miss on load must not
-        report "cached" here."""
-        return self._read(key) is not MISS
-
     # -- writes --------------------------------------------------------
 
     def _write(self, key: str, fields: dict) -> pathlib.Path:
@@ -158,32 +152,6 @@ class BlobStore:
         atomic_write(path, data)
         self.writes += 1
         return path
-
-    # -- maintenance ---------------------------------------------------
-
-    def iter_keys(self) -> Iterator[str]:
-        if not self.root.is_dir():
-            return
-        for path in sorted(self.root.glob(f"??/*{self.SUFFIX}")):
-            yield path.name[:-len(self.SUFFIX)]
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.iter_keys())
-
-    def clear(self) -> int:
-        """Delete every record; returns the number removed."""
-        removed = 0
-        for key in list(self.iter_keys()):
-            try:
-                self.path_for(key).unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-    def counters(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes}
 
 
 class ResultStore(BlobStore):
@@ -207,9 +175,6 @@ class ResultStore(BlobStore):
 
     def load(self, spec: JobSpec) -> Optional[dict]:
         return super().load(self.key(spec))
-
-    def contains(self, spec: JobSpec) -> bool:
-        return super().contains(self.key(spec))
 
     def store(self, spec: JobSpec, payload: dict) -> pathlib.Path:
         return self._write(self.key(spec),

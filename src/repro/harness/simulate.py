@@ -162,6 +162,9 @@ def _simulate_edge(spec: JobSpec) -> RunResult:
                 for s in segments
             ],
         }
+    # The result holds only stats; with the last processor decomposed
+    # the chip holds no cycle and is freed on return.
+    system.decompose(final)
     return result
 
 

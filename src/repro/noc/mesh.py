@@ -145,7 +145,10 @@ class Network:
         self.channels = channels
         self.hop_latency = hop_latency
         self.name = name
-        self.profiler = profiler
+        #: Charges :meth:`delay` to the ``noc`` phase; kept only when
+        #: enabled at construction.
+        self.profiler = (profiler if profiler is not None and profiler.enabled
+                         else None)
         self.stats = NetworkStats()
         # Directed link -> per-channel next-free cycle.
         self._free: dict[tuple[int, int], list[int]] = {}
@@ -156,14 +159,15 @@ class Network:
         # Consulted only by ``_delay_degraded``, which replaces
         # ``_delay`` when the first degradation is installed.
         self._degraded: dict[tuple[int, int], int] = {}
-        self._bind(self._delay)
+        if self.profiler is not None:
+            self._bind(self._delay)
 
     def _bind(self, walk) -> None:
-        """Install ``walk`` as :meth:`delay`: the arrival cycle of a
-        message injected at ``now``, reserving link bandwidth along the
-        dimension-order path (so repeated calls model contention);
-        ``src == dst`` is free.  Time is charged to the ``noc`` phase
-        when the profiler was enabled at construction."""
+        """Shadow the class-level :meth:`delay` with ``walk`` on this
+        instance, charged to the ``noc`` phase when the profiler was
+        enabled at construction.  Only a profiled or degraded network
+        stores such a bound method of itself, and with it a reference
+        cycle."""
         self.delay = (walk if self.profiler is None
                       else self.profiler.wrap("noc", walk))
 
@@ -209,6 +213,12 @@ class Network:
         # Every cycle beyond the zero-load traversal was spent waiting.
         stats.contention_cycles += t - now - len(route) * hop_latency
         return t
+
+    #: The arrival cycle of a message injected at ``now``, reserving
+    #: link bandwidth along the dimension-order path (so repeated calls
+    #: model contention); ``src == dst`` is free.  :meth:`_bind`
+    #: shadows it per instance.
+    delay = _delay
 
     def degrade_link(self, link: tuple[int, int], extra: int) -> None:
         """Permanently add ``extra`` cycles to one directed link's

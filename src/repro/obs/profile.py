@@ -8,8 +8,10 @@ phases nest, time spent in an inner phase is charged to the inner phase
 only.
 
 Disabled profilers hand out a shared no-op context manager; the
-simulator's hot paths go further and bind :meth:`PhaseProfiler.wrap`'s
-result once at construction, so a disabled profiler costs them nothing.
+simulator's hot paths go further: their phase hooks are class-level
+handlers, shadowed per instance by :meth:`PhaseProfiler.wrap` only when
+the profiler is enabled at construction, so a disabled profiler costs
+them nothing.
 """
 
 from __future__ import annotations
@@ -82,9 +84,13 @@ class PhaseProfiler:
 
     def wrap(self, name: str, fn: Callable) -> Callable:
         """``fn`` charged to phase ``name`` — or ``fn`` itself when the
-        profiler is disabled.  The choice is made *now*: hot paths bind
-        the result once at construction, so a disabled profiler costs
-        them nothing per call (enable it before building the system)."""
+        profiler is disabled.  The choice is made *now*: the simulator
+        calls this only when the profiler is enabled as it builds a
+        system, and stores the result on the instance that ``fn`` is
+        bound to, shadowing the class-level handler (enable the
+        profiler before building the system).  That stored bound method
+        is a reference cycle, so a profiled system is freed by the
+        cyclic collector, not by reference counting."""
         if not self.enabled:
             return fn
 

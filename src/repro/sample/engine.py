@@ -220,10 +220,13 @@ class SampledRun:
         self.interp.regs[:] = proc.regs
         if finished:
             self.finished = True
-            return
-        self.addr = proc.last_commit_next
-        self.ghist = proc.last_commit_ghist
-        self._absorb(system, proc)
+        else:
+            self.addr = proc.last_commit_next
+            self.ghist = proc.last_commit_ghist
+            self._absorb(system, proc)
+        # The window is harvested: with its processor decomposed the
+        # chip holds no cycle, so it is freed when this frame returns.
+        system.decompose(proc)
 
     def _swap_state(self, system: TFlexSystem, proc) -> None:
         """Exchange warm state between the shadow and a window system.
@@ -232,11 +235,13 @@ class SampledRun:
         shadow part is paired with the window part that plays its role,
         and the pair exchanges its declared ``WARM`` fields by reference
         (:meth:`repro.warm.WarmState.swap_state`).  Each window runs on
-        a fresh ``TFlexSystem`` that is discarded after :meth:`_absorb`,
-        and the shadow is idle while the window runs, so the O(1) swap
-        is observably a copy in both directions, without materializing
-        per-window snapshots.  Every pair's geometry is compared before
-        any part moves, so a mismatch raises with nothing exchanged."""
+        a fresh ``TFlexSystem`` that no one reads after :meth:`_absorb`
+        (its processor is then decomposed and the system freed by
+        reference counting), and the shadow is idle while the window
+        runs, so the O(1) swap is observably a copy in both directions,
+        without materializing per-window snapshots.  Every pair's
+        geometry is compared before any part moves, so a mismatch
+        raises with nothing exchanged."""
         shadow = self.shadow
         shadow.settle()
         cores = system.cores

@@ -31,7 +31,9 @@ class Core:
     """One lightweight processor core."""
 
     def __init__(self, system: "TFlexSystem", core_id: int) -> None:
-        self.system = system
+        # No reference back to ``system``: nothing reads the chip
+        # through a core, and without one a discarded chip is freed by
+        # reference counting alone.
         self.id = core_id
         cfg = system.cfg.core
         self.icache = CacheBank(cfg.icache_bytes, cfg.icache_assoc,
@@ -63,10 +65,13 @@ class Core:
         self._issue_total = (cfg.issue_total if cfg.issue_total is not None
                              else cfg.issue_int + cfg.issue_fp)
         self._queue = system.queue
-        #: The issue event, bound once (charged to the ``issue`` phase
-        #: when the profiler was enabled before the system was built).
-        self._issue_tick = system.obs.profiler.wrap("issue",
-                                                    self._do_issue_tick)
+        profiler = system.obs.profiler
+        if profiler.enabled:
+            # Charged to the ``issue`` phase: the profiler was enabled
+            # before the system was built.  The stored bound method ties
+            # the core to itself, so a profiled chip is left to the
+            # cyclic collector.
+            self._issue_tick = profiler.wrap("issue", self._do_issue_tick)
 
     # ------------------------------------------------------------------
     # Composition
@@ -157,3 +162,7 @@ class Core:
         if ready and not self._issue_scheduled:
             self._issue_scheduled = True
             self._queue.at(self._queue.now + 1, self._issue_tick)
+
+    #: The issue event: the plain handler, shadowed per instance by a
+    #: timed wrapper when the profiler is enabled.
+    _issue_tick = _do_issue_tick

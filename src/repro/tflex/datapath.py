@@ -40,9 +40,10 @@ class DatapathMixin:
     Instructions arrive here as the program's records (``_PInst``);
     their routes are the fetching composition's
     (:class:`~repro.tflex.decode.DecodedBlock`).  ``issue``,
-    ``_load_arrive`` and ``_store_arrive`` are bound by the processor's
-    constructor to the ``_do_*`` methods below (through the profiler's
-    ``execute``/``lsq`` phases when it is enabled).
+    ``_load_arrive`` and ``_store_arrive`` are the processor's
+    class-level aliases of the ``_do_*`` methods below, shadowed per
+    instance by the profiler's ``execute``/``lsq`` phases when it is
+    enabled.
     """
 
     # ------------------------------------------------------------------

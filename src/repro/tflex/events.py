@@ -43,6 +43,11 @@ class EventQueue:
         """Withdraw a stop request (e.g. new work composed mid-run)."""
         self._stopped = False
 
+    def clear(self) -> None:
+        """Drop every pending event (``now`` stays where it is)."""
+        self._buckets.clear()
+        self._cycles.clear()
+
     def at(self, cycle: int, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` to run at an absolute cycle (>= now)."""
         if cycle < self.now:

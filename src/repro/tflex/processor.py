@@ -184,16 +184,30 @@ class ComposedProcessor(ProtocolMixin, DatapathMixin):
         #: this processor, so no route outlives ``core_ids``.
         self._decoded: dict[str, DecodedBlock] = {}
         self._broadcasts: dict[int, tuple] = {}   # see control_broadcast
-        # Phase hooks, resolved once: the plain handlers unless the
-        # profiler was enabled before this processor was composed.
-        wrap = self.obs.profiler.wrap
-        self.issue = wrap("execute", self._do_issue)
-        self._load_arrive = wrap("lsq", self._do_load_arrive)
-        self._store_arrive = wrap("lsq", self._do_store_arrive)
-        self._fetch_block = wrap("fetch", self._do_fetch_block)
-        self._core_fetch_many = wrap("fetch", self._do_core_fetch_many)
-        self._start_commit = wrap("commit", self._do_start_commit)
-        self._finish_commit = wrap("commit", self._do_finish_commit)
+        profiler = self.obs.profiler
+        if profiler.enabled:
+            # The profiler was enabled before this processor was
+            # composed: shadow the class-level hooks with timed
+            # wrappers (bound methods stored on their own instance, so
+            # a profiled processor is left to the cyclic collector).
+            wrap = profiler.wrap
+            self.issue = wrap("execute", self._do_issue)
+            self._load_arrive = wrap("lsq", self._do_load_arrive)
+            self._store_arrive = wrap("lsq", self._do_store_arrive)
+            self._fetch_block = wrap("fetch", self._do_fetch_block)
+            self._core_fetch_many = wrap("fetch", self._do_core_fetch_many)
+            self._start_commit = wrap("commit", self._do_start_commit)
+            self._finish_commit = wrap("commit", self._do_finish_commit)
+
+    # Phase hooks: the plain handlers, resolved through the class so an
+    # unprofiled processor holds no bound method of itself.
+    issue = DatapathMixin._do_issue
+    _load_arrive = DatapathMixin._do_load_arrive
+    _store_arrive = DatapathMixin._do_store_arrive
+    _fetch_block = ProtocolMixin._do_fetch_block
+    _core_fetch_many = ProtocolMixin._do_core_fetch_many
+    _start_commit = ProtocolMixin._do_start_commit
+    _finish_commit = ProtocolMixin._do_finish_commit
 
     # ------------------------------------------------------------------
     # Interleaving hash functions (paper section 4)

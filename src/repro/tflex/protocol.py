@@ -37,9 +37,9 @@ class ProtocolMixin:
     """Fetch/flush/commit behaviour of a composed processor.
 
     ``_fetch_block``, ``_core_fetch_many``, ``_start_commit`` and
-    ``_finish_commit`` are bound by the processor's constructor to the
-    ``_do_*`` methods below (through the profiler's ``fetch``/``commit``
-    phases when it is enabled).
+    ``_finish_commit`` are the processor's class-level aliases of the
+    ``_do_*`` methods below, shadowed per instance by the profiler's
+    ``fetch``/``commit`` phases when it is enabled.
     """
 
     # ------------------------------------------------------------------

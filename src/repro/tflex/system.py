@@ -51,9 +51,13 @@ class TFlexSystem:
             self.topology, num_banks=cfg.l2_banks, bank_bytes=cfg.l2_bank_bytes,
             assoc=cfg.l2_assoc, line_size=cfg.line_size,
             tag_latency=cfg.l2_tag_latency,
-            l1_banks=lambda core_id: self.cores[core_id].dcache,
+            l1_banks=[core.dcache for core in self.cores].__getitem__,
             dram=self.dram)
+        #: Composed processors not yet decomposed.
         self.procs: list[ComposedProcessor] = []
+        #: Processors composed so far: the next one's ID and default
+        #: context tag, never reused after a decomposition.
+        self._composed = 0
         #: Count of composed processors that have not halted.  Kept
         #: current by :meth:`compose` and :meth:`note_halted` so the
         #: event loop never polls per-processor state (skip-idle
@@ -75,10 +79,11 @@ class TFlexSystem:
         warm cache lines on surviving cores remain valid (the directory
         keys lines by ``(ctx, addr)``).
         """
-        proc = ComposedProcessor(self, proc_id=len(self.procs),
+        proc = ComposedProcessor(self, proc_id=self._composed,
                                  core_ids=core_ids, program=program, name=name,
                                  share_cores=share_cores,
                                  max_inflight=max_inflight, ctx=ctx)
+        self._composed += 1
         self.procs.append(proc)
         self._unhalted += 1
         # A composition arriving mid-run withdraws any pending stop.
@@ -110,15 +115,19 @@ class TFlexSystem:
         return self.compose(rectangle(self.cfg, size, origin), program, name)
 
     def decompose(self, proc: ComposedProcessor) -> None:
-        """Release a processor's cores (it must have halted).
+        """Release a halted processor's cores and drop it from
+        :attr:`procs`; the chip then holds no reference to it.
 
-        Core-private cache and predictor state is retained; the
-        directory protocol resolves stale L1 lines when the cores are
-        reused in a different composition (paper section 4.7).
+        A halted processor keeps its cores until this call (its caller
+        still reads its state).  Core-private cache and predictor state
+        is retained; the directory protocol resolves stale L1 lines
+        when the cores are reused in a different composition (paper
+        section 4.7).
         """
         if not proc.halted:
             raise RuntimeError(f"{proc.name} still running")
         proc.release_cores()
+        self.procs.remove(proc)
 
     # ------------------------------------------------------------------
     # Simulation
@@ -128,7 +137,10 @@ class TFlexSystem:
         """Run every composed processor to completion.
 
         Returns the final cycle.  Raises :class:`SimulationDeadlock` if
-        forward progress stops, with a per-processor state dump.
+        forward progress stops, with a per-processor state dump.  A
+        completed run leaves no pending event: whatever is still queued
+        when the last processor halts belongs to halted processors, so
+        the queue drops it and a later run starts from an empty queue.
         """
         for proc in self.procs:
             if not proc.halted and not proc.started:
@@ -145,6 +157,7 @@ class TFlexSystem:
                 f"cycle budget ({max_cycles}) exhausted\n" + self._dump())
         if not all(p.halted for p in self.procs):
             raise SimulationDeadlock("event queue drained early\n" + self._dump())
+        self.queue.clear()
         for proc in self.procs:
             if proc.stats.cycles == 0:
                 proc.stats.cycles = self.queue.now - proc.start_cycle

@@ -56,6 +56,12 @@ TRAFFIC = [
     # Another composition, so a result miss that replays the stored blob.
     ("repro", ("run", "conv", "--cores", "8", "--sample",
                "--cache-dir", "{store}")),
+    # Observability output, on a store of its own so both simulate: the
+    # metrics report, and a JSONL event trace with its closing snapshot.
+    ("repro", ("run", "dither", "--cores", "2", "--sample", "--metrics",
+               "--cache-dir", "{store}-obs")),
+    ("repro", ("run", "dither", "--cores", "4", "--trace-out",
+               "{store}-trace.jsonl", "--cache-dir", "{store}-obs")),
     ("repro", ("disasm", "conv")),
     ("repro", ("timeline", "conv", "--cores", "4")),
     ("repro", ("profile", "conv", "--cores", "4")),

@@ -283,8 +283,8 @@ class TestPolicyParity:
                 obs.metrics.counter("exec.retries", reason="exception",
                                     bench="conv"),
                 obs.metrics.counter("exec.jobs", status="failed"),
-                {key: store.path_for(key).read_bytes()
-                 for key in store.iter_keys()})
+                {path.name: path.read_bytes()
+                 for path in store.root.glob("??/*.json")})
         assert seen[1] == seen[2]
         statuses = [status for status, *__ in seen[1][0]]
         assert statuses == ["ok", "failed", "ok", "ok"]
@@ -309,7 +309,7 @@ class TestStoreIntegration:
         store = ResultStore(tmp_path)
         run_specs(_specs(4), jobs=2, worker=_raise_on_scale_2, store=store)
         assert store.writes == 3
-        assert len(store) == 3
+        assert len(list(tmp_path.glob("??/*.json"))) == 3
 
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -344,8 +344,8 @@ class TestStoreIntegration:
         run_specs(_specs(4), jobs=jobs, worker=_ok_worker, store=store)
         files = {p.relative_to(tmp_path).as_posix()
                  for p in tmp_path.rglob("*") if p.is_file()}
-        records = {store.path_for(key).relative_to(tmp_path).as_posix()
-                   for key in store.iter_keys()}
+        records = {path.relative_to(tmp_path).as_posix()
+                   for path in tmp_path.glob("??/*.json")}
         assert len(records) == 4
         assert files - {".lock"} == records
 

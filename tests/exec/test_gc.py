@@ -158,8 +158,8 @@ class TestBlobStore:
         path = store.store(self.KEY, self._trace(3))
         assert path == store.path_for(self.KEY)
         assert store.load(self.KEY).scale == 3
-        assert store.counters() == {"hits": 1, "misses": 0, "writes": 1}
-        assert len(store) == 1
+        assert (store.hits, store.misses, store.writes) == (1, 0, 1)
+        assert list(tmp_path.glob("??/*")) == [path]
 
     def test_bytes_are_deterministic(self, tmp_path):
         """mtime=0: identical content produces identical bytes, so
@@ -186,10 +186,3 @@ class TestBlobStore:
         assert store.load(self.KEY) is None
         store.store(self.KEY, self._trace(2))        # rewrite heals
         assert store.load(self.KEY).scale == 2
-
-    def test_clear(self, tmp_path):
-        store = FFTraceStore(tmp_path)
-        store.store(self.KEY, self._trace(1))
-        store.store("cd" * 32, self._trace(2))
-        assert store.clear() == 2
-        assert len(store) == 0

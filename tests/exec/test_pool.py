@@ -401,8 +401,11 @@ class TestChaos:
         assert [r.status for r in results] == ["ok"] * 40
         assert obs.metrics.counter_total("exec.worker_respawns") == 3
         assert 1 <= obs.metrics.counter_total("exec.retries") <= 3
-        assert sorted(chaos.iter_keys()) == sorted(calm.iter_keys())
-        for key in calm.iter_keys():
-            assert (chaos.path_for(key).read_bytes()
-                    == calm.path_for(key).read_bytes())
+        records = sorted(path.relative_to(calm.root)
+                         for path in calm.root.glob("??/*.json"))
+        assert sorted(path.relative_to(chaos.root)
+                      for path in chaos.root.glob("??/*.json")) == records
+        for record in records:
+            assert ((chaos.root / record).read_bytes()
+                    == (calm.root / record).read_bytes())
         assert not multiprocessing.active_children()

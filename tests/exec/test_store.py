@@ -25,7 +25,7 @@ class TestRoundTrip:
         assert store.load(SPEC) is None
         store.store(SPEC, PAYLOAD)
         assert store.load(SPEC) == PAYLOAD
-        assert store.counters() == {"hits": 1, "misses": 1, "writes": 1}
+        assert (store.hits, store.misses, store.writes) == (1, 1, 1)
 
     def test_layout_is_content_addressed(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -41,13 +41,7 @@ class TestRoundTrip:
         for n in (1, 2, 4):
             store.store(JobSpec.edge("conv", ncores=n), PAYLOAD)
         assert list(tmp_path.rglob("*.tmp")) == []
-        assert len(store) == 3
-
-    def test_clear(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.store(SPEC, PAYLOAD)
-        assert store.clear() == 1
-        assert store.load(SPEC) is None
+        assert len(list(tmp_path.glob("??/*.json"))) == 3
 
 
 class TestCorruptionTolerance:
@@ -87,21 +81,22 @@ class TestCorruptionTolerance:
 
 
 class TestContains:
-    """``contains`` must apply the same validation as ``load`` — a
-    record that would miss on load must not report "cached" here
-    (regression: it used to check only that the file parsed)."""
+    """What a store contains is what ``load`` serves: there is no
+    separate existence probe, so a record that fails validation is not
+    contained (a bare existence check once reported a damaged trace
+    blob as present)."""
 
     def test_contains_matches_load_on_valid_record(self, tmp_path):
         store = ResultStore(tmp_path)
-        assert not store.contains(SPEC)
+        assert store.load(SPEC) is None
         store.store(SPEC, PAYLOAD)
-        assert store.contains(SPEC)
+        assert store.load(SPEC) == PAYLOAD
 
     def test_corrupt_record_is_not_contained(self, tmp_path):
         store = ResultStore(tmp_path)
         path = store.store(SPEC, PAYLOAD)
         path.write_text("{not json")
-        assert not store.contains(SPEC)
+        assert store.load(SPEC) is None
 
     def test_wrong_schema_is_not_contained(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -109,7 +104,7 @@ class TestContains:
         record = json.loads(path.read_text())
         record["schema"] = 999
         path.write_text(json.dumps(record))
-        assert not store.contains(SPEC)
+        assert store.load(SPEC) is None
 
     def test_wrong_key_echo_is_not_contained(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -117,7 +112,7 @@ class TestContains:
         record = json.loads(path.read_text())
         record["key"] = "0" * 64
         path.write_text(json.dumps(record))
-        assert not store.contains(SPEC)
+        assert store.load(SPEC) is None
 
     def test_missing_payload_is_not_contained(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -125,13 +120,7 @@ class TestContains:
         record = json.loads(path.read_text())
         del record["payload"]
         path.write_text(json.dumps(record))
-        assert not store.contains(SPEC)
-
-    def test_contains_does_not_touch_counters(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.store(SPEC, PAYLOAD)
-        store.contains(SPEC)
-        assert store.counters() == {"hits": 0, "misses": 0, "writes": 1}
+        assert store.load(SPEC) is None
 
 
 class TestAdvisoryLock:
@@ -220,7 +209,7 @@ class _Kind:
 
     name: str
     make: object                 # root -> store
-    ident: object                # what load/contains/store take
+    ident: object                # what load/store take
     payload: object = dataclasses.field(default_factory=lambda: PAYLOAD)
 
     def key(self, store):
@@ -326,35 +315,27 @@ class TestRecordContract:
     def test_roundtrip_layout_and_counters(self, kind, tmp_path):
         store = kind.make(tmp_path)
         assert store.load(kind.ident) is None
-        assert not store.contains(kind.ident)
         path = store.store(kind.ident, kind.payload)
         key = kind.key(store)
         assert path == tmp_path / key[:2] / f"{key}{store.SUFFIX}"
         record = kind.read(path)
         assert (record["schema"], record["key"]) == (store.salt, key)
         assert "payload" in record
-        assert store.contains(kind.ident)
         assert kind.same(store.load(kind.ident), kind.payload)
-        # ``contains`` never counts; ``load`` counted one miss, one hit.
-        assert store.counters() == {"hits": 1, "misses": 1, "writes": 1}
-        assert list(store.iter_keys()) == [key] and len(store) == 1
-        assert list(tmp_path.rglob("*.tmp")) == []
-        assert store.clear() == 1 and len(store) == 0
+        assert (store.hits, store.misses, store.writes) == (1, 1, 1)
+        assert sorted(tmp_path.rglob("*")) == [path.parent, path]
 
     @pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
     def test_damaged_record_misses_in_load_and_contains(
             self, kind, damage, tmp_path):
-        """``load`` and ``contains`` apply the same validation: whatever
-        one rejects the other rejects, and a rewrite heals it."""
+        """A damaged record is one miss for ``load`` (the only way a
+        store is asked what it holds), and a rewrite heals it."""
         store = kind.make(tmp_path)
         path = store.store(kind.ident, kind.payload)
         damage(kind, path)
-        assert not store.contains(kind.ident)
-        assert store.counters() == {"hits": 0, "misses": 0, "writes": 1}
         assert store.load(kind.ident) is None
-        assert store.counters() == {"hits": 0, "misses": 1, "writes": 1}
+        assert (store.hits, store.misses, store.writes) == (0, 1, 1)
         store.store(kind.ident, kind.payload)
-        assert store.contains(kind.ident)
         assert kind.same(store.load(kind.ident), kind.payload)
 
     def test_bytes_are_deterministic(self, kind, tmp_path):

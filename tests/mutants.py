@@ -56,6 +56,8 @@ _KILL = _RESIL_RUN + "TestKillRecovery::"
 _AXES = "tests/exec/test_axes.py::"
 _POOL = "src/repro/exec/pool.py"
 _RUNNER = "src/repro/harness/runner.py"
+_LIFECYCLE = ("tests/tflex/test_lifecycle.py::"
+              "test_a_simulated_system_leaves_no_cycle")
 _NO_CACHE = ("tests/test_cli.py::TestFFTraceFlags::"
              "test_no_cache_disables_traces_unless_asked")
 
@@ -388,6 +390,16 @@ MUTANTS = [
       "test_sample_requires_tflex[trips]",
       "tests/test_cli.py::TestUpFrontValidation::"
       "test_sample_requires_tflex[ooo]")),
+    # A chip is freed by reference counting: a core pointing back at
+    # its system, or a window that keeps its processor composed, makes
+    # every discarded system wait for the cyclic collector.
+    ("core-keeps-system", "src/repro/tflex/core.py",
+     "        self.id = core_id\n",
+     "        self.system = system\n        self.id = core_id\n",
+     (_LIFECYCLE + "[tflex-1]",)),
+    ("window-keeps-processor", "src/repro/sample/engine.py",
+     "        system.decompose(proc)\n", "",
+     (_LIFECYCLE + "[sampled-record-replay]",)),
 ]
 
 #: Rows that survive on purpose: id -> why no test can see the bug.

@@ -48,6 +48,11 @@ from tests.sample.intervals import interval_of_blocks
 SAMPLING = {"ff_blocks": 160, "window_blocks": 24, "warmup_blocks": 8}
 
 
+def _blob_count(root) -> int:
+    """Trace blobs stored under ``root``."""
+    return len(list(pathlib.Path(root).glob(f"??/*{FFTraceStore.SUFFIX}")))
+
+
 @pytest.fixture(autouse=True)
 def _isolated(tmp_path):
     """Each test gets a fresh in-process cache, a disabled result
@@ -517,7 +522,7 @@ def test_cross_composition_replay_is_bit_identical(tmp_path):
         b = perjob.path_for(perjob.key(spec)).read_bytes()
         assert a == b, f"records diverge for {spec.label()}"
     # One trace per benchmark was recorded.
-    assert len(FFTraceStore(trace_root())) == len(DIFF_BENCHMARKS)
+    assert _blob_count(trace_root()) == len(DIFF_BENCHMARKS)
 
 
 def test_recorder_caches_the_trace_it_would_decode():
@@ -752,7 +757,7 @@ class TestUnwritableStore:
 
         monkeypatch.setattr(store_mod, "atomic_write", no_space)
         self._check(reference)
-        assert len(FFTraceStore(trace_root())) == 0
+        assert _blob_count(trace_root()) == 0
 
 
 class TestRepointedStore:
@@ -774,7 +779,7 @@ class TestRepointedStore:
             recorders, __ = prewarm_partition(self.GROUP)
             assert recorders == self.GROUP[:1]      # empty store: not traced
             results.append(execute_spec(self.SPEC))
-            assert len(FFTraceStore(trace_root())) == 1
+            assert _blob_count(trace_root()) == 1
             assert prewarm_partition(self.GROUP)[0] == []
         assert results[0] == results[1]
         # Back at the first root, its own cached trace still serves.
@@ -859,7 +864,7 @@ def test_disabled_tracing_records_nothing(tmp_path):
     configure_ff_trace(enabled=False)
     spec = JobSpec.edge("conv", 4, scale=2, sampling=SAMPLING)
     execute_spec(spec)
-    assert len(FFTraceStore(tmp_path / "traces")) == 0
+    assert _blob_count(tmp_path / "traces") == 0
 
 
 # ----------------------------------------------------------------------
@@ -960,7 +965,7 @@ class TestPrewarmPartition:
         DAMAGE[damage](store.path_for(key))
         trace_mod._PARSED.clear()
         clear_cache()
-        assert not store.contains(key) and store.load(key) is None
+        assert store.load(key) is None
 
         recorders, rest = prewarm_partition(specs)
         assert recorders == specs[:1] and rest == specs[1:]
@@ -972,7 +977,7 @@ class TestPrewarmPartition:
                                    bench="conv", schedule=tag) == 1
         assert obs.metrics.counter("sample.trace_replays",
                                    bench="conv", schedule=tag) == len(specs) - 1
-        assert store.contains(key)                  # healed by the recorder
+        assert store.load(key) is not None          # healed by the recorder
 
     @pytest.mark.parametrize("cap, reads", [(4, ["conv", "gzip"]),
                                             (1, ["conv", "gzip", "gzip"])])
@@ -1005,7 +1010,7 @@ class TestPrewarmPartition:
     def test_undecodable_payload_gets_a_recorder(self):
         """A blob whose header echoes the schema and the key but whose
         columns do not decode is a miss here, as it is for the replay
-        and for ``contains``."""
+        and for ``load``."""
         specs = [JobSpec.edge("conv", n, scale=2, sampling=SAMPLING)
                  for n in (2, 4)]
         execute_spec(specs[0])
@@ -1017,7 +1022,7 @@ class TestPrewarmPartition:
         assert _header(path)["key"] == key
         reset_ff_trace()
         configure_ff_trace(enabled=True, cache_dir=store.root)
-        assert not store.contains(key)
+        assert store.load(key) is None
         assert prewarm_partition(specs) == (specs[:1], specs[1:])
 
     def test_disabled_tracing_passes_through(self):
