@@ -158,9 +158,11 @@ def configure_cache(cache_dir: Union[str, pathlib.Path, None] = None,
     Returns the active store, if any.
     """
     global _STORE
-    from repro.sample.trace import reset_ff_trace
-
-    reset_ff_trace()
+    # A process that never imported the trace module has no override or
+    # parsed trace to drop (a warm replay never imports it).
+    traces = sys.modules.get("repro.sample.trace")
+    if traces is not None:
+        traces.reset_ff_trace()
     if not enabled:
         _STORE = None
     else:
@@ -240,9 +242,10 @@ def prewarm_specs(specs: Sequence[JobSpec], jobs: int = 1,
     # benchmark interpret the fast-forward trajectory once and replay
     # it N-1 times instead of racing N redundant recorders
     # (docs/PERFORMANCE.md).  Recorders of different groups still run
-    # in parallel with each other.
+    # in parallel with each other.  A batch with no sampled spec has
+    # nothing to record (and leaves the trace module unimported).
     recorders: list = []
-    if len(cold) > 1:
+    if len(cold) > 1 and any(spec.sampling for spec in cold):
         from repro.sample.trace import prewarm_partition
 
         recorders, cold = prewarm_partition(cold)

@@ -51,7 +51,7 @@ from repro.isa.instruction import OperandSlot, Target, TargetKind
 from repro.isa.opcodes import (
     ALU_GLOBALS, OpClass, alu_source, bind_evaluator, memory_size)
 from repro.isa.program import HALT_ADDR, Program
-from repro.mem.flatmem import PAGE_MASK, PAGE_SIZE, FlatMemory
+from repro.mem.flatmem import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, FlatMemory
 
 
 class InterpError(Exception):
@@ -367,7 +367,7 @@ def _compile(pb: PreparedBlock, seg: _Segment):
             # address has none) and a straddle are ``Interpreter._load``'s.
             lines += (
                 f"a = {operand(pi.base + 1, int)}{offset}",
-                "page = pages.get(a >> 12)",
+                f"page = pages.get(a >> {PAGE_SHIFT})",
                 f"if {'block_stores or ' if pi.older else ''}page is None "
                 f"or a & {PAGE_MASK} > {PAGE_SIZE - pi.size}:",
                 f"    {value} = load(label, p{pos}, a, block_stores,"
@@ -493,25 +493,40 @@ class Interpreter:
         that path.
         """
         pb = prepare_block(self.program, block)
-        seg = pb.path
-        if seg is None:
-            return self._dataflow(pb, None)
-        buf = pb.buf
         block_stores: dict[int, tuple[int, int, object, bool]] = {}
         load_addrs: list[int] = []
-        while True:
+        seg, guard = self.chain(pb, block_stores, load_addrs)
+        if seg is None:
+            return self._dataflow(pb, guard)
+        buf = pb.buf
+        branch = seg.branch
+        next_addr = branch.next_addr
+        if next_addr is None:                       # RET
+            next_addr = buf[branch.base + 1]
+        return _outcome(pb, buf, branch, next_addr, block_stores,
+                        seg.fired, seg.loads, load_addrs)
+
+    def chain(self, pb: PreparedBlock, block_stores: dict,
+              load_addrs: list) -> tuple:
+        """Run ``pb``'s compiled segments from the root, as far as the
+        path tree knows the way, filling ``block_stores`` (LSQ id ->
+        ``(addr, size, value, fp)``), ``load_addrs`` and ``pb.buf``.
+
+        Returns ``(segment, None)`` when the walk reached the block's end
+        — ``segment`` is the path's last, holding its outcome facts —
+        or ``(None, guard)`` at a predicate outcome no execution took
+        from there (``guard``; ``None`` before the block's first
+        execution), where the dataflow loop must run the block from
+        scratch: what the walk appended is then stale."""
+        seg, guard = pb.path, None
+        buf = pb.buf
+        while seg is not None:
             guard = (seg.run or _compile(pb, seg))(
                 self, buf, block_stores, load_addrs)
             if guard is None:
-                branch = seg.branch
-                next_addr = branch.next_addr
-                if next_addr is None:               # RET
-                    next_addr = buf[branch.base + 1]
-                return _outcome(pb, buf, branch, next_addr, block_stores,
-                                seg.fired, seg.loads, load_addrs)
+                return seg, None
             seg = guard.tail
-            if seg is None:
-                return self._dataflow(pb, guard)
+        return None, guard
 
     def _dataflow(self, pb: PreparedBlock,
                   guard: Optional[_Guard]) -> BlockOutcome:
@@ -676,7 +691,7 @@ class Interpreter:
         # Resident in one page: read in place; an untouched page, a
         # straddle or a bad address is ``FlatMemory.load``'s.
         offset = addr & PAGE_MASK
-        page = self.mem._pages.get(addr >> 12)
+        page = self.mem._pages.get(addr >> PAGE_SHIFT)
         if page is None or offset + size > PAGE_SIZE:
             return self.mem.load(addr, size, fp=fp)
         return pi.unpack(page, offset)[0]

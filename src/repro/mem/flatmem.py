@@ -13,7 +13,8 @@ import struct
 from repro.util import wrap64
 
 
-PAGE_SIZE = 4096
+PAGE_SHIFT = 12
+PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 
 _DOUBLE = struct.Struct("<d")
@@ -26,7 +27,7 @@ class FlatMemory:
         self._pages: dict[int, bytearray] = {}
 
     def _page(self, addr: int) -> bytearray:
-        number = addr >> 12
+        number = addr >> PAGE_SHIFT
         page = self._pages.get(number)
         if page is None:
             page = bytearray(PAGE_SIZE)

@@ -12,12 +12,13 @@ once, alternating two regimes:
   processor's ``commit_limit``.
 
 * **Fast-forward intervals** are a three-stage pipeline over one
-  :class:`~repro.sample.trace.FFInterval`: the golden-model interpreter
-  executes ``ff_blocks`` blocks into its columns (or a recorded
-  interval's stores are landed on memory instead), then the
-  :class:`ShadowUarch` warms on the columns — except on the interval
-  that ends the program, which no window follows — then one shared
-  tail books the interval.
+  :class:`~repro.sample.trace.FFInterval`: the golden model executes
+  ``ff_blocks`` blocks, each committed straight into the columns and
+  memory (:func:`interpret`), or what a recorded interval's stores
+  leave in memory lands there (``FFInterval.landing``, derived once by
+  the same code); then the :class:`ShadowUarch` warms on the columns —
+  except on the interval that ends the program, which no window
+  follows — then one shared tail books the interval.
 
 Because both regimes execute every block architecturally (windows
 commit exactly; fast-forward *is* the golden model) the final memory
@@ -51,16 +52,19 @@ from dataclasses import dataclass
 from typing import Optional
 
 import repro.obs as obs_lib
-from repro.isa.interp import Interpreter
+from repro.isa.interp import NULL_TOKEN, Interpreter, prepare_block
 from repro.isa.opcodes import BRANCH_KINDS
 from repro.isa.program import HALT_ADDR
-from repro.mem.flatmem import PAGE_MASK, PAGE_SIZE, FlatMemory
+from repro.mem.flatmem import FlatMemory
 from repro.sample.config import SamplingConfig
 from repro.sample.shadow import ShadowUarch, rebuild_directory
-from repro.sample.trace import STORE_SIZE, FFInterval
+from repro.sample.trace import FFInterval, land_stores
 from repro.tflex import TFlexSystem
 from repro.tflex.placement import rectangle
 from repro.tflex.stats import ProcStats
+
+#: Branch opcode name -> its ``FFInterval.branch_ops`` entry.
+BRANCH_INDEX = {name: index for index, name in enumerate(BRANCH_KINDS)}
 
 
 @dataclass
@@ -102,6 +106,8 @@ class SampledRun:
             cached_program("edge", spec.bench, spec.scale)
         self.mem = FlatMemory()
         self.interp = Interpreter(self.program, memory=self.mem)
+        #: Block address -> its prepared form, for :func:`interpret`.
+        self._prepared: dict = {}
         self.shadow = ShadowUarch(self.cfg, self.ncores)
         self.addr = self.program.address_of(self.program.entry)
         self.ghist = 0
@@ -331,11 +337,14 @@ class SampledRun:
         follows it, and :meth:`result` reads neither the shadow nor
         ``ghist``, so its warm-up would be work no result reads."""
         if interval is None:
-            interval = self._interpret(n_blocks)
+            interval = interpret(self.interp, self.addr, n_blocks,
+                                 self._prepared)
             if self.trace is not None and self.trace.mode == "record":
                 self.trace.add(interval)
         else:
-            self._land_stores(interval)
+            write = self.mem.write_bytes
+            for addr, raw in interval.landing():
+                write(addr, raw)
             regs = self.interp.regs
             for reg, value in interval.end_regs():
                 regs[reg] = value
@@ -352,66 +361,6 @@ class SampledRun:
         if interval.finished:
             self.finished = True
         return executed
-
-    def _interpret(self, n_blocks: int) -> FFInterval:
-        """Execute up to ``n_blocks`` blocks on the interpreter,
-        committing each, into a new interval's columns."""
-        interp = self.interp
-        block_at = self.program.block_at
-        op_index = BRANCH_KINDS.index
-        addr = self.addr
-        interval = FFInterval(addr)
-        start_regs = list(interp.regs)
-        addrs, exits, nexts, branch_ops, insts, loads, load_addrs = (
-            interval.addrs, interval.exits, interval.nexts,
-            interval.branch_ops, interval.insts, interval.loads,
-            interval.load_addrs)
-        add_store, store_addrs = interval.add_store, interval.store_addrs
-        for __ in range(n_blocks):
-            outcome = interp.execute_block(block_at(addr))
-            interp.commit(outcome)
-            addrs.append(addr)
-            exits.append(outcome.exit_id)
-            branch_ops.append(op_index(outcome.branch_op))
-            insts.append(outcome.insts_fired)
-            loads.append(outcome.loads)
-            load_addrs.extend(outcome.load_addrs)
-            interval.load_ends.append(len(load_addrs))
-            for __lsq, saddr, size, value, fp in outcome.stores:
-                add_store(saddr, size, value, fp)
-            interval.store_ends.append(len(store_addrs))
-            addr = outcome.next_addr
-            nexts.append(addr)
-            if addr == HALT_ADDR:
-                interval.finished = True
-                break
-        interval.set_regs(start_regs, interp.regs)
-        return interval
-
-    def _land_stores(self, interval: FFInterval) -> None:
-        """Apply a recorded interval's stores to memory in commit order
-        — with the boundary register delta, functionally identical to
-        :meth:`_interpret` without interpreting a single instruction.
-        A store's bytes are the first ``size`` of its value's 8 in
-        ``store_bits`` (byte-identical to ``FlatMemory.store``) and land
-        with direct page writes; only a page-straddling store takes the
-        generic path."""
-        pages = self.mem._pages
-        bits = interval.store_bits
-        at = 0
-        for saddr, kind in zip(interval.store_addrs, interval.store_kinds):
-            size = kind & STORE_SIZE
-            off = saddr & PAGE_MASK
-            stop = off + size
-            if stop <= PAGE_SIZE:
-                number = saddr >> 12
-                page = pages.get(number)
-                if page is None:
-                    page = pages[number] = bytearray(PAGE_SIZE)
-                page[off:stop] = bits[at:at + size]
-            else:
-                self.mem.write_bytes(saddr, bits[at:at + size])
-            at += 8
 
     # ------------------------------------------------------------------
     # Extrapolation
@@ -508,6 +457,86 @@ class SampledRun:
             num_cores=self.ncores, cycles=cycles,
             insts_committed=total_insts, stats=merged, power=power,
             dram_requests=dram_requests, sampling=sampling_info)
+
+
+def interpret(interp: Interpreter, addr: int, n_blocks: int,
+              prepared: dict) -> FFInterval:
+    """Execute up to ``n_blocks`` blocks from ``addr`` on ``interp``
+    straight into a new interval's columns, committing each as it goes;
+    ``prepared`` caches each block address's prepared form
+    (``isa.interp.prepare_block``) from one call to the next.
+
+    A block's compiled segments run (``Interpreter.chain``) and their
+    buffer is read once, into the registers and the columns — no
+    ``BlockOutcome`` — and each store is encoded once
+    (``FFInterval.add_store``) and landed from those bytes by the code
+    replay lands stores with (:func:`land_stores`).  A predicate outcome
+    no path has learnt falls back to the dataflow loop, whose outcome
+    commits the same way.  ``tests/references.py`` keeps the
+    ``execute_block`` -> ``commit`` loop this must equal byte for
+    byte."""
+    regs = interp.regs
+    mem = interp.mem
+    program = interp.program
+    interval = FFInterval(addr)
+    start_regs = list(regs)
+    addrs, exits, nexts, branch_ops, insts, loads = (
+        interval.addrs, interval.exits, interval.nexts,
+        interval.branch_ops, interval.insts, interval.loads)
+    load_addrs, load_ends, store_ends = (
+        interval.load_addrs, interval.load_ends, interval.store_ends)
+    add_store, store_addrs = interval.add_store, interval.store_addrs
+    chain = interp.chain
+    for __ in range(n_blocks):
+        pb = prepared.get(addr)
+        if pb is None:
+            pb = prepared[addr] = prepare_block(program,
+                                                program.block_at(addr))
+        addrs.append(addr)
+        block_stores: dict = {}
+        seg, guard = chain(pb, block_stores, load_addrs)
+        if seg is None:
+            # A path not learnt yet: the dataflow loop runs the block
+            # from scratch, and learns it.
+            del load_addrs[load_ends[-1] if load_ends else 0:]
+            outcome = interp._dataflow(pb, guard)
+            load_addrs.extend(outcome.load_addrs)
+            for reg, value in outcome.writes.items():
+                regs[reg] = value
+            block_stores = {lsq_id: store
+                            for lsq_id, *store in outcome.stores}
+            exits.append(outcome.exit_id)
+            branch_ops.append(BRANCH_INDEX[outcome.branch_op])
+            insts.append(outcome.insts_fired)
+            loads.append(outcome.loads)
+            addr = outcome.next_addr
+        else:
+            buf = pb.buf
+            for slot, reg in pb.writes:
+                value = buf[slot]
+                if value is not NULL_TOKEN:
+                    regs[reg] = value
+            branch = seg.branch
+            exits.append(branch.exit_id)
+            branch_ops.append(BRANCH_INDEX[branch.op.name])
+            insts.append(seg.fired)
+            loads.append(seg.loads)
+            addr = branch.next_addr
+            if addr is None:                        # RET
+                addr = buf[branch.base + 1]
+        load_ends.append(len(load_addrs))
+        if block_stores:
+            first = len(store_addrs)
+            for lsq_id in sorted(block_stores):
+                add_store(*block_stores[lsq_id])
+            land_stores(mem, interval, first)
+        store_ends.append(len(store_addrs))
+        nexts.append(addr)
+        if addr == HALT_ADDR:
+            interval.finished = True
+            break
+    interval.set_regs(start_regs, regs)
+    return interval
 
 
 def run_sampled(spec):

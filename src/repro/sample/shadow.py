@@ -324,79 +324,79 @@ class ShadowUarch:
                                          lambda i, j: None, skip)
 
     def _warm_dcaches(self, interval, reads: dict) -> None:
-        """Per block: the I-cache L2 reads ``reads`` recorded for it,
-        then the lines of the loads that went to memory (LSQ forwards
-        never get there), then committed stores via the same probe/
-        upgrade/allocate sequence as the commit drain.  A line's set and
-        key are resolved once per interval; a hit is one ``move_to_end``."""
+        """Walk the interval's D-cache op stream
+        (``FFInterval.dcache_ops``): per block the lines of the loads
+        that went to memory (LSQ forwards never get there), then its
+        committed stores via the same probe/upgrade/allocate sequence
+        as the commit drain.  The walk stops only before a block whose
+        I-cache pass recorded L2 reads (``reads``), to issue them there.
+        Each line's set, key, bank and bank core are resolved once per
+        pass; a hit is a list index and one ``move_to_end``."""
         ctx = self.ctx
         l2 = self.l2
         warm_read = l2.warm_read
+        warm_write = l2.warm_write
+        l1_evicted = l2.l1_evicted
         directory = l2.directory
-        line_size = self.line_size
         modified = LineState.MODIFIED
         shared = LineState.SHARED
-        # Line number -> (its D-cache set, its key there, the bank, the
-        # bank's core); sets are stable objects between transfers.
-        dlines: dict[int, tuple] = {}
-        # A line loaded again right after itself in a block is there once
-        # (``FFInterval.load_lines``): it is MRU in its set and nothing
-        # ran in between, so it can neither miss nor reorder.  (Never
-        # across blocks: the block's stores run in between, and the next
-        # one's I-cache misses can reach the L2 and back-invalidate.)
-        lines, line_ends = interval.load_lines(line_size)
-        store_addrs = interval.store_addrs
-        line_start = store_start = 0
+        lines, ops, ends = interval.dcache_ops(self.line_size)
+        resolved = self._dlines(lines)
 
-        for i, (line_end, store_end) in enumerate(
-                zip(line_ends, interval.store_ends)):
-            fetched = reads.get(i)
-            if fetched:
-                for line_ctx, line_addr, cores in fetched:
-                    warm_read(line_ctx, line_addr, cores[0])
-                    if len(cores) > 1:
-                        # The line is now the MRU of its L2 set, so the
-                        # other cores' reads would only join the sharers
-                        # — unless a core owns it (a store to code).
-                        entry = directory[line_ctx, line_addr]
-                        if entry.owner is None:
-                            entry.sharers.update(cores)
-                        else:
-                            for core in cores[1:]:
-                                warm_read(line_ctx, line_addr, core)
-            for line in lines[line_start:line_end]:
-                entry = dlines.get(line)
-                if entry is None:
-                    entry = dlines[line] = self._dline(line * line_size)
-                cache_set, key, dcache, bank_core = entry
-                try:
-                    cache_set.move_to_end(key)
-                except KeyError:
-                    warm_read(ctx, key[1], bank_core)
-                    victim = dcache.fill(ctx, key[1], shared)
-                    if victim is not None:
-                        l2.l1_evicted(victim.ctx, victim.line_addr, bank_core)
-            for saddr in store_addrs[store_start:store_end]:
-                entry = dlines.get(saddr // line_size)
-                if entry is None:
-                    entry = dlines[saddr // line_size] = self._dline(saddr)
-                cache_set, key, dcache, bank_core = entry
-                line = cache_set.get(key)
-                if line is not None and line.state is modified:
-                    cache_set.move_to_end(key)
-                    continue
-                l2.warm_write(ctx, key[1], bank_core)
-                victim = dcache.fill(ctx, saddr, modified)
+        def walk(start: int, stop: int) -> None:
+            for op in ops[start:stop]:
+                cache_set, key, dcache, bank_core = resolved[op]
+                if op & 1:
+                    line = cache_set.get(key)
+                    if line is not None and line.state is modified:
+                        cache_set.move_to_end(key)
+                        continue
+                    warm_write(ctx, key[1], bank_core)
+                    victim = dcache.fill(ctx, key[1], modified)
+                else:
+                    try:
+                        cache_set.move_to_end(key)
+                        continue
+                    except KeyError:
+                        warm_read(ctx, key[1], bank_core)
+                        victim = dcache.fill(ctx, key[1], shared)
                 if victim is not None:
-                    l2.l1_evicted(victim.ctx, victim.line_addr, bank_core)
-            line_start, store_start = line_end, store_end
+                    l1_evicted(victim.ctx, victim.line_addr, bank_core)
 
-    def _dline(self, addr: int) -> tuple:
-        """``(set, key, bank, bank core)`` of a data address's line."""
-        b = interleave.dbank_of(addr, self.line_size, self.num_dbanks)
-        dcache = self.dcaches[b]
-        la = dcache.line_addr(addr)
-        return dcache._set_of(la), (self.ctx, la), dcache, self._dbank_core[b]
+        start = 0
+        for i in sorted(reads):
+            stop = ends[i - 1] if i else 0
+            walk(start, stop)
+            start = stop
+            for line_ctx, line_addr, cores in reads[i]:
+                warm_read(line_ctx, line_addr, cores[0])
+                if len(cores) > 1:
+                    # The line is now the MRU of its L2 set, so the
+                    # other cores' reads would only join the sharers —
+                    # unless a core owns it (a store to code).
+                    entry = directory[line_ctx, line_addr]
+                    if entry.owner is None:
+                        entry.sharers.update(cores)
+                    else:
+                        for core in cores[1:]:
+                            warm_read(line_ctx, line_addr, core)
+        walk(start, len(ops))
+
+    def _dlines(self, lines) -> list:
+        """Per op of a D-cache op stream over ``lines`` (line numbers),
+        ``(set, key, bank, bank core)`` of its line: a load's and a
+        store's of each line side by side.  Sets are stable objects
+        between transfers."""
+        ctx, size, nbanks = self.ctx, self.line_size, self.num_dbanks
+        dcaches, cores = self.dcaches, self._dbank_core
+        resolved: list = []
+        for line in lines:
+            addr = line * size
+            b = interleave.dbank_of(addr, size, nbanks)
+            dcache = dcaches[b]
+            entry = dcache._set_of(addr), (ctx, addr), dcache, cores[b]
+            resolved += (entry, entry)
+        return resolved
 
     def _icache_touches(self, addr: int, size: int) -> tuple:
         """A block's I-cache lines in fetch order, each as ``(set, key,

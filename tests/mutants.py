@@ -44,6 +44,7 @@ _MEMO = "tests/isa/test_path_memo.py::"
 _TYPES = _MEMO + "test_operand_types_on_compiled_paths[selectors"
 _CLASSIFY = _MEMO + "test_sample_programs_agree[predicated_classify]"
 _FIXED = "tests/sample/test_fixed_point.py::"
+_EAGER = "tests/sample/test_warm_equals_eager.py::"
 _TRACE = "src/repro/sample/trace.py"
 _DECODED = ("tests/sample/test_trace.py::"
             "test_decoded_trace_replays_like_the_recorded_one")
@@ -196,8 +197,8 @@ MUTANTS = [
      "period = [(at, reads[at]) for at in range(i - p, i) if at in reads]",
      "period = []", (_FIXED + "test_store_to_a_code_line[4096]",)),
     ("warm-collapse-past-owner", _SHADOW,
-     "                        if entry.owner is None:\n",
-     "                        if True:\n",
+     "                    if entry.owner is None:\n",
+     "                    if True:\n",
      (_FIXED + "test_store_to_a_code_line[0]",)),
     ("warm-pred-snapshot-no-ras-top", _SHADOW,
      "lambda i, j: (ghist, ras._top, changes)",
@@ -214,20 +215,40 @@ MUTANTS = [
     # end offsets, the shared load-line column, stores kept as their
     # values' 64-bit patterns, and the column blob codec.
     ("trace-load-end-off-by-one", "src/repro/sample/engine.py",
-     "interval.load_ends.append(len(load_addrs))",
-     "interval.load_ends.append(len(load_addrs) + 1)", (_DECODED,)),
+     "        load_ends.append(len(load_addrs))\n",
+     "        load_ends.append(len(load_addrs) + 1)\n", (_DECODED,)),
+    # (One ``last`` for the whole interval: an op repeating the one
+    # before it is dropped across blocks, and across a block's loads and
+    # stores.)
     ("trace-load-lines-across-blocks", _TRACE,
-     "            for start, end in block_spans(self.load_ends):\n"
+     "            for load_end, store_end in zip(self.load_ends, "
+     "self.store_ends):\n"
+     "                last = -1\n"
+     "                for addr in load_addrs[load_start:load_end]:\n"
+     "                    line = addr // line_size\n"
+     "                    if line != last:\n"
+     "                        last = line\n"
+     "                        ops.append(index.setdefault(line, len(index))"
+     " << 1)\n"
+     "                # A store to the line just loaded upgrades it "
+     "(S -> M).\n"
      "                last = -1\n",
      "            last = -1\n"
-     "            for start, end in block_spans(self.load_ends):\n",
-     ("tests/sample/test_lazy_lru.py::"
-      "test_repeat_skip_is_not_carried_across_blocks",)),
-    ("trace-land-bytes-one-late", "src/repro/sample/engine.py",
+     "            for load_end, store_end in zip(self.load_ends, "
+     "self.store_ends):\n"
+     "                for addr in load_addrs[load_start:load_end]:\n"
+     "                    line = addr // line_size\n"
+     "                    if line != last:\n"
+     "                        last = line\n"
+     "                        ops.append(index.setdefault(line, len(index))"
+     " << 1)\n",
+     (_EAGER + "test_load_kept_once_only_within_its_block",
+      _EAGER + "test_store_to_a_line_its_own_block_loaded")),
+    ("trace-land-bytes-one-late", _TRACE,
      "page[off:stop] = bits[at:at + size]",
      "page[off:stop] = bits[at + 1:at + 1 + size]", (_DECODED,)),
-    ("trace-land-whole-pattern", "src/repro/sample/engine.py",
-     "            size = kind & STORE_SIZE\n", "            size = 8\n",
+    ("trace-land-whole-pattern", _TRACE,
+     "        size = kind & STORE_SIZE\n", "        size = 8\n",
      (_ROUNDTRIP + "test_stores_raw_matches_flatmemory_encoding",)),
     ("trace-store-kind-drops-fp", _TRACE,
      "self.store_kinds.append(size | _FP if fp else size)",
@@ -324,8 +345,8 @@ MUTANTS = [
      (_NO_CACHE, "tests/harness/test_cache_hermetic.py::"
       "test_storeless_sampled_run_leaves_cwd_empty")),
     ("store-keeps-trace-override", _RUNNER,
-     "    reset_ff_trace()\n    if not enabled:\n",
-     "    if not enabled:\n",
+     "    if traces is not None:\n        traces.reset_ff_trace()\n",
+     "",
      (_NO_CACHE,)),
     # The runner's hash-keyed batch is the one dedup: equal specs of
     # different types (1, 1.0) are different jobs.
@@ -400,6 +421,24 @@ MUTANTS = [
     ("window-keeps-processor", "src/repro/sample/engine.py",
      "        system.decompose(proc)\n", "",
      (_LIFECYCLE + "[sampled-record-replay]",)),
+    # The fast-forward pays for each block once: live blocks land their
+    # stores by the replay's page-slice code, and the D-cache warm-up
+    # walks one op stream, stopping only for I-cache L2 reads.
+    ("live-lands-whole-pattern", "src/repro/sample/engine.py",
+     "            land_stores(mem, interval, first)\n",
+     "            for at in range(first, len(store_addrs)):\n"
+     "                mem.write_bytes(store_addrs[at],\n"
+     "                                interval.store_bits[8 * at:8 * at + 8])"
+     "\n",
+     ("tests/sample/test_live_loop.py::test_store_edges_and_a_late_path",)),
+    ("landing-one-run-a-page", _TRACE,
+     "                    start = marked.find(1, stop)\n",
+     "                    start = -1\n",
+     (_ROUNDTRIP + "test_stores_raw_matches_flatmemory_encoding",)),
+    ("walk-icache-reads-after-block", _SHADOW,
+     "            stop = ends[i - 1] if i else 0\n",
+     "            stop = ends[i]\n",
+     (_EAGER + "test_icache_reads_between_store_only_blocks",)),
 ]
 
 #: Rows that survive on purpose: id -> why no test can see the bug.

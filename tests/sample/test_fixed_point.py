@@ -3,7 +3,7 @@
 ``ShadowUarch.warm`` runs the predictor/RAS pass and the I-cache pass
 ahead of the D-caches, skips each loop period that repeats one which
 left its structure unchanged, and replays the skipped periods' I-cache
-L2 reads in place.  The reference is ``test_lazy_lru``'s eager
+L2 reads in place.  The reference is ``tests.references``' eager
 per-block loop — one block at a time, every line touched on the spot,
 nothing split, deferred or skipped.  Every stream below must leave both
 with equal warm fields (``tests.warm_fields``; the L2's LRU order
@@ -22,7 +22,8 @@ from repro.isa.program import BLOCK_STRIDE
 from repro.sample.shadow import MAX_LOOP_PERIOD, ShadowUarch
 from repro.tflex.config import tflex_config
 from tests.sample.intervals import interval_of_blocks
-from tests.sample.test_lazy_lru import directory, eager_block, transfer
+from tests.references import eager_block
+from tests.sample.test_warm_equals_eager import directory, transfer
 from tests.warm_fields import fields
 
 #: A conv-like loop: with 8 KB 2-way I-caches, blocks 0, 4 and 8 map to

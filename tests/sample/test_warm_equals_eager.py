@@ -2,14 +2,18 @@
 
 ``ShadowUarch.warm`` runs an interval as three passes, resolves each
 block's I-cache footprint to set objects once per transfer, skips loop
-periods at fixed points, replays the I-cache passes' L2 reads in the
-D-cache pass and touches a load's line once while it stays MRU.  The
-reference below touches every line of every fetched block on the spot,
+periods at fixed points, and walks the D-caches as one op stream per
+interval (``FFInterval.dcache_ops``: a block's load lines, then its
+store lines, an op on the line the one before it in its block touched
+kept once), stopping only to replay the I-cache pass's L2 reads before
+the block that made them.  The reference (``tests.references.
+eager_block``) touches every line of every fetched block on the spot,
 through the public ``CacheBank``/``L2System`` calls the per-block
 warm-up was written with; random streams — tiny I-caches that evict,
 one address fetched at several sizes, unaligned addresses, comparisons
-and state transfers at random points — must leave both with equal warm
-fields (``tests.warm_fields``) and equal directories.
+and state transfers at random points — and the op stream's edge cases
+must leave both with equal warm fields (``tests.warm_fields``) and
+equal directories.
 """
 
 from dataclasses import replace
@@ -18,72 +22,23 @@ from types import SimpleNamespace
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.program import BLOCK_STRIDE
-from repro.mem.cache import CacheBank, LineState
-from repro.predictor.exits import GLOBAL_HISTORY_EXITS, push_history
-from repro.predictor.targets import BranchKind
+from repro.mem.cache import CacheBank
 from repro.sample.shadow import ShadowUarch
-from repro.tflex import interleave
 from repro.tflex.config import tflex_config
+from tests.references import eager_block
 from tests.sample.intervals import interval_of_blocks
 from tests.warm_fields import fields
 
 OPS = ("BRO", "CALLO", "RET", "HALT")
 
 
-def make_shadow(ncores, icache_bytes):
+def make_shadow(ncores, icache_bytes, l2_bytes=None):
     cfg = tflex_config(ncores)
-    return ShadowUarch(replace(cfg, core=replace(
-        cfg.core, icache_bytes=icache_bytes, dcache_bytes=512)), ncores)
-
-
-def eager_block(shadow, ghist, addr, size, exit_id, next_addr, op,
-                loads, stores):
-    """One committed block, every cache line touched immediately."""
-    ctx, l2, line = shadow.ctx, shadow.l2, shadow.line_size
-    ncores = shadow.ncores
-    if shadow.speculative:
-        owner = 0 if shadow.cfg.centralized_predictor \
-            else (addr // BLOCK_STRIDE) % ncores
-        ghist, __ = shadow.pred_banks[owner].observe_commit(
-            addr, ghist, shadow.ras, exit_id, BranchKind.of_opcode(op),
-            next_addr)
-    else:
-        ghist = push_history(ghist, exit_id, GLOBAL_HISTORY_EXITS)
-
-    for core in range(ncores):
-        chunk = len(range(core, size, ncores))      # instructions i = core mod N
-        if not chunk:
-            continue
-        icache = shadow.icaches[core]
-        for n in range(max(1, -(-chunk * 4 // line))):
-            la = icache.line_addr(addr + n * line)
-            if not icache.access(ctx, la):
-                l2.warm_read(ctx, la, core)
-                icache.fill(ctx, la, LineState.SHARED)
-
-    def bank_of(data_addr):
-        b = interleave.dbank_of(data_addr, line, shadow.num_dbanks)
-        return shadow.dcaches[b], interleave.dbank_core_index(
-            b, ncores, shadow.num_dbanks)
-
-    for laddr in loads:
-        dcache, core = bank_of(laddr)
-        if not dcache.access(ctx, laddr):
-            l2.warm_read(ctx, dcache.line_addr(laddr), core)
-            victim = dcache.fill(ctx, laddr, LineState.SHARED)
-            if victim is not None:
-                l2.l1_evicted(victim.ctx, victim.line_addr, core)
-    for saddr in stores:
-        dcache, core = bank_of(saddr)
-        present = dcache.probe(ctx, saddr)
-        if present is not None and present.state is LineState.MODIFIED:
-            dcache.access(ctx, saddr, write=True)
-            continue
-        l2.warm_write(ctx, dcache.line_addr(saddr), core)
-        victim = dcache.fill(ctx, saddr, LineState.MODIFIED)
-        if victim is not None:
-            l2.l1_evicted(victim.ctx, victim.line_addr, core)
-    return ghist
+    cfg = replace(cfg, core=replace(
+        cfg.core, icache_bytes=icache_bytes, dcache_bytes=512))
+    if l2_bytes is not None:
+        cfg = replace(cfg, l2_bank_bytes=l2_bytes)
+    return ShadowUarch(cfg, ncores)
 
 
 def directory(shadow):
@@ -127,9 +82,9 @@ _events = st.lists(st.one_of(
     min_size=1, max_size=12)
 
 
-def drive(ncores, icache_bytes, events, check_each=False):
-    shadow = make_shadow(ncores, icache_bytes)
-    eager = make_shadow(ncores, icache_bytes)
+def drive(ncores, icache_bytes, events, check_each=False, l2_bytes=None):
+    shadow = make_shadow(ncores, icache_bytes, l2_bytes)
+    eager = make_shadow(ncores, icache_bytes, l2_bytes)
     ghist = eager_ghist = 0
     for event in events:
         if event == "snapshot":
@@ -164,7 +119,7 @@ def drive(ncores, icache_bytes, events, check_each=False):
 @settings(max_examples=120, deadline=None)
 @given(ncores=st.sampled_from([1, 2, 4, 8]),
        icache_bytes=st.sampled_from([256, 512, 8192]), events=_events)
-def test_lazy_shadow_equals_eager_reference(ncores, icache_bytes, events):
+def test_shadow_equals_eager_reference(ncores, icache_bytes, events):
     drive(ncores, icache_bytes, events)
 
 
@@ -236,3 +191,85 @@ def test_thrashing_set_does_not_flush_unrelated_blocks():
     assert icache.probe(shadow.ctx, BLOCK_STRIDE) is not None
     assert icache.probe(shadow.ctx, 4 * BLOCK_STRIDE) is None  # evicted by 0
     assert icache.probe(shadow.ctx, 8 * BLOCK_STRIDE) is not None
+
+
+# The op stream's edges: the walk keeps a block's load lines, then its
+# store lines, and stops only before a block with I-cache L2 reads.
+
+def _block(number, loads, stores, size=8):
+    """A block of one stream that falls through to the next number."""
+    return (number, 0, size, 0, number + 1, "BRO", loads, stores)
+
+
+def test_dcache_op_stream_layout():
+    """Per block its load lines, then its store lines, an op repeating
+    the one before it in its block kept once — never across blocks, and
+    never a store after a load of its line."""
+    interval = interval_of_blocks(0, [
+        [0, BLOCK_STRIDE, 2 * BLOCK_STRIDE], [0] * 3, [0] * 3,
+        ["BRO"] * 3, [1] * 3, [4, 0, 1],
+        [[64, 72, 128, 64], [], [128]],
+        [[64, 8, 0, 0, 72, 8, 0, 0, 200, 8, 0, 0], [], [136, 8, 0, 0]]])
+    lines, ops, ends = interval.dcache_ops(64)
+    assert list(lines) == [1, 2, 3]
+    assert [(lines[op >> 1], op & 1) for op in ops] == [
+        (1, 0), (2, 0), (1, 0), (1, 1), (3, 1), (2, 0), (2, 1)]
+    assert list(ends) == [5, 5, 7]
+    assert interval.dcache_ops(64) is interval.dcache_ops(64)
+    lines, ops, ends = interval.dcache_ops(128)
+    assert [(lines[op >> 1], op & 1) for op in ops] == [
+        (0, 0), (1, 0), (0, 0), (0, 1), (1, 1), (1, 0), (1, 1)]
+    assert list(ends) == [5, 5, 7]
+
+
+def test_store_to_a_line_its_own_block_loaded():
+    """S -> M: a block loads a line and then stores to it, twice running
+    and after another line; the next blocks load and store it again."""
+    drive(2, 8192, [
+        [_block(0, [64, 72], [80])],
+        [_block(1, [64, 320], [64, 88, 320]), _block(2, [], [64, 64, 128]),
+         _block(3, [128], [])],
+        "snapshot",
+        [_block(0, [128, 64], [72, 128])]], check_each=True)
+
+
+def test_icache_reads_between_store_only_blocks():
+    """Blocks that store and never load, to their own code line and to
+    the next block's, under an I-cache too small to keep any of them:
+    every block's I-cache L2 read falls between the previous block's
+    stores, which leave its line owned by a D-cache, and its own, which
+    must find the I-cache's core among the sharers."""
+    def cycle(numbers):
+        return [(n, 0, 8, 0, 0, "BRO", [],
+                 [n * BLOCK_STRIDE,
+                  numbers[(at + 1) % len(numbers)] * BLOCK_STRIDE])
+                for at, n in enumerate(numbers)]
+
+    for ncores in (1, 2):
+        drive(ncores, 256, [cycle([0, 1, 2]) * 3, "snapshot",
+                            cycle([2, 4]) * 2], check_each=True)
+
+
+def test_blocks_without_loads_or_stores():
+    """Blocks with no D-cache op — first in an interval, between blocks
+    that have some, last, and with I-cache misses of their own — put
+    nothing in the op stream and move no stop of the walk."""
+    code = 3 * BLOCK_STRIDE
+    drive(2, 256, [
+        [_block(0, [], []), _block(1, [], [], size=40),
+         _block(2, [64], [code]), _block(3, [], []),
+         _block(4, [code + 8], [], size=128), _block(5, [], [])],
+        [_block(6, [], [])],
+        [_block(3, [], [code]), _block(7, [], []), _block(3, [], [])]],
+        check_each=True)
+
+
+def test_load_kept_once_only_within_its_block():
+    """Every block loads line 0 and nothing else, and fetches a block of
+    its own through a one-line I-cache miss; with 8-line L2 banks those
+    code lines share line 0's bank and push it out, recalling it from
+    the D-cache, so the next block's load of it misses again — a load
+    kept once across blocks would leave it out."""
+    blocks = [(2 * n, 0, 8, 0, 2 * n + 2, "BRO", [0], []) for n in range(24)]
+    drive(1, 256, [blocks, "snapshot", blocks[:12]], check_each=True,
+          l2_bytes=512)

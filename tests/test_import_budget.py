@@ -121,6 +121,7 @@ class TestLightCommands:
         assert run.code == 0, run.stderr
         assert run.stdout.strip()
         assert heavy(run.modules) == []
+        assert "repro.sample.trace" not in run.modules
         assert len(run.repro) <= 40, run.repro     # 90 before the layering
         assert ("repro.sched" in run.modules) == (command == "fig10")
 
