@@ -215,56 +215,3 @@ class KernelProgram:
                 raise CompileError(f"{self.name}: array {arr.name} elem {arr.elem}")
             if arr.init is not None and len(arr.init) > arr.size:
                 raise CompileError(f"{self.name}: array {arr.name} init too long")
-
-
-# ----------------------------------------------------------------------
-# Type checking helpers (shared by both backends)
-# ----------------------------------------------------------------------
-
-def infer_type(expr: Expr, var_types: dict[str, str],
-               program: KernelProgram) -> str:
-    """Infer and check an expression's type."""
-    if isinstance(expr, Const):
-        return expr.type
-    if isinstance(expr, Var):
-        if expr.name not in var_types:
-            raise CompileError(f"use of uninitialized variable {expr.name!r}")
-        return var_types[expr.name]
-    if isinstance(expr, Load):
-        infer_type(expr.index, var_types, program)
-        return program.array(expr.array).elem
-    if isinstance(expr, Bin):
-        ta = infer_type(expr.a, var_types, program)
-        tb = infer_type(expr.b, var_types, program)
-        if ta != tb:
-            raise CompileError(f"type mismatch in {expr.op}: {ta} vs {tb}")
-        table = FLOAT_BINOPS if ta == "float" else INT_BINOPS
-        if expr.op not in table:
-            raise CompileError(f"operator {expr.op!r} not defined for {ta}")
-        return ta
-    if isinstance(expr, Cmp):
-        ta = infer_type(expr.a, var_types, program)
-        tb = infer_type(expr.b, var_types, program)
-        if ta != tb:
-            raise CompileError(f"type mismatch in {expr.op}: {ta} vs {tb}")
-        if expr.op not in CMP_OPS:
-            raise CompileError(f"unknown comparison {expr.op!r}")
-        return "int"
-    if isinstance(expr, Un):
-        ta = infer_type(expr.a, var_types, program)
-        if expr.op == "sqrt" and ta != "float":
-            raise CompileError("sqrt requires a float operand")
-        if expr.op == "~" and ta != "int":
-            raise CompileError("~ requires an int operand")
-        if expr.op not in ("-", "~", "abs", "sqrt"):
-            raise CompileError(f"unknown unary {expr.op!r}")
-        return ta
-    if isinstance(expr, ItoF):
-        if infer_type(expr.a, var_types, program) != "int":
-            raise CompileError("ItoF requires an int operand")
-        return "float"
-    if isinstance(expr, FtoI):
-        if infer_type(expr.a, var_types, program) != "float":
-            raise CompileError("FtoI requires a float operand")
-        return "int"
-    raise CompileError(f"unknown expression node {expr!r}")

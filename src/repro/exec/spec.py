@@ -162,10 +162,6 @@ class JobSpec:
             "faults": list(self.faults),
         }
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.canonical(), sort_keys=True,
-                          separators=(",", ":"))
-
     def to_dict(self) -> dict:
         return self.canonical()
 

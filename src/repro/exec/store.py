@@ -1,11 +1,11 @@
 """Content-addressed on-disk record stores.
 
-One store layout, one reader, one writer.  A :class:`BlobStore` keeps
-records under ``<root>/<key[:2]>/<key><SUFFIX>`` where the caller
-supplies the key (already a content hash); a record is
-``{"schema": salt, "key": key, ..., "payload": ...}``, and one that
-does not echo the store's schema and the key is a miss.  The codec is
-the subclass's.  :class:`ResultStore` writes plain JSON, keyed by
+One store layout, one codec per concrete store.  A :class:`BlobStore`
+keeps records under ``<root>/<key[:2]>/<key><SUFFIX>`` where the caller
+supplies the key (already a content hash); a record echoes the store's
+schema and the key, and one that does not is a miss.  The codec is the
+subclass's.  :class:`ResultStore` writes plain JSON
+(``{"schema": salt, "key": key, "spec": ..., "payload": ...}``), keyed by
 :func:`repro.exec.spec.spec_hash` of a job spec (salted with the
 store's schema version) and echoing the spec in the record.  The
 fast-forward trace store (:class:`repro.sample.trace.FFTraceStore`)
@@ -92,16 +92,14 @@ def atomic_write(path: Union[str, pathlib.Path], data) -> None:
         raise
 
 
-#: What :meth:`BlobStore._read` returns for a record that does not read.
+#: What a store's ``_read`` returns for a record that does not read.
 MISS = object()
 
 
 class BlobStore:
     """Content-keyed record store; see the module docstring for the
     layout and the durability contract.  A subclass supplies the codec:
-    ``_encode``/``_decode`` between a record dict and its bytes (the
-    result store), or its own :meth:`_read` and ``store`` (the
-    fast-forward trace store)."""
+    its :meth:`_read` and ``store``."""
 
     SUFFIX = ".json.gz"
 
@@ -109,48 +107,24 @@ class BlobStore:
         self.root = pathlib.Path(root)
         self.salt = salt
         self.hits = 0
-        self.misses = 0
-        self.writes = 0
 
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / key[:2] / f"{key}{self.SUFFIX}"
-
-    # -- reads ---------------------------------------------------------
-
-    def _read(self, key: str):
-        """The payload stored under ``key`` if its record reads, parses
-        and echoes this store's schema and the key; else :data:`MISS`."""
-        try:
-            record = self._decode(self.path_for(key).read_bytes())
-        except (OSError, ValueError):
-            return MISS
-        if (not isinstance(record, dict) or record.get("schema") != self.salt
-                or record.get("key") != key or "payload" not in record):
-            return MISS
-        return record["payload"]
 
     def load(self, key: str):
         """The stored payload for ``key``, or ``None`` on any miss —
         including a corrupt, truncated, or schema-mismatched record."""
         payload = self._read(key)
         if payload is MISS:
-            self.misses += 1
             return None
         self.hits += 1
         return payload
-
-    # -- writes --------------------------------------------------------
-
-    def _write(self, key: str, fields: dict) -> pathlib.Path:
-        return self._put(key, self._encode(
-            {"schema": self.salt, "key": key, **fields}))
 
     def _put(self, key: str, data) -> pathlib.Path:
         """:func:`atomic_write` ``data`` (bytes or a writer) as the
         record under ``key``."""
         path = self.path_for(key)
         atomic_write(path, data)
-        self.writes += 1
         return path
 
 
@@ -164,21 +138,29 @@ class ResultStore(BlobStore):
                  salt: int = SCHEMA_VERSION) -> None:
         super().__init__(root, salt)
 
-    @staticmethod
-    def _encode(record: dict) -> bytes:
-        return json.dumps(record).encode("utf-8")
-
-    _decode = staticmethod(json.loads)
-
     def key(self, spec: JobSpec) -> str:
         return spec_hash(spec, salt=self.salt)
+
+    def _read(self, key: str):
+        """The payload stored under ``key`` if its record reads, parses
+        and echoes this store's schema and the key; else :data:`MISS`."""
+        try:
+            record = json.loads(self.path_for(key).read_bytes())
+        except (OSError, ValueError):
+            return MISS
+        if (not isinstance(record, dict) or record.get("schema") != self.salt
+                or record.get("key") != key or "payload" not in record):
+            return MISS
+        return record["payload"]
 
     def load(self, spec: JobSpec) -> Optional[dict]:
         return super().load(self.key(spec))
 
     def store(self, spec: JobSpec, payload: dict) -> pathlib.Path:
-        return self._write(self.key(spec),
-                           {"spec": spec.to_dict(), "payload": payload})
+        key = self.key(spec)
+        return self._put(key, json.dumps(
+            {"schema": self.salt, "key": key, "spec": spec.to_dict(),
+             "payload": payload}).encode("utf-8"))
 
 
 # ----------------------------------------------------------------------

@@ -470,27 +470,19 @@ class FigBestResult:
     def objectives(self) -> list[str]:
         return list(self.searches)
 
-    def best_labels(self, objective: str) -> dict[str, str]:
-        return self.searches[objective].best_labels()
-
     def best_ncores(self, objective: str) -> dict[str, int]:
         return self.searches[objective].best_ncores()
 
-    def detailed_jobs(self, objective: Optional[str] = None) -> int:
-        """Detailed-simulation jobs one search needed (or all, summed —
+    def detailed_jobs(self) -> int:
+        """Detailed-simulation jobs the searches needed, summed —
         cross-objective cache sharing makes the *executed* number lower
-        still, but the per-search count is the honest accounting)."""
-        if objective is not None:
-            return self.searches[objective].detailed_jobs()
+        still, but the per-search count is the honest accounting."""
         return sum(s.detailed_jobs() for s in self.searches.values())
 
     def exhaustive_detailed_jobs(self) -> int:
         """Detailed jobs the exhaustive sweep runs for the same BEST
         line: every composition of every benchmark."""
         return len(self.benchmarks) * len(self.core_counts)
-
-    def detail_reduction(self, objective: str) -> float:
-        return self.searches[objective].detail_reduction()
 
     def payload(self) -> dict:
         """JSON form (the CLI's ``--out`` artifact)."""

@@ -15,7 +15,7 @@ The :mod:`repro.isa.interp` module provides a functional, sequential
 "golden model" interpreter used to validate the cycle-level simulator.
 """
 
-from repro.isa.opcodes import OpClass, OpSpec, OPCODES, evaluate
+from repro.isa.opcodes import OpClass, OpSpec, OPCODES
 from repro.isa.instruction import Instruction, Target, TargetKind, OperandSlot
 from repro.isa.block import (
     Block,
@@ -38,7 +38,6 @@ __all__ = [
     "OpClass",
     "OpSpec",
     "OPCODES",
-    "evaluate",
     "Instruction",
     "Target",
     "TargetKind",

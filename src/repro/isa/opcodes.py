@@ -6,7 +6,7 @@ interpreter (:mod:`repro.isa.interp`), the cycle-level simulator
 ``repro.risc.isa.ALU_NAMES``) are guaranteed to compute identical values.
 
 Integer values are 64-bit two's complement; floating point values are
-IEEE-754 doubles (Python floats).  The :func:`evaluate` function is the
+IEEE-754 doubles (Python floats).  :func:`bind_evaluator` is the
 single entry point for executing an opcode on operand values.
 """
 
@@ -244,7 +244,7 @@ def alu_source(op: OpSpec) -> tuple:
     name = op.name
     row = name if name in _ALU or not op.has_imm else name[:-1]
     if row not in _ALU:
-        raise ValueError(f"evaluate() does not implement opcode {name}")
+        raise ValueError(f"no ALU row implements opcode {name}")
     return _ALU[row]
 
 
@@ -257,8 +257,7 @@ def bind_evaluator(op: OpSpec, imm=None):
     wrap and the (pre-coerced) immediate written into its body.  Rows
     are compiled once per (opcode, form); binding an immediate is one
     closure creation.  The interpreter and the timing model bind one
-    evaluator per static instruction; :func:`evaluate` is the same
-    function applied to a tuple.
+    evaluator per static instruction.
     """
     row = coerce, __, expr = alu_source(op)
     compiled = _COMPILED.get((row, op.has_imm))
@@ -271,23 +270,3 @@ def bind_evaluator(op: OpSpec, imm=None):
     if not op.has_imm:
         return compiled
     return compiled(coerce(imm) if coerce else imm)
-
-
-def evaluate(op: OpSpec, operands: tuple, imm=None):
-    """Execute one opcode on resolved operand values.
-
-    Memory, branch and NULL opcodes are *not* handled here: their effects
-    depend on machine state and are implemented by the interpreter and
-    the simulator.  ``evaluate`` covers every value-producing ALU opcode.
-
-    Args:
-        op: The opcode spec.
-        operands: Tuple of operand values, length ``op.operands``.
-        imm: Immediate value for ``*I``/``MOVI`` forms.
-
-    Returns:
-        The result value (int for integer/test ops, float for FP ops).
-    """
-    a = operands[0] if op.operands >= 1 else None
-    b = operands[1] if op.operands >= 2 else None
-    return bind_evaluator(op, imm)(a, b)

@@ -102,10 +102,6 @@ class LsqBank:
     # ------------------------------------------------------------------
 
     @property
-    def occupancy(self) -> int:
-        return len(self._entries)
-
-    @property
     def full(self) -> bool:
         return len(self._entries) >= self.capacity
 

@@ -56,9 +56,6 @@ class StoreSetPredictor:
             stores.append(store_key)
             del stores[self.max_set:]
 
-    def tracked(self, load_key: MemKey) -> bool:
-        return load_key in self._sets
-
     def must_wait(self, load_key: MemKey, load_gseq: int, load_lsq: int,
                   inflight) -> bool:
         """True while a predicted-conflicting store is still unresolved.

@@ -44,18 +44,6 @@ class CacheStats:
     writebacks: int = 0
     invalidations: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes
-
-    @property
-    def misses(self) -> int:
-        return self.read_misses + self.write_misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class _Sets(dict):
     """Set index -> ``OrderedDict[(ctx, line_addr) -> Line]`` (LRU

@@ -261,9 +261,3 @@ class Network:
     def zero_load_delay(self, src: int, dst: int) -> int:
         """Latency without contention (no reservation made)."""
         return self.topology.distance(src, dst) * self.hop_latency
-
-    @property
-    def average_latency(self) -> float:
-        if self.stats.messages == 0:
-            return 0.0
-        return self.stats.total_latency / self.stats.messages

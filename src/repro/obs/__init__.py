@@ -6,7 +6,7 @@ Three small pieces, bundled by :class:`Observability`:
   counter/gauge/histogram series with a JSON-safe ``snapshot()``.
 * :mod:`repro.obs.bus` — :class:`TraceBus`: structured events fanned
   out to pluggable sinks (ring buffer for tests, JSONL file for runs),
-  forkable for scoped observation.
+  with a parent bus for scoped observation (:meth:`Observability.fork`).
 * :mod:`repro.obs.profile` — :class:`PhaseProfiler`: exclusive
   wall-clock seconds per simulation phase (where does *host* time go).
 

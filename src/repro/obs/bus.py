@@ -8,8 +8,9 @@ attribute test, so an instrumented hot path costs near nothing when
 tracing is off — call sites additionally guard event-dict construction
 behind ``Observability.active``.
 
-Buses can be *forked*: a fork shares the parent's delivery (events
-still reach every parent sink) while adding private sinks of its own.
+A bus can have a *parent* (``TraceBus(parent=...)``, which
+``Observability.fork`` builds): its events still reach every parent
+sink, while sinks attached to it see only its own events.
 ``ComposedProcessor.enable_block_trace`` uses this to observe one
 processor without globally enabling tracing.
 """
@@ -87,7 +88,7 @@ class JsonlSink(Sink):
 
 
 class TraceBus:
-    """Fans events out to sinks; forkable for scoped observation."""
+    """Fans events out to sinks, and to its parent's, if it has one."""
 
     def __init__(self, parent: Optional["TraceBus"] = None) -> None:
         self._sinks: list[Sink] = []
@@ -121,11 +122,6 @@ class TraceBus:
             sink.emit(event)
         if self._parent is not None:
             self._parent.deliver(event)
-
-    def fork(self) -> "TraceBus":
-        """A child bus: its events also reach this bus's sinks, but
-        sinks attached to the child see only the child's events."""
-        return TraceBus(parent=self)
 
     def close(self) -> None:
         """Close this bus's own sinks (not the parent's)."""

@@ -107,19 +107,9 @@ class MetricsRegistry:
     def counter(self, name: str, **labels) -> float:
         return self._counters.get(series_key(name, labels), 0.0)
 
-    def gauge(self, name: str, **labels) -> Optional[float]:
-        return self._gauges.get(series_key(name, labels))
-
-    def histogram(self, name: str, **labels) -> Optional[Histogram]:
-        return self._histograms.get(series_key(name, labels))
-
     def counter_total(self, name: str) -> float:
         """Sum of a counter over every label combination."""
         return sum(v for (n, __), v in self._counters.items() if n == name)
-
-    def __len__(self) -> int:
-        return (len(self._counters) + len(self._gauges)
-                + len(self._histograms))
 
     # -- export --------------------------------------------------------
 
@@ -148,8 +138,3 @@ class MetricsRegistry:
                          f"mean={hist['mean']:.6g} min={hist['min']:g} "
                          f"max={hist['max']:g}")
         return "\n".join(lines) if lines else "(no metrics recorded)"
-
-    def clear(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()

@@ -7,30 +7,18 @@ execute, commit, noc, lsq, ...) with exclusive-time accounting: when
 phases nest, time spent in an inner phase is charged to the inner phase
 only.
 
-Disabled profilers hand out a shared no-op context manager; the
-simulator's hot paths go further: their phase hooks are class-level
-handlers, shadowed per instance by :meth:`PhaseProfiler.wrap` only when
-the profiler is enabled at construction, so a disabled profiler costs
-them nothing.
+The simulator's hot paths never consult a disabled profiler: their
+phase hooks are class-level handlers, shadowed per instance by
+:meth:`PhaseProfiler.wrap` only when the profiler is enabled at
+construction, so a disabled profiler costs them nothing.  The rare
+phases (a sampled run's fast-forward, a recovery) test
+``profiler.enabled`` before they enter :meth:`PhaseProfiler.phase`.
 """
 
 from __future__ import annotations
 
 import time
 from typing import Callable
-
-
-class _NoopTimer:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NOOP = _NoopTimer()
 
 
 class _Timer:
@@ -77,9 +65,8 @@ class PhaseProfiler:
         self._stack: list[tuple[str, float]] = []
 
     def phase(self, name: str):
-        """Context manager timing one phase (no-op when disabled)."""
-        if not self.enabled:
-            return _NOOP
+        """Context manager timing one phase (the caller checks
+        :attr:`enabled` first)."""
         return _Timer(self, name)
 
     def wrap(self, name: str, fn: Callable) -> Callable:
@@ -130,8 +117,3 @@ class PhaseProfiler:
         lines.append(f"{'TOTAL':<12} {self.total_seconds:>10.4f} "
                      f"{'100%':>7} {sum(self._calls.values()):>10}")
         return "\n".join(lines)
-
-    def clear(self) -> None:
-        self._seconds.clear()
-        self._calls.clear()
-        self._stack.clear()

@@ -177,9 +177,3 @@ class ExitPredictor(WarmState):
         if actual_exit is not None:
             restored = push_history(restored, actual_exit, LOCAL_HISTORY_EXITS)
         self._local_hist[prediction.local_index] = restored
-
-    @property
-    def accuracy(self) -> float:
-        if self.stats.predictions == 0:
-            return 0.0
-        return self.stats.correct / self.stats.predictions

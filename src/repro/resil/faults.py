@@ -152,11 +152,6 @@ class FaultSchedule:
     def to_dict(self) -> dict:
         return {"events": [e.to_dict() for e in self.events]}
 
-    @staticmethod
-    def from_dict(data: dict) -> "FaultSchedule":
-        return FaultSchedule(tuple(FaultEvent.from_dict(e)
-                                   for e in data.get("events", ())))
-
     def spec_items(self) -> tuple[str, ...]:
         """The ``JobSpec.faults`` encoding: one canonical JSON string
         per event, in canonical order — logically equal schedules
@@ -222,11 +217,6 @@ class FaultSchedule:
         order = _permutation(num_cores, seed)
         return FaultSchedule(tuple(FaultEvent("core_dead", core=c)
                                    for c in order[:count]))
-
-    @staticmethod
-    def single_kill(core: int, cycle: int) -> "FaultSchedule":
-        return FaultSchedule((FaultEvent("core_kill", core=core,
-                                         cycle=cycle),))
 
 
 def _permutation(n: int, seed: int) -> list[int]:

@@ -155,14 +155,3 @@ class RiscProgram:
                     raise RiscError(f"{inst.describe()}: register r{reg}")
         if "main" not in self.labels:
             raise RiscError("no main entry label")
-
-    def disassemble(self) -> str:
-        by_pc: dict[int, list[str]] = {}
-        for name, pc in self.labels.items():
-            by_pc.setdefault(pc, []).append(name)
-        lines = []
-        for pc, inst in enumerate(self.insts):
-            for name in by_pc.get(pc, []):
-                lines.append(f"{name}:")
-            lines.append(f"  {pc:4d}  {inst.describe()}")
-        return "\n".join(lines)

@@ -48,10 +48,6 @@ class SpeedupTable:
         """Best performance the benchmark achieves with the chip to itself."""
         return max(self.perf[bench].values())
 
-    def sizes(self) -> list[int]:
-        first = next(iter(self.perf.values()))
-        return sorted(first)
-
 
 def weighted_speedup(apps: Sequence[str], sizes: Sequence[int],
                      table: SpeedupTable) -> float:

@@ -114,10 +114,6 @@ class BenchSearchResult:
     best_score: float
     rungs: list[RungReport] = field(default_factory=list)
 
-    @property
-    def best_label(self) -> str:
-        return self.best.label()
-
     def detailed_jobs(self) -> int:
         return sum(len(r.entered) for r in self.rungs if r.detailed)
 
@@ -133,9 +129,6 @@ class SearchResult:
     space: SearchSpace
     config: HalvingConfig
     per_bench: dict[str, BenchSearchResult]
-
-    def best_labels(self) -> dict[str, str]:
-        return {b: r.best_label for b, r in self.per_bench.items()}
 
     def best_ncores(self) -> dict[str, int]:
         return {b: r.best.ncores for b, r in self.per_bench.items()}
@@ -159,28 +152,6 @@ class SearchResult:
             for tier, count in result.evaluations().items():
                 totals[tier] = totals.get(tier, 0) + count
         return totals
-
-    def render(self) -> str:
-        from repro.harness.reporting import format_table
-
-        tiers = [tier.name for tier in DEFAULT_LADDER]
-        headers = ["benchmark", "BEST", "score"] + [f"evals@{t}" for t in tiers]
-        rows = []
-        for bench in self.space.benchmarks:
-            result = self.per_bench[bench]
-            evals = result.evaluations()
-            rows.append([bench, result.best_label,
-                         f"{result.best_score:.3e}"]
-                        + [evals.get(t, 0) for t in tiers])
-        totals = self.total_evaluations()
-        rows.append(["TOTAL", "", ""] + [totals.get(t, 0) for t in tiers])
-        table = format_table(
-            headers, rows,
-            title=f"BEST composition search: objective={self.objective}")
-        summary = (f"detailed jobs: {self.detailed_jobs()} vs "
-                   f"{self.exhaustive_detailed_jobs()} exhaustive "
-                   f"({self.detail_reduction():.1f}x fewer)")
-        return table + "\n" + summary
 
 
 def _promote_count(alive: int, eta: int) -> int:

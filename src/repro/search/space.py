@@ -54,9 +54,6 @@ class SearchSpace:
         if len(set(self.candidates)) != len(self.candidates):
             raise ValueError("search space candidates must be unique")
 
-    def __len__(self) -> int:
-        return len(self.candidates)
-
     def spec_for(self, bench: str, candidate: Candidate,
                  sampling: Optional[Mapping[str, Any]] = None) -> JobSpec:
         """The job spec evaluating ``candidate`` on ``bench`` at one

@@ -77,11 +77,6 @@ class Core:
     # Composition
     # ------------------------------------------------------------------
 
-    @property
-    def proc(self):
-        """The sole owner (None when free; ambiguous under sharing)."""
-        return self.procs[0] if self.procs else None
-
     def assign(self, proc, share: bool = False) -> None:
         if self.faulty:
             raise RuntimeError(f"core {self.id} is marked faulty")

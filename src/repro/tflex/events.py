@@ -63,10 +63,6 @@ class EventQueue:
         """Schedule ``fn`` to run ``delay`` cycles from now."""
         self.at(self.now + delay, fn)
 
-    @property
-    def pending(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets.values())
-
     def run(self, max_cycles: int = MAX_CYCLES) -> bool:
         """Process events in order until the queue drains, :meth:`stop`
         is called, or the cycle budget is exceeded.

@@ -81,10 +81,6 @@ class BlockInstance:
         return self.state is BlockState.SQUASHED
 
     @property
-    def committed(self) -> bool:
-        return self.state is BlockState.COMMITTED
-
-    @property
     def writes_expected(self) -> int:
         return len(self.block.writes)
 

@@ -228,9 +228,6 @@ class ComposedProcessor(ProtocolMixin, DatapathMixin):
             return self.system.cores[self.core_of_index(0)].predictor
         return self.system.cores[self.core_of_index(owner_index)].predictor
 
-    def rf_bank_of(self, reg: int) -> int:
-        return interleave.rf_bank_of(reg, self.num_rf_banks)
-
     def rf_bank_core(self, bank_index: int) -> int:
         """Register banks sit on the first cores of the composition
         (the top row in the TRIPS floorplan)."""
@@ -340,10 +337,6 @@ class ComposedProcessor(ProtocolMixin, DatapathMixin):
         now = self.queue.now
         self.stats.inflight_integral += len(self.inflight) * (now - self._occupancy_mark)
         self._occupancy_mark = now
-
-    @property
-    def done(self) -> bool:
-        return self.halted
 
     def release_cores(self) -> None:
         """Detach from all cores (decomposition / recomposition)."""

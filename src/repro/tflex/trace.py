@@ -27,10 +27,6 @@ class BlockTrace:
     commit_start: int
     committed: int
 
-    @property
-    def lifetime(self) -> int:
-        return self.committed - self.fetch_start
-
 
 def render_timeline(traces: list[BlockTrace], width: int = 72) -> str:
     """ASCII Gantt chart: one row per block.

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-INT_MIN = -(1 << 63)
-INT_MAX = (1 << 63) - 1
 _WRAP = 1 << 64
 
 

@@ -14,6 +14,10 @@ import struct
 
 _DOUBLE = struct.Struct("<d")
 
+#: The signed 64-bit range ``repro.util.wrap64`` folds into.
+INT_MIN = -(1 << 63)
+INT_MAX = (1 << 63) - 1
+
 
 def exact(value):
     """``value`` bit for bit: ``(type, value)`` for a scalar, with a

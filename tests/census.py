@@ -2,7 +2,8 @@
 
 ``tests/test_reach.py`` asks whether any line names a definition; a
 cluster of definitions that only reach each other passes it.  This
-script asks what runs.  It copies the tree to a temporary directory and
+script asks what runs, and closes the answer: every definition either
+runs or has a reason.  It copies the tree to a temporary directory and
 runs :data:`TRAFFIC` there — every example, the CLI commands and the
 figure harnesses, at small sizes and ``--jobs 1``, plus one ``--jobs 2``
 sweep through the worker pool and a sampled run in a fresh process that
@@ -19,8 +20,10 @@ Run it from the repo root::
 
     PYTHONPATH=src python tests/census.py > census.txt
 
-It is evidence, not a gate: error paths never run by design.  It exits
-1 only if a traffic command fails.
+It is a gate: it exits 1 if a traffic command fails, if a definition
+never ran and :data:`REASONS` does not explain it (delete it, give it
+traffic, or give the reason), or if a :data:`REASONS` entry is stale —
+its definition ran, or there is no such definition.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ TRAFFIC = [
         "multiprogramming", "os_reallocation", "smt_vs_composition")),
     ("repro", ("list",)),
     ("repro", ("run", "conv", "--cores", "4", "--cache-dir", "{store}")),
-    ("repro", ("run", "conv", "--cores", "4", "--sample",
+    # Records a trace with metrics on, which reports it (trace.record).
+    ("repro", ("run", "conv", "--cores", "4", "--sample", "--metrics",
                "--cache-dir", "{store}")),
     # Another composition, so a result miss that replays the stored blob.
     ("repro", ("run", "conv", "--cores", "8", "--sample",
@@ -62,21 +66,30 @@ TRAFFIC = [
                "--cache-dir", "{store}-obs")),
     ("repro", ("run", "dither", "--cores", "4", "--trace-out",
                "{store}-trace.jsonl", "--cache-dir", "{store}-obs")),
+    # The OoO baseline alone, and one run whose working set overflows
+    # an L1 into the L2 and an L2 set back out of the L1s (an eviction
+    # and a recall; no figure run does either, EXPERIMENTS.md fig5).
+    ("repro", ("run", "conv", "--machine", "ooo", "--cache-dir", "{store}")),
+    ("repro", ("run", "equake", "--cores", "1", "--scale", "64",
+               "--cache-dir", "{store}")),
     ("repro", ("disasm", "conv")),
     ("repro", ("timeline", "conv", "--cores", "4")),
     ("repro", ("profile", "conv", "--cores", "4")),
     ("repro", ("lint",)),
+    ("repro", ("lint", "--format", "json")),
     *(("repro", (fig, *_PAIR, *_SWEEP)) for fig in (
         "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table2")),
     ("repro", ("sweep", "conv", *_SWEEP)),
     ("repro", ("sweep", "gzip", *_SWEEP)),
     ("repro", ("resil", "--cores", "8", "--max-dead", "2", *_PAIR,
-               *_SWEEP)),
-    ("repro", ("search", *_PAIR, *_SWEEP)),
+               "--out", "{store}-figR.json", *_SWEEP)),
+    ("repro", ("search", *_PAIR, "--max-candidates", "5",
+               "--out", "{store}-best.json", *_SWEEP)),
     ("repro", ("fig6", "--scale", "2", "--sample", *_PAIR, *_SWEEP)),
     # A store of its own, so the pool's workers simulate.
     ("repro", ("fig6", *_PAIR, "--jobs", "2", "--cache-dir", "{store}-pool")),
-    ("repro", ("cache", "gc", "--dry-run", "--cache-dir", "{store}")),
+    ("repro", ("cache", "gc", "--dry-run", "--max-bytes", "1M",
+               "--cache-dir", "{store}")),
     ("pytest", ("-q", "-p", "no:cacheprovider", "benchmarks",
                 "--ignore=benchmarks/perf")),
 ]
@@ -90,19 +103,32 @@ _RAS = ("the distributed RAS and the calls that would use it: the suite "
         "has no call (ROADMAP item 8)")
 _TARGET = "the paper's 9-bit target format, which docs/ISA.md keeps"
 _GOLDEN = "golden fixture regeneration, run by hand for a model change"
+_DEBUG = "a `__repr__` debug aid, which no run prints"
+_LINT = ("a lint finding's report, which a tree that lints clean (CI's "
+         "gate) never makes")
+_SPLIT = ("block splitting: no shipped kernel's straight-line code "
+          "overflows one block (tests/compiler forces it)")
+_BENCH = ("a reader only benchmarks/perf calls, which the traffic does "
+          "not run (its files are the benchmark contract's)")
+
+#: The reason every test-only seam gives: a module-level function or
+#: class that only tests call, on purpose.  ``tests/test_reach.py``
+#: derives its allow-list from the entries that give it.
+TESTS_ONLY = "a seam or reference only tests call, on purpose"
 
 #: Definitions the traffic never runs on purpose: ``module.qualname``
-#: (the module file's stem, then the name as printed) -> why.  They are
-#: printed apart from the rest, which are the candidates to delete or
-#: give traffic.
+#: (the module file's stem, then the name as printed) -> why.  Every
+#: other definition runs; an entry whose definition runs is stale.
 REASONS = {
     "datapath.DatapathMixin._bad_address": _ERROR,
     "system.TFlexSystem._dump": _ERROR,
     "processor.ComposedProcessor.debug_state": _ERROR,
+    "isa.RInst.describe": _ERROR,
     **{f"pool.WorkerPool.{name}": _RETRY
        for name in ("_respawn", "_lost", "_stop")},
     "executor.ParallelExecutor._note_retry": _RETRY,
     "progress.ProgressReporter.note_retry": _RETRY,
+    "runner.JobFailed.__init__": _RETRY,
     **{f"recompose.{name}": _INJECT for name in (
         "RecompositionEngine.on_core_failure", "RecompositionEngine._recover",
         "RecompositionEngine._resume",
@@ -114,16 +140,74 @@ REASONS = {
     "injector.FaultInjector._fire_kill": _INJECT,
     "injector.FaultInjector._nets": _INJECT,
     "faults.parse_inject": _INJECT,
+    "mesh.Topology.distance": (
+        "a hop count off the routing path: a dirty line forwarded from "
+        "another core's L1 (only after a recomposition moves a bank), a "
+        "RAS return's round trip, a degraded link or a recovery"),
     **{f"ras.DistributedRas.{name}": _RAS for name in (
         "core_of_slot", "top_core", "depth", "checkpoint", "push", "pop",
         "restore")},
     "edge_backend._EdgeFunc._emit_call": _RAS,
     "risc_backend._RiscFunc._emit_call": _RAS,
+    "builder.BlockBuilder.label_address": _RAS,
+    "mesh.Network.zero_load_delay": _RAS,
     "instruction.Target.encode": _TARGET,
     "instruction.Target.decode": _TARGET,
     **{f"golden.{name}": _GOLDEN for name in (
         "_fig6_payload", "_normalized_payload", "_fig9_payload",
         "_fig10_payload", "collect_fixtures", "write_fixtures", "main")},
+    **{name: _DEBUG for name in (
+        "instruction.LabelRef.__repr__", "instruction.Instruction.__repr__",
+        "interp._NullToken.__repr__", "opcodes.OpSpec.__repr__",
+        "datapath._NullValue.__repr__", "instance.BlockInstance.__repr__")},
+    "_lazy.lazy_exports.__dir__": (
+        "the `dir()` protocol of a lazily exporting package: tab "
+        "completion and `dir(repro.exec)`, which no run calls"),
+    **{name: _LINT for name in (
+        "determinism._check_set_iteration.flag", "findings.Finding.to_dict",
+        "findings.Finding.render")},
+    **{name: _SPLIT for name in (
+        "edge_backend._EdgeFunc._close_jump", "edge_backend._EdgeFunc._split",
+        "builder.BlockBuilder.size")},
+    "builder.BlockBuilder.null_write": (
+        "the ISA's NULL register write: the compiler merges predicated "
+        "values with a phi instead, so only hand-built programs (the "
+        "tests') resolve a write slot with NULL"),
+    "bus.Sink.emit": "the sink interface's abstract method",
+    "bus.Sink.close": (
+        "the no-op close a callback sink inherits; nothing closes a "
+        "processor's block-trace sink"),
+    "profile.PhaseProfiler.phase": (
+        "a profiled sampled or fault-injected run: `repro profile` runs "
+        "one full-detail spec (benchmarks/perf's traced rep profiles the "
+        "sampled workloads)"),
+    "trace.reset_ff_trace": (
+        "a store reconfigured after a sampled run imported the trace "
+        "module, which tests and benchmarks/perf do; a CLI command "
+        "configures the store once, first"),
+    **{name: _BENCH for name in (
+        "spec.JobSpec.from_dict", "experiments.FigBestResult.objectives",
+        "experiments.FigBestResult.best_ncores",
+        "experiments.FigBestResult.detailed_jobs",
+        "halving.SearchResult.best_ncores", "metrics.MetricsRegistry.counter",
+        "metrics.MetricsRegistry.counter_total",
+        "profile.PhaseProfiler.seconds", "profile.PhaseProfiler.calls",
+        "trace.configure_ff_trace")},
+    **{name: TESTS_ONLY for name in (
+        # The in-memory sink tests read events from.
+        "bus.RingBufferSink.__init__", "bus.RingBufferSink.emit",
+        "bus.RingBufferSink.of_kind", "bus.RingBufferSink.__len__",
+        # The seam TestRespawn uses to break a worker's pipe.
+        "worker.current_connection",
+        # The exhaustive reference the DP allocator is tested against.
+        "allocator.brute_force_assignment",
+        # The reference count placement tests compare against.
+        "schedule.cross_core_edges",
+        # The golden reader the fixture tests use.
+        "golden.load_fixture",
+        # The seam tests use to assert that a warm replay simulates
+        # nothing.
+        "simulate.simulation_count")},
 }
 
 #: Written as ``sitecustomize.py``; ``{src}`` and ``{out}`` are filled in.
@@ -233,22 +317,23 @@ def main() -> int:
         return f"{row[0].stem}.{row[2]}"
 
     explained = [row for row in never if key(row) in REASONS]
+    unexplained = [row for row in never if key(row) not in REASONS]
     for row in explained:
         path, line, name, lines = row
         print(f"{path}:{line} {name} ({lines} lines): {REASONS[key(row)]}")
     print(f"{len(explained)} of them explained above\n")
-    for row in never:
-        if key(row) not in REASONS:
-            path, line, name, lines = row
-            print(f"{path}:{line} {name} ({lines} lines)")
-    stale = sorted(set(REASONS) - {key(row) for row in defs})
+    for path, line, name, lines in unexplained:
+        print(f"{path}:{line} {name} ({lines} lines)")
+    stale = sorted(set(REASONS) - {key(row) for row in never})
     if stale:
-        print(f"REASONS names no definition: {', '.join(stale)}")
+        print(f"REASONS entries whose definition ran or does not exist: "
+              f"{', '.join(stale)}")
     print(f"{len(never)} of {len(defs)} function definitions "
           f"({sum(lines for *__, lines in never)} lines) never ran, "
           f"{len(explained)} ({sum(row[3] for row in explained)} lines) "
-          f"explained")
-    return 1 if failed else 0
+          f"explained, {len(unexplained)} "
+          f"({sum(row[3] for row in unexplained)} lines) unexplained")
+    return 1 if failed or unexplained or stale else 0
 
 
 if __name__ == "__main__":

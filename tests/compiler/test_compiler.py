@@ -142,10 +142,9 @@ class TestRiscBackend:
     def test_disassembly_smoke(self):
         kernel, __ = ALL_KERNELS["call_chain"]()
         program = compile_risc(kernel)
-        text = program.disassemble()
-        assert "main:" in text
-        assert "JAL" in text
-        assert "HALT" in text
+        assert "main" in program.labels
+        ops = {inst.op for inst in program.insts}
+        assert {"JAL", "HALT"} <= ops
 
 
 class TestBackendsAgree:

@@ -12,6 +12,7 @@ import pytest
 from repro.exec import JobSpec, spec_hash
 from repro.harness.simulate import simulate_spec
 from repro.resil import FaultSchedule
+from repro.resil.faults import FaultEvent
 
 SAMPLING = {"ff_blocks": 40, "window_blocks": 12, "warmup_blocks": 4}
 #: Every pair runs on both: dither is the shortest, gzip adds a
@@ -38,7 +39,8 @@ def kill(bench, scale):
     the kill fires mid-run at every scale and the thread finishes on
     one core."""
     cycles = simulate_spec(JobSpec.edge(bench, ncores=2, scale=scale)).cycles
-    return FaultSchedule.single_kill(1, cycles // 2).spec_items()
+    kill = FaultEvent("core_kill", core=1, cycle=cycles // 2)
+    return FaultSchedule((kill,)).spec_items()
 
 
 def spec(bench, *axes):

@@ -158,7 +158,7 @@ class TestBlobStore:
         path = store.store(self.KEY, self._trace(3))
         assert path == store.path_for(self.KEY)
         assert store.load(self.KEY).scale == 3
-        assert (store.hits, store.misses, store.writes) == (1, 0, 1)
+        assert store.hits == 1
         assert list(tmp_path.glob("??/*")) == [path]
 
     def test_bytes_are_deterministic(self, tmp_path):

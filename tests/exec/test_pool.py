@@ -354,10 +354,11 @@ class TestWorkerClock:
         results = run_specs(_specs(3), jobs=1, obs=obs, worker=_nap_worker,
                             store=_SlowStore(tmp_path))
         assert all(0.03 <= r.duration < 0.09 for r in results)
-        assert obs.metrics.histogram("exec.job_seconds").max < 0.09
-        idle = obs.metrics.histogram("exec.worker_idle_seconds")
-        assert idle.count == 3
-        assert 0.05 <= idle.max < 0.5
+        histograms = obs.metrics.snapshot()["histograms"]
+        assert histograms["exec.job_seconds"]["max"] < 0.09
+        idle = histograms["exec.worker_idle_seconds"]
+        assert idle["count"] == 3
+        assert 0.05 <= idle["max"] < 0.5
 
 
 class _ChaosStore(ResultStore):
@@ -370,10 +371,12 @@ class _ChaosStore(ResultStore):
         super().__init__(root)
         self.rng = rng
         self.killed = []
+        self.written = 0
 
     def store(self, spec, payload):
         path = super().store(spec, payload)
-        if self.writes in (5, 15, 25):
+        self.written += 1
+        if self.written in (5, 15, 25):
             workers = sorted(
                 (p for p in multiprocessing.active_children()
                  if p.name.startswith("repro-pool-")), key=lambda p: p.name)

@@ -42,7 +42,7 @@ class TestWarmReplay:
         store = configure_cache(isolated_cache / "store")
         fig6_performance(**SUBSET)
         sims_after_cold = simulation_count()
-        assert store.writes == 2                    # 2 points persisted
+        assert len(list(store.root.glob("??/*.json"))) == 2   # 2 persisted
         assert store.hits == 0
 
         clear_cache()                               # "fresh process"

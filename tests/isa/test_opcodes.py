@@ -13,18 +13,23 @@ from repro.isa.opcodes import (
     OpClass,
     alu_source,
     bind_evaluator,
-    evaluate,
     memory_size,
     wrap64,
 )
-from repro.util import INT_MAX, INT_MIN
+from tests.bits import INT_MAX, INT_MIN
 
 
 int64 = st.integers(min_value=INT_MIN, max_value=INT_MAX)
 
 
+def evaluate(op, operands, imm=None):
+    """``op`` applied to a tuple of operand values: its bound evaluator,
+    called with the (up to two) operands."""
+    return bind_evaluator(op, imm)(*(tuple(operands) + (None, None))[:2])
+
+
 def _alu_specs():
-    """Every opcode ``evaluate`` implements (probed, not listed, so a
+    """Every opcode with an ALU row (probed, not listed, so a
     new ALU opcode is covered automatically)."""
     specs = []
     for spec in OPCODES.values():
@@ -208,8 +213,8 @@ class TestFloatEvaluate:
 
 class TestBindEvaluator:
     """The interpreter's prepared blocks pre-bind one evaluator per
-    static instruction; it must compute exactly what ``evaluate``
-    would, for every ALU opcode and operand/immediate combination."""
+    static instruction: every ALU opcode binds one, and no other
+    opcode does."""
 
     def test_covers_every_alu_opcode(self):
         assert ALU_SPECS, "probe found no ALU opcodes"
@@ -220,26 +225,6 @@ class TestBindEvaluator:
         for name in ("LDD", "STD", "BRO", "HALT", "NULL"):
             with pytest.raises(ValueError):
                 bind_evaluator(OPCODES[name])
-
-    @given(st.data())
-    def test_matches_evaluate(self, data):
-        spec = data.draw(st.sampled_from(ALU_SPECS))
-        value = (st.floats(allow_nan=False, allow_infinity=False)
-                 if spec.is_fp else int64)
-        operands = tuple(data.draw(value) for __ in range(spec.operands))
-        imm = data.draw(int64) if spec.has_imm else None
-
-        expected = evaluate(spec, operands, imm)
-        bound = bind_evaluator(spec, imm)
-        a = operands[0] if spec.operands >= 1 else None
-        b = operands[1] if spec.operands >= 2 else None
-        got = bound(a, b)
-
-        if isinstance(expected, float) and math.isnan(expected):
-            assert math.isnan(got)
-        else:
-            assert got == expected
-            assert type(got) is type(expected)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ class TestBasics:
         bank = make()
         outcome = bank.load(gseq=1, lsq_id=0, addr=0x100, size=8)
         assert outcome.result is LsqResult.OK
-        assert bank.occupancy == 1
+        assert len(bank._entries) == 1
 
     def test_store_then_load_forwards(self):
         bank = make()
@@ -102,7 +102,7 @@ class TestOverflow:
         assert bank.load(1, 2, 0x110, 8).result is LsqResult.NACK
         assert bank.store(1, 3, 0x118, 8, 0).result is LsqResult.NACK
         assert bank.stats.nacks == 2
-        assert bank.occupancy == 2
+        assert len(bank._entries) == 2
 
     def test_retry_after_release_succeeds(self):
         bank = make(capacity=1)
@@ -119,7 +119,7 @@ class TestLifecycle:
         bank.store(1, 1, 0x108, 8, 5)
         bank.load(2, 0, 0x110, 8)
         assert bank.release_block(1) == 2
-        assert bank.occupancy == 1
+        assert len(bank._entries) == 1
 
     def test_squash_from_removes_younger(self):
         bank = make()
@@ -127,7 +127,7 @@ class TestLifecycle:
         bank.load(2, 0, 0x108, 8)
         bank.load(3, 0, 0x110, 8)
         assert bank.squash_from(2) == 2
-        assert bank.occupancy == 1
+        assert len(bank._entries) == 1
         assert bank._entries[0].gseq == 1
 
     def test_stores_of_block_in_lsq_order(self):
@@ -147,5 +147,5 @@ class TestLifecycle:
                 bank.store(gseq, lsq_id, 0x100 + 8 * lsq_id, 8, 0)
             else:
                 bank.load(gseq, lsq_id, 0x100 + 8 * lsq_id, 8)
-        assert bank.occupancy <= 10
+        assert len(bank._entries) <= 10
         assert bank.stats.peak_occupancy <= 10

@@ -26,7 +26,7 @@ class TestPredictorUnit:
     def test_untracked_load_never_waits(self):
         pred = StoreSetPredictor()
         assert not pred.must_wait(("L", 0), 5, 0, [])
-        assert not pred.tracked(("L", 0))
+        assert ("L", 0) not in pred._sets
 
     def test_waits_for_unresolved_predicted_store(self):
         pred = StoreSetPredictor()
@@ -70,8 +70,8 @@ class TestPredictorUnit:
         pred.record_violation(("a", 0), ("s", 0))
         pred.record_violation(("b", 0), ("s", 0))
         pred.record_violation(("c", 0), ("s", 0))
-        assert not pred.tracked(("a", 0))
-        assert pred.tracked(("b", 0)) and pred.tracked(("c", 0))
+        assert ("a", 0) not in pred._sets
+        assert ("b", 0) in pred._sets and ("c", 0) in pred._sets
         assert pred.stats.evictions == 1
 
 

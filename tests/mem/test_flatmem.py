@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.mem import FlatMemory
-from repro.util import INT_MAX, INT_MIN
+from tests.bits import INT_MAX, INT_MIN
 
 
 class TestRawAccess:

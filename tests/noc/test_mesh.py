@@ -117,7 +117,7 @@ class TestNetwork:
         net.delay(3, 0, now=10)
         assert net.stats.messages == 2
         assert net.stats.hops == 6
-        assert net.average_latency == 3.0
+        assert net.stats.total_latency / net.stats.messages == 3.0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

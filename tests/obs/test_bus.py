@@ -37,7 +37,7 @@ class TestBus:
     def test_fork_reaches_parent_sinks(self):
         parent = TraceBus()
         parent_ring = parent.attach(RingBufferSink())
-        child = parent.fork()
+        child = TraceBus(parent=parent)
         child_ring = child.attach(RingBufferSink())
         child.emit("scoped", n=1)
         parent.emit("global", n=2)
@@ -47,7 +47,7 @@ class TestBus:
 
     def test_fork_active_follows_parent(self):
         parent = TraceBus()
-        child = parent.fork()
+        child = TraceBus(parent=parent)
         assert not child.active
         parent.attach(RingBufferSink())
         assert child.active

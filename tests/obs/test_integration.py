@@ -73,9 +73,10 @@ class TestSimulatorEvents:
                              proc=name) == cycles
         # Network totals land as gauges at the end of the run.
         opn = proc.system.opn.stats
-        assert m.gauge("noc.messages", net="opn") == opn.messages
-        assert m.gauge("noc.contention_cycles",
-                       net="opn") == opn.contention_cycles
+        gauges = m.snapshot()["gauges"]
+        assert gauges["noc.messages{net=opn}"] == opn.messages
+        assert gauges["noc.contention_cycles{net=opn}"] == (
+            opn.contention_cycles)
 
     def test_global_bundle_is_picked_up_by_default(self):
         ring = repro.obs.current().bus.attach(
@@ -87,7 +88,8 @@ class TestSimulatorEvents:
         obs = Observability()
         proc = _run_bench(ncores=2, obs=obs)
         assert proc.stats.blocks_committed > 0
-        assert len(obs.metrics) == 0
+        assert obs.metrics.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {}}
         assert obs.profiler.snapshot() == {}
 
 
@@ -149,7 +151,8 @@ class TestExecutorEvents:
         assert kinds.count("job.start") == 2
         assert kinds.count("job.done") == 2
         assert obs.metrics.counter("exec.jobs", status="ok") == 2
-        assert obs.metrics.histogram("exec.job_seconds").count == 2
+        assert obs.metrics.snapshot()["histograms"][
+            "exec.job_seconds"]["count"] == 2
 
     def test_cached_jobs_emit_cached_events(self, tmp_path):
         obs = Observability(metrics_enabled=True)

@@ -70,10 +70,10 @@ class TestExitPredictor:
 
     def test_accuracy_property(self):
         pred = ExitPredictor()
-        assert pred.accuracy == 0.0
+        assert (pred.stats.predictions, pred.stats.correct) == (0, 0)
         p = pred.predict(1, 0)
         pred.update(1, p, p.exit_id)
-        assert pred.accuracy == 1.0
+        assert (pred.stats.predictions, pred.stats.correct) == (1, 1)
 
 
 class TestTargetPredictor:

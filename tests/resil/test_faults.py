@@ -12,6 +12,11 @@ from repro.resil import KINDS, NETS, FaultEvent, FaultSchedule, parse_inject
 from repro.tflex import tflex_config
 
 
+def _kill(core, cycle):
+    """The schedule that kills ``core`` at ``cycle``."""
+    return FaultSchedule((FaultEvent("core_kill", core=core, cycle=cycle),))
+
+
 # -- strategies --------------------------------------------------------
 
 def dead_events():
@@ -72,7 +77,9 @@ class TestScheduleRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(schedules())
     def test_dict_round_trip(self, schedule):
-        assert FaultSchedule.from_dict(schedule.to_dict()) == schedule
+        events = schedule.to_dict()["events"]
+        assert FaultSchedule(tuple(map(FaultEvent.from_dict, events))) == (
+            schedule)
 
     @settings(max_examples=60, deadline=None)
     @given(schedules())
@@ -126,28 +133,28 @@ class TestSpecHash:
     def test_different_schedules_hash_differently(self):
         plain = JobSpec.edge("conv", ncores=8)
         one = JobSpec.edge("conv", ncores=8,
-                           faults=FaultSchedule.single_kill(0, 100)
+                           faults=_kill(0, 100)
                            .spec_items())
         two = JobSpec.edge("conv", ncores=8,
-                           faults=FaultSchedule.single_kill(0, 200)
+                           faults=_kill(0, 200)
                            .spec_items())
         assert len({spec_hash(plain), spec_hash(one), spec_hash(two)}) == 3
 
     def test_label_suffix(self):
         spec = JobSpec.edge("conv", ncores=8,
-                            faults=FaultSchedule.single_kill(0, 100)
+                            faults=_kill(0, 100)
                             .spec_items())
         assert spec.label().endswith("+faults1")
         assert "+faults" not in JobSpec.edge("conv", ncores=8).label()
 
     def test_spec_dict_round_trip(self):
         spec = JobSpec.edge("conv", ncores=8,
-                            faults=FaultSchedule.single_kill(2, 99)
+                            faults=_kill(2, 99)
                             .spec_items())
         assert JobSpec.from_dict(spec.to_dict()) == spec
 
     def test_faults_reject_sampling_and_trips(self):
-        faults = FaultSchedule.single_kill(0, 100).spec_items()
+        faults = _kill(0, 100).spec_items()
         with pytest.raises(ValueError, match="fast-forward"):
             JobSpec.edge("conv", ncores=8, faults=faults,
                          sampling={"ff": 1000})
@@ -213,7 +220,7 @@ class TestScheduleValidation:
 
     def test_kill_beyond_budget(self):
         cfg = tflex_config(4)
-        schedule = FaultSchedule.single_kill(0, 5000)
+        schedule = _kill(0, 5000)
         schedule.validate(cfg)                      # no budget: fine
         with pytest.raises(ValueError, match="would never fire"):
             schedule.validate(cfg, max_cycles=1000)

@@ -15,6 +15,11 @@ from repro.resil.faults import FaultEvent
 from repro.tflex import TFlexSystem, tflex_config
 
 
+def _kill(core, cycle):
+    """The schedule that kills ``core`` at ``cycle``."""
+    return FaultSchedule((FaultEvent("core_kill", core=core, cycle=cycle),))
+
+
 def edge(bench, ncores, schedule=None, **kwargs):
     faults = schedule.spec_items() if schedule is not None else None
     return JobSpec.edge(bench, ncores=ncores, faults=faults, **kwargs)
@@ -42,7 +47,7 @@ class TestSpecRouting:
         assert result.num_cores == 1    # survivor of a 2-core target
 
     def test_rejects_risc_trips_sampling(self):
-        faults = FaultSchedule.single_kill(0, 100).spec_items()
+        faults = _kill(0, 100).spec_items()
         with pytest.raises(ValueError, match="edge"):
             JobSpec(kind="risc", bench="dither", ncores=1, faults=faults)
         with pytest.raises(ValueError, match="TRIPS"):
@@ -53,7 +58,7 @@ class TestSpecRouting:
 
     def test_schedule_validated_against_chip(self):
         with pytest.raises(ValueError, match="cores 0..1"):
-            simulate_spec(edge("dither", 2, FaultSchedule.single_kill(7, 100)))
+            simulate_spec(edge("dither", 2, _kill(7, 100)))
 
 
 class TestBootFaults:
@@ -88,7 +93,7 @@ class TestKillRecovery:
     def test_recovers_and_verifies(self):
         ncores = 8
         kill_at = self._half_cycle("conv", ncores)
-        schedule = FaultSchedule.single_kill(0, kill_at)
+        schedule = _kill(0, kill_at)
         # verify=True: the post-recovery memory image must match the
         # golden interpreter exactly (the differential acceptance gate).
         result = simulate_spec(edge("conv", ncores, schedule, verify=True))
@@ -120,7 +125,7 @@ class TestKillRecovery:
     def test_failure_costs_cycles(self):
         ncores = 4
         baseline = simulate_spec(edge("dither", ncores))
-        schedule = FaultSchedule.single_kill(1, baseline.cycles // 2)
+        schedule = _kill(1, baseline.cycles // 2)
         result = simulate_spec(edge("dither", ncores, schedule))
         assert result.cycles > baseline.cycles
         # Architectural work is conserved: same committed instructions.
@@ -194,7 +199,7 @@ class TestObservability:
         obs.bus.attach(repro.obs.CallbackSink(events.append))
         kill_at = simulate_spec(edge("dither", 4)).cycles // 2
         simulate_spec(edge("dither", 4,
-                           FaultSchedule.single_kill(0, kill_at)))
+                           _kill(0, kill_at)))
 
         kinds = [e["kind"] for e in events]
         assert "fault.inject" in kinds
@@ -211,5 +216,5 @@ class TestObservability:
         obs.profiler.enabled = True
         kill_at = simulate_spec(edge("dither", 4)).cycles // 2
         simulate_spec(edge("dither", 4,
-                           FaultSchedule.single_kill(0, kill_at)))
+                           _kill(0, kill_at)))
         assert "recovery" in obs.profiler.snapshot()

@@ -35,7 +35,7 @@ class TestSpeedupTable:
     def test_alone_and_best_size(self):
         table = table_from({"a": saturating(8)})
         assert table.alone("a") == 4.0
-        assert max(table.sizes(),
+        assert max(table.perf["a"],
                    key=lambda n: table.performance("a", n)) == 8
 
     def test_missing_measurement(self):

@@ -46,13 +46,15 @@ def test_search_matches_exhaustive_argmax_with_3x_less_detail():
     assert result.objectives() == list(OBJECTIVE_NAMES)
 
     for objective in OBJECTIVE_NAMES:
-        assert result.best_labels(objective) == exhaustive[objective], (
+        search = result.searches[objective]
+        assert {b: r.best.label() for b, r in search.per_bench.items()} == (
+            exhaustive[objective]), (
             f"search BEST diverged from the exhaustive sweep "
             f"for objective {objective}")
-        reduction = result.detail_reduction(objective)
+        reduction = search.detail_reduction()
         assert reduction >= REDUCTION_GATE, (
             f"{objective}: only {reduction:.2f}x fewer detailed jobs "
-            f"({result.detailed_jobs(objective)} vs "
+            f"({search.detailed_jobs()} vs "
             f"{result.exhaustive_detailed_jobs()} exhaustive)")
 
 

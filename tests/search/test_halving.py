@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import repro.obs
+from repro.harness.experiments import FigBestResult
 from repro.search import (
     DEFAULT_LADDER,
     HalvingConfig,
@@ -205,7 +206,9 @@ class TestRendering:
         cycles = {1: 600, 2: 500, 4: 400, 8: 300, 16: 200, 32: 100}
         install_scores(monkeypatch, uniform_table(space, cycles))
         result = search_best(space, "speedup")
-        text = result.render()
-        assert "tflex-32" in text
-        assert "3.0x fewer" in text
         assert isinstance(result, SearchResult)
+        text = FigBestResult(scale=1, core_counts=(1, 2, 4, 8, 16, 32),
+                             benchmarks=["conv"],
+                             searches={"speedup": result}).render()
+        assert text.splitlines()[3].split() == ["conv", "|", "32"]
+        assert "3.0x fewer" in text

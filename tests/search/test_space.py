@@ -19,7 +19,7 @@ class TestSearchSpace:
         space = default_space(["conv", "gzip"])
         assert space.benchmarks == ("conv", "gzip")
         assert tuple(c.ncores for c in space.candidates) == DEFAULT_CORE_COUNTS
-        assert len(space) == 6
+        assert len(space.candidates) == 6
 
     def test_spec_for_resolves_to_sweep_point(self):
         """A candidate at full detail hashes identically to the
@@ -52,7 +52,7 @@ class TestSubsample:
         a = space.subsample(3, seed=42)
         b = space.subsample(3, seed=42)
         assert a.candidates == b.candidates
-        assert len(a) == 3
+        assert len(a.candidates) == 3
         # Original (ascending-cores) order survives the draw.
         sizes = [c.ncores for c in a.candidates]
         assert sizes == sorted(sizes)

@@ -20,37 +20,29 @@ What it cannot see:
 * a definition reached only from another unreached one.
 
 :data:`ALLOWED` holds the few definitions that only tests call on
-purpose, each with its reason.
+purpose.  The functions and classes among them are the
+``tests/census.py`` :data:`~tests.census.REASONS` entries that give
+:data:`~tests.census.TESTS_ONLY` as their reason, so "only tests call
+this" is said once; the census cannot list a constant, so the one
+constant is named here.
 """
 
 import ast
 import pathlib
 import re
 
+from tests.census import REASONS, TESTS_ONLY
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
 CALLERS = ("src", "benchmarks", "examples")
 
+#: Module-level name -> why only tests name it.
 ALLOWED = {
-    "RingBufferSink": "the in-memory sink tests read events from",
-    "current_connection": "the seam TestRespawn uses to break a "
-                          "worker's pipe",
-    "brute_force_assignment": "the exhaustive reference the DP "
-                              "allocator is tested against",
-    "cross_core_edges": "the reference count placement tests compare "
-                        "against",
-    "MICROBENCHMARKS": "the programs tests/workloads/test_micro.py runs",
-    "load_fixture": "the golden reader the fixture tests use",
-    "simulation_count": "the seam tests use to assert that a warm "
-                        "replay simulates nothing",
-    "evaluate": "the reference ALU semantics the bound evaluators are "
-                "tested against",
+    **{key.split(".")[1]: TESTS_ONLY
+       for key, why in REASONS.items() if why == TESTS_ONLY},
     "PHASES": "the profiler's phase registry, which tests check the "
               "profiler against",
-    "INT_MIN": "the signed 64-bit range wrap64 folds into, which "
-               "tests draw operands from",
-    "INT_MAX": "the signed 64-bit range wrap64 folds into, which "
-               "tests draw operands from",
 }
 
 _UPPER = re.compile(r"[A-Z][A-Z0-9_]*$")

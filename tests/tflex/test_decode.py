@@ -2,7 +2,7 @@
 
 The instruction records (``isa.interp._PInst``) do not depend on the
 composition, so for every suite benchmark each one is checked once per
-program: ``evaluate(op, operands, resolve_imm(imm))`` for bound
+program: ``bind_evaluator(op, resolve_imm(imm))`` for bound
 evaluators, ``op.operands + (pred is not None)`` for need counts, the
 opcode table for latency, issue class and energy key.  The placement
 (``tflex.decode.DecodedBlock``) is checked per composition, on every
@@ -19,7 +19,7 @@ import pytest
 from repro.harness.runner import cached_program
 from repro.isa.instruction import TargetKind
 from repro.isa.interp import ALU, BRANCH, LOAD, NULL, STORE, prepare_block
-from repro.isa.opcodes import OpClass, evaluate, memory_size
+from repro.isa.opcodes import OpClass, bind_evaluator, memory_size
 from repro.isa.program import HALT_ADDR
 from repro.tflex import TFlexSystem, interleave, tflex_config, trips_config
 from repro.workloads import BENCHMARKS
@@ -60,7 +60,7 @@ def check_record(inst, pi, block, program):
         imm = program.resolve_imm(inst.imm)
         for a, b in SAMPLES:
             assert same(pi.evalf(a, b),
-                        evaluate(op, (a, b)[:op.operands], imm)), op.name
+                        bind_evaluator(op, imm)(a, b)), op.name
     elif pi.kind in (LOAD, STORE):
         assert pi.size == memory_size(op)
         assert pi.fp == op.name.endswith("F")

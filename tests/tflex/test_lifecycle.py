@@ -13,6 +13,7 @@ from repro.exec import JobSpec
 from repro.harness import clear_cache, configure_cache
 from repro.harness.simulate import cached_program, simulate_spec
 from repro.resil import FaultSchedule
+from repro.resil.faults import FaultEvent
 from repro.sample.trace import configure_ff_trace, reset_ff_trace
 from repro.tflex import TFLEX, TFlexSystem, rectangle
 from repro.workloads import BENCHMARKS
@@ -32,7 +33,8 @@ PATHS = {
     "core-dead": [JobSpec.edge(
         "conv", ncores=4, faults=FaultSchedule.boot_dead(1, 4, 0).spec_items())],
     "core-kill": [JobSpec.edge(
-        "conv", ncores=4, faults=FaultSchedule.single_kill(1, 200).spec_items())],
+        "conv", ncores=4, faults=FaultSchedule((
+            FaultEvent("core_kill", core=1, cycle=200),)).spec_items())],
     "sampled-record-replay": [
         JobSpec.edge("gzip", ncores=4, scale=8, sampling=SAMPLING),
         JobSpec.edge("gzip", ncores=8, scale=8, sampling=SAMPLING)],
@@ -103,7 +105,7 @@ class TestBackToBackRuns:
         proc_a.commit_limit = 20
         system.run()
         assert proc_a.halted and proc_a.stats.blocks_committed == 20
-        assert queue.pending == 0
+        assert not any(queue._buckets.values())
         system.decompose(proc_a)
 
         current[0] = 2
@@ -113,7 +115,7 @@ class TestBackToBackRuns:
         system.run()
         check_b(ArchState(regs=proc_b.regs, mem=proc_b.memory))
         assert runs and set(runs) == {2}
-        assert queue.pending == 0
+        assert not any(queue._buckets.values())
 
     def test_ctx_tags_stay_distinct_across_decompose(self):
         system = TFlexSystem(TFLEX)

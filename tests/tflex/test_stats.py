@@ -154,5 +154,6 @@ class TestNetworkStats:
         stats.to_metrics(reg, net="opn")
         stats.messages = 9      # later flush of the cumulative totals
         stats.to_metrics(reg, net="opn")
-        assert reg.gauge("noc.messages", net="opn") == 9
-        assert reg.gauge("noc.hops", net="opn") == 7
+        gauges = reg.snapshot()["gauges"]
+        assert gauges["noc.messages{net=opn}"] == 9
+        assert gauges["noc.hops{net=opn}"] == 7

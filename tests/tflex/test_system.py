@@ -41,7 +41,7 @@ class TestSharedResources:
         system.run()
         assert system.opn.stats.messages > 0
         assert system.opn.stats.hops >= system.opn.stats.messages
-        assert system.opn.average_latency >= 1.0
+        assert system.opn.stats.total_latency >= system.opn.stats.messages
         assert system.control.stats.messages > 0
 
     def test_dram_shared_between_processors(self):

@@ -27,7 +27,7 @@ class TestBlockTrace:
             assert trace.fetch_cmd <= trace.complete
             assert trace.complete <= trace.commit_start
             assert trace.commit_start <= trace.committed
-            assert trace.lifetime > 0
+            assert trace.committed > trace.fetch_start
 
     def test_commits_in_order(self):
         proc = traced_run()

@@ -8,7 +8,7 @@ from repro.risc import RiscInterpreter
 from repro.compiler import compile_edge, compile_risc
 from repro.tflex import run_program
 from repro.workloads import verify_edge_run
-from repro.workloads.micro import MICROBENCHMARKS
+from tests.compiler.microbenchmarks import MICROBENCHMARKS
 
 
 @pytest.mark.parametrize("name", sorted(MICROBENCHMARKS))
