@@ -10,7 +10,8 @@ into three composable pieces:
 * :mod:`repro.exec.store` — the one content-addressed record store
   layout (:class:`BlobStore`; :class:`ResultStore` adds a plain-JSON
   codec, keyed by job spec) with corruption-tolerant reads, and
-  ``atomic_write``, the only temp-file + fsync + rename sequence.
+  ``atomic_write``, the only temp-file + fsync + rename sequence;
+  :mod:`repro.exec.gc` prunes a cache directory by size and age.
 * :mod:`repro.exec.pool` — :class:`WorkerPool`, persistent warm worker
   processes served over a request/reply pipe, with transparent respawn
   and a terminate→kill escalation on stop.
@@ -20,8 +21,9 @@ into three composable pieces:
   worker crashes, and a live progress/ETA reporter.
 
 The harness (:mod:`repro.harness.runner`) puts its in-process result
-dict in front of the executor, so warm-cache replays of any figure driver are
-instant and ``--jobs N`` parallelises cold sweeps.  See
+dict and the store read in front of the executor, so warm-cache replays
+of any figure driver never load it and ``--jobs N`` parallelises cold
+sweeps.  See
 ``docs/EXECUTION.md``.
 """
 
@@ -33,9 +35,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "spec_hash": "spec",
     "BlobStore": "store",
     "ResultStore": "store",
-    "advisory_lock": "store",
-    "gc_cache": "store",
-    "parse_size": "store",
+    "advisory_lock": "gc",
+    "gc_cache": "gc",
+    "parse_size": "gc",
     "ProgressReporter": "progress",
     "execute_spec": "worker",
     "pool_worker_main": "worker",

@@ -3,10 +3,10 @@
 The executor runs a batch of :class:`~repro.exec.spec.JobSpec` jobs on
 at most ``jobs`` concurrent workers, with:
 
-* a consultation of the :class:`~repro.exec.store.ResultStore` first,
-  so warm jobs never touch a worker (a spec passed twice runs twice:
-  the caller dedups, :func:`repro.harness.runner.prewarm_specs` by
-  content hash);
+* every spec it is handed run, duplicates included — the caller reads
+  the :class:`~repro.exec.store.ResultStore` and dedups first
+  (:func:`repro.harness.runner.prewarm_specs`, by content hash), so
+  only cold jobs get here;
 * dispatch in input order, a failed attempt ahead of new work;
 * one retry when a worker raises or crashes — a bad job is *reported*
   failed, it never kills the sweep;
@@ -42,7 +42,6 @@ from repro.exec.worker import PoolEvent, execute_spec
 
 #: Job states a sweep can end in.
 STATUS_OK = "ok"             # simulated this run
-STATUS_CACHED = "cached"     # satisfied from the result store
 STATUS_FAILED = "failed"     # exhausted retries (raise/crash)
 
 
@@ -59,7 +58,7 @@ class JobResult:
 
     @property
     def ok(self) -> bool:
-        return self.status in (STATUS_OK, STATUS_CACHED)
+        return self.status == STATUS_OK
 
 
 class _InProcessSlot:
@@ -122,28 +121,11 @@ class ParallelExecutor:
         """Execute every spec; results are returned in input order."""
         specs = list(specs)
         results: list[Optional[JobResult]] = [None] * len(specs)
-        todo: list[int] = []
-        for i, spec in enumerate(specs):
-            payload = self.store.load(spec) if self.store is not None else None
-            if payload is None:
-                todo.append(i)
-                continue
-            results[i] = JobResult(spec=spec, status=STATUS_CACHED,
-                                   payload=payload)
-            if self.obs.active:
-                self.obs.emit("job.cached", bench=spec.bench,
-                              label=spec.label())
-                self.obs.metrics.inc("exec.jobs", status=STATUS_CACHED)
-
         reporter = (ProgressReporter(total=len(specs))
                     if self.progress and specs else None)
-        if reporter is not None:
-            for r in results:
-                if r is not None:
-                    reporter.update(label=r.spec.bench, cached=True)
         try:
-            if todo:
-                self._dispatch(specs, todo, results, reporter)
+            if specs:
+                self._dispatch(specs, results, reporter)
         finally:
             if reporter is not None:
                 reporter.finish()
@@ -151,22 +133,21 @@ class ParallelExecutor:
 
     # -- the dispatch loop ---------------------------------------------
 
-    def _dispatch(self, specs, todo, results, reporter) -> None:
-        """Run the cold jobs in input order.  A job's duration is the
-        summed service time of its attempts as the worker measured it —
-        never the wait for a free worker, nor the parent's wake-up
-        latency."""
-        pending = deque(todo)
-        attempts = {i: 0 for i in todo}
-        spent = {i: 0.0 for i in todo}
+    def _dispatch(self, specs, results, reporter) -> None:
+        """Run the jobs in input order.  A job's duration is the summed
+        service time of its attempts as the worker measured it — never
+        the wait for a free worker, nor the parent's wake-up latency."""
+        pending = deque(range(len(specs)))
+        attempts = [0] * len(specs)
+        spent = [0.0] * len(specs)
         if self.jobs == 1:
             pool = _InProcessSlot(self.worker)
         else:
             # multiprocessing loads with the first pool, not with the
-            # executor: a warm replay never gets here.
+            # executor.
             from repro.exec.pool import WorkerPool
 
-            pool = WorkerPool(min(self.jobs, len(todo)), self.worker,
+            pool = WorkerPool(min(self.jobs, len(specs)), self.worker,
                               self.obs)
 
         def refill() -> None:

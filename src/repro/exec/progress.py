@@ -34,26 +34,16 @@ class ProgressReporter:
         self.clock = clock
         self.done = 0
         self.failed = 0
-        self.cached = 0
         self.retries = 0
         self._start = self.clock()
         self._last_emit = float("-inf")
         self._emitted = False
 
-    def update(self, label: str = "", ok: bool = True,
-               cached: bool = False) -> None:
-        """Record one completed job; emit if the rate limit allows.
-
-        ``cached`` marks jobs satisfied instantly from a result store;
-        they count toward completion but not toward the ETA's rate
-        estimate (a warm/cold mix would otherwise wildly underestimate
-        the remaining time).
-        """
+    def update(self, label: str = "", ok: bool = True) -> None:
+        """Record one completed job; emit if the rate limit allows."""
         self.done += 1
         if not ok:
             self.failed += 1
-        if cached:
-            self.cached += 1
         now = self.clock()
         if now - self._last_emit >= self.min_interval or self.done == self.total:
             self._emit(now, label)
@@ -83,11 +73,10 @@ class ProgressReporter:
         now = self.clock() if now is None else now
         elapsed = max(now - self._start, 1e-9)
         pct = 100.0 * self.done / self.total if self.total else 100.0
-        executed = self.done - self.cached
         if self.done >= self.total:
             eta_text = _fmt_seconds(0.0)
-        elif executed > 0:
-            eta = elapsed / executed * (self.total - self.done)
+        elif self.done > 0:
+            eta = elapsed / self.done * (self.total - self.done)
             eta_text = _fmt_seconds(eta)
         else:
             eta_text = "?"

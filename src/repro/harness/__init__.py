@@ -23,16 +23,16 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "run_all": "runner",
     "cached_program": "simulate",
     "simulation_count": "simulate",
-    "FigBestResult": "experiments",
-    "fig5_baseline": "experiments",
+    "FigBestResult": "sweeps",
+    "fig5_baseline": "sweeps",
     "fig6_performance": "experiments",
     "fig6_specs": "experiments",
-    "fig_best": "experiments",
+    "fig_best": "sweeps",
     "fig7_area": "experiments",
     "fig8_power": "experiments",
-    "fig9_protocols": "experiments",
+    "fig9_protocols": "sweeps",
     "fig10_multiprogramming": "experiments",
-    "figR_degradation": "experiments",
+    "figR_degradation": "sweeps",
     "table2_area_power": "experiments",
     "format_table": "reporting",
     "geomean": "reporting",

@@ -1,18 +1,22 @@
 """Benchmark execution on top of the ``repro.exec`` engine.
 
-Every simulation point takes one route, :func:`prewarm_specs` (a lone
-:func:`run_spec` is a one-spec batch, a sweep is :func:`run_all`):
+Every simulation point takes one route, a batch keyed by spec hash
+(:func:`prewarm_specs`; a lone :func:`run_spec` is a one-spec batch, a
+sweep is :func:`run_all`).  Each spec is hashed once, and its key is
+looked up once, in order:
 
 1. an in-process dict keyed by the job spec's content hash (so figure
    7/8/10 reuse figure 6's sweep within one process);
-2. everything not in it goes to :func:`repro.exec.run_specs`, which
-   owns the rest: it reads the persistent
-   :class:`~repro.exec.store.ResultStore` that :func:`configure_cache`
-   set up (off until something calls it; the CLI does, from
-   ``--cache-dir``/``--no-cache``), runs what is cold — in this process
-   at ``jobs=1``, on warm pool workers otherwise, :func:`simulate_spec`
-   either way — and writes the store;
-3. successes are materialised back into the dict.
+2. the persistent :class:`~repro.exec.store.ResultStore` that
+   :func:`configure_cache` set up (off until something calls it; the
+   CLI does, from ``--cache-dir``/``--no-cache``), read here;
+3. everything still cold goes to :func:`repro.exec.run_specs`, which
+   runs it — in this process at ``jobs=1``, on warm pool workers
+   otherwise, :func:`simulate_spec` either way — and writes the store.
+
+Hits and successes land in the dict, and a sweep reads its results
+back from there.  A batch with nothing cold never imports the
+executor.
 
 Cache keys are *content hashes of the resolved spec* (sorted, typed
 override items — see :mod:`repro.exec.spec`), never the human-readable
@@ -26,15 +30,16 @@ from __future__ import annotations
 import pathlib
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-import repro.obs as obs_lib
 from repro._lazy import lazy_exports
-from repro.exec.executor import STATUS_CACHED, JobResult, run_specs
 from repro.exec.spec import JobSpec, spec_hash
 from repro.exec.store import ResultStore
 from repro.power import PowerBreakdown
 from repro.tflex.stats import ProcStats
+
+if TYPE_CHECKING:
+    from repro.exec.executor import JobResult
 
 #: The worker side (:mod:`repro.harness.simulate` — the one place the
 #: simulator is imported) stays reachable under this module's names,
@@ -190,6 +195,11 @@ def _result_from_payload(payload: dict):
 # ----------------------------------------------------------------------
 
 def _note_cache_hit(spec: JobSpec, source: str) -> None:
+    # Only a process that imported ``repro.obs`` can have switched it
+    # on; a warm replay without --metrics/--trace-out never loads it.
+    obs_lib = sys.modules.get("repro.obs")
+    if obs_lib is None:
+        return
     obs = obs_lib.current()
     if obs.active:
         obs.emit("run.cache_hit", bench=spec.bench, label=spec.label(),
@@ -213,29 +223,48 @@ class JobFailed(RuntimeError):
 def run_spec(spec: JobSpec):
     """One simulation point through the layered lookup."""
     key = spec_hash(spec)
-    cached = _CACHE.get(key)
-    if cached is not None:
-        _note_cache_hit(spec, "memory")
-        return cached
-    prewarm_specs([spec])
+    _prewarm({key: spec})
     return _CACHE[key]
 
 
 def prewarm_specs(specs: Sequence[JobSpec], jobs: int = 1,
                   progress: bool = False) -> list[JobResult]:
     """Bring a batch of specs into the in-process cache: whatever is
-    not there yet goes through the executor (store read, then ``jobs``
-    workers for the cold rest, then store write).
+    not there yet is read from the store, and the cold rest goes
+    through the executor (``jobs`` workers, then store write).
 
-    Returns the executor's outcomes for the specs that were not in
-    memory.  Raises :class:`JobFailed` for the first job that exhausted
-    its retries — after every success of the batch has been cached, so
-    a re-run only repeats the failures.
+    Returns the executor's outcomes for the specs it ran.  Raises
+    :class:`JobFailed` for the first job that exhausted its retries —
+    after every success of the batch has been cached, so a re-run only
+    repeats the failures.
     """
     # Keyed by content hash, not spec equality: ``1`` and ``1.0`` are
     # equal overrides but different jobs.  A repeat runs once.
-    keyed = {spec_hash(spec): spec for spec in specs}
-    cold = [spec for key, spec in keyed.items() if key not in _CACHE]
+    return _prewarm({spec_hash(spec): spec for spec in specs}, jobs,
+                    progress)
+
+
+def _prewarm(keyed: dict, jobs: int = 1,
+             progress: bool = False) -> list[JobResult]:
+    """:func:`prewarm_specs` for a batch already keyed by spec hash.
+    Each key is looked up once: in ``_CACHE`` (a memory hit), else in
+    the store (a store hit), else it is cold."""
+    store = get_store()
+    cold = {}
+    for key, spec in keyed.items():
+        if key in _CACHE:
+            _note_cache_hit(spec, "memory")
+            continue
+        payload = store.load(spec, key) if store is not None else None
+        if payload is None:
+            cold[key] = spec
+            continue
+        _note_cache_hit(spec, "store")
+        _CACHE[key] = _result_from_payload(payload)
+    if not cold:
+        return []       # an all-hit batch never loads the executor
+
+    from repro.exec.executor import run_specs
 
     # Shared fast-forward traces: run one recorder per (program, scale,
     # schedule) group *before* the rest, so N compositions of one
@@ -244,25 +273,27 @@ def prewarm_specs(specs: Sequence[JobSpec], jobs: int = 1,
     # (docs/PERFORMANCE.md).  Recorders of different groups still run
     # in parallel with each other.  A batch with no sampled spec has
     # nothing to record (and leaves the trace module unimported).
+    rest = list(cold.values())
     recorders: list = []
-    if len(cold) > 1 and any(spec.sampling for spec in cold):
+    if len(rest) > 1 and any(spec.sampling for spec in rest):
         from repro.sample.trace import prewarm_partition
 
-        recorders, cold = prewarm_partition(cold)
+        recorders, rest = prewarm_partition(rest)
 
+    # The partition hands back the same spec objects, so identity
+    # finds each one's key again without re-hashing.
+    key_of = {id(spec): key for key, spec in cold.items()}
     outcomes: list[JobResult] = []
-    for batch in (recorders, cold):
+    for batch in (recorders, rest):
         if batch:
-            outcomes.extend(run_specs(batch, jobs=jobs, store=get_store(),
+            outcomes.extend(run_specs(batch, jobs=jobs, store=store,
                                       progress=progress))
     failed = None
     for outcome in outcomes:
         if not outcome.ok:
             failed = failed or outcome
             continue
-        if outcome.status == STATUS_CACHED:
-            _note_cache_hit(outcome.spec, "store")
-        _CACHE[spec_hash(outcome.spec)] = _result_from_payload(
+        _CACHE[key_of[id(outcome.spec)]] = _result_from_payload(
             outcome.payload)
     if failed is not None:
         raise JobFailed(failed)
@@ -272,10 +303,11 @@ def prewarm_specs(specs: Sequence[JobSpec], jobs: int = 1,
 def run_all(specs: Sequence[JobSpec], jobs: int = 1,
             progress: bool = False) -> list:
     """A sweep's results in spec order (duplicates included): one
-    :func:`prewarm_specs` batch, then every point read back through
-    :func:`run_spec`."""
-    prewarm_specs(specs, jobs=jobs, progress=progress)
-    return [run_spec(spec) for spec in specs]
+    batch, each spec hashed once, then every point read back from the
+    in-process cache."""
+    keys = [spec_hash(spec) for spec in specs]
+    _prewarm(dict(zip(keys, specs)), jobs, progress)
+    return [_CACHE[key] for key in keys]
 
 
 # ----------------------------------------------------------------------

@@ -39,8 +39,8 @@ EVENTS: dict[str, str] = {
     "job.start": "executor handed a job to a worker",
     "job.done": "job finished and its result was recorded",
     "job.retry": "job is being re-run after it raised or its worker crashed",
-    "job.cached": "job satisfied from the on-disk result store",
-    "run.cache_hit": "in-process memo hit (repro.harness.runner)",
+    "run.cache_hit": "result-cache hit in repro.harness.runner "
+                     "(in-process memo or on-disk store)",
     "pool.spawn": "warm worker pool spawned a worker process",
     "pool.dispatch": "pool dispatched a job to a warm worker",
     "pool.respawn": "pool replaced a dead worker or one whose pipe broke",
@@ -116,7 +116,7 @@ METRICS: dict[str, str] = {
     "exec.gc_scanned": "result-store entries scanned by GC",
     "exec.gc_removed": "result-store entries deleted by GC",
     "exec.gc_bytes_freed": "bytes reclaimed by result-store GC",
-    "run.cache_hits": "in-process memo hits",
+    "run.cache_hits": "result-cache hits by source (memory or store)",
     # Fault injection / recovery
     "resil.faults_injected": "faults fired by the schedule",
     "resil.recoveries": "successful recompositions",

@@ -1,29 +1,16 @@
 """Core-to-thread allocation for multiprogrammed workloads (figure 10)."""
 
-from repro.sched.allocator import (
-    SpeedupTable,
-    weighted_speedup,
-    optimal_assignment,
-    fixed_cmp_assignment,
-    symmetric_best_assignment,
-    brute_force_assignment,
-)
-from repro.sched.controller import (
-    AllocationEvent,
-    Job,
-    ReallocationController,
-    ScheduleResult,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SpeedupTable",
-    "weighted_speedup",
-    "optimal_assignment",
-    "fixed_cmp_assignment",
-    "symmetric_best_assignment",
-    "brute_force_assignment",
-    "AllocationEvent",
-    "Job",
-    "ReallocationController",
-    "ScheduleResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "SpeedupTable": "allocator",
+    "weighted_speedup": "allocator",
+    "optimal_assignment": "allocator",
+    "fixed_cmp_assignment": "allocator",
+    "symmetric_best_assignment": "allocator",
+    "brute_force_assignment": "allocator",
+    "AllocationEvent": "controller",
+    "Job": "controller",
+    "ReallocationController": "controller",
+    "ScheduleResult": "controller",
+})

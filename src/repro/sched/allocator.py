@@ -78,15 +78,17 @@ def optimal_assignment(apps: Sequence[str], table: SpeedupTable,
     NEG = float("-inf")
     dp: list[tuple[float, list[int]]] = [(0.0, [])] + [(NEG, [])] * CHIP_CORES
     for app in apps:
+        alone = table.alone(app)
+        gains = [(k, table.performance(app, k) / alone)
+                 for k in allowed if k <= CHIP_CORES]
         new: list[tuple[float, list[int]]] = [(NEG, [])] * (CHIP_CORES + 1)
         for used in range(CHIP_CORES + 1):
             ws, sizes = dp[used]
             if ws == NEG:
                 continue
-            for k in allowed:
+            for k, gain in gains:
                 if used + k > CHIP_CORES:
                     break
-                gain = table.performance(app, k) / table.alone(app)
                 candidate = ws + gain
                 if candidate > new[used + k][0]:
                     new[used + k] = (candidate, sizes + [k])

@@ -13,10 +13,10 @@ tiers only have to keep the true BEST *alive*, not rank it first,
 which is a far weaker accuracy demand than estimating its cycles
 (docs/SEARCH.md quantifies the safety margin).
 
-Every evaluation is a plain :class:`~repro.exec.spec.JobSpec` routed
-through :func:`repro.harness.runner.run_spec`, so results content-hash
-into the persistent store, cold rungs fan out over the warm worker
-pool, and a re-run of the same search is pure cache
+Every evaluation is a plain :class:`~repro.exec.spec.JobSpec`, and a
+rung is one :func:`repro.harness.runner.run_all` batch, so results
+content-hash into the persistent store, cold rungs fan out over the
+warm worker pool, and a re-run of the same search is pure cache
 replay.  The search itself adds no randomness: candidate order breaks
 score ties (stable sort), and the seed only feeds the optional
 deterministic subsample of oversized spaces — fixed seed, fixed

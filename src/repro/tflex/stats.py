@@ -128,12 +128,11 @@ class ProcStats:
 
     @staticmethod
     def from_dict(data: dict) -> "ProcStats":
-        stats = ProcStats(**{name: data[name]
-                             for name in ProcStats._SCALAR_FIELDS})
-        stats.fetch_latency = LatencyBreakdown.from_dict(data["fetch_latency"])
-        stats.commit_latency = LatencyBreakdown.from_dict(data["commit_latency"])
-        stats.energy_events = Counter(data["energy_events"])
-        return stats
+        return ProcStats(
+            **{name: data[name] for name in ProcStats._SCALAR_FIELDS},
+            fetch_latency=LatencyBreakdown.from_dict(data["fetch_latency"]),
+            commit_latency=LatencyBreakdown.from_dict(data["commit_latency"]),
+            energy_events=Counter(data["energy_events"]))
 
     @staticmethod
     def merged(parts, factor: float = 1.0) -> "ProcStats":

@@ -53,6 +53,8 @@ TRAFFIC = [
         "quickstart", "composition_sweep", "custom_kernel",
         "multiprogramming", "os_reallocation", "smt_vs_composition")),
     ("repro", ("list",)),
+    # The full parser, which a named command's run never builds.
+    ("repro", ("--help",)),
     ("repro", ("run", "conv", "--cores", "4", "--cache-dir", "{store}")),
     # Records a trace with metrics on, which reports it (trace.record).
     ("repro", ("run", "conv", "--cores", "4", "--sample", "--metrics",
@@ -122,6 +124,11 @@ TESTS_ONLY = "a seam or reference only tests call, on purpose"
 REASONS = {
     "datapath.DatapathMixin._bad_address": _ERROR,
     "system.TFlexSystem._dump": _ERROR,
+    "cli._OneCommandParser.error": _ERROR,
+    "runner.prewarm_specs": (
+        "the harness's public batch call, which tests drive and "
+        "benchmarks/perf wraps; the program's own sweeps batch through "
+        "`run_all`, which hashes each spec once and reads back by key"),
     "processor.ComposedProcessor.debug_state": _ERROR,
     "isa.RInst.describe": _ERROR,
     **{f"pool.WorkerPool.{name}": _RETRY
@@ -186,9 +193,9 @@ REASONS = {
         "module, which tests and benchmarks/perf do; a CLI command "
         "configures the store once, first"),
     **{name: _BENCH for name in (
-        "spec.JobSpec.from_dict", "experiments.FigBestResult.objectives",
-        "experiments.FigBestResult.best_ncores",
-        "experiments.FigBestResult.detailed_jobs",
+        "spec.JobSpec.from_dict", "sweeps.FigBestResult.objectives",
+        "sweeps.FigBestResult.best_ncores",
+        "sweeps.FigBestResult.detailed_jobs",
         "halving.SearchResult.best_ncores", "metrics.MetricsRegistry.counter",
         "metrics.MetricsRegistry.counter_total",
         "profile.PhaseProfiler.seconds", "profile.PhaseProfiler.calls",

@@ -295,18 +295,33 @@ class TestPolicyParity:
 
 
 class TestStoreIntegration:
-    def test_successes_persisted_and_replayed(self, tmp_path):
-        store = ResultStore(tmp_path)
-        specs = _specs(3)
-        first = run_specs(specs, jobs=2, worker=_ok_worker, store=store)
-        assert [r.status for r in first] == ["ok"] * 3
-        assert len(list(tmp_path.glob("??/*.json"))) == 3
+    def test_successes_persisted_and_replayed(self, tmp_path, monkeypatch):
+        """The executor persists every success; reading the store is the
+        harness batch's, so a replay whose points are all store hits
+        never reaches the executor at all."""
+        from repro.exec import executor
+        from repro.harness import clear_cache, configure_cache, run_all
 
-        # Second run: everything is a store hit, no worker runs at all
-        # (the crash worker would fail loudly if launched).
-        replay = run_specs(specs, jobs=2, worker=_crash_worker, store=store)
-        assert [r.status for r in replay] == ["cached"] * 3
-        assert [r.payload for r in replay] == [r.payload for r in first]
+        clear_cache()
+        store = configure_cache(tmp_path)
+        try:
+            specs = [JobSpec.edge("dither", ncores=n) for n in (1, 2)]
+            first = run_all(specs)
+            assert len(list(tmp_path.glob("??/*.json"))) == 2
+
+            clear_cache()                           # a fresh process
+
+            def no_executor(*args, **kwargs):
+                raise AssertionError("an all-hit batch ran the executor")
+
+            monkeypatch.setattr(executor, "run_specs", no_executor)
+            replay = run_all(specs)
+            assert store.hits == 2
+            assert ([r.to_dict() for r in replay]
+                    == [r.to_dict() for r in first])
+        finally:
+            clear_cache()
+            configure_cache(enabled=False)
 
     def test_failures_not_persisted(self, tmp_path):
         store = ResultStore(tmp_path)

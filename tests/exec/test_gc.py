@@ -7,7 +7,7 @@ import os
 import pytest
 
 import repro.obs as obs_lib
-from repro.exec.store import gc_cache, parse_size
+from repro.exec.gc import gc_cache, parse_size
 from repro.obs import RingBufferSink
 from repro.sample.trace import FFTrace, FFTraceStore
 

@@ -39,41 +39,19 @@ class TestRendering:
         assert "failed 1" in rep.render()
         assert "last=conv" in stream.getvalue()
 
+    def test_eta_zero_when_done(self):
+        clock = FakeClock()
+        rep = ProgressReporter(total=2, stream=io.StringIO(), clock=clock)
+        rep.update()
+        rep.update()
+        assert "eta 0.0s" in rep.render()
+
     def test_human_time_units(self):
         clock = FakeClock()
         rep = ProgressReporter(total=2, stream=io.StringIO(), clock=clock)
         clock.now += 90.0
         rep.done = 1
         assert "elapsed 1.5m" in rep.render()
-
-
-class TestEtaWithCache:
-    def test_eta_ignores_cached_jobs(self, monkeypatch):
-        """Warm store hits complete instantly; counting them in the rate
-        would wildly underestimate the ETA on mixed warm/cold sweeps."""
-        monkeypatch.setattr(ProgressReporter, "min_interval", 0.0)
-        clock = FakeClock()
-        rep = ProgressReporter(total=10, stream=io.StringIO(), clock=clock)
-        for _ in range(4):
-            rep.update(cached=True)      # instant warm hits
-        clock.now += 8.0
-        for _ in range(2):
-            rep.update()                 # 2 cold jobs in 8s -> 4s each
-        assert "eta 16.0s" in rep.render()   # 4 remaining jobs
-
-    def test_eta_unknown_while_only_cached(self):
-        clock = FakeClock()
-        rep = ProgressReporter(total=4, stream=io.StringIO(), clock=clock)
-        rep.update(cached=True)
-        clock.now += 2.0
-        assert "eta ?" in rep.render()
-
-    def test_eta_zero_when_done(self):
-        clock = FakeClock()
-        rep = ProgressReporter(total=2, stream=io.StringIO(), clock=clock)
-        rep.update(cached=True)
-        rep.update(cached=True)
-        assert "eta 0.0s" in rep.render()
 
 
 class TestFinish:

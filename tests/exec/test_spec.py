@@ -71,6 +71,8 @@ class TestHashing:
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
-            check=True, env={"PYTHONPATH": "src", "PYTHONHASHSEED": "7"},
+            check=True, env={"PYTHONPATH": "src", "PYTHONHASHSEED": "7",
+                             # no __pycache__ left in the checkout
+                             "PYTHONDONTWRITEBYTECODE": "1"},
             cwd=__file__.rsplit("/tests/", 1)[0])
         assert out.stdout.strip() == spec_hash(spec)

@@ -69,6 +69,31 @@ class TestWarmReplay:
         assert list(isolated_cache.rglob("*.json")) == []
 
 
+class TestCacheHitCounts:
+    """``run.cache_hits`` counts each spec of a batch once, by where it
+    was when the batch began; reading a sweep back counts nothing."""
+
+    def _hits(self, sweep):
+        import repro.obs
+
+        obs = repro.obs.configure(metrics=True)
+        try:
+            sweep()
+            return {source: obs.metrics.counter("run.cache_hits",
+                                                source=source)
+                    for source in ("memory", "store")}
+        finally:
+            repro.obs.reset()
+
+    def test_cold_warm_store_and_warm_memory(self, isolated_cache):
+        configure_cache(isolated_cache / "store")
+        sweep = lambda: fig6_performance(**SUBSET)      # noqa: E731
+        assert self._hits(sweep) == {"memory": 0, "store": 0}   # cold
+        clear_cache()                               # "fresh process"
+        assert self._hits(sweep) == {"memory": 0, "store": 2}
+        assert self._hits(sweep) == {"memory": 2, "store": 0}
+
+
 class TestParallelDeterminism:
     def test_jobs2_byte_identical_to_jobs1(self, isolated_cache):
         """Acceptance: --jobs 2 produces byte-identical stored records

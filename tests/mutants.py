@@ -57,6 +57,8 @@ _KILL = _RESIL_RUN + "TestKillRecovery::"
 _AXES = "tests/exec/test_axes.py::"
 _POOL = "src/repro/exec/pool.py"
 _RUNNER = "src/repro/harness/runner.py"
+_HASHED_ONCE = ("tests/test_import_budget.py::"
+                "test_warm_sweep_hashes_and_reads_each_spec_once")
 _LIFECYCLE = ("tests/tflex/test_lifecycle.py::"
               "test_a_simulated_system_leaves_no_cycle")
 _NO_CACHE = ("tests/test_cli.py::TestFFTraceFlags::"
@@ -108,7 +110,7 @@ MUTANTS = [
       "test_every_event_is_documented",)),
     # An emitted or counted name the registry does not know (REP401,
     # REP402): a test that listens for the name catches most of them.
-    ("REP401-cache-gc", "src/repro/exec/store.py",
+    ("REP401-cache-gc", "src/repro/exec/gc.py",
      'obs.emit("cache.gc",', 'obs.emit("cache.gc_done",',
      ("tests/exec/test_gc.py::TestGcCache::test_emits_event_and_metrics",)),
     ("REP401-recompose-start", "src/repro/resil/recompose.py",
@@ -351,12 +353,29 @@ MUTANTS = [
     # The runner's hash-keyed batch is the one dedup: equal specs of
     # different types (1, 1.0) are different jobs.
     ("runner-batch-keyed-by-spec", _RUNNER,
-     "    keyed = {spec_hash(spec): spec for spec in specs}\n"
-     "    cold = [spec for key, spec in keyed.items() if key not in _CACHE]\n",
-     "    keyed = {spec: spec_hash(spec) for spec in specs}\n"
-     "    cold = [spec for spec, key in keyed.items() if key not in _CACHE]\n",
+     "    return _prewarm({spec_hash(spec): spec for spec in specs}, jobs,\n",
+     "    return _prewarm({spec_hash(spec): spec\n"
+     "                     for spec in dict.fromkeys(specs)}, jobs,\n",
      ("tests/harness/test_runner_store.py::TestSpecKeyedCache::"
       "test_batch_keyed_by_hash_not_equality",)),
+    # A warm sweep hashes each spec once and reads each record once:
+    # neither the store read nor the read-back hashes again, and the
+    # read-back notes no memory hit.
+    ("runner-read-back-through-run-spec", _RUNNER,
+     "    return [_CACHE[key] for key in keys]\n",
+     "    return [run_spec(spec) for spec in specs]\n",
+     (_HASHED_ONCE, "tests/harness/test_runner_store.py::"
+      "TestCacheHitCounts::test_cold_warm_store_and_warm_memory")),
+    ("runner-store-read-rehashes", _RUNNER,
+     "        payload = store.load(spec, key) if store is not None else None\n",
+     "        payload = store.load(spec) if store is not None else None\n",
+     (_HASHED_ONCE,)),
+    # A named command's misuse reads as the full parser's.
+    ("cli-one-command-parser-prints-its-own-error", "src/repro/cli.py",
+     "    def error(self, message):\n        raise _Misuse(message)\n",
+     "    pass\n",
+     ("tests/test_cli.py::TestOneCommandParser::"
+      "test_misuse_reads_as_the_full_parser[fig6_stray]",)),
     # The failure reason travels with the event.
     ("exec-in-process-failure-as-crash", "src/repro/exec/executor.py",
      '            reason = "exception"\n', '            reason = "crash"\n',
@@ -384,7 +403,7 @@ MUTANTS = [
       "test_result_sent_just_before_exit_is_not_a_crash",)),
     # `cache gc --max-bytes` keeps a newest-first prefix: a small old
     # record never outlives a newer one that did not fit.
-    ("gc-keeps-older-record-that-fits", "src/repro/exec/store.py",
+    ("gc-keeps-older-record-that-fits", "src/repro/exec/gc.py",
      "            kept = 0\n"
      "            for __mtime, size, __path, __kind in survivors:\n"
      "                if size > budget:\n"

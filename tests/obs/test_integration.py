@@ -155,17 +155,31 @@ class TestExecutorEvents:
             "exec.job_seconds"]["count"] == 2
 
     def test_cached_jobs_emit_cached_events(self, tmp_path):
-        obs = Observability(metrics_enabled=True)
-        ring = obs.bus.attach(RingBufferSink())
-        store = ResultStore(tmp_path)
+        """A store hit is the harness's, read before the executor: it
+        emits ``run.cache_hit`` with ``source=store``, and only the cold
+        job produces executor events."""
+        from repro.harness import runner
+
         specs = self._specs()
-        store.store(specs[0], {"warm": True})
-        ex = ParallelExecutor(jobs=1, worker=_payload_worker, store=store,
-                              obs=obs)
-        ex.run(specs)
-        assert len(ring.of_kind("job.cached")) == 1
-        assert obs.metrics.counter("exec.jobs", status="cached") == 1
-        assert obs.metrics.counter("exec.jobs", status="ok") == 1
+        runner.clear_cache()
+        store = runner.configure_cache(tmp_path)
+        try:
+            runner.run_all(specs[:1])
+            runner.clear_cache()
+            obs = repro.obs.configure(metrics=True)
+            ring = obs.bus.attach(RingBufferSink())
+            runner.run_all(specs)
+            hits = ring.of_kind("run.cache_hit")
+            assert [(e["label"], e["source"]) for e in hits] == [
+                (specs[0].label(), "store")]
+            assert obs.metrics.counter("run.cache_hits", source="store") == 1
+            assert len(ring.of_kind("job.start")) == 1
+            assert obs.metrics.counter("exec.jobs", status="ok") == 1
+            assert store.hits == 1
+        finally:
+            repro.obs.reset()
+            runner.clear_cache()
+            runner.configure_cache(enabled=False)
 
     def test_failed_job_reports_attempts(self):
         obs = Observability(metrics_enabled=True)

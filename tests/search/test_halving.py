@@ -1,11 +1,9 @@
 """The halving engine, isolated from the simulator.
 
-``search_best`` batches each rung through
-``repro.harness.runner.prewarm_specs`` and reads every evaluation back
-through ``run_spec``; these tests monkeypatch that seam with a
-synthetic score table, so rung mechanics (promotion fractions,
-fidelity routing, tie-breaks, observability) are checked in
-milliseconds.  The end-to-end argmax/work-reduction acceptance runs in
+``search_best`` runs each rung as one ``repro.harness.runner.run_all``
+batch; these tests monkeypatch that seam with a synthetic score table,
+so rung mechanics (promotion fractions, fidelity routing, tie-breaks,
+observability) are checked in milliseconds.  The end-to-end argmax/work-reduction acceptance runs in
 ``test_fig_best.py``.
 """
 
@@ -30,7 +28,7 @@ assert (COARSE_FF, FINE_FF) == (256, 96)
 
 
 def install_scores(monkeypatch, table):
-    """Route run_spec through ``table[(bench, ncores, ff)]`` cycles,
+    """Route run_all through ``table[(bench, ncores, ff)]`` cycles,
     where ``ff`` is the sampled fast-forward length (None = detail).
     Returns the list of (bench, ncores, ff) evaluations performed."""
     calls = []
@@ -44,9 +42,9 @@ def install_scores(monkeypatch, table):
             performance=1.0 / cycles,
             power=SimpleNamespace(total=1.0))
 
-    monkeypatch.setattr("repro.harness.runner.run_spec", fake_run_spec)
-    monkeypatch.setattr("repro.harness.runner.prewarm_specs",
-                        lambda specs, **kwargs: [])
+    monkeypatch.setattr("repro.harness.runner.run_all",
+                        lambda specs, **kwargs: [fake_run_spec(spec)
+                                                 for spec in specs])
     return calls
 
 

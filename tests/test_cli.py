@@ -317,6 +317,54 @@ class TestHelpSmoke:
         assert "usage" in capsys.readouterr().out.lower()
 
 
+def _outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of ``parse(argv)``, which may only
+    print and exit."""
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return excinfo.value.code, out, err
+
+
+def _full_parser(argv):
+    """What ``main`` did before it built one command's subparser:
+    parse and validate with every command registered."""
+    from repro.cli import _validate
+
+    parser = build_parser()
+    _validate(parser, parser.parse_args(argv))
+
+
+class TestOneCommandParser:
+    """``main`` builds only the named command's subparser; whatever it
+    prints — help, or any error with the usage line listing every
+    command — is byte for byte what the full parser prints."""
+
+    def test_every_command_is_registered_once(self):
+        """``repro.cli`` names the commands without loading
+        ``repro.commands``; the two lists agree, in ``--help`` order."""
+        from repro import cli, commands
+
+        assert cli.COMMANDS == tuple(commands.COMMANDS) + cli.FIGURES
+        assert sorted(cli.COMMANDS) == _registered_subcommands()
+
+    @pytest.mark.parametrize("command", _registered_subcommands())
+    def test_subcommand_help_matches_the_full_parser(self, command, capsys):
+        argv = [command, "--help"]
+        assert (_outcome(capsys, main, argv)
+                == _outcome(capsys, _full_parser, argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["nosuch"], ["fig6", "stray"], ["fig6", "--jobs", "0"],
+        ["fig6", "--sample-ff", "5"], ["fig6", "--jobs", "x"],
+        ["run", "conv", "--cores", "3"], ["cache"], ["search", "--eta", "1"]],
+        ids=lambda argv: "_".join(argv) or "no-command")
+    def test_misuse_reads_as_the_full_parser(self, argv, capsys):
+        code, out, err = _outcome(capsys, main, argv)
+        assert (code, out, err) == _outcome(capsys, _full_parser, argv)
+        assert code in (0, 2)
+
+
 class TestFFTraceFlags:
     def test_no_cache_disables_traces_unless_asked(self, tmp_path, capsys):
         """--no-cache alone decides: it turns tracing off (whatever the

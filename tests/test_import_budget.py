@@ -29,6 +29,11 @@ SIMULATOR = ("repro.compiler", "repro.isa", "repro.risc", "repro.mem",
              "repro.search.halving", "repro.workloads.suite")
 LIGHT_TFLEX = {"repro.tflex", "repro.tflex.stats", "repro.tflex.config",
                "repro.tflex.placement"}
+#: What only a batch with a cold spec (or a non-figure command, or an
+#: observed run) may import, beyond the simulator.
+COLD_ONLY = ("repro.exec.executor", "repro.exec.worker",
+             "repro.exec.progress", "repro.exec.pool", "repro.obs",
+             "repro.commands")
 
 #: ``python -c`` driver: argv = [modules-out, *repro argv].
 DRIVER = """
@@ -122,7 +127,13 @@ class TestLightCommands:
         assert run.stdout.strip()
         assert heavy(run.modules) == []
         assert "repro.sample.trace" not in run.modules
-        assert len(run.repro) <= 40, run.repro     # 90 before the layering
+        assert not [m for m in run.repro if m in COLD_ONLY
+                    or m.startswith("repro.search")], run.repro
+        # 20 (fig10 adds repro.sched and its allocator) plus 2; 29
+        # before an all-hit batch skipped the executor, 90 before the
+        # layering.
+        measured = 22 if command == "fig10" else 20
+        assert len(run.repro) <= measured + 2, run.repro
         assert ("repro.sched" in run.modules) == (command == "fig10")
 
     def test_misuse_fails_before_the_simulator_loads(self, tmp_path):
@@ -131,6 +142,46 @@ class TestLightCommands:
         assert run.code == 2
         assert "unknown benchmark 'nosuch'" in run.stderr
         assert heavy(run.modules) == []
+
+
+def test_warm_sweep_hashes_and_reads_each_spec_once(tmp_path, monkeypatch):
+    """In process: a warm figure-6 sweep hashes every spec once and
+    reads every record once — no re-hash for the store read or the
+    read-back."""
+    from collections import Counter
+
+    from repro.exec import spec as spec_mod, store as store_mod
+    from repro.harness import experiments, runner
+
+    subset = dict(benchmarks=["dither"], core_counts=(1, 2))
+    runner.clear_cache()
+    runner.configure_cache(tmp_path / "s")
+    try:
+        cold = experiments.fig6_performance(**subset).render()
+        runner.clear_cache()                        # a fresh process
+        hashed, read = Counter(), Counter()
+        real_hash, real_read = spec_mod.spec_hash, store_mod.ResultStore._read
+
+        def counting_hash(spec, *args, **kwargs):
+            key = real_hash(spec, *args, **kwargs)
+            hashed[key] += 1
+            return key
+
+        def counting_read(store, key):
+            read[key] += 1
+            return real_read(store, key)
+
+        for module in (spec_mod, store_mod, runner):
+            monkeypatch.setattr(module, "spec_hash", counting_hash)
+        monkeypatch.setattr(store_mod.ResultStore, "_read", counting_read)
+        warm = experiments.fig6_performance(**subset).render()
+        keys = {real_hash(spec) for spec in experiments.fig6_specs(**subset)}
+        assert len(keys) == 3                       # two sizes and TRIPS
+        assert hashed == read == Counter(dict.fromkeys(keys, 1))
+        assert warm == cold
+    finally:
+        runner.clear_cache()
+        runner.configure_cache(enabled=False)
 
 
 class TestColdPath:

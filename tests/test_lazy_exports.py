@@ -1,4 +1,4 @@
-"""The six re-export-only packages serve their public names lazily
+"""The seven re-export-only packages serve their public names lazily
 (``repro/_lazy.py``): one ``name -> submodule`` table per package, the
 same objects as before, nothing imported until it is read."""
 
@@ -12,13 +12,14 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-PACKAGES = ("repro.exec", "repro.harness", "repro.sample", "repro.search",
-            "repro.tflex", "repro.workloads")
+PACKAGES = ("repro.exec", "repro.harness", "repro.sample", "repro.sched",
+            "repro.search", "repro.tflex", "repro.workloads")
 
 #: One submodule of each package that its table does not need loaded
 #: for the check below to be meaningful.
 A_SUBMODULE = {"repro.exec": "store", "repro.harness": "reporting",
-               "repro.sample": "config", "repro.search": "objective",
+               "repro.sample": "config", "repro.sched": "controller",
+               "repro.search": "objective",
                "repro.tflex": "stats", "repro.workloads": "catalog"}
 
 
