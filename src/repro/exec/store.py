@@ -106,6 +106,10 @@ class ResultStore(BlobStore):
     def __init__(self, root: Union[str, pathlib.Path],
                  salt: int = SCHEMA_VERSION) -> None:
         super().__init__(root, salt)
+        # :meth:`path_for` as a formatted string: a warm figure reads
+        # every one of its records, and two ``pathlib`` joins cost a
+        # read as much again as the ``open`` itself.
+        self._prefix = os.path.join(self.root, "")
 
     def key(self, spec: JobSpec) -> str:
         return spec_hash(spec, salt=self.salt)
@@ -114,7 +118,9 @@ class ResultStore(BlobStore):
         """The payload stored under ``key`` if its record reads, parses
         and echoes this store's schema and the key; else :data:`MISS`."""
         try:
-            record = json.loads(self.path_for(key).read_bytes())
+            with open(f"{self._prefix}{key[:2]}{os.sep}{key}{self.SUFFIX}",
+                      "rb") as handle:
+                record = json.loads(handle.read())
         except (OSError, ValueError):
             return MISS
         if (not isinstance(record, dict) or record.get("schema") != self.salt

@@ -5,7 +5,9 @@ architectural data lives in the per-thread flat memory and moves through
 the LSQ/commit path, which keeps functional correctness independent of
 timing-model details.  Lines are keyed by ``(ctx, line_address)`` so
 multiple programs (address-space contexts) can share the physical
-hierarchy, as in the multiprogramming experiments.
+hierarchy, as in the multiprogramming experiments.  A resident line is
+its key and its :class:`LineState`, nothing more: a set maps one to the
+other.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.warm import WarmState
 
@@ -23,15 +25,6 @@ class LineState(Enum):
 
     SHARED = "S"
     MODIFIED = "M"
-
-
-@dataclass(slots=True)
-class Line:
-    """One resident cache line."""
-
-    ctx: int
-    line_addr: int
-    state: LineState = LineState.SHARED
 
 
 @dataclass
@@ -46,7 +39,7 @@ class CacheStats:
 
 
 class _Sets(dict):
-    """Set index -> ``OrderedDict[(ctx, line_addr) -> Line]`` (LRU
+    """Set index -> ``OrderedDict[(ctx, line_addr) -> LineState]`` (LRU
     first), holding only the sets something has subscripted: a bank is
     built empty and a short run touches a few hundred of a system's
     ~10 000 sets.  An absent set and an empty one are the same state."""
@@ -93,8 +86,9 @@ class CacheBank(WarmState):
     # Lookups
     # ------------------------------------------------------------------
 
-    def probe(self, ctx: int, addr: int) -> Optional[Line]:
-        """Non-allocating lookup; does not update LRU or stats."""
+    def probe(self, ctx: int, addr: int) -> Optional[LineState]:
+        """A resident line's state, or None; does not update LRU or
+        stats."""
         line_addr = self.line_addr(addr)
         return self._set_of(line_addr).get((ctx, line_addr))
 
@@ -128,45 +122,55 @@ class CacheBank(WarmState):
     # Mutations
     # ------------------------------------------------------------------
 
-    def fill(self, ctx: int, addr: int, state: LineState = LineState.SHARED) -> Optional[Line]:
+    def fill(self, ctx: int, addr: int,
+             state: LineState = LineState.SHARED) -> Optional[tuple]:
         """Install a line, evicting the LRU line of the set if needed.
 
-        Returns the evicted line (for directory notification /
-        writeback) or None.
+        Returns the evicted line's ``(ctx, line_addr)`` (for directory
+        notification / writeback) or None.
         """
         line_addr = self.line_addr(addr)
         cache_set = self._set_of(line_addr)
         key = (ctx, line_addr)
-        existing = cache_set.get(key)
-        if existing is not None:
-            existing.state = state
+        if key in cache_set:
+            cache_set[key] = state
             cache_set.move_to_end(key)
             return None
         victim = None
         if len(cache_set) >= self.assoc:
-            __, victim = cache_set.popitem(last=False)
+            victim, victim_state = cache_set.popitem(last=False)
             self.stats.evictions += 1
-            if victim.state is LineState.MODIFIED:
+            if victim_state is LineState.MODIFIED:
                 self.stats.writebacks += 1
-        cache_set[key] = Line(ctx=ctx, line_addr=line_addr, state=state)
+        cache_set[key] = state
         return victim
 
-    def invalidate(self, ctx: int, addr: int) -> Optional[Line]:
-        """Remove a line (directory-initiated). Returns it if present."""
+    def downgrade(self, ctx: int, addr: int) -> None:
+        """Make a resident line SHARED where it stands in the LRU order
+        (an owner giving up its dirty copy); no stats."""
         line_addr = self.line_addr(addr)
         cache_set = self._set_of(line_addr)
-        line = cache_set.pop((ctx, line_addr), None)
-        if line is not None:
+        key = (ctx, line_addr)
+        if key in cache_set:
+            cache_set[key] = LineState.SHARED
+
+    def invalidate(self, ctx: int, addr: int) -> Optional[LineState]:
+        """Remove a line (directory-initiated). Returns its state if it
+        was present."""
+        line_addr = self.line_addr(addr)
+        state = self._set_of(line_addr).pop((ctx, line_addr), None)
+        if state is not None:
             self.stats.invalidations += 1
-        return line
+        return state
 
     def resident_lines(self) -> int:
         return sum(len(s) for s in self._sets.values())
 
-    def iter_lines(self):
-        """Iterate all resident lines (set order, LRU-first within a set)."""
+    def iter_lines(self) -> Iterator[tuple]:
+        """``((ctx, line_addr), state)`` per resident line (set order,
+        LRU-first within a set)."""
         for index in sorted(self._sets):
-            yield from self._sets[index].values()
+            yield from self._sets[index].items()
 
     # ------------------------------------------------------------------
     # State transfer (sampled-simulation warm-up injection)

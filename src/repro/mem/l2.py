@@ -7,7 +7,8 @@ distance between the requesting core and the bank holding the line
 uses an on-chip directory: sharing vectors stored alongside the L2 tags,
 treating every L1 bank as an independent coherence unit — which is what
 lets compositions change without flushing L1s (the directory forwards or
-invalidates stale lines on demand).
+invalidates stale lines on demand).  Here the sharing vector is an int
+bit mask per directory entry, bit *i* standing for core *i*'s L1.
 
 Timing here is computed transactionally: a request arriving at cycle
 *now* returns its completion cycle, with directory side effects (L1
@@ -17,20 +18,28 @@ added to the returned latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
 from repro.mem.cache import CacheBank, LineState
 from repro.mem.dram import Dram
 from repro.noc.mesh import Topology
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """Sharing state for one (ctx, line): which L1s hold it, who owns it."""
 
-    sharers: set[int] = field(default_factory=set)
+    sharers: int = 0              # bit i set: core i's L1 holds the line
     owner: Optional[int] = None   # core id holding the line MODIFIED
+
+
+def cores_of(mask: int) -> Iterator[int]:
+    """The core ids whose bits are set in ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass
@@ -131,14 +140,12 @@ class L2System:
             done += self.core_topology.distance(entry.owner, core) + self.tag_latency
             owner_bank = self._l1(entry.owner)
             if owner_bank is not None:
-                line = owner_bank.probe(ctx, line_addr)
-                if line is not None:
-                    line.state = LineState.SHARED
-            entry.sharers.add(entry.owner)
+                owner_bank.downgrade(ctx, line_addr)
+            entry.sharers |= 1 << entry.owner
             entry.owner = None
 
         done = self._touch_l2(ctx, line_addr, core, now, done)
-        entry.sharers.add(core)
+        entry.sharers |= 1 << core
         return done, LineState.SHARED
 
     def write(self, ctx: int, addr: int, core: int, now: int) -> tuple[int, LineState]:
@@ -148,20 +155,23 @@ class L2System:
         line_addr = addr & ~(self.line_size - 1)
         entry = self._dir_entry(ctx, line_addr)
 
-        others = (entry.sharers | ({entry.owner} if entry.owner is not None else set())) - {core}
+        others = entry.sharers
+        if entry.owner is not None:
+            others |= 1 << entry.owner
+        others &= ~(1 << core)
         if others:
             # Invalidate every other copy; latency is the farthest
             # invalidation round trip from the home bank.
             bank = self.bank_of(addr)
             worst = 0
-            for sharer in sorted(others):
+            for sharer in cores_of(others):
                 self.stats.invalidation_msgs += 1
                 l1 = self._l1(sharer)
                 if l1 is not None:
                     l1.invalidate(ctx, line_addr)
                 worst = max(worst, 2 * self.bank_distance(sharer, bank))
             done += worst
-        entry.sharers = set()
+        entry.sharers = 0
         entry.owner = core
 
         done = self._touch_l2(ctx, line_addr, core, now, done)
@@ -183,13 +193,11 @@ class L2System:
         if owner is not None and owner != core:
             owner_bank = self._l1(owner)
             if owner_bank is not None:
-                line = owner_bank.probe(ctx, line_addr)
-                if line is not None:
-                    line.state = LineState.SHARED
-            entry.sharers.add(owner)
+                owner_bank.downgrade(ctx, line_addr)
+            entry.sharers |= 1 << owner
             entry.owner = None
         self._warm_touch(ctx, line_addr)
-        entry.sharers.add(core)
+        entry.sharers |= 1 << core
 
     def warm_write(self, ctx: int, line_addr: int, core: int) -> None:
         """State-only :meth:`write` for cache warming (``line_addr``
@@ -197,7 +205,7 @@ class L2System:
         entry = self._dir_entry(ctx, line_addr)
         owner = entry.owner
         if entry.sharers or (owner is not None and owner != core):
-            for sharer in sorted(entry.sharers):
+            for sharer in cores_of(entry.sharers):
                 if sharer != core:
                     l1 = self._l1(sharer)
                     if l1 is not None:
@@ -206,7 +214,7 @@ class L2System:
                 l1 = self._l1(owner)
                 if l1 is not None:
                     l1.invalidate(ctx, line_addr)
-            entry.sharers = set()
+            entry.sharers = 0
         entry.owner = core
         self._warm_touch(ctx, line_addr)
 
@@ -216,7 +224,7 @@ class L2System:
         entry = self.directory.get(key)
         if entry is None:
             return
-        entry.sharers.discard(core)
+        entry.sharers &= ~(1 << core)
         if entry.owner == core:
             entry.owner = None
         if not entry.sharers and entry.owner is None:
@@ -262,17 +270,18 @@ class L2System:
             self._recall(victim)
         return dram_done
 
-    def _recall(self, victim) -> None:
-        """L2 eviction: recall the line from any L1s holding it."""
-        key = (victim.ctx, victim.line_addr)
-        entry = self.directory.pop(key, None)
+    def _recall(self, victim: tuple) -> None:
+        """L2 eviction of the line keyed ``victim``: recall it from any
+        L1s holding it."""
+        entry = self.directory.pop(victim, None)
         if entry is None:
             return
-        holders = set(entry.sharers)
+        holders = entry.sharers
         if entry.owner is not None:
-            holders.add(entry.owner)
-        for core in sorted(holders):
+            holders |= 1 << entry.owner
+        ctx, line_addr = victim
+        for core in cores_of(holders):
             self.stats.recalls += 1
             l1 = self._l1(core)
             if l1 is not None:
-                l1.invalidate(victim.ctx, victim.line_addr)
+                l1.invalidate(ctx, line_addr)

@@ -536,6 +536,7 @@ def interpret(interp: Interpreter, addr: int, n_blocks: int,
             interval.finished = True
             break
     interval.set_regs(start_regs, regs)
+    interval.narrow()
     return interval
 
 

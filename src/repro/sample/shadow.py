@@ -130,13 +130,14 @@ def rebuild_directory(l2: L2System, l1_by_core: dict) -> None:
     """
     l2.directory.clear()
     for core_id, banks in l1_by_core.items():
+        bit = 1 << core_id
         for bank in banks:
-            for line in bank.iter_lines():
-                entry = l2._dir_entry(line.ctx, line.line_addr)
-                if line.state is LineState.MODIFIED:
+            for (ctx, line_addr), state in bank.iter_lines():
+                entry = l2._dir_entry(ctx, line_addr)
+                if state is LineState.MODIFIED:
                     entry.owner = core_id
                 else:
-                    entry.sharers.add(core_id)
+                    entry.sharers |= bit
 
 
 class ShadowUarch:
@@ -347,8 +348,7 @@ class ShadowUarch:
             for op in ops[start:stop]:
                 cache_set, key, dcache, bank_core = resolved[op]
                 if op & 1:
-                    line = cache_set.get(key)
-                    if line is not None and line.state is modified:
+                    if cache_set.get(key) is modified:
                         cache_set.move_to_end(key)
                         continue
                     warm_write(ctx, key[1], bank_core)
@@ -361,7 +361,7 @@ class ShadowUarch:
                         warm_read(ctx, key[1], bank_core)
                         victim = dcache.fill(ctx, key[1], shared)
                 if victim is not None:
-                    l1_evicted(victim.ctx, victim.line_addr, bank_core)
+                    l1_evicted(*victim, bank_core)
 
         start = 0
         for i in sorted(reads):
@@ -376,7 +376,10 @@ class ShadowUarch:
                     # unless a core owns it (a store to code).
                     entry = directory[line_ctx, line_addr]
                     if entry.owner is None:
-                        entry.sharers.update(cores)
+                        sharers = entry.sharers
+                        for core in cores:
+                            sharers |= 1 << core
+                        entry.sharers = sharers
                     else:
                         for core in cores[1:]:
                             warm_read(line_ctx, line_addr, core)

@@ -36,16 +36,21 @@ memory every column of an interval is a fixed-width ``array``, the data
 columns flat with end offsets (:class:`FFInterval`).  On disk a blob is
 those columns as they are held: a one-line JSON header (schema and key
 echo, byte order, metadata, and per interval its start, ``finished``
-flag and column lengths), then each column's raw bytes
+flag, address width and column lengths), then each column's raw bytes
 (:func:`encode_trace`), gzip level 1::
 
-    {"schema": 4, "key": ..., "intervals": [{"start": ..., "finished":
-     ..., "lengths": [15 column lengths]}, ...]}          (one line)
+    {"schema": 5, "key": ..., "intervals": [{"start": ..., "finished":
+     ..., "addr_bytes": 4 or 8, "lengths": [15 column lengths]}, ...]}
+                                                          (one line)
     then per interval, in this order:
       addrs u32 | exits u8 | nexts u32 | branch_ops u8 | insts u8 |
-      loads u8 | load_addrs u64 | load_ends u32 |
-      store_addrs u64 | store_kinds u8 | store_bits 8 B | store_ends u32 |
-      reg_index u8 | reg_kinds u8 | reg_bits 8 B
+      loads u8 | load_addrs u32/u64 | load_ends u32 |
+      store_addrs u32/u64 | store_kinds u8 | store_bits 8 B |
+      store_ends u32 | reg_index u8 | reg_kinds u8 | reg_bits 8 B
+
+An interval's two data-address columns are u32 when every address in
+the interval fits in 32 bits (every benchmark's do: data starts at
+1 MiB) and u64 otherwise; ``addr_bytes`` says which.
 
 A value, in memory or in a register, crosses the blob only as its 8
 bytes beside a kind, so a NaN's payload and a zero's sign survive.  The
@@ -80,7 +85,7 @@ from repro.mem.flatmem import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE, FlatMemory
 
 #: Bump when the trace layout or what it records changes; old blobs
 #: then read as misses.
-TRACE_SCHEMA = 4
+TRACE_SCHEMA = 5
 
 #: The explicit override (:func:`configure_ff_trace`): ``None`` follows
 #: the result store, ``False`` is off, a path is the trace root.
@@ -261,15 +266,20 @@ def _bits(value) -> bytes:
 
 
 #: Every column of an interval, in blob order, with its ``array`` type
-#: code (``None``: a ``bytearray`` of 8-byte values).  Block addresses
+#: code (``None``: a ``bytearray`` of 8-byte values; ``_ADDR``: a data
+#: address column, at the interval's address width).  Block addresses
 #: lie in the code segment, far below 4 GiB, a block has at most 128
 #: instructions and 8 exits, and the register file 128 registers.
+_ADDR = "addr"
 _COLUMNS = (("addrs", "I"), ("exits", "B"), ("nexts", "I"),
             ("branch_ops", "B"), ("insts", "B"), ("loads", "B"),
-            ("load_addrs", "Q"), ("load_ends", "I"),
-            ("store_addrs", "Q"), ("store_kinds", "B"),
+            ("load_addrs", _ADDR), ("load_ends", "I"),
+            ("store_addrs", _ADDR), ("store_kinds", "B"),
             ("store_bits", None), ("store_ends", "I"),
             ("reg_index", "B"), ("reg_kinds", "B"), ("reg_bits", None))
+
+#: An address column's type code by its width in bytes.
+_ADDR_CODES = {4: "I", 8: "Q"}
 
 #: The columns with one entry per block.
 _PER_BLOCK = ("exits", "nexts", "branch_ops", "insts", "loads",
@@ -312,6 +322,15 @@ def land_stores(mem, interval: "FFInterval", first: int = 0) -> None:
         at += 8
 
 
+def _addr_column(values) -> array:
+    """``values`` as an address column: 32-bit when every value fits,
+    64-bit otherwise."""
+    try:
+        return array("I", values)
+    except OverflowError:
+        return array("Q", values)
+
+
 class FFInterval:
     """One fast-forward interval: what the live loop appends to, the
     recorder keeps, the codec reads and writes, and replay and warm-up
@@ -327,10 +346,13 @@ class FFInterval:
     (``store_addrs``), its size with the ``_FP`` flag (``store_kinds``)
     and its value as 8 little-endian bytes (``store_bits``, see
     :func:`store_bits`).  A store's first ``size`` bytes there are the
-    bytes replay writes.  The register columns hold, per register the
-    interval changed, its number (``reg_index``), its kind as a store's
-    (``reg_kinds``: 8, with ``_FP`` for a float) and its end value's 8
-    bytes (``reg_bits``), written by the same :func:`store_bits`.
+    bytes replay writes.  The two address columns are appended to at
+    64 bits and held at 32 once :meth:`narrow` finds that every
+    address in the interval fits.  The register columns hold, per
+    register the interval changed, its number (``reg_index``), its kind
+    as a store's (``reg_kinds``: 8, with ``_FP`` for a float) and its
+    end value's 8 bytes (``reg_bits``), written by the same
+    :func:`store_bits`.
     """
 
     __slots__ = ("start", *(name for name, __ in _COLUMNS), "finished",
@@ -340,7 +362,8 @@ class FFInterval:
         self.start = start
         for name, typecode in _COLUMNS:
             setattr(self, name,
-                    bytearray() if typecode is None else array(typecode))
+                    bytearray() if typecode is None
+                    else array("Q" if typecode is _ADDR else typecode))
         self.finished = finished
         self._dcache_ops: dict = {}
         self._landing: Optional[list] = None
@@ -369,6 +392,16 @@ class FFInterval:
             if old is not new and (type(old) is not type(new)
                                    or _bits(old) != _bits(new)):
                 self.add_reg(index, new)
+
+    def narrow(self) -> None:
+        """Hold both address columns at 32 bits if every load and store
+        address fits there; call once the interval is complete."""
+        try:
+            loads = array("I", self.load_addrs)
+            stores = array("I", self.store_addrs)
+        except OverflowError:
+            return
+        self.load_addrs, self.store_addrs = loads, stores
 
     def end_regs(self):
         """``(index, value)`` per kept register, bit for bit as kept."""
@@ -441,17 +474,18 @@ class FFInterval:
                                    | 1)
                 ends.append(len(ops))
                 load_start, store_start = load_end, store_end
-            derived = self._dcache_ops[line_size] = (array("Q", index), ops,
-                                                     ends)
+            derived = self._dcache_ops[line_size] = (
+                _addr_column(index), ops, ends)
         return derived
 
     def check(self) -> None:
         """Raise ``ValueError`` unless the columns agree: one entry per
         block in each per-block column, end offsets that end at their
-        data column's length, 8 value bytes per store and per register,
-        every store kind one :func:`store_bits` admits, every register
-        kind an int's or a float's, and every register number below the
-        register file's 128."""
+        data column's length, one width for both address columns, 8
+        value bytes per store and per register, every store kind one
+        :func:`store_bits` admits, every register kind an int's or a
+        float's, and every register number below the register file's
+        128."""
         from repro.isa.block import NUM_REGS
 
         blocks, stores = len(self.addrs), len(self.store_addrs)
@@ -461,6 +495,7 @@ class FFInterval:
                 and (self.load_ends[-1] if blocks else 0)
                 == len(self.load_addrs)
                 and (self.store_ends[-1] if blocks else 0) == stores
+                and self.load_addrs.typecode == self.store_addrs.typecode
                 and len(self.store_kinds) == stores
                 and len(self.store_bits) == 8 * stores
                 and not self.store_kinds.tobytes().translate(
@@ -494,10 +529,10 @@ def encode_trace(trace: FFTrace, key: str, schema: int):
     """One trace's blob, uncompressed, in pieces: a one-line JSON
     header — the schema and key echo, the byte order, the trace's
     metadata, the branch kinds ``branch_ops`` indexes, and per interval
-    its start, ``finished`` flag and column lengths — then every
-    interval's columns' raw bytes in :data:`_COLUMNS` order.  The
-    columns go out as they are held: no per-value conversion, and no
-    register or memory value in the header."""
+    its start, ``finished`` flag, address width and column lengths —
+    then every interval's columns' raw bytes in :data:`_COLUMNS` order.
+    The columns go out as they are held: no per-value conversion, and
+    no register or memory value in the header."""
     from repro.isa.opcodes import BRANCH_KINDS
 
     header = {"schema": schema, "key": key, "byteorder": sys.byteorder,
@@ -505,6 +540,7 @@ def encode_trace(trace: FFTrace, key: str, schema: int):
               "sampling": trace.sampling, "program": trace.program,
               "branch_kinds": BRANCH_KINDS,
               "intervals": [{"start": iv.start, "finished": iv.finished,
+                             "addr_bytes": iv.load_addrs.itemsize,
                              "lengths": [len(getattr(iv, name))
                                          for name, __ in _COLUMNS]}
                             for iv in trace.intervals]}
@@ -518,8 +554,9 @@ def decode_trace(blob, key: str, schema: int) -> FFTrace:
     """Read an :func:`encode_trace` blob from the binary file ``blob``
     into columns, one ``readinto`` per column.  Raises
     ``ValueError`` on another schema, key, byte order or branch-kind
-    table, on columns that disagree (:meth:`FFInterval.check`) or on
-    trailing bytes, and ``EOFError`` on a short body."""
+    table, on an address width other than 4 or 8 bytes, on columns that
+    disagree (:meth:`FFInterval.check`) or on trailing bytes, and
+    ``EOFError`` on a short body."""
     from repro.isa.opcodes import BRANCH_KINDS
 
     header = json.loads(blob.readline())
@@ -534,7 +571,12 @@ def decode_trace(blob, key: str, schema: int) -> FFTrace:
         lengths = raw["lengths"]
         if len(lengths) != len(_COLUMNS) or min(lengths) < 0:
             raise ValueError(f"column lengths {lengths}")
+        addr_code = _ADDR_CODES.get(raw["addr_bytes"])
+        if addr_code is None:
+            raise ValueError(f"address width {raw['addr_bytes']!r}")
         for (name, typecode), length in zip(_COLUMNS, lengths):
+            if typecode is _ADDR:
+                typecode = addr_code
             # Allocated at its exact size, then filled in place.
             column = (bytearray(length) if typecode is None
                       else array(typecode, (0,)) * length)

@@ -103,24 +103,22 @@ class DatapathMixin:
     # ------------------------------------------------------------------
 
     def _route_result(self, instance: BlockInstance, targets: tuple, value,
-                      from_core: int, null: bool = False,
-                      fold: bool = True) -> None:
+                      from_core: int, null: bool = False) -> None:
         """Send a produced value along each pre-resolved dataflow route
         (see :func:`repro.tflex.decode._routes`).
 
         Deliveries landing on the same cycle are folded into one event
-        (batched operand delivery) unless ``fold`` is off: the
-        per-target ``operand_delay`` calls still run in target order —
-        so link reservations and traffic stats are untouched — and
-        within this handler the scheduled events are consecutive, so no
-        foreign event can interleave; folding preserves the global order
-        exactly.
+        (batched operand delivery): the per-target ``operand_delay``
+        calls still run in target order — so link reservations and
+        traffic stats are untouched — and within this handler the
+        scheduled events are consecutive, so no foreign event can
+        interleave; folding preserves the global order exactly.
         """
         if instance.state is SQUASHED:
             return
         queue = self.queue
         now = queue.now
-        fold = fold and len(targets) > 1
+        fold = len(targets) > 1
         pending_cycle = -1
         for dest_id, dest, a, b in targets:
             arrive = self.operand_delay(from_core, dest_id, now)
@@ -174,14 +172,13 @@ class DatapathMixin:
 
     def dispatch_read(self, instance: BlockInstance, read: tuple) -> None:
         """Resolve one compiled read slot against the bank's forwarding
-        state; each target gets its own delivery event."""
+        state and route the value to its targets."""
         if instance.state is SQUASHED:
             return
         reg, bank_index, bank_core, targets = read
         self._events["regfile_read"] += 1
         self.rf_banks[bank_index].read(instance.gseq, reg, lambda value: (
-            self._route_result(instance, targets, value, bank_core,
-                               fold=False)))
+            self._route_result(instance, targets, value, bank_core)))
 
     # ------------------------------------------------------------------
     # Loads
@@ -260,7 +257,7 @@ class DatapathMixin:
             done, state = self.system.l2.read(self.ctx, addr, bank_core, done)
             victim = dcache.fill(self.ctx, addr, state)
             if victim is not None:
-                self.system.l2.l1_evicted(victim.ctx, victim.line_addr, bank_core)
+                self.system.l2.l1_evicted(*victim, bank_core)
         self.queue.at(done, partial(self._finish_load_from_memory, instance,
                                     record, addr, bank_core))
 

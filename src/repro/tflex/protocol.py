@@ -526,9 +526,7 @@ class ProtocolMixin:
         """Write-path coherence for one committed store."""
         core = self.system.cores[bank_core]
         self.stats.count("dcache_write")
-        line = core.dcache.probe(self.ctx, entry.addr)
-        from repro.mem.cache import LineState
-        if line is not None and line.state is LineState.MODIFIED:
+        if core.dcache.probe(self.ctx, entry.addr) is LineState.MODIFIED:
             core.dcache.access(self.ctx, entry.addr, write=True)
             return
         # Upgrade or write-allocate through the directory.
@@ -537,7 +535,7 @@ class ProtocolMixin:
                                          self.queue.now)
         victim = core.dcache.fill(self.ctx, entry.addr, state)
         if victim is not None:
-            self.system.l2.l1_evicted(victim.ctx, victim.line_addr, bank_core)
+            self.system.l2.l1_evicted(*victim, bank_core)
         core.dcache.access(self.ctx, entry.addr, write=True)
 
     # ------------------------------------------------------------------

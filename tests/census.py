@@ -147,6 +147,10 @@ REASONS = {
     "injector.FaultInjector._fire_kill": _INJECT,
     "injector.FaultInjector._nets": _INJECT,
     "faults.parse_inject": _INJECT,
+    "cache.CacheBank.downgrade": (
+        "an owner's dirty line read by another core: a forward from a "
+        "remote L1 (see `mesh.Topology.distance`) or a warm-up read of "
+        "a line a store to code left MODIFIED in a D-cache bank"),
     "mesh.Topology.distance": (
         "a hop count off the routing path: a dirty line forwarded from "
         "another core's L1 (only after a recomposition moves a bank), a "

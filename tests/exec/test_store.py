@@ -37,6 +37,18 @@ class TestRoundTrip:
         assert record["key"] == key
         assert record["spec"]["bench"] == "conv"
 
+    @pytest.mark.parametrize("root", ["{tmp}", "{tmp}/a//b/", "rel", "./rel/"])
+    def test_reads_back_what_it_writes_from_any_spelling_of_root(
+            self, tmp_path, monkeypatch, root):
+        """The read path is a formatted string, the write path a
+        ``pathlib`` join: both name the same file whatever the root's
+        spelling (doubled or trailing separators, relative)."""
+        monkeypatch.chdir(tmp_path)
+        store = ResultStore(root.format(tmp=tmp_path))
+        path = store.store(SPEC, PAYLOAD)
+        assert path == store.path_for(store.key(SPEC))
+        assert ResultStore(root.format(tmp=tmp_path)).load(SPEC) == PAYLOAD
+
     def test_no_temp_files_left_behind(self, tmp_path):
         store = ResultStore(tmp_path)
         for n in (1, 2, 4):

@@ -46,15 +46,14 @@ class TestCacheBank:
         bank.fill(0, 0x080)
         bank.access(0, 0x000)              # make 0x080 the LRU
         victim = bank.fill(0, 0x100)
-        assert victim is not None
-        assert victim.line_addr == 0x080
+        assert victim == (0, 0x080)
         assert bank.probe(0, 0x000) is not None
 
     def test_dirty_eviction_counts_writeback(self):
         bank = self.make(size=128, assoc=1, line=64)
         bank.fill(0, 0x000, state=LineState.MODIFIED)
         victim = bank.fill(0, 0x080)       # same set, evicts dirty line
-        assert victim.state is LineState.MODIFIED
+        assert victim == (0, 0x000)
         assert bank.stats.writebacks == 1
 
     def test_upgrade_and_invalidate(self):
@@ -63,10 +62,9 @@ class TestCacheBank:
         bank = self.make()
         bank.fill(0, 0x2000)
         assert bank.fill(0, 0x2000, LineState.MODIFIED) is None
-        assert bank.probe(0, 0x2000).state is LineState.MODIFIED
+        assert bank.probe(0, 0x2000) is LineState.MODIFIED
         assert bank.resident_lines() == 1
-        line = bank.invalidate(0, 0x2000)
-        assert line is not None
+        assert bank.invalidate(0, 0x2000) is LineState.MODIFIED
         assert bank.probe(0, 0x2000) is None
         assert bank.invalidate(0, 0x2000) is None
 
@@ -149,10 +147,10 @@ class TestL2System:
         assert state2 is LineState.SHARED
         assert l2.stats.forwards == 1
         # Previous owner downgraded to SHARED, both are sharers now.
-        assert l1s[3].probe(0, 0xC000).state is LineState.SHARED
+        assert l1s[3].probe(0, 0xC000) is LineState.SHARED
         entry = l2.directory[(0, 0xC000)]
         assert entry.owner is None
-        assert entry.sharers == {3, 7}
+        assert entry.sharers == 1 << 3 | 1 << 7
 
     def test_l1_eviction_clears_directory(self):
         l2, l1s = self.make()

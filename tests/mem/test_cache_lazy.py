@@ -22,10 +22,6 @@ def _eager(*geometry):
     return bank
 
 
-def _line(line):
-    return line and (line.ctx, line.line_addr, line.state)
-
-
 def _apply(bank, op, ctx, addr):
     """One operation's observable answer."""
     if op == "read":
@@ -33,16 +29,16 @@ def _apply(bank, op, ctx, addr):
     if op == "write":
         return bank.access(ctx, addr, write=True)
     if op == "probe":
-        return _line(bank.probe(ctx, addr))
+        return bank.probe(ctx, addr)
     if op == "fill":
-        return _line(bank.fill(ctx, addr))
+        return bank.fill(ctx, addr)
     if op == "fill-m":
-        return _line(bank.fill(ctx, addr, LineState.MODIFIED))
-    return _line(bank.invalidate(ctx, addr))
+        return bank.fill(ctx, addr, LineState.MODIFIED)
+    return bank.invalidate(ctx, addr)
 
 
 def _observe(bank):
-    return (fields(bank), [_line(line) for line in bank.iter_lines()],
+    return (fields(bank), list(bank.iter_lines()),
             bank.resident_lines(), dataclasses.asdict(bank.stats))
 
 
@@ -68,7 +64,7 @@ def test_iter_lines_is_in_set_order_whatever_the_touch_order():
     bank = CacheBank(1024, 2, 64)                # 8 sets
     for addr in (5 * 64, 1 * 64, 7 * 64, 1 * 64 + 512, 0):
         bank.fill(0, addr)
-    assert [(line.line_addr // 64) % 8 for line in bank.iter_lines()] \
+    assert [(line // 64) % 8 for (__, line), __ in bank.iter_lines()] \
         == [0, 1, 1, 5, 7]
 
 
@@ -83,7 +79,7 @@ def test_swap_between_banks_with_disjoint_touched_sets():
     assert (fields(a), fields(b)) == (state_b, state_a)
     # Each bank now answers for the other's lines, and builds the sets
     # it still lacks on demand.
-    assert a.probe(1, 5 * 64).state is LineState.MODIFIED
+    assert a.probe(1, 5 * 64) is LineState.MODIFIED
     assert a.probe(0, 0) is None and b.probe(0, 0) is not None
     assert b.fill(0, 7 * 64) is None
     assert a.resident_lines() == 2 and b.resident_lines() == 4

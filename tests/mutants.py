@@ -61,6 +61,9 @@ _HASHED_ONCE = ("tests/test_import_budget.py::"
                 "test_warm_sweep_hashes_and_reads_each_spec_once")
 _LIFECYCLE = ("tests/tflex/test_lifecycle.py::"
               "test_a_simulated_system_leaves_no_cycle")
+_L2 = "src/repro/mem/l2.py"
+_COHERENCE = ("tests/mem/test_compact_coherence.py::"
+              "test_compact_state_equals_object_state")
 _NO_CACHE = ("tests/test_cli.py::TestFFTraceFlags::"
              "test_no_cache_disables_traces_unless_asked")
 
@@ -98,8 +101,7 @@ MUTANTS = [
      "                     fill=dcache.fill, victims=victims):\n"
      "                victim = fill(ctx, addr, state)\n"
      "                if victim is not None:\n"
-     "                    victims.fill(victim.ctx, victim.line_addr,\n"
-     "                                 victim.state)\n"
+     "                    victims.fill(*victim)\n"
      "                return victim\n"
      "            dcache.fill = fill\n",
      (_WINDOW,)),
@@ -137,11 +139,19 @@ MUTANTS = [
     ("REP402-resil-blocks-lost", "src/repro/resil/recompose.py",
      'metrics.inc("resil.blocks_lost",', 'metrics.inc("resil.lost_blocks",',
      LINT),
-    # Set iteration order (REP204): small-int sets iterate in one order
-    # in CPython, so no test can see this one.
-    ("REP204-l2-sharer-order", "src/repro/mem/l2.py",
-     "for sharer in sorted(entry.sharers):", "for sharer in entry.sharers:",
-     LINT),
+    # Sharer order (REP204's case, once a set's iteration order): the
+    # directory's bit masks are walked from core 0 up, and a sharer's
+    # bit is its own.
+    ("REP204-l2-sharer-order", _L2,
+     "        low = mask & -mask\n"
+     "        yield low.bit_length() - 1\n"
+     "        mask ^= low\n",
+     "        top = mask.bit_length() - 1\n"
+     "        yield top\n"
+     "        mask ^= 1 << top\n", (_COHERENCE,)),
+    ("l2-evict-clears-wrong-sharer-bit", _L2,
+     "        entry.sharers &= ~(1 << core)\n",
+     "        entry.sharers &= ~(2 << core)\n", (_COHERENCE,)),
     # One record per static instruction: the timing model's placement
     # over the interpreter's records.
     ("fold-route-slot-off-by-one", _DECODE,

@@ -29,4 +29,5 @@ def interval_of_blocks(start: int, columns, *, regs=(),
         for at in range(0, len(block), 4):
             interval.add_store(*block[at:at + 4])
         interval.store_ends.append(len(interval.store_addrs))
+    interval.narrow()
     return interval

@@ -224,6 +224,12 @@ SHAPE_BLOCKS = [(n, 0, n + 1, "BRO", 1, [], [8 * n, *shape])
     (42, 0, 43, "BRO", 2, [], [4095, 2, -3, 0, 8190, 8, 0.5, 1])]
 
 
+#: Blocks with a load, then a store, past 4 GiB: their interval keeps
+#: 64-bit data addresses.
+WIDE_BLOCKS = [(0, 0, 1, "BRO", 3, [64, 1 << 40], [128, 8, 7, 0]),
+               (1, 1, 2, "RET", 2, [], [(1 << 32) + 8, 4, -1, 0])]
+
+
 def _packed(code, values) -> bytes:
     values = list(values)
     return struct.pack(f"<{len(values)}{code}", *values)
@@ -240,6 +246,8 @@ class TestTraceRoundtrip:
     @example(raw_intervals=[(SHAPE_BLOCKS, [(1, 42), (7, -0.5),
                                             (9, NAN_PAYLOAD), (127, -0.0)],
                              False), ([], [], True)])
+    @example(raw_intervals=[(WIDE_BLOCKS, [], False),
+                            (SHAPE_BLOCKS, [], True)])
     def test_encode_decode_roundtrip(self, raw_intervals):
         intervals = [_build_interval(blocks, i * 4096, finished, regs)
                      for i, (blocks, regs, finished)
@@ -298,14 +306,16 @@ class TestTraceRoundtrip:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(_intervals, max_size=3))
     @example(raw_intervals=[SHAPE_BLOCKS, []])
+    @example(raw_intervals=[WIDE_BLOCKS, SHAPE_BLOCKS])
     def test_blob_is_a_header_line_then_column_bytes(self, raw_intervals):
         """The blob, written out by hand: a compact JSON header line,
         then per interval its fifteen columns' little-endian bytes —
         block addresses as u32, counts and branch-kind indices as u8,
-        addresses as u64, end offsets as u32, store kinds with the fp
-        flag, each store's value as its 8-byte pattern, and the
-        register columns: numbers and kinds as u8, values as 8 bytes.
-        No value is in the header."""
+        data addresses as u32 (u64 in an interval where one does not
+        fit, which its header's ``addr_bytes`` says), end offsets as
+        u32, store kinds with the fp flag, each store's value as its
+        8-byte pattern, and the register columns: numbers and kinds as
+        u8, values as 8 bytes.  No value is in the header."""
         from repro.isa.opcodes import BRANCH_KINDS
 
         trace = _trace([_build_interval(blocks, i * 4096, False)
@@ -316,14 +326,18 @@ class TestTraceRoundtrip:
                 _columns(blocks)
             stores = [quads[at:at + 4] for quads in st_
                       for at in range(0, len(quads), 4)]
+            addr_bytes = 8 if max((a for block in la for a in block),
+                                  default=0) >> 32 or max(
+                (addr for addr, *_ in stores), default=0) >> 32 else 4
+            addr = "Q" if addr_bytes == 8 else "I"
             columns = [
                 _packed("I", addrs), _packed("B", exits),
                 _packed("I", nexts),
                 _packed("B", map(BRANCH_KINDS.index, ops)),
                 _packed("B", insts), _packed("B", loads),
-                _packed("Q", (a for block in la for a in block)),
+                _packed(addr, (a for block in la for a in block)),
                 _packed("I", _ends(la)),
-                _packed("Q", (addr for addr, *_ in stores)),
+                _packed(addr, (addr for addr, *_ in stores)),
                 _packed("B", (size | 0x80 * fp for _, size, _, fp in stores)),
                 b"".join(struct.pack("<d", value) if fp else
                          value.to_bytes(8, "little", signed=True)
@@ -331,8 +345,10 @@ class TestTraceRoundtrip:
                 _packed("I", (end // 4 for end in _ends(st_))),
                 _packed("B", [1]), _packed("B", [8]), _packed("q", [42])]
             body += b"".join(columns)
-            sizes = (4, 1, 4, 1, 1, 1, 8, 4, 8, 1, 1, 4, 1, 1, 1)
+            sizes = (4, 1, 4, 1, 1, 1, addr_bytes, 4, addr_bytes, 1, 1, 4,
+                     1, 1, 1)
             described.append({"start": i * 4096, "finished": False,
+                              "addr_bytes": addr_bytes,
                               "lengths": [len(column) // size for column, size
                                           in zip(columns, sizes)]})
         header = {"schema": TRACE_SCHEMA, "key": KEY, "byteorder": "little",
@@ -702,8 +718,8 @@ def _bytes_spec(bench, **kwargs):
 
 
 @pytest.mark.parametrize("bench, bound", [
-    ("conv", 130),      # ~101 B: seven 8-byte load addresses a block
-    ("gzip", 140),      # ~133 B: and two 17-byte stores a block
+    ("conv", 77),       # ~70 B: seven 4-byte load addresses a block
+    ("gzip", 114),      # ~103 B: and two 13-byte stores a block
 ])
 def test_recorded_trace_bytes_per_block(tmp_path, bench, bound):
     assert retained_bytes_per_block(_bytes_spec(bench), tmp_path / "t") \
@@ -711,8 +727,8 @@ def test_recorded_trace_bytes_per_block(tmp_path, bench, bound):
 
 
 @pytest.mark.parametrize("bench, bound", [
-    ("conv", 145),      # ~111 B
-    ("gzip", 175),      # ~165 B
+    ("conv", 92),       # ~83 B
+    ("gzip", 157),      # ~143 B
 ])
 def test_replayed_trace_bytes_per_block(tmp_path, bench, bound):
     """One replay at a second line size adds that size's D-cache op

@@ -42,7 +42,7 @@ def make_shadow(ncores, icache_bytes, l2_bytes=None):
 
 
 def directory(shadow):
-    return {key: (entry.owner, sorted(entry.sharers))
+    return {key: (entry.owner, entry.sharers)
             for key, entry in shadow.l2.directory.items()}
 
 

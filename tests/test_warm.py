@@ -60,10 +60,15 @@ def _train_cache(bank, stream):
 
 
 def _probe_cache(bank):
-    """The eviction victim of every set under one more fill."""
-    victims = [bank.fill(9, index * bank.line_size)
-               for index in range(bank.num_sets)]
-    return [v and (v.ctx, v.line_addr, v.state) for v in victims]
+    """The eviction victim of every set under one more fill, with the
+    state it had."""
+    victims = []
+    for index in range(bank.num_sets):
+        addr = index * bank.line_size
+        states = dict(bank._set_of(addr))
+        victim = bank.fill(9, addr)
+        victims.append(victim and (victim, states[victim]))
+    return victims
 
 
 def _train_ras(ras, stream):

@@ -30,8 +30,7 @@ def warm_parts(obj, path=()):
 
 def plain(value):
     if isinstance(value, dict):                 # a cache bank's sets
-        return {index: [(line.ctx, line.line_addr, line.state)
-                        for line in cache_set.values()]
+        return {index: list(cache_set.items())
                 for index, cache_set in sorted(value.items()) if cache_set}
     if isinstance(value, list):
         return list(value)
